@@ -103,6 +103,10 @@ LOAD_MNEMONICS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"})
 STORE_MNEMONICS = frozenset({"sb", "sh", "sw", "sd"})
 ADDSUB_MNEMONICS = frozenset({"add", "sub", "addw", "subw", "addi", "addiw"})
 
+# Signed byte offsets a B-type branch and a J-type jal can encode.
+BRANCH_REACH = (-4096, 4094)
+JAL_REACH = (-(1 << 20), (1 << 20) - 2)
+
 
 @dataclass(frozen=True)
 class Insn:
@@ -145,7 +149,7 @@ def encode(insn: Insn) -> int:
         _check_range(insn.mnemonic, imm, 0, 0xFFFFF)
         return (imm << 12) | (insn.rd << 7) | opcode
     if fmt == _J:
-        _check_range(insn.mnemonic, imm, -(1 << 20), (1 << 20) - 2, even=True)
+        _check_range(insn.mnemonic, imm, *JAL_REACH, even=True)
         u = imm & 0x1FFFFF
         word = ((u >> 20) & 1) << 31
         word |= ((u >> 1) & 0x3FF) << 21
@@ -159,7 +163,7 @@ def encode(insn: Insn) -> int:
         _check_range(insn.mnemonic, imm, 0, 63)
         return (funct7 << 26) | (imm << 20) | (insn.rs1 << 15) | (funct3 << 12) | (insn.rd << 7) | opcode
     if fmt == _B:
-        _check_range(insn.mnemonic, imm, -4096, 4094, even=True)
+        _check_range(insn.mnemonic, imm, *BRANCH_REACH, even=True)
         u = imm & 0x1FFF
         word = ((u >> 12) & 1) << 31
         word |= ((u >> 5) & 0x3F) << 25

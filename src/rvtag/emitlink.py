@@ -15,6 +15,10 @@ Image file format "RVTI", little-endian throughout:
     data_base u64, data_len u32, data bytes
     region_count u32, then per region:
         start u64, group_count u32, coverage u8, carrier u8, pad u16
+
+Region starts are word-aligned, strictly increasing and inside text; each
+(carrier, coverage) pair has a tag layout.  tagplan.carrier_groups turns the
+table into the slot schedule that label recovery and the emulator share.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def emit_tags(program: Program, config: TagConfig) -> Program:
                 new_imm = (tagplan.landing_offset(target, coverage)
                            - tagplan.insn_address(site, coverage))
                 insn = replace(insn, imm=new_imm)
-            new_insns.append(replace_tagged(tagged, insn))
+            new_insns.append(replace(tagged, insn=insn))
         new_fragment = Fragment(
             name=fragment.name,
             insns=new_insns,
@@ -144,18 +148,6 @@ def emit_tags(program: Program, config: TagConfig) -> Program:
         )
         out.fragments.append(new_fragment)
     return out
-
-
-def replace_tagged(tagged: TaggedInsn, insn: Insn) -> TaggedInsn:
-    return TaggedInsn(
-        insn=insn,
-        tag=tagged.tag,
-        lineage=tagged.lineage,
-        is_label=tagged.is_label,
-        label_value=tagged.label_value,
-        annotations=tagged.annotations,
-        calltype=tagged.calltype,
-    )
 
 
 @dataclass(frozen=True)
@@ -212,10 +204,6 @@ def _fragment_words(fragment: Fragment) -> list:
                     f"{fragment.name!r}: {tagged.insn.mnemonic} immediate no longer "
                     f"encodable after tag interleaving: {exc}") from None
     return words
-
-
-_BRANCH_RANGE = (-4096, 4094)
-_JAL_RANGE = (-(1 << 20), (1 << 20) - 2)
 
 
 def link(program: Program, config: TagConfig | None = None, *, tagged: bool = True,
@@ -277,7 +265,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             site = base + reloc.offset
             target = symbols[reloc.target]
             delta = target - site
-            lo_bound, hi_bound = _BRANCH_RANGE if reloc.kind == "Branch" else _JAL_RANGE
+            lo_bound, hi_bound = codec.BRANCH_REACH if reloc.kind == "Branch" else codec.JAL_REACH
             if not lo_bound <= delta <= hi_bound:
                 raise RelocOutOfRange(
                     f"{fragment.name!r}+{reloc.offset:#x}: target {reloc.target!r} "
@@ -294,9 +282,9 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             groups = -(-count // config.coverage)
             regions.append(TagRegion(start=base, group_count=groups,
                                      coverage=config.coverage, carrier=config.carrier))
-            label_tag = _label_tag(config.policy, config)
-            if label_tag is not None:
-                kind = "cfl" if config.policy == "cfi" else "cl"
+            label = tagplan.policy_label(config.policy)
+            if label is not None:
+                label_tag, kind = label
                 for i, slot in enumerate(fragment.insns):
                     if slot.is_label and slot.tag == label_tag:
                         labels.append((base + 4 * i, kind))
@@ -321,14 +309,6 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         tag_regions=tuple(regions),
         label_addrs=tuple(labels),
     )
-
-
-def _label_tag(policy: str, config: TagConfig):
-    if policy == "cfi":
-        return config.value_of("CFL")
-    if policy == "coverage":
-        return config.value_of("CL")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +388,20 @@ def read_image(path) -> Image:
         start, group_count, coverage, carrier_code, _pad = reader.take(_REGION)
         if carrier_code not in _CARRIER_FROM_CODE:
             raise FormatError(f"unknown carrier code {carrier_code}")
+        carrier = _CARRIER_FROM_CODE[carrier_code]
+        if (carrier, coverage) not in codec.TAG_BITS:
+            raise FormatError(f"region {start:#x}: {carrier.value} carrier has no "
+                              f"coverage-{coverage} tag layout")
+        if not text_base <= start < text_base + text_len:
+            raise FormatError(f"region {start:#x} starts outside text "
+                              f"[{text_base:#x}, {text_base + text_len:#x})")
+        if start % tagplan.INSN_SIZE:
+            raise FormatError(f"region {start:#x} is not word-aligned")
+        if regions and start <= regions[-1].start:
+            raise FormatError(f"region {start:#x} does not follow region "
+                              f"{regions[-1].start:#x}")
         regions.append(TagRegion(start=start, group_count=group_count,
-                                 coverage=coverage,
-                                 carrier=_CARRIER_FROM_CODE[carrier_code]))
+                                 coverage=coverage, carrier=carrier))
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
     image = Image(
         text_base=text_base,
@@ -432,34 +423,23 @@ def scan_labels(image: Image) -> tuple:
     Labels are lui x0 words at non-carrier slots whose positional tag is
     the policy's label tag (CFL under cfi, CL under coverage).
     """
-    if image.policy == "cfi":
-        label_tag, kind = 1, "cfl"
-    elif image.policy == "coverage":
-        label_tag, kind = 0, "cl"
-    else:
+    label = tagplan.policy_label(image.policy)
+    if label is None:
         return ()
+    label_tag, kind = label
+
+    def word_at(addr):
+        offset = addr - image.text_base
+        return int.from_bytes(image.text[offset:offset + 4], "little")
+
     found = []
-    starts = [r.start for r in image.tag_regions]
-    for i, region in enumerate(image.tag_regions):
-        stride = region.coverage + 1
-        extent = region.start + 4 * region.group_count * stride
-        bound = min(extent, image.text_end,
-                    starts[i + 1] if i + 1 < len(starts) else extent)
-        addr = region.start
-        while addr < bound:
-            word_index = (addr - region.start) // 4
-            slot = word_index % stride
-            if slot != 0:
-                word = int.from_bytes(
-                    image.text[addr - image.text_base:addr - image.text_base + 4],
-                    "little")
-                if word & 0x7F == codec.OP_LUI and (word >> 7) & 0x1F == 0:
-                    carrier_addr = region.start + 4 * (word_index - slot)
-                    carrier = int.from_bytes(
-                        image.text[carrier_addr - image.text_base:
-                                   carrier_addr - image.text_base + 4], "little")
-                    pack = codec.unpack_tags(region.carrier, region.coverage, carrier)
-                    if pack.tags[slot - 1] == label_tag:
-                        found.append((addr, kind))
-            addr += 4
+    for region, carrier_addr, group_end in tagplan.carrier_groups(
+            image.tag_regions, image.text_end):
+        for addr in range(carrier_addr + 4, group_end, 4):
+            word = word_at(addr)
+            if word & 0x7F == codec.OP_LUI and (word >> 7) & 0x1F == 0:
+                pack = codec.unpack_tags(region.carrier, region.coverage,
+                                         word_at(carrier_addr))
+                if pack.tags[(addr - carrier_addr) // 4 - 1] == label_tag:
+                    found.append((addr, kind))
     return tuple(found)

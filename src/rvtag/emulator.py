@@ -5,15 +5,19 @@ encodings and custom-opcode carriers fault, exactly as tag-unaware hardware
 would behave); "aware" consumes carrier words as metadata and enforces the
 image's policy.  Counters split retired instructions from carrier fetches so
 dynamic overhead can be measured.
+
+The slot schedule (tagplan.carrier_groups) is resolved once, at load, into a
+pc -> tag table where None marks a carrier.  Compat mode enters carriers only
+and never parses a payload; aware mode unpacks each carrier once, again when
+a store rewrites it.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from . import codec
+from . import codec, tagplan
 from .codec import Insn
 from .emitlink import Image
 from .errors import RvtagError
@@ -75,12 +79,9 @@ class PolicyState:
     cl_addresses: list = field(default_factory=list)
 
 
-# Tag values the shipped policies use (mirrors the built-in tag sets).
-CFI_CFL = 1
-UNARITH_TAG = 1
-COVERAGE_CL = 0
-COVERAGE_CI = 1
-COVERAGE_BCF = 2
+_CFL = tagplan.policy_tag("cfi", "CFL")
+_UN_ARTH = tagplan.policy_tag("unarith", "UN_ARTH")
+_CL, _CI, _BCF = (tagplan.policy_tag("coverage", name) for name in ("CL", "CI", "BCF"))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -115,16 +116,9 @@ class Emulator:
             memory[image.data_base + i] = byte
 
         self._word_cache = {}
-        self._regions = list(image.tag_regions)
-        self._region_starts = [r.start for r in self._regions]
-        self._region_bounds = []
-        for i, region in enumerate(self._regions):
-            extent = region.start + 4 * region.group_count * (region.coverage + 1)
-            if i + 1 < len(self._regions):
-                extent = min(extent, self._regions[i + 1].start)
-            self._region_bounds.append(min(extent, image.text_end))
-        self._carrier_tags = {}
         self._text_writable = (mode == "aware" and image.policy == "coverage")
+        self._slots = {}
+        self._resolve(tagplan.carrier_groups(image.tag_regions, image.text_end))
 
     # -- memory ------------------------------------------------------------
     def _load(self, addr: int, size: int) -> int:
@@ -136,7 +130,9 @@ class Emulator:
 
     def _store(self, addr: int, size: int, value: int) -> None:
         addr &= MASK64
-        if self.image.text_base <= addr < self.image.text_end and not self._text_writable:
+        image = self.image
+        in_text = addr < image.text_end and addr + size > image.text_base
+        if in_text and not self._text_writable:
             raise PolicyViolation("MemFault", self.state.pc,
                                   f"store to execute-only text at {addr:#x}")
         memory = self.state.memory
@@ -144,6 +140,9 @@ class Emulator:
             byte_addr = (addr + i) & MASK64
             memory[byte_addr] = (value >> (8 * i)) & 0xFF
             self._word_cache.pop(byte_addr & ~3, None)
+        if in_text:  # re-resolve each group whose carrier word was written
+            self._resolve(group for group in tagplan.carrier_groups(
+                image.tag_regions, image.text_end) if addr - 4 < group[1] < addr + size)
 
     def _fetch(self, pc: int) -> int:
         word = self._word_cache.get(pc)
@@ -152,47 +151,27 @@ class Emulator:
             self._word_cache[pc] = word
         return word
 
-    # -- tag lookup ----------------------------------------------------------
-    def _region_at(self, pc: int):
-        index = bisect_right(self._region_starts, pc) - 1
-        if index < 0:
-            return None
-        if pc >= self._region_bounds[index]:
-            return None
-        return self._regions[index]
-
-    def _is_carrier_slot(self, pc: int) -> bool:
-        region = self._region_at(pc)
-        if region is None:
-            return False
-        return (pc - region.start) // 4 % (region.coverage + 1) == 0
-
-    def _slot_info(self, pc: int):
-        """(is_carrier, tag or None) for a pc, from the positional schedule."""
-        region = self._region_at(pc)
-        if region is None:
-            return False, None
-        stride = region.coverage + 1
-        word_index = (pc - region.start) // 4
-        slot = word_index % stride
-        if slot == 0:
-            return True, None
-        carrier_addr = region.start + 4 * (word_index - slot)
-        tags = self._carrier_tags.get(carrier_addr)
-        if tags is None:
+    # -- slot schedule -------------------------------------------------------
+    def _resolve(self, groups) -> None:
+        """Enter carrier groups into the pc -> tag table (None = carrier)."""
+        slots = self._slots
+        aware = self.mode == "aware"
+        for region, carrier_addr, group_end in groups:
+            slots[carrier_addr] = None
+            if not aware:
+                continue
             try:
                 pack = codec.unpack_tags(region.carrier, region.coverage,
-                                         self._fetch(carrier_addr))
+                                         self._load(carrier_addr, 4))
             except codec.NotACarrier as exc:
                 raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}") from None
-            tags = pack.tags
-            self._carrier_tags[carrier_addr] = tags
-        return False, tags[slot - 1]
+            slots.update(zip(range(carrier_addr + 4, group_end, 4), pack.tags))
 
     # -- main loop -----------------------------------------------------------
     def run(self):
         state = self.state
         counters = self.counters
+        slots = self._slots
         while not state.halted:
             if counters.retired >= self.max_insns:
                 raise LimitExceeded(
@@ -203,7 +182,7 @@ class Emulator:
             if self.mode == "compat":
                 # Tag-unaware hardware never parses carrier payloads; the
                 # slot schedule is consulted only to split the counters.
-                if self._is_carrier_slot(pc):
+                if pc in slots:
                     counters.tag_fetches += 1
                     self._execute(self._decode_at(pc), None)
                     continue
@@ -213,8 +192,8 @@ class Emulator:
                 self._execute(insn, None)
                 counters.retired += 1
                 continue
-            is_carrier, tag = self._slot_info(pc)
-            if is_carrier:
+            tag = slots.get(pc)
+            if tag is None and pc in slots:
                 counters.tag_fetches += 1
                 state.pc = pc + 4  # metadata only, nothing retired
                 continue
@@ -239,7 +218,7 @@ class Emulator:
         pc = state.pc
         if policy.mode == "cfi":
             if policy.awaiting_entry is not None:
-                if is_label and tag == CFI_CFL:
+                if is_label and tag == _CFL:
                     if insn.imm != policy.awaiting_entry:
                         raise PolicyViolation(
                             "CfiMismatch", pc,
@@ -250,9 +229,9 @@ class Emulator:
                     raise PolicyViolation(
                         "CfiMissingEntryLabel", pc,
                         "computed call landed on an unlabelled instruction")
-            if is_label and tag == CFI_CFL:
+            if is_label and tag == _CFL:
                 policy.pending_cfl = insn.imm
-            elif insn.mnemonic == "jalr" and tag == CFI_CFL:
+            elif insn.mnemonic == "jalr" and tag == _CFL:
                 if policy.pending_cfl is None:
                     raise PolicyViolation(
                         "CfiMissingSiteLabel", pc, "checked jalr without a site label")
@@ -261,14 +240,14 @@ class Emulator:
             else:
                 policy.pending_cfl = None
         elif policy.mode == "unarith":
-            if tag == UNARITH_TAG and insn.mnemonic in codec.ADDSUB_MNEMONICS:
+            if tag == _UN_ARTH and insn.mnemonic in codec.ADDSUB_MNEMONICS:
                 self._check_unsigned(insn)
         elif policy.mode == "coverage":
-            if tag == COVERAGE_CL and is_label:
+            if tag == _CL and is_label:
                 self._count_label(pc)
-            elif tag == COVERAGE_CI:
+            elif tag == _CI:
                 policy.ci_counts[pc] = policy.ci_counts.get(pc, 0) + 1
-            elif tag == COVERAGE_BCF:
+            elif tag == _BCF:
                 self._execute(insn, tag)
                 self.counters.retired += 1
                 per_site = policy.bcf.setdefault(pc, {})

@@ -146,12 +146,6 @@ class Program:
                 return frag
         raise UndefinedSymbol(f"no fragment named {name!r}")
 
-    def fragment_index(self, name: str) -> int:
-        for i, frag in enumerate(self.fragments):
-            if frag.name == name:
-                return i
-        raise UndefinedSymbol(f"no fragment named {name!r}")
-
     def globals(self) -> dict:
         """Symbol table view keyed by name."""
         table = {}

@@ -1,17 +1,20 @@
-"""Tag schedule configuration and the offset arithmetic shared by emission,
-symbol adjustment, and branch-reach checks.
+"""Tag schedule configuration, the offset arithmetic shared by emission,
+symbol adjustment, and branch-reach checks, and the one slot schedule of a
+linked image.
 
 A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a
 group boundary map to that group's carrier slot, and the instruction word
-itself always sits one word past remap_offset.
+itself always sits one word past remap_offset.  In a linked image,
+carrier_groups() is the single walker over the carrier slots that label
+scanning and the emulator's pc -> tag table both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import COVERAGE_VALUES, TAG_BITS, TagCarrier
+from .codec import BRANCH_REACH, COVERAGE_VALUES, JAL_REACH, TAG_BITS, TagCarrier
 from .errors import BuildError
 
 
@@ -90,6 +93,8 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
         raise TableNA(f"{carrier.value} carrier does not support coverage {coverage}")
     if policy not in POLICIES:
         raise ConfigError(f"policy: unknown policy {policy!r}")
+    if policy == "coverage" and coverage != 7:
+        raise ConfigError(f"policy=coverage needs coverage 7, config says {coverage}")
     tag_names = tuple(tags) if tags is not None else POLICY_TAG_SETS[policy]
     if not tag_names:
         raise ConfigError("tags: at least one tag must be declared")
@@ -252,17 +257,49 @@ def tagged_size(fragment_insn_count: int, coverage: int) -> int:
     return INSN_SIZE * (fragment_insn_count + groups)
 
 
-_BRANCH_REACH = (-4096, 4094)
-_JAL_REACH = (-(1 << 20), (1 << 20) - 2)
-
-
 def reach_check(branch_site: int, target: int, coverage: int, kind: str) -> bool:
     """True when the remapped displacement still fits the branch encoding.
 
     Keeps a one-instruction margin: label insertions can displace the code
     further than carrier interleaving alone.
     """
-    lo, hi = _BRANCH_REACH if kind == "Branch" else _JAL_REACH
+    lo, hi = BRANCH_REACH if kind == "Branch" else JAL_REACH
     delta = remap_offset(target, coverage) - remap_offset(branch_site, coverage)
     margin = INSN_SIZE
     return lo + margin <= delta <= hi - margin
+
+
+# ---------------------------------------------------------------------------
+# Slot schedule of a linked image
+
+def carrier_groups(regions, text_end: int):
+    """Yield (region, carrier_addr, group_end) for every carrier group.
+
+    The carrier word at carrier_addr tags the instruction words in
+    (carrier_addr, group_end), slot i at carrier_addr + 4*(i+1).  A region
+    spans group_count groups of coverage+1 words, clipped to the next
+    region's start and to text_end.
+    """
+    for i, region in enumerate(regions):
+        stride = INSN_SIZE * (region.coverage + 1)
+        bound = min(region.start + stride * region.group_count, text_end)
+        if i + 1 < len(regions):
+            bound = min(bound, regions[i + 1].start)
+        for carrier_addr in range(region.start, bound, stride):
+            yield region, carrier_addr, min(carrier_addr + stride, bound)
+
+
+def policy_tag(policy: str, name: str) -> int:
+    """Value of a built-in policy tag; make_config forbids remapping it."""
+    return dict(POLICY_TAG_SETS[policy])[name]
+
+
+def policy_label(policy: str):
+    """(tag value, kind) of the metadata labels a policy records, or None.
+
+    cfi records CFL-tagged labels ("cfl"), coverage CL-tagged ones ("cl").
+    """
+    name = {"cfi": "CFL", "coverage": "CL"}.get(policy)
+    if name is None:
+        return None
+    return policy_tag(policy, name), name.lower()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rvtag import codec
@@ -361,6 +363,31 @@ def test_image_format_errors(tmp_path):
     bad_version.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
     with pytest.raises(FormatError):
         read_image(bad_version)
+
+
+# Each case turns the image's first two (valid) regions into a bad table.
+BAD_REGION_TABLES = {
+    "start_below_text": lambda image, a, b: (
+        dataclasses.replace(a, start=0, group_count=2 ** 32 - 1), b),
+    "start_at_text_end": lambda image, a, b: (
+        a, dataclasses.replace(b, start=image.text_end)),
+    "start_misaligned": lambda image, a, b: (
+        a, dataclasses.replace(b, start=b.start + 2)),
+    "starts_not_increasing": lambda image, a, b: (b, a),
+    "layout_not_available": lambda image, a, b: (
+        dataclasses.replace(a, carrier=codec.TagCarrier.ADDI_NOP, coverage=15), b),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REGION_TABLES))
+def test_image_region_table_validated(tmp_path, case):
+    image = build_image(CALL_AFTER_CALLEE, CFI3, tagged=True,
+                        cfi_label_direct_calls=True)
+    regions = BAD_REGION_TABLES[case](image, *image.tag_regions[:2])
+    path = tmp_path / "bad.rvti"
+    write_image(dataclasses.replace(image, tag_regions=regions), path)
+    with pytest.raises(FormatError):
+        read_image(path)
 
 
 def test_scan_labels_matches_link_records():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -163,6 +164,41 @@ def test_store_to_text_faults():
     with pytest.raises(PolicyViolation) as info:
         run(image, mode="compat")
     assert info.value.kind == "MemFault"
+
+
+def test_store_straddling_text_start_faults():
+    # an 8-byte store at text_base-4 covers the first text word
+    source = (
+        "main:\n"
+        "    li t1, 0xFFFC\n"
+        "    sd x0, 0(t1)\n"
+        "    ecall\n"
+    )
+    image = build_image(source, N3, tagged=True)
+    with pytest.raises(PolicyViolation) as info:
+        run(image, mode="compat")
+    assert info.value.kind == "MemFault"
+
+
+def test_aware_rejects_malformed_carrier_at_load():
+    # `helper` never runs, so only an eagerly resolved schedule sees its carrier
+    source = (
+        ".globl main\n.entry main\nmain:\n"
+        "    li a7, 93\n"
+        "    ecall\n"
+        ".globl helper\nhelper:\n"
+        "    ret\n"
+    )
+    image = build_image(source, N3, tagged=True)
+    carrier_addr = image.tag_regions[-1].start
+    offset = carrier_addr - image.text_base
+    text = bytearray(image.text)
+    text[offset:offset + 4] = codec.encode(Insn("addi", rd=1)).to_bytes(4, "little")
+    bad = dataclasses.replace(image, text=bytes(text))
+    with pytest.raises(BadInstruction, match=f"{carrier_addr:#x}"):
+        Emulator(bad, mode="aware")
+    state, _, _ = run(bad, mode="compat")  # tag-unaware: never parsed
+    assert state.stop_reason == "exit"
 
 
 def test_limit_exceeded():
@@ -600,6 +636,30 @@ def test_coverage_cl_writeback_saturates():
     machine._count_label(label_addr)
     machine._count_label(label_addr)
     assert (machine._fetch(label_addr) >> 12) & 0xFFFFF == 0xFFFFF
+
+
+def test_coverage_store_to_carrier_retags_its_group():
+    # Overwriting bump's carrier with a bare `lui x0, 0` tags its whole
+    # group CL, so the second call neither counts the addi nor records ret.
+    source = (
+        ".globl bump\nbump:\n"
+        "    addi a0, a0, 1 !count\n"
+        "    ret\n"
+        ".globl main\n.entry main\nmain:\n"
+        "    call bump\n"
+        "    la t0, bump\n"
+        "    li t1, 0x37\n"
+        "    sw t1, 0(t0)\n"
+        "    call bump\n"
+        "    li a7, 93\n"
+        "    ecall\n"
+    )
+    image, state, _, policy = coverage_run(source)
+    assert state.exit_code == 2
+    lo, hi = block_fn_range(image)  # bump is the first fragment
+    assert list(policy.ci_counts.values()) == [1]
+    assert [sum(targets.values()) for pc, targets in policy.bcf.items()
+            if lo <= pc < hi] == [1]
 
 
 def test_coverage_cl_counts_match_executions():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rvtag.frontend import assemble
@@ -378,7 +380,7 @@ def test_pass_coverage_count_annotation():
 
 def test_pass_coverage_requires_coverage7():
     program = assemble("main:\n    ecall\n")
-    bad = make_config(carrier="lui", coverage=3, policy="coverage")
+    bad = dataclasses.replace(COVERAGE, coverage=3, bits_per_tag=6)
     with pytest.raises(ConfigMismatch):
         pass_coverage(program, bad)
     with pytest.raises(ConfigMismatch):

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvtag.codec import TagCarrier
+from rvtag.emitlink import TagRegion
 from rvtag.tagplan import (
     ConfigError,
     Misaligned,
     TableNA,
+    carrier_groups,
     insn_address,
     landing_offset,
     loads_config,
@@ -182,6 +184,28 @@ def test_config_policy_defaults():
 def test_config_coverage_policy_needs_labels():
     with pytest.raises(ConfigError):
         make_config(carrier="lui", coverage=7, policy="coverage", labels=False)
+
+
+@pytest.mark.parametrize("coverage", [1, 3, 15])
+def test_config_coverage_policy_needs_coverage7(coverage):
+    with pytest.raises(ConfigError, match="coverage 7"):
+        make_config(carrier="lui", coverage=coverage, policy="coverage")
+    with pytest.raises(ConfigError, match="coverage 7"):
+        loads_config(f"carrier = lui\ncoverage = {coverage}\npolicy = coverage\n")
+
+
+def test_carrier_groups_clip_to_next_region_and_text_end():
+    lui = TagCarrier.LUI_NOP
+    # The first region claims 3 groups of 4 words but the second starts
+    # after 5 words; the second claims 2 groups of 8 words but text ends
+    # 3 words in.
+    regions = (TagRegion(0x100, 3, 3, lui), TagRegion(0x114, 2, 7, lui))
+    assert list(carrier_groups(regions, 0x120)) == [
+        (regions[0], 0x100, 0x110),
+        (regions[0], 0x110, 0x114),
+        (regions[1], 0x114, 0x120),
+    ]
+    assert list(carrier_groups((), 0x120)) == []
 
 
 def test_config_file_round_trip(tmp_path):
