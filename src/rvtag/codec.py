@@ -9,6 +9,7 @@ slot in the lowest-order bits.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import BuildError
@@ -322,24 +323,36 @@ def pack_tags(carrier: TagCarrier, pack: TagPack) -> int:
     return (payload << 7) | OP_CUSTOM0
 
 
-def unpack_tags(carrier: TagCarrier, coverage: int, word: int) -> TagPack:
-    """Extract the coverage-many tag values from a carrier word."""
+# Per carrier: the mask and value of its fixed fields, and the payload's shift.
+_CARRIER_FIELDS = {
+    TagCarrier.LUI_NOP: (0xFFF, OP_LUI, 12, "a lui x0 word"),
+    TagCarrier.ADDI_NOP: (0xFFFFF, OP_IMM, 20, "an addi x0,x0 word"),
+    TagCarrier.CUSTOM: (0x7F, OP_CUSTOM0, 7, "a custom-0 word"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tag_reader(carrier: TagCarrier, coverage: int):
+    """read(word) -> the coverage-many tag values of one carrier layout.
+
+    Raises PackOverflow for a pair with no layout; read raises NotACarrier
+    for a word whose fixed fields do not match the carrier.
+    """
     bits = TAG_BITS.get((carrier, coverage))
     if bits is None:
         raise PackOverflow(f"{carrier.value} has no coverage-{coverage} layout")
-    if carrier is TagCarrier.LUI_NOP:
-        if word & 0x7F != OP_LUI or (word >> 7) & 0x1F != 0:
-            raise NotACarrier(f"{word:#010x} is not a lui x0 word")
-        payload = (word >> 12) & 0xFFFFF
-    elif carrier is TagCarrier.ADDI_NOP:
-        if (word & 0x7F != OP_IMM or (word >> 7) & 0x1F != 0
-                or (word >> 12) & 0x7 != 0 or (word >> 15) & 0x1F != 0):
-            raise NotACarrier(f"{word:#010x} is not an addi x0,x0 word")
-        payload = (word >> 20) & 0xFFF
-    else:
-        if word & 0x7F != OP_CUSTOM0:
-            raise NotACarrier(f"{word:#010x} is not a custom-0 word")
-        payload = (word >> 7) & 0x1FFFFFF
-    mask = (1 << bits) - 1
-    tags = tuple((payload >> (i * bits)) & mask for i in range(coverage))
-    return TagPack(coverage=coverage, bits_per_tag=bits, tags=tags)
+    fixed_mask, fixed, shift, what = _CARRIER_FIELDS[carrier]
+    tag_mask = (1 << bits) - 1
+    shifts = range(shift, shift + coverage * bits, bits)
+
+    def read(word: int) -> tuple:
+        if word & fixed_mask != fixed:
+            raise NotACarrier(f"{word:#010x} is not {what}")
+        return tuple([(word >> s) & tag_mask for s in shifts])
+    return read
+
+
+def unpack_tags(carrier: TagCarrier, coverage: int, word: int) -> TagPack:
+    """Extract the coverage-many tag values from a carrier word."""
+    tags = tag_reader(carrier, coverage)(word)
+    return TagPack(coverage=coverage, bits_per_tag=TAG_BITS[(carrier, coverage)], tags=tags)

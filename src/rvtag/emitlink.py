@@ -438,8 +438,7 @@ def scan_labels(image: Image) -> tuple:
         for addr in range(carrier_addr + 4, group_end, 4):
             word = word_at(addr)
             if word & 0x7F == codec.OP_LUI and (word >> 7) & 0x1F == 0:
-                pack = codec.unpack_tags(region.carrier, region.coverage,
-                                         word_at(carrier_addr))
-                if pack.tags[(addr - carrier_addr) // 4 - 1] == label_tag:
+                tags = codec.tag_reader(region.carrier, region.coverage)(word_at(carrier_addr))
+                if tags[(addr - carrier_addr) // 4 - 1] == label_tag:
                     found.append((addr, kind))
     return tuple(found)

@@ -249,12 +249,14 @@ def test_carrier_words_have_no_architectural_effect():
             cases.append(pack_tags(carrier, TagPack(coverage, bits, tags)))
     base = build_image("main:\n    ecall\n", N3, tagged=False)
     for word in cases:
-        insn = codec.decode(word)
-        machine = Emulator(base, mode="compat")
-        before = list(machine.state.regs)
-        machine.state.pc = 0x9000
-        machine._execute(insn, None)
-        assert machine.state.regs == before
+        # untagged image: the carrier word runs as an ordinary instruction
+        image = dataclasses.replace(base, text=word.to_bytes(4, "little") + base.text)
+        machine = Emulator(image, mode="compat")
+        regs, memory = list(machine.state.regs), dict(machine.state.memory)
+        state, counters, _ = machine.run()
+        assert state.stop_reason == "ecall" and counters.retired == 2
+        assert state.regs == regs
+        assert state.memory == memory
 
 
 def test_li_materializes_wide_value():
@@ -625,17 +627,15 @@ def test_coverage_computed_only_mode_has_no_direct_bcf():
 
 def test_coverage_cl_writeback_saturates():
     image = build_image(COVERAGE_BLOCKS, COVERAGE, tagged=True)
-    machine = Emulator(image, mode="aware")
     label_addr = next(addr for addr, kind in image.label_addrs if kind == "cl")
-    # preset the label's payload to the ceiling, then count it twice
-    word = machine._fetch(label_addr) | (0xFFFFF << 12)
-    for i in range(4):
-        machine.state.memory[label_addr + i] = (word >> (8 * i)) & 0xFF
-    machine._word_cache[label_addr] = word
-    machine.state.pc = label_addr
-    machine._count_label(label_addr)
-    machine._count_label(label_addr)
-    assert (machine._fetch(label_addr) >> 12) & 0xFFFFF == 0xFFFFF
+    # preset the label's payload to the ceiling; block_fn's entry runs 3 times
+    offset = label_addr - image.text_base
+    word = int.from_bytes(image.text[offset:offset + 4], "little") | (0xFFFFF << 12)
+    text = image.text[:offset] + word.to_bytes(4, "little") + image.text[offset + 4:]
+    image = dataclasses.replace(image, text=text)
+    state, _, policy = run(image, mode="aware")
+    assert label_addr in policy.cl_addresses
+    assert (_word(image, state, label_addr) >> 12) & 0xFFFFF == 0xFFFFF
 
 
 def test_coverage_store_to_carrier_retags_its_group():
@@ -696,3 +696,115 @@ def test_report_values():
     assert abs(rep.dynamic_overhead_pct - 100 / 3) < 1e-9
     assert "overhead" in rep.to_text() or "%" in rep.to_text()
     assert rep.to_dict()["schema"] == "rvtag-report-v1"
+
+
+# ---------------------------------------------------------------------------
+# semantics the predecoded dispatch table must keep
+
+PATCHED = (
+    ".globl bump\nbump:\n"
+    "    addi a0, a0, 1\n"
+    "    ret\n"
+    ".globl main\n.entry main\nmain:\n"
+    "    call bump\n"
+    "    la t0, bump\n"
+    "    li t1, NEW_WORD\n"
+    "    sw t1, OFFSET(t0)\n"
+    "    call bump\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+)
+
+
+def test_coverage_store_to_text_runs_the_new_instruction():
+    # the addi is not always the word after bump's carrier: that slot can
+    # hold the block's CL label, so find it in the built image
+    old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1))
+    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
+
+    def build(offset):
+        return build_image(PATCHED, COVERAGE, tagged=True,
+                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
+
+    image = build(0)
+    offset = image.text.index(old_word.to_bytes(4, "little"))
+    assert offset % 4 == 0 and offset < image.tag_regions[1].start - image.text_base
+    image = build(offset)
+    assert image.text.index(old_word.to_bytes(4, "little")) == offset
+    state, _, _ = run(image, mode="aware")
+    assert state.exit_code == 101  # first call adds 1, the patched one 100
+
+
+def test_limit_exceeded_leaves_exact_state():
+    image = build_image("main:\n    j main\n", N3, tagged=False)
+    machine = Emulator(image, max_insns=100)
+    with pytest.raises(LimitExceeded):
+        machine.run()
+    assert machine.counters.retired == 100
+    assert machine.state.pc == 0x10000
+
+
+def test_unsigned_overflow_is_not_retired():
+    source = (
+        "main:\n"
+        "    li a2, 1\n"
+        "    sub a0, a0, a2 !unsigned\n"
+        "    ecall\n"
+    )
+    machine = Emulator(build_image(source, UNARITH, tagged=True), mode="aware")
+    with pytest.raises(PolicyViolation) as info:
+        machine.run()
+    assert info.value.kind == "UnsignedOverflow"
+    assert machine.state.pc == info.value.pc == 0x10008
+    assert machine.counters.retired == 1
+    assert machine.counters.tag_fetches == 1
+
+
+def test_compat_custom_carrier_fault_counts_the_fetch():
+    image = build_image(SUM_1_TO_10, make_config(carrier="custom", coverage=3), tagged=True)
+    machine = Emulator(image, mode="compat")
+    with pytest.raises(BadInstruction, match=f"pc={image.entry:#x}"):
+        machine.run()
+    assert (machine.counters.tag_fetches, machine.counters.retired) == (1, 0)
+    assert machine.state.pc == image.entry
+
+
+@pytest.mark.parametrize("word,outcome", [(0x00000073, "ecall"), (0xFFFFFFFF, None)],
+                         ids=["ecall", "bad-word"])
+def test_jump_into_data_fetches_from_memory(word, outcome):
+    source = (
+        "main:\n"
+        "    la t0, code\n"
+        "    jalr x0, t0, 0\n"
+        ".data\n"
+        "code:\n"
+        f"    .word {word:#x}\n"
+    )
+    image = build_image(source, N3, tagged=True)
+    if outcome is None:
+        with pytest.raises(BadInstruction, match=f"pc={DATA_BASE:#x}"):
+            run(image, mode="aware")
+        return
+    state, _, _ = run(image, mode="aware")
+    assert state.stop_reason == outcome
+
+
+NOP_CARRIER_LAYOUTS = sorted(
+    (carrier.value, coverage) for carrier, coverage in codec.TAG_BITS
+    if carrier is not TagCarrier.CUSTOM)
+
+
+@pytest.mark.parametrize("carrier,coverage", NOP_CARRIER_LAYOUTS)
+def test_aware_none_matches_compat_on_corpus(carrier, coverage):
+    from rvtag.cli import compare_states
+    from rvtag.corpus import generate_corpus
+
+    config = make_config(carrier=carrier, coverage=coverage)
+    for seed in (5, 23, 61):
+        for text in generate_corpus(seed, 8):
+            image = build_image(text, config, tagged=True)
+            compat_state, compat, _ = run(image, mode="compat", max_insns=10 ** 6)
+            aware_state, aware, _ = run(image, mode="aware", max_insns=10 ** 6)
+            assert compare_states(compat_state, aware_state, image.data_base) is None
+            assert (aware.retired, aware.tag_fetches, aware.labels_seen) == \
+                (compat.retired, compat.tag_fetches, compat.labels_seen)
