@@ -15,6 +15,7 @@ from .instrument import (
     cfi_label_value,
     get_tag,
     insert_label,
+    insert_labels,
     pass_cfi,
     pass_coverage,
     pass_unarith,
@@ -60,6 +61,7 @@ __all__ = [
     "expand_pseudo",
     "get_tag",
     "insert_label",
+    "insert_labels",
     "link",
     "load_config",
     "loads_config",

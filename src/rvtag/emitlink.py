@@ -132,7 +132,10 @@ def emit_tags(program: Program, config: TagConfig) -> Program:
                 new_imm = (tagplan.landing_offset(target, coverage)
                            - tagplan.insn_address(site, coverage))
                 insn = replace(insn, imm=new_imm)
-            new_insns.append(replace(tagged, insn=insn))
+            new_insns.append(TaggedInsn(  # explicit: about 2x faster than replace()
+                insn=insn, tag=tagged.tag, lineage=tagged.lineage, is_label=tagged.is_label,
+                label_value=tagged.label_value, annotations=tagged.annotations,
+                calltype=tagged.calltype, carrier_word=tagged.carrier_word))
         new_fragment = Fragment(
             name=fragment.name,
             insns=new_insns,

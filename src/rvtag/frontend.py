@@ -19,7 +19,7 @@ Grammar (one statement per line, `#` comments):
 Instruction operands accept decimal/hex immediates, `!unsigned`, `!optout`
 and `!count` trailing annotations, and `--defsym`-style symbol overrides for
 immediate identifiers.  Branch/jump targets are label names or literal byte
-deltas.  Pseudo-instructions call/j/ret/li/mv/nop/la expand with a shared
+deltas.  Pseudo-instructions call/j/jr/ret/li/mv/nop/la expand with a shared
 lineage id per source line.
 """
 
@@ -63,7 +63,7 @@ _IDENT = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 
 ANNOTATIONS = ("unsigned", "optout", "count")
 
-PSEUDO_MNEMONICS = frozenset({"call", "j", "ret", "li", "mv", "nop", "la"})
+PSEUDO_MNEMONICS = frozenset({"call", "j", "jr", "ret", "li", "mv", "nop", "la"})
 
 
 @dataclass
@@ -304,6 +304,10 @@ def expand_pseudo(line: str, lineage: int = 0, defsym=None) -> ExpandedPseudo:
         if ops:
             raise err("ret takes no operands")
         return ExpandedPseudo([tagged(Insn("jalr", rd=0, rs1=1, imm=0))])
+    if mnemonic == "jr":
+        if len(ops) != 1:
+            raise err("jr expects rs")
+        return ExpandedPseudo([tagged(Insn("jalr", rd=0, rs1=_parse_reg(ops[0], err), imm=0))])
     if mnemonic == "mv":
         if len(ops) != 2:
             raise err("mv expects rd, rs")
@@ -604,14 +608,15 @@ class _Assembler:
                     f"{self.filename}:{lineno}: undefined label {symbol!r}")
         # la against a data or later-defined text symbol: recheck address_taken
         for frag in self.program.fragments:
+            lo_by_pair = {}  # pair_id -> the first Lo12I of the pair
+            for reloc in frag.relocations:
+                if reloc.kind == "Lo12I":
+                    lo_by_pair.setdefault(reloc.pair_id, reloc)
             for reloc in frag.relocations:
                 if reloc.kind == "Hi20" and reloc.target in frag_names:
-                    pair = [r for r in frag.relocations
-                            if r.pair_id == reloc.pair_id and r.kind == "Lo12I"]
-                    if pair:
-                        lo_insn = frag.insns[pair[0].offset // 4].insn
-                        if lo_insn.mnemonic == "addi":
-                            self._note_address_taken(reloc.target)
+                    lo = lo_by_pair.get(reloc.pair_id)
+                    if lo is not None and frag.insns[lo.offset // 4].insn.mnemonic == "addi":
+                        self._note_address_taken(reloc.target)
 
     def finish_symbols(self):
         if not self.program.fragments:

@@ -4,9 +4,15 @@ set/get tags on instructions, replicate tags across pseudo-expansion
 lineages, insert metadata labels (lui x0 payload words), and the three
 shipped policies: control-flow labels, unsigned-arithmetic checks, and
 coverage tracking.
+
+insert_labels adds all of a fragment's labels in one pass, moving each
+local branch and relocation once; insert_label is its one-label form.  The
+cfi and coverage passes call it once per fragment, so they run in linear time.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .codec import ADDSUB_MNEMONICS, BRANCH_MNEMONICS, Insn
 from .errors import BuildError
@@ -94,59 +100,60 @@ def propagate_lineage(program: Program) -> Program:
 # ---------------------------------------------------------------------------
 # Label insertion
 
-def _local_branch_sites(fragment: Fragment):
-    """(index, target byte offset) for branches resolved inside the fragment."""
+def insert_labels(program: Program, frag_index: int, labels) -> Program:
+    """Insert lui x0 metadata labels into one fragment in a single pass.
+
+    labels holds (insn index, label value, tag) triples, indexes taken in
+    the fragment as it is; a label goes in ahead of the instruction at its
+    index, and labels at one index keep their given order.  Every value and
+    position is checked before anything changes.  A local branch at site s
+    moves to s + #labels at <= s and its target t to t + #labels at < t, so
+    a branch to an insertion point lands on the outermost label there; a
+    relocation moves with its instruction.
+    """
+    labels = list(labels)
+    for _, label_value, _ in labels:
+        if not 0 <= label_value < (1 << 20):
+            raise LabelOverflow(f"label value {label_value:#x} does not fit 20 bits")
+    try:
+        fragment = program.fragments[frag_index]
+    except (TypeError, IndexError):
+        raise InvalidRef(f"no fragment at index {frag_index!r}") from None
+    ahead = {}  # insn index -> labels inserted ahead of it, outermost first
+    for insn_index, label_value, tag in labels:
+        if not 0 <= insn_index <= len(fragment.insns):
+            raise InvalidRef(f"index {insn_index} outside fragment {fragment.name!r}")
+        ahead.setdefault(insn_index, []).append(TaggedInsn(
+            insn=Insn("lui", rd=0, imm=label_value), tag=tag,
+            is_label=True, label_value=label_value))
+    points = sorted(4 * index for index, _, _ in labels)
     relocated = fragment.reloc_offsets()
-    sites = []
+    insns = []
     for index, tagged in enumerate(fragment.insns):
-        mnemonic = tagged.insn.mnemonic
-        if mnemonic in BRANCH_MNEMONICS or mnemonic == "jal":
-            if 4 * index in relocated:
-                continue
-            sites.append((index, 4 * index + tagged.insn.imm))
-    return sites
+        insns += ahead.get(index, ())
+        insn = tagged.insn
+        if (insn.mnemonic in BRANCH_MNEMONICS or insn.mnemonic == "jal") \
+                and 4 * index not in relocated:
+            target = 4 * index + insn.imm
+            tagged.insn = Insn(insn.mnemonic, rd=insn.rd, rs1=insn.rs1, rs2=insn.rs2,
+                               imm=target + 4 * bisect_left(points, target) - 4 * len(insns))
+        insns.append(tagged)
+    insns += ahead.get(len(fragment.insns), ())
+    fragment.insns[:] = insns
+    for reloc in fragment.relocations:
+        reloc.offset += 4 * bisect_right(points, reloc.offset)
+    return program
 
 
 def insert_label(program: Program, position, label_value: int, tag) -> Program:
-    """Insert a lui x0 metadata label at an instruction boundary.
-
-    Downstream relocation sites and branch spans shift by one word within
-    the untagged layout; a branch targeting the insertion point now lands on
-    the label, so the label leads the block it covers.
-    """
-    if not 0 <= label_value < (1 << 20):
-        raise LabelOverflow(f"label value {label_value:#x} does not fit 20 bits")
+    """Insert one lui x0 metadata label at position (fragment index,
+    instruction index): insert_labels with a single label, so a branch to
+    the insertion point now lands on the label, which leads its block."""
     try:
         frag_index, insn_index = position
-        fragment = program.fragments[frag_index]
-    except (TypeError, ValueError, IndexError):
-        raise InvalidRef(f"no fragment at {position!r}") from None
-    if not 0 <= insn_index <= len(fragment.insns):
-        raise InvalidRef(f"index {insn_index} outside fragment {fragment.name!r}")
-
-    point = 4 * insn_index
-    moves = []
-    for index, target in _local_branch_sites(fragment):
-        site = 4 * index
-        new_site = site + 4 if site >= point else site
-        new_target = target + 4 if target > point else target
-        moves.append((index, new_target - new_site))
-    label = TaggedInsn(
-        insn=Insn("lui", rd=0, imm=label_value),
-        tag=tag,
-        is_label=True,
-        label_value=label_value,
-    )
-    fragment.insns.insert(insn_index, label)
-    for index, new_imm in moves:
-        shifted = index + 1 if index >= insn_index else index
-        insn = fragment.insns[shifted].insn
-        fragment.insns[shifted].insn = Insn(
-            insn.mnemonic, rd=insn.rd, rs1=insn.rs1, rs2=insn.rs2, imm=new_imm)
-    for reloc in fragment.relocations:
-        if reloc.offset >= point:
-            reloc.offset += 4
-    return program
+    except (TypeError, ValueError):
+        frag_index, insn_index = None, 0  # insert_labels: InvalidRef after the value check
+    return insert_labels(program, frag_index, [(insn_index, label_value, tag)])
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +173,17 @@ def cfi_label_value(signature: str) -> int:
     return folded or 1
 
 
-def is_computed_call(fragment: Fragment, index: int) -> bool:
-    """A jalr with no Lo12I relocation, excluding the plain return form."""
-    tagged = fragment.insns[index]
-    if tagged.insn.mnemonic != "jalr":
+def lo12_relocations(fragment: Fragment) -> dict:
+    """Byte offset -> the first Lo12I relocation at that offset."""
+    return {r.offset: r for r in reversed(fragment.relocations) if r.kind == "Lo12I"}
+
+
+def is_computed_call(fragment: Fragment, index: int, lo12: dict) -> bool:
+    """A jalr with no Lo12I relocation in lo12, excluding the plain return form."""
+    insn = fragment.insns[index].insn
+    if insn.mnemonic != "jalr" or 4 * index in lo12:
         return False
-    if any(r.offset == 4 * index and r.kind == "Lo12I" for r in fragment.relocations):
-        return False
-    if tagged.insn.rd == 0 and tagged.insn.rs1 == 1:
-        return False  # ret: backward edges are not checked
-    return True
+    return not (insn.rd == 0 and insn.rs1 == 1)  # ret: backward edges are not checked
 
 
 def pass_cfi(program: Program, config: TagConfig, label_direct_calls: bool = False) -> Program:
@@ -192,49 +200,42 @@ def pass_cfi(program: Program, config: TagConfig, label_direct_calls: bool = Fal
     signatures = {f.name: f.signature for f in program.fragments}
 
     for frag_index, fragment in enumerate(program.fragments):
-        insertions = []  # (insn index, priority, label value)
+        labels = []  # (insn index, label value, tag), entry label first
+        lo12 = lo12_relocations(fragment)
         for index, tagged in enumerate(fragment.insns):
-            if not is_computed_call(fragment, index):
-                if not label_direct_calls or tagged.insn.mnemonic != "jalr":
-                    continue
-                lo = [r for r in fragment.relocations
-                      if r.offset == 4 * index and r.kind == "Lo12I"]
-                if not lo:
-                    continue
-                callee_sig = signatures.get(lo[0].target)
-                if callee_sig is None:
-                    raise MissingSignature(
-                        f"direct call to {lo[0].target!r} in {fragment.name!r}: "
-                        f"callee has no .signature")
-                value = cfi_label_value(callee_sig)
-            else:
+            lo = lo12.get(4 * index)
+            if is_computed_call(fragment, index, lo12):
                 if tagged.calltype is None:
                     raise MissingSignature(
                         f"computed call at {fragment.name}+{4 * index:#x} "
                         f"has no .calltype annotation")
                 value = cfi_label_value(tagged.calltype)
+            elif label_direct_calls and lo is not None and tagged.insn.mnemonic == "jalr":
+                callee_sig = signatures.get(lo.target)
+                if callee_sig is None:
+                    raise MissingSignature(
+                        f"direct call to {lo.target!r} in {fragment.name!r}: "
+                        f"callee has no .signature")
+                value = cfi_label_value(callee_sig)
+            else:
+                continue
             # The checked transfer itself carries CFL so the enforcement side
             # can tell labelled call sites from plain jalr forms.
             tagged.tag = cfl
-            prev = fragment.insns[index - 1] if index else None
-            if prev is not None and prev.is_label and prev.tag == cfl:
+            if index and fragment.insns[index - 1].is_label \
+                    and fragment.insns[index - 1].tag == cfl:
                 continue  # already labelled (idempotence)
-            insertions.append((index, 1, value))
+            labels.append((index, value, cfl))
 
-        wants_entry = (fragment.exported or fragment.address_taken) and not fragment.internal
-        if wants_entry:
-            first = fragment.insns[0] if fragment.insns else None
-            if not (first is not None and first.is_label and first.tag == cfl):
-                if fragment.signature is None:
-                    raise MissingSignature(
-                        f"non-internal function {fragment.name!r} has no .signature")
-                insertions.append((0, 0, cfi_label_value(fragment.signature)))
-
-        # Descending application keeps earlier indexes valid; entry labels
-        # (priority 0) go in after a same-index callsite label so they end
-        # up outermost.
-        for index, _priority, value in sorted(insertions, reverse=True):
-            insert_label(program, (frag_index, index), value, cfl)
+        first = fragment.insns[0] if fragment.insns else None
+        if (fragment.exported or fragment.address_taken) and not fragment.internal \
+                and not (first is not None and first.is_label and first.tag == cfl):
+            if fragment.signature is None:
+                raise MissingSignature(
+                    f"non-internal function {fragment.name!r} has no .signature")
+            # outermost: ahead of a call-site label at index 0
+            labels.insert(0, (0, cfi_label_value(fragment.signature), cfl))
+        insert_labels(program, frag_index, labels)
     return program
 
 
@@ -292,12 +293,11 @@ def pass_coverage(program: Program, config: TagConfig, mode: str = "all_branches
     bcf = _resolve_tag(config, "BCF")
 
     for frag_index, fragment in enumerate(program.fragments):
-        for index in sorted(_block_leaders(fragment), reverse=True):
-            tagged = fragment.insns[index]
-            if tagged.is_label and tagged.tag == cl:
-                continue  # rerun: leader already counted
-            insert_label(program, (frag_index, index), 0, cl)
-        relocated_lo = {r.offset for r in fragment.relocations if r.kind == "Lo12I"}
+        insert_labels(program, frag_index, [
+            (index, 0, cl) for index in _block_leaders(fragment)
+            # rerun: a leader that is already a CL label is counted once
+            if not (fragment.insns[index].is_label and fragment.insns[index].tag == cl)])
+        lo12 = lo12_relocations(fragment)
         for index, tagged in enumerate(fragment.insns):
             mnemonic = tagged.insn.mnemonic
             if "count" in tagged.annotations and not tagged.is_label:
@@ -307,7 +307,7 @@ def pass_coverage(program: Program, config: TagConfig, mode: str = "all_branches
                 if mode == "all_branches":
                     tagged.tag = bcf
             elif mnemonic == "jalr":
-                computed = 4 * index not in relocated_lo
+                computed = 4 * index not in lo12
                 if mode == "all_branches" or computed:
                     tagged.tag = bcf
     return program

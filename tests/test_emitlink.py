@@ -94,6 +94,25 @@ def test_emit_relocation_offsets_move_to_instruction_addresses():
     assert relocs == {"Hi20": insn_address(12, 3), "Lo12I": insn_address(16, 3)}
 
 
+def test_emit_keeps_every_tagged_insn_field():
+    # every field but insn is copied through; set each one off its default
+    program = assemble("main:\n    addi a0, a0, 1\n    beq a0, a1, main\n")
+    values = dict(tag=1, lineage=7, is_label=True, label_value=0x5A3,
+                  annotations=frozenset({"count"}), calltype="i64(i64)",
+                  carrier_word=0x1037)
+    fields = {f.name for f in dataclasses.fields(program.fragments[0].insns[0])} - {"insn"}
+    assert fields == set(values)  # a new TaggedInsn field needs a value here
+    for tagged in program.fragments[0].insns:
+        for name, value in values.items():
+            setattr(tagged, name, value)
+    emitted = emit_tags(program, N3)
+    copies = emitted.fragments[0].insns[1:]
+    assert len(copies) == 2
+    for copy in copies:
+        assert {name: getattr(copy, name) for name in values} == values
+    assert copies[1].insn.imm == -8  # the branch is still rewritten
+
+
 # ---------------------------------------------------------------------------
 # adjust_symbols
 

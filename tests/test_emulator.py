@@ -794,17 +794,38 @@ NOP_CARRIER_LAYOUTS = sorted(
     if carrier is not TagCarrier.CUSTOM)
 
 
-@pytest.mark.parametrize("carrier,coverage", NOP_CARRIER_LAYOUTS)
-def test_aware_none_matches_compat_on_corpus(carrier, coverage):
+def _aware_none_matches_compat(config, label_entries) -> int:
+    """Run generate_corpus programs in both modes; returns the labels seen."""
     from rvtag.cli import compare_states
     from rvtag.corpus import generate_corpus
+    from rvtag.instrument import insert_label
+    from rvtag.pipeline import assemble_sources
 
-    config = make_config(carrier=carrier, coverage=coverage)
+    labels_seen = 0
     for seed in (5, 23, 61):
         for text in generate_corpus(seed, 8):
-            image = build_image(text, config, tagged=True)
+            program = assemble_sources(text)
+            if label_entries:
+                for frag_index in range(len(program.fragments)):
+                    insert_label(program, (frag_index, 0), 0x100 + frag_index,
+                                 config.default_tag)
+            image = link(program, config, tagged=True)
             compat_state, compat, _ = run(image, mode="compat", max_insns=10 ** 6)
             aware_state, aware, _ = run(image, mode="aware", max_insns=10 ** 6)
             assert compare_states(compat_state, aware_state, image.data_base) is None
             assert (aware.retired, aware.tag_fetches, aware.labels_seen) == \
                 (compat.retired, compat.tag_fetches, compat.labels_seen)
+            labels_seen += aware.labels_seen
+    return labels_seen
+
+
+@pytest.mark.parametrize("carrier,coverage", NOP_CARRIER_LAYOUTS)
+def test_aware_none_matches_compat_on_corpus(carrier, coverage):
+    _aware_none_matches_compat(make_config(carrier=carrier, coverage=coverage), False)
+
+
+@pytest.mark.parametrize("carrier,coverage", NOP_CARRIER_LAYOUTS)
+def test_aware_none_matches_compat_on_labelled_corpus(carrier, coverage):
+    # a metadata label at every fragment entry, so labels_seen is exercised
+    config = make_config(carrier=carrier, coverage=coverage)
+    assert _aware_none_matches_compat(config, True) > 0

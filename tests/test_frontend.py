@@ -304,6 +304,22 @@ def test_expand_ret_and_mv():
     assert (mv.mnemonic, mv.rd, mv.rs1, mv.imm) == ("addi", 11, 12, 0)
 
 
+def test_jr_encodes_as_jalr_x0():
+    program = assemble("main:\n    jr t0\n    jalr x0, t0, 0\n")
+    jr, jalr = program.fragments[0].insns
+    assert codec.encode(jr.insn) == codec.encode(jalr.insn)
+    assert jr.lineage is not None and jalr.lineage is None
+    expansion = expand_pseudo("jr a5", lineage=4)
+    assert [(ti.insn, ti.lineage) for ti in expansion.insns] == \
+        [(codec.Insn("jalr", rd=0, rs1=15, imm=0), 4)]
+
+
+def test_jr_rejects_wrong_operand_count():
+    for line in ("jr", "jr t0, t1", "jr t0, 0"):
+        with pytest.raises(ParseError):
+            assemble(f"main:\n    {line}\n")
+
+
 def test_expand_rejects_non_pseudo():
     with pytest.raises(UnsupportedPseudo):
         expand_pseudo("addi a0, a0, 1")

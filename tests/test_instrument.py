@@ -1,8 +1,14 @@
+import copy
 import dataclasses
+import time
 
 import pytest
 
-from rvtag.frontend import assemble
+from rvtag import instrument
+from rvtag.codec import BRANCH_MNEMONICS, Insn
+from rvtag.corpus import generate_corpus
+from rvtag.emitlink import link
+from rvtag.frontend import TaggedInsn, assemble
 from rvtag.instrument import (
     ConfigMismatch,
     InvalidRef,
@@ -12,12 +18,14 @@ from rvtag.instrument import (
     cfi_label_value,
     get_tag,
     insert_label,
+    insert_labels,
     pass_cfi,
     pass_coverage,
     pass_unarith,
     propagate_lineage,
     set_tag,
 )
+from rvtag.pipeline import apply_policy
 from rvtag.tagplan import make_config
 
 CFI = make_config(carrier="lui", coverage=3, policy="cfi")
@@ -290,6 +298,31 @@ def test_pass_cfi_idempotent():
     assert snapshot == again
 
 
+def test_pass_cfi_labels_jr_with_calltype():
+    program = assemble(
+        ".internal main\n"
+        "main:\n"
+        "    la t0, target\n"
+        '    .calltype "i64()"\n'
+        "    jr t0\n"
+        ".globl target\n"
+        "target:\n"
+        '    .signature "i64()"\n'
+        "    ecall\n"
+    )
+    pass_cfi(program, CFI)
+    main = program.fragment("main")
+    label, jr = main.insns[2], main.insns[3]
+    assert label.is_label and label.label_value == cfi_label_value("i64()")
+    assert (jr.insn.mnemonic, jr.insn.rd, jr.insn.rs1, jr.tag) == ("jalr", 0, 5, 1)
+
+
+def test_pass_cfi_jr_without_calltype_is_missing_signature():
+    program = assemble(".internal main\nmain:\n    jr t0\n")
+    with pytest.raises(MissingSignature):
+        pass_cfi(program, CFI)
+
+
 def test_pass_cfi_wrong_policy():
     program = assemble("main:\n    ecall\n")
     with pytest.raises(ConfigMismatch):
@@ -395,3 +428,208 @@ def test_pass_coverage_idempotent():
     pass_coverage(program, COVERAGE)
     assert [(ti.insn, ti.tag, ti.is_label)
             for ti in program.fragments[0].insns] == snapshot
+
+
+# ---------------------------------------------------------------------------
+# insert_labels against the one-label-at-a-time reference
+
+def _reference_insert_label(program, position, label_value, tag):
+    """One label per call, each an O(n) rescan: the semantics insert_labels
+    must keep, as the passes applied it before batching."""
+    frag_index, insn_index = position
+    fragment = program.fragments[frag_index]
+    relocated = fragment.reloc_offsets()
+    point = 4 * insn_index
+    moves = []
+    for index, tagged in enumerate(fragment.insns):
+        insn = tagged.insn
+        if (insn.mnemonic in BRANCH_MNEMONICS or insn.mnemonic == "jal") \
+                and 4 * index not in relocated:
+            site, target = 4 * index, 4 * index + insn.imm
+            new_site = site + 4 if site >= point else site
+            new_target = target + 4 if target > point else target
+            moves.append((index, new_target - new_site))
+    fragment.insns.insert(insn_index, TaggedInsn(
+        insn=Insn("lui", rd=0, imm=label_value), tag=tag,
+        is_label=True, label_value=label_value))
+    for index, new_imm in moves:
+        shifted = index + 1 if index >= insn_index else index
+        fragment.insns[shifted].insn = dataclasses.replace(
+            fragment.insns[shifted].insn, imm=new_imm)
+    for reloc in fragment.relocations:
+        if reloc.offset >= point:
+            reloc.offset += 4
+
+
+def _reference_insert_labels(program, frag_index, labels):
+    # descending index, and at one index the innermost label first, so the
+    # first label given for an index ends up outermost
+    order = sorted(enumerate(labels), key=lambda item: (item[1][0], item[0]), reverse=True)
+    for _, (index, value, tag) in order:
+        _reference_insert_label(program, (frag_index, index), value, tag)
+    return program
+
+
+def _snapshot(program):
+    return copy.deepcopy(program.fragments)
+
+
+LOOP_SRC = (
+    ".globl main\n"
+    "main:\n"
+    '    .signature "i64()"\n'
+    "    addi a0, a0, 1\n"       # 0
+    "back:\n"
+    "    addi a1, a1, 1\n"       # 1
+    "    addi a2, a2, 1\n"
+    "    addi a3, a3, 1\n"
+    "    bne a0, a1, back\n"     # 4
+    "    beq a0, a2, main\n"
+    "    call main\n"            # 6, 7
+    "    la t1, main\n"          # 8, 9
+    '    .calltype "i64()"\n'
+    "    jalr ra, t1, 0\n"       # 10
+    "    ecall\n"
+)
+
+LOOP_LABELS = [(4, 0x40, 1), (1, 0x11, 1), (0, 0x01, 1), (2, 0x22, 0),
+               (1, 0x12, 0), (7, 0x77, 1), (9, 0x99, 1), (5, 0x55, 1)]
+
+
+def test_insert_labels_matches_reference():
+    program, reference = assemble(LOOP_SRC), assemble(LOOP_SRC)
+    insert_labels(program, 0, LOOP_LABELS)
+    _reference_insert_labels(reference, 0, LOOP_LABELS)
+    assert program == reference
+
+
+def test_insert_labels_same_index_keeps_given_order():
+    program = assemble("main:\n    addi a0, a0, 1\n    ecall\n")
+    insert_labels(program, 0, [(1, 0xA, 1), (1, 0xB, 0)])
+    values = [(ti.label_value, ti.tag) for ti in program.fragments[0].insns]
+    assert values == [(None, None), (0xA, 1), (0xB, 0), (None, None)]
+
+
+def test_insert_labels_entry_and_site_label_at_index_zero():
+    program = assemble(".globl f\nf:\n    jalr ra, t1, 0\n    ret\n")
+    entry, site = cfi_label_value("i64()"), cfi_label_value("i64(i64)")
+    insert_labels(program, 0, [(0, entry, 1), (0, site, 1)])
+    insns = program.fragments[0].insns
+    assert [ti.label_value for ti in insns[:2]] == [entry, site]
+    assert insns[2].insn.mnemonic == "jalr"
+
+
+def test_insert_labels_branch_to_point_lands_on_outermost_label():
+    program = assemble("main:\n    addi a0, a0, 1\n    bne a0, a1, main\n")
+    insert_labels(program, 0, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
+    insns = program.fragments[0].insns
+    assert [ti.label_value for ti in insns[:2]] == [1, 2]
+    assert insns[4].insn.imm == -16  # from index 4 back to the first label
+
+
+def test_insert_labels_backward_branch_across_several_insertions():
+    program = assemble(LOOP_SRC)
+    # 'back' is index 1; the bne at index 4 jumps back over 2 and 3, and
+    # labels at 1 (the target itself) and 4 (ahead of the bne) move it too
+    insert_labels(program, 0, [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (6, 6, 1)])
+    insns = program.fragments[0].insns
+    bne = next(i for i, ti in enumerate(insns) if ti.insn.mnemonic == "bne")
+    assert bne == 8
+    assert insns[bne].insn.imm == -28  # back to the label at index 1
+    assert insns[1].label_value == 1
+    offsets = sorted(r.offset for r in program.fragments[0].relocations)
+    assert offsets == [4 * 11, 4 * 12, 4 * 13, 4 * 14]  # 6..9 plus five labels
+
+
+def test_insert_labels_at_end_of_fragment():
+    program = assemble("main:\n    addi a0, a0, 1\n    beq a0, a1, main\n")
+    insert_labels(program, 0, [(2, 0x22, 1), (2, 0x23, 1)])
+    insns = program.fragments[0].insns
+    assert [ti.label_value for ti in insns[2:]] == [0x22, 0x23]
+    assert insns[1].insn.imm == -4
+
+
+@pytest.mark.parametrize("labels,error", [
+    ([(0, 1, 1), (3, 2, 1)], InvalidRef),
+    ([(0, 1, 1), (-1, 2, 1)], InvalidRef),
+    ([(0, 1, 1), (1, 1 << 20, 1)], LabelOverflow),
+    ([(9, 1, 1), (1, 1 << 20, 1)], LabelOverflow),  # values are checked first
+])
+def test_insert_labels_rejects_without_change(labels, error):
+    program = assemble("main:\n    addi a0, a0, 1\n    beq a0, a1, main\n")
+    before = _snapshot(program)
+    with pytest.raises(error):
+        insert_labels(program, 0, labels)
+    assert program.fragments == before
+    with pytest.raises(InvalidRef):
+        insert_labels(program, 5, [(0, 1, 1)])
+    assert program.fragments == before
+
+
+def _build_both(monkeypatch, text, config, apply):
+    """(program, image) through the pass as is and through the reference."""
+    program = assemble(text)
+    apply(program)
+    with monkeypatch.context() as patch:
+        patch.setattr(instrument, "insert_labels", _reference_insert_labels)
+        reference = assemble(text)
+        apply(reference)
+    return (program, link(program, config)), (reference, link(reference, config))
+
+
+ORACLE_CELLS = [
+    ("lui", 3, "cfi", False), ("lui", 3, "cfi", True),
+    ("lui", 7, "cfi", False), ("lui", 7, "cfi", True),
+    ("addi", 1, "cfi", False), ("addi", 1, "cfi", True),
+    ("lui", 7, "coverage", False),
+]
+
+
+@pytest.mark.parametrize("carrier,coverage,policy,direct", ORACLE_CELLS,
+                         ids=[f"{c}{n}-{p}{'-direct' * d}" for c, n, p, d in ORACLE_CELLS])
+def test_passes_match_reference_insertion_on_corpus(monkeypatch, carrier, coverage,
+                                                    policy, direct):
+    config = make_config(carrier=carrier, coverage=coverage, policy=policy)
+
+    def apply(program):
+        if config.policy == "cfi":
+            pass_cfi(program, config, label_direct_calls=direct)
+        else:
+            pass_coverage(program, config)
+
+    texts = [text for seed in (3, 19) for text in generate_corpus(seed, 10)]
+    added = 0
+    for text in texts + [LOOP_SRC]:
+        built, reference = _build_both(monkeypatch, text, config, apply)
+        assert built == reference
+        added += sum(ti.is_label for frag in built[0].fragments for ti in frag.insns)
+    assert added > len(texts)  # every program got at least one label
+
+
+@pytest.mark.parametrize("apply", [
+    lambda program: pass_cfi(program, CFI),
+    lambda program: pass_cfi(program, CFI, label_direct_calls=True),
+    lambda program: pass_coverage(program, COVERAGE),
+], ids=["cfi", "cfi-direct", "coverage"])
+def test_passes_rerun_is_identity(apply):
+    for text in list(generate_corpus(11, 6)) + [LOOP_SRC]:
+        program = assemble(text)
+        apply(program)
+        once = _snapshot(program)
+        apply(program)
+        assert program.fragments == once
+
+
+def test_passes_scale_linearly_with_label_count():
+    # one fragment, 3000 direct call sites, each of which gets a label
+    sites = 3000
+    source = (".globl main\n.entry main\nmain:\n    .signature \"i64()\"\n"
+              + "    call f\n" * sites + "    ecall\n"
+              ".globl f\nf:\n    .signature \"i64()\"\n    ret\n")
+    for config, options in ((CFI, {"cfi_label_direct_calls": True}), (COVERAGE, {})):
+        program = assemble(source)
+        start = time.perf_counter()
+        apply_policy(program, config, **options)
+        elapsed = time.perf_counter() - start
+        assert sum(ti.is_label for ti in program.fragment("main").insns) >= sites
+        assert elapsed < 2.0, f"{config.policy}: {elapsed:.2f} s for {sites} labels"
