@@ -60,8 +60,7 @@ print(f"\nlinked: {len(image.text)} text bytes, "
       f"{[hex(a) for a, _ in image.label_addrs]}")
 
 print("\ncarrier packing for three tags (1, 0, 2) at 6 bits each:")
-word = pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, bits_per_tag=6,
-                                             tags=(1, 0, 2)))
+word = pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(1, 0, 2)))
 print(f"  word = {word:#010x}  (lui x0, {(word >> 12):#x})")
 print(f"  unpacked -> {unpack_tags(TagCarrier.LUI_NOP, 3, word).tags}")
 print(f"\ndefault function alignment: {emitlink.FUNCTION_ALIGN} bytes; "

@@ -292,7 +292,6 @@ class TagPack:
     """Coverage-many tag values destined for one carrier word."""
 
     coverage: int
-    bits_per_tag: int
     tags: tuple
 
     def __post_init__(self):
@@ -303,13 +302,11 @@ class TagPack:
 
 
 def pack_tags(carrier: TagCarrier, pack: TagPack) -> int:
-    """Build the carrier word; tag i sits in payload bits [i*b, (i+1)*b)."""
+    """Build the carrier word: with b = TAG_BITS[(carrier, coverage)] bits
+    per tag, tag i sits in payload bits [i*b, (i+1)*b)."""
     bits = TAG_BITS.get((carrier, pack.coverage))
-    if bits is None or bits != pack.bits_per_tag:
-        raise PackOverflow(
-            f"{carrier.value} carrier does not provide {pack.bits_per_tag}-bit tags "
-            f"at coverage {pack.coverage}"
-        )
+    if bits is None:
+        raise PackOverflow(f"{carrier.value} has no coverage-{pack.coverage} layout")
     payload = 0
     for i, tag in enumerate(pack.tags):
         if not 0 <= tag < (1 << bits):
@@ -355,4 +352,4 @@ def tag_reader(carrier: TagCarrier, coverage: int):
 def unpack_tags(carrier: TagCarrier, coverage: int, word: int) -> TagPack:
     """Extract the coverage-many tag values from a carrier word."""
     tags = tag_reader(carrier, coverage)(word)
-    return TagPack(coverage=coverage, bits_per_tag=TAG_BITS[(carrier, coverage)], tags=tags)
+    return TagPack(coverage=coverage, tags=tags)

@@ -1,8 +1,12 @@
-"""Tag interleaving, layout, relocation resolution, and flat image emission.
+"""The linker, in one pass over the assembled program, and RVTI image I/O.
 
-Carrier words precede each coverage-group; fragments are 16-byte aligned
-with zero fill between them.  HI/LO relocation pairs resolve correctly with
-up to max_pair_gap words (carriers and labels) between the two instructions.
+tagplan's offset arithmetic is the one placement rule.  With a carrier
+ahead of each group of N instructions, the instruction at untagged fragment
+offset o sits at base + insn_address(o), a control transfer to o lands on
+base + landing_offset(o) (a group boundary lands on its carrier), and a
+fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
+fill between them.  HI/LO relocation pairs resolve correctly with up to
+max_pair_gap words (carriers and labels) between the two instructions.
 
 Image file format "RVTI", little-endian throughout:
 
@@ -17,19 +21,21 @@ Image file format "RVTI", little-endian throughout:
         start u64, group_count u32, coverage u8, carrier u8, pad u16
 
 Region starts are word-aligned, strictly increasing and inside text; each
-(carrier, coverage) pair has a tag layout.  tagplan.carrier_groups turns the
-table into the slot schedule that label recovery and the emulator share.
+(carrier, coverage) pair has a tag layout; nothing follows the table.
+tagplan.carrier_groups turns the table into the slot schedule that label
+recovery and the emulator share.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
 from . import codec, tagplan
-from .codec import Insn, TagCarrier, TagPack
+from .codec import TagCarrier, TagPack
 from .errors import BuildError
-from .frontend import Fragment, Program, Relocation, TaggedInsn, UndefinedSymbol
+from .frontend import Program, UndefinedSymbol
 from .tagplan import TagConfig
 
 TEXT_BASE = 0x10000
@@ -87,145 +93,64 @@ def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-def _resolved_tag(tagged: TaggedInsn, config: TagConfig) -> int:
-    return config.default_tag if tagged.tag is None else tagged.tag
-
-
-def emit_tags(program: Program, config: TagConfig) -> Program:
-    """Interleave one carrier word ahead of each coverage-group.
-
-    Returns a new Program whose fragment instruction lists contain the
-    carrier slots, whose local branch immediates are rewritten for the
-    tagged layout, and whose relocation offsets point at the relocated
-    instructions' tagged-layout positions.  Labels count as ordinary
-    covered instructions; trailing partial groups pad with the default tag.
-    """
-    coverage = config.coverage
-    out = Program(
-        data=program.data,
-        data_symbols=dict(program.data_symbols),
-        entry=program.entry,
-        entry_explicit=program.entry_explicit,
-        lineage_count=program.lineage_count,
-        lineage_first_tag=dict(program.lineage_first_tag),
-    )
-    for fragment in program.fragments:
-        relocated = fragment.reloc_offsets()
-        new_insns = []
-        for index, tagged in enumerate(fragment.insns):
-            if index % coverage == 0:
-                members = fragment.insns[index:index + coverage]
-                tags = [_resolved_tag(m, config) for m in members]
-                tags += [config.default_tag] * (coverage - len(tags))
-                word = codec.pack_tags(
-                    config.carrier,
-                    TagPack(coverage=coverage, bits_per_tag=config.bits_per_tag,
-                            tags=tuple(tags)),
-                )
-                new_insns.append(TaggedInsn(insn=Insn("lui"), carrier_word=word))
-            insn = tagged.insn
-            mnemonic = insn.mnemonic
-            site = 4 * index
-            if (mnemonic in codec.BRANCH_MNEMONICS or mnemonic == "jal") \
-                    and site not in relocated:
-                target = site + insn.imm
-                new_imm = (tagplan.landing_offset(target, coverage)
-                           - tagplan.insn_address(site, coverage))
-                insn = replace(insn, imm=new_imm)
-            new_insns.append(TaggedInsn(  # explicit: about 2x faster than replace()
-                insn=insn, tag=tagged.tag, lineage=tagged.lineage, is_label=tagged.is_label,
-                label_value=tagged.label_value, annotations=tagged.annotations,
-                calltype=tagged.calltype, carrier_word=tagged.carrier_word))
-        new_fragment = Fragment(
-            name=fragment.name,
-            insns=new_insns,
-            relocations=[
-                Relocation(r.kind, tagplan.insn_address(r.offset, coverage),
-                           r.target, r.pair_id)
-                for r in fragment.relocations
-            ],
-            exported=fragment.exported,
-            internal=fragment.internal,
-            address_taken=fragment.address_taken,
-            signature=fragment.signature,
-        )
-        out.fragments.append(new_fragment)
-    return out
-
-
-@dataclass(frozen=True)
-class Layout:
-    """Final addresses derived from untagged offsets."""
-
-    fragment_bases: dict
-    symbols: dict          # name -> address control transfers should reach
-    text_size: int
-
-
-def adjust_symbols(program: Program, config: TagConfig | None,
-                   text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Layout:
-    """Compute fragment bases and final symbol addresses.
-
-    Bases accumulate the carrier-inflated fragment sizes with 16-byte
-    alignment between functions; each symbol offset goes through the
-    remap arithmetic (function entries land on their first carrier slot).
-    """
-    coverage = config.coverage if config is not None else None
-    bases = {}
-    cursor = text_base
-    for fragment in program.fragments:
-        bases[fragment.name] = cursor
-        count = len(fragment.insns)
-        size = tagplan.tagged_size(count, coverage) if coverage else 4 * count
-        cursor = _align(cursor + size, FUNCTION_ALIGN)
-    last = program.fragments[-1] if program.fragments else None
-    if last is not None:
-        count = len(last.insns)
-        size = tagplan.tagged_size(count, coverage) if coverage else 4 * count
-        text_size = bases[last.name] + size - text_base
-    else:
-        text_size = 0
-    symbols = {}
-    for fragment in program.fragments:
-        offset = tagplan.landing_offset(0, coverage) if coverage else 0
-        symbols[fragment.name] = bases[fragment.name] + offset
-    for name, offset in program.data_symbols.items():
-        symbols[name] = data_base + offset
-    return Layout(fragment_bases=bases, symbols=symbols, text_size=text_size)
-
-
-def _fragment_words(fragment: Fragment) -> list:
-    words = []
-    for tagged in fragment.insns:
-        if tagged.carrier_word is not None:
-            words.append(tagged.carrier_word)
-        else:
-            try:
-                words.append(codec.encode(tagged.insn))
-            except codec.OperandRange as exc:
-                raise RelocOutOfRange(
-                    f"{fragment.name!r}: {tagged.insn.mnemonic} immediate no longer "
-                    f"encodable after tag interleaving: {exc}") from None
-    return words
-
-
 def link(program: Program, config: TagConfig | None = None, *, tagged: bool = True,
          text_base: int = TEXT_BASE, data_base: int = DATA_BASE,
          max_pair_gap: int = MAX_PAIR_GAP) -> Image:
-    """Resolve all relocations against the final layout and emit an Image."""
+    """Place, encode and relocate every instruction of `program` in one pass.
+
+    Each instruction is encoded once, at base + insn_address(offset): a local
+    branch or jal gets immediate landing_offset(target) - insn_address(site),
+    and HI/LO, Branch and Jal relocations resolve at their sites' final
+    addresses.  Ahead of each group of `coverage` instructions goes one
+    carrier packing their tags (None means config.default_tag; a short last
+    group pads with it), and CFL/CL labels are recorded at their final
+    addresses.  An untagged link takes the same path with the identity
+    offset map and no carriers.  `program` is not modified.
+    """
     if tagged and config is None:
         raise BuildError("link needs a TagConfig to emit tags")
-    emitted = emit_tags(program, config) if tagged else program
-    layout = adjust_symbols(program, config if tagged else None,
-                            text_base=text_base, data_base=data_base)
+    if tagged:
+        coverage = config.coverage
+        at = functools.partial(tagplan.insn_address, coverage=coverage)
+        land = functools.partial(tagplan.landing_offset, coverage=coverage)
+        size = functools.partial(tagplan.tagged_size, coverage=coverage)
+        label = tagplan.policy_label(config.policy)
+    else:  # the identity offset map: no carriers
+        at = land = lambda offset: offset
+        size = lambda count: tagplan.INSN_SIZE * count
+        label = None
 
-    text = bytearray(layout.text_size)
+    # A fragment's symbol is its base: landing_offset(0) == 0, the first carrier.
+    symbols = {}
+    cursor = text_base
+    for fragment in program.fragments:
+        symbols[fragment.name] = cursor
+        cursor = _align(cursor + size(len(fragment.insns)), FUNCTION_ALIGN)
+    for name, offset in program.data_symbols.items():
+        symbols[name] = data_base + offset
+
+    text = bytearray()
     regions = []
     labels = []
-    symbols = layout.symbols
-    for original, fragment in zip(program.fragments, emitted.fragments):
-        base = layout.fragment_bases[fragment.name]
-        words = _fragment_words(fragment)
+    for fragment in program.fragments:
+        base = symbols[fragment.name]
+        insns = fragment.insns
+        relocated = fragment.reloc_offsets()
+        words = []
+        for index, slot in enumerate(insns):
+            site = 4 * index
+            if site in relocated:
+                words.append(None)  # encoded once its relocation resolves
+                continue
+            insn = slot.insn
+            if insn.mnemonic in codec.BRANCH_MNEMONICS or insn.mnemonic == "jal":
+                insn = replace(insn, imm=land(site + insn.imm) - at(site))
+            try:
+                words.append(codec.encode(insn))
+            except codec.OperandRange as exc:
+                raise RelocOutOfRange(
+                    f"{fragment.name!r}: {insn.mnemonic} immediate no longer "
+                    f"encodable after tag interleaving: {exc}") from None
 
         for reloc in fragment.relocations:
             if reloc.target not in symbols:
@@ -243,61 +168,61 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             if set(sides) != {"Hi20", "Lo12I"}:
                 raise BuildError(f"incomplete HI/LO pair {pair_id}")
             hi, lo = sides["Hi20"], sides["Lo12I"]
-            gap = (lo.offset - hi.offset) // 4 - 1
+            gap = (at(lo.offset) - at(hi.offset)) // 4 - 1
             if gap < 0:
                 raise BuildError(f"HI/LO pair {pair_id} out of order")
             if gap > max_pair_gap:
                 raise PairTooFar(
                     f"{fragment.name!r}: {gap} words between HI and LO "
                     f"(limit {max_pair_gap})")
-            site_hi = base + hi.offset
-            target = symbols[hi.target]
-            delta = target - site_hi
+            delta = symbols[hi.target] - (base + at(hi.offset))
             hi20 = ((delta + 0x800) >> 12) & 0xFFFFF
             lo12 = (delta & 0xFFF) - (delta & 0x800) * 2
             hi_index = hi.offset // 4
             lo_index = lo.offset // 4
-            words[hi_index] = codec.encode(
-                replace(fragment.insns[hi_index].insn, imm=hi20))
-            words[lo_index] = codec.encode(
-                replace(fragment.insns[lo_index].insn, imm=lo12))
+            words[hi_index] = codec.encode(replace(insns[hi_index].insn, imm=hi20))
+            words[lo_index] = codec.encode(replace(insns[lo_index].insn, imm=lo12))
 
         for reloc in fragment.relocations:
             if reloc.kind not in ("Branch", "Jal"):
                 continue
-            site = base + reloc.offset
-            target = symbols[reloc.target]
-            delta = target - site
+            site = at(reloc.offset)
+            delta = symbols[reloc.target] - (base + site)
             lo_bound, hi_bound = codec.BRANCH_REACH if reloc.kind == "Branch" else codec.JAL_REACH
             if not lo_bound <= delta <= hi_bound:
                 raise RelocOutOfRange(
-                    f"{fragment.name!r}+{reloc.offset:#x}: target {reloc.target!r} "
+                    f"{fragment.name!r}+{site:#x}: target {reloc.target!r} "
                     f"is {delta} bytes away, outside [{lo_bound}, {hi_bound}]")
             index = reloc.offset // 4
-            words[index] = codec.encode(replace(fragment.insns[index].insn, imm=delta))
+            words[index] = codec.encode(replace(insns[index].insn, imm=delta))
 
-        offset = base - text_base
-        for i, word in enumerate(words):
-            text[offset + 4 * i:offset + 4 * i + 4] = word.to_bytes(4, "little")
-
-        if tagged and fragment.insns:
-            count = len(original.insns)
-            groups = -(-count // config.coverage)
-            regions.append(TagRegion(start=base, group_count=groups,
-                                     coverage=config.coverage, carrier=config.carrier))
-            label = tagplan.policy_label(config.policy)
+        if tagged and insns:
+            default = config.default_tag
+            interleaved = []
+            for start in range(0, len(insns), coverage):
+                tags = [default if slot.tag is None else slot.tag
+                        for slot in insns[start:start + coverage]]
+                tags += [default] * (coverage - len(tags))
+                interleaved.append(
+                    codec.pack_tags(config.carrier, TagPack(coverage, tuple(tags))))
+                interleaved += words[start:start + coverage]
+            words = interleaved
+            regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),
+                                     coverage=coverage, carrier=config.carrier))
             if label is not None:
                 label_tag, kind = label
-                for i, slot in enumerate(fragment.insns):
-                    if slot.is_label and slot.tag == label_tag:
-                        labels.append((base + 4 * i, kind))
+                labels += [(base + at(4 * i), kind) for i, slot in enumerate(insns)
+                           if slot.is_label and slot.tag == label_tag]
+
+        text += bytes(base - text_base - len(text))  # zero fill to the aligned base
+        text += struct.pack(f"<{len(words)}I", *words)
 
     if program.data and text_base + len(text) > data_base:
         raise BuildError(
             f"text ({len(text)} bytes at {text_base:#x}) overruns data base "
             f"{data_base:#x}")
     entry_symbol = program.entry
-    if entry_symbol not in layout.symbols:
+    if entry_symbol not in symbols:
         raise UndefinedSymbol(f"entry symbol {entry_symbol!r} is not defined")
 
     return Image(
@@ -305,10 +230,10 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         text=bytes(text),
         data_base=data_base,
         data=bytes(program.data),
-        entry=layout.symbols[entry_symbol],
+        entry=symbols[entry_symbol],
         tags_present=tagged,
         backward_compatible=(config.carrier.backward_compatible if tagged else True),
-        policy=(config.policy if tagged and config is not None else "none"),
+        policy=(config.policy if tagged else "none"),
         tag_regions=tuple(regions),
         label_addrs=tuple(labels),
     )
@@ -405,6 +330,8 @@ def read_image(path) -> Image:
                               f"{regions[-1].start:#x}")
         regions.append(TagRegion(start=start, group_count=group_count,
                                  coverage=coverage, carrier=carrier))
+    if reader.pos != len(blob):
+        raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
     image = Image(
         text_base=text_base,

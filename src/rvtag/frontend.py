@@ -36,6 +36,7 @@ from .errors import BuildError
 class ParseError(BuildError):
     def __init__(self, message, line=0, column=1, filename="<source>"):
         super().__init__(f"{filename}:{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
         self.filename = filename
@@ -81,11 +82,6 @@ class TaggedInsn:
     label_value: int | None = None
     annotations: frozenset = frozenset()
     calltype: str | None = None
-    carrier_word: int | None = None  # set only on interleaved carrier slots
-
-    @property
-    def is_carrier(self) -> bool:
-        return self.carrier_word is not None
 
 
 @dataclass
@@ -107,10 +103,6 @@ class Fragment:
     internal: bool = False
     address_taken: bool = False
     signature: str | None = None
-
-    @property
-    def size(self) -> int:
-        return 4 * len(self.insns)
 
     def reloc_offsets(self) -> set:
         return {r.offset for r in self.relocations}
@@ -541,6 +533,8 @@ class _Assembler:
                 expansion = expand_pseudo(text, lineage=lineage, defsym=self.parser.defsym)
             except codec.OperandRange as exc:
                 raise self.error(str(exc), lineno) from None
+            except ParseError as exc:  # expand_pseudo knows no line
+                raise self.error(exc.message, lineno) from None
             for member in expansion.insns:
                 member.annotations = frozenset(annotations)
             if expansion.relocations:

@@ -262,16 +262,16 @@ def pass_unarith(program: Program, config: TagConfig) -> Program:
 
 def _block_leaders(fragment: Fragment) -> set:
     """Instruction indexes that begin a basic block."""
-    leaders = {0} if fragment.insns else set()
+    leaders = {0}
     relocated = fragment.reloc_offsets()
     for index, tagged in enumerate(fragment.insns):
         mnemonic = tagged.insn.mnemonic
         if mnemonic in BRANCH_MNEMONICS or mnemonic in ("jal", "jalr"):
-            if index + 1 < len(fragment.insns):
-                leaders.add(index + 1)
+            leaders.add(index + 1)
             if mnemonic != "jalr" and 4 * index not in relocated:
                 leaders.add((4 * index + tagged.insn.imm) // 4)
-    return leaders
+    # the fragment's end, or a target outside it, starts no block in it
+    return leaders.intersection(range(len(fragment.insns)))
 
 
 def pass_coverage(program: Program, config: TagConfig, mode: str = "all_branches") -> Program:

@@ -1,6 +1,6 @@
-"""Tag schedule configuration, the offset arithmetic shared by emission,
-symbol adjustment, and branch-reach checks, and the one slot schedule of a
-linked image.
+"""Tag schedule configuration, the offset arithmetic that places every word
+the linker emits and that branch-reach checks use, and the one slot schedule
+of a linked image.
 
 A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a

@@ -273,3 +273,14 @@ def test_console_script_help():
     assert proc.returncode == 0
     for verb in ("assemble", "build", "run", "diff-run", "enforce", "report"):
         assert verb in proc.stdout
+
+
+def test_build_branch_to_fragment_end_label(workspace):
+    source = workspace / "end.s"
+    source.write_text("main:\n    beq a0, a1, out\n    addi a0, a0, 1\nout:\n"
+                      ".globl g\ng:\n    ecall\n")
+    proc = subprocess.run([sys.executable, "-m", "rvtag.cli", "build",
+                           "--config", str(workspace / "cov.conf"),
+                           "--out", str(workspace / "end.rvti"), str(source)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr

@@ -143,12 +143,12 @@ def test_carrier_attributes():
 # Packing
 
 def test_pack_lui_coverage3():
-    pack = TagPack(coverage=3, bits_per_tag=6, tags=(1, 0, 2))
+    pack = TagPack(coverage=3, tags=(1, 0, 2))
     assert pack_tags(TagCarrier.LUI_NOP, pack) == 0x02001037
 
 
 def test_pack_lui_all_zero_is_canonical_nop():
-    pack = TagPack(coverage=15, bits_per_tag=1, tags=(0,) * 15)
+    pack = TagPack(coverage=15, tags=(0,) * 15)
     assert pack_tags(TagCarrier.LUI_NOP, pack) == 0x00000037
 
 
@@ -167,23 +167,24 @@ def test_unpack_rejects_wrong_carrier():
 
 
 def test_pack_rejects_oversized_tags():
+    # the width comes from TAG_BITS: 6 bits for lui N=3, 4 bits for addi N=3
+    assert pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(63, 0, 0)))
     with pytest.raises(PackOverflow):
-        pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, bits_per_tag=6, tags=(64, 0, 0)))
+        pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(64, 0, 0)))
     with pytest.raises(PackOverflow):
-        pack_tags(TagCarrier.ADDI_NOP,
-                  TagPack(coverage=15, bits_per_tag=1, tags=(0,) * 15))
+        pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=3, tags=(16, 0, 0)))
+    with pytest.raises(PackOverflow):  # addi has no coverage-15 layout
+        pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=15, tags=(0,) * 15))
 
 
 def test_addi_carrier_writes_only_x0():
-    word = pack_tags(TagCarrier.ADDI_NOP,
-                     TagPack(coverage=3, bits_per_tag=4, tags=(5, 9, 2)))
+    word = pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=3, tags=(5, 9, 2)))
     insn = decode(word)
     assert insn.mnemonic == "addi" and insn.rd == 0 and insn.rs1 == 0
 
 
 def test_custom_carrier_opcode():
-    word = pack_tags(TagCarrier.CUSTOM,
-                     TagPack(coverage=1, bits_per_tag=15, tags=(0x7FFF,)))
+    word = pack_tags(TagCarrier.CUSTOM, TagPack(coverage=1, tags=(0x7FFF,)))
     assert word & 0x7F == codec.OP_CUSTOM0
     assert unpack_tags(TagCarrier.CUSTOM, 1, word).tags == (0x7FFF,)
 
@@ -196,7 +197,7 @@ def test_custom_carrier_opcode():
                     min_size=kv[0][1], max_size=kv[0][1]))))
 def test_pack_unpack_round_trip(case):
     carrier, coverage, bits, tags = case
-    pack = TagPack(coverage=coverage, bits_per_tag=bits, tags=tuple(tags))
+    pack = TagPack(coverage=coverage, tags=tuple(tags))
     assert unpack_tags(carrier, coverage, pack_tags(carrier, pack)) == pack
 
 
@@ -208,5 +209,5 @@ def test_pack_unpack_round_trip_1000_random():
     for _ in range(1000):
         (carrier, coverage), bits = rng.choice(layouts)
         tags = tuple(rng.randrange(1 << bits) for _ in range(coverage))
-        pack = TagPack(coverage=coverage, bits_per_tag=bits, tags=tags)
+        pack = TagPack(coverage=coverage, tags=tags)
         assert unpack_tags(carrier, coverage, pack_tags(carrier, pack)) == pack

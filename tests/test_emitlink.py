@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import hashlib
 
 import pytest
 
 from rvtag import codec
+from rvtag.codec import TagPack
 from rvtag.emitlink import (
     DATA_BASE,
     FormatError,
@@ -10,8 +13,6 @@ from rvtag.emitlink import (
     PairTooFar,
     RelocOutOfRange,
     TEXT_BASE,
-    adjust_symbols,
-    emit_tags,
     link,
     read_image,
     scan_labels,
@@ -19,8 +20,17 @@ from rvtag.emitlink import (
 )
 from rvtag.frontend import UndefinedSymbol, assemble
 from rvtag.instrument import insert_label
-from rvtag.pipeline import build_image
-from rvtag.tagplan import insn_address, landing_offset, make_config, remap_offset
+from rvtag.pipeline import apply_policy, build_image
+from rvtag.tagplan import (
+    POLICIES,
+    ConfigError,
+    carrier_groups,
+    insn_address,
+    landing_offset,
+    make_config,
+    remap_offset,
+    tagged_size,
+)
 
 N3 = make_config(carrier="lui", coverage=3)
 N7 = make_config(carrier="lui", coverage=7)
@@ -43,102 +53,101 @@ def words_of(image, base=None, count=None):
 
 
 # ---------------------------------------------------------------------------
-# emit_tags
+# link: carriers, local branches, relocation sites
 
 def test_emit_counts_four_insns():
+    image = build_image(ASM_EX, N3, tagged=True)
+    words = words_of(image)
+    assert [codec.decode(w).mnemonic for w in words] == [
+        "lui", "addi", "addi", "addi", "lui", "jal"]
+    carriers = [addr for _, addr, _ in carrier_groups(image.tag_regions, image.text_end)]
+    assert carriers == [TEXT_BASE, TEXT_BASE + 16]
+
+
+def test_emit_packs_each_group_and_pads_with_default_tag():
+    config = make_config(carrier="lui", coverage=3, tags=(("N", 0), ("X", 2)),
+                         default_tag="X")
     program = assemble(ASM_EX)
-    emitted = emit_tags(program, N3)
-    insns = emitted.fragments[0].insns
-    assert len(insns) == 6
-    kinds = [ti.is_carrier for ti in insns]
-    assert kinds == [True, False, False, False, True, False]
+    program.fragments[0].insns[1].tag = 0
+    words = words_of(link(program, config))
+    # group 0: (X, N, X); group 1: the jal's X, then two pads of X
+    assert words[0] == codec.pack_tags(config.carrier, TagPack(3, (2, 0, 2)))
+    assert words[4] == codec.pack_tags(config.carrier, TagPack(3, (2, 2, 2)))
 
 
 def test_emit_empty_fragment_unchanged():
-    program = assemble("main:\n    ecall\n.globl stub\nstub:\n")
-    emitted = emit_tags(program, N3)
-    assert emitted.fragments[1].insns == []
+    image = link(assemble("main:\n    ecall\n.globl stub\nstub:\n"), N3)
+    # main: carrier + ecall, then zero fill up to stub's aligned base, and no
+    # words or tag region for stub itself
+    assert len(image.text) == 16 and image.text[8:] == bytes(8)
+    assert [r.start for r in image.tag_regions] == [TEXT_BASE]
 
 
 def test_emit_nine_insns_all_default():
     source = "f:\n" + "    addi a0, a0, 1\n" * 9
-    program = assemble(source)
-    emitted = emit_tags(program, N3)
-    insns = emitted.fragments[0].insns
-    assert len(insns) == 12
-    carriers = [ti.carrier_word for ti in insns if ti.is_carrier]
-    assert carriers == [0x00000037] * 3  # every tag word is lui x0, 0
+    words = words_of(build_image(source, N3, tagged=True))
+    assert len(words) == 12
+    assert words[0::4] == [0x00000037] * 3  # every tag word is lui x0, 0
 
 
 def test_emit_rewrites_local_branch_over_carrier():
-    program = assemble(ASM_EX)
-    emitted = emit_tags(program, N3)
-    jal = emitted.fragments[0].insns[5].insn
+    jal = codec.decode(words_of(build_image(ASM_EX, N3, tagged=True))[5])
     # jal sits at tagged offset 20; loop_start lands on the carrier at 0
-    assert jal.imm == -20
+    assert jal.mnemonic == "jal" and jal.imm == -20
 
 
 def test_emit_does_not_mutate_input():
-    program = assemble(ASM_EX)
-    before = [ti.insn for ti in program.fragments[0].insns]
-    emit_tags(program, N3)
-    assert [ti.insn for ti in program.fragments[0].insns] == before
+    for source, config in ((ASM_EX, N3), (CALL_AFTER_CALLEE, CFI3)):
+        program = assemble(source)
+        apply_policy(program, config, cfi_label_direct_calls=True)
+        before = copy.deepcopy(program)
+        link(program, config, tagged=True)
+        link(program, config, tagged=False)
+        assert program == before
 
 
 def test_emit_relocation_offsets_move_to_instruction_addresses():
-    program = assemble("main:\n    nop\n    nop\n    nop\n    call f\n    ecall\n"
-                       ".globl f\nf:\n    ret\n")
-    emitted = emit_tags(program, N3)
-    relocs = {r.kind: r.offset for r in emitted.fragments[0].relocations}
+    image = build_image("main:\n    nop\n    nop\n    nop\n    call f\n    ecall\n"
+                        ".globl f\nf:\n    ret\n", N3, tagged=True)
+    words = words_of(image)
     # auipc at untagged 12 -> word address 20; jalr at 16 -> 24
-    assert relocs == {"Hi20": insn_address(12, 3), "Lo12I": insn_address(16, 3)}
-
-
-def test_emit_keeps_every_tagged_insn_field():
-    # every field but insn is copied through; set each one off its default
-    program = assemble("main:\n    addi a0, a0, 1\n    beq a0, a1, main\n")
-    values = dict(tag=1, lineage=7, is_label=True, label_value=0x5A3,
-                  annotations=frozenset({"count"}), calltype="i64(i64)",
-                  carrier_word=0x1037)
-    fields = {f.name for f in dataclasses.fields(program.fragments[0].insns[0])} - {"insn"}
-    assert fields == set(values)  # a new TaggedInsn field needs a value here
-    for tagged in program.fragments[0].insns:
-        for name, value in values.items():
-            setattr(tagged, name, value)
-    emitted = emit_tags(program, N3)
-    copies = emitted.fragments[0].insns[1:]
-    assert len(copies) == 2
-    for copy in copies:
-        assert {name: getattr(copy, name) for name in values} == values
-    assert copies[1].insn.imm == -8  # the branch is still rewritten
+    auipc = codec.decode(words[insn_address(12, 3) // 4])
+    jalr = codec.decode(words[insn_address(16, 3) // 4])
+    assert (auipc.mnemonic, jalr.mnemonic) == ("auipc", "jalr")
+    f_base = TEXT_BASE + 32  # main: 6 insns + 2 carriers -> 32 bytes
+    assert TEXT_BASE + insn_address(12, 3) + (auipc.imm << 12) + jalr.imm == f_base
 
 
 # ---------------------------------------------------------------------------
-# adjust_symbols
+# link: fragment bases and symbols
 
 def test_fragment_base_accumulation():
-    source = ("f:\n" + "    addi a0, a0, 1\n" * 10 +
+    source = (".entry g\nf:\n" + "    addi a0, a0, 1\n" * 10 +
               ".globl g\ng:\n    ret\n")
-    program = assemble(source)
-    layout = adjust_symbols(program, N3)
+    image = build_image(source, N3, tagged=True)
     # 10 insns + 4 carriers = 56 bytes, aligned to 64
-    assert layout.fragment_bases["g"] == TEXT_BASE + 64
-    assert layout.symbols["g"] == TEXT_BASE + 64
+    assert [r.start for r in image.tag_regions] == [TEXT_BASE, TEXT_BASE + 64]
+    assert image.entry == TEXT_BASE + 64
+    # untagged: 40 bytes, aligned to 48
+    assert build_image(source, N3, tagged=False).entry == TEXT_BASE + 48
 
 
 def test_symbols_land_on_first_carrier():
-    program = assemble("main:\n    ecall\n")
-    layout = adjust_symbols(program, N3)
-    assert layout.symbols["main"] == TEXT_BASE
-    untagged = adjust_symbols(program, None)
-    assert untagged.symbols["main"] == TEXT_BASE
+    assert landing_offset(0, 3) == 0
+    for tagged in (True, False):
+        assert build_image("main:\n    ecall\n", N3, tagged=tagged).entry == TEXT_BASE
 
 
 def test_data_symbols_not_remapped():
-    program = assemble("main:\n    ecall\n.data\nbuf:\n    .zero 16\nend:\n    .word 1\n")
-    layout = adjust_symbols(program, N3)
-    assert layout.symbols["buf"] == DATA_BASE
-    assert layout.symbols["end"] == DATA_BASE + 16
+    source = ("main:\n    la a0, buf\n    la a1, end\n    ecall\n"
+              ".data\nbuf:\n    .zero 16\nend:\n    .word 1\n")
+    words = words_of(build_image(source, N3, tagged=True))
+    targets = []
+    for hi, lo in ((0, 4), (8, 12)):  # a carrier sits inside the second pair
+        auipc = codec.decode(words[insn_address(hi, 3) // 4])
+        addi = codec.decode(words[insn_address(lo, 3) // 4])
+        targets.append(TEXT_BASE + insn_address(hi, 3) + (auipc.imm << 12) + addi.imm)
+    assert targets == [DATA_BASE, DATA_BASE + 16]
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +294,14 @@ def test_hi_lo_interposition_0_to_3_words():
     with pytest.raises(PairTooFar):
         link(program, N3, tagged=False)
 
+    # so do 3 labels once a carrier lands between the pair
+    program = assemble(CALL_AFTER_CALLEE)
+    for value in (0x11, 0x22, 0x33):
+        insert_label(program, (1, 1), value, 0)
+    assert hi_lo_target(link(program, N3, tagged=False))[1] == 3
+    with pytest.raises(PairTooFar, match="4 words"):
+        link(program, N3, tagged=True)
+
 
 def test_max_pair_gap_configurable():
     program = assemble(CALL_AFTER_CALLEE)
@@ -329,14 +346,14 @@ def test_placement_law_every_instruction():
     program = assemble(source)
     for config in (N3, N7, make_config(carrier="lui", coverage=15)):
         image = build_image(source, config, tagged=True)
-        layout = adjust_symbols(program, config)
+        base = TEXT_BASE
         for frag in program.fragments:
-            base = layout.fragment_bases[frag.name]
             for index, tagged_insn in enumerate(frag.insns):
                 addr = base + remap_offset(4 * index, config.coverage) + 4
                 off = addr - image.text_base
                 word = int.from_bytes(image.text[off:off + 4], "little")
                 assert word == codec.encode(tagged_insn.insn)
+            base += -(-tagged_size(len(frag.insns), config.coverage) // 16) * 16
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +399,11 @@ def test_image_format_errors(tmp_path):
     bad_version.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
     with pytest.raises(FormatError):
         read_image(bad_version)
+
+    trailing = tmp_path / "trailing.rvti"
+    trailing.write_bytes(blob + b"junk")
+    with pytest.raises(FormatError, match="4 trailing bytes"):
+        read_image(trailing)
 
 
 # Each case turns the image's first two (valid) regions into a bad table.
@@ -438,3 +460,40 @@ def test_scan_labels_matches_on_corpus():
             image = build_image(text, config, tagged=True,
                                 cfi_label_direct_calls=True)
             assert scan_labels(image) == image.label_addrs
+
+
+# ---------------------------------------------------------------------------
+# layout pin
+
+def _buildable_cells():
+    cells = []
+    for carrier, coverage in sorted(codec.TAG_BITS, key=lambda k: (k[0].value, k[1])):
+        for policy in POLICIES:
+            try:
+                cells.append(make_config(carrier=carrier.value, coverage=coverage,
+                                         policy=policy))
+            except ConfigError:
+                continue
+    return cells
+
+
+# sha256 over every linked layout below, computed with the linker that
+# placed words by indexing a carrier-interleaved copy of the program.
+LAYOUT_DIGEST = "69188e6688e22943b8a2c69e1f883bff3a66f4bbc4f607c0808775d645503748"
+
+
+def test_link_layout_is_pinned():
+    from rvtag.corpus import generate_corpus
+
+    cells = _buildable_cells()
+    assert len(cells) == 35
+    digest = hashlib.sha256()
+    for text in generate_corpus(7, 8):
+        for config in cells:
+            image = build_image(text, config, tagged=True, cfi_label_direct_calls=True)
+            digest.update(repr((image.text, image.entry, image.tag_regions,
+                                image.label_addrs)).encode())
+        image = build_image(text, cells[0], tagged=False)
+        digest.update(repr((image.text, image.entry, image.tag_regions,
+                            image.label_addrs)).encode())
+    assert digest.hexdigest() == LAYOUT_DIGEST

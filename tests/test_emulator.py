@@ -246,7 +246,7 @@ def test_carrier_words_have_no_architectural_effect():
     ):
         for _ in range(50):
             tags = tuple(rng.randrange(1 << bits) for _ in range(coverage))
-            cases.append(pack_tags(carrier, TagPack(coverage, bits, tags)))
+            cases.append(pack_tags(carrier, TagPack(coverage, tags)))
     base = build_image("main:\n    ecall\n", N3, tagged=False)
     for word in cases:
         # untagged image: the carrier word runs as an ordinary instruction

@@ -320,6 +320,16 @@ def test_jr_rejects_wrong_operand_count():
             assemble(f"main:\n    {line}\n")
 
 
+@pytest.mark.parametrize("line", ["ret x", "call 5", "jr", "jr t0, t1", "li a0"])
+def test_pseudo_operand_error_names_its_line(line):
+    with pytest.raises(ParseError) as info:
+        assemble(f"main:\n    nop\n    {line}\n", filename="prog.s")
+    assert (info.value.line, info.value.filename) == (3, "prog.s")
+    with pytest.raises(ParseError) as info:  # expand_pseudo alone knows no line
+        expand_pseudo(line)
+    assert info.value.line == 0
+
+
 def test_expand_rejects_non_pseudo():
     with pytest.raises(UnsupportedPseudo):
         expand_pseudo("addi a0, a0, 1")

@@ -420,6 +420,24 @@ def test_pass_coverage_requires_coverage7():
         pass_coverage(program, COVERAGE, mode="sometimes")
 
 
+# Branch targets outside their fragment: a local label at the fragment's end,
+# and a literal delta past it.  Neither starts a block in the fragment.
+END_LABEL_SRC = ("main:\n    beq a0, a1, out\n    addi a0, a0, 1\nout:\n"
+                 ".globl g\ng:\n    ecall\n")
+FAR_DELTA_SRC = "main:\n    beq a0, a1, 400\n    ecall\n"
+
+
+@pytest.mark.parametrize("source", [END_LABEL_SRC, FAR_DELTA_SRC],
+                         ids=["end_label", "far_delta"])
+def test_pass_coverage_ignores_targets_outside_fragment(source):
+    program = assemble(source)
+    pass_coverage(program, COVERAGE)
+    main = program.fragments[0]
+    # CL labels at the entry and after the branch only
+    assert [i for i, ti in enumerate(main.insns) if ti.is_label] == [0, 2]
+    link(program, COVERAGE)
+
+
 def test_pass_coverage_idempotent():
     program = assemble(COVERAGE_SRC)
     pass_coverage(program, COVERAGE)
