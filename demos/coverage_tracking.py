@@ -41,10 +41,7 @@ print("block_fn is entered three times: jumps once, falls through twice\n")
 
 print("counting labels after the run (value lives in the lui immediate):")
 for addr, kind in image.label_addrs:
-    word = 0
-    for i in range(4):
-        word |= state.memory.get(addr + i, 0) << (8 * i)
-    count = (word >> 12) & 0xFFFFF
+    count = (state.memory.read(addr, 4) >> 12) & 0xFFFFF
     print(f"  {addr:#x}  lui x0, {count}")
 
 print("\nbranch map {branch pc: {next pc: count}}:")

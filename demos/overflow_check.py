@@ -49,7 +49,7 @@ def attempt(title, payload_len, header_len, annot):
     dst = image.data_base + 64
     try:
         state, _, _ = run(image, mode="aware")
-        copied = sum(1 for i in range(64) if state.memory.get(dst + i, 0))
+        copied = sum(1 for i in range(64) if state.memory.read(dst + i, 1))
         print(f"{title}: completed, length register = {state.regs[12]:#x}, "
               f"{copied} byte(s) copied")
     except PolicyViolation as violation:

@@ -182,10 +182,7 @@ def _coverage_dump(image, state, policy_state) -> dict:
     for addr, kind in image.label_addrs:
         if kind != "cl":
             continue
-        word = 0
-        for i in range(4):
-            word |= state.memory.get(addr + i, 0) << (8 * i)
-        cl.append({"addr": addr, "count": (word >> 12) & 0xFFFFF})
+        cl.append({"addr": addr, "count": (state.memory.read(addr, 4) >> 12) & 0xFFFFF})
     return {
         "cl": cl,
         "ci": {hex(pc): count for pc, count in sorted(policy_state.ci_counts.items())},
@@ -239,7 +236,9 @@ def cmd_enforce(args) -> int:
 # diff-run
 
 def compare_states(base, tagged, data_base) -> str | None:
-    """First architectural divergence between two final states, or None."""
+    """First architectural divergence between two final states, or None.
+
+    Memory is compared over the data segment, at data_base, and the stack."""
     for i in range(1, 32):
         if base.regs[i] != tagged.regs[i]:
             return f"x{i}: baseline {base.regs[i]:#x} != tagged {tagged.regs[i]:#x}"
@@ -249,13 +248,12 @@ def compare_states(base, tagged, data_base) -> str | None:
         return f"stop reason: {base.stop_reason!r} != {tagged.stop_reason!r}"
     if bytes(base.stdout) != bytes(tagged.stdout):
         return "stdout streams differ"
-    addrs = {a for a in base.memory if a >= data_base}
-    addrs |= {a for a in tagged.memory if a >= data_base}
-    for addr in sorted(addrs):
-        a = base.memory.get(addr, 0)
-        b = tagged.memory.get(addr, 0)
+    for (addr, a), (_, b) in zip(base.memory.segments[:2], tagged.memory.segments[:2]):
+        if len(a) != len(b):
+            return f"memory segment at {addr:#x}: {len(a)} != {len(b)} bytes"
         if a != b:
-            return f"memory[{addr:#x}]: baseline {a:#x} != tagged {b:#x}"
+            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+            return f"memory[{addr + i:#x}]: baseline {a[i]:#x} != tagged {b[i]:#x}"
     return None
 
 

@@ -4,16 +4,15 @@ Two modes: "compat" executes every word architecturally (carriers are no-op
 encodings and custom-opcode carriers fault, exactly as tag-unaware hardware
 would behave); "aware" consumes carrier words as metadata and enforces the
 image's policy.  Counters split retired instructions from carrier fetches so
-dynamic overhead can be measured.
+dynamic overhead can be measured; the fetch budget, max_insns, bounds both.
 
-The slot schedule (tagplan.carrier_groups) is resolved once, at load, into a
-pc -> tag dict where None marks a carrier: compat mode enters carriers only,
-aware mode unpacks each one.  Text is unpacked once into a word list, and
-each pc decoded on its first fetch into a dispatch-table entry: a word tuple
-(handler, rd, rs1, rs2, imm, mnemonic) shared by every pc holding that word,
-and a kind that folds in the policy effect of the pc's tag, so a pc without
-one skips enforcement.  A coverage-mode store to text refreshes the word list
-and drops the entries it touches, a whole group's when it hits the carrier.
+Memory is three bytearray segments, text, data and stack; an access outside
+them is a MemFault.  The slot schedule (tagplan.carrier_groups) is resolved
+once, at load, into a pc -> tag dict where None marks a carrier.  Code runs
+as basic blocks, translated on entry and cached by entry pc (past the
+first _EAGER_BLOCKS, once entered twice): closures with their operands
+bound, constant counts, and one terminator that returns the next pc.  Aware-mode carriers and x0 no-ops cost
+nothing, and each policy check is folded in at translation.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 import struct
+import weakref
 from dataclasses import asdict, dataclass, field
 
 from . import codec, tagplan
@@ -28,19 +28,22 @@ from .emitlink import Image
 from .errors import RvtagError
 
 STACK_TOP = 0x800000
+STACK_SIZE = 0x4000
 EXIT_SYSCALL = 93
 WRITE_SYSCALL = 64
 
 MASK64 = (1 << 64) - 1
-_ZEROS = (0,) * 8  # default byte of each unwritten address
+_WORD = struct.Struct("<I")
 
 
 class BadInstruction(RvtagError):
     """Fetched word is not a supported instruction, or pc went astray."""
 
+    pc = None  # set when a program store wrote a malformed carrier
+
 
 class LimitExceeded(RvtagError):
-    """Retired-instruction budget exhausted."""
+    """Fetch budget (retired instructions plus carrier fetches) exhausted."""
 
 
 class PolicyViolation(RvtagError):
@@ -54,10 +57,38 @@ class PolicyViolation(RvtagError):
 
 
 @dataclass
+class Memory:
+    """The memory map: text, data, and a stack that ends at STACK_TOP."""
+
+    text_base: int
+    text: bytearray
+    data_base: int
+    data: bytearray
+    stack: bytearray
+
+    def __post_init__(self):
+        self.segments = ((self.data_base, self.data), (STACK_TOP - len(self.stack), self.stack),
+                         (self.text_base, self.text))
+
+    def find(self, addr: int, size: int) -> tuple:
+        """(segment, offset) of an access wholly inside one segment, else (None, 0)."""
+        for base, segment in self.segments:
+            if 0 <= addr - base <= len(segment) - size:
+                return segment, addr - base
+        return None, 0
+
+    def read(self, addr: int, size: int) -> int:
+        segment, offset = self.find(addr, size)
+        if segment is None:
+            raise KeyError(f"{size} bytes at {addr:#x} are outside the memory map")
+        return int.from_bytes(segment[offset:offset + size], "little")
+
+
+@dataclass
 class MachineState:
     pc: int = 0
     regs: list = field(default_factory=lambda: [0] * 32)
-    memory: dict = field(default_factory=dict)
+    memory: Memory | None = None
     halted: bool = False
     exit_code: int = 0
     stop_reason: str = ""
@@ -85,13 +116,16 @@ class PolicyState:
     cl_addresses: list = field(default_factory=list)
 
 
-_CFL = tagplan.policy_tag("cfi", "CFL")
-_UN_ARTH = tagplan.policy_tag("unarith", "UN_ARTH")
-_CL, _CI, _BCF = (tagplan.policy_tag("coverage", name) for name in ("CL", "CI", "BCF"))
+# Blocks past this many are cached only when entered a second time: code that
+# runs once, like a long straight-line driver, then leaves no objects behind
+# for the garbage collector to keep traversing.
+_EAGER_BLOCKS = 256
 _UNTAGGED = -1  # schedule value of a pc outside every carrier group
-
-# Table entry kinds: the policy effect of a pc's tag (_INSN: none), set at fill time.
-_INSN, _LABEL, _CARRIER, _CFL_LABEL, _CFL_JALR, _UNSIGNED, _CL_LABEL, _CI_INSN, _BCF_EDGE = range(9)
+_CFL = tagplan.policy_tag("cfi", "CFL")
+# per policy, the tags that have an effect, by the name of the effect
+_EFFECTS = {"cfi": {_CFL: "CFL"},
+            "unarith": {tagplan.policy_tag("unarith", "UN_ARTH"): "UN_ARTH"},
+            "coverage": {tagplan.policy_tag("coverage", tag): tag for tag in ("CL", "CI", "BCF")}}
 
 
 def _sext32(value: int) -> int:
@@ -102,100 +136,69 @@ def _signed(value: int) -> int:
     return (value & MASK64) - ((value & (1 << 63)) << 1)
 
 
-# -- handlers: (machine, regs, pc, rd, rs1, rs2, imm) -> next pc, None once halted
+# -- ops: op(regs) runs one instruction.  Pure ones are made from the word
+# alone, (rd, rs1, rs2, imm), and shared by every pc holding it; the rest
+# also take (machine, pc).  Operands are bound as defaults, which are cheaper
+# to make and to read than closure cells.
 
-def _nop(m, regs, pc, rd, rs1, rs2, imm):
-    return pc + 4
-
-
-def _label(m, regs, pc, rd, rs1, rs2, imm):
-    """lui x0: a no-op whose raw immediate the policies read."""
-    return pc + 4
-
-
-def _auipc(m, regs, pc, rd, rs1, rs2, imm):
-    regs[rd] = (pc + imm) & MASK64
-    return pc + 4
-
-
-def _jal(m, regs, pc, rd, rs1, rs2, imm):
-    if rd:
-        regs[rd] = (pc + 4) & MASK64
-    return (pc + imm) & MASK64
-
-
-def _jalr(m, regs, pc, rd, rs1, rs2, imm):
-    target = (regs[rs1] + imm) & MASK64 & ~1
-    if rd:
-        regs[rd] = (pc + 4) & MASK64
-    return target
-
-
-def _ecall(m, regs, pc, rd, rs1, rs2, imm):
-    # a7=93 exit with code a0, a7=64 write the byte in a0; anything else
-    # also stops the machine so a bare ecall is a clean one-instruction exit.
-    state = m.state
-    if regs[17] == WRITE_SYSCALL:
-        state.stdout.append(regs[10] & 0xFF)
-        return pc + 4
-    state.halted = True
-    state.exit_code = regs[10]
-    state.stop_reason = "exit" if regs[17] == EXIT_SYSCALL else "ecall"
-    return None
-
-
-def _ebreak(m, regs, pc, rd, rs1, rs2, imm):
-    m.state.halted = True
-    m.state.stop_reason = "ebreak"
+def _const(rd, value):
+    def op(regs, rd=rd, value=value):
+        regs[rd] = value
+    return op
 
 
 def _reg_op(fn):
-    def handler(m, regs, pc, rd, rs1, rs2, imm):
-        regs[rd] = fn(regs[rs1], regs[rs2]) & MASK64
-        return pc + 4
-    return handler
+    def make(rd, rs1, rs2, imm):
+        def op(regs, rd=rd, rs1=rs1, rs2=rs2, fn=fn):
+            regs[rd] = fn(regs[rs1], regs[rs2]) & MASK64
+        return op
+    return make
 
 
 def _imm_op(fn):
-    def handler(m, regs, pc, rd, rs1, rs2, imm):
-        regs[rd] = fn(regs[rs1], imm) & MASK64
-        return pc + 4
-    return handler
+    def make(rd, rs1, rs2, imm):
+        def op(regs, rd=rd, rs1=rs1, imm=imm, fn=fn):
+            regs[rd] = fn(regs[rs1], imm) & MASK64
+        return op
+    return make
 
 
-def _branch(taken):
-    def handler(m, regs, pc, rd, rs1, rs2, imm):
-        return (pc + imm) & MASK64 if taken(regs[rs1], regs[rs2]) else pc + 4
-    return handler
+def _loader(fmt):
+    unpack, size = struct.Struct(fmt).unpack_from, struct.calcsize(fmt)
+
+    def make(m, pc, rd, rs1, rs2, imm):
+        def op(regs, rd=rd, rs1=rs1, imm=imm, find=m._find, pc=pc):
+            addr = (regs[rs1] + imm) & MASK64
+            segment, offset = find(addr, size)
+            if segment is None:
+                raise PolicyViolation("MemFault", pc, f"{size}-byte load at {addr:#x}: unmapped")
+            regs[rd] = unpack(segment, offset)[0] & MASK64
+        return op
+    return make
 
 
-def _loader(size, signed):
-    sign = 1 << (8 * size - 1) if signed else 0
+def _storer(fmt):
+    pack, size = struct.Struct(fmt).pack_into, struct.calcsize(fmt)
+    mask = (1 << 8 * size) - 1
 
-    def handler(m, regs, pc, rd, rs1, rs2, imm):
-        regs[rd] = ((m._load((regs[rs1] + imm) & MASK64, size) ^ sign) - sign) & MASK64
-        return pc + 4
-    return handler
+    def make(m, pc, rd, rs1, rs2, imm):
+        def op(regs, rs1=rs1, rs2=rs2, imm=imm, find=m._find, text=m.memory.text,
+               written=m._on_text_store, pc=pc):
+            addr = (regs[rs1] + imm) & MASK64
+            segment, offset = find(addr, size)
+            if segment is None:
+                raise PolicyViolation("MemFault", pc, f"{size}-byte store at {addr:#x}: unmapped")
+            if segment is text and written is None:
+                raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
+            pack(segment, offset, regs[rs2] & mask)
+            if segment is text:
+                written()(addr, size, pc)
+        return op
+    return make
 
 
-def _storer(size):
-    def handler(m, regs, pc, rd, rs1, rs2, imm):
-        m._store((regs[rs1] + imm) & MASK64, size, regs[rs2], pc)
-        return pc + 4
-    return handler
-
-
-_HANDLERS = {
-    "lui": _imm_op(lambda _, imm: imm), "auipc": _auipc, "jal": _jal, "jalr": _jalr,
-    "ecall": _ecall, "ebreak": _ebreak,
-    "beq": _branch(operator.eq), "bne": _branch(operator.ne),
-    "blt": _branch(lambda a, b: _signed(a) < _signed(b)),
-    "bge": _branch(lambda a, b: _signed(a) >= _signed(b)),
-    "bltu": _branch(operator.lt), "bgeu": _branch(operator.ge),
-    "lb": _loader(1, True), "lh": _loader(2, True), "lw": _loader(4, True),
-    "ld": _loader(8, False), "lbu": _loader(1, False), "lhu": _loader(2, False),
-    "lwu": _loader(4, False),
-    "sb": _storer(1), "sh": _storer(2), "sw": _storer(4), "sd": _storer(8),
+_OPS = {
+    "lui": lambda rd, rs1, rs2, imm: _const(rd, imm & MASK64),
     "addi": _imm_op(operator.add), "xori": _imm_op(operator.xor),
     "ori": _imm_op(operator.or_), "andi": _imm_op(operator.and_),
     "slti": _imm_op(lambda a, imm: _signed(a) < imm),
@@ -211,115 +214,132 @@ _HANDLERS = {
     "sra": _reg_op(lambda a, b: _signed(a) >> (b & 63)),
     "addw": _reg_op(lambda a, b: _sext32(a + b)), "subw": _reg_op(lambda a, b: _sext32(a - b)),
 }
+_PC_OPS = {
+    "auipc": lambda m, pc, rd, rs1, rs2, imm: _const(rd, (pc + imm) & MASK64),
+    "lb": _loader("<b"), "lh": _loader("<h"), "lw": _loader("<i"), "ld": _loader("<Q"),
+    "lbu": _loader("<B"), "lhu": _loader("<H"), "lwu": _loader("<I"),
+    "sb": _storer("<B"), "sh": _storer("<H"), "sw": _storer("<I"), "sd": _storer("<Q"),
+}
+
+
+def _pending(policy, value):
+    """The op of a CFL site label: its value is for the checked jalr after it."""
+    def op(regs, policy=policy, value=value):
+        policy.pending_cfl = value
+    return op
+
+
+# -- terminators: term(regs) ends a block and returns the next pc, None once halted
+
+def _goto(target):
+    return lambda regs, target=target: target
+
+
+def _jump(m, pc, rd, rs1, rs2, imm, jalr=False):
+    def term(regs, rd=rd, rs1=rs1, imm=imm, link=(pc + 4) & MASK64, target=(pc + imm) & MASK64,
+             jalr=jalr):
+        if jalr:
+            target = (regs[rs1] + imm) & MASK64 & ~1
+        if rd:
+            regs[rd] = link
+        return target
+    return term
+
+
+def _ecall(m, pc, rd, rs1, rs2, imm):
+    # a7=93 exit with code a0, a7=64 write the byte in a0; anything else
+    # also stops the machine so a bare ecall is a clean one-instruction exit.
+    def term(regs, state=m.state, pc=pc):
+        if regs[17] == WRITE_SYSCALL:
+            state.stdout.append(regs[10] & 0xFF)
+            return pc + 4
+        state.halted = True
+        state.exit_code = regs[10]
+        state.stop_reason = "exit" if regs[17] == EXIT_SYSCALL else "ecall"
+    return term
+
+
+def _ebreak(m, pc, rd, rs1, rs2, imm):
+    def term(regs, state=m.state):
+        state.halted = True
+        state.stop_reason = "ebreak"
+    return term
+
+
+def _branch(taken):
+    def make(m, pc, rd, rs1, rs2, imm):
+        return lambda regs, rs1=rs1, rs2=rs2, target=(pc + imm) & MASK64, fall=pc + 4: (
+            target if taken(regs[rs1], regs[rs2]) else fall)
+    return make
+
+
+_TERMS = {
+    "jal": _jump, "jalr": functools.partial(_jump, jalr=True), "ecall": _ecall, "ebreak": _ebreak,
+    "beq": _branch(operator.eq), "bne": _branch(operator.ne),
+    "blt": _branch(lambda a, b: _signed(a) < _signed(b)),
+    "bge": _branch(lambda a, b: _signed(a) >= _signed(b)),
+    "bltu": _branch(operator.lt), "bgeu": _branch(operator.ge),
+}
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
-_RD_ONLY = codec.MNEMONICS - codec.BRANCH_MNEMONICS - codec.STORE_MNEMONICS - {
-    "jal", "jalr", "ecall", "ebreak"}
-_SKIP = (_nop, 0, 0, 0, 0, None)  # an aware-mode carrier: metadata only
+_RD_ONLY = codec.MNEMONICS - codec.BRANCH_MNEMONICS - codec.STORE_MNEMONICS - set(_TERMS)
 
 
 @functools.lru_cache(maxsize=65536)
 def _predecode(word: int) -> tuple:
-    """(handler, rd, rs1, rs2, imm, mnemonic) of a word, shared by every pc
-    holding it.  lui/auipc immediates come shifted, but a label (lui x0)
-    keeps its raw 20-bit immediate for the cfi compare."""
+    """(mnemonic, rd, rs1, rs2, imm, op, make) of a word: op is the shared op
+    of a pure instruction, make the per-pc factory of any other; both are
+    None for a no-op.  lui/auipc immediates come shifted, but a label (lui
+    x0) keeps its raw 20-bit immediate for the cfi compare."""
     insn = codec.decode(word)
-    mnemonic, rd, imm = insn.mnemonic, insn.rd, insn.imm
-    handler = _HANDLERS[mnemonic]
-    if rd == 0 and mnemonic in _RD_ONLY:
-        handler = _label if mnemonic == "lui" else _nop
-    elif mnemonic in ("lui", "auipc"):
+    mnemonic, rd, rs1, rs2, imm = insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm
+    if mnemonic in ("lui", "auipc") and rd:
         imm = _sext32(imm << 12)
-    return handler, rd, insn.rs1, insn.rs2, imm, mnemonic
-
-
-def _kind(policy: str, tag: int, op: tuple) -> int:
-    """Table kind of a non-carrier pc: which policy effect its tag has."""
-    label = op[0] is _label
-    if policy == "cfi" and tag == _CFL and (label or op[5] == "jalr"):
-        return _CFL_LABEL if label else _CFL_JALR
-    if policy == "unarith" and tag == _UN_ARTH and op[5] in codec.ADDSUB_MNEMONICS:
-        return _UNSIGNED
-    if policy == "coverage" and (tag == _CL and label or tag in (_CI, _BCF)):
-        return {_CL: _CL_LABEL, _CI: _CI_INSN, _BCF: _BCF_EDGE}[tag]
-    return _LABEL if label else _INSN
-
-
-def _check_unsigned(regs, pc, rs1, rs2, imm, mnemonic) -> None:
-    width = 32 if mnemonic in ("addw", "subw", "addiw") else 64
-    mask = (1 << width) - 1
-    a = regs[rs1] & mask
-    b = (imm if mnemonic in ("addi", "addiw") else regs[rs2]) & mask
-    if mnemonic in ("sub", "subw") and a < b:
-        raise PolicyViolation("UnsignedOverflow", pc, f"{a:#x} - {b:#x} borrows")
-    if mnemonic not in ("sub", "subw") and a + b > mask:
-        raise PolicyViolation("UnsignedOverflow", pc, f"{a:#x} + {b:#x} carries out of {width} bits")
-
-
-def _span(addr: int, size: int):  # the byte addresses of an access, wrapping at 2**64
-    if addr + size <= MASK64 + 1:
-        return range(addr, addr + size)
-    return [(addr + i) & MASK64 for i in range(size)]
+    op = make = None
+    if rd or mnemonic not in _RD_ONLY:
+        if mnemonic in _OPS:
+            op = _OPS[mnemonic](rd, rs1, rs2, imm)
+        else:
+            make = _PC_OPS.get(mnemonic) or _TERMS[mnemonic]
+    return mnemonic, rd, rs1, rs2, imm, op, make
 
 
 class Emulator:
     def __init__(self, image: Image, mode: str = "compat", max_insns: int = 10 ** 8):
+        """max_insns bounds every fetch: retired instructions plus carrier words."""
         if mode not in ("compat", "aware"):
             raise ValueError(f"unknown mode {mode!r}")
         self.image = image
         self.mode = mode
         self.max_insns = max_insns
-        self.state = MachineState(pc=image.entry)
+        self.memory = Memory(image.text_base, bytearray(image.text), image.data_base,
+                             bytearray(image.data), bytearray(STACK_SIZE))
+        self.state = MachineState(pc=image.entry, memory=self.memory)
         self.counters = ExecCounters()
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
         self.state.regs[2] = STACK_TOP
+        # Shared by the memory ops.  Stores to writable text call back through
+        # a weak reference, so no op holds its machine in a reference cycle.
+        self._find = self.memory.find
+        self._text_writable = mode == "aware" and image.policy == "coverage"
+        self._on_text_store = (weakref.WeakMethod(self._text_written)
+                               if self._text_writable else None)
 
-        memory = self.state.memory
-        memory.update(zip(range(image.text_base, image.text_end), image.text))
-        memory.update(zip(range(image.data_base, image.data_base + len(image.data)), image.data))
-
-        # Whole text words, unpacked once; fetches outside them read memory.
-        count = 0 if image.text_base % 4 else len(image.text) // 4
-        self._words = list(struct.unpack_from(f"<{count}I", image.text))
-        self._words_end = image.text_base + 4 * count
-        self._text_writable = (mode == "aware" and image.policy == "coverage")
+        # Blocks are cached only for entries inside whole text words.
+        self._words_end = image.text_base + (0 if image.text_base % 4 else len(image.text) & ~3)
+        self._blocks = {}
+        self._entered = set()
         self._tags = {}
-        self._table = {}
-        self._labels_counted = set()
-        self._resolve(tagplan.carrier_groups(image.tag_regions, image.text_end))
+        self._labels_counted = {}  # policy.cl_addresses, in first-count order
+        self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
+        self._resolve(self._groups)
 
-    # -- memory ------------------------------------------------------------
-    def _load(self, addr: int, size: int) -> int:
-        return int.from_bytes(bytes(map(self.state.memory.get, _span(addr, size), _ZEROS)), "little")
+    def _fetch(self, pc: int) -> int:
+        segment, offset = self.memory.find(pc, 4)
+        if segment is None:
+            raise BadInstruction(f"pc={pc:#x}: fetch outside the memory map")
+        return _WORD.unpack_from(segment, offset)[0]
 
-    def _word(self, pc: int) -> int:
-        if self.image.text_base <= pc < self._words_end:
-            return self._words[(pc - self.image.text_base) >> 2]
-        return self._load(pc, 4)
-
-    def _store(self, addr: int, size: int, value: int, pc: int) -> None:
-        image = self.image
-        in_text = addr < image.text_end and addr + size > image.text_base
-        if in_text and not self._text_writable:
-            raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
-        data = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        self.state.memory.update(zip(_span(addr, size), data))
-        if not in_text:
-            return
-        # refresh the words written and drop their entries, then re-resolve
-        # each group whose carrier was written and drop the group's entries
-        base = image.text_base
-        for word_pc in range(addr - (addr - base) % 4, addr + size, 4):
-            self._table.pop(word_pc, None)
-            if base <= word_pc < self._words_end:
-                self._words[(word_pc - base) >> 2] = self._load(word_pc, 4)
-        groups = [group for group in tagplan.carrier_groups(image.tag_regions, image.text_end)
-                  if addr - 4 < group[1] < addr + size]
-        self._resolve(groups)
-        for _, carrier_addr, group_end in groups:
-            for word_pc in range(carrier_addr, group_end, 4):
-                self._table.pop(word_pc, None)
-
-    # -- slot schedule and dispatch table -----------------------------------
+    # -- slot schedule -----------------------------------------------------------
     def _resolve(self, groups) -> None:
         """Enter carrier groups into the pc -> tag schedule (None = carrier)."""
         tags = self._tags
@@ -330,111 +350,208 @@ class Emulator:
                 continue
             read = codec.tag_reader(region.carrier, region.coverage)
             try:
-                values = read(self._word(carrier_addr))
+                values = read(self._fetch(carrier_addr))
             except codec.NotACarrier as exc:
                 raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}") from None
             tags.update(zip(range(carrier_addr + 4, group_end, 4), values))
 
-    def _fill(self, pc: int) -> tuple:
-        """The (kind, word tuple) entry of pc, kept if pc is a text word."""
-        if pc % 4:
-            raise BadInstruction(f"misaligned pc {pc:#x}")
-        tag = self._tags.get(pc, _UNTAGGED)
-        if tag is None and self.mode == "aware":
-            entry = (_CARRIER, _SKIP)
-        else:
+    def _text_written(self, addr: int, size: int, pc: int) -> None:
+        """After the store at pc wrote text (coverage mode only): re-resolve
+        each group whose carrier it wrote, and drop every block over a
+        written word or over a word of such a group."""
+        groups = [group for group in self._groups if addr - 4 < group[1] < addr + size]
+        try:
+            self._resolve(groups)
+        except BadInstruction as exc:
+            exc.pc = pc
+            raise
+        spans = [(addr, addr + size)] + [(start, end) for _, start, end in groups]
+        for entry in [entry for entry, block in self._blocks.items()
+                      if any(lo < block[-1] and entry < hi for lo, hi in spans)]:
+            del self._blocks[entry]
+
+    # -- translation ---------------------------------------------------------------
+    def _translate(self, entry: int, limit: int = -1) -> tuple:
+        """The block entered at `entry`, of at most `limit` fetches if given:
+        (ops, fetches, retired, labels, terminator, arms, bcf, end).  It ends
+        at a control transfer or a BCF-tagged word (bcf is its pc), and where
+        text is writable, after a store.  A CFL label's value is only for a
+        checked jalr right after it; arms marks a block that leaves the cfi
+        check to the next block's entry.  Only unlimited blocks inside text
+        are cached."""
+        if entry % 4:
+            raise BadInstruction(f"misaligned pc {entry:#x}")
+        base, tags, text = self.image.text_base, self._tags, self.memory.text
+        in_text = base <= entry < self._words_end
+        end = self._words_end if in_text else entry + 4
+        if limit >= 0:
+            end = min(end, entry + 4 * limit)
+        effects = _EFFECTS.get(self.policy.mode, {})
+        ops = []
+        carriers = labels = 0
+        term = pending = effect = None
+        checked = False
+        pc = entry
+        while term is None and pc < end:
+            tag = tags.get(pc, _UNTAGGED)
+            if tag is None and self.mode == "aware":
+                carriers += 1
+                pc += 4
+                continue
             try:
-                op = _predecode(self._word(pc))
+                word = _WORD.unpack_from(text, pc - base)[0] if in_text else self._fetch(pc)
+                mnemonic, rd, rs1, rs2, imm, op, make = _predecode(word)
             except codec.BadEncoding as exc:
-                if tag is None:  # a carrier is counted as fetched before it runs
-                    self.counters.tag_fetches += 1
+                if pc != entry:  # run up to it; the next block raises
+                    break
+                self.counters.tag_fetches += tag is None  # fetched before it faults
                 raise BadInstruction(f"pc={pc:#x}: {exc}") from None
-            entry = (_CARRIER if tag is None else _kind(self.policy.mode, tag, op), op)
-        if self.image.text_base <= pc < self._words_end:
-            self._table[pc] = entry
-        return entry
+            label = mnemonic == "lui" and rd == 0
+            if tag is None:
+                carriers += 1
+            elif label:
+                labels += 1
+            if make is not None:
+                if mnemonic in _TERMS:
+                    term = make(self, pc, rd, rs1, rs2, imm)
+                else:
+                    op = make(self, pc, rd, rs1, rs2, imm)
+                    if self._text_writable and mnemonic in codec.STORE_MNEMONICS:
+                        term = _goto(pc + 4)  # the next word may be the one stored
+            if effects:
+                effect = effects.get(tag)
+                checked = effect == "CFL" and mnemonic == "jalr"
+                if pending is not None and checked:
+                    ops.append(_pending(self.policy, pending))
+                pending = imm if effect == "CFL" and label else None
+                if effect is not None and pending is None:
+                    op, term = self._policy_op(effect, pc, mnemonic, label, rs1, rs2, imm,
+                                               op, term, ops)
+            if op is not None:
+                ops.append(op)
+            pc += 4
+        if pending is not None:  # the label ends the block: its value waits for the next one
+            ops.append(_pending(self.policy, pending))
+        fetches = (pc - entry) >> 2
+        block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc),
+                 checked or pending is not None, pc - 4 if effect == "BCF" else None, pc)
+        if in_text and limit < 0:
+            if entry in self._entered or len(self._blocks) < _EAGER_BLOCKS:
+                self._blocks[entry] = block
+            self._entered.add(entry)
+        return block
+
+    def _policy_op(self, effect, pc, mnemonic, label, rs1, rs2, imm, op, term, ops) -> tuple:
+        """(op, terminator) of the word at pc, whose tag has `effect`."""
+        policy = self.policy
+        if effect == "CFL" and mnemonic == "jalr":
+            def term(regs, policy=policy, pc=pc, jalr=term):
+                if policy.pending_cfl is None:
+                    raise PolicyViolation("CfiMissingSiteLabel", pc,
+                                          "checked jalr without a site label")
+                policy.awaiting_entry, policy.pending_cfl = policy.pending_cfl, None
+                return jalr(regs)
+        elif effect == "UN_ARTH" and mnemonic in codec.ADDSUB_MNEMONICS:
+            width = 32 if mnemonic in ("addw", "subw", "addiw") else 64
+
+            def op(regs, inner=op, pc=pc, rs1=rs1, rs2=rs2, imm=imm, mask=(1 << width) - 1,
+                   sub=mnemonic in ("sub", "subw"), immediate=mnemonic in ("addi", "addiw")):
+                a = regs[rs1] & mask
+                b = (imm if immediate else regs[rs2]) & mask
+                if a < b if sub else a + b > mask:
+                    raise PolicyViolation("UnsignedOverflow", pc, f"{a:#x} - {b:#x} borrows" if sub
+                                          else f"{a:#x} + {b:#x} carries out of {width} bits")
+                if inner is not None:
+                    inner(regs)
+        elif effect == "CL" and label:
+            def op(regs, text=self.memory.text, offset=pc - self.image.text_base, pc=pc,
+                   counted=self._labels_counted):
+                word = _WORD.unpack_from(text, offset)[0]
+                if word >> 12 < 0xFFFFF:  # the write-back saturates; the block stays
+                    _WORD.pack_into(text, offset, word + (1 << 12))
+                if pc not in counted:
+                    counted[pc] = None
+        elif effect == "CI":
+            def count(regs, counts=policy.ci_counts, pc=pc):
+                counts[pc] = counts.get(pc, 0) + 1
+            ops.append(count)
+        elif effect == "BCF":  # the run loop records the edge out of the block
+            term = term or _goto(pc + 4)
+        return op, term
+
+    def _cfi_entry(self, entry: int, end: int) -> bool:
+        """The cfi check at the first non-carrier word of the block [entry,
+        end), after a CFL label or a checked jalr; true if still to come."""
+        pc = entry
+        while pc < end and self._tags.get(pc, _UNTAGGED) is None:
+            pc += 4
+        if pc == end:
+            return True
+        mnemonic, rd, _, _, imm, _, _ = _predecode(self._fetch(pc))
+        cfl = self._tags.get(pc) == _CFL
+        policy, expected = self.policy, self.policy.awaiting_entry
+        if expected is not None and not (cfl and mnemonic == "lui" and rd == 0):
+            raise PolicyViolation("CfiMissingEntryLabel", pc,
+                                  "computed call landed on an unlabelled instruction")
+        if expected is not None and imm != expected:
+            raise PolicyViolation("CfiMismatch", pc,
+                                  f"entry label {imm:#x} != call-site label {expected:#x}")
+        policy.awaiting_entry = None
+        if not (cfl and mnemonic == "jalr"):
+            policy.pending_cfl = None
+        return False
 
     # -- main loop -----------------------------------------------------------
     def run(self):
         state, counters, policy = self.state, self.counters, self.policy
         if state.halted:
             return state, counters, policy
-        regs, table, limit = state.regs, self._table, self.max_insns - counters.retired
-        retired = fetched = labels = 0  # added to counters at exit, as _fill adds its own
-        # cfi: the step after a site label or a checked jalr is checked
+        regs, blocks, translate = state.regs, self._blocks, self._translate
+        budget = self.max_insns - counters.total
+        fetches = retired = labels = 0  # added to counters at exit
         armed = policy.pending_cfl is not None or policy.awaiting_entry is not None
         pc = state.pc
         try:
             while True:
-                if retired >= limit:
-                    raise LimitExceeded(
-                        f"retired {counters.retired + retired} instructions without exiting")
-                kind, (handler, rd, rs1, rs2, imm, mnemonic) = table.get(pc) or self._fill(pc)
-                if kind == _INSN and not armed:
-                    next_pc = handler(self, regs, pc, rd, rs1, rs2, imm)
-                    retired += 1
-                elif kind == _CARRIER:  # aware mode's handler is _SKIP's no-op
-                    fetched += 1
-                    next_pc = handler(self, regs, pc, rd, rs1, rs2, imm)
-                else:
-                    if handler is _label:
-                        labels += 1
+                ops, n, n_ret, n_lab, term, arms, bcf, end = blocks.get(pc) or translate(pc)
+                if n > budget - fetches:  # run to the budget one word at a time
+                    if fetches >= budget:
+                        raise LimitExceeded(
+                            f"fetched {counters.total + fetches} words without exiting")
+                    ops, n, n_ret, n_lab, term, arms, bcf, end = translate(pc, 1)
+                try:
                     if armed:
-                        armed = False
-                        expected = policy.awaiting_entry
-                        if expected is not None and kind != _CFL_LABEL:
-                            raise PolicyViolation(
-                                "CfiMissingEntryLabel", pc,
-                                "computed call landed on an unlabelled instruction")
-                        if expected is not None and imm != expected:
-                            raise PolicyViolation(
-                                "CfiMismatch", pc,
-                                f"entry label {imm:#x} != call-site label {expected:#x}")
-                        policy.awaiting_entry = None
-                    if kind == _CFL_LABEL:
-                        policy.pending_cfl = imm
-                        armed = True
-                    elif kind == _CFL_JALR:
-                        if policy.pending_cfl is None:
-                            raise PolicyViolation(
-                                "CfiMissingSiteLabel", pc, "checked jalr without a site label")
-                        policy.awaiting_entry, policy.pending_cfl = policy.pending_cfl, None
-                        armed = True
-                    else:
-                        policy.pending_cfl = None
-                        if kind == _UNSIGNED:
-                            _check_unsigned(regs, pc, rs1, rs2, imm, mnemonic)
-                        elif kind == _CL_LABEL:
-                            self._count_label(pc)
-                        elif kind == _CI_INSN:
-                            policy.ci_counts[pc] = policy.ci_counts.get(pc, 0) + 1
-                    next_pc = handler(self, regs, pc, rd, rs1, rs2, imm)
-                    retired += 1
-                    if kind == _BCF_EDGE:
-                        per_site = policy.bcf.setdefault(pc, {})
-                        target = pc if next_pc is None else next_pc
-                        per_site[target] = per_site.get(target, 0) + 1
+                        armed = self._cfi_entry(pc, end)
+                    for op in ops:
+                        op(regs)
+                    next_pc = term(regs)
+                except (PolicyViolation, BadInstruction) as exc:
+                    # the words before the faulting one ran; it counts as
+                    # fetched, not retired, if it is a carrier or a label
+                    words = (exc.pc - pc) >> 2
+                    before, upto = translate(pc, words), translate(pc, words + 1)
+                    pc, fetches = exc.pc, fetches + before[2] + upto[1] - upto[2]
+                    retired, labels = retired + before[2], labels + upto[3]
+                    raise
+                fetches += n
+                retired += n_ret
+                labels += n_lab
+                armed = armed or arms
+                if bcf is not None:  # coverage: count the edge out of the BCF-tagged word
+                    per_site = policy.bcf.setdefault(bcf, {})
+                    edge = bcf if next_pc is None else next_pc
+                    per_site[edge] = per_site.get(edge, 0) + 1
                 if next_pc is None:
+                    pc = end - 4  # the halting word ends its block
                     break
                 pc = next_pc
         finally:
             state.pc = pc
             counters.retired += retired
-            counters.tag_fetches += fetched
+            counters.tag_fetches += fetches - retired
             counters.labels_seen += labels
+            policy.cl_addresses[:] = self._labels_counted
         return state, counters, policy
-
-    def _count_label(self, pc: int) -> None:
-        """CL write-back: bump the label's payload, saturating (its entry stays)."""
-        word = self._word(pc)
-        if word >> 12 < 0xFFFFF:
-            word += 1 << 12
-            self.state.memory.update(zip(range(pc, pc + 4), word.to_bytes(4, "little")))
-            if self.image.text_base <= pc < self._words_end:
-                self._words[(pc - self.image.text_base) >> 2] = word
-        if pc not in self._labels_counted:
-            self._labels_counted.add(pc)
-            self.policy.cl_addresses.append(pc)
 
 
 def run(image: Image, mode: str = "compat", max_insns: int = 10 ** 8):

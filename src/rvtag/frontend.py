@@ -589,6 +589,9 @@ class _Assembler:
             locals_ = self.local_labels[frag.name]
             if symbol in locals_ or symbol == frag.name:
                 target_index = locals_.get(symbol, 0)
+                if target_index == len(frag.insns):
+                    raise self.error(f"label {symbol!r} ends {frag.name!r}: no instruction "
+                                     "follows it to branch to", lineno)
                 delta = 4 * (target_index - index)
                 old = frag.insns[index].insn
                 frag.insns[index].insn = replace(old, imm=delta)

@@ -368,7 +368,7 @@ def test_criterion_7_unsigned_underflow_guard():
     machine = emulator.Emulator(image, mode="aware")
     with pytest.raises(PolicyViolation):
         machine.run()
-    assert all(machine.state.memory.get(dst + i, 0) == 0 for i in range(64))
+    assert machine.state.memory.read(dst, 64) == 0
 
     # opt-out: wraps silently, the bounds guard skips the copy, run completes
     optout = build_image(
@@ -383,7 +383,7 @@ def test_criterion_7_unsigned_underflow_guard():
     machine = emulator.Emulator(in_range, mode="aware")
     state, _, _ = machine.run()
     assert state.stop_reason == "exit"
-    assert machine.state.memory.get(in_range.data_base + 64) == 0x44
+    assert machine.state.memory.read(in_range.data_base + 64, 1) == 0x44
     note(7, "underflow traps at the tagged sub with zero bytes copied; "
             "opt-out and in-range variants complete")
 
@@ -426,10 +426,7 @@ def test_criterion_8_coverage_counts():
     assert len(sites) == 3
     counts = []
     for addr in sorted(sites):
-        word = 0
-        for i in range(4):
-            word |= state.memory.get(addr + i, 0) << (8 * i)
-        counts.append((word >> 12) & 0xFFFFF)
+        counts.append((state.memory.read(addr, 4) >> 12) & 0xFFFFF)
     assert counts == [3, 2, 3]
 
     beq_pc = next(

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from rvtag import cli
+from rvtag import cli, emulator
 from rvtag.cli import EquivalenceFailure, compare_states, main
 from rvtag.emitlink import read_image
 from rvtag.emulator import run as run_image
@@ -256,6 +257,19 @@ def test_corrupted_tag_word_breaks_equivalence(workspace):
     assert divergence is not None and "x1" in divergence
 
 
+def test_compare_states_names_the_first_differing_byte():
+    image = build_image(SUM_SRC + ".data\nbuf:\n    .zero 8\n", make_config(), tagged=False)
+    base_state, _, _ = run_image(image, mode="compat")
+    other = copy.deepcopy(base_state)
+    other.memory.data[3] = 7
+    assert compare_states(base_state, other, image.data_base) == \
+        f"memory[{image.data_base + 3:#x}]: baseline 0x0 != tagged 0x7"
+    other = copy.deepcopy(base_state)
+    other.memory.stack[-1] = 1
+    assert compare_states(base_state, other, image.data_base) == \
+        f"memory[{emulator.STACK_TOP - 1:#x}]: baseline 0x0 != tagged 0x1"
+
+
 def test_diff_run_equivalence_failure_exit_code(workspace, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise EquivalenceFailure("prog: x5: baseline 0x1 != tagged 0x2")
@@ -276,11 +290,16 @@ def test_console_script_help():
 
 
 def test_build_branch_to_fragment_end_label(workspace):
+    # the label would land in the zero fill before g: a typed build error
     source = workspace / "end.s"
     source.write_text("main:\n    beq a0, a1, out\n    addi a0, a0, 1\nout:\n"
                       ".globl g\ng:\n    ecall\n")
-    proc = subprocess.run([sys.executable, "-m", "rvtag.cli", "build",
-                           "--config", str(workspace / "cov.conf"),
-                           "--out", str(workspace / "end.rvti"), str(source)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    for config in ("tags.conf", "cov.conf"):
+        proc = subprocess.run([sys.executable, "-m", "rvtag.cli", "build",
+                               "--config", str(workspace / config),
+                               "--out", str(workspace / "end.rvti"), str(source)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_BUILD == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ":2:1: label 'out' ends 'main'" in proc.stderr
+        assert not (workspace / "end.rvti").exists()

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -150,7 +152,7 @@ def test_memory_round_trip_and_data_state():
     assert state.regs[11] == -2 & mask          # lw sign-extends
     assert state.regs[12] == 0xFFFFFFFE         # lwu zero-extends
     assert state.regs[13] == 0xFE
-    assert state.memory[DATA_BASE + 8] == 0xFE
+    assert state.memory.read(DATA_BASE + 8, 1) == 0xFE
 
 
 def test_store_to_text_faults():
@@ -252,7 +254,7 @@ def test_carrier_words_have_no_architectural_effect():
         # untagged image: the carrier word runs as an ordinary instruction
         image = dataclasses.replace(base, text=word.to_bytes(4, "little") + base.text)
         machine = Emulator(image, mode="compat")
-        regs, memory = list(machine.state.regs), dict(machine.state.memory)
+        regs, memory = list(machine.state.regs), copy.deepcopy(machine.state.memory)
         state, counters, _ = machine.run()
         assert state.stop_reason == "ecall" and counters.retired == 2
         assert state.regs == regs
@@ -526,10 +528,7 @@ def coverage_run(source=COVERAGE_BLOCKS, mode="all_branches"):
 
 
 def _word(image, state, pc):
-    word = 0
-    for i in range(4):
-        word |= state.memory.get(pc + i, 0) << (8 * i)
-    return word
+    return state.memory.read(pc, 4)
 
 
 def label_counts(image, state, lo=None, hi=None):
@@ -699,7 +698,7 @@ def test_report_values():
 
 
 # ---------------------------------------------------------------------------
-# semantics the predecoded dispatch table must keep
+# semantics the block translator must keep
 
 PATCHED = (
     ".globl bump\nbump:\n"
@@ -789,6 +788,205 @@ def test_jump_into_data_fetches_from_memory(word, outcome):
     assert state.stop_reason == outcome
 
 
+# ---------------------------------------------------------------------------
+# the fetch budget and the edges of translated blocks
+
+def _stepped(image, mode):
+    """Run one fetch at a time: the budget grows by one per call, so no
+    block holds more than one word.  Returns the machine and what it raised."""
+    machine = Emulator(image, mode=mode, max_insns=0)
+    while True:
+        machine.max_insns += 1
+        try:
+            machine.run()
+            return machine, None
+        except LimitExceeded:
+            continue
+        except (PolicyViolation, BadInstruction) as exc:
+            return machine, exc
+
+
+def _fault(image, mode):
+    """The fault of a whole-block run, checked against a stepped run."""
+    machine = Emulator(image, mode=mode)
+    with pytest.raises((PolicyViolation, BadInstruction)) as info:
+        machine.run()
+    stepped, exc = _stepped(image, mode)
+    assert type(exc) is type(info.value) and getattr(exc, "pc", None) == info.value.pc
+    assert machine.state == stepped.state and machine.counters == stepped.counters
+    assert machine.policy == stepped.policy
+    return machine, info.value
+
+
+def test_compat_carrier_branch_hits_the_fetch_budget():
+    # compat runs a carrier slot as an instruction but counts it as a tag
+    # fetch, so a carrier rewritten to `beq x0, x0, 0` spins on it
+    source = cfi_source('"i64(i64)"', '"i64(i64)"')
+    image = build_image(source, CFI, tagged=True)
+    carrier = image.tag_regions[0].start
+    offset = carrier - image.text_base
+    text = image.text[:offset] + (0x00000063).to_bytes(4, "little") + image.text[offset + 4:]
+    machine = Emulator(dataclasses.replace(image, text=text), mode="compat", max_insns=20000)
+    with pytest.raises(LimitExceeded):
+        machine.run()
+    assert (machine.counters.retired, machine.counters.tag_fetches) == (0, 20000)
+    assert machine.state.pc == carrier == image.entry
+
+
+def test_compat_carrier_that_faults_counts_its_fetch():
+    # compat runs a carrier slot as an instruction: one rewritten to a store
+    # to unmapped address 0 faults there, mid-block, counted as a tag fetch
+    image = build_image(SUM_1_TO_10, N3, tagged=True)
+    carrier = image.tag_regions[0].start + 16  # after a carrier and three li
+    offset = carrier - image.text_base
+    word = codec.encode(Insn("sd", rs1=0, rs2=0, imm=0)).to_bytes(4, "little")
+    image = dataclasses.replace(image, text=image.text[:offset] + word + image.text[offset + 4:])
+    machine, exc = _fault(image, "compat")
+    assert exc.kind == "MemFault" and exc.pc == carrier == machine.state.pc
+    assert (machine.counters.retired, machine.counters.tag_fetches) == (3, 2)
+
+
+@pytest.mark.parametrize("source,config,mode", [
+    (ASM_EX_BOUNDED, N3, "compat"), (ASM_EX_BOUNDED, N3, "aware"),
+    (cfi_source('"i64(i64)"', '"i64(i64)"'), CFI, "aware"),
+    (COVERAGE_BLOCKS, COVERAGE, "aware"),
+], ids=["loop-compat", "loop-aware", "cfi", "coverage"])
+def test_fetch_budget_stops_mid_block(source, config, mode):
+    image = build_image(source, config, tagged=True, defsym={"ITERS": 5})
+    whole = Emulator(image, mode=mode)
+    whole.run()
+    for budget in range(1, min(21, whole.counters.total)):
+        machine = Emulator(image, mode=mode, max_insns=budget)
+        with pytest.raises(LimitExceeded):
+            machine.run()
+        assert machine.counters.total == budget
+        # state.pc is the next unexecuted fetch: resuming ends as one run does
+        machine.max_insns = 10 ** 6
+        machine.run()
+        assert machine.state == whole.state and machine.counters == whole.counters
+        assert machine.policy == whole.policy
+
+
+def test_coverage_store_to_the_next_word_runs_the_new_instruction():
+    # the store ends its block, so the word it rewrites right after it is
+    # fetched anew; the build with OFFSET 0 locates that word
+    source = (
+        ".globl main\n.entry main\nmain:\n"
+        "    la t0, main\n"
+        "    li t1, NEW_WORD\n"
+        "    sw t1, OFFSET(t0)\n"
+        "    addi a0, a0, 1\n"
+        "    li a7, 93\n"
+        "    ecall\n"
+    )
+    old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1)).to_bytes(4, "little")
+    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
+
+    def build(offset):
+        return build_image(source, COVERAGE, tagged=True,
+                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
+
+    offset = build(0).text.index(old_word)
+    image = build(offset)
+    store = next(pc for pc in range(offset - 4, 0, -4)
+                 if codec.decode(int.from_bytes(image.text[pc:pc + 4], "little")).mnemonic == "sw")
+    assert image.text.index(old_word) == offset and store + 4 == offset
+    state, _, _ = run(image, mode="aware")
+    assert state.exit_code == 100
+
+
+def test_coverage_store_of_a_malformed_carrier_faults_at_the_store():
+    source = (
+        ".globl bump\nbump:\n"
+        "    addi a0, a0, 1\n"
+        "    ret\n"
+        ".globl main\n.entry main\nmain:\n"
+        "    call bump\n"
+        "    la t0, bump\n"
+        "    li t1, 0x13\n"  # addi x0, x0, 0: not a lui carrier
+        "    sw t1, 0(t0)\n"
+        "    call bump\n"
+        "    ecall\n"
+    )
+    image = build_image(source, COVERAGE, tagged=True)
+    machine, exc = _fault(image, "aware")
+    assert isinstance(exc, BadInstruction) and f"{image.text_base:#x}" in str(exc)
+    assert codec.decode(machine.memory.read(machine.state.pc, 4)).mnemonic == "sw"
+
+
+@pytest.mark.parametrize("access", ["ld a0, 0(t0)", "sd a1, 8(t0)", "lw a0, -4(t2)"])
+@pytest.mark.parametrize("mode", ["compat", "aware"])
+def test_unmapped_access_faults_at_its_pc(access, mode):
+    # 0x400000 lies between the data segment and the stack; t2 is text_base
+    source = (
+        "main:\n"
+        "    li t1, 7\n"
+        "    li t0, 0x400000\n"
+        "    li t2, 0x10000\n"
+        "    addi t1, t1, 1\n"
+        f"    {access}\n"
+        "    addi t1, t1, 1\n"
+        "    ecall\n"
+    )
+    image = build_image(source, N3, tagged=True)
+    machine, exc = _fault(image, mode)
+    assert exc.kind == "MemFault" and machine.state.pc == exc.pc
+    assert codec.decode(machine.memory.read(exc.pc, 4)).mnemonic == access[:2]
+    assert machine.state.regs[6] == 8  # the addi before it ran, the one after did not
+
+
+@pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
+def test_a_finished_machine_is_freed_without_the_cycle_collector(config):
+    # no op or terminator refers back to its Emulator but weakly, so dropping
+    # the last reference frees the blocks, the memory map and the stack
+    import gc
+    import weakref
+
+    from rvtag.corpus import generate_corpus
+
+    image = build_image(generate_corpus(7, 1)[0], config, tagged=True)  # it stores to data
+    gc.disable()
+    try:
+        for mode in ("compat", "aware"):
+            machine = Emulator(image, mode=mode)
+            machine.run()
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_stack_segment_holds_sp_relative_data():
+    source = (
+        "main:\n"
+        "    addi sp, sp, -16\n"
+        "    li t1, -3\n"
+        "    sd t1, 8(sp)\n"
+        "    ld a0, 8(sp)\n"
+        "    li t0, STACK_BOTTOM\n"
+        "    sb t1, -1(t0)\n"  # the byte below the stack
+        "    ecall\n"
+    )
+    image = build_image(source, N3, tagged=True,
+                        defsym={"STACK_BOTTOM": emulator.STACK_TOP - emulator.STACK_SIZE})
+    machine, exc = _fault(image, "aware")
+    assert machine.state.regs[10] == (1 << 64) - 3
+    assert machine.memory.read(emulator.STACK_TOP - 8, 8) == (1 << 64) - 3
+    assert exc.kind == "MemFault" and "1-byte store" in exc.detail
+
+
+@pytest.mark.parametrize("fixup,kind", [("", "CfiMismatch"),
+                                        ("    addi t1, t1, 8\n", "CfiMissingEntryLabel")])
+def test_cfi_entry_check_reports_the_first_word_of_the_block(fixup, kind):
+    image = build_image(cfi_source('"i64(ptr)"', '"i64(i64)"', fixup=fixup), CFI, tagged=True)
+    machine, exc = _fault(image, "aware")
+    # entered at callee's carrier, the check falls on the entry label after
+    # it; entered past that label, on the landing word itself
+    callee = image.tag_regions[-1].start
+    assert exc.kind == kind and exc.pc == (callee + 8 if fixup else callee + 4)
+
+
 NOP_CARRIER_LAYOUTS = sorted(
     (carrier.value, coverage) for carrier, coverage in codec.TAG_BITS
     if carrier is not TagCarrier.CUSTOM)
@@ -829,3 +1027,91 @@ def test_aware_none_matches_compat_on_labelled_corpus(carrier, coverage):
     # a metadata label at every fragment entry, so labels_seen is exercised
     config = make_config(carrier=carrier, coverage=coverage)
     assert _aware_none_matches_compat(config, True) > 0
+
+
+# ---------------------------------------------------------------------------
+# pinned execution: every architectural and policy result of a run
+
+def _final_memory(state, image) -> tuple:
+    """Final text bytes (CL write-back lands there) and every nonzero byte
+    at or above the data base, as (address, value) pairs."""
+    high = []
+    for base, segment in state.memory.segments[:2]:  # data and stack
+        start = len(segment) - len(segment.lstrip(b"\0"))
+        high += [(base + i, segment[i])
+                 for i in range(start, len(segment.rstrip(b"\0"))) if segment[i]]
+    return bytes(state.memory.text), high
+
+
+def _execution_record(image, mode, max_insns=10 ** 6) -> bytes:
+    machine = Emulator(image, mode=mode, max_insns=max_insns)
+    try:
+        machine.run()
+        error = None
+    except PolicyViolation as exc:
+        error = (type(exc).__name__, exc.kind, exc.pc)
+    except (BadInstruction, LimitExceeded) as exc:
+        error = (type(exc).__name__,)
+    state, counters, policy = machine.state, machine.counters, machine.policy
+    return repr((error, state.regs, state.pc, state.exit_code, state.stop_reason,
+                 bytes(state.stdout), _final_memory(state, image),
+                 (counters.retired, counters.tag_fetches, counters.labels_seen),
+                 sorted(policy.ci_counts.items()),
+                 sorted((pc, sorted(targets.items())) for pc, targets in policy.bcf.items()),
+                 policy.cl_addresses)).encode()
+
+
+def _bench_workloads():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 over the runs below, computed with the per-pc dispatch-table
+# emulator that preceded block translation.
+EXECUTION_DIGEST = "cb60c9c4366c4ed81a8d3eb47725bf8ec73d61d13217fcb87bb1d7e2a55877fd"
+
+
+@pytest.mark.parametrize("eager_blocks", [emulator._EAGER_BLOCKS, 0], ids=["eager", "on-reentry"])
+def test_execution_is_pinned(eager_blocks, monkeypatch):
+    # a block is cached at once, or only when entered again: the same runs
+    monkeypatch.setattr(emulator, "_EAGER_BLOCKS", eager_blocks)
+    from test_acceptance import UNDERFLOW_COPY, _cfi_source
+    from test_emitlink import _buildable_cells
+
+    from rvtag.corpus import generate_corpus
+
+    digest = hashlib.sha256()
+    cells = _buildable_cells()
+    assert len(cells) == 35
+    for text in generate_corpus(7, 8):
+        digest.update(_execution_record(build_image(text, cells[0], tagged=False), "compat"))
+        for config in cells:
+            image = build_image(text, config, tagged=True, cfi_label_direct_calls=True)
+            for mode in ("compat", "aware"):
+                digest.update(_execution_record(image, mode))
+    workloads = _bench_workloads()
+    kernel, _ = workloads.kernel(random.Random(3), 40)
+    large, _ = workloads.large_unit(random.Random(3), 12)
+    for source in (kernel, large):
+        digest.update(_execution_record(build_image(source, N3, tagged=False), "compat"))
+        for config in (N3, CFI, UNARITH, COVERAGE):
+            image = build_image(source, config, tagged=True, cfi_label_direct_calls=True)
+            for mode in ("compat", "aware"):
+                digest.update(_execution_record(image, mode))
+    cfi = make_config(carrier="lui", coverage=3, policy="cfi")
+    violations = (
+        (_cfi_source('"i64(ptr)"', '"i64(i64)"'), cfi),
+        (_cfi_source('"i64(i64)"', '"i64(i64)"', fixup="    addi t1, t1, 8\n"), cfi),
+        (UNDERFLOW_COPY.format(len1=2, len2=3, annot="!unsigned"), UNARITH),
+        (COVERAGE_BLOCKS, COVERAGE),
+        (PATCHED.replace("NEW_WORD", "0x37").replace("OFFSET", "0"), COVERAGE),
+    )
+    for source, config in violations:
+        digest.update(_execution_record(build_image(source, config, tagged=True), "aware"))
+    assert digest.hexdigest() == EXECUTION_DIGEST
