@@ -238,7 +238,8 @@ def cmd_enforce(args) -> int:
 def compare_states(base, tagged, data_base) -> str | None:
     """First architectural divergence between two final states, or None.
 
-    Memory is compared over the data segment, at data_base, and the stack."""
+    Memory is compared over the data and stack segments.  data_base is
+    unused, kept only for callers that still pass it (bench/run.py)."""
     for i in range(1, 32):
         if base.regs[i] != tagged.regs[i]:
             return f"x{i}: baseline {base.regs[i]:#x} != tagged {tagged.regs[i]:#x}"
@@ -248,7 +249,9 @@ def compare_states(base, tagged, data_base) -> str | None:
         return f"stop reason: {base.stop_reason!r} != {tagged.stop_reason!r}"
     if bytes(base.stdout) != bytes(tagged.stdout):
         return "stdout streams differ"
-    for (addr, a), (_, b) in zip(base.memory.segments[:2], tagged.memory.segments[:2]):
+    stack_base = emulator.STACK_TOP - len(base.memory.stack)
+    for addr, a, b in ((base.memory.data_base, base.memory.data, tagged.memory.data),
+                       (stack_base, base.memory.stack, tagged.memory.stack)):
         if len(a) != len(b):
             return f"memory segment at {addr:#x}: {len(a)} != {len(b)} bytes"
         if a != b:

@@ -9,10 +9,10 @@ dynamic overhead can be measured; the fetch budget, max_insns, bounds both.
 Memory is three bytearray segments, text, data and stack; an access outside
 them is a MemFault.  The slot schedule (tagplan.carrier_groups) is resolved
 once, at load, into a pc -> tag dict where None marks a carrier.  Code runs
-as basic blocks, translated on entry and cached by entry pc (past the
-first _EAGER_BLOCKS, once entered twice): closures with their operands
-bound, constant counts, and one terminator that returns the next pc.  Aware-mode carriers and x0 no-ops cost
-nothing, and each policy check is folded in at translation.
+as basic blocks, translated on entry and cached by entry pc once entered
+twice: closures with their operands bound, constant counts, and one
+terminator that returns the next pc.  Aware-mode carriers and x0 no-ops
+cost nothing, and each policy check is folded in at translation.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ _WORD = struct.Struct("<I")
 
 
 class BadInstruction(RvtagError):
-    """Fetched word is not a supported instruction, or pc went astray."""
+    """Fetched word is not a supported instruction, or pc went astray;
+    pc is the store's when a program store wrote a malformed carrier."""
 
-    pc = None  # set when a program store wrote a malformed carrier
+    def __init__(self, message: str, pc: int | None = None):
+        super().__init__(message)
+        self.pc = pc
 
 
 class LimitExceeded(RvtagError):
@@ -116,14 +119,9 @@ class PolicyState:
     cl_addresses: list = field(default_factory=list)
 
 
-# Blocks past this many are cached only when entered a second time: code that
-# runs once, like a long straight-line driver, then leaves no objects behind
-# for the garbage collector to keep traversing.
-_EAGER_BLOCKS = 256
 _UNTAGGED = -1  # schedule value of a pc outside every carrier group
-_CFL = tagplan.policy_tag("cfi", "CFL")
 # per policy, the tags that have an effect, by the name of the effect
-_EFFECTS = {"cfi": {_CFL: "CFL"},
+_EFFECTS = {"cfi": {tagplan.policy_tag("cfi", "CFL"): "CFL"},
             "unarith": {tagplan.policy_tag("unarith", "UN_ARTH"): "UN_ARTH"},
             "coverage": {tagplan.policy_tag("coverage", tag): tag for tag in ("CL", "CI", "BCF")}}
 
@@ -226,6 +224,25 @@ def _pending(policy, value):
     """The op of a CFL site label: its value is for the checked jalr after it."""
     def op(regs, policy=policy, value=value):
         policy.pending_cfl = value
+    return op
+
+
+def _cfi_entry(policy, pc, label, jalr):
+    """The first op of every block under cfi: after a checked jalr, the check
+    of the block's first non-carrier word, at pc (label is the value of a CFL
+    label there, else None).  Only a checked jalr keeps a site label's value."""
+    def op(regs, policy=policy, pc=pc, label=label, jalr=jalr):
+        expected = policy.awaiting_entry
+        if expected is not None:
+            if label is None:
+                raise PolicyViolation("CfiMissingEntryLabel", pc,
+                                      "computed call landed on an unlabelled instruction")
+            if label != expected:
+                raise PolicyViolation("CfiMismatch", pc,
+                                      f"entry label {label:#x} != call-site label {expected:#x}")
+            policy.awaiting_entry = None
+        if not jalr:
+            policy.pending_cfl = None
     return op
 
 
@@ -340,8 +357,9 @@ class Emulator:
         return _WORD.unpack_from(segment, offset)[0]
 
     # -- slot schedule -----------------------------------------------------------
-    def _resolve(self, groups) -> None:
-        """Enter carrier groups into the pc -> tag schedule (None = carrier)."""
+    def _resolve(self, groups, pc: int | None = None) -> None:
+        """Enter carrier groups into the pc -> tag schedule (None = carrier);
+        pc is that of the store that wrote them, if any."""
         tags = self._tags
         aware = self.mode == "aware"
         for region, carrier_addr, group_end in groups:
@@ -352,7 +370,7 @@ class Emulator:
             try:
                 values = read(self._fetch(carrier_addr))
             except codec.NotACarrier as exc:
-                raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}") from None
+                raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}", pc) from None
             tags.update(zip(range(carrier_addr + 4, group_end, 4), values))
 
     def _text_written(self, addr: int, size: int, pc: int) -> None:
@@ -360,11 +378,7 @@ class Emulator:
         each group whose carrier it wrote, and drop every block over a
         written word or over a word of such a group."""
         groups = [group for group in self._groups if addr - 4 < group[1] < addr + size]
-        try:
-            self._resolve(groups)
-        except BadInstruction as exc:
-            exc.pc = pc
-            raise
+        self._resolve(groups, pc)
         spans = [(addr, addr + size)] + [(start, end) for _, start, end in groups]
         for entry in [entry for entry, block in self._blocks.items()
                       if any(lo < block[-1] and entry < hi for lo, hi in spans)]:
@@ -373,12 +387,10 @@ class Emulator:
     # -- translation ---------------------------------------------------------------
     def _translate(self, entry: int, limit: int = -1) -> tuple:
         """The block entered at `entry`, of at most `limit` fetches if given:
-        (ops, fetches, retired, labels, terminator, arms, bcf, end).  It ends
-        at a control transfer or a BCF-tagged word (bcf is its pc), and where
-        text is writable, after a store.  A CFL label's value is only for a
-        checked jalr right after it; arms marks a block that leaves the cfi
-        check to the next block's entry.  Only unlimited blocks inside text
-        are cached."""
+        (ops, fetches, retired, labels, terminator, end).  It ends at a
+        control transfer or a BCF-tagged word, and where text is writable,
+        after a store.  A CFL label's value is only for a checked jalr right
+        after it."""
         if entry % 4:
             raise BadInstruction(f"misaligned pc {entry:#x}")
         base, tags, text = self.image.text_base, self._tags, self.memory.text
@@ -389,8 +401,8 @@ class Emulator:
         effects = _EFFECTS.get(self.policy.mode, {})
         ops = []
         carriers = labels = 0
-        term = pending = effect = None
-        checked = False
+        term = pending = None
+        cfi_entry = self.policy.mode == "cfi"
         pc = entry
         while term is None and pc < end:
             tag = tags.get(pc, _UNTAGGED)
@@ -421,9 +433,13 @@ class Emulator:
             if effects:
                 effect = effects.get(tag)
                 checked = effect == "CFL" and mnemonic == "jalr"
+                site = imm if effect == "CFL" and label else None
+                if cfi_entry:
+                    ops.append(_cfi_entry(self.policy, pc, site, checked))
+                    cfi_entry = False
                 if pending is not None and checked:
                     ops.append(_pending(self.policy, pending))
-                pending = imm if effect == "CFL" and label else None
+                pending = site
                 if effect is not None and pending is None:
                     op, term = self._policy_op(effect, pc, mnemonic, label, rs1, rs2, imm,
                                                op, term, ops)
@@ -433,10 +449,12 @@ class Emulator:
         if pending is not None:  # the label ends the block: its value waits for the next one
             ops.append(_pending(self.policy, pending))
         fetches = (pc - entry) >> 2
-        block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc),
-                 checked or pending is not None, pc - 4 if effect == "BCF" else None, pc)
+        block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc), pc)
+        # Unlimited blocks inside text are cached once entered twice: code that
+        # runs once, like a long straight-line driver, then leaves no objects
+        # behind for the garbage collector to keep traversing.
         if in_text and limit < 0:
-            if entry in self._entered or len(self._blocks) < _EAGER_BLOCKS:
+            if entry in self._entered:
                 self._blocks[entry] = block
             self._entered.add(entry)
         return block
@@ -475,31 +493,14 @@ class Emulator:
             def count(regs, counts=policy.ci_counts, pc=pc):
                 counts[pc] = counts.get(pc, 0) + 1
             ops.append(count)
-        elif effect == "BCF":  # the run loop records the edge out of the block
-            term = term or _goto(pc + 4)
+        elif effect == "BCF":  # the block ends here, and its terminator counts the edge
+            def term(regs, jump=term or _goto(pc + 4), bcf=policy.bcf, pc=pc):
+                next_pc = jump(regs)
+                per_site = bcf.setdefault(pc, {})
+                edge = pc if next_pc is None else next_pc
+                per_site[edge] = per_site.get(edge, 0) + 1
+                return next_pc
         return op, term
-
-    def _cfi_entry(self, entry: int, end: int) -> bool:
-        """The cfi check at the first non-carrier word of the block [entry,
-        end), after a CFL label or a checked jalr; true if still to come."""
-        pc = entry
-        while pc < end and self._tags.get(pc, _UNTAGGED) is None:
-            pc += 4
-        if pc == end:
-            return True
-        mnemonic, rd, _, _, imm, _, _ = _predecode(self._fetch(pc))
-        cfl = self._tags.get(pc) == _CFL
-        policy, expected = self.policy, self.policy.awaiting_entry
-        if expected is not None and not (cfl and mnemonic == "lui" and rd == 0):
-            raise PolicyViolation("CfiMissingEntryLabel", pc,
-                                  "computed call landed on an unlabelled instruction")
-        if expected is not None and imm != expected:
-            raise PolicyViolation("CfiMismatch", pc,
-                                  f"entry label {imm:#x} != call-site label {expected:#x}")
-        policy.awaiting_entry = None
-        if not (cfl and mnemonic == "jalr"):
-            policy.pending_cfl = None
-        return False
 
     # -- main loop -----------------------------------------------------------
     def run(self):
@@ -509,38 +510,30 @@ class Emulator:
         regs, blocks, translate = state.regs, self._blocks, self._translate
         budget = self.max_insns - counters.total
         fetches = retired = labels = 0  # added to counters at exit
-        armed = policy.pending_cfl is not None or policy.awaiting_entry is not None
         pc = state.pc
         try:
             while True:
-                ops, n, n_ret, n_lab, term, arms, bcf, end = blocks.get(pc) or translate(pc)
+                ops, n, n_ret, n_lab, term, end = blocks.get(pc) or translate(pc)
                 if n > budget - fetches:  # run to the budget one word at a time
                     if fetches >= budget:
                         raise LimitExceeded(
                             f"fetched {counters.total + fetches} words without exiting")
-                    ops, n, n_ret, n_lab, term, arms, bcf, end = translate(pc, 1)
+                    ops, n, n_ret, n_lab, term, end = translate(pc, 1)
                 try:
-                    if armed:
-                        armed = self._cfi_entry(pc, end)
                     for op in ops:
                         op(regs)
                     next_pc = term(regs)
                 except (PolicyViolation, BadInstruction) as exc:
                     # the words before the faulting one ran; it counts as
-                    # fetched, not retired, if it is a carrier or a label
-                    words = (exc.pc - pc) >> 2
-                    before, upto = translate(pc, words), translate(pc, words + 1)
-                    pc, fetches = exc.pc, fetches + before[2] + upto[1] - upto[2]
-                    retired, labels = retired + before[2], labels + upto[3]
+                    # fetched if it is a carrier, and as seen if a label
+                    upto = translate(pc, ((exc.pc - pc) >> 2) + 1)
+                    insn = self._tags.get(exc.pc, _UNTAGGED) is not None  # not a carrier
+                    pc, fetches, retired = exc.pc, fetches + upto[1] - insn, retired + upto[2] - insn
+                    labels += upto[3]
                     raise
                 fetches += n
                 retired += n_ret
                 labels += n_lab
-                armed = armed or arms
-                if bcf is not None:  # coverage: count the edge out of the BCF-tagged word
-                    per_site = policy.bcf.setdefault(bcf, {})
-                    edge = bcf if next_pc is None else next_pc
-                    per_site[edge] = per_site.get(edge, 0) + 1
                 if next_pc is None:
                     pc = end - 4  # the halting word ends its block
                     break

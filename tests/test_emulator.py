@@ -1035,8 +1035,9 @@ def test_aware_none_matches_compat_on_labelled_corpus(carrier, coverage):
 def _final_memory(state, image) -> tuple:
     """Final text bytes (CL write-back lands there) and every nonzero byte
     at or above the data base, as (address, value) pairs."""
-    high = []
-    for base, segment in state.memory.segments[:2]:  # data and stack
+    memory, high = state.memory, []
+    for base, segment in ((memory.data_base, memory.data),
+                          (emulator.STACK_TOP - len(memory.stack), memory.stack)):
         start = len(segment) - len(segment.lstrip(b"\0"))
         high += [(base + i, segment[i])
                  for i in range(start, len(segment.rstrip(b"\0"))) if segment[i]]
@@ -1077,10 +1078,7 @@ def _bench_workloads():
 EXECUTION_DIGEST = "cb60c9c4366c4ed81a8d3eb47725bf8ec73d61d13217fcb87bb1d7e2a55877fd"
 
 
-@pytest.mark.parametrize("eager_blocks", [emulator._EAGER_BLOCKS, 0], ids=["eager", "on-reentry"])
-def test_execution_is_pinned(eager_blocks, monkeypatch):
-    # a block is cached at once, or only when entered again: the same runs
-    monkeypatch.setattr(emulator, "_EAGER_BLOCKS", eager_blocks)
+def test_execution_is_pinned():
     from test_acceptance import UNDERFLOW_COPY, _cfi_source
     from test_emitlink import _buildable_cells
 
