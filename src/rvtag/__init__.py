@@ -23,15 +23,7 @@ from .instrument import (
     set_tag,
 )
 from .pipeline import apply_policy, assemble_sources, build_image
-from .tagplan import (
-    TagConfig,
-    load_config,
-    loads_config,
-    make_config,
-    remap_offset,
-    reach_check,
-    tag_slot_addresses,
-)
+from .tagplan import TagConfig, load_config, loads_config, make_config, remap_offset
 
 __version__ = "0.1.0"
 
@@ -71,13 +63,11 @@ __all__ = [
     "pass_coverage",
     "pass_unarith",
     "propagate_lineage",
-    "reach_check",
     "read_image",
     "remap_offset",
     "report",
     "run",
     "set_tag",
-    "tag_slot_addresses",
     "unpack_tags",
     "write_image",
 ]

@@ -121,7 +121,6 @@ def _build_one(args, config, *, tagged, with_labels=None, out_path=None):
         tagged=tagged, with_labels=with_labels, defsym=defsym,
         cfi_label_direct_calls=getattr(args, "cfi_label_direct_calls", False),
         coverage_mode=getattr(args, "coverage_mode", "all_branches"),
-        max_pair_gap=getattr(args, "max_pair_gap", emitlink.MAX_PAIR_GAP),
     )
     if out_path is not None:
         emitlink.write_image(image, out_path)
@@ -147,13 +146,13 @@ def cmd_build(args) -> int:
     if not args.no_tags:
         tagged = _build_one(args, config, tagged=True, out_path=out)
         rows.append((str(out), len(tagged.text),
-                     _growth(len(baseline.text), len(tagged.text))))
+                     emulator._pct(len(baseline.text), len(tagged.text))))
         if config.policy == "cfi" and config.labels_enabled:
             nolabel_path = out.with_suffix(".nolabels.rvti")
             nolabel = _build_one(args, config, tagged=True, with_labels=False,
                                  out_path=nolabel_path)
             rows.append((str(nolabel_path), len(nolabel.text),
-                         _growth(len(baseline.text), len(nolabel.text))))
+                         emulator._pct(len(baseline.text), len(nolabel.text))))
 
     if args.json:
         payload = [
@@ -170,20 +169,18 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _growth(base: int, new: int) -> float:
-    return (new - base) * 100.0 / base if base else 0.0
-
-
 # ---------------------------------------------------------------------------
 # run / enforce
 
-def _coverage_dump(image, state, policy_state) -> dict:
+def _write_coverage(path, image, state, policy_state) -> None:
+    """Write a run's CL counts (read from its final text), CI counts and BCF
+    edges to `path` as JSON."""
     cl = []
     for addr, kind in image.label_addrs:
         if kind != "cl":
             continue
         cl.append({"addr": addr, "count": (state.memory.read(addr, 4) >> 12) & 0xFFFFF})
-    return {
+    payload = {
         "cl": cl,
         "ci": {hex(pc): count for pc, count in sorted(policy_state.ci_counts.items())},
         "bcf": {
@@ -191,6 +188,8 @@ def _coverage_dump(image, state, policy_state) -> dict:
             for pc, targets in sorted(policy_state.bcf.items())
         },
     }
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_emit_json(payload))
 
 
 def cmd_run(args) -> int:
@@ -209,9 +208,7 @@ def cmd_run(args) -> int:
         sys.stdout.buffer.write(bytes(state.stdout))
         sys.stdout.write("\n")
     if args.dump_coverage:
-        payload = _coverage_dump(image, state, policy_state)
-        with open(args.dump_coverage, "w", encoding="utf-8") as handle:
-            handle.write(_emit_json(payload))
+        _write_coverage(args.dump_coverage, image, state, policy_state)
         print(f"coverage written to {args.dump_coverage}")
     return EXIT_OK
 
@@ -226,9 +223,7 @@ def cmd_enforce(args) -> int:
         return EXIT_POLICY
     print(f"clean run: exit={state.exit_code} retired={counters.retired}")
     if args.dump_coverage:
-        payload = _coverage_dump(image, state, policy_state)
-        with open(args.dump_coverage, "w", encoding="utf-8") as handle:
-            handle.write(_emit_json(payload))
+        _write_coverage(args.dump_coverage, image, state, policy_state)
     return EXIT_OK
 
 
@@ -324,26 +319,34 @@ def cmd_diff_run(args) -> int:
         "programs": len(results),
         "baseline_dynamic": total_base,
         "tagged_dynamic": total_tagged,
-        "dynamic_overhead_pct": (total_tagged - total_base) * 100.0 / total_base
-        if total_base else 0.0,
+        "dynamic_overhead_pct": emulator._pct(total_base, total_tagged),
     }
     if args.json:
         sys.stdout.write(_emit_json({"schema": emulator.REPORT_SCHEMA,
                                      "results": results, "aggregate": aggregate}))
     else:
-        labelled = any("nolabel_dynamic_overhead_pct" in r for r in results)
-        extra = f" {'no labels':>10}" if labelled else ""
-        print(f"{'program':28} {'baseline':>9} {'tagged':>9} {'overhead':>9}{extra}")
-        for r in results:
-            row = (f"{r['program']:28} {r['baseline_dynamic']:>9} "
-                   f"{r['tagged_dynamic']:>9} {r['dynamic_overhead_pct']:>8.2f}%")
-            if "nolabel_dynamic_overhead_pct" in r:
-                row += f" {r['nolabel_dynamic_overhead_pct']:>9.2f}%"
-            print(row)
-        print(f"{'aggregate':28} {total_base:>9} {total_tagged:>9} "
-              f"{aggregate['dynamic_overhead_pct']:>8.2f}%")
+        _print_overheads(results, aggregate, nolabels=any(
+            "nolabel_dynamic_overhead_pct" in r for r in results))
         print(f"equivalence: {len(results)}/{len(results)} programs identical")
     return EXIT_OK
+
+
+def _print_overheads(results, aggregate, *, nolabels=False) -> None:
+    """The dynamic-overhead table of diff-run and report: one row per
+    program, the aggregate row when there is one, and a labels-off column
+    when `nolabels` is set."""
+    extra = f" {'no labels':>10}" if nolabels else ""
+    print(f"{'program':28} {'baseline':>9} {'tagged':>9} {'overhead':>9}{extra}")
+    for r in results:
+        row = (f"{r['program']:28} {r['baseline_dynamic']:>9} "
+               f"{r['tagged_dynamic']:>9} {r['dynamic_overhead_pct']:>8.2f}%")
+        if nolabels and "nolabel_dynamic_overhead_pct" in r:
+            row += f" {r['nolabel_dynamic_overhead_pct']:>9.2f}%"
+        print(row)
+    if aggregate:
+        print(f"{'aggregate':28} {aggregate['baseline_dynamic']:>9} "
+              f"{aggregate['tagged_dynamic']:>9} "
+              f"{aggregate['dynamic_overhead_pct']:>8.2f}%")
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +361,7 @@ def cmd_report(args) -> int:
     if args.json:
         sys.stdout.write(_emit_json(payload))
         return EXIT_OK
-    results = payload.get("results", [])
-    print(f"{'program':28} {'baseline':>9} {'tagged':>9} {'overhead':>9}")
-    for r in results:
-        print(f"{r['program']:28} {r['baseline_dynamic']:>9} "
-              f"{r['tagged_dynamic']:>9} {r['dynamic_overhead_pct']:>8.2f}%")
-    aggregate = payload.get("aggregate")
-    if aggregate:
-        print(f"{'aggregate':28} {aggregate['baseline_dynamic']:>9} "
-              f"{aggregate['tagged_dynamic']:>9} "
-              f"{aggregate['dynamic_overhead_pct']:>8.2f}%")
+    _print_overheads(payload.get("results", []), payload.get("aggregate"))
     return EXIT_OK
 
 
@@ -385,8 +379,6 @@ def _add_build_flags(parser):
                         help="also label direct auipc/jalr call sites")
     parser.add_argument("--coverage-mode", choices=("all_branches", "computed_only"),
                         default="all_branches")
-    parser.add_argument("--max-pair-gap", type=int, default=emitlink.MAX_PAIR_GAP,
-                        help="words allowed between a HI/LO relocation pair")
 
 
 def build_parser() -> _Parser:

@@ -261,10 +261,6 @@ class TagCarrier(enum.Enum):
     CUSTOM = "custom"
 
     @property
-    def bits_available(self) -> int:
-        return {TagCarrier.LUI_NOP: 20, TagCarrier.ADDI_NOP: 12, TagCarrier.CUSTOM: 25}[self]
-
-    @property
     def backward_compatible(self) -> bool:
         return self is not TagCarrier.CUSTOM
 

@@ -4,9 +4,10 @@ tagplan's offset arithmetic is the one placement rule.  With a carrier
 ahead of each group of N instructions, the instruction at untagged fragment
 offset o sits at base + insn_address(o), a control transfer to o lands on
 base + landing_offset(o) (a group boundary lands on its carrier), and a
-fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
-fill between them.  HI/LO relocation pairs resolve correctly with up to
-max_pair_gap words (carriers and labels) between the two instructions.
+fragment takes tagged_size bytes.  Text starts at TEXT_BASE and data at
+DATA_BASE; fragments are 16-byte aligned with zero fill between them.  HI/LO
+relocation pairs resolve correctly with up to MAX_PAIR_GAP words (carriers
+and labels) between the two instructions.
 
 Image file format "RVTI", little-endian throughout:
 
@@ -22,8 +23,9 @@ Image file format "RVTI", little-endian throughout:
 
 Region starts are word-aligned, strictly increasing and inside text; each
 (carrier, coverage) pair has a tag layout; nothing follows the table.
-tagplan.carrier_groups turns the table into the slot schedule that label
-recovery and the emulator share.
+tagplan.carrier_groups turns the table into the slot schedule that
+scan_labels and the emulator share.  The image stores no label list: a
+label is a lui x0 word, so scan_labels reads the labels from the words.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class RelocOutOfRange(BuildError):
 
 
 class PairTooFar(BuildError):
-    """More than max_pair_gap words sit between a HI/LO relocation pair."""
+    """More than MAX_PAIR_GAP words sit between a HI/LO relocation pair."""
 
 
 class FormatError(BuildError):
@@ -82,20 +84,22 @@ class Image:
     backward_compatible: bool
     policy: str
     tag_regions: tuple = ()
-    label_addrs: tuple = ()
 
     @property
     def text_end(self) -> int:
         return self.text_base + len(self.text)
+
+    @property
+    def label_addrs(self) -> tuple:
+        """(address, kind) of every metadata label, read from the words."""
+        return scan_labels(self)
 
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-def link(program: Program, config: TagConfig | None = None, *, tagged: bool = True,
-         text_base: int = TEXT_BASE, data_base: int = DATA_BASE,
-         max_pair_gap: int = MAX_PAIR_GAP) -> Image:
+def link(program: Program, config: TagConfig | None = None, *, tagged: bool = True) -> Image:
     """Place, encode and relocate every instruction of `program` in one pass.
 
     Each instruction is encoded once, at base + insn_address(offset): a local
@@ -103,9 +107,8 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
     and HI/LO, Branch and Jal relocations resolve at their sites' final
     addresses.  Ahead of each group of `coverage` instructions goes one
     carrier packing their tags (None means config.default_tag; a short last
-    group pads with it), and CFL/CL labels are recorded at their final
-    addresses.  An untagged link takes the same path with the identity
-    offset map and no carriers.  `program` is not modified.
+    group pads with it).  An untagged link takes the same path with the
+    identity offset map and no carriers.  `program` is not modified.
     """
     if tagged and config is None:
         raise BuildError("link needs a TagConfig to emit tags")
@@ -114,24 +117,21 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         at = functools.partial(tagplan.insn_address, coverage=coverage)
         land = functools.partial(tagplan.landing_offset, coverage=coverage)
         size = functools.partial(tagplan.tagged_size, coverage=coverage)
-        label = tagplan.policy_label(config.policy)
     else:  # the identity offset map: no carriers
         at = land = lambda offset: offset
         size = lambda count: tagplan.INSN_SIZE * count
-        label = None
 
     # A fragment's symbol is its base: landing_offset(0) == 0, the first carrier.
     symbols = {}
-    cursor = text_base
+    cursor = TEXT_BASE
     for fragment in program.fragments:
         symbols[fragment.name] = cursor
         cursor = _align(cursor + size(len(fragment.insns)), FUNCTION_ALIGN)
     for name, offset in program.data_symbols.items():
-        symbols[name] = data_base + offset
+        symbols[name] = DATA_BASE + offset
 
     text = bytearray()
     regions = []
-    labels = []
     for fragment in program.fragments:
         base = symbols[fragment.name]
         insns = fragment.insns
@@ -171,10 +171,10 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             gap = (at(lo.offset) - at(hi.offset)) // 4 - 1
             if gap < 0:
                 raise BuildError(f"HI/LO pair {pair_id} out of order")
-            if gap > max_pair_gap:
+            if gap > MAX_PAIR_GAP:
                 raise PairTooFar(
                     f"{fragment.name!r}: {gap} words between HI and LO "
-                    f"(limit {max_pair_gap})")
+                    f"(limit {MAX_PAIR_GAP})")
             delta = symbols[hi.target] - (base + at(hi.offset))
             hi20 = ((delta + 0x800) >> 12) & 0xFFFFF
             lo12 = (delta & 0xFFF) - (delta & 0x800) * 2
@@ -209,33 +209,28 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             words = interleaved
             regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),
                                      coverage=coverage, carrier=config.carrier))
-            if label is not None:
-                label_tag, kind = label
-                labels += [(base + at(4 * i), kind) for i, slot in enumerate(insns)
-                           if slot.is_label and slot.tag == label_tag]
 
-        text += bytes(base - text_base - len(text))  # zero fill to the aligned base
+        text += bytes(base - TEXT_BASE - len(text))  # zero fill to the aligned base
         text += struct.pack(f"<{len(words)}I", *words)
 
-    if program.data and text_base + len(text) > data_base:
+    if program.data and TEXT_BASE + len(text) > DATA_BASE:
         raise BuildError(
-            f"text ({len(text)} bytes at {text_base:#x}) overruns data base "
-            f"{data_base:#x}")
+            f"text ({len(text)} bytes at {TEXT_BASE:#x}) overruns data base "
+            f"{DATA_BASE:#x}")
     entry_symbol = program.entry
     if entry_symbol not in symbols:
         raise UndefinedSymbol(f"entry symbol {entry_symbol!r} is not defined")
 
     return Image(
-        text_base=text_base,
+        text_base=TEXT_BASE,
         text=bytes(text),
-        data_base=data_base,
+        data_base=DATA_BASE,
         data=bytes(program.data),
         entry=symbols[entry_symbol],
         tags_present=tagged,
         backward_compatible=(config.carrier.backward_compatible if tagged else True),
         policy=(config.policy if tagged else "none"),
         tag_regions=tuple(regions),
-        label_addrs=tuple(labels),
     )
 
 
@@ -333,7 +328,7 @@ def read_image(path) -> Image:
     if reader.pos != len(blob):
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
-    image = Image(
+    return Image(
         text_base=text_base,
         text=text,
         data_base=data_base,
@@ -344,14 +339,14 @@ def read_image(path) -> Image:
         policy=policy,
         tag_regions=tuple(regions),
     )
-    return replace(image, label_addrs=scan_labels(image))
 
 
 def scan_labels(image: Image) -> tuple:
-    """Recover metadata-label addresses from a linked image.
+    """(address, kind) of every metadata label in a linked image.
 
-    Labels are lui x0 words at non-carrier slots whose positional tag is
-    the policy's label tag (CFL under cfi, CL under coverage).
+    This is the one place label addresses are computed.  Labels are lui x0
+    words at non-carrier slots whose positional tag is the policy's label
+    tag (CFL under cfi, CL under coverage).
     """
     label = tagplan.policy_label(image.policy)
     if label is None:

@@ -575,16 +575,6 @@ class Report:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_text(self) -> str:
-        lines = [
-            f"{'':20} {'baseline':>12} {'tagged':>12} {'overhead':>10}",
-            f"{'dynamic fetches':20} {self.baseline_dynamic:>12} "
-            f"{self.tagged_dynamic:>12} {self.dynamic_overhead_pct:>9.2f}%",
-            f"{'text bytes':20} {self.baseline_text_bytes:>12} "
-            f"{self.tagged_text_bytes:>12} {self.static_overhead_pct:>9.2f}%",
-        ]
-        return "\n".join(lines)
-
 
 REPORT_SCHEMA = "rvtag-report-v1"
 

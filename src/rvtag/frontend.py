@@ -79,7 +79,6 @@ class TaggedInsn:
     tag: int | None = None
     lineage: int | None = None
     is_label: bool = False
-    label_value: int | None = None
     annotations: frozenset = frozenset()
     calltype: str | None = None
 
@@ -108,18 +107,6 @@ class Fragment:
         return {r.offset for r in self.relocations}
 
 
-@dataclass(frozen=True)
-class GlobalSymbol:
-    kind: str                  # text | data
-    fragment: int | None       # index into Program.fragments
-    offset: int
-    entry: bool = False
-    exported: bool = False
-    internal: bool = False
-    address_taken: bool = False
-    signature: str | None = None
-
-
 @dataclass
 class Program:
     """Assembled program: code fragments, one data blob, symbol attributes."""
@@ -137,19 +124,6 @@ class Program:
             if frag.name == name:
                 return frag
         raise UndefinedSymbol(f"no fragment named {name!r}")
-
-    def globals(self) -> dict:
-        """Symbol table view keyed by name."""
-        table = {}
-        for i, frag in enumerate(self.fragments):
-            table[frag.name] = GlobalSymbol(
-                kind="text", fragment=i, offset=0,
-                entry=(frag.name == self.entry),
-                exported=frag.exported, internal=frag.internal,
-                address_taken=frag.address_taken, signature=frag.signature)
-        for name, off in self.data_symbols.items():
-            table[name] = GlobalSymbol(kind="data", fragment=None, offset=off)
-        return table
 
 
 def _parse_int(token: str, defsym: dict, err) -> int:
@@ -361,6 +335,19 @@ def _expand_li(rd, value, lineage):
 _STRING_ARG = re.compile(r'^"([^"]*)"$')
 
 
+def _split_labels(raw):
+    """Drop the comment, then split leading `name:` labels from the rest."""
+    text = raw.split("#", 1)[0].strip()
+    labels = []
+    while ":" in text:  # a label needs one; most lines have none
+        head = text.split(None, 1)[0]
+        if not (head.endswith(":") and _IDENT.match(head[:-1])):
+            break
+        labels.append(head[:-1])
+        text = text[len(head):].strip()
+    return labels, text
+
+
 class _Assembler:
     def __init__(self, defsym=None, filename="<source>"):
         self.parser = _LineParser(defsym=defsym, filename=filename)
@@ -381,13 +368,7 @@ class _Assembler:
     # -- pass A: directive scan ------------------------------------------
     def scan_declarations(self, lines):
         for lineno, raw in lines:
-            text = raw.split("#", 1)[0].strip()
-            while text:
-                head = text.split(None, 1)[0]
-                if head.endswith(":") and _IDENT.match(head[:-1]):
-                    text = text[len(head):].strip()
-                    continue
-                break
+            _, text = _split_labels(raw)
             if not text.startswith("."):
                 continue
             parts = text.split(None, 1)
@@ -414,14 +395,9 @@ class _Assembler:
         return self.program
 
     def line(self, lineno, raw):
-        text = raw.split("#", 1)[0].strip()
-        while text:
-            head = text.split(None, 1)[0]
-            if head.endswith(":") and _IDENT.match(head[:-1]):
-                self.define_label(head[:-1], lineno)
-                text = text[len(head):].strip()
-                continue
-            break
+        labels, text = _split_labels(raw)
+        for name in labels:
+            self.define_label(name, lineno)
         if not text:
             return
         if text.startswith("."):

@@ -112,20 +112,19 @@ def insert_labels(program: Program, frag_index: int, labels) -> Program:
     relocation moves with its instruction.
     """
     labels = list(labels)
-    for _, label_value, _ in labels:
-        if not 0 <= label_value < (1 << 20):
-            raise LabelOverflow(f"label value {label_value:#x} does not fit 20 bits")
+    for _, value, _ in labels:
+        if not 0 <= value < (1 << 20):
+            raise LabelOverflow(f"label value {value:#x} does not fit 20 bits")
     try:
         fragment = program.fragments[frag_index]
     except (TypeError, IndexError):
         raise InvalidRef(f"no fragment at index {frag_index!r}") from None
     ahead = {}  # insn index -> labels inserted ahead of it, outermost first
-    for insn_index, label_value, tag in labels:
+    for insn_index, value, tag in labels:
         if not 0 <= insn_index <= len(fragment.insns):
             raise InvalidRef(f"index {insn_index} outside fragment {fragment.name!r}")
         ahead.setdefault(insn_index, []).append(TaggedInsn(
-            insn=Insn("lui", rd=0, imm=label_value), tag=tag,
-            is_label=True, label_value=label_value))
+            insn=Insn("lui", rd=0, imm=value), tag=tag, is_label=True))
     points = sorted(4 * index for index, _, _ in labels)
     relocated = fragment.reloc_offsets()
     insns = []
@@ -145,7 +144,7 @@ def insert_labels(program: Program, frag_index: int, labels) -> Program:
     return program
 
 
-def insert_label(program: Program, position, label_value: int, tag) -> Program:
+def insert_label(program: Program, position, value: int, tag) -> Program:
     """Insert one lui x0 metadata label at position (fragment index,
     instruction index): insert_labels with a single label, so a branch to
     the insertion point now lands on the label, which leads its block."""
@@ -153,7 +152,7 @@ def insert_label(program: Program, position, label_value: int, tag) -> Program:
         frag_index, insn_index = position
     except (TypeError, ValueError):
         frag_index, insn_index = None, 0  # insert_labels: InvalidRef after the value check
-    return insert_labels(program, frag_index, [(insn_index, label_value, tag)])
+    return insert_labels(program, frag_index, [(insn_index, value, tag)])
 
 
 # ---------------------------------------------------------------------------

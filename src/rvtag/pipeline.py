@@ -37,9 +37,7 @@ def apply_policy(program: Program, config: TagConfig, *,
 
 def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
                 defsym=None, cfi_label_direct_calls=False,
-                coverage_mode="all_branches",
-                text_base=emitlink.TEXT_BASE, data_base=emitlink.DATA_BASE,
-                max_pair_gap=emitlink.MAX_PAIR_GAP) -> Image:
+                coverage_mode="all_branches") -> Image:
     """Source text(s) to a linked image.
 
     Baseline builds (tagged=False) skip the policy passes entirely so they
@@ -50,5 +48,4 @@ def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
         apply_policy(program, config, with_labels=with_labels,
                      cfi_label_direct_calls=cfi_label_direct_calls,
                      coverage_mode=coverage_mode)
-    return emitlink.link(program, config, tagged=tagged, text_base=text_base,
-                         data_base=data_base, max_pair_gap=max_pair_gap)
+    return emitlink.link(program, config, tagged=tagged)

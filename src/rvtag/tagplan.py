@@ -1,6 +1,5 @@
 """Tag schedule configuration, the offset arithmetic that places every word
-the linker emits and that branch-reach checks use, and the one slot schedule
-of a linked image.
+the linker emits, and the one slot schedule of a linked image.
 
 A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import BRANCH_REACH, COVERAGE_VALUES, JAL_REACH, TAG_BITS, TagCarrier
+from .codec import COVERAGE_VALUES, TAG_BITS, TagCarrier
 from .errors import BuildError
 
 
@@ -243,30 +242,10 @@ def landing_offset(offset: int, coverage: int) -> int:
     return remapped + INSN_SIZE
 
 
-def tag_slot_addresses(fragment_insn_count: int, coverage: int) -> list:
-    """Tagged-layout offsets of the carrier slots for a fragment."""
-    if fragment_insn_count < 0:
-        raise ValueError("instruction count cannot be negative")
-    groups = -(-fragment_insn_count // coverage)
-    return [INSN_SIZE * (coverage + 1) * g for g in range(groups)]
-
-
 def tagged_size(fragment_insn_count: int, coverage: int) -> int:
     """Byte size of a fragment once carriers are interleaved."""
     groups = -(-fragment_insn_count // coverage)
     return INSN_SIZE * (fragment_insn_count + groups)
-
-
-def reach_check(branch_site: int, target: int, coverage: int, kind: str) -> bool:
-    """True when the remapped displacement still fits the branch encoding.
-
-    Keeps a one-instruction margin: label insertions can displace the code
-    further than carrier interleaving alone.
-    """
-    lo, hi = BRANCH_REACH if kind == "Branch" else JAL_REACH
-    delta = remap_offset(target, coverage) - remap_offset(branch_site, coverage)
-    margin = INSN_SIZE
-    return lo + margin <= delta <= hi - margin
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
+import argparse
 import copy
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rvtag import cli, emulator
 from rvtag.cli import EquivalenceFailure, compare_states, main
-from rvtag.emitlink import read_image
+from rvtag.emitlink import read_image, write_image
 from rvtag.emulator import run as run_image
 from rvtag.pipeline import build_image
 from rvtag.tagplan import make_config
@@ -303,3 +306,55 @@ def test_build_branch_to_fragment_end_label(workspace):
         assert "Traceback" not in proc.stderr
         assert ":2:1: label 'out' ends 'main'" in proc.stderr
         assert not (workspace / "end.rvti").exists()
+
+
+def _parser_flags(parser):
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_cli_flags_exist():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert {"--config", "--max-insns", "--coverage-mode"} <= named
+    assert named - _parser_flags(cli.build_parser()) == set()
+
+
+TWO_FUNCTIONS = (
+    ".globl main\n.entry main\nmain:\n"
+    '    .signature "i64()"\n'
+    "    la t1, callee\n"
+    '    .calltype "i64(i64)"\n'
+    "    jalr ra, t1, 0\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".globl callee\ncallee:\n"
+    '    .signature "i64(i64)"\n'
+    "    addi a0, a0, 7\n"
+    "    ret\n"
+)
+
+
+def test_run_image_with_a_malformed_carrier(workspace, capsys):
+    # the carrier ahead of the entry label rewritten to `beq x0, x0, 0`: the
+    # image still reads, since labels are found only when asked for; aware
+    # mode rejects the tag slot and compat mode spins to the fetch budget
+    image = build_image(TWO_FUNCTIONS, make_config(carrier="lui", coverage=3, policy="cfi"))
+    carrier = image.tag_regions[0].start
+    assert image.label_addrs[0] == (carrier + 4, "cfl")
+    offset = carrier - image.text_base
+    text = image.text[:offset] + (0x00000063).to_bytes(4, "little") + image.text[offset + 4:]
+    path = workspace / "bad.rvti"
+    write_image(dataclasses.replace(image, text=text), path)
+    assert read_image(path).text == text
+    capsys.readouterr()
+    assert main(["run", "--mode", "aware", str(path)]) == cli.EXIT_BUILD
+    assert f"run failed: tag slot {carrier:#x}" in capsys.readouterr().err
+    assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
+    assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err

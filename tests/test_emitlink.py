@@ -20,7 +20,7 @@ from rvtag.emitlink import (
 )
 from rvtag.frontend import UndefinedSymbol, assemble
 from rvtag.instrument import insert_label
-from rvtag.pipeline import apply_policy, build_image
+from rvtag.pipeline import apply_policy, assemble_sources, build_image
 from rvtag.tagplan import (
     POLICIES,
     ConfigError,
@@ -28,6 +28,7 @@ from rvtag.tagplan import (
     insn_address,
     landing_offset,
     make_config,
+    policy_label,
     remap_offset,
     tagged_size,
 )
@@ -303,15 +304,6 @@ def test_hi_lo_interposition_0_to_3_words():
         link(program, N3, tagged=True)
 
 
-def test_max_pair_gap_configurable():
-    program = assemble(CALL_AFTER_CALLEE)
-    for value in (0x11, 0x22, 0x33, 0x44):
-        insert_label(program, (1, 1), value, 0)
-    image = link(program, N3, tagged=False, max_pair_gap=4)
-    target, gap = hi_lo_target(image)
-    assert gap == 4 and target == TEXT_BASE
-
-
 def test_branch_out_of_range_rejected():
     # untagged distance 4 + 1200*4 = 4804 already exceeds the B-type range
     body = "    addi a0, a0, 1\n" * 1200
@@ -431,6 +423,24 @@ def test_image_region_table_validated(tmp_path, case):
         read_image(path)
 
 
+def labels_from_metadata(program, config):
+    """Oracle for scan_labels: every is_label slot that carries the policy's
+    label tag, at its final address in the link of `program`."""
+    label_tag, kind = policy_label(config.policy)
+    found, base = [], TEXT_BASE
+    for fragment in program.fragments:
+        found += [(base + insn_address(4 * i, config.coverage), kind)
+                  for i, slot in enumerate(fragment.insns)
+                  if slot.is_label and slot.tag == label_tag]
+        base += -(-tagged_size(len(fragment.insns), config.coverage) // 16) * 16
+    return tuple(found)
+
+
+def link_with_policy(sources, config):
+    program = apply_policy(assemble_sources(sources), config, cfi_label_direct_calls=True)
+    return program, link(program, config)
+
+
 def test_scan_labels_matches_link_records():
     source = (
         ".globl main\n.entry main\nmain:\n"
@@ -445,8 +455,9 @@ def test_scan_labels_matches_link_records():
         "    addi a0, a0, 7\n"
         "    ret\n"
     )
-    image = build_image(source, CFI3, tagged=True)
-    assert scan_labels(image) == image.label_addrs
+    program = apply_policy(assemble_sources(source), CFI3)
+    image = link(program, CFI3)
+    assert image.label_addrs == scan_labels(image) == labels_from_metadata(program, CFI3)
     assert all(kind == "cfl" for _, kind in image.label_addrs)
     assert len(image.label_addrs) == 3  # main entry, site label, callee entry
 
@@ -454,12 +465,26 @@ def test_scan_labels_matches_link_records():
 def test_scan_labels_matches_on_corpus():
     from rvtag.corpus import generate_corpus
 
-    for coverage in (3, 7, 15):
-        config = make_config(carrier="lui", coverage=coverage, policy="cfi")
+    configs = [make_config(carrier="lui", coverage=coverage, policy="cfi")
+               for coverage in (3, 7, 15)]
+    configs.append(make_config(carrier="lui", coverage=7, policy="coverage"))
+    for config in configs:
         for text in generate_corpus(77, 6):
-            image = build_image(text, config, tagged=True,
-                                cfi_label_direct_calls=True)
-            assert scan_labels(image) == image.label_addrs
+            program, image = link_with_policy(text, config)
+            assert image.label_addrs == labels_from_metadata(program, config)
+
+
+def test_label_addrs_follow_the_text():
+    # a label word overwritten after the link is no label: the addresses
+    # come from the words, so nothing recorded at link time goes stale
+    _, image = link_with_policy(CALL_AFTER_CALLEE, CFI3)
+    addr, kind = image.label_addrs[1]
+    assert kind == "cfl"
+    offset = addr - image.text_base
+    nop = codec.encode(codec.Insn("addi", rd=0, rs1=0, imm=0)).to_bytes(4, "little")
+    edited = dataclasses.replace(
+        image, text=image.text[:offset] + nop + image.text[offset + 4:])
+    assert edited.label_addrs == image.label_addrs[:1] + image.label_addrs[2:]
 
 
 # ---------------------------------------------------------------------------

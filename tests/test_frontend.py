@@ -379,22 +379,6 @@ def test_reassembly_fixpoint_random(lines):
     _assert_fixpoint("f:\n" + "\n".join(f"    {line}" for line in lines) + "\n")
 
 
-def test_globals_view():
-    program = assemble(
-        ".globl api\n.entry api\napi:\n    .signature \"i64()\"\n"
-        "    la t1, helper\n    ecall\n"
-        ".internal helper\nhelper:\n    ret\n"
-        ".data\nbuf:\n    .zero 8\ntail:\n    .word 1\n"
-    )
-    table = program.globals()
-    api = table["api"]
-    assert api.kind == "text" and api.fragment == 0 and api.offset == 0
-    assert api.entry and api.exported and api.signature == "i64()"
-    helper = table["helper"]
-    assert helper.internal and helper.address_taken and not helper.entry
-    assert table["buf"].kind == "data" and table["tail"].offset == 8
-
-
 def test_merge_programs():
     a = assemble(".globl main\n.entry main\nmain:\n    call util\n    ecall\n"
                  ".data\nbuf_a:\n    .zero 4\n")

@@ -109,7 +109,7 @@ def test_insert_label_at_function_start():
     insert_label(program, (0, 0), 0x5A3, 1)
     frag = program.fragments[0]
     first = frag.insns[0]
-    assert first.is_label and first.label_value == 0x5A3 and first.tag == 1
+    assert first.is_label and first.tag == 1
     assert first.insn.mnemonic == "lui" and first.insn.rd == 0
     assert first.insn.imm == 0x5A3
 
@@ -190,7 +190,7 @@ def test_cfi_label_equal_signatures_equal_labels():
     f_label = program.fragment("f").insns[0]
     g_label = program.fragment("g").insns[0]
     assert f_label.is_label and g_label.is_label
-    assert f_label.label_value == g_label.label_value == cfi_label_value("i64(i64)")
+    assert f_label.insn.imm == g_label.insn.imm == cfi_label_value("i64(i64)")
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +207,11 @@ def test_pass_cfi_indirect_callsite():
     jalr_index = mnemonics.index("jalr")
     site_label = main.insns[jalr_index - 1]
     assert site_label.is_label and site_label.tag == 1
-    assert site_label.label_value == cfi_label_value("i64(i64)")
+    assert site_label.insn.imm == cfi_label_value("i64(i64)")
     assert main.insns[jalr_index].tag == 1  # checked transfer carries CFL
     callee = program.fragment("callee")
     assert callee.insns[0].is_label
-    assert callee.insns[0].label_value == cfi_label_value("i64(i64)")
+    assert callee.insns[0].insn.imm == cfi_label_value("i64(i64)")
 
 
 def test_pass_cfi_internal_helper_gets_no_label():
@@ -242,7 +242,7 @@ def test_pass_cfi_direct_call_unlabelled_by_default():
     assert len(labels) == 2  # entry label plus the between-pair label
     jalr_index = [ti.insn.mnemonic for ti in main.insns].index("jalr")
     assert main.insns[jalr_index - 1].is_label
-    assert main.insns[jalr_index - 1].label_value == cfi_label_value("i64(i64)")
+    assert main.insns[jalr_index - 1].insn.imm == cfi_label_value("i64(i64)")
     offsets = {(r.kind, r.offset) for r in main.relocations}
     assert offsets == {("Hi20", 4), ("Lo12I", 12)}  # pair one word apart
 
@@ -272,8 +272,8 @@ def test_pass_cfi_entry_and_site_labels_at_index_zero():
     pass_cfi(program, CFI)
     frag = program.fragment("f")
     assert [ti.insn.mnemonic for ti in frag.insns] == ["lui", "lui", "jalr", "jalr"]
-    assert frag.insns[0].label_value == cfi_label_value("i64()")
-    assert frag.insns[1].label_value == cfi_label_value("i64(i64)")
+    assert frag.insns[0].insn.imm == cfi_label_value("i64()")
+    assert frag.insns[1].insn.imm == cfi_label_value("i64(i64)")
 
 
 def test_pass_cfi_returns_are_not_callsites():
@@ -287,12 +287,12 @@ def test_pass_cfi_idempotent():
     program = assemble(indirect_call_source())
     pass_cfi(program, CFI)
     snapshot = [
-        (ti.insn, ti.tag, ti.is_label, ti.label_value)
+        (ti.insn, ti.tag, ti.is_label)
         for frag in program.fragments for ti in frag.insns
     ]
     pass_cfi(program, CFI)
     again = [
-        (ti.insn, ti.tag, ti.is_label, ti.label_value)
+        (ti.insn, ti.tag, ti.is_label)
         for frag in program.fragments for ti in frag.insns
     ]
     assert snapshot == again
@@ -313,7 +313,7 @@ def test_pass_cfi_labels_jr_with_calltype():
     pass_cfi(program, CFI)
     main = program.fragment("main")
     label, jr = main.insns[2], main.insns[3]
-    assert label.is_label and label.label_value == cfi_label_value("i64()")
+    assert label.is_label and label.insn.imm == cfi_label_value("i64()")
     assert (jr.insn.mnemonic, jr.insn.rd, jr.insn.rs1, jr.tag) == ("jalr", 0, 5, 1)
 
 
@@ -380,7 +380,7 @@ def test_pass_coverage_inserts_cl_labels():
     # leaders: entry, fall-through after the branch, branch target
     assert len(labels) == 3
     assert all(frag.insns[i].tag == 0 for i in labels)      # CL
-    assert all(frag.insns[i].label_value == 0 for i in labels)
+    assert all(frag.insns[i].insn.imm == 0 for i in labels)
     branch_index = [ti.insn.mnemonic for ti in frag.insns].index("beq")
     assert frag.insns[branch_index].tag == 2                # BCF
     # branch lands on the CL label of its target block
@@ -472,8 +472,7 @@ def _reference_insert_label(program, position, label_value, tag):
             new_target = target + 4 if target > point else target
             moves.append((index, new_target - new_site))
     fragment.insns.insert(insn_index, TaggedInsn(
-        insn=Insn("lui", rd=0, imm=label_value), tag=tag,
-        is_label=True, label_value=label_value))
+        insn=Insn("lui", rd=0, imm=label_value), tag=tag, is_label=True))
     for index, new_imm in moves:
         shifted = index + 1 if index >= insn_index else index
         fragment.insns[shifted].insn = dataclasses.replace(
@@ -528,8 +527,8 @@ def test_insert_labels_matches_reference():
 def test_insert_labels_same_index_keeps_given_order():
     program = assemble("main:\n    addi a0, a0, 1\n    ecall\n")
     insert_labels(program, 0, [(1, 0xA, 1), (1, 0xB, 0)])
-    values = [(ti.label_value, ti.tag) for ti in program.fragments[0].insns]
-    assert values == [(None, None), (0xA, 1), (0xB, 0), (None, None)]
+    values = [(ti.is_label, ti.insn.imm, ti.tag) for ti in program.fragments[0].insns]
+    assert values == [(False, 1, None), (True, 0xA, 1), (True, 0xB, 0), (False, 0, None)]
 
 
 def test_insert_labels_entry_and_site_label_at_index_zero():
@@ -537,7 +536,7 @@ def test_insert_labels_entry_and_site_label_at_index_zero():
     entry, site = cfi_label_value("i64()"), cfi_label_value("i64(i64)")
     insert_labels(program, 0, [(0, entry, 1), (0, site, 1)])
     insns = program.fragments[0].insns
-    assert [ti.label_value for ti in insns[:2]] == [entry, site]
+    assert [ti.insn.imm for ti in insns[:2]] == [entry, site]
     assert insns[2].insn.mnemonic == "jalr"
 
 
@@ -545,7 +544,7 @@ def test_insert_labels_branch_to_point_lands_on_outermost_label():
     program = assemble("main:\n    addi a0, a0, 1\n    bne a0, a1, main\n")
     insert_labels(program, 0, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
     insns = program.fragments[0].insns
-    assert [ti.label_value for ti in insns[:2]] == [1, 2]
+    assert [ti.insn.imm for ti in insns[:2]] == [1, 2]
     assert insns[4].insn.imm == -16  # from index 4 back to the first label
 
 
@@ -558,7 +557,7 @@ def test_insert_labels_backward_branch_across_several_insertions():
     bne = next(i for i, ti in enumerate(insns) if ti.insn.mnemonic == "bne")
     assert bne == 8
     assert insns[bne].insn.imm == -28  # back to the label at index 1
-    assert insns[1].label_value == 1
+    assert insns[1].insn.imm == 1
     offsets = sorted(r.offset for r in program.fragments[0].relocations)
     assert offsets == [4 * 11, 4 * 12, 4 * 13, 4 * 14]  # 6..9 plus five labels
 
@@ -567,7 +566,7 @@ def test_insert_labels_at_end_of_fragment():
     program = assemble("main:\n    addi a0, a0, 1\n    beq a0, a1, main\n")
     insert_labels(program, 0, [(2, 0x22, 1), (2, 0x23, 1)])
     insns = program.fragments[0].insns
-    assert [ti.label_value for ti in insns[2:]] == [0x22, 0x23]
+    assert [ti.insn.imm for ti in insns[2:]] == [0x22, 0x23]
     assert insns[1].insn.imm == -4
 
 

@@ -15,9 +15,7 @@ from rvtag.tagplan import (
     landing_offset,
     loads_config,
     make_config,
-    reach_check,
     remap_offset,
-    tag_slot_addresses,
     tagged_size,
 )
 
@@ -82,27 +80,11 @@ def test_landing_and_instruction_addresses():
     assert insn_address(12, 3) == 20
 
 
-def test_tag_slot_addresses():
-    assert tag_slot_addresses(4, 3) == [0, 16]
-    assert tag_slot_addresses(0, 3) == []
-    assert tag_slot_addresses(15, 15) == [0]
-    assert tag_slot_addresses(9, 3) == [0, 16, 32]
-
-
 @settings(max_examples=200)
 @given(st.integers(0, 2000), st.sampled_from((1, 3, 7, 15)))
 def test_group_accounting(count, coverage):
-    slots = tag_slot_addresses(count, coverage)
     groups = -(-count // coverage)
-    assert len(slots) == groups
     assert tagged_size(count, coverage) == 4 * (count + groups)
-
-
-def test_reach_check_examples():
-    assert reach_check(0, 4000, 3, "Branch") is False    # 5332 > 4 KiB after remap
-    assert reach_check(0, 0, 3, "Branch") is True
-    assert reach_check(0, 2048, 15, "Branch") is True    # 2184 fits
-    assert reach_check(0, 4000, 3, "Jal") is True
 
 
 # ---------------------------------------------------------------------------
