@@ -1,7 +1,7 @@
 """Command-line surface: assemble | build | link | run | diff-run | enforce | report.
 
-Exit codes: 0 success, 1 usage, 2 build error, 3 policy violation,
-4 equivalence failure.
+Exit codes: 0 success, 1 usage, 2 build, image or run error, 3 policy
+violation, 4 equivalence failure.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def cmd_diff_run(args) -> int:
     programs = []
     if args.generate:
         seed = args.seed if args.seed is not None else random.randrange(1 << 30)
-        print(f"corpus seed: {seed}")
+        print(f"corpus seed: {seed}", file=sys.stderr if args.json else sys.stdout)
         for i, text in enumerate(corpus.generate_corpus(seed, args.generate)):
             programs.append((f"gen-{seed}-{i}", [text]))
     for path in args.inputs:
@@ -353,8 +353,13 @@ def _print_overheads(results, aggregate, *, nolabels=False) -> None:
 # report
 
 def cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(args.report, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CliError(f"{args.report}: not a JSON report: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CliError(f"{args.report}: not a JSON report: the top level is not an object")
     schema = payload.get("schema")
     if schema != emulator.REPORT_SCHEMA:
         raise CliError(f"unknown report schema {schema!r}")
@@ -457,6 +462,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"rvtag: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except emitlink.FormatError as exc:
+        print(f"rvtag: image error: {exc}", file=sys.stderr)
+        return EXIT_BUILD
     except RvtagError as exc:
         print(f"rvtag: build error: {exc}", file=sys.stderr)
         return EXIT_BUILD

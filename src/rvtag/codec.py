@@ -139,50 +139,55 @@ def _check_range(mnemonic: str, imm: int, lo: int, hi: int, even: bool = False) 
 
 def encode(insn: Insn) -> int:
     """Encode one instruction to its unique 32-bit word."""
-    if insn.mnemonic not in _ISA:
-        raise OperandRange(f"unsupported mnemonic {insn.mnemonic!r}")
-    fmt, opcode, funct3, funct7 = _ISA[insn.mnemonic]
-    _check_reg("rd", insn.rd)
-    _check_reg("rs1", insn.rs1)
-    _check_reg("rs2", insn.rs2)
-    imm = insn.imm
+    return encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+
+
+def encode_fields(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
+    """Encode one instruction from its fields, with Insn's conventions."""
+    if mnemonic not in _ISA:
+        raise OperandRange(f"unsupported mnemonic {mnemonic!r}")
+    fmt, opcode, funct3, funct7 = _ISA[mnemonic]
+    if (rd | rs1 | rs2) >> 5:  # some index is negative or above 31
+        _check_reg("rd", rd)
+        _check_reg("rs1", rs1)
+        _check_reg("rs2", rs2)
+    if fmt == _I:
+        _check_range(mnemonic, imm, -2048, 2047)
+        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
+    if fmt == _R:
+        return (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
     if fmt == _U:
-        _check_range(insn.mnemonic, imm, 0, 0xFFFFF)
-        return (imm << 12) | (insn.rd << 7) | opcode
+        _check_range(mnemonic, imm, 0, 0xFFFFF)
+        return (imm << 12) | (rd << 7) | opcode
+    if fmt == _B:
+        _check_range(mnemonic, imm, *BRANCH_REACH, even=True)
+        u = imm & 0x1FFF
+        word = ((u >> 12) & 1) << 31
+        word |= ((u >> 5) & 0x3F) << 25
+        word |= (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
+        word |= ((u >> 1) & 0xF) << 8
+        word |= ((u >> 11) & 1) << 7
+        return word | opcode
+    if fmt == _S:
+        _check_range(mnemonic, imm, -2048, 2047)
+        u = imm & 0xFFF
+        word = ((u >> 5) & 0x7F) << 25
+        word |= (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
+        word |= (u & 0x1F) << 7
+        return word | opcode
+    if fmt == _SHIFT:
+        _check_range(mnemonic, imm, 0, 63)
+        return (funct7 << 26) | (imm << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
     if fmt == _J:
-        _check_range(insn.mnemonic, imm, *JAL_REACH, even=True)
+        _check_range(mnemonic, imm, *JAL_REACH, even=True)
         u = imm & 0x1FFFFF
         word = ((u >> 20) & 1) << 31
         word |= ((u >> 1) & 0x3FF) << 21
         word |= ((u >> 11) & 1) << 20
         word |= ((u >> 12) & 0xFF) << 12
-        return word | (insn.rd << 7) | opcode
-    if fmt == _I:
-        _check_range(insn.mnemonic, imm, -2048, 2047)
-        return ((imm & 0xFFF) << 20) | (insn.rs1 << 15) | (funct3 << 12) | (insn.rd << 7) | opcode
-    if fmt == _SHIFT:
-        _check_range(insn.mnemonic, imm, 0, 63)
-        return (funct7 << 26) | (imm << 20) | (insn.rs1 << 15) | (funct3 << 12) | (insn.rd << 7) | opcode
-    if fmt == _B:
-        _check_range(insn.mnemonic, imm, *BRANCH_REACH, even=True)
-        u = imm & 0x1FFF
-        word = ((u >> 12) & 1) << 31
-        word |= ((u >> 5) & 0x3F) << 25
-        word |= (insn.rs2 << 20) | (insn.rs1 << 15) | (funct3 << 12)
-        word |= ((u >> 1) & 0xF) << 8
-        word |= ((u >> 11) & 1) << 7
-        return word | opcode
-    if fmt == _S:
-        _check_range(insn.mnemonic, imm, -2048, 2047)
-        u = imm & 0xFFF
-        word = ((u >> 5) & 0x7F) << 25
-        word |= (insn.rs2 << 20) | (insn.rs1 << 15) | (funct3 << 12)
-        word |= (u & 0x1F) << 7
-        return word | opcode
-    if fmt == _R:
-        return (funct7 << 25) | (insn.rs2 << 20) | (insn.rs1 << 15) | (funct3 << 12) | (insn.rd << 7) | opcode
+        return word | (rd << 7) | opcode
     # _SYS
-    sysimm = 0 if insn.mnemonic == "ecall" else 1
+    sysimm = 0 if mnemonic == "ecall" else 1
     return (sysimm << 20) | opcode
 
 
@@ -297,25 +302,6 @@ class TagPack:
             )
 
 
-def pack_tags(carrier: TagCarrier, pack: TagPack) -> int:
-    """Build the carrier word: with b = TAG_BITS[(carrier, coverage)] bits
-    per tag, tag i sits in payload bits [i*b, (i+1)*b)."""
-    bits = TAG_BITS.get((carrier, pack.coverage))
-    if bits is None:
-        raise PackOverflow(f"{carrier.value} has no coverage-{pack.coverage} layout")
-    payload = 0
-    for i, tag in enumerate(pack.tags):
-        if not 0 <= tag < (1 << bits):
-            raise PackOverflow(f"tag value {tag} exceeds {bits} bits")
-        payload |= tag << (i * bits)
-    if carrier is TagCarrier.LUI_NOP:
-        return encode(Insn("lui", rd=0, imm=payload))
-    if carrier is TagCarrier.ADDI_NOP:
-        # Raw 12-bit field; still writes only x0.
-        return (payload << 20) | OP_IMM
-    return (payload << 7) | OP_CUSTOM0
-
-
 # Per carrier: the mask and value of its fixed fields, and the payload's shift.
 _CARRIER_FIELDS = {
     TagCarrier.LUI_NOP: (0xFFF, OP_LUI, 12, "a lui x0 word"),
@@ -343,6 +329,37 @@ def tag_reader(carrier: TagCarrier, coverage: int):
             raise NotACarrier(f"{word:#010x} is not {what}")
         return tuple([(word >> s) & tag_mask for s in shifts])
     return read
+
+
+@functools.lru_cache(maxsize=None)
+def tag_packer(carrier: TagCarrier, coverage: int):
+    """pack(tags) -> the carrier word for coverage-many tag values: with
+    b = TAG_BITS[(carrier, coverage)] bits per tag, tag i sits in payload
+    bits [i*b, (i+1)*b).  The mirror of tag_reader.
+
+    Raises PackOverflow for a pair with no layout; pack raises it for a tag
+    that does not fit b bits.
+    """
+    bits = TAG_BITS.get((carrier, coverage))
+    if bits is None:
+        raise PackOverflow(f"{carrier.value} has no coverage-{coverage} layout")
+    _, fixed, shift, _ = _CARRIER_FIELDS[carrier]
+    tag_mask = (1 << bits) - 1
+    shifts = range(shift, shift + coverage * bits, bits)
+
+    def pack(tags) -> int:
+        word = fixed
+        for tag, s in zip(tags, shifts):
+            if not 0 <= tag <= tag_mask:
+                raise PackOverflow(f"tag value {tag} exceeds {bits} bits")
+            word |= tag << s
+        return word
+    return pack
+
+
+def pack_tags(carrier: TagCarrier, pack: TagPack) -> int:
+    """Build the carrier word for one TagPack; see tag_packer."""
+    return tag_packer(carrier, pack.coverage)(pack.tags)
 
 
 def unpack_tags(carrier: TagCarrier, coverage: int, word: int) -> TagPack:

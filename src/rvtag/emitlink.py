@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import codec, tagplan
-from .codec import TagCarrier, TagPack
+from .codec import TagCarrier
 from .errors import BuildError
 from .frontend import Program, UndefinedSymbol
 from .tagplan import TagConfig
@@ -49,6 +49,7 @@ _CARRIER_CODES = {TagCarrier.LUI_NOP: 0, TagCarrier.ADDI_NOP: 1, TagCarrier.CUST
 _CARRIER_FROM_CODE = {v: k for k, v in _CARRIER_CODES.items()}
 _POLICY_CODES = {"none": 0, "cfi": 1, "unarith": 2, "coverage": 3}
 _POLICY_FROM_CODE = {v: k for k, v in _POLICY_CODES.items()}
+_TRANSFERS = codec.BRANCH_MNEMONICS | {"jal"}
 
 
 class RelocOutOfRange(BuildError):
@@ -117,6 +118,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         at = functools.partial(tagplan.insn_address, coverage=coverage)
         land = functools.partial(tagplan.landing_offset, coverage=coverage)
         size = functools.partial(tagplan.tagged_size, coverage=coverage)
+        pack = codec.tag_packer(config.carrier, coverage)
     else:  # the identity offset map: no carriers
         at = land = lambda offset: offset
         size = lambda count: tagplan.INSN_SIZE * count
@@ -132,6 +134,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
 
     text = bytearray()
     regions = []
+    encode = codec.encode_fields
     for fragment in program.fragments:
         base = symbols[fragment.name]
         insns = fragment.insns
@@ -143,14 +146,19 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                 words.append(None)  # encoded once its relocation resolves
                 continue
             insn = slot.insn
-            if insn.mnemonic in codec.BRANCH_MNEMONICS or insn.mnemonic == "jal":
-                insn = replace(insn, imm=land(site + insn.imm) - at(site))
+            imm = insn.imm
+            if insn.mnemonic in _TRANSFERS:
+                imm = land(site + imm) - at(site)
             try:
-                words.append(codec.encode(insn))
+                words.append(encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm))
             except codec.OperandRange as exc:
                 raise RelocOutOfRange(
                     f"{fragment.name!r}: {insn.mnemonic} immediate no longer "
                     f"encodable after tag interleaving: {exc}") from None
+
+        def resolve(offset, imm):
+            insn = insns[offset // 4].insn
+            words[offset // 4] = encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm)
 
         for reloc in fragment.relocations:
             if reloc.target not in symbols:
@@ -176,12 +184,8 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                     f"{fragment.name!r}: {gap} words between HI and LO "
                     f"(limit {MAX_PAIR_GAP})")
             delta = symbols[hi.target] - (base + at(hi.offset))
-            hi20 = ((delta + 0x800) >> 12) & 0xFFFFF
-            lo12 = (delta & 0xFFF) - (delta & 0x800) * 2
-            hi_index = hi.offset // 4
-            lo_index = lo.offset // 4
-            words[hi_index] = codec.encode(replace(insns[hi_index].insn, imm=hi20))
-            words[lo_index] = codec.encode(replace(insns[lo_index].insn, imm=lo12))
+            resolve(hi.offset, ((delta + 0x800) >> 12) & 0xFFFFF)
+            resolve(lo.offset, (delta & 0xFFF) - (delta & 0x800) * 2)
 
         for reloc in fragment.relocations:
             if reloc.kind not in ("Branch", "Jal"):
@@ -193,18 +197,15 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                 raise RelocOutOfRange(
                     f"{fragment.name!r}+{site:#x}: target {reloc.target!r} "
                     f"is {delta} bytes away, outside [{lo_bound}, {hi_bound}]")
-            index = reloc.offset // 4
-            words[index] = codec.encode(replace(insns[index].insn, imm=delta))
+            resolve(reloc.offset, delta)
 
         if tagged and insns:
             default = config.default_tag
+            tags = [default if slot.tag is None else slot.tag for slot in insns]
+            tags += [default] * (-len(insns) % coverage)
             interleaved = []
             for start in range(0, len(insns), coverage):
-                tags = [default if slot.tag is None else slot.tag
-                        for slot in insns[start:start + coverage]]
-                tags += [default] * (coverage - len(tags))
-                interleaved.append(
-                    codec.pack_tags(config.carrier, TagPack(coverage, tuple(tags))))
+                interleaved.append(pack(tags[start:start + coverage]))
                 interleaved += words[start:start + coverage]
             words = interleaved
             regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),

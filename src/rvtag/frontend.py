@@ -26,7 +26,7 @@ lineage id per source line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import codec
 from .codec import Insn
@@ -65,6 +65,7 @@ _IDENT = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 ANNOTATIONS = ("unsigned", "optout", "count")
 
 PSEUDO_MNEMONICS = frozenset({"call", "j", "jr", "ret", "li", "mv", "nop", "la"})
+_UNSIGNED_ANNOTATIONS = frozenset({"unsigned", "optout"})
 
 
 @dataclass
@@ -126,110 +127,92 @@ class Program:
         raise UndefinedSymbol(f"no fragment named {name!r}")
 
 
-def _parse_int(token: str, defsym: dict, err) -> int:
+def _not_a(token: str, what: str) -> ParseError:
+    """The error for an operand token that is not `what`; the token is
+    quoted with its whitespace runs collapsed, as the statement is."""
+    return ParseError(f"{' '.join(token.split())!r} is not {what}")
+
+
+def _parse_int(token: str, defsym: dict) -> int:
     try:
         return int(token, 0)
     except ValueError:
         pass
     if token in defsym:
         return defsym[token]
-    raise err(f"{token!r} is not a number or defined symbol")
+    raise _not_a(token, "a number or defined symbol")
 
 
-def _parse_reg(token: str, err) -> int:
+def _parse_reg(token: str) -> int:
     if token not in REGISTER_NAMES:
-        raise err(f"{token!r} is not a register")
+        raise _not_a(token, "a register")
     return REGISTER_NAMES[token]
 
 
+def _branch_target(token):
+    """Return (imm, symbol): numeric deltas resolve now, names later."""
+    try:
+        return int(token, 0), None
+    except ValueError:
+        pass
+    if not _IDENT.match(token):
+        raise _not_a(token, "a label or byte offset")
+    return 0, token
+
+
 _MEM_OPERAND = re.compile(r"^(-?[0-9][xX]?[0-9a-fA-F]*|[A-Za-z_.$][\w.$]*)?\((\w+)\)$")
+
+
+def _mem_operand(token, defsym):
+    match = _MEM_OPERAND.match(token)
+    if not match:
+        raise _not_a(token, "an offset(base) operand")
+    off_text, base = match.groups()
+    offset = _parse_int(off_text, defsym) if off_text else 0
+    return offset, _parse_reg(base)
 
 
 def _split_operands(text: str):
     return [part.strip() for part in text.split(",")] if text.strip() else []
 
 
-class _LineParser:
-    """Shared instruction-parsing machinery for assemble and expand_pseudo."""
+def _split_statement(text: str):
+    """Lower-cased mnemonic and operand list of one stripped statement."""
+    parts = text.split(None, 1)
+    if len(parts) == 1:
+        return parts[0].lower(), []
+    return parts[0].lower(), [part.strip() for part in parts[1].split(",")]
 
-    def __init__(self, defsym=None, filename="<source>"):
-        self.defsym = defsym or {}
-        self.filename = filename
 
-    def error(self, message, line=0, column=1):
-        return ParseError(message, line=line, column=column, filename=self.filename)
+# Each real mnemonic's operand shape, and the operand count of each shape.
+_FORMAT_SHAPES = {codec._R: "rrr", codec._I: "rri", codec._SHIFT: "rri", codec._U: "ri",
+                  codec._J: "jal", codec._B: "branch", codec._S: "store", codec._SYS: "sys"}
+_SHAPES = {mnemonic: "load" if mnemonic in codec.LOAD_MNEMONICS else _FORMAT_SHAPES[spec[0]]
+           for mnemonic, spec in codec._ISA.items()}
+_ARITY = {"rrr": 3, "rri": 3, "ri": 2, "jal": 2, "branch": 3, "load": 2, "store": 2, "sys": 0}
 
-    def parse_instruction(self, mnemonic, operand_text, lineno):
-        """Parse one real instruction; branch targets come back symbolic."""
-        err = lambda msg: self.error(msg, line=lineno)
-        ops = _split_operands(operand_text)
-        target = None
 
-        def want(n):
-            if len(ops) != n:
-                raise err(f"{mnemonic} expects {n} operand(s), got {len(ops)}")
-
-        if mnemonic in ("lui", "auipc"):
-            want(2)
-            insn = Insn(mnemonic, rd=_parse_reg(ops[0], err),
-                        imm=_parse_int(ops[1], self.defsym, err))
-        elif mnemonic == "jal":
-            want(2)
-            rd = _parse_reg(ops[0], err)
-            imm, target = self._branch_target(ops[1], err)
-            insn = Insn("jal", rd=rd, imm=imm)
-        elif mnemonic == "jalr":
-            want(3)
-            insn = Insn("jalr", rd=_parse_reg(ops[0], err), rs1=_parse_reg(ops[1], err),
-                        imm=_parse_int(ops[2], self.defsym, err))
-        elif mnemonic in codec.BRANCH_MNEMONICS:
-            want(3)
-            rs1 = _parse_reg(ops[0], err)
-            rs2 = _parse_reg(ops[1], err)
-            imm, target = self._branch_target(ops[2], err)
-            insn = Insn(mnemonic, rs1=rs1, rs2=rs2, imm=imm)
-        elif mnemonic in codec.LOAD_MNEMONICS:
-            want(2)
-            imm, rs1 = self._mem_operand(ops[1], err)
-            insn = Insn(mnemonic, rd=_parse_reg(ops[0], err), rs1=rs1, imm=imm)
-        elif mnemonic in codec.STORE_MNEMONICS:
-            want(2)
-            imm, rs1 = self._mem_operand(ops[1], err)
-            insn = Insn(mnemonic, rs2=_parse_reg(ops[0], err), rs1=rs1, imm=imm)
-        elif mnemonic in ("ecall", "ebreak"):
-            want(0)
-            insn = Insn(mnemonic)
-        elif mnemonic in codec.MNEMONICS:
-            want(3)
-            fmt = codec._ISA[mnemonic][0]
-            rd = _parse_reg(ops[0], err)
-            rs1 = _parse_reg(ops[1], err)
-            if fmt == codec._R:
-                insn = Insn(mnemonic, rd=rd, rs1=rs1, rs2=_parse_reg(ops[2], err))
-            else:
-                insn = Insn(mnemonic, rd=rd, rs1=rs1,
-                            imm=_parse_int(ops[2], self.defsym, err))
-        else:
-            raise err(f"unknown mnemonic {mnemonic!r}")
-        return insn, target
-
-    def _branch_target(self, token, err):
-        """Return (imm, symbol): numeric deltas resolve now, names later."""
-        try:
-            return int(token, 0), None
-        except ValueError:
-            pass
-        if not _IDENT.match(token):
-            raise err(f"{token!r} is not a label or byte offset")
-        return 0, token
-
-    def _mem_operand(self, token, err):
-        match = _MEM_OPERAND.match(token)
-        if not match:
-            raise err(f"{token!r} is not an offset(base) operand")
-        off_text, base = match.groups()
-        offset = _parse_int(off_text, self.defsym, err) if off_text else 0
-        return offset, _parse_reg(base, err)
+def _parse_operands(mnemonic, ops, defsym):
+    """(rd, rs1, rs2, imm, target) of one real instruction; a symbolic
+    branch target comes back as `target` with imm 0."""
+    shape = _SHAPES[mnemonic]
+    if len(ops) != _ARITY[shape]:
+        raise ParseError(f"{mnemonic} expects {_ARITY[shape]} operand(s), got {len(ops)}")
+    if shape == "rri":
+        return _parse_reg(ops[0]), _parse_reg(ops[1]), 0, _parse_int(ops[2], defsym), None
+    if shape == "rrr":
+        return _parse_reg(ops[0]), _parse_reg(ops[1]), _parse_reg(ops[2]), 0, None
+    if shape == "load" or shape == "store":  # offset(base) is checked first
+        imm, rs1 = _mem_operand(ops[1], defsym)
+        reg = _parse_reg(ops[0])
+        return (reg, rs1, 0, imm, None) if shape == "load" else (0, rs1, reg, imm, None)
+    if shape == "branch":
+        return (0, _parse_reg(ops[0]), _parse_reg(ops[1]), *_branch_target(ops[2]))
+    if shape == "jal":
+        return (_parse_reg(ops[0]), 0, 0, *_branch_target(ops[1]))
+    if shape == "ri":
+        return _parse_reg(ops[0]), 0, 0, _parse_int(ops[1], defsym), None
+    return 0, 0, 0, 0, None
 
 
 @dataclass
@@ -247,88 +230,65 @@ def expand_pseudo(line: str, lineage: int = 0, defsym=None) -> ExpandedPseudo:
     Every produced instruction carries the given lineage id so that tag
     propagation can treat the expansion as one unit.
     """
-    parser = _LineParser(defsym=defsym)
     text = line.split("#", 1)[0].strip()
-    parts = text.split(None, 1)
-    if not parts:
+    if not text:
         raise UnsupportedPseudo("empty line")
-    mnemonic = parts[0].lower()
-    operand_text = parts[1] if len(parts) > 1 else ""
+    mnemonic, ops = _split_statement(text)
     if mnemonic not in PSEUDO_MNEMONICS:
         raise UnsupportedPseudo(f"{mnemonic!r} is not a supported pseudo-instruction")
-    err = lambda msg: ParseError(msg)
-    ops = _split_operands(operand_text)
+    return ExpandedPseudo(*_expand(mnemonic, ops, lineage, defsym or {}))
 
-    def tagged(insn):
-        return TaggedInsn(insn=insn, lineage=lineage)
 
-    if mnemonic == "nop":
-        if ops:
-            raise err("nop takes no operands")
-        return ExpandedPseudo([tagged(Insn("addi"))])
-    if mnemonic == "ret":
-        if ops:
-            raise err("ret takes no operands")
-        return ExpandedPseudo([tagged(Insn("jalr", rd=0, rs1=1, imm=0))])
-    if mnemonic == "jr":
-        if len(ops) != 1:
-            raise err("jr expects rs")
-        return ExpandedPseudo([tagged(Insn("jalr", rd=0, rs1=_parse_reg(ops[0], err), imm=0))])
-    if mnemonic == "mv":
-        if len(ops) != 2:
-            raise err("mv expects rd, rs")
-        return ExpandedPseudo(
-            [tagged(Insn("addi", rd=_parse_reg(ops[0], err), rs1=_parse_reg(ops[1], err)))]
-        )
+def _expand(mnemonic, ops, lineage, defsym):
+    """(insns, relocations, branch target) of one pseudo-instruction."""
     if mnemonic == "li":
         if len(ops) != 2:
-            raise err("li expects rd, value")
-        rd = _parse_reg(ops[0], err)
-        value = _parse_int(ops[1], parser.defsym, err)
-        return ExpandedPseudo(_expand_li(rd, value, lineage))
-    if mnemonic == "j":
-        if len(ops) != 1:
-            raise err("j expects a target")
-        imm, target = parser._branch_target(ops[0], err)
-        insn = tagged(Insn("jal", rd=0, imm=imm))
-        return ExpandedPseudo([insn], branch_target=target)
+            raise ParseError("li expects rd, value")
+        return _expand_li(_parse_reg(ops[0]), _parse_int(ops[1], defsym), lineage), [], None
     if mnemonic == "call":
         if len(ops) != 1 or not _IDENT.match(ops[0]):
-            raise err("call expects a symbol")
-        pair = [
-            tagged(Insn("auipc", rd=5)),            # t0 <- HI(target)
-            tagged(Insn("jalr", rd=1, rs1=5)),      # ra <- pc+4, LO(target)
-        ]
-        relocs = [
-            Relocation("Hi20", 0, ops[0]),
-            Relocation("Lo12I", 4, ops[0]),
-        ]
-        return ExpandedPseudo(pair, relocs)
-    # la rd, symbol
-    if len(ops) != 2 or not _IDENT.match(ops[1]):
-        raise err("la expects rd, symbol")
-    rd = _parse_reg(ops[0], err)
-    pair = [
-        tagged(Insn("auipc", rd=rd)),
-        tagged(Insn("addi", rd=rd, rs1=rd)),
-    ]
-    relocs = [
-        Relocation("Hi20", 0, ops[1]),
-        Relocation("Lo12I", 4, ops[1]),
-    ]
-    return ExpandedPseudo(pair, relocs)
+            raise ParseError("call expects a symbol")
+        pair = [TaggedInsn(Insn("auipc", 5), None, lineage),    # t0 <- HI(target)
+                TaggedInsn(Insn("jalr", 1, 5), None, lineage)]  # ra <- pc+4, LO(target)
+        return pair, [Relocation("Hi20", 0, ops[0]), Relocation("Lo12I", 4, ops[0])], None
+    if mnemonic == "la":
+        if len(ops) != 2 or not _IDENT.match(ops[1]):
+            raise ParseError("la expects rd, symbol")
+        rd = _parse_reg(ops[0])
+        pair = [TaggedInsn(Insn("auipc", rd), None, lineage),
+                TaggedInsn(Insn("addi", rd, rd), None, lineage)]
+        return pair, [Relocation("Hi20", 0, ops[1]), Relocation("Lo12I", 4, ops[1])], None
+    target = None
+    if mnemonic == "mv":
+        if len(ops) != 2:
+            raise ParseError("mv expects rd, rs")
+        insn = Insn("addi", _parse_reg(ops[0]), _parse_reg(ops[1]))
+    elif mnemonic == "j":
+        if len(ops) != 1:
+            raise ParseError("j expects a target")
+        imm, target = _branch_target(ops[0])
+        insn = Insn("jal", 0, 0, 0, imm)
+    elif mnemonic == "jr":
+        if len(ops) != 1:
+            raise ParseError("jr expects rs")
+        insn = Insn("jalr", 0, _parse_reg(ops[0]))
+    elif ops:  # nop, ret
+        raise ParseError(f"{mnemonic} takes no operands")
+    else:
+        insn = Insn("addi") if mnemonic == "nop" else Insn("jalr", 0, 1)
+    return [TaggedInsn(insn, None, lineage)], [], target
 
 
 def _expand_li(rd, value, lineage):
     if -2048 <= value <= 2047:
-        return [TaggedInsn(Insn("addi", rd=rd, imm=value), lineage=lineage)]
+        return [TaggedInsn(Insn("addi", rd, 0, 0, value), None, lineage)]
     if not -(1 << 31) <= value <= (1 << 31) - 1:
         raise codec.OperandRange(f"li: {value:#x} does not fit 32 signed bits")
     hi = ((value + 0x800) >> 12) & 0xFFFFF
     lo = (value & 0xFFF) - (value & 0x800) * 2
     return [
-        TaggedInsn(Insn("lui", rd=rd, imm=hi), lineage=lineage),
-        TaggedInsn(Insn("addi", rd=rd, rs1=rd, imm=lo), lineage=lineage),
+        TaggedInsn(Insn("lui", rd, 0, 0, hi), None, lineage),
+        TaggedInsn(Insn("addi", rd, rd, 0, lo), None, lineage),
     ]
 
 
@@ -350,11 +310,12 @@ def _split_labels(raw):
 
 class _Assembler:
     def __init__(self, defsym=None, filename="<source>"):
-        self.parser = _LineParser(defsym=defsym, filename=filename)
+        self.defsym = defsym or {}
         self.filename = filename
         self.program = Program()
         self.section = "text"
         self.current: Fragment | None = None
+        self.fragments = {}         # name -> Fragment
         self.declared = {}          # name -> set of markers from directives
         self.entry_requests = []
         self.local_labels = {}      # fragment name -> {label: insn index}
@@ -368,6 +329,8 @@ class _Assembler:
     # -- pass A: directive scan ------------------------------------------
     def scan_declarations(self, lines):
         for lineno, raw in lines:
+            if "." not in raw:  # no directive here
+                continue
             _, text = _split_labels(raw)
             if not text.startswith("."):
                 continue
@@ -409,14 +372,14 @@ class _Assembler:
         if self.section == "data":
             if name in self.program.data_symbols:
                 raise self.error(f"duplicate data symbol {name!r}", lineno)
-            if any(f.name == name for f in self.program.fragments):
+            if name in self.fragments:
                 raise self.error(f"{name!r} is already a function", lineno)
             self.program.data_symbols[name] = len(self.program.data)
             return
         markers = self.declared.get(name, set())
         starts_fragment = bool(markers) or self.current is None
         if starts_fragment:
-            if any(f.name == name for f in self.program.fragments):
+            if name in self.fragments:
                 raise self.error(f"duplicate function {name!r}", lineno)
             if name in self.program.data_symbols:
                 raise self.error(f"{name!r} is already a data symbol", lineno)
@@ -428,6 +391,7 @@ class _Assembler:
             if frag.exported and frag.internal:
                 raise self.error(f"{name!r} is both .globl and .internal", lineno)
             self.program.fragments.append(frag)
+            self.fragments[name] = frag
             self.current = frag
             self.local_labels[name] = {}
         else:
@@ -463,18 +427,23 @@ class _Assembler:
                 raise self.error(f"{name} outside .data", lineno)
             width = 4 if name == ".word" else 8
             for token in _split_operands(arg):
-                value = _parse_int(token, self.parser.defsym,
-                                   lambda m: self.error(m, lineno))
+                value = self._directive_int(token, lineno)
                 self.program.data += (value & ((1 << width * 8) - 1)).to_bytes(width, "little")
         elif name == ".zero":
             if self.section != "data":
                 raise self.error(".zero outside .data", lineno)
-            count = _parse_int(arg, self.parser.defsym, lambda m: self.error(m, lineno))
+            count = self._directive_int(arg, lineno)
             if count < 0:
                 raise self.error(".zero expects a non-negative count", lineno)
             self.program.data += bytes(count)
         else:
             raise self.error(f"unknown directive {name!r}", lineno)
+
+    def _directive_int(self, token, lineno):
+        try:
+            return _parse_int(token, self.defsym)
+        except ParseError as exc:
+            raise self.error(exc.message, lineno) from None
 
     def instruction(self, text, lineno):
         if self.section != "text":
@@ -482,68 +451,59 @@ class _Assembler:
         if self.current is None:
             raise self.error("instruction before any function label", lineno)
 
-        tokens = text.split()
-        annotations = set()
-        while tokens and tokens[-1].startswith("!"):
-            word = tokens.pop()[1:]
-            if word not in ANNOTATIONS:
-                raise self.error(f"unknown annotation !{word}", lineno)
-            annotations.add(word)
-        text = " ".join(tokens)
-        parts = text.split(None, 1)
-        mnemonic = parts[0].lower()
-        operand_text = parts[1] if len(parts) > 1 else ""
+        annotations = frozenset()
+        if "!" in text:
+            tokens = text.split()
+            found = set()
+            while tokens and tokens[-1].startswith("!"):
+                word = tokens.pop()[1:]
+                if word not in ANNOTATIONS:
+                    raise self.error(f"unknown annotation !{word}", lineno)
+                found.add(word)
+            if not tokens:
+                raise self.error("annotations without an instruction", lineno)
+            text = " ".join(tokens)
+            annotations = frozenset(found)
+        mnemonic, ops = _split_statement(text)
 
         frag = self.current
         base_index = len(frag.insns)
         calltype = self.pending_calltype
         self.pending_calltype = None
-
-        if mnemonic in PSEUDO_MNEMONICS:
-            if annotations & {"unsigned", "optout"}:
-                raise self.error(
-                    "!unsigned/!optout require a bare arithmetic instruction", lineno)
-            self.program.lineage_count += 1
-            lineage = self.program.lineage_count
-            try:
-                expansion = expand_pseudo(text, lineage=lineage, defsym=self.parser.defsym)
-            except codec.OperandRange as exc:
-                raise self.error(str(exc), lineno) from None
-            except ParseError as exc:  # expand_pseudo knows no line
-                raise self.error(exc.message, lineno) from None
-            for member in expansion.insns:
-                member.annotations = frozenset(annotations)
-            if expansion.relocations:
-                pair_id = self._next_pair_id()
-                for reloc in expansion.relocations:
-                    frag.relocations.append(Relocation(
-                        kind=reloc.kind,
-                        offset=4 * base_index + reloc.offset,
-                        target=reloc.target,
-                        pair_id=pair_id,
-                    ))
-            if calltype is not None:
-                for member in expansion.insns:
-                    if member.insn.mnemonic == "jalr":
-                        member.calltype = calltype
-            frag.insns.extend(expansion.insns)
-            if expansion.branch_target is not None:
-                self.branch_refs.append((frag, base_index, expansion.branch_target, lineno))
-            return
-
-        if mnemonic not in codec.MNEMONICS:
-            raise self.error(f"unknown mnemonic {mnemonic!r}", lineno)
-        if annotations & {"unsigned", "optout"} and mnemonic not in codec.ADDSUB_MNEMONICS:
-            raise self.error(
-                f"!unsigned/!optout do not apply to {mnemonic!r}", lineno)
-        insn, target = self.parser.parse_instruction(mnemonic, operand_text, lineno)
         try:
-            codec.encode(insn)  # operand-range errors belong to this line
+            if mnemonic in PSEUDO_MNEMONICS:
+                if annotations & _UNSIGNED_ANNOTATIONS:
+                    raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
+                self.program.lineage_count += 1
+                insns, relocations, target = _expand(
+                    mnemonic, ops, self.program.lineage_count, self.defsym)
+                if annotations or calltype is not None:
+                    for member in insns:
+                        member.annotations = annotations
+                        if member.insn.mnemonic == "jalr":
+                            member.calltype = calltype
+            else:
+                if mnemonic not in _SHAPES:
+                    raise ParseError(f"unknown mnemonic {mnemonic!r}")
+                if annotations & _UNSIGNED_ANNOTATIONS and mnemonic not in codec.ADDSUB_MNEMONICS:
+                    raise ParseError(f"!unsigned/!optout do not apply to {mnemonic!r}")
+                rd, rs1, rs2, imm, target = _parse_operands(mnemonic, ops, self.defsym)
+                codec.encode_fields(mnemonic, rd, rs1, rs2, imm)  # range errors belong here
+                insns = [TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
+                                    annotations, calltype)]
+                relocations = None
+        except ParseError as exc:
+            raise self.error(exc.message, lineno) from None
         except codec.OperandRange as exc:
             raise self.error(str(exc), lineno) from None
-        tagged = TaggedInsn(insn=insn, annotations=frozenset(annotations),
-                            calltype=calltype)
-        frag.insns.append(tagged)
+
+        if relocations:
+            pair_id = self._next_pair_id()
+            for reloc in relocations:
+                reloc.offset += 4 * base_index
+                reloc.pair_id = pair_id
+            frag.relocations += relocations
+        frag.insns += insns
         if target is not None:
             self.branch_refs.append((frag, base_index, target, lineno))
 
@@ -553,14 +513,8 @@ class _Assembler:
         self._pair_counter += 1
         return self._pair_counter
 
-    def _note_address_taken(self, symbol):
-        for frag in self.program.fragments:
-            if frag.name == symbol:
-                frag.address_taken = True
-
     # -- pass C: local branch resolution ----------------------------------
     def resolve_local_branches(self):
-        frag_names = {f.name for f in self.program.fragments}
         for frag, index, symbol, lineno in self.branch_refs:
             locals_ = self.local_labels[frag.name]
             if symbol in locals_ or symbol == frag.name:
@@ -568,10 +522,10 @@ class _Assembler:
                 if target_index == len(frag.insns):
                     raise self.error(f"label {symbol!r} ends {frag.name!r}: no instruction "
                                      "follows it to branch to", lineno)
-                delta = 4 * (target_index - index)
                 old = frag.insns[index].insn
-                frag.insns[index].insn = replace(old, imm=delta)
-            elif symbol in frag_names:
+                frag.insns[index].insn = Insn(old.mnemonic, old.rd, old.rs1, old.rs2,
+                                              4 * (target_index - index))
+            elif symbol in self.fragments:
                 kind = "Jal" if frag.insns[index].insn.mnemonic == "jal" else "Branch"
                 frag.relocations.append(Relocation(kind, 4 * index, symbol))
             elif symbol in self.program.data_symbols:
@@ -586,24 +540,24 @@ class _Assembler:
                 if reloc.kind == "Lo12I":
                     lo_by_pair.setdefault(reloc.pair_id, reloc)
             for reloc in frag.relocations:
-                if reloc.kind == "Hi20" and reloc.target in frag_names:
+                if reloc.kind == "Hi20" and reloc.target in self.fragments:
                     lo = lo_by_pair.get(reloc.pair_id)
                     if lo is not None and frag.insns[lo.offset // 4].insn.mnemonic == "addi":
-                        self._note_address_taken(reloc.target)
+                        self.fragments[reloc.target].address_taken = True
 
     def finish_symbols(self):
         if not self.program.fragments:
             raise ParseError("no code in input", filename=self.filename)
         if self.entry_requests:
             entry = self.entry_requests[0]
-            if entry not in {f.name for f in self.program.fragments}:
+            if entry not in self.fragments:
                 raise UndefinedSymbol(f".entry symbol {entry!r} is not a function")
             self.program.entry = entry
             self.program.entry_explicit = True
         else:
             self.program.entry = self.program.fragments[0].name
         declared_names = set(self.declared)
-        defined = {f.name for f in self.program.fragments} | set(self.program.data_symbols)
+        defined = set(self.fragments) | set(self.program.data_symbols)
         for name in declared_names - defined:
             raise UndefinedSymbol(f"declared symbol {name!r} is never defined")
 
@@ -617,16 +571,16 @@ def merge_programs(programs) -> Program:
     """Combine per-file programs into one link unit."""
     merged = Program()
     explicit = []
+    names = set()  # fragment names so far
     for prog in programs:
         data_base = len(merged.data)
         for frag in prog.fragments:
-            if any(f.name == frag.name for f in merged.fragments) \
-                    or frag.name in merged.data_symbols:
+            if frag.name in names or frag.name in merged.data_symbols:
                 raise ParseError(f"duplicate symbol {frag.name!r} across inputs")
             merged.fragments.append(frag)
+            names.add(frag.name)
         for name, off in prog.data_symbols.items():
-            if name in merged.data_symbols \
-                    or any(f.name == name for f in merged.fragments):
+            if name in merged.data_symbols or name in names:
                 raise ParseError(f"duplicate symbol {name!r} across inputs")
             merged.data_symbols[name] = data_base + off
         merged.data += prog.data

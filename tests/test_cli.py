@@ -358,3 +358,40 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     assert f"run failed: tag slot {carrier:#x}" in capsys.readouterr().err
     assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
+
+
+def test_diff_run_generate_json_stdout_is_one_document(workspace, capsys, tmp_path):
+    code = main(["diff-run", "--config", str(workspace / "tags.conf"),
+                 "--json", "--generate", "2", "--seed", "5"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["aggregate"]["programs"] == 2
+    assert captured.err == "corpus seed: 5\n"
+    saved = tmp_path / "saved.json"
+    saved.write_text(captured.out)
+    assert main(["report", str(saved)]) == 0
+
+
+@pytest.mark.parametrize("content", [b"corpus seed: 4\n{}", b"[1, 2]", b"\xff\xfe{"])
+def test_report_rejects_a_file_that_is_not_a_json_object(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["report", str(bad)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"rvtag: {bad}: not a JSON report: ")
+
+
+def test_run_reports_a_malformed_image_as_an_image_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rvti"
+    bad.write_bytes(b"NOPE" + bytes(40))
+    assert main(["run", str(bad)]) == cli.EXIT_BUILD
+    assert capsys.readouterr().err == "rvtag: image error: bad magic b'NOPE'\n"
+
+
+def test_build_rejects_a_statement_of_only_annotations(workspace, capsys):
+    source = workspace / "bare.s"
+    source.write_text("main:\n    li a0, 1\n    !unsigned\n    ecall\n")
+    code = main(["build", "--config", str(workspace / "tags.conf"),
+                 "--out", str(workspace / "bare.rvti"), str(source)])
+    assert code == cli.EXIT_BUILD
+    assert capsys.readouterr().err == (
+        "rvtag: build error: <input 0>:3:1: annotations without an instruction\n")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,3 +210,32 @@ def test_pack_unpack_round_trip_1000_random():
         tags = tuple(rng.randrange(1 << bits) for _ in range(coverage))
         pack = TagPack(coverage=coverage, tags=tags)
         assert unpack_tags(carrier, coverage, pack_tags(carrier, pack)) == pack
+
+
+def test_tag_packer_and_reader_round_trip_every_layout():
+    for (carrier, coverage), bits in TAG_BITS.items():
+        pack, read = codec.tag_packer(carrier, coverage), codec.tag_reader(carrier, coverage)
+        top = (1 << bits) - 1
+        for tags in ((0,) * coverage, (top,) * coverage,
+                     tuple(top if i % 2 else i % (top + 1) for i in range(coverage))):
+            word = pack(tags)
+            assert read(word) == tags
+            assert word == pack_tags(carrier, TagPack(coverage, tags))
+        for oversize in (top + 1, -1):
+            with pytest.raises(PackOverflow, match=f"tag value {oversize} exceeds {bits} bits"):
+                pack((0,) * (coverage - 1) + (oversize,))
+    with pytest.raises(PackOverflow, match="addi has no coverage-15 layout"):
+        codec.tag_packer(TagCarrier.ADDI_NOP, 15)
+
+
+def test_encode_fields_matches_encode_and_names_the_bad_field():
+    for insn, word in KNOWN_WORDS:
+        assert codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm) == word
+    for fields, message in (
+            (("add", 32, 0, 0), "rd=32 is not a register index"),
+            (("add", 0, 40, -1), "rs1=40 is not a register index"),
+            (("sd", 0, 2, -1, 8), "rs2=-1 is not a register index"),
+            (("beq", 0, 0, 0, 3), "beq: offset 3 must be even"),
+            (("mret",), "unsupported mnemonic 'mret'")):
+        with pytest.raises(OperandRange, match=re.escape(message)):
+            codec.encode_fields(*fields)

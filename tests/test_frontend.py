@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,20 @@ def test_calltype_binds_to_next_jalr():
     assert frag.insns[0].calltype is None
 
 
+def test_calltype_survives_an_annotation():
+    program = assemble(
+        "main:\n"
+        '    .calltype "i64(i64)"\n'
+        "    jalr ra, t1, 0 !count\n"
+        '    .calltype "i64()"\n'
+        "    call main !count\n"
+    )
+    jalr, auipc, call = program.fragment("main").insns
+    assert (jalr.calltype, jalr.annotations) == ("i64(i64)", {"count"})
+    assert (auipc.calltype, auipc.annotations) == (None, {"count"})
+    assert (call.calltype, call.annotations) == ("i64()", {"count"})
+
+
 def test_annotations():
     program = assemble(
         "main:\n"
@@ -190,6 +206,17 @@ def test_annotations():
     assert insns[0].annotations == {"unsigned"}
     assert insns[1].annotations == {"unsigned", "optout"}
     assert insns[2].annotations == {"count"}
+
+
+@pytest.mark.parametrize("source, line", [
+    ("main:\n    !unsigned\n    ecall\n", 2),
+    ("main:\n    ret\n    !unsigned\n", 3),
+    ("main: !count !optout\n    ecall\n", 1),
+])
+def test_statement_of_only_annotations_is_a_parse_error(source, line):
+    with pytest.raises(ParseError) as info:
+        assemble(source)
+    assert (info.value.message, info.value.line) == ("annotations without an instruction", line)
 
 
 def test_unsigned_annotation_restricted():
@@ -389,3 +416,191 @@ def test_merge_programs():
     assert merged.entry == "main" and merged.entry_explicit
     assert merged.data_symbols == {"buf_a": 0, "buf_b": 4}
     assert len(merged.data) == 8
+
+
+# ---------------------------------------------------------------------------
+# Pinned assembly: every field of the program model
+
+def _assembly_record(program) -> bytes:
+    """repr of the whole Program, with each annotation set sorted so the
+    record does not depend on string hashing."""
+    fragments = [
+        (frag.name, frag.exported, frag.internal, frag.address_taken, frag.signature,
+         frag.relocations,
+         [(ti.insn, ti.tag, ti.lineage, ti.is_label, sorted(ti.annotations), ti.calltype)
+          for ti in frag.insns])
+        for frag in program.fragments
+    ]
+    return repr((fragments, bytes(program.data), program.data_symbols, program.entry,
+                 program.entry_explicit, program.lineage_count,
+                 program.lineage_first_tag)).encode()
+
+
+# sha256 over the records below, computed with the assembler that parsed
+# operands through a per-mnemonic elif chain and re-parsed pseudo lines.
+ASSEMBLY_DIGEST = "1e06c88147eb950614131201d9a9fcec96e5ea736ba49ca2f726ce3a439920d1"
+
+
+def test_assembly_is_pinned():
+    import random
+
+    from test_acceptance import (
+        CALLEE_FIRST,
+        COVERAGE_BLOCKS,
+        LOOP_PROGRAM,
+        MICRO_TESTS,
+        UNDERFLOW_COPY,
+        _cfi_source,
+    )
+    from test_emulator import _bench_workloads
+
+    from rvtag.corpus import generate_corpus
+
+    workloads = _bench_workloads()
+    sources = generate_corpus(7, 40) + MICRO_TESTS + [
+        CALLEE_FIRST,
+        COVERAGE_BLOCKS,
+        _cfi_source('"i64(i64)"', '"i64(i64)"'),
+        _cfi_source('"i64(ptr)"', '"i64(i64)"', fixup="    addi t1, t1, 8\n"),
+        UNDERFLOW_COPY.format(len1=2, len2=3, annot="!unsigned"),
+        UNDERFLOW_COPY.format(len1=2, len2=3, annot="!unsigned !optout"),
+        UNDERFLOW_COPY.format(len1=3, len2=2, annot="!count"),
+        workloads.kernel(random.Random(3), 40)[0],
+        workloads.large_unit(random.Random(3), 12)[0],
+    ]
+    digest = hashlib.sha256()
+    for text in sources:
+        digest.update(_assembly_record(assemble(text)))
+    digest.update(_assembly_record(assemble(LOOP_PROGRAM, defsym={"ITERS": 5})))
+    assert digest.hexdigest() == ASSEMBLY_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Malformed statements: exact message and line, at least one per operand shape
+
+MALFORMED = [
+    # rrr
+    ("add a0, a1", "add expects 3 operand(s), got 2"),
+    ("add a0, a1, q9", "'q9' is not a register"),
+    ("sub a0, a1, a2, a3", "sub expects 3 operand(s), got 4"),
+    ("add a0, a1,   a 2", "'a 2' is not a register"),
+    # rri
+    ("addi a0, a1, zz", "'zz' is not a number or defined symbol"),
+    ("addi a0, a1, 4096", "addi: immediate 4096 outside [-2048, 2047]"),
+    ("slli a0, a1, 64", "slli: immediate 64 outside [0, 63]"),
+    ("jalr ra, t1", "jalr expects 3 operand(s), got 2"),
+    ("addi a0, 5, a1", "'5' is not a register"),
+    # ri
+    ("lui a0", "lui expects 2 operand(s), got 1"),
+    ("lui a0, 0x100000", "lui: immediate 1048576 outside [0, 1048575]"),
+    ("auipc q, 1", "'q' is not a register"),
+    # jal
+    ("jal ra", "jal expects 2 operand(s), got 1"),
+    ("jal ra, 1x", "'1x' is not a label or byte offset"),
+    ("jal ra, 3", "jal: offset 3 must be even"),
+    ("jal ra, 2000000", "jal: immediate 2000000 outside [-1048576, 1048574]"),
+    ("jal 5, main", "'5' is not a register"),
+    # branch
+    ("beq a0, a1", "beq expects 3 operand(s), got 2"),
+    ("beq a0, a1, 9bad", "'9bad' is not a label or byte offset"),
+    ("beq a0, a1, 5000", "beq: immediate 5000 outside [-4096, 4094]"),
+    ("bne a0, zz, main", "'zz' is not a register"),
+    ("beq q1, q2, 9x", "'q1' is not a register"),
+    ("blt a0, a1, 7", "blt: offset 7 must be even"),
+    ("beq a0, a1, buf", "cannot branch to data symbol 'buf'"),
+    # load: the offset(base) operand is checked before the destination
+    ("lw a0, 4[sp]", "'4[sp]' is not an offset(base) operand"),
+    ("lw a0, 4(q1)", "'q1' is not a register"),
+    ("lw q9, 4(q1)", "'q1' is not a register"),
+    ("lw a0, 4\t(sp)", "'4 (sp)' is not an offset(base) operand"),
+    ("lw a0, 5000(sp)", "lw: immediate 5000 outside [-2048, 2047]"),
+    ("ld a0", "ld expects 2 operand(s), got 1"),
+    ("lw a0, FOO(sp)", "'FOO' is not a number or defined symbol"),
+    ("lw a0,", "'' is not an offset(base) operand"),
+    # store
+    ("sd a0, (sp", "'(sp' is not an offset(base) operand"),
+    ("sd q9, 4[sp]", "'4[sp]' is not an offset(base) operand"),
+    ("sw a0", "sw expects 2 operand(s), got 1"),
+    ("sb a0, -2049(sp)", "sb: immediate -2049 outside [-2048, 2047]"),
+    ("sh q0, 0(sp)", "'q0' is not a register"),
+    # sys
+    ("ecall a0", "ecall expects 0 operand(s), got 1"),
+    ("ebreak 1", "ebreak expects 0 operand(s), got 1"),
+    # unknown mnemonic, annotations
+    ("frob a0", "unknown mnemonic 'frob'"),
+    ("ADDX a0, a1, a2", "unknown mnemonic 'addx'"),
+    ("add a0, a1, a2 !signed", "unknown annotation !signed"),
+    ("jal ra, main !bogus !count", "unknown annotation !bogus"),
+    ("mul a0, a1, a2 !unsigned", "!unsigned/!optout do not apply to 'mul'"),
+    ("xor a0, a1, a2 !optout", "!unsigned/!optout do not apply to 'xor'"),
+    ("ecall !unsigned", "!unsigned/!optout do not apply to 'ecall'"),
+    # pseudo-instructions
+    ("li a0, 1 !unsigned", "!unsigned/!optout require a bare arithmetic instruction"),
+    ("call 5", "call expects a symbol"),
+    ("ret x", "ret takes no operands"),
+    ("nop 1", "nop takes no operands"),
+    ("li a0", "li expects rd, value"),
+    ("li q, zz", "'q' is not a register"),
+    ("li a0, zz", "'zz' is not a number or defined symbol"),
+    ("li a0, 0x100000000", "li: 0x100000000 does not fit 32 signed bits"),
+    ("mv a0", "mv expects rd, rs"),
+    ("mv a0, 5", "'5' is not a register"),
+    ("jr", "jr expects rs"),
+    ("jr q7", "'q7' is not a register"),
+    ("la a0, 5", "la expects rd, symbol"),
+    ("la q, buf", "'q' is not a register"),
+    ("j 1x", "'1x' is not a label or byte offset"),
+]
+
+
+@pytest.mark.parametrize("statement, message", MALFORMED)
+def test_malformed_statement_message(statement, message):
+    source = f"main:\n    nop\n    {statement}\n    ecall\n.data\nbuf:\n    .word 1\n"
+    with pytest.raises(ParseError) as info:
+        assemble(source, filename="prog.s")
+    assert (info.value.message, info.value.line) == (message, 3)
+    assert str(info.value) == f"prog.s:3:1: {message}"
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzz: junk tokens in generated programs give a Program or a BuildError
+
+FUZZ_JUNK = [
+    "!unsigned", "!optout", "!count", "!bogus", "!", ",", ", ,", "(", ")", "()",
+    "0x", "0x7ff", "-1", "4096", "99999999999", "3", "x99", "sp", "a0", "zero",
+    "4(sp)", "-8(a0)", "(sp", "lbl:", "main:", ":", ".word", ".globl", ".zero",
+    ".text", ".data", '.calltype "i64()"', '"s"', "main", "buf", "call", "li",
+    "la", "j", "ret", "nop", "ecall", "addi", "beq", "lw", "sd", "jal", "#",
+]
+
+
+def _fuzz_mutants(rng, sources, count):
+    for _ in range(count):
+        lines = rng.choice(sources).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            index = rng.randrange(len(lines))
+            tokens = lines[index].split()
+            if tokens and rng.random() < 0.3:
+                tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_JUNK)
+            else:
+                tokens.insert(rng.randint(0, len(tokens)), rng.choice(FUZZ_JUNK))
+            lines[index] = "    " + " ".join(tokens)
+        yield "\n".join(lines) + "\n"
+
+
+def test_assembly_fuzz_gives_program_or_build_error():
+    import random
+
+    from rvtag.corpus import generate_corpus
+    from rvtag.errors import BuildError
+    from rvtag.frontend import Program
+
+    rng = random.Random(8)
+    outcomes = {"program": 0, "error": 0}
+    for text in _fuzz_mutants(rng, generate_corpus(11, 20), 1000):
+        try:
+            assert isinstance(assemble(text), Program)
+            outcomes["program"] += 1
+        except BuildError:
+            outcomes["error"] += 1
+    assert outcomes["program"] and outcomes["error"]
