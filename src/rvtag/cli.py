@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import corpus, emitlink, emulator, frontend, pipeline, tagplan
+from . import corpus, emitlink, emulator, pipeline, tagplan
 from .emulator import BadInstruction, LimitExceeded, PolicyViolation
 from .errors import RvtagError
 
@@ -80,7 +80,8 @@ def _emit_json(payload) -> str:
 
 def cmd_assemble(args) -> int:
     defsym = _parse_defsyms(args.defsym)
-    program = frontend.assemble_files(args.inputs, defsym=defsym)
+    program = pipeline.assemble_sources(_read_sources(args.inputs), defsym=defsym,
+                                        filenames=args.inputs)
     summary = {
         "entry": program.entry,
         "fragments": [
@@ -121,6 +122,7 @@ def _build_one(args, config, *, tagged, with_labels=None, out_path=None):
         tagged=tagged, with_labels=with_labels, defsym=defsym,
         cfi_label_direct_calls=getattr(args, "cfi_label_direct_calls", False),
         coverage_mode=getattr(args, "coverage_mode", "all_branches"),
+        filenames=args.inputs,
     )
     if out_path is not None:
         emitlink.write_image(image, out_path)
@@ -188,8 +190,7 @@ def _write_coverage(path, image, state, policy_state) -> None:
             for pc, targets in sorted(policy_state.bcf.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_emit_json(payload))
+    emitlink.replace_file(path, _emit_json(payload).encode("utf-8"))
 
 
 def cmd_run(args) -> int:
@@ -256,20 +257,22 @@ def compare_states(base, tagged, data_base) -> str | None:
 
 
 def diff_one(name, sources, config, *, defsym=None, max_insns,
-             cfi_label_direct_calls=False) -> dict:
+             cfi_label_direct_calls=False, filenames=None) -> dict:
     """Build baseline and tagged images for one program, run both, compare.
 
     Under the cfi policy a labels-off build rides along so the label cost
-    shows up separately in the report.
+    shows up separately in the report.  `filenames` names the sources in
+    build errors, as in pipeline.assemble_sources.
     """
-    baseline = pipeline.build_image(sources, config, tagged=False, defsym=defsym)
+    baseline = pipeline.build_image(sources, config, tagged=False, defsym=defsym,
+                                    filenames=filenames)
     base_state, base_counters, _ = emulator.run(
         baseline, mode="compat", max_insns=max_insns)
 
     def measure(with_labels):
         tagged = pipeline.build_image(
             sources, config, tagged=True, with_labels=with_labels, defsym=defsym,
-            cfi_label_direct_calls=cfi_label_direct_calls)
+            cfi_label_direct_calls=cfi_label_direct_calls, filenames=filenames)
         tag_state, tag_counters, _ = emulator.run(
             tagged, mode="compat", max_insns=max_insns)
         divergence = compare_states(base_state, tag_state, baseline.data_base)
@@ -296,19 +299,18 @@ def cmd_diff_run(args) -> int:
         seed = args.seed if args.seed is not None else random.randrange(1 << 30)
         print(f"corpus seed: {seed}", file=sys.stderr if args.json else sys.stdout)
         for i, text in enumerate(corpus.generate_corpus(seed, args.generate)):
-            programs.append((f"gen-{seed}-{i}", [text]))
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as handle:
-            programs.append((path, [handle.read()]))
+            programs.append((f"gen-{seed}-{i}", [text], None))
+    for path, text in zip(args.inputs, _read_sources(args.inputs)):
+        programs.append((path, [text], [path]))
     if not programs:
         raise CliError("nothing to run: pass inputs or --generate N")
 
     results = []
     try:
-        for name, sources in programs:
+        for name, sources, filenames in programs:
             results.append(diff_one(
                 name, sources, config, defsym=defsym, max_insns=args.max_insns,
-                cfi_label_direct_calls=args.cfi_label_direct_calls))
+                cfi_label_direct_calls=args.cfi_label_direct_calls, filenames=filenames))
     except EquivalenceFailure as exc:
         print(f"equivalence failure: {exc}", file=sys.stderr)
         return EXIT_EQUIV

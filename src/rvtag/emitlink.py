@@ -22,7 +22,9 @@ Image file format "RVTI", little-endian throughout:
         start u64, group_count u32, coverage u8, carrier u8, pad u16
 
 Region starts are word-aligned, strictly increasing and inside text; each
-(carrier, coverage) pair has a tag layout; nothing follows the table.
+region has at least one group, and its last carrier starts before the next
+region (or the end of text); each (carrier, coverage) pair has a tag
+layout; nothing follows the table.
 tagplan.carrier_groups turns the table into the slot schedule that
 scan_labels and the emulator share.  The image stores no label list: a
 label is a lui x0 word, so scan_labels reads the labels from the words.
@@ -31,6 +33,8 @@ label is a lui x0 word, so scan_labels reads the labels from the words.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -264,8 +268,26 @@ def write_image(image: Image, path) -> None:
     for region in image.tag_regions:
         blob += _REGION.pack(region.start, region.group_count,
                              region.coverage, _CARRIER_CODES[region.carrier], 0)
+    replace_file(path, blob)
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write `data` to `path` as a new file, the way rvtag writes every output.
+
+    An existing regular file is unlinked, not truncated: on ext4 (with its
+    default auto_da_alloc) a truncate-and-rewrite forces the file's writeback
+    when it is closed, and a new file under the same name does not.  Any
+    other path is never unlinked: a symlink is written through, and a
+    device such as /dev/null is written in place.  The new file takes its
+    mode from the umask, and other hard links keep the old content.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "wb") as handle:
-        handle.write(blob)
+        handle.write(data)
 
 
 class _Reader:
@@ -310,6 +332,8 @@ def read_image(path) -> Image:
     regions = []
     for _ in range(region_count):
         start, group_count, coverage, carrier_code, _pad = reader.take(_REGION)
+        if not group_count:
+            raise FormatError(f"region {start:#x} has no carrier groups")
         if carrier_code not in _CARRIER_FROM_CODE:
             raise FormatError(f"unknown carrier code {carrier_code}")
         carrier = _CARRIER_FROM_CODE[carrier_code]
@@ -326,6 +350,13 @@ def read_image(path) -> Image:
                               f"{regions[-1].start:#x}")
         regions.append(TagRegion(start=start, group_count=group_count,
                                  coverage=coverage, carrier=carrier))
+    # Each region's last carrier starts before the next region, or before
+    # the end of text for the last one.
+    for region, bound in zip(regions, [r.start for r in regions[1:]] + [text_base + text_len]):
+        stride = tagplan.INSN_SIZE * (region.coverage + 1)
+        if region.start + stride * (region.group_count - 1) >= bound:
+            raise FormatError(f"region {region.start:#x}: {region.group_count} carrier "
+                              f"groups of {stride} bytes run past {bound:#x}")
     if reader.pos != len(blob):
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")

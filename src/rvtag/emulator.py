@@ -359,16 +359,23 @@ class Emulator:
     # -- slot schedule -----------------------------------------------------------
     def _resolve(self, groups, pc: int | None = None) -> None:
         """Enter carrier groups into the pc -> tag schedule (None = carrier);
-        pc is that of the store that wrote them, if any."""
+        pc is that of the store that wrote them, if any.  A carrier in whole
+        text words is read from the text segment, any other through _fetch."""
         tags = self._tags
         aware = self.mode == "aware"
-        for region, carrier_addr, group_end in groups:
+        text, base, words_end = self.memory.text, self.image.text_base, self._words_end
+        region = None
+        for group_region, carrier_addr, group_end in groups:
             tags[carrier_addr] = None
             if not aware:
                 continue
-            read = codec.tag_reader(region.carrier, region.coverage)
+            if group_region is not region:
+                region = group_region
+                read = codec.tag_reader(region.carrier, region.coverage)
+            word = (_WORD.unpack_from(text, carrier_addr - base)[0]
+                    if base <= carrier_addr < words_end else self._fetch(carrier_addr))
             try:
-                values = read(self._fetch(carrier_addr))
+                values = read(word)
             except codec.NotACarrier as exc:
                 raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}", pc) from None
             tags.update(zip(range(carrier_addr + 4, group_end, 4), values))

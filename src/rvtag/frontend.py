@@ -19,8 +19,8 @@ Grammar (one statement per line, `#` comments):
 Instruction operands accept decimal/hex immediates, `!unsigned`, `!optout`
 and `!count` trailing annotations, and `--defsym`-style symbol overrides for
 immediate identifiers.  Branch/jump targets are label names or literal byte
-deltas.  Pseudo-instructions call/j/jr/ret/li/mv/nop/la expand with a shared
-lineage id per source line.
+deltas, which must be multiples of 4.  Pseudo-instructions
+call/j/jr/ret/li/mv/nop/la expand with a shared lineage id per source line.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ for _i, _name in enumerate(
 REGISTER_NAMES["fp"] = 8
 
 _IDENT = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
+_TRANSFERS = codec.BRANCH_MNEMONICS | {"jal"}
 
 ANNOTATIONS = ("unsigned", "optout", "count")
 
@@ -477,6 +478,11 @@ class _Assembler:
                 self.program.lineage_count += 1
                 insns, relocations, target = _expand(
                     mnemonic, ops, self.program.lineage_count, self.defsym)
+                if not relocations:  # the words of call and la are encoded at link
+                    for member in insns:
+                        insn = member.insn
+                        codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+                imm = insns[-1].insn.imm
                 if annotations or calltype is not None:
                     for member in insns:
                         member.annotations = annotations
@@ -492,6 +498,9 @@ class _Assembler:
                 insns = [TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
                                     annotations, calltype)]
                 relocations = None
+            # no instruction is compressed, so none can sit at a half-word target
+            if target is None and imm % 4 and insns[-1].insn.mnemonic in _TRANSFERS:
+                raise ParseError(f"{mnemonic}: offset {imm} is not a multiple of 4")
         except ParseError as exc:
             raise self.error(exc.message, lineno) from None
         except codec.OperandRange as exc:
@@ -595,14 +604,6 @@ def merge_programs(programs) -> Program:
     elif merged.fragments:
         merged.entry = merged.fragments[0].name
     return merged
-
-
-def assemble_files(paths, defsym=None) -> Program:
-    programs = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            programs.append(assemble(handle.read(), defsym=defsym, filename=str(path)))
-    return merge_programs(programs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ from .frontend import Program
 from .tagplan import TagConfig
 
 
-def assemble_sources(sources, defsym=None) -> Program:
-    """Assemble one or more source texts into a single link unit."""
+def assemble_sources(sources, defsym=None, filenames=None) -> Program:
+    """Assemble one or more source texts into a single link unit; errors
+    name each text by its entry in `filenames`, else as `<input i>`."""
     if isinstance(sources, str):
         sources = [sources]
+    if filenames is None:
+        filenames = [f"<input {i}>" for i in range(len(sources))]
     programs = [
-        frontend.assemble(text, defsym=defsym, filename=f"<input {i}>")
-        for i, text in enumerate(sources)
+        frontend.assemble(text, defsym=defsym, filename=str(name))
+        for text, name in zip(sources, filenames)
     ]
     return frontend.merge_programs(programs) if len(programs) > 1 else programs[0]
 
@@ -37,13 +40,13 @@ def apply_policy(program: Program, config: TagConfig, *,
 
 def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
                 defsym=None, cfi_label_direct_calls=False,
-                coverage_mode="all_branches") -> Image:
+                coverage_mode="all_branches", filenames=None) -> Image:
     """Source text(s) to a linked image.
 
     Baseline builds (tagged=False) skip the policy passes entirely so they
     stay byte-comparable with an untouched assembly of the same source.
     """
-    program = assemble_sources(sources, defsym=defsym)
+    program = assemble_sources(sources, defsym=defsym, filenames=filenames)
     if tagged:
         apply_policy(program, config, with_labels=with_labels,
                      cfi_label_direct_calls=cfi_label_direct_calls,

@@ -2,6 +2,8 @@ import argparse
 import copy
 import dataclasses
 import json
+import os
+import random
 import re
 import subprocess
 import sys
@@ -11,10 +13,12 @@ import pytest
 
 from rvtag import cli, emulator
 from rvtag.cli import EquivalenceFailure, compare_states, main
-from rvtag.emitlink import read_image, write_image
+from rvtag.emitlink import FormatError, read_image, write_image
+from rvtag.emulator import PolicyViolation
 from rvtag.emulator import run as run_image
+from rvtag.errors import RvtagError
 from rvtag.pipeline import build_image
-from rvtag.tagplan import make_config
+from rvtag.tagplan import ConfigError, load_config, loads_config, make_config
 
 SUM_SRC = (
     ".globl main\n.entry main\nmain:\n"
@@ -394,4 +398,124 @@ def test_build_rejects_a_statement_of_only_annotations(workspace, capsys):
                  "--out", str(workspace / "bare.rvti"), str(source)])
     assert code == cli.EXIT_BUILD
     assert capsys.readouterr().err == (
-        "rvtag: build error: <input 0>:3:1: annotations without an instruction\n")
+        f"rvtag: build error: {source}:3:1: annotations without an instruction\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "prog.s", "bad.s"],
+    ["link", "--config", "tags.conf", "--out", "bad.rvti", "prog.s", "bad.s"],
+    ["build", "--config", "tags.conf", "--out", "bad.rvti", "prog.s", "bad.s"],
+    ["diff-run", "--config", "tags.conf", "prog.s", "bad.s"],
+], ids=lambda argv: argv[0])
+def test_build_errors_name_the_source_path(workspace, capsys, monkeypatch, argv):
+    monkeypatch.chdir(workspace)
+    Path("bad.s").write_text("main:\n    li a0, 1\n    j 6\n")
+    assert main(argv) == cli.EXIT_BUILD
+    assert capsys.readouterr().err == (
+        "rvtag: build error: bad.s:3:1: j: offset 6 is not a multiple of 4\n")
+
+
+def test_dump_coverage_replaces_an_existing_map(workspace, capsys):
+    image_path, cov = workspace / "cov.rvti", workspace / "cov.json"
+    assert main(["link", "--config", str(workspace / "cov.conf"), "--out", str(image_path),
+                 str(workspace / "prog.s")]) == 0
+    stale = '{"stale": "a map from an earlier, longer run"}' + " " * 4096
+    cov.write_text(stale)
+    kept = workspace / "kept.json"
+    os.link(cov, kept)  # holds the old file, so its inode is not reused
+    assert main(["run", "--mode", "aware", "--dump-coverage", str(cov), str(image_path)]) == 0
+    dumped = json.loads(cov.read_text())
+    assert set(dumped) == {"cl", "ci", "bcf"} and dumped["cl"]
+    assert cov.stat().st_ino != kept.stat().st_ino
+    assert kept.read_text() == stale
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutant fuzz: damaged images and configs end clean or in a typed error.
+# Every mutant goes through the library; the first of each outcome, per mode,
+# also through the CLI for its exit code.  The fetch budget bounds every run;
+# no wall-clock alarm is needed.
+
+FUZZ_BUDGET = 5000
+FUZZ_CELLS = [  # (source, carrier, coverage, policy)
+    (TWO_FUNCTIONS, "lui", 3, "cfi"),
+    (SUM_SRC, "lui", 7, "coverage"),
+    (SUM_SRC.replace("add a0, a0, t1", "add a0, a0, t1 !unsigned"), "addi", 1, "unarith"),
+]
+FUZZ_CONFIG = ("carrier = lui\ncoverage = 3\npolicy = cfi\nlabels = true\n"
+               "tags = N:0, CFL:1\ndefault_tag = N\n")
+
+
+def _mutate(rng, blob):
+    """`blob` with 1-4 random bytes overwritten by random values."""
+    blob = bytearray(blob)
+    for _ in range(rng.randint(1, 4)):
+        blob[rng.randrange(len(blob))] = rng.randrange(256)
+    return bytes(blob)
+
+
+def _outcome(action):
+    """None for a clean return of `action`, else the class of its typed
+    error; an untyped exception propagates and fails the test."""
+    try:
+        action()
+    except RvtagError as exc:
+        return type(exc)
+    return None
+
+
+def _exit_code(outcome):
+    if outcome is None:
+        return cli.EXIT_OK
+    return cli.EXIT_POLICY if issubclass(outcome, PolicyViolation) else cli.EXIT_BUILD
+
+
+def test_image_mutant_fuzz_ends_clean_or_in_a_typed_error(tmp_path, capsys):
+    rng = random.Random(1)
+    path = tmp_path / "mutant.rvti"
+    seen = set()  # (mode, outcome)
+    for source, carrier, coverage, policy in FUZZ_CELLS:
+        write_image(build_image(source, make_config(carrier=carrier, coverage=coverage,
+                                                    policy=policy)), path)
+        blob = path.read_bytes()
+        for _ in range(300):
+            path.write_bytes(_mutate(rng, blob))
+            try:
+                image, read_error = read_image(path), None
+            except FormatError:
+                image, read_error = None, FormatError
+            for mode in ("compat", "aware"):
+                outcome = read_error or _outcome(
+                    lambda: run_image(image, mode=mode, max_insns=FUZZ_BUDGET))
+                if (mode, outcome) not in seen:
+                    assert main(["run", "--mode", mode, "--max-insns", str(FUZZ_BUDGET),
+                                 str(path)]) == _exit_code(outcome)
+                    capsys.readouterr()
+                    seen.add((mode, outcome))
+    outcomes = {outcome for _, outcome in seen}
+    assert {None, FormatError, emulator.BadInstruction, emulator.LimitExceeded,
+            PolicyViolation} <= outcomes
+
+
+def test_config_mutant_fuzz_ends_clean_or_in_a_config_error(workspace, capsys):
+    rng = random.Random(2)
+    path, out, source = workspace / "mutant.conf", workspace / "out.rvti", workspace / "two.s"
+    source.write_text(TWO_FUNCTIONS)
+    seen = set()
+    for _ in range(300):
+        blob = _mutate(rng, FUZZ_CONFIG.encode())
+        path.write_bytes(blob)
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None  # load_config must still fail cleanly on it
+        if text is not None:
+            parsed = _outcome(lambda: loads_config(text))
+            assert parsed is None or issubclass(parsed, ConfigError)
+        outcome = _outcome(lambda: build_image(TWO_FUNCTIONS, load_config(path)))
+        if outcome not in seen:
+            assert main(["link", "--config", str(path), "--out", str(out),
+                         str(source)]) == _exit_code(outcome)
+            capsys.readouterr()
+            seen.add(outcome)
+    assert None in seen and ConfigError in seen

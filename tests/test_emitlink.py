@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from rvtag.emitlink import (
     TEXT_BASE,
     link,
     read_image,
+    replace_file,
     scan_labels,
     write_image,
 )
@@ -421,6 +423,91 @@ def test_image_region_table_validated(tmp_path, case):
     write_image(dataclasses.replace(image, tag_regions=regions), path)
     with pytest.raises(FormatError):
         read_image(path)
+
+
+def _groups_to_reach(region, bound):
+    """The largest group count whose last carrier starts before `bound`."""
+    stride = 4 * (region.coverage + 1)
+    return -(-(bound - region.start) // stride)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_image_region_group_count_validated(tmp_path, last):
+    # a region's last carrier must start before the next region, and the
+    # last region's before the end of text; zero groups is no region at all
+    image = build_image(CALL_AFTER_CALLEE, CFI3, tagged=True,
+                        cfi_label_direct_calls=True)
+    a, b = image.tag_regions[:2]
+    region, bound = (b, image.text_end) if last else (a, b.start)
+    path = tmp_path / "bad.rvti"
+
+    def table_with(group_count):
+        grown = dataclasses.replace(region, group_count=group_count)
+        write_image(dataclasses.replace(image, tag_regions=(grown, b) if region is a
+                                        else (a, grown)), path)
+
+    most = _groups_to_reach(region, bound)
+    assert most >= region.group_count
+    table_with(most)
+    assert read_image(path).tag_regions[1 if last else 0].group_count == most
+    table_with(most + 1)
+    with pytest.raises(FormatError, match=f"groups of 16 bytes run past {bound:#x}"):
+        read_image(path)
+    table_with(2 ** 32 - 1)
+    with pytest.raises(FormatError, match="run past"):
+        read_image(path)
+    table_with(0)
+    with pytest.raises(FormatError, match=f"region {region.start:#x} has no carrier groups"):
+        read_image(path)
+
+
+# ---------------------------------------------------------------------------
+# writing outputs: a new file in place of a regular one
+
+def test_shorter_image_over_a_longer_one_reads_back_equal(tmp_path):
+    longer = build_image(CALL_AFTER_CALLEE, CFI3, tagged=True, cfi_label_direct_calls=True)
+    shorter = build_image(ASM_EX, N3, tagged=False)
+    path = tmp_path / "out.rvti"
+    write_image(longer, path)
+    size = path.stat().st_size
+    write_image(shorter, path)
+    assert path.stat().st_size < size
+    assert read_image(path) == shorter  # no trailing bytes of the longer one
+
+
+def test_output_replaces_a_regular_file_by_a_new_one(tmp_path):
+    path, other = tmp_path / "out.rvti", tmp_path / "other.rvti"
+    path.write_bytes(b"old image")
+    os.link(path, other)
+    old_inode = path.stat().st_ino
+    image = build_image(ASM_EX, N3, tagged=True)
+    write_image(image, path)
+    assert read_image(path) == image
+    assert path.stat().st_ino != old_inode
+    assert other.read_bytes() == b"old image"  # another hard link keeps the old file
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target, link_path = tmp_path / "target.rvti", tmp_path / "link.rvti"
+    target.write_bytes(b"old image, longer than the new one" * 20)
+    link_path.symlink_to(target)
+    image = build_image(ASM_EX, N3, tagged=True)
+    write_image(image, link_path)
+    assert link_path.is_symlink() and os.readlink(link_path) == str(target)
+    assert read_image(target) == image
+
+
+def test_output_never_unlinks_what_is_not_a_regular_file(tmp_path, monkeypatch):
+    def forbidden(path, *args, **kwargs):
+        raise AssertionError(f"unlinked {path}")
+
+    monkeypatch.setattr(os, "unlink", forbidden)
+    replace_file(os.devnull, b"written, never removed")
+    directory = tmp_path / "dir.rvti"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError):
+        replace_file(directory, b"")
+    assert directory.is_dir()
 
 
 def labels_from_metadata(program, config):

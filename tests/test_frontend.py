@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvtag import codec
+from rvtag import codec, emulator
 from rvtag.frontend import (
     ParseError,
     UndefinedSymbol,
@@ -550,6 +550,15 @@ MALFORMED = [
     ("la a0, 5", "la expects rd, symbol"),
     ("la q, buf", "'q' is not a register"),
     ("j 1x", "'1x' is not a label or byte offset"),
+    # a pseudo-instruction's words get the encode checks of a real one, and
+    # a literal transfer offset must be a whole number of words
+    ("j 3", "jal: offset 3 must be even"),
+    ("j 2000000", "jal: immediate 2000000 outside [-1048576, 1048574]"),
+    ("j 6", "j: offset 6 is not a multiple of 4"),
+    ("j -2", "j: offset -2 is not a multiple of 4"),
+    ("jal x0, 6", "jal: offset 6 is not a multiple of 4"),
+    ("beq a0, a1, 6", "beq: offset 6 is not a multiple of 4"),
+    ("bgeu a0, a1, -4094", "bgeu: offset -4094 is not a multiple of 4"),
 ]
 
 
@@ -560,6 +569,19 @@ def test_malformed_statement_message(statement, message):
         assemble(source, filename="prog.s")
     assert (info.value.message, info.value.line) == (message, 3)
     assert str(info.value) == f"prog.s:3:1: {message}"
+
+
+def test_word_multiple_literal_offsets_link_tagged_and_untagged():
+    from rvtag.pipeline import build_image
+    from rvtag.tagplan import make_config
+
+    source = ("main:\n    li a0, 3\n    j 8\n    ebreak\n    addi a0, a0, -1\n"
+              "    bne a0, zero, -4\n    li a0, 7\n    ecall\n")
+    config = make_config(carrier="lui", coverage=3)
+    for tagged in (False, True):
+        state, counters, _ = emulator.run(build_image(source, config, tagged=tagged),
+                                          max_insns=100)
+        assert (state.stop_reason, state.exit_code, counters.retired) == ("ecall", 7, 10)
 
 
 # ---------------------------------------------------------------------------
