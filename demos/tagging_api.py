@@ -9,17 +9,15 @@ words are packed and pulled back apart to show the bit layout.
 
 from rvtag import (
     TagCarrier,
-    TagPack,
     assemble,
+    codec,
     emitlink,
     get_tag,
     insert_label,
     link,
     make_config,
-    pack_tags,
     propagate_lineage,
     set_tag,
-    unpack_tags,
 )
 
 config = make_config(carrier="lui", coverage=3, policy="cfi")
@@ -60,8 +58,8 @@ print(f"\nlinked: {len(image.text)} text bytes, "
       f"{[hex(a) for a, _ in image.label_addrs]}")
 
 print("\ncarrier packing for three tags (1, 0, 2) at 6 bits each:")
-word = pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(1, 0, 2)))
+word = codec.tag_packer(TagCarrier.LUI_NOP, 3)((1, 0, 2))
 print(f"  word = {word:#010x}  (lui x0, {(word >> 12):#x})")
-print(f"  unpacked -> {unpack_tags(TagCarrier.LUI_NOP, 3, word).tags}")
+print(f"  unpacked -> {codec.tag_reader(TagCarrier.LUI_NOP, 3)(word)}")
 print(f"\ndefault function alignment: {emitlink.FUNCTION_ALIGN} bytes; "
       f"HI/LO pairs tolerate up to {emitlink.MAX_PAIR_GAP} interposed words")

@@ -6,11 +6,11 @@ and executes the result in a bundled emulator that either ignores tags
 (backward compatibility) or enforces tag policies.
 """
 
-from .codec import Insn, TagCarrier, TagPack, decode, encode, pack_tags, unpack_tags
+from .codec import Insn, TagCarrier, decode, encode
 from .emitlink import Image, link, read_image, write_image
 from .emulator import ExecCounters, MachineState, PolicyState, PolicyViolation, report, run
 from .errors import BuildError, RvtagError
-from .frontend import Fragment, Program, Relocation, TaggedInsn, assemble, expand_pseudo
+from .frontend import Fragment, Program, Relocation, TaggedInsn, assemble
 from .instrument import (
     cfi_label_value,
     get_tag,
@@ -41,7 +41,6 @@ __all__ = [
     "RvtagError",
     "TagCarrier",
     "TagConfig",
-    "TagPack",
     "TaggedInsn",
     "apply_policy",
     "assemble",
@@ -50,7 +49,6 @@ __all__ = [
     "cfi_label_value",
     "decode",
     "encode",
-    "expand_pseudo",
     "get_tag",
     "insert_label",
     "insert_labels",
@@ -58,7 +56,6 @@ __all__ = [
     "load_config",
     "loads_config",
     "make_config",
-    "pack_tags",
     "pass_cfi",
     "pass_coverage",
     "pass_unarith",
@@ -68,6 +65,5 @@ __all__ = [
     "report",
     "run",
     "set_tag",
-    "unpack_tags",
     "write_image",
 ]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import corpus, emitlink, emulator, pipeline, tagplan
 from .emulator import BadInstruction, LimitExceeded, PolicyViolation
-from .errors import RvtagError
+from .errors import BuildError, RvtagError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,10 +56,23 @@ def _load_config(args):
     if not path:
         raise CliError("no tag configuration: pass --config or set RVTAG_CONFIG")
     config = tagplan.load_config(path)
-    if getattr(args, "policy", None):
+    policy = getattr(args, "policy", None)
+    if policy:
+        # --policy swaps the built-in vocabulary; the tags the config adds to
+        # its own policy's vocabulary, and its default tag, stay
+        builtin = dict(tagplan.POLICY_TAG_SETS[policy])
+        own = tagplan.POLICY_TAG_SETS[config.policy]
+        extra = tuple((name, value) for name, value in config.tag_names
+                      if (name, value) not in own and builtin.get(name) != value)
+        for name, value in extra:
+            if name in builtin:
+                raise tagplan.ConfigError(f"tags: policy {policy!r} requires "
+                                          f"{name}={builtin[name]}, config says {value}")
         config = tagplan.make_config(
             carrier=config.carrier, coverage=config.coverage,
-            labels=config.labels_enabled, policy=args.policy)
+            labels=config.labels_enabled, policy=policy,
+            tags=tagplan.POLICY_TAG_SETS[policy] + extra,
+            default_tag=config.name_of(config.default_tag))
     return config
 
 
@@ -67,7 +80,10 @@ def _read_sources(paths):
     sources = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
-            sources.append(handle.read())
+            try:
+                sources.append(handle.read())
+            except UnicodeDecodeError as exc:
+                raise BuildError(f"cannot read source {path}: {exc}") from None
     return sources
 
 
@@ -354,6 +370,26 @@ def _print_overheads(results, aggregate, *, nolabels=False) -> None:
 # ---------------------------------------------------------------------------
 # report
 
+def _check_report_rows(path, results, aggregate) -> None:
+    """Raise CliError unless the rows hold what _print_overheads reads."""
+    def bad(what):
+        return CliError(f"{path}: not a JSON report: {what}")
+    if not isinstance(results, list):
+        raise bad("results is not a list")
+    rows = [(f"results[{i}]", row) for i, row in enumerate(results)]
+    if aggregate is not None:
+        rows.append(("aggregate", aggregate))
+    for where, row in rows:
+        if not isinstance(row, dict):
+            raise bad(f"{where} is not an object")
+        if where != "aggregate" and not isinstance(row.get("program"), str):
+            raise bad(f"{where}.program is not a string")
+        for key in ("baseline_dynamic", "tagged_dynamic", "dynamic_overhead_pct"):
+            value = row.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise bad(f"{where}.{key} is not a number")
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
@@ -365,6 +401,7 @@ def cmd_report(args) -> int:
     schema = payload.get("schema")
     if schema != emulator.REPORT_SCHEMA:
         raise CliError(f"unknown report schema {schema!r}")
+    _check_report_rows(args.report, payload.get("results", []), payload.get("aggregate"))
     if args.json:
         sys.stdout.write(_emit_json(payload))
         return EXIT_OK

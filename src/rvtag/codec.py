@@ -20,7 +20,8 @@ class OperandRange(BuildError):
 
 
 class PackOverflow(BuildError):
-    """A tag value exceeds the per-tag bit width of the selected layout."""
+    """A tag list does not fit its layout: no such layout, a tag count other
+    than the coverage, or a value wider than the per-tag bit width."""
 
 
 class NotACarrier(BuildError):
@@ -288,20 +289,6 @@ TAG_BITS = {
 COVERAGE_VALUES = (1, 3, 7, 15, 31)
 
 
-@dataclass(frozen=True)
-class TagPack:
-    """Coverage-many tag values destined for one carrier word."""
-
-    coverage: int
-    tags: tuple
-
-    def __post_init__(self):
-        if len(self.tags) != self.coverage:
-            raise PackOverflow(
-                f"pack holds {len(self.tags)} tags, coverage is {self.coverage}"
-            )
-
-
 # Per carrier: the mask and value of its fixed fields, and the payload's shift.
 _CARRIER_FIELDS = {
     TagCarrier.LUI_NOP: (0xFFF, OP_LUI, 12, "a lui x0 word"),
@@ -311,18 +298,24 @@ _CARRIER_FIELDS = {
 
 
 @functools.lru_cache(maxsize=None)
+def _layout(carrier: TagCarrier, coverage: int):
+    """(bits, tag mask, payload shifts) of one (carrier, coverage) layout."""
+    bits = TAG_BITS.get((carrier, coverage))
+    if bits is None:
+        raise PackOverflow(f"{carrier.value} has no coverage-{coverage} layout")
+    shift = _CARRIER_FIELDS[carrier][2]
+    return bits, (1 << bits) - 1, range(shift, shift + coverage * bits, bits)
+
+
+@functools.lru_cache(maxsize=None)
 def tag_reader(carrier: TagCarrier, coverage: int):
     """read(word) -> the coverage-many tag values of one carrier layout.
 
     Raises PackOverflow for a pair with no layout; read raises NotACarrier
     for a word whose fixed fields do not match the carrier.
     """
-    bits = TAG_BITS.get((carrier, coverage))
-    if bits is None:
-        raise PackOverflow(f"{carrier.value} has no coverage-{coverage} layout")
-    fixed_mask, fixed, shift, what = _CARRIER_FIELDS[carrier]
-    tag_mask = (1 << bits) - 1
-    shifts = range(shift, shift + coverage * bits, bits)
+    _, tag_mask, shifts = _layout(carrier, coverage)
+    fixed_mask, fixed, _, what = _CARRIER_FIELDS[carrier]
 
     def read(word: int) -> tuple:
         if word & fixed_mask != fixed:
@@ -333,21 +326,19 @@ def tag_reader(carrier: TagCarrier, coverage: int):
 
 @functools.lru_cache(maxsize=None)
 def tag_packer(carrier: TagCarrier, coverage: int):
-    """pack(tags) -> the carrier word for coverage-many tag values: with
-    b = TAG_BITS[(carrier, coverage)] bits per tag, tag i sits in payload
-    bits [i*b, (i+1)*b).  The mirror of tag_reader.
+    """pack(tags) -> the carrier word for exactly coverage-many tag values:
+    with b = TAG_BITS[(carrier, coverage)] bits per tag, tag i sits in
+    payload bits [i*b, (i+1)*b).  The mirror of tag_reader.
 
     Raises PackOverflow for a pair with no layout; pack raises it for a tag
-    that does not fit b bits.
+    list of another length and for a tag that does not fit b bits.
     """
-    bits = TAG_BITS.get((carrier, coverage))
-    if bits is None:
-        raise PackOverflow(f"{carrier.value} has no coverage-{coverage} layout")
-    _, fixed, shift, _ = _CARRIER_FIELDS[carrier]
-    tag_mask = (1 << bits) - 1
-    shifts = range(shift, shift + coverage * bits, bits)
+    bits, tag_mask, shifts = _layout(carrier, coverage)
+    fixed = _CARRIER_FIELDS[carrier][1]
 
     def pack(tags) -> int:
+        if len(tags) != coverage:
+            raise PackOverflow(f"pack holds {len(tags)} tags, coverage is {coverage}")
         word = fixed
         for tag, s in zip(tags, shifts):
             if not 0 <= tag <= tag_mask:
@@ -355,14 +346,3 @@ def tag_packer(carrier: TagCarrier, coverage: int):
             word |= tag << s
         return word
     return pack
-
-
-def pack_tags(carrier: TagCarrier, pack: TagPack) -> int:
-    """Build the carrier word for one TagPack; see tag_packer."""
-    return tag_packer(carrier, pack.coverage)(pack.tags)
-
-
-def unpack_tags(carrier: TagCarrier, coverage: int, word: int) -> TagPack:
-    """Extract the coverage-many tag values from a carrier word."""
-    tags = tag_reader(carrier, coverage)(word)
-    return TagPack(coverage=coverage, tags=tags)

@@ -46,10 +46,6 @@ class UndefinedSymbol(BuildError):
     """A referenced label or symbol has no definition."""
 
 
-class UnsupportedPseudo(BuildError):
-    """The mnemonic is not a recognized pseudo-instruction."""
-
-
 REGISTER_NAMES = {}
 for _i in range(32):
     REGISTER_NAMES[f"x{_i}"] = _i
@@ -216,30 +212,6 @@ def _parse_operands(mnemonic, ops, defsym):
     return 0, 0, 0, 0, None
 
 
-@dataclass
-class ExpandedPseudo:
-    """Pseudo-expansion result; relocation offsets are expansion-relative."""
-
-    insns: list
-    relocations: list = field(default_factory=list)
-    branch_target: str | None = None
-
-
-def expand_pseudo(line: str, lineage: int = 0, defsym=None) -> ExpandedPseudo:
-    """Expand one pseudo-instruction line into tagged instructions.
-
-    Every produced instruction carries the given lineage id so that tag
-    propagation can treat the expansion as one unit.
-    """
-    text = line.split("#", 1)[0].strip()
-    if not text:
-        raise UnsupportedPseudo("empty line")
-    mnemonic, ops = _split_statement(text)
-    if mnemonic not in PSEUDO_MNEMONICS:
-        raise UnsupportedPseudo(f"{mnemonic!r} is not a supported pseudo-instruction")
-    return ExpandedPseudo(*_expand(mnemonic, ops, lineage, defsym or {}))
-
-
 def _expand(mnemonic, ops, lineage, defsym):
     """(insns, relocations, branch target) of one pseudo-instruction."""
     if mnemonic == "li":
@@ -322,7 +294,6 @@ class _Assembler:
         self.local_labels = {}      # fragment name -> {label: insn index}
         self.branch_refs = []       # (fragment, insn index, symbol, lineno)
         self.pending_calltype = None
-        self.pending_signature = None
 
     def error(self, message, lineno, column=1):
         return ParseError(message, line=lineno, column=column, filename=self.filename)
@@ -577,7 +548,8 @@ def assemble(source: str, defsym=None, filename: str = "<source>") -> Program:
 
 
 def merge_programs(programs) -> Program:
-    """Combine per-file programs into one link unit."""
+    """Combine per-file programs into one link unit.  Their fragments move
+    into it, each file's lineage ids shifted past those of the files before."""
     merged = Program()
     explicit = []
     names = set()  # fragment names so far
@@ -593,6 +565,13 @@ def merge_programs(programs) -> Program:
                 raise ParseError(f"duplicate symbol {name!r} across inputs")
             merged.data_symbols[name] = data_base + off
         merged.data += prog.data
+        base = merged.lineage_count
+        for frag in prog.fragments:
+            for member in frag.insns:
+                if member.lineage is not None:
+                    member.lineage += base
+        merged.lineage_first_tag.update(
+            (lineage + base, tag) for lineage, tag in prog.lineage_first_tag.items())
         merged.lineage_count += prog.lineage_count
         if prog.entry_explicit:
             explicit.append(prog.entry)

@@ -42,12 +42,6 @@ POLICY_TAG_SETS = {
     "coverage": (("CL", 0), ("CI", 1), ("BCF", 2), ("N", 3)),
 }
 
-_CARRIER_NAMES = {
-    "lui": TagCarrier.LUI_NOP,
-    "addi": TagCarrier.ADDI_NOP,
-    "custom": TagCarrier.CUSTOM,
-}
-
 
 @dataclass(frozen=True)
 class TagConfig:
@@ -55,7 +49,6 @@ class TagConfig:
 
     carrier: TagCarrier
     coverage: int
-    bits_per_tag: int
     labels_enabled: bool = True
     policy: str = "none"
     tag_names: tuple = (("N", 0),)
@@ -77,14 +70,18 @@ class TagConfig:
     def tag_values(self) -> frozenset:
         return frozenset(v for _, v in self.tag_names)
 
+    @property
+    def bits_per_tag(self) -> int:
+        return TAG_BITS[(self.carrier, self.coverage)]
+
 
 def make_config(carrier="lui", coverage=3, labels=True, policy="none",
                 tags=None, default_tag=None) -> TagConfig:
     """Build and validate a TagConfig from plain values."""
-    if isinstance(carrier, str):
-        if carrier not in _CARRIER_NAMES:
-            raise ConfigError(f"carrier: unknown carrier {carrier!r} (lui, addi, custom)")
-        carrier = _CARRIER_NAMES[carrier]
+    try:
+        carrier = TagCarrier(carrier)
+    except ValueError:
+        raise ConfigError(f"carrier: unknown carrier {carrier!r} (lui, addi, custom)") from None
     if coverage not in COVERAGE_VALUES:
         raise ConfigError(f"coverage: {coverage} is not one of {COVERAGE_VALUES}")
     bits = TAG_BITS.get((carrier, coverage))
@@ -132,7 +129,6 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
     return TagConfig(
         carrier=carrier,
         coverage=coverage,
-        bits_per_tag=bits,
         labels_enabled=bool(labels),
         policy=policy,
         tag_names=tag_names,

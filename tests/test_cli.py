@@ -330,6 +330,34 @@ def test_readme_cli_flags_exist():
     assert named - _parser_flags(cli.build_parser()) == set()
 
 
+# Call shapes in the Library section that name no module attribute.
+LIBRARY_EXEMPT = {"pack(tags)"}  # the closure codec.tag_packer returns
+
+
+def test_readme_library_names_exist():
+    import rvtag
+    from rvtag import codec, emitlink, tagplan
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)  # the code sample
+    spans = {" ".join(span.split()) for span in re.findall(r"`([^`]+)`", section)}
+    named = {span.split("(")[0] for span in spans - LIBRARY_EXEMPT}
+    named = {name for name in named if re.fullmatch(r"[A-Za-z_][\w.]*", name)}
+    assert {"codec.tag_packer", "codec.tag_reader", "Image.label_addrs", "link"} <= named
+
+    def resolves(name):
+        for namespace in (rvtag, codec, tagplan, emitlink):
+            target = namespace
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if target is not None:
+                return True
+        return False
+
+    assert sorted(name for name in named if not resolves(name)) == []
+
+
 TWO_FUNCTIONS = (
     ".globl main\n.entry main\nmain:\n"
     '    .signature "i64()"\n'
@@ -376,7 +404,26 @@ def test_diff_run_generate_json_stdout_is_one_document(workspace, capsys, tmp_pa
     assert main(["report", str(saved)]) == 0
 
 
-@pytest.mark.parametrize("content", [b"corpus seed: 4\n{}", b"[1, 2]", b"\xff\xfe{"])
+def _report(results, **extra):
+    return json.dumps({"schema": "rvtag-report-v1", "results": results, **extra}).encode()
+
+
+ROW = {"program": "p", "baseline_dynamic": 10, "tagged_dynamic": 15,
+       "dynamic_overhead_pct": 50.0}
+
+
+@pytest.mark.parametrize("content", [
+    b"corpus seed: 4\n{}", b"[1, 2]", b"\xff\xfe{",
+    _report([{}]),
+    _report([ROW], aggregate=5),
+    _report([ROW], aggregate={"programs": 1}),
+    _report(5),
+    _report([5]),
+    _report([{**ROW, "program": 3}]),
+    _report([{**ROW, "baseline_dynamic": "10"}]),
+    _report([{**ROW, "tagged_dynamic": True}]),
+    _report([{**ROW, "dynamic_overhead_pct": None}]),
+])
 def test_report_rejects_a_file_that_is_not_a_json_object(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -401,18 +448,74 @@ def test_build_rejects_a_statement_of_only_annotations(workspace, capsys):
         f"rvtag: build error: {source}:3:1: annotations without an instruction\n")
 
 
-@pytest.mark.parametrize("argv", [
+# The commands that read assembly sources, each over prog.s and bad.s.
+SOURCE_COMMANDS = [
     ["assemble", "prog.s", "bad.s"],
     ["link", "--config", "tags.conf", "--out", "bad.rvti", "prog.s", "bad.s"],
     ["build", "--config", "tags.conf", "--out", "bad.rvti", "prog.s", "bad.s"],
     ["diff-run", "--config", "tags.conf", "prog.s", "bad.s"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", SOURCE_COMMANDS, ids=lambda argv: argv[0])
 def test_build_errors_name_the_source_path(workspace, capsys, monkeypatch, argv):
     monkeypatch.chdir(workspace)
     Path("bad.s").write_text("main:\n    li a0, 1\n    j 6\n")
     assert main(argv) == cli.EXIT_BUILD
     assert capsys.readouterr().err == (
         "rvtag: build error: bad.s:3:1: j: offset 6 is not a multiple of 4\n")
+
+
+@pytest.mark.parametrize("argv", SOURCE_COMMANDS, ids=lambda argv: argv[0])
+def test_a_source_that_is_not_utf8_is_a_build_error(workspace, capsys, monkeypatch, argv):
+    monkeypatch.chdir(workspace)
+    Path("bad.s").write_bytes(b"main:\n    li a0, 1 # \xff\n    ecall\n")
+    assert main(argv) == cli.EXIT_BUILD
+    err = capsys.readouterr().err
+    assert err.startswith("rvtag: build error: cannot read source bad.s: 'utf-8' codec ")
+    assert "Traceback" not in err and not Path("bad.rvti").exists()
+
+
+HOT_CONFIG = ("carrier = lui\ncoverage = 3\npolicy = cfi\n"
+              "tags = N:0, CFL:1, HOT:2\ndefault_tag = HOT\n")
+
+
+def _config_with_policy(path, policy):
+    return cli._load_config(argparse.Namespace(config=str(path), policy=policy))
+
+
+def test_policy_flag_keeps_the_configs_extra_tags_and_default(workspace, capsys):
+    conf = workspace / "hot.conf"
+    conf.write_text(HOT_CONFIG)
+    plain = _config_with_policy(conf, None)
+    assert plain.default_tag == 2
+    assert _config_with_policy(conf, "cfi") == plain
+    none = _config_with_policy(conf, "none")
+    assert (none.policy, none.tag_names, none.default_tag) == ("none", (("N", 0), ("HOT", 2)), 2)
+    swapped = _config_with_policy(workspace / "cov.conf", "cfi")  # no tags declared
+    assert (swapped.tag_names, swapped.default_tag) == ((("N", 0), ("CFL", 1)), 0)
+    (workspace / "two.s").write_text(TWO_FUNCTIONS)
+    images = []
+    for extra in ([], ["--policy", "cfi"]):
+        out = workspace / f"hot{len(extra)}.rvti"
+        assert main(["link", "--config", str(conf), *extra, "--out", str(out),
+                     str(workspace / "two.s")]) == 0
+        images.append(out.read_bytes())
+    assert images[0] == images[1]
+
+
+def test_policy_flag_rejects_a_tag_its_vocabulary_gives_another_value(workspace, capsys):
+    conf = workspace / "clash.conf"
+    conf.write_text("carrier = lui\ncoverage = 3\ntags = N:0, CFL:2\n")
+    with pytest.raises(ConfigError, match="tags: policy 'cfi' requires CFL=1, config says 2"):
+        _config_with_policy(conf, "cfi")
+    assert main(["link", "--config", str(conf), "--policy", "cfi", "--out",
+                 str(workspace / "clash.rvti"), str(workspace / "prog.s")]) == cli.EXIT_BUILD
+    assert capsys.readouterr().err == (
+        "rvtag: build error: tags: policy 'cfi' requires CFL=1, config says 2\n")
+    conf.write_text("carrier = lui\ncoverage = 7\npolicy = coverage\ndefault_tag = CI\n")
+    with pytest.raises(ConfigError, match="default_tag: 'CI' is not a declared tag"):
+        _config_with_policy(conf, "cfi")
 
 
 def test_dump_coverage_replaces_an_existing_map(workspace, capsys):

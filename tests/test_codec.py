@@ -11,12 +11,11 @@ from rvtag.codec import (
     OperandRange,
     PackOverflow,
     TagCarrier,
-    TagPack,
     TAG_BITS,
     decode,
     encode,
-    pack_tags,
-    unpack_tags,
+    tag_packer,
+    tag_reader,
 )
 
 # Hand-derived against the base ISA field layouts.
@@ -142,50 +141,55 @@ def test_carrier_attributes():
 # Packing
 
 def test_pack_lui_coverage3():
-    pack = TagPack(coverage=3, tags=(1, 0, 2))
-    assert pack_tags(TagCarrier.LUI_NOP, pack) == 0x02001037
+    assert tag_packer(TagCarrier.LUI_NOP, 3)((1, 0, 2)) == 0x02001037
 
 
 def test_pack_lui_all_zero_is_canonical_nop():
-    pack = TagPack(coverage=15, tags=(0,) * 15)
-    assert pack_tags(TagCarrier.LUI_NOP, pack) == 0x00000037
+    assert tag_packer(TagCarrier.LUI_NOP, 15)((0,) * 15) == 0x00000037
 
 
 def test_unpack_examples():
-    assert unpack_tags(TagCarrier.LUI_NOP, 3, 0x02001037).tags == (1, 0, 2)
-    assert unpack_tags(TagCarrier.LUI_NOP, 7, 0x00000037).tags == (0,) * 7
+    assert tag_reader(TagCarrier.LUI_NOP, 3)(0x02001037) == (1, 0, 2)
+    assert tag_reader(TagCarrier.LUI_NOP, 7)(0x00000037) == (0,) * 7
 
 
 def test_unpack_rejects_wrong_carrier():
+    with pytest.raises(NotACarrier, match="0x00000013 is not a lui x0 word"):
+        tag_reader(TagCarrier.LUI_NOP, 3)(0x00000013)  # addi nop, not lui
     with pytest.raises(NotACarrier):
-        unpack_tags(TagCarrier.LUI_NOP, 3, 0x00000013)  # addi nop, not lui
+        tag_reader(TagCarrier.LUI_NOP, 3)(encode(Insn("lui", rd=1, imm=0)))
     with pytest.raises(NotACarrier):
-        unpack_tags(TagCarrier.LUI_NOP, 3, encode(Insn("lui", rd=1, imm=0)))
-    with pytest.raises(NotACarrier):
-        unpack_tags(TagCarrier.ADDI_NOP, 3, 0x00000037)
+        tag_reader(TagCarrier.ADDI_NOP, 3)(0x00000037)
 
 
 def test_pack_rejects_oversized_tags():
     # the width comes from TAG_BITS: 6 bits for lui N=3, 4 bits for addi N=3
-    assert pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(63, 0, 0)))
+    assert tag_packer(TagCarrier.LUI_NOP, 3)((63, 0, 0))
     with pytest.raises(PackOverflow):
-        pack_tags(TagCarrier.LUI_NOP, TagPack(coverage=3, tags=(64, 0, 0)))
+        tag_packer(TagCarrier.LUI_NOP, 3)((64, 0, 0))
     with pytest.raises(PackOverflow):
-        pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=3, tags=(16, 0, 0)))
+        tag_packer(TagCarrier.ADDI_NOP, 3)((16, 0, 0))
     with pytest.raises(PackOverflow):  # addi has no coverage-15 layout
-        pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=15, tags=(0,) * 15))
+        tag_packer(TagCarrier.ADDI_NOP, 15)
+
+
+@pytest.mark.parametrize("tags", [(1, 2, 3, 4), (1,), ()])
+def test_pack_rejects_a_tag_list_of_another_length(tags):
+    pack = tag_packer(TagCarrier.LUI_NOP, 3)
+    with pytest.raises(PackOverflow, match=f"pack holds {len(tags)} tags, coverage is 3"):
+        pack(tags)
 
 
 def test_addi_carrier_writes_only_x0():
-    word = pack_tags(TagCarrier.ADDI_NOP, TagPack(coverage=3, tags=(5, 9, 2)))
+    word = tag_packer(TagCarrier.ADDI_NOP, 3)((5, 9, 2))
     insn = decode(word)
     assert insn.mnemonic == "addi" and insn.rd == 0 and insn.rs1 == 0
 
 
 def test_custom_carrier_opcode():
-    word = pack_tags(TagCarrier.CUSTOM, TagPack(coverage=1, tags=(0x7FFF,)))
+    word = tag_packer(TagCarrier.CUSTOM, 1)((0x7FFF,))
     assert word & 0x7F == codec.OP_CUSTOM0
-    assert unpack_tags(TagCarrier.CUSTOM, 1, word).tags == (0x7FFF,)
+    assert tag_reader(TagCarrier.CUSTOM, 1)(word) == (0x7FFF,)
 
 
 @settings(max_examples=250)
@@ -196,8 +200,8 @@ def test_custom_carrier_opcode():
                     min_size=kv[0][1], max_size=kv[0][1]))))
 def test_pack_unpack_round_trip(case):
     carrier, coverage, bits, tags = case
-    pack = TagPack(coverage=coverage, tags=tuple(tags))
-    assert unpack_tags(carrier, coverage, pack_tags(carrier, pack)) == pack
+    word = tag_packer(carrier, coverage)(tags)
+    assert tag_reader(carrier, coverage)(word) == tuple(tags)
 
 
 def test_pack_unpack_round_trip_1000_random():
@@ -208,8 +212,7 @@ def test_pack_unpack_round_trip_1000_random():
     for _ in range(1000):
         (carrier, coverage), bits = rng.choice(layouts)
         tags = tuple(rng.randrange(1 << bits) for _ in range(coverage))
-        pack = TagPack(coverage=coverage, tags=tags)
-        assert unpack_tags(carrier, coverage, pack_tags(carrier, pack)) == pack
+        assert tag_reader(carrier, coverage)(tag_packer(carrier, coverage)(tags)) == tags
 
 
 def test_tag_packer_and_reader_round_trip_every_layout():
@@ -218,9 +221,7 @@ def test_tag_packer_and_reader_round_trip_every_layout():
         top = (1 << bits) - 1
         for tags in ((0,) * coverage, (top,) * coverage,
                      tuple(top if i % 2 else i % (top + 1) for i in range(coverage))):
-            word = pack(tags)
-            assert read(word) == tags
-            assert word == pack_tags(carrier, TagPack(coverage, tags))
+            assert read(pack(tags)) == tags
         for oversize in (top + 1, -1):
             with pytest.raises(PackOverflow, match=f"tag value {oversize} exceeds {bits} bits"):
                 pack((0,) * (coverage - 1) + (oversize,))

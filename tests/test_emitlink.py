@@ -6,7 +6,6 @@ import os
 import pytest
 
 from rvtag import codec
-from rvtag.codec import TagPack
 from rvtag.emitlink import (
     DATA_BASE,
     FormatError,
@@ -74,8 +73,9 @@ def test_emit_packs_each_group_and_pads_with_default_tag():
     program.fragments[0].insns[1].tag = 0
     words = words_of(link(program, config))
     # group 0: (X, N, X); group 1: the jal's X, then two pads of X
-    assert words[0] == codec.pack_tags(config.carrier, TagPack(3, (2, 0, 2)))
-    assert words[4] == codec.pack_tags(config.carrier, TagPack(3, (2, 2, 2)))
+    pack = codec.tag_packer(config.carrier, 3)
+    assert words[0] == pack((2, 0, 2))
+    assert words[4] == pack((2, 2, 2))
 
 
 def test_emit_empty_fragment_unchanged():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rvtag import codec, emulator
-from rvtag.codec import Insn, TagCarrier, TagPack, pack_tags
+from rvtag.codec import Insn, TagCarrier, tag_packer
 from rvtag.emitlink import DATA_BASE, link
 from rvtag.emulator import (
     BadInstruction,
@@ -248,7 +248,7 @@ def test_carrier_words_have_no_architectural_effect():
     ):
         for _ in range(50):
             tags = tuple(rng.randrange(1 << bits) for _ in range(coverage))
-            cases.append(pack_tags(carrier, TagPack(coverage, tags)))
+            cases.append(tag_packer(carrier, coverage)(tags))
     base = build_image("main:\n    ecall\n", N3, tagged=False)
     for word in cases:
         # untagged image: the carrier word runs as an ordinary instruction

@@ -8,12 +8,13 @@ from rvtag import codec, emulator
 from rvtag.frontend import (
     ParseError,
     UndefinedSymbol,
-    UnsupportedPseudo,
     assemble,
     disassemble_fragment,
-    expand_pseudo,
     merge_programs,
 )
+from rvtag.instrument import get_tag, propagate_lineage, set_tag
+from rvtag.pipeline import assemble_sources
+from rvtag.tagplan import make_config
 
 LOOP3 = """
 counts:
@@ -295,39 +296,45 @@ def test_duplicate_labels_rejected():
 # ---------------------------------------------------------------------------
 # Pseudo expansion
 
+def _expand(line):
+    """The instructions and relocations of `line` assembled alone; the
+    assembler gives its first pseudo-instruction lineage 1."""
+    fragment = assemble(f"main:\n    {line}\n").fragments[0]
+    return fragment.insns, fragment.relocations
+
+
 def test_expand_call():
-    expansion = expand_pseudo("call f", lineage=9)
-    mnemonics = [ti.insn.mnemonic for ti in expansion.insns]
-    assert mnemonics == ["auipc", "jalr"]
-    assert all(ti.lineage == 9 for ti in expansion.insns)
-    assert [(r.kind, r.offset, r.target) for r in expansion.relocations] == [
+    insns, relocations = _expand("call f")
+    assert [ti.insn.mnemonic for ti in insns] == ["auipc", "jalr"]
+    assert all(ti.lineage == 1 for ti in insns)
+    assert [(r.kind, r.offset, r.target) for r in relocations] == [
         ("Hi20", 0, "f"), ("Lo12I", 4, "f")]
 
 
 def test_expand_nop():
-    expansion = expand_pseudo("nop")
-    assert [ti.insn for ti in expansion.insns] == [codec.Insn("addi")]
+    insns, _ = _expand("nop")
+    assert [ti.insn for ti in insns] == [codec.Insn("addi")]
 
 
 def test_expand_li_wide():
-    expansion = expand_pseudo("li a0, 0x12345", lineage=3)
-    assert [ti.insn.mnemonic for ti in expansion.insns] == ["lui", "addi"]
-    lui, addi = (ti.insn for ti in expansion.insns)
+    insns, _ = _expand("li a0, 0x12345")
+    assert [ti.insn.mnemonic for ti in insns] == ["lui", "addi"]
+    lui, addi = (ti.insn for ti in insns)
     assert lui.imm == 0x12
     assert addi.imm == 0x345
-    assert {ti.lineage for ti in expansion.insns} == {3}
+    assert {ti.lineage for ti in insns} == {1}
 
 
 def test_expand_li_negative_low_part():
-    lui, addi = (ti.insn for ti in expand_pseudo("li a0, 0x12fff").insns)
+    lui, addi = (ti.insn for ti in _expand("li a0, 0x12fff")[0])
     # materialized value must equal lui<<12 plus the sign-extended low part
     assert ((lui.imm << 12) + addi.imm) & 0xFFFFFFFF == 0x12FFF
 
 
 def test_expand_ret_and_mv():
-    ret = expand_pseudo("ret").insns[0].insn
+    ret = _expand("ret")[0][0].insn
     assert (ret.mnemonic, ret.rd, ret.rs1, ret.imm) == ("jalr", 0, 1, 0)
-    mv = expand_pseudo("mv a1, a2").insns[0].insn
+    mv = _expand("mv a1, a2")[0][0].insn
     assert (mv.mnemonic, mv.rd, mv.rs1, mv.imm) == ("addi", 11, 12, 0)
 
 
@@ -336,9 +343,8 @@ def test_jr_encodes_as_jalr_x0():
     jr, jalr = program.fragments[0].insns
     assert codec.encode(jr.insn) == codec.encode(jalr.insn)
     assert jr.lineage is not None and jalr.lineage is None
-    expansion = expand_pseudo("jr a5", lineage=4)
-    assert [(ti.insn, ti.lineage) for ti in expansion.insns] == \
-        [(codec.Insn("jalr", rd=0, rs1=15, imm=0), 4)]
+    assert [(ti.insn, ti.lineage) for ti in _expand("jr a5")[0]] == \
+        [(codec.Insn("jalr", rd=0, rs1=15, imm=0), 1)]
 
 
 def test_jr_rejects_wrong_operand_count():
@@ -352,16 +358,6 @@ def test_pseudo_operand_error_names_its_line(line):
     with pytest.raises(ParseError) as info:
         assemble(f"main:\n    nop\n    {line}\n", filename="prog.s")
     assert (info.value.line, info.value.filename) == (3, "prog.s")
-    with pytest.raises(ParseError) as info:  # expand_pseudo alone knows no line
-        expand_pseudo(line)
-    assert info.value.line == 0
-
-
-def test_expand_rejects_non_pseudo():
-    with pytest.raises(UnsupportedPseudo):
-        expand_pseudo("addi a0, a0, 1")
-    with pytest.raises(UnsupportedPseudo):
-        expand_pseudo("frobnicate a0")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +412,28 @@ def test_merge_programs():
     assert merged.entry == "main" and merged.entry_explicit
     assert merged.data_symbols == {"buf_a": 0, "buf_b": 4}
     assert len(merged.data) == 8
+
+
+def test_merged_units_keep_distinct_lineages():
+    config = make_config(policy="cfi", tags=(("N", 0), ("CFL", 1), ("X", 2)))
+    program = assemble_sources(["main:\n    li a0, 0x12345\n    call f\n    ecall\n",
+                                "f:\n    li a1, 0x12345\n    ret\n"])
+    main, f = program.fragments
+    assert [ti.lineage for ti in main.insns] == [1, 1, 2, 2, None]
+    assert [ti.lineage for ti in f.insns] == [3, 3, 4]
+    assert program.lineage_count == 4
+    set_tag(program, (0, 0), "X", config)
+    propagate_lineage(program)
+    assert [get_tag(program, (0, i), config) for i in range(5)] == [2, 2, 0, 0, 0]
+    assert [get_tag(program, (1, i), config) for i in range(3)] == [0, 0, 0]
+
+
+def test_merge_shifts_the_first_tag_of_each_lineage():
+    a, b = assemble("main:\n    li a0, 0x12345\n"), assemble("f:\n    nop\n    ret\n")
+    b.lineage_first_tag[2] = 1  # ret's lineage, tagged before the merge
+    merged = merge_programs([a, b])
+    assert merged.lineage_first_tag == {3: 1}
+    assert [ti.lineage for ti in merged.fragments[1].insns] == [2, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,7 @@ def test_pass_coverage_count_annotation():
 
 def test_pass_coverage_requires_coverage7():
     program = assemble("main:\n    ecall\n")
-    bad = dataclasses.replace(COVERAGE, coverage=3, bits_per_tag=6)
+    bad = dataclasses.replace(COVERAGE, coverage=3)
     with pytest.raises(ConfigMismatch):
         pass_coverage(program, bad)
     with pytest.raises(ConfigMismatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -139,6 +140,27 @@ def test_config_bad_values():
         loads_config("carrier = lui\ncoverage = 3\nlabels = maybe\n")
     with pytest.raises(ConfigError):
         loads_config("carrier = lui\ncoverage = 3\ndefault_tag = BOGUS\n")
+
+
+@pytest.mark.parametrize("carrier", [5, None, "LUI", TagCarrier])
+def test_config_unknown_carrier_is_a_config_error(carrier):
+    with pytest.raises(ConfigError, match=r"carrier: unknown carrier .* \(lui, addi, custom\)"):
+        make_config(carrier=carrier)
+
+
+def test_config_carrier_by_name_or_member():
+    for carrier in TagCarrier:
+        assert make_config(carrier=carrier.value, coverage=1).carrier is carrier
+        assert make_config(carrier=carrier, coverage=1).carrier is carrier
+
+
+def test_bits_per_tag_follows_the_layout_after_replace():
+    config = make_config(carrier="lui", coverage=7)
+    assert config.bits_per_tag == 2
+    assert dataclasses.replace(config, coverage=3).bits_per_tag == 6
+    assert dataclasses.replace(config, carrier=TagCarrier.CUSTOM).bits_per_tag == 3
+    with pytest.raises(TypeError):
+        dataclasses.replace(config, bits_per_tag=6)
 
 
 def test_config_tag_width_validation():
