@@ -58,20 +58,16 @@ def _load_config(args):
     config = tagplan.load_config(path)
     policy = getattr(args, "policy", None)
     if policy:
-        # --policy swaps the built-in vocabulary; the tags the config adds to
-        # its own policy's vocabulary, and its default tag, stay
-        builtin = dict(tagplan.POLICY_TAG_SETS[policy])
-        own = tagplan.POLICY_TAG_SETS[config.policy]
-        extra = tuple((name, value) for name, value in config.tag_names
-                      if (name, value) not in own and builtin.get(name) != value)
-        for name, value in extra:
-            if name in builtin:
-                raise tagplan.ConfigError(f"tags: policy {policy!r} requires "
-                                          f"{name}={builtin[name]}, config says {value}")
+        # --policy swaps the built-in vocabulary.  The tags the config adds to
+        # its own policy's vocabulary, and its default tag, stay; make_config
+        # rejects an added tag that remaps or aliases a built-in one.
+        extra = tuple(tag for tag in config.tag_names
+                      if tag not in tagplan.POLICY_TAG_SETS[config.policy])
         config = tagplan.make_config(
             carrier=config.carrier, coverage=config.coverage,
             labels=config.labels_enabled, policy=policy,
-            tags=tagplan.POLICY_TAG_SETS[policy] + extra,
+            tags=tuple(tag for tag in tagplan.POLICY_TAG_SETS[policy]
+                       if tag[0] not in dict(extra)) + extra,
             default_tag=config.name_of(config.default_tag))
     return config
 
@@ -300,10 +296,9 @@ def diff_one(name, sources, config, *, defsym=None, max_insns,
     result = {"program": name, **measure(None).to_dict()}
     if config.policy == "cfi" and config.labels_enabled:
         nolabel = measure(False)
-        result["nolabel_tagged_dynamic"] = nolabel.tagged_dynamic
-        result["nolabel_dynamic_overhead_pct"] = nolabel.dynamic_overhead_pct
-        result["nolabel_tagged_text_bytes"] = nolabel.tagged_text_bytes
-        result["nolabel_static_overhead_pct"] = nolabel.static_overhead_pct
+        for key in ("tagged_dynamic", "dynamic_overhead_pct",
+                    "tagged_text_bytes", "static_overhead_pct"):
+            result[f"nolabel_{key}"] = getattr(nolabel, key)
     return result
 
 
@@ -370,24 +365,13 @@ def _print_overheads(results, aggregate, *, nolabels=False) -> None:
 # ---------------------------------------------------------------------------
 # report
 
-def _check_report_rows(path, results, aggregate) -> None:
-    """Raise CliError unless the rows hold what _print_overheads reads."""
-    def bad(what):
-        return CliError(f"{path}: not a JSON report: {what}")
-    if not isinstance(results, list):
-        raise bad("results is not a list")
-    rows = [(f"results[{i}]", row) for i, row in enumerate(results)]
-    if aggregate is not None:
-        rows.append(("aggregate", aggregate))
-    for where, row in rows:
-        if not isinstance(row, dict):
-            raise bad(f"{where} is not an object")
-        if where != "aggregate" and not isinstance(row.get("program"), str):
-            raise bad(f"{where}.program is not a string")
-        for key in ("baseline_dynamic", "tagged_dynamic", "dynamic_overhead_pct"):
-            value = row.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise bad(f"{where}.{key} is not a number")
+_REPORT_NUMBERS = ("baseline_dynamic", "tagged_dynamic", "dynamic_overhead_pct")
+
+
+def _is_report_row(row, named=True) -> bool:
+    """Whether _print_overheads can render `row`; the aggregate row is not named."""
+    return (isinstance(row, dict) and (not named or isinstance(row.get("program"), str))
+            and all(type(row.get(key)) in (int, float) for key in _REPORT_NUMBERS))
 
 
 def cmd_report(args) -> int:
@@ -401,11 +385,15 @@ def cmd_report(args) -> int:
     schema = payload.get("schema")
     if schema != emulator.REPORT_SCHEMA:
         raise CliError(f"unknown report schema {schema!r}")
-    _check_report_rows(args.report, payload.get("results", []), payload.get("aggregate"))
+    results, aggregate = payload.get("results", []), payload.get("aggregate")
+    if not isinstance(results, list) or not all(map(_is_report_row, results)):
+        raise CliError(f"{args.report}: not a JSON report: results is not a list of rows")
+    if aggregate is not None and not _is_report_row(aggregate, named=False):
+        raise CliError(f"{args.report}: not a JSON report: aggregate is not a row")
     if args.json:
         sys.stdout.write(_emit_json(payload))
         return EXIT_OK
-    _print_overheads(payload.get("results", []), payload.get("aggregate"))
+    _print_overheads(results, aggregate)
     return EXIT_OK
 
 

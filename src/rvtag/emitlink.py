@@ -304,12 +304,7 @@ class _Reader:
         return values
 
     def bytes(self, count):
-        end = self.pos + count
-        if end > len(self.blob):
-            raise FormatError("truncated image file")
-        chunk = self.blob[self.pos:end]
-        self.pos = end
-        return bytes(chunk)
+        return self.take(struct.Struct(f"{count}s"))[0]
 
 
 def read_image(path) -> Image:

@@ -169,10 +169,6 @@ def _mem_operand(token, defsym):
     return offset, _parse_reg(base)
 
 
-def _split_operands(text: str):
-    return [part.strip() for part in text.split(",")] if text.strip() else []
-
-
 def _split_statement(text: str):
     """Lower-cased mnemonic and operand list of one stripped statement."""
     parts = text.split(None, 1)
@@ -294,6 +290,7 @@ class _Assembler:
         self.local_labels = {}      # fragment name -> {label: insn index}
         self.branch_refs = []       # (fragment, insn index, symbol, lineno)
         self.pending_calltype = None
+        self.pair_count = 0         # HI/LO pairs so far; the last one's id
 
     def error(self, message, lineno, column=1):
         return ParseError(message, line=lineno, column=column, filename=self.filename)
@@ -382,28 +379,24 @@ class _Assembler:
             self.section = "text"
         elif name == ".data":
             self.section = "data"
-        elif name == ".signature":
+        elif name in (".signature", ".calltype"):
             match = _STRING_ARG.match(arg)
             if not match:
-                raise self.error('.signature expects a quoted string', lineno)
-            if self.current is None or self.section != "text":
+                raise self.error(f"{name} expects a quoted string", lineno)
+            if name == ".calltype":
+                self.pending_calltype = match.group(1)
+            elif self.current is None or self.section != "text":
                 raise self.error(".signature outside a function", lineno)
-            self.current.signature = match.group(1)
-        elif name == ".calltype":
-            match = _STRING_ARG.match(arg)
-            if not match:
-                raise self.error('.calltype expects a quoted string', lineno)
-            self.pending_calltype = match.group(1)
+            else:
+                self.current.signature = match.group(1)
+        elif name in (".word", ".dword", ".zero") and self.section != "data":
+            raise self.error(f"{name} outside .data", lineno)
         elif name in (".word", ".dword"):
-            if self.section != "data":
-                raise self.error(f"{name} outside .data", lineno)
             width = 4 if name == ".word" else 8
-            for token in _split_operands(arg):
-                value = self._directive_int(token, lineno)
+            for token in arg.split(",") if arg else ():
+                value = self._directive_int(token.strip(), lineno)
                 self.program.data += (value & ((1 << width * 8) - 1)).to_bytes(width, "little")
         elif name == ".zero":
-            if self.section != "data":
-                raise self.error(".zero outside .data", lineno)
             count = self._directive_int(arg, lineno)
             if count < 0:
                 raise self.error(".zero expects a non-negative count", lineno)
@@ -478,20 +471,14 @@ class _Assembler:
             raise self.error(str(exc), lineno) from None
 
         if relocations:
-            pair_id = self._next_pair_id()
+            self.pair_count += 1
             for reloc in relocations:
                 reloc.offset += 4 * base_index
-                reloc.pair_id = pair_id
+                reloc.pair_id = self.pair_count
             frag.relocations += relocations
         frag.insns += insns
         if target is not None:
             self.branch_refs.append((frag, base_index, target, lineno))
-
-    _pair_counter = 0
-
-    def _next_pair_id(self):
-        self._pair_counter += 1
-        return self._pair_counter
 
     # -- pass C: local branch resolution ----------------------------------
     def resolve_local_branches(self):
@@ -554,24 +541,22 @@ def merge_programs(programs) -> Program:
     explicit = []
     names = set()  # fragment names so far
     for prog in programs:
-        data_base = len(merged.data)
+        data_base, lineage_base = len(merged.data), merged.lineage_count
         for frag in prog.fragments:
             if frag.name in names or frag.name in merged.data_symbols:
                 raise ParseError(f"duplicate symbol {frag.name!r} across inputs")
             merged.fragments.append(frag)
             names.add(frag.name)
+            for member in frag.insns:
+                if member.lineage is not None:
+                    member.lineage += lineage_base
         for name, off in prog.data_symbols.items():
             if name in merged.data_symbols or name in names:
                 raise ParseError(f"duplicate symbol {name!r} across inputs")
             merged.data_symbols[name] = data_base + off
         merged.data += prog.data
-        base = merged.lineage_count
-        for frag in prog.fragments:
-            for member in frag.insns:
-                if member.lineage is not None:
-                    member.lineage += base
         merged.lineage_first_tag.update(
-            (lineage + base, tag) for lineage, tag in prog.lineage_first_tag.items())
+            (lineage + lineage_base, tag) for lineage, tag in prog.lineage_first_tag.items())
         merged.lineage_count += prog.lineage_count
         if prog.entry_explicit:
             explicit.append(prog.entry)

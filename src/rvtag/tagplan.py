@@ -55,16 +55,10 @@ class TagConfig:
     default_tag: int = 0
 
     def value_of(self, name: str):
-        for n, v in self.tag_names:
-            if n == name:
-                return v
-        return None
+        return dict(self.tag_names).get(name)
 
     def name_of(self, value: int) -> str:
-        for n, v in self.tag_names:
-            if v == value:
-                return n
-        return str(value)
+        return next((n for n, v in self.tag_names if v == value), str(value))
 
     @property
     def tag_values(self) -> frozenset:
@@ -94,11 +88,15 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
     tag_names = tuple(tags) if tags is not None else POLICY_TAG_SETS[policy]
     if not tag_names:
         raise ConfigError("tags: at least one tag must be declared")
-    seen = set()
+    owners = {}  # value -> the one tag name it has
     for name, value in tag_names:
-        if name in seen:
+        if not name:
+            raise ConfigError(f"tags: value {value} has no name")
+        if name in owners.values():
             raise ConfigError(f"tags: duplicate tag name {name!r}")
-        seen.add(name)
+        if value in owners:
+            raise ConfigError(f"tags: {owners[value]!r} and {name!r} share value {value}")
+        owners[value] = name
         if not 0 <= value < (1 << bits):
             raise ConfigError(
                 f"tags: value {value} of {name!r} does not fit {bits}-bit tags"
@@ -118,21 +116,18 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
     if default_tag is None:
         default_tag = "N"
     if isinstance(default_tag, str):
-        match = [v for n, v in tag_names if n == default_tag]
-        if not match:
+        if default_tag not in declared:
             raise ConfigError(f"default_tag: {default_tag!r} is not a declared tag")
-        default_value = match[0]
-    else:
-        default_value = default_tag
-        if default_value not in {v for _, v in tag_names}:
-            raise ConfigError(f"default_tag: value {default_value} is not declared")
+        default_tag = declared[default_tag]
+    elif default_tag not in owners:
+        raise ConfigError(f"default_tag: value {default_tag} is not declared")
     return TagConfig(
         carrier=carrier,
         coverage=coverage,
         labels_enabled=bool(labels),
         policy=policy,
         tag_names=tag_names,
-        default_tag=default_value,
+        default_tag=default_tag,
     )
 
 
@@ -159,9 +154,7 @@ def loads_config(text: str) -> TagConfig:
         if key not in known:
             raise ConfigError(f"unknown key {key!r}")
 
-    kwargs = {}
-    if "carrier" in fields:
-        kwargs["carrier"] = fields["carrier"]
+    kwargs = {key: fields[key] for key in ("carrier", "policy") if key in fields}
     if "coverage" in fields:
         try:
             kwargs["coverage"] = int(fields["coverage"], 0)
@@ -172,8 +165,6 @@ def loads_config(text: str) -> TagConfig:
         if word not in _BOOL_WORDS:
             raise ConfigError(f"labels: {fields['labels']!r} is not a boolean")
         kwargs["labels"] = _BOOL_WORDS[word]
-    if "policy" in fields:
-        kwargs["policy"] = fields["policy"]
     if "tags" in fields:
         pairs = []
         for item in fields["tags"].split(","):

@@ -518,6 +518,18 @@ def test_policy_flag_rejects_a_tag_its_vocabulary_gives_another_value(workspace,
         _config_with_policy(conf, "cfi")
 
 
+@pytest.mark.parametrize("default", ["N", "HOT"])
+def test_policy_flag_rejects_a_tag_that_aliases_a_builtin_value(workspace, capsys, default):
+    conf, out = workspace / "alias.conf", workspace / "alias.rvti"
+    conf.write_text(f"carrier = lui\ncoverage = 3\ntags = N:0, HOT:1\ndefault_tag = {default}\n")
+    assert _config_with_policy(conf, None).tag_names == (("N", 0), ("HOT", 1))
+    assert main(["link", "--config", str(conf), "--policy", "cfi", "--out", str(out),
+                 str(workspace / "prog.s")]) == cli.EXIT_BUILD
+    assert capsys.readouterr().err == (
+        "rvtag: build error: tags: 'CFL' and 'HOT' share value 1\n")
+    assert not out.exists()
+
+
 def test_dump_coverage_replaces_an_existing_map(workspace, capsys):
     image_path, cov = workspace / "cov.rvti", workspace / "cov.json"
     assert main(["link", "--config", str(workspace / "cov.conf"), "--out", str(image_path),

@@ -169,6 +169,16 @@ def test_config_tag_width_validation():
         make_config(carrier="lui", coverage=15, tags=(("N", 0), ("BIG", 2)))
 
 
+def test_config_tags_need_names_and_distinct_values():
+    with pytest.raises(ConfigError, match="tags: 'A' and 'B' share value 1"):
+        loads_config("tags = N:0, A:1, B:1\n")
+    with pytest.raises(ConfigError, match="tags: value 1 has no name"):
+        loads_config("tags = :1, N:0\n")
+    with pytest.raises(ConfigError, match="tags: 'BCF' and 'HOT' share value 2"):
+        make_config(carrier="lui", coverage=7, policy="coverage",
+                    tags=(("CL", 0), ("CI", 1), ("BCF", 2), ("N", 3), ("HOT", 2)))
+
+
 def test_config_policy_requires_canonical_values():
     with pytest.raises(ConfigError):
         make_config(carrier="lui", coverage=3, policy="cfi",
