@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
 """Desk-scale overhead sweep over a generated corpus.
 
-For each lui coverage level, build every corpus program untagged and tagged,
-check the two runs end in identical architectural state, and aggregate the
-dynamic and static overheads, with and without control-flow labels.
+For each lui coverage level, diff-run every corpus program (build it
+untagged and tagged, check the two runs end in identical architectural
+state) and aggregate the dynamic and static overheads, with and without
+control-flow labels.
 """
 
-from rvtag import build_image, make_config, run
-from rvtag.cli import compare_states
+from rvtag import make_config
+from rvtag.cli import diff_one
 from rvtag.corpus import generate_corpus
 
 SEED = 1234
 COUNT = 25
 
+
+def overhead(rows, what):
+    """Percent growth of the summed tagged figure over the summed baseline."""
+    base = sum(row[f"baseline_{what}"] for row in rows)
+    return (sum(row[f"tagged_{what}"] for row in rows) - base) * 100.0 / base
+
+
 print(f"corpus: {COUNT} generated programs, seed {SEED}\n")
 programs = generate_corpus(SEED, COUNT)
-plain = make_config(carrier="lui", coverage=3)
 
 print(f"{'configuration':24} {'dyn overhead':>12} {'text overhead':>14}")
 for coverage in (3, 7, 15):
     for labelled in (False, True):
-        if labelled:
-            config = make_config(carrier="lui", coverage=coverage, policy="cfi")
-        else:
-            config = make_config(carrier="lui", coverage=coverage)
-        base_total = tag_total = base_bytes = tag_bytes = 0
-        for text in programs:
-            baseline = build_image(text, plain, tagged=False)
-            tagged = build_image(text, config, tagged=True,
-                                 cfi_label_direct_calls=labelled)
-            base_state, base_counters, _ = run(baseline)
-            tag_state, tag_counters, _ = run(tagged)
-            divergence = compare_states(base_state, tag_state, baseline.data_base)
-            assert divergence is None, divergence
-            base_total += base_counters.total
-            tag_total += tag_counters.total
-            base_bytes += len(baseline.text)
-            tag_bytes += len(tagged.text)
+        config = make_config(carrier="lui", coverage=coverage,
+                             policy="cfi" if labelled else "none")
+        rows = [diff_one(f"p{i}", [text], config, max_insns=10 ** 8,
+                         cfi_label_direct_calls=labelled)
+                for i, text in enumerate(programs)]
         name = f"lui c{coverage}" + (" + labels" if labelled else "")
-        dyn = (tag_total - base_total) * 100.0 / base_total
-        static = (tag_bytes - base_bytes) * 100.0 / base_bytes
-        print(f"{name:24} {dyn:>11.2f}% {static:>13.2f}%")
+        print(f"{name:24} {overhead(rows, 'dynamic'):>11.2f}% "
+              f"{overhead(rows, 'text_bytes'):>13.2f}%")
 
 print("\nevery pair of runs ended in identical registers, memory, and exit code")

@@ -8,7 +8,7 @@ and executes the result in a bundled emulator that either ignores tags
 
 from .codec import Insn, TagCarrier, decode, encode
 from .emitlink import Image, link, read_image, write_image
-from .emulator import ExecCounters, MachineState, PolicyState, PolicyViolation, report, run
+from .emulator import ExecCounters, MachineState, PolicyState, PolicyViolation, run
 from .errors import BuildError, RvtagError
 from .frontend import Fragment, Program, Relocation, TaggedInsn, assemble
 from .instrument import (
@@ -22,7 +22,7 @@ from .instrument import (
     propagate_lineage,
     set_tag,
 )
-from .pipeline import apply_policy, assemble_sources, build_image
+from .pipeline import apply_policy, assemble_sources, build_image, build_variants
 from .tagplan import TagConfig, load_config, loads_config, make_config, remap_offset
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ __all__ = [
     "assemble",
     "assemble_sources",
     "build_image",
+    "build_variants",
     "cfi_label_value",
     "decode",
     "encode",
@@ -62,7 +63,6 @@ __all__ = [
     "propagate_lineage",
     "read_image",
     "remap_offset",
-    "report",
     "run",
     "set_tag",
     "write_image",

@@ -96,17 +96,10 @@ def cmd_assemble(args) -> int:
                                         filenames=args.inputs)
     summary = {
         "entry": program.entry,
-        "fragments": [
-            {
-                "name": frag.name,
-                "instructions": len(frag.insns),
-                "relocations": len(frag.relocations),
-                "exported": frag.exported,
-                "internal": frag.internal,
-                "signature": frag.signature,
-            }
-            for frag in program.fragments
-        ],
+        "fragments": [{"name": frag.name, "instructions": len(frag.insns),
+                       "relocations": len(frag.relocations), "exported": frag.exported,
+                       "internal": frag.internal, "signature": frag.signature}
+                      for frag in program.fragments],
         "data_bytes": len(program.data),
         "data_symbols": dict(sorted(program.data_symbols.items())),
     }
@@ -119,62 +112,49 @@ def cmd_assemble(args) -> int:
                 m for m, on in (("G", frag["exported"]), ("I", frag["internal"])) if on)
             print(f"  {frag['name']:24} {frag['instructions']:5} insns "
                   f"{frag['relocations']:3} relocs {marks}")
-        print(f"data: {len(program.data)} bytes, "
-              f"{len(program.data_symbols)} symbols")
+        print(f"data: {len(program.data)} bytes, {len(program.data_symbols)} symbols")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # link / build
 
-def _build_one(args, config, *, tagged, with_labels=None, out_path=None):
-    defsym = _parse_defsyms(args.defsym)
-    image = pipeline.build_image(
-        _read_sources(args.inputs), config,
-        tagged=tagged, with_labels=with_labels, defsym=defsym,
-        cfi_label_direct_calls=getattr(args, "cfi_label_direct_calls", False),
-        coverage_mode=getattr(args, "coverage_mode", "all_branches"),
-        filenames=args.inputs,
-    )
-    if out_path is not None:
-        emitlink.write_image(image, out_path)
-    return image
-
-
 def cmd_link(args) -> int:
     config = _load_config(args)
-    _build_one(args, config, tagged=not args.no_tags, out_path=args.out)
+    defsym = _parse_defsyms(args.defsym)
+    image = pipeline.build_image(
+        _read_sources(args.inputs), config, tagged=not args.no_tags, defsym=defsym,
+        cfi_label_direct_calls=args.cfi_label_direct_calls,
+        coverage_mode=args.coverage_mode, filenames=args.inputs)
+    emitlink.write_image(image, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
     config = _load_config(args)
+    defsym = _parse_defsyms(args.defsym)
+    variants = pipeline.build_variants(
+        _read_sources(args.inputs), config, defsym=defsym,
+        cfi_label_direct_calls=args.cfi_label_direct_calls,
+        coverage_mode=args.coverage_mode, filenames=args.inputs)
     out = Path(args.out)
-    rows = []
-
-    baseline_path = out.with_suffix(".base.rvti") if not args.no_tags else out
-    baseline = _build_one(args, config, tagged=False, out_path=baseline_path)
-    rows.append((str(baseline_path), len(baseline.text), None))
-
+    _, baseline = next(variants)
+    baseline_path = out if args.no_tags else out.with_suffix(".base.rvti")
+    emitlink.write_image(baseline, baseline_path)
+    rows = [(str(baseline_path), len(baseline.text), None)]
     if not args.no_tags:
-        tagged = _build_one(args, config, tagged=True, out_path=out)
-        rows.append((str(out), len(tagged.text),
-                     emulator._pct(len(baseline.text), len(tagged.text))))
-        if config.policy == "cfi" and config.labels_enabled:
-            nolabel_path = out.with_suffix(".nolabels.rvti")
-            nolabel = _build_one(args, config, tagged=True, with_labels=False,
-                                 out_path=nolabel_path)
-            rows.append((str(nolabel_path), len(nolabel.text),
-                         emulator._pct(len(baseline.text), len(nolabel.text))))
+        images = dict(variants)  # none is written unless the tagged build succeeds
+        for kind, path in (("tagged", out), ("nolabels", out.with_suffix(".nolabels.rvti"))):
+            if kind in images:
+                emitlink.write_image(images[kind], path)
+                size = len(images[kind].text)
+                rows.append((str(path), size, _pct(len(baseline.text), size)))
 
     if args.json:
-        payload = [
-            {"image": name, "text_bytes": size,
-             "growth_pct": growth if growth is not None else 0.0}
-            for name, size, growth in rows
-        ]
-        sys.stdout.write(_emit_json(payload))
+        sys.stdout.write(_emit_json([
+            {"image": name, "text_bytes": size, "growth_pct": growth or 0.0}
+            for name, size, growth in rows]))
     else:
         print(f"{'image':40} {'text bytes':>10} {'growth':>8}")
         for name, size, growth in rows:
@@ -189,13 +169,9 @@ def cmd_build(args) -> int:
 def _write_coverage(path, image, state, policy_state) -> None:
     """Write a run's CL counts (read from its final text), CI counts and BCF
     edges to `path` as JSON."""
-    cl = []
-    for addr, kind in image.label_addrs:
-        if kind != "cl":
-            continue
-        cl.append({"addr": addr, "count": (state.memory.read(addr, 4) >> 12) & 0xFFFFF})
     payload = {
-        "cl": cl,
+        "cl": [{"addr": addr, "count": (state.memory.read(addr, 4) >> 12) & 0xFFFFF}
+               for addr, kind in image.label_addrs if kind == "cl"],
         "ci": {hex(pc): count for pc, count in sorted(policy_state.ci_counts.items())},
         "bcf": {
             hex(pc): {hex(target): count for target, count in sorted(targets.items())}
@@ -207,10 +183,9 @@ def _write_coverage(path, image, state, policy_state) -> None:
 
 def cmd_run(args) -> int:
     image = emitlink.read_image(args.image)
-    mode = "aware" if args.mode == "aware" else "compat"
     try:
         state, counters, policy_state = emulator.run(
-            image, mode=mode, max_insns=args.max_insns)
+            image, mode=args.mode, max_insns=args.max_insns)
     except PolicyViolation as exc:
         print(f"policy violation: {exc.kind} pc={exc.pc:#x} {exc.detail}")
         return EXIT_POLICY
@@ -243,6 +218,31 @@ def cmd_enforce(args) -> int:
 # ---------------------------------------------------------------------------
 # diff-run
 
+REPORT_SCHEMA = "rvtag-report-v1"
+
+
+def _pct(baseline: int, tagged: int) -> float:
+    if baseline == 0:
+        return 0.0
+    return (tagged - baseline) * 100.0 / baseline
+
+
+def report(counters_baseline, counters_tagged, sizes) -> dict:
+    """The rvtag-report-v1 row: dynamic and static overhead of a tagged
+    run and build over the untagged baseline; sizes are their text bytes."""
+    baseline_bytes, tagged_bytes = sizes
+    return {
+        "schema": REPORT_SCHEMA,
+        "baseline_dynamic": counters_baseline.total,
+        "tagged_dynamic": counters_tagged.total,
+        "dynamic_overhead_pct": _pct(counters_baseline.total, counters_tagged.total),
+        "baseline_text_bytes": baseline_bytes,
+        "tagged_text_bytes": tagged_bytes,
+        "static_overhead_pct": _pct(baseline_bytes, tagged_bytes),
+        "tagged_labels_seen": counters_tagged.labels_seen,
+    }
+
+
 def compare_states(base, tagged, data_base) -> str | None:
     """First architectural divergence between two final states, or None.
 
@@ -268,37 +268,39 @@ def compare_states(base, tagged, data_base) -> str | None:
     return None
 
 
+_NOLABEL_KEYS = ("tagged_dynamic", "dynamic_overhead_pct",
+                 "tagged_text_bytes", "static_overhead_pct")
+
+
 def diff_one(name, sources, config, *, defsym=None, max_insns,
              cfi_label_direct_calls=False, filenames=None) -> dict:
-    """Build baseline and tagged images for one program, run both, compare.
+    """Build one program's variants from one assembly, run each, and compare
+    each tagged run with the baseline run.
 
-    Under the cfi policy a labels-off build rides along so the label cost
-    shows up separately in the report.  `filenames` names the sources in
-    build errors, as in pipeline.assemble_sources.
+    The row is the tagged build's report; under cfi with labels the
+    labels-off build's figures ride along as nolabel_* keys, so the label
+    cost shows up separately.  `filenames` names the sources in build
+    errors, as in pipeline.assemble_sources.
     """
-    baseline = pipeline.build_image(sources, config, tagged=False, defsym=defsym,
-                                    filenames=filenames)
-    base_state, base_counters, _ = emulator.run(
-        baseline, mode="compat", max_insns=max_insns)
-
-    def measure(with_labels):
-        tagged = pipeline.build_image(
-            sources, config, tagged=True, with_labels=with_labels, defsym=defsym,
-            cfi_label_direct_calls=cfi_label_direct_calls, filenames=filenames)
-        tag_state, tag_counters, _ = emulator.run(
-            tagged, mode="compat", max_insns=max_insns)
-        divergence = compare_states(base_state, tag_state, baseline.data_base)
+    variants = pipeline.build_variants(sources, config, defsym=defsym,
+                                       cfi_label_direct_calls=cfi_label_direct_calls,
+                                       filenames=filenames)
+    _, baseline = next(variants)
+    base_state, base_counters, _ = emulator.run(baseline, mode="compat", max_insns=max_insns)
+    images = dict(variants)
+    result = {"program": name}
+    for kind in ("tagged", "nolabels"):
+        if kind not in images:
+            continue
+        state, counters, _ = emulator.run(images[kind], mode="compat", max_insns=max_insns)
+        divergence = compare_states(base_state, state, baseline.data_base)
         if divergence is not None:
             raise EquivalenceFailure(f"{name}: {divergence}")
-        return emulator.report(base_counters, tag_counters,
-                               (len(baseline.text), len(tagged.text)))
-
-    result = {"program": name, **measure(None).to_dict()}
-    if config.policy == "cfi" and config.labels_enabled:
-        nolabel = measure(False)
-        for key in ("tagged_dynamic", "dynamic_overhead_pct",
-                    "tagged_text_bytes", "static_overhead_pct"):
-            result[f"nolabel_{key}"] = getattr(nolabel, key)
+        row = report(base_counters, counters, (len(baseline.text), len(images[kind].text)))
+        if kind == "tagged":
+            result.update(row)
+        else:
+            result.update((f"nolabel_{key}", row[key]) for key in _NOLABEL_KEYS)
     return result
 
 
@@ -332,28 +334,28 @@ def cmd_diff_run(args) -> int:
         "programs": len(results),
         "baseline_dynamic": total_base,
         "tagged_dynamic": total_tagged,
-        "dynamic_overhead_pct": emulator._pct(total_base, total_tagged),
+        "dynamic_overhead_pct": _pct(total_base, total_tagged),
     }
     if args.json:
-        sys.stdout.write(_emit_json({"schema": emulator.REPORT_SCHEMA,
+        sys.stdout.write(_emit_json({"schema": REPORT_SCHEMA,
                                      "results": results, "aggregate": aggregate}))
     else:
-        _print_overheads(results, aggregate, nolabels=any(
-            "nolabel_dynamic_overhead_pct" in r for r in results))
+        _print_overheads(results, aggregate)
         print(f"equivalence: {len(results)}/{len(results)} programs identical")
     return EXIT_OK
 
 
-def _print_overheads(results, aggregate, *, nolabels=False) -> None:
+def _print_overheads(results, aggregate) -> None:
     """The dynamic-overhead table of diff-run and report: one row per
     program, the aggregate row when there is one, and a labels-off column
-    when `nolabels` is set."""
+    when any row has a labels-off figure."""
+    nolabels = any("nolabel_dynamic_overhead_pct" in r for r in results)
     extra = f" {'no labels':>10}" if nolabels else ""
     print(f"{'program':28} {'baseline':>9} {'tagged':>9} {'overhead':>9}{extra}")
     for r in results:
         row = (f"{r['program']:28} {r['baseline_dynamic']:>9} "
                f"{r['tagged_dynamic']:>9} {r['dynamic_overhead_pct']:>8.2f}%")
-        if nolabels and "nolabel_dynamic_overhead_pct" in r:
+        if "nolabel_dynamic_overhead_pct" in r:
             row += f" {r['nolabel_dynamic_overhead_pct']:>9.2f}%"
         print(row)
     if aggregate:
@@ -369,9 +371,11 @@ _REPORT_NUMBERS = ("baseline_dynamic", "tagged_dynamic", "dynamic_overhead_pct")
 
 
 def _is_report_row(row, named=True) -> bool:
-    """Whether _print_overheads can render `row`; the aggregate row is not named."""
+    """Whether _print_overheads can render `row`; the aggregate row is not
+    named, and a labels-off figure is optional."""
     return (isinstance(row, dict) and (not named or isinstance(row.get("program"), str))
-            and all(type(row.get(key)) in (int, float) for key in _REPORT_NUMBERS))
+            and all(type(row.get(key)) in (int, float) for key in _REPORT_NUMBERS)
+            and type(row.get("nolabel_dynamic_overhead_pct", 0.0)) in (int, float))
 
 
 def cmd_report(args) -> int:
@@ -383,7 +387,7 @@ def cmd_report(args) -> int:
     if not isinstance(payload, dict):
         raise CliError(f"{args.report}: not a JSON report: the top level is not an object")
     schema = payload.get("schema")
-    if schema != emulator.REPORT_SCHEMA:
+    if schema != REPORT_SCHEMA:
         raise CliError(f"unknown report schema {schema!r}")
     results, aggregate = payload.get("results", []), payload.get("aggregate")
     if not isinstance(results, list) or not all(map(_is_report_row, results)):

@@ -4,10 +4,15 @@ tagplan's offset arithmetic is the one placement rule.  With a carrier
 ahead of each group of N instructions, the instruction at untagged fragment
 offset o sits at base + insn_address(o), a control transfer to o lands on
 base + landing_offset(o) (a group boundary lands on its carrier), and a
-fragment takes tagged_size bytes.  Text starts at TEXT_BASE and data at
-DATA_BASE; fragments are 16-byte aligned with zero fill between them.  HI/LO
-relocation pairs resolve correctly with up to MAX_PAIR_GAP words (carriers
-and labels) between the two instructions.
+fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
+fill between them.  HI/LO relocation pairs resolve correctly with up to
+MAX_PAIR_GAP words (carriers and labels) between the two instructions.
+
+The memory map is fixed, with three disjoint segments: text in [TEXT_BASE,
+DATA_BASE), data in [DATA_BASE, STACK_TOP - STACK_SIZE) and the stack below
+STACK_TOP.  link raises BuildError for text or data past its segment;
+read_image raises FormatError for other bases, for text that is not whole
+words, and for a segment past its end.
 
 Image file format "RVTI", little-endian throughout:
 
@@ -46,6 +51,8 @@ from .tagplan import TagConfig
 
 TEXT_BASE = 0x10000
 DATA_BASE = 0x20000
+STACK_TOP = 0x800000
+STACK_SIZE = 0x4000
 FUNCTION_ALIGN = 16
 MAX_PAIR_GAP = 3
 
@@ -218,10 +225,11 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         text += bytes(base - TEXT_BASE - len(text))  # zero fill to the aligned base
         text += struct.pack(f"<{len(words)}I", *words)
 
-    if program.data and TEXT_BASE + len(text) > DATA_BASE:
-        raise BuildError(
-            f"text ({len(text)} bytes at {TEXT_BASE:#x}) overruns data base "
-            f"{DATA_BASE:#x}")
+    for name, size, base, limit, end in (
+            ("text", len(text), TEXT_BASE, "data base", DATA_BASE),
+            ("data", len(program.data), DATA_BASE, "stack bottom", STACK_TOP - STACK_SIZE)):
+        if base + size > end:
+            raise BuildError(f"{name} ({size} bytes at {base:#x}) overruns {limit} {end:#x}")
     entry_symbol = program.entry
     if entry_symbol not in symbols:
         raise UndefinedSymbol(f"entry symbol {entry_symbol!r} is not defined")
@@ -303,8 +311,14 @@ class _Reader:
         self.pos = end
         return values
 
-    def bytes(self, count):
-        return self.take(struct.Struct(f"{count}s"))[0]
+    def segment(self, name, base, end) -> bytes:
+        """A segment's bytes, after checking its header puts it in [base, end)."""
+        start, = self.take(_U64)
+        length, = self.take(_U32)
+        if start != base or start + length > end:
+            raise FormatError(f"{name} of {length} bytes at {start:#x} is outside "
+                              f"[{base:#x}, {end:#x}) of the memory map")
+        return self.take(struct.Struct(f"{length}s"))[0]
 
 
 def read_image(path) -> Image:
@@ -317,12 +331,10 @@ def read_image(path) -> Image:
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     entry, = reader.take(_U64)
-    text_base, = reader.take(_U64)
-    text_len, = reader.take(_U32)
-    text = reader.bytes(text_len)
-    data_base, = reader.take(_U64)
-    data_len, = reader.take(_U32)
-    data = reader.bytes(data_len)
+    text = reader.segment("text", TEXT_BASE, DATA_BASE)
+    if len(text) % tagplan.INSN_SIZE:
+        raise FormatError(f"text length {len(text)} is not a whole number of words")
+    data = reader.segment("data", DATA_BASE, STACK_TOP - STACK_SIZE)
     region_count, = reader.take(_U32)
     regions = []
     for _ in range(region_count):
@@ -335,9 +347,9 @@ def read_image(path) -> Image:
         if (carrier, coverage) not in codec.TAG_BITS:
             raise FormatError(f"region {start:#x}: {carrier.value} carrier has no "
                               f"coverage-{coverage} tag layout")
-        if not text_base <= start < text_base + text_len:
+        if not TEXT_BASE <= start < TEXT_BASE + len(text):
             raise FormatError(f"region {start:#x} starts outside text "
-                              f"[{text_base:#x}, {text_base + text_len:#x})")
+                              f"[{TEXT_BASE:#x}, {TEXT_BASE + len(text):#x})")
         if start % tagplan.INSN_SIZE:
             raise FormatError(f"region {start:#x} is not word-aligned")
         if regions and start <= regions[-1].start:
@@ -347,7 +359,7 @@ def read_image(path) -> Image:
                                  coverage=coverage, carrier=carrier))
     # Each region's last carrier starts before the next region, or before
     # the end of text for the last one.
-    for region, bound in zip(regions, [r.start for r in regions[1:]] + [text_base + text_len]):
+    for region, bound in zip(regions, [r.start for r in regions[1:]] + [TEXT_BASE + len(text)]):
         stride = tagplan.INSN_SIZE * (region.coverage + 1)
         if region.start + stride * (region.group_count - 1) >= bound:
             raise FormatError(f"region {region.start:#x}: {region.group_count} carrier "
@@ -356,9 +368,9 @@ def read_image(path) -> Image:
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
     return Image(
-        text_base=text_base,
+        text_base=TEXT_BASE,
         text=text,
-        data_base=data_base,
+        data_base=DATA_BASE,
         data=data,
         entry=entry,
         tags_present=bool(flags & 1),

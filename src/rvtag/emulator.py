@@ -6,13 +6,15 @@ would behave); "aware" consumes carrier words as metadata and enforces the
 image's policy.  Counters split retired instructions from carrier fetches so
 dynamic overhead can be measured; the fetch budget, max_insns, bounds both.
 
-Memory is three bytearray segments, text, data and stack; an access outside
-them is a MemFault.  The slot schedule (tagplan.carrier_groups) is resolved
-once, at load, into a pc -> tag dict where None marks a carrier.  Code runs
-as basic blocks, translated on entry and cached by entry pc once entered
-twice: closures with their operands bound, constant counts, and one
-terminator that returns the next pc.  Aware-mode carriers and x0 no-ops
-cost nothing, and each policy check is folded in at translation.
+Memory is three bytearray segments on emitlink's fixed map: text, data, and
+a stack that ends at STACK_TOP.  They are disjoint in every image that link
+or read_image returns.  An access outside them is a MemFault.  The slot
+schedule (tagplan.carrier_groups) is resolved once, at load, into a pc ->
+tag dict where None marks a carrier.  Code runs as basic blocks, translated
+on entry and cached by entry pc once entered twice: closures with their
+operands bound, constant counts, and one terminator that returns the next
+pc.  Aware-mode carriers and x0 no-ops cost nothing, and each policy check
+is folded in at translation.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ import functools
 import operator
 import struct
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import codec, tagplan
-from .emitlink import Image
+from .emitlink import STACK_SIZE, STACK_TOP, Image
 from .errors import RvtagError
 
-STACK_TOP = 0x800000
-STACK_SIZE = 0x4000
 EXIT_SYSCALL = 93
 WRITE_SYSCALL = 64
 
@@ -561,48 +561,3 @@ def run(image: Image, mode: str = "compat", max_insns: int = 10 ** 8):
     PolicyViolation, BadInstruction, or LimitExceeded.
     """
     return Emulator(image, mode=mode, max_insns=max_insns).run()
-
-
-# ---------------------------------------------------------------------------
-# Overhead reporting
-
-@dataclass(frozen=True)
-class Report:
-    """Dynamic and static overhead of a tagged build over its baseline."""
-
-    schema: str
-    baseline_dynamic: int
-    tagged_dynamic: int
-    dynamic_overhead_pct: float
-    baseline_text_bytes: int
-    tagged_text_bytes: int
-    static_overhead_pct: float
-    tagged_labels_seen: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-REPORT_SCHEMA = "rvtag-report-v1"
-
-
-def _pct(baseline: int, tagged: int) -> float:
-    if baseline == 0:
-        return 0.0
-    return (tagged - baseline) * 100.0 / baseline
-
-
-def report(counters_baseline: ExecCounters, counters_tagged: ExecCounters,
-           sizes: tuple) -> Report:
-    """Overheads of a tagged run/build relative to its untagged baseline."""
-    baseline_bytes, tagged_bytes = sizes
-    return Report(
-        schema=REPORT_SCHEMA,
-        baseline_dynamic=counters_baseline.total,
-        tagged_dynamic=counters_tagged.total,
-        dynamic_overhead_pct=_pct(counters_baseline.total, counters_tagged.total),
-        baseline_text_bytes=baseline_bytes,
-        tagged_text_bytes=tagged_bytes,
-        static_overhead_pct=_pct(baseline_bytes, tagged_bytes),
-        tagged_labels_seen=counters_tagged.labels_seen,
-    )

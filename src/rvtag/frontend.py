@@ -568,40 +568,3 @@ def merge_programs(programs) -> Program:
     elif merged.fragments:
         merged.entry = merged.fragments[0].name
     return merged
-
-
-# ---------------------------------------------------------------------------
-# Disassembly (round-trip support)
-
-_XREG = [f"x{i}" for i in range(32)]
-
-
-def format_insn(insn: Insn) -> str:
-    """Render an instruction in the accepted grammar; local branch targets
-    appear as literal byte deltas."""
-    mn = insn.mnemonic
-    if mn in ("lui", "auipc"):
-        return f"{mn} {_XREG[insn.rd]}, {insn.imm:#x}"
-    if mn == "jal":
-        return f"jal {_XREG[insn.rd]}, {insn.imm}"
-    if mn == "jalr":
-        return f"jalr {_XREG[insn.rd]}, {_XREG[insn.rs1]}, {insn.imm}"
-    if mn in codec.BRANCH_MNEMONICS:
-        return f"{mn} {_XREG[insn.rs1]}, {_XREG[insn.rs2]}, {insn.imm}"
-    if mn in codec.LOAD_MNEMONICS:
-        return f"{mn} {_XREG[insn.rd]}, {insn.imm}({_XREG[insn.rs1]})"
-    if mn in codec.STORE_MNEMONICS:
-        return f"{mn} {_XREG[insn.rs2]}, {insn.imm}({_XREG[insn.rs1]})"
-    if mn in ("ecall", "ebreak"):
-        return mn
-    fmt = codec._ISA[mn][0]
-    if fmt == codec._R:
-        return f"{mn} {_XREG[insn.rd]}, {_XREG[insn.rs1]}, {_XREG[insn.rs2]}"
-    return f"{mn} {_XREG[insn.rd]}, {_XREG[insn.rs1]}, {insn.imm}"
-
-
-def disassemble_fragment(fragment: Fragment) -> str:
-    """Fragment back to source text; reassembling yields identical words."""
-    lines = [f"{fragment.name}:"]
-    lines += [f"    {format_insn(ti.insn)}" for ti in fragment.insns]
-    return "\n".join(lines) + "\n"

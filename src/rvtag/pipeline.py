@@ -52,3 +52,22 @@ def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
                      cfi_label_direct_calls=cfi_label_direct_calls,
                      coverage_mode=coverage_mode)
     return emitlink.link(program, config, tagged=tagged)
+
+
+def build_variants(sources, config: TagConfig, *, defsym=None, cfi_label_direct_calls=False,
+                   coverage_mode="all_branches", filenames=None):
+    """Assemble once and yield (kind, image): "baseline" (untagged), then under
+    cfi with labels "nolabels" (tagged, no pass run), then "tagged".
+
+    link does not modify its program and the passes run after the earlier
+    links, so one assembly serves every image, each equal to its build_image
+    call.  The generator is lazy: a caller that stops after the baseline
+    runs no pass.
+    """
+    program = assemble_sources(sources, defsym=defsym, filenames=filenames)
+    yield "baseline", emitlink.link(program, config, tagged=False)
+    if config.policy == "cfi" and config.labels_enabled:
+        yield "nolabels", emitlink.link(apply_policy(program, config, with_labels=False), config)
+    apply_policy(program, config, cfi_label_direct_calls=cfi_label_direct_calls,
+                 coverage_mode=coverage_mode)
+    yield "tagged", emitlink.link(program, config)

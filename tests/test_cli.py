@@ -242,6 +242,46 @@ def test_diff_run_json_report_round_trips(workspace, capsys, tmp_path):
     assert main(["report", "--json", str(report_path)]) == 0
 
 
+def test_report_renders_the_labels_off_column_of_a_cfi_diff_run(workspace, capsys, tmp_path):
+    argv = ["diff-run", "--config", str(workspace / "cfi.conf"), "--generate", "3", "--seed", "11"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.splitlines()[1:-1]  # less the seed and equivalence lines
+    assert "no labels" in table[0]
+    assert main(argv + ["--json"]) == 0
+    report_path = tmp_path / "cfi.json"
+    report_path.write_text(capsys.readouterr().out)
+    assert main(["report", str(report_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == table
+
+
+def test_diff_run_and_build_assemble_each_program_once(workspace, capsys, monkeypatch):
+    from rvtag import frontend
+
+    calls = []
+    assemble = frontend.assemble
+    monkeypatch.setattr(frontend, "assemble",
+                        lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+    assert main(["diff-run", "--config", str(workspace / "cfi.conf"),
+                 "--generate", "3", "--seed", "11"]) == 0
+    assert len(calls) == 3
+    (workspace / "two.s").write_text(TWO_FUNCTIONS)
+    assert main(["build", "--config", str(workspace / "cfi.conf"),
+                 "--out", str(workspace / "two.rvti"), str(workspace / "two.s")]) == 0
+    assert len(calls) == 4
+    assert (workspace / "two.nolabels.rvti").exists()
+
+
+def test_failed_cfi_build_leaves_only_the_baseline(tmp_path, capsys):
+    (tmp_path / "cfi.conf").write_text("carrier = lui\ncoverage = 3\npolicy = cfi\n")
+    (tmp_path / "prog.s").write_text("main:\n    la t0, f\n    jalr ra, t0, 0\n    ecall\n"
+                                     '.globl f\nf:\n    .signature "i64()"\n    ret\n')
+    assert main(["build", "--config", str(tmp_path / "cfi.conf"),
+                 "--out", str(tmp_path / "prog.rvti"), str(tmp_path / "prog.s")]) == cli.EXIT_BUILD
+    assert capsys.readouterr().err == (
+        "rvtag: build error: computed call at main+0x8 has no .calltype annotation\n")
+    assert sorted(path.name for path in tmp_path.glob("*.rvti")) == ["prog.base.rvti"]
+
+
 def test_report_rejects_unknown_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "mystery-v9"}))
@@ -423,6 +463,7 @@ ROW = {"program": "p", "baseline_dynamic": 10, "tagged_dynamic": 15,
     _report([{**ROW, "baseline_dynamic": "10"}]),
     _report([{**ROW, "tagged_dynamic": True}]),
     _report([{**ROW, "dynamic_overhead_pct": None}]),
+    _report([{**ROW, "nolabel_dynamic_overhead_pct": "12.5"}]),
 ])
 def test_report_rejects_a_file_that_is_not_a_json_object(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"

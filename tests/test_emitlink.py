@@ -8,6 +8,8 @@ import pytest
 from rvtag import codec
 from rvtag.emitlink import (
     DATA_BASE,
+    STACK_SIZE,
+    STACK_TOP,
     FormatError,
     Image,
     PairTooFar,
@@ -19,6 +21,8 @@ from rvtag.emitlink import (
     scan_labels,
     write_image,
 )
+from rvtag.emulator import PolicyViolation, run
+from rvtag.errors import BuildError
 from rvtag.frontend import UndefinedSymbol, assemble
 from rvtag.instrument import insert_label
 from rvtag.pipeline import apply_policy, assemble_sources, build_image
@@ -398,6 +402,58 @@ def test_image_format_errors(tmp_path):
     trailing.write_bytes(blob + b"junk")
     with pytest.raises(FormatError, match="4 trailing bytes"):
         read_image(trailing)
+
+    # Header cases: the memory map is fixed.  text_base sits at byte 16,
+    # text_len at 24; data_base and data_len follow the text.
+    text_len = len(image.text)
+    data_at = 28 + text_len
+    headers = {
+        "unaligned text base": blob[:16] + (TEXT_BASE + 2).to_bytes(8, "little") + blob[24:],
+        "text base moved": blob[:16] + (TEXT_BASE + 16).to_bytes(8, "little") + blob[24:],
+        "odd text length": (blob[:24] + (text_len - 2).to_bytes(4, "little")
+                            + blob[28:data_at - 2] + blob[data_at:]),
+        "text over data": blob[:24] + (DATA_BASE - TEXT_BASE + 4).to_bytes(4, "little"),
+        "data over text": blob[:data_at] + TEXT_BASE.to_bytes(8, "little") + blob[data_at + 8:],
+        "data over the stack": (blob[:data_at + 8]
+                                + (STACK_TOP - STACK_SIZE - DATA_BASE + 1).to_bytes(4, "little")),
+    }
+    messages = {
+        "odd text length": f"text length {text_len - 2} is not a whole number of words",
+        "data over the stack": "is outside \\[0x20000, 0x7fc000\\) of the memory map",
+    }
+    for case, header in headers.items():
+        path = tmp_path / "header.rvti"
+        path.write_bytes(header)
+        with pytest.raises(FormatError, match=messages.get(case, "of the memory map")):
+            read_image(path)
+
+
+STORE_TO_TEXT = ("main:\n    li a0, 5\n    lui a1, 0x10\n    sw a0, 0(a1)\n    lw a0, 0(a1)\n"
+                 "    li a7, 93\n    ecall\n.data\nbuf:\n    .zero 64\n")
+
+
+def test_an_image_cannot_move_its_data_over_text(tmp_path):
+    image = build_image(STORE_TO_TEXT, N7, tagged=True)
+    with pytest.raises(PolicyViolation, match="store to execute-only text at 0x10000"):
+        run(image)
+    # with data at the text base the store would land in data and the run exit 5
+    path = tmp_path / "moved.rvti"
+    write_image(dataclasses.replace(image, data_base=image.text_base), path)
+    with pytest.raises(FormatError, match="data of 64 bytes at 0x10000 is outside"):
+        read_image(path)
+
+
+def test_link_keeps_text_and_data_inside_their_segments():
+    stack_bottom = STACK_TOP - STACK_SIZE
+    full = build_image(f"main:\n    ecall\n.data\nbuf:\n    .zero {stack_bottom - DATA_BASE}\n",
+                       N3, tagged=False)
+    assert DATA_BASE + len(full.data) == stack_bottom
+    with pytest.raises(BuildError, match="data \\(8388608 bytes at 0x20000\\) overruns stack "
+                                         "bottom 0x7fc000"):
+        build_image("main:\n    ecall\n.data\nbuf:\n    .zero 8388608\n", N3, tagged=False)
+    nops = "main:\n" + "    nop\n" * ((DATA_BASE - TEXT_BASE) // 4) + "    ecall\n"
+    with pytest.raises(BuildError, match="text \\(65540 bytes at 0x10000\\) overruns data base"):
+        build_image(nops, N3, tagged=False)
 
 
 # Each case turns the image's first two (valid) regions into a bad table.
