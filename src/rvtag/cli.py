@@ -247,7 +247,7 @@ def compare_states(base, tagged, data_base) -> str | None:
     """First architectural divergence between two final states, or None.
 
     Memory is compared over the data and stack segments.  data_base is
-    unused, kept only for callers that still pass it (bench/run.py)."""
+    unused; bench/run.py and tests/test_acceptance.py still pass it."""
     for i in range(1, 32):
         if base.regs[i] != tagged.regs[i]:
             return f"x{i}: baseline {base.regs[i]:#x} != tagged {tagged.regs[i]:#x}"

@@ -8,7 +8,7 @@ fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
 fill between them.  HI/LO relocation pairs resolve correctly with up to
 MAX_PAIR_GAP words (carriers and labels) between the two instructions.
 
-The memory map is fixed, with three disjoint segments: text in [TEXT_BASE,
+The memory map is tagplan's, with three disjoint segments: text in [TEXT_BASE,
 DATA_BASE), data in [DATA_BASE, STACK_TOP - STACK_SIZE) and the stack below
 STACK_TOP.  link raises BuildError for text or data past its segment;
 read_image raises FormatError for other bases, for text that is not whole
@@ -47,12 +47,8 @@ from . import codec, tagplan
 from .codec import TagCarrier
 from .errors import BuildError
 from .frontend import Program, UndefinedSymbol
-from .tagplan import TagConfig
+from .tagplan import DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE, TagConfig
 
-TEXT_BASE = 0x10000
-DATA_BASE = 0x20000
-STACK_TOP = 0x800000
-STACK_SIZE = 0x4000
 FUNCTION_ALIGN = 16
 MAX_PAIR_GAP = 3
 

@@ -6,7 +6,7 @@ would behave); "aware" consumes carrier words as metadata and enforces the
 image's policy.  Counters split retired instructions from carrier fetches so
 dynamic overhead can be measured; the fetch budget, max_insns, bounds both.
 
-Memory is three bytearray segments on emitlink's fixed map: text, data, and
+Memory is three bytearray segments on tagplan's fixed map: text, data, and
 a stack that ends at STACK_TOP.  They are disjoint in every image that link
 or read_image returns.  An access outside them is a MemFault.  The slot
 schedule (tagplan.carrier_groups) is resolved once, at load, into a pc ->
@@ -26,8 +26,9 @@ import weakref
 from dataclasses import dataclass, field
 
 from . import codec, tagplan
-from .emitlink import STACK_SIZE, STACK_TOP, Image
+from .emitlink import Image
 from .errors import RvtagError
+from .tagplan import STACK_SIZE, STACK_TOP
 
 EXIT_SYSCALL = 93
 WRITE_SYSCALL = 64
@@ -340,9 +341,6 @@ class Emulator:
         self._text_writable = mode == "aware" and image.policy == "coverage"
         self._on_text_store = (weakref.WeakMethod(self._text_written)
                                if self._text_writable else None)
-
-        # Blocks are cached only for entries inside whole text words.
-        self._words_end = image.text_base + (0 if image.text_base % 4 else len(image.text) & ~3)
         self._blocks = {}
         self._entered = set()
         self._tags = {}
@@ -359,11 +357,11 @@ class Emulator:
     # -- slot schedule -----------------------------------------------------------
     def _resolve(self, groups, pc: int | None = None) -> None:
         """Enter carrier groups into the pc -> tag schedule (None = carrier);
-        pc is that of the store that wrote them, if any.  A carrier in whole
-        text words is read from the text segment, any other through _fetch."""
+        pc is that of the store that wrote them, if any.  Every carrier is a
+        text word: link and read_image give whole-word text at TEXT_BASE."""
         tags = self._tags
         aware = self.mode == "aware"
-        text, base, words_end = self.memory.text, self.image.text_base, self._words_end
+        text, base = self.memory.text, self.image.text_base
         region = None
         for group_region, carrier_addr, group_end in groups:
             tags[carrier_addr] = None
@@ -372,8 +370,7 @@ class Emulator:
             if group_region is not region:
                 region = group_region
                 read = codec.tag_reader(region.carrier, region.coverage)
-            word = (_WORD.unpack_from(text, carrier_addr - base)[0]
-                    if base <= carrier_addr < words_end else self._fetch(carrier_addr))
+            word = _WORD.unpack_from(text, carrier_addr - base)[0]
             try:
                 values = read(word)
             except codec.NotACarrier as exc:
@@ -401,8 +398,8 @@ class Emulator:
         if entry % 4:
             raise BadInstruction(f"misaligned pc {entry:#x}")
         base, tags, text = self.image.text_base, self._tags, self.memory.text
-        in_text = base <= entry < self._words_end
-        end = self._words_end if in_text else entry + 4
+        in_text = base <= entry < base + len(text)
+        end = base + len(text) if in_text else entry + 4
         if limit >= 0:
             end = min(end, entry + 4 * limit)
         effects = _EFFECTS.get(self.policy.mode, {})

@@ -1,5 +1,12 @@
 """Two-pass assembler from the textual RV64 subset into the program model.
 
+One assembler takes all the files of a link unit in order.  Each file starts
+afresh in .text with no current function, no pending .calltype and its own
+.globl/.internal/.entry declarations, which it must define itself.  The rest
+is unit-wide: fragments, local labels, data (bounded by the stack bottom),
+lineage and HI/LO pair ids, and branch references, resolved once the last
+file is in, so a branch, jump, call or `la` can name a function of any file.
+
 Grammar (one statement per line, `#` comments):
 
     label:                 plain identifiers; a label declared with .globl,
@@ -31,14 +38,14 @@ from dataclasses import dataclass, field
 from . import codec
 from .codec import Insn
 from .errors import BuildError
+from .tagplan import DATA_BASE, STACK_SIZE, STACK_TOP
 
 
 class ParseError(BuildError):
-    def __init__(self, message, line=0, column=1, filename="<source>"):
-        super().__init__(f"{filename}:{line}:{column}: {message}")
+    def __init__(self, message, line=0, filename="<source>"):
+        super().__init__(f"{filename}:{line}:1: {message}")
         self.message = message
         self.line = line
-        self.column = column
         self.filename = filename
 
 
@@ -278,25 +285,24 @@ def _split_labels(raw):
 
 
 class _Assembler:
-    def __init__(self, defsym=None, filename="<source>"):
-        self.defsym = defsym or {}
-        self.filename = filename
-        self.program = Program()
-        self.section = "text"
-        self.current: Fragment | None = None
-        self.fragments = {}         # name -> Fragment
-        self.declared = {}          # name -> set of markers from directives
-        self.entry_requests = []
-        self.local_labels = {}      # fragment name -> {label: insn index}
-        self.branch_refs = []       # (fragment, insn index, symbol, lineno)
-        self.pending_calltype = None
-        self.pair_count = 0         # HI/LO pairs so far; the last one's id
+    """The assembler of one link unit; assemble_file takes its files in order."""
 
-    def error(self, message, lineno, column=1):
-        return ParseError(message, line=lineno, column=column, filename=self.filename)
+    def __init__(self, defsym=None):
+        self.defsym = defsym or {}
+        self.program = Program()
+        self.fragments = {}         # name -> Fragment
+        self.local_labels = {}      # fragment name -> {label: insn index}
+        self.branch_refs = []       # (fragment, insn index, symbol, filename, lineno)
+        self.pair_count = 0         # HI/LO pairs so far; the last one's id
+        self.file_checks = []       # (.entry symbol or None, declared names never defined)
+
+    def error(self, message, lineno, filename=None):
+        return ParseError(message, line=lineno, filename=filename or self.filename)
 
     # -- pass A: directive scan ------------------------------------------
     def scan_declarations(self, lines):
+        """Fill self.declared; return the file's (.entry symbol, line) pairs."""
+        entries = []
         for lineno, raw in lines:
             if "." not in raw:  # no directive here
                 continue
@@ -311,31 +317,39 @@ class _Assembler:
                     raise self.error(f"{directive} expects a symbol name", lineno)
                 self.declared.setdefault(arg, set()).add(directive[1:])
                 if directive == ".entry":
-                    self.entry_requests.append(arg)
+                    entries.append((arg, lineno))
+        return entries
 
     # -- pass B: build fragments -----------------------------------------
-    def run(self, source):
+    def assemble_file(self, source, filename):
+        self.filename = filename
+        self.section = "text"
+        self.current = None         # the Fragment that labels and code go to
+        self.pending_calltype = None
+        self.declared = {}          # name -> set of markers from directives
         lines = list(enumerate(source.splitlines(), start=1))
-        self.scan_declarations(lines)
-        if len(set(self.entry_requests)) > 1:
-            raise self.error(
-                f"multiple .entry symbols: {sorted(set(self.entry_requests))}", 0)
+        entries = self.scan_declarations(lines)
+        names = sorted({name for name, _ in entries})
+        if len(names) > 1:
+            raise self.error(f"multiple .entry symbols: {names}", 0)
+        if entries:
+            entry, lineno = entries[0]
+            if self.program.entry_explicit and self.program.entry != entry:
+                raise self.error(
+                    f"multiple .entry symbols: {sorted([self.program.entry, entry])}", lineno)
+            self.program.entry, self.program.entry_explicit = entry, True
+        self.undefined = set(self.declared)
         for lineno, raw in lines:
-            self.line(lineno, raw)
-        self.resolve_local_branches()
-        self.finish_symbols()
-        return self.program
-
-    def line(self, lineno, raw):
-        labels, text = _split_labels(raw)
-        for name in labels:
-            self.define_label(name, lineno)
-        if not text:
-            return
-        if text.startswith("."):
-            self.directive(text, lineno)
-        else:
-            self.instruction(text, lineno)
+            labels, text = _split_labels(raw)
+            for name in labels:
+                self.define_label(name, lineno)
+            if text.startswith("."):
+                self.directive(text, lineno)
+            elif text:
+                self.instruction(text, lineno)
+        if self.current is None:
+            raise ParseError("no code in input", filename=filename)
+        self.file_checks.append((entries[0][0] if entries else None, self.undefined))
 
     def define_label(self, name, lineno):
         if self.section == "data":
@@ -344,6 +358,7 @@ class _Assembler:
             if name in self.fragments:
                 raise self.error(f"{name!r} is already a function", lineno)
             self.program.data_symbols[name] = len(self.program.data)
+            self.undefined.discard(name)
             return
         markers = self.declared.get(name, set())
         starts_fragment = bool(markers) or self.current is None
@@ -352,17 +367,14 @@ class _Assembler:
                 raise self.error(f"duplicate function {name!r}", lineno)
             if name in self.program.data_symbols:
                 raise self.error(f"{name!r} is already a data symbol", lineno)
-            frag = Fragment(
-                name=name,
-                exported="globl" in markers,
-                internal="internal" in markers,
-            )
+            frag = Fragment(name, exported="globl" in markers, internal="internal" in markers)
             if frag.exported and frag.internal:
                 raise self.error(f"{name!r} is both .globl and .internal", lineno)
             self.program.fragments.append(frag)
             self.fragments[name] = frag
             self.current = frag
             self.local_labels[name] = {}
+            self.undefined.discard(name)
         else:
             labels = self.local_labels[self.current.name]
             if name in labels:
@@ -393,16 +405,25 @@ class _Assembler:
             raise self.error(f"{name} outside .data", lineno)
         elif name in (".word", ".dword"):
             width = 4 if name == ".word" else 8
-            for token in arg.split(",") if arg else ():
-                value = self._directive_int(token.strip(), lineno)
+            values = [self._directive_int(token.strip(), lineno)
+                      for token in (arg.split(",") if arg else ())]
+            self._data_room(name, width * len(values), lineno)
+            for value in values:
                 self.program.data += (value & ((1 << width * 8) - 1)).to_bytes(width, "little")
         elif name == ".zero":
             count = self._directive_int(arg, lineno)
             if count < 0:
                 raise self.error(".zero expects a non-negative count", lineno)
+            self._data_room(name, count, lineno)
             self.program.data += bytes(count)
         else:
             raise self.error(f"unknown directive {name!r}", lineno)
+
+    def _data_room(self, name, size, lineno):
+        """Reject, before it is allocated, data that ends past the stack bottom."""
+        if DATA_BASE + len(self.program.data) + size > STACK_TOP - STACK_SIZE:
+            raise self.error(f"{name} takes data past the stack bottom "
+                             f"{STACK_TOP - STACK_SIZE:#x}", lineno)
 
     def _directive_int(self, token, lineno):
         try:
@@ -478,17 +499,17 @@ class _Assembler:
             frag.relocations += relocations
         frag.insns += insns
         if target is not None:
-            self.branch_refs.append((frag, base_index, target, lineno))
+            self.branch_refs.append((frag, base_index, target, self.filename, lineno))
 
-    # -- pass C: local branch resolution ----------------------------------
-    def resolve_local_branches(self):
-        for frag, index, symbol, lineno in self.branch_refs:
+    # -- pass C: branch resolution and address-taken marking, unit-wide ----
+    def finish(self):
+        for frag, index, symbol, filename, lineno in self.branch_refs:
             locals_ = self.local_labels[frag.name]
             if symbol in locals_ or symbol == frag.name:
                 target_index = locals_.get(symbol, 0)
                 if target_index == len(frag.insns):
                     raise self.error(f"label {symbol!r} ends {frag.name!r}: no instruction "
-                                     "follows it to branch to", lineno)
+                                     "follows it to branch to", lineno, filename)
                 old = frag.insns[index].insn
                 frag.insns[index].insn = Insn(old.mnemonic, old.rd, old.rs1, old.rs2,
                                               4 * (target_index - index))
@@ -496,75 +517,33 @@ class _Assembler:
                 kind = "Jal" if frag.insns[index].insn.mnemonic == "jal" else "Branch"
                 frag.relocations.append(Relocation(kind, 4 * index, symbol))
             elif symbol in self.program.data_symbols:
-                raise self.error(f"cannot branch to data symbol {symbol!r}", lineno)
+                raise self.error(f"cannot branch to data symbol {symbol!r}", lineno, filename)
             else:
-                raise UndefinedSymbol(
-                    f"{self.filename}:{lineno}: undefined label {symbol!r}")
-        # la against a data or later-defined text symbol: recheck address_taken
+                raise UndefinedSymbol(f"{filename}:{lineno}: undefined label {symbol!r}")
+        # call's LO half sits at a jalr, la's at an addi: la takes the address
         for frag in self.program.fragments:
-            lo_by_pair = {}  # pair_id -> the first Lo12I of the pair
             for reloc in frag.relocations:
-                if reloc.kind == "Lo12I":
-                    lo_by_pair.setdefault(reloc.pair_id, reloc)
-            for reloc in frag.relocations:
-                if reloc.kind == "Hi20" and reloc.target in self.fragments:
-                    lo = lo_by_pair.get(reloc.pair_id)
-                    if lo is not None and frag.insns[lo.offset // 4].insn.mnemonic == "addi":
-                        self.fragments[reloc.target].address_taken = True
-
-    def finish_symbols(self):
-        if not self.program.fragments:
-            raise ParseError("no code in input", filename=self.filename)
-        if self.entry_requests:
-            entry = self.entry_requests[0]
-            if entry not in self.fragments:
+                if (reloc.kind == "Lo12I" and reloc.target in self.fragments
+                        and frag.insns[reloc.offset // 4].insn.mnemonic == "addi"):
+                    self.fragments[reloc.target].address_taken = True
+        for entry, undefined in self.file_checks:
+            if entry is not None and (entry not in self.fragments or entry in undefined):
                 raise UndefinedSymbol(f".entry symbol {entry!r} is not a function")
-            self.program.entry = entry
-            self.program.entry_explicit = True
-        else:
+            for name in sorted(undefined):
+                raise UndefinedSymbol(f"declared symbol {name!r} is never defined")
+        if not self.program.entry_explicit:
             self.program.entry = self.program.fragments[0].name
-        declared_names = set(self.declared)
-        defined = set(self.fragments) | set(self.program.data_symbols)
-        for name in declared_names - defined:
-            raise UndefinedSymbol(f"declared symbol {name!r} is never defined")
+        return self.program
+
+
+def assemble_unit(files, defsym=None) -> Program:
+    """Assemble the (source, filename) pairs of one link unit into a Program."""
+    assembler = _Assembler(defsym)
+    for source, filename in files:
+        assembler.assemble_file(source, filename)
+    return assembler.finish()
 
 
 def assemble(source: str, defsym=None, filename: str = "<source>") -> Program:
-    """Assemble source text into a Program (pure function of its inputs)."""
-    return _Assembler(defsym=defsym, filename=filename).run(source)
-
-
-def merge_programs(programs) -> Program:
-    """Combine per-file programs into one link unit.  Their fragments move
-    into it, each file's lineage ids shifted past those of the files before."""
-    merged = Program()
-    explicit = []
-    names = set()  # fragment names so far
-    for prog in programs:
-        data_base, lineage_base = len(merged.data), merged.lineage_count
-        for frag in prog.fragments:
-            if frag.name in names or frag.name in merged.data_symbols:
-                raise ParseError(f"duplicate symbol {frag.name!r} across inputs")
-            merged.fragments.append(frag)
-            names.add(frag.name)
-            for member in frag.insns:
-                if member.lineage is not None:
-                    member.lineage += lineage_base
-        for name, off in prog.data_symbols.items():
-            if name in merged.data_symbols or name in names:
-                raise ParseError(f"duplicate symbol {name!r} across inputs")
-            merged.data_symbols[name] = data_base + off
-        merged.data += prog.data
-        merged.lineage_first_tag.update(
-            (lineage + lineage_base, tag) for lineage, tag in prog.lineage_first_tag.items())
-        merged.lineage_count += prog.lineage_count
-        if prog.entry_explicit:
-            explicit.append(prog.entry)
-    if len(set(explicit)) > 1:
-        raise ParseError(f"multiple .entry symbols across inputs: {sorted(set(explicit))}")
-    if explicit:
-        merged.entry = explicit[0]
-        merged.entry_explicit = True
-    elif merged.fragments:
-        merged.entry = merged.fragments[0].name
-    return merged
+    """Assemble one source text into a Program: a link unit of one file."""
+    return assemble_unit([(source, filename)], defsym)

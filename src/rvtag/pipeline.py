@@ -10,17 +10,13 @@ from .tagplan import TagConfig
 
 
 def assemble_sources(sources, defsym=None, filenames=None) -> Program:
-    """Assemble one or more source texts into a single link unit; errors
-    name each text by its entry in `filenames`, else as `<input i>`."""
+    """Assemble one or more source texts into a single link unit, in one
+    pass; errors name each text by its `filenames` entry, else `<input i>`."""
     if isinstance(sources, str):
         sources = [sources]
     if filenames is None:
         filenames = [f"<input {i}>" for i in range(len(sources))]
-    programs = [
-        frontend.assemble(text, defsym=defsym, filename=str(name))
-        for text, name in zip(sources, filenames)
-    ]
-    return frontend.merge_programs(programs) if len(programs) > 1 else programs[0]
+    return frontend.assemble_unit(zip(sources, map(str, filenames)), defsym)
 
 
 def apply_policy(program: Program, config: TagConfig, *,

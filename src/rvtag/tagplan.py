@@ -1,5 +1,5 @@
-"""Tag schedule configuration, the offset arithmetic that places every word
-the linker emits, and the one slot schedule of a linked image.
+"""Tag schedule configuration, the memory map, the offset arithmetic that places
+every word the linker emits, and the one slot schedule of a linked image.
 
 A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a
@@ -30,6 +30,12 @@ class Misaligned(BuildError):
 
 
 INSN_SIZE = 4
+
+# The fixed memory map: text, data up to the stack bottom, and the stack.
+TEXT_BASE = 0x10000
+DATA_BASE = 0x20000
+STACK_TOP = 0x800000
+STACK_SIZE = 0x4000
 
 POLICIES = ("none", "cfi", "unarith", "coverage")
 

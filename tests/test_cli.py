@@ -258,9 +258,9 @@ def test_diff_run_and_build_assemble_each_program_once(workspace, capsys, monkey
     from rvtag import frontend
 
     calls = []
-    assemble = frontend.assemble
-    monkeypatch.setattr(frontend, "assemble",
-                        lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+    assemble_unit = frontend.assemble_unit
+    monkeypatch.setattr(frontend, "assemble_unit",
+                        lambda *args, **kwargs: calls.append(1) or assemble_unit(*args, **kwargs))
     assert main(["diff-run", "--config", str(workspace / "cfi.conf"),
                  "--generate", "3", "--seed", "11"]) == 0
     assert len(calls) == 3
@@ -501,7 +501,7 @@ SOURCE_COMMANDS = [
 @pytest.mark.parametrize("argv", SOURCE_COMMANDS, ids=lambda argv: argv[0])
 def test_build_errors_name_the_source_path(workspace, capsys, monkeypatch, argv):
     monkeypatch.chdir(workspace)
-    Path("bad.s").write_text("main:\n    li a0, 1\n    j 6\n")
+    Path("bad.s").write_text("bad:\n    li a0, 1\n    j 6\n")
     assert main(argv) == cli.EXIT_BUILD
     assert capsys.readouterr().err == (
         "rvtag: build error: bad.s:3:1: j: offset 6 is not a multiple of 4\n")

@@ -1,4 +1,7 @@
 import hashlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -7,11 +10,10 @@ from rvtag.frontend import (
     ParseError,
     UndefinedSymbol,
     assemble,
-    merge_programs,
 )
 from rvtag.instrument import get_tag, propagate_lineage, set_tag
 from rvtag.pipeline import assemble_sources
-from rvtag.tagplan import make_config
+from rvtag.tagplan import DATA_BASE, STACK_SIZE, STACK_TOP, make_config
 
 LOOP3 = """
 counts:
@@ -283,11 +285,9 @@ def test_duplicate_labels_rejected():
         assemble(".globl f\nf:\n    ecall\n.globl f\nf:\n    ecall\n")
     with pytest.raises(ParseError):
         assemble("main:\n    ecall\n.data\nmain:\n    .word 1\n")
-    with pytest.raises(ParseError):
-        merge_programs([
-            assemble("main:\n    ecall\n"),
-            assemble("other:\n    ecall\n.data\nmain:\n    .word 1\n"),
-        ])
+    with pytest.raises(ParseError, match="^b.s:4:1: 'main' is already a function$"):
+        assemble_sources(["main:\n    ecall\n", "other:\n    ecall\n.data\nmain:\n    .word 1\n"],
+                         filenames=["a.s", "b.s"])
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +374,10 @@ def test_statement_assembles_to_its_word(statement, insn):
 
 
 def test_merge_programs():
-    a = assemble(".globl main\n.entry main\nmain:\n    call util\n    ecall\n"
-                 ".data\nbuf_a:\n    .zero 4\n")
-    b = assemble(".globl util\nutil:\n    la a0, buf_b\n    ret\n"
-                 ".data\nbuf_b:\n    .word 1\n")
-    merged = merge_programs([a, b])
+    merged = assemble_sources([".globl main\n.entry main\nmain:\n    call util\n    ecall\n"
+                               ".data\nbuf_a:\n    .zero 4\n",
+                               ".globl util\nutil:\n    la a0, buf_b\n    ret\n"
+                               ".data\nbuf_b:\n    .word 1\n"])
     assert [f.name for f in merged.fragments] == ["main", "util"]
     assert merged.entry == "main" and merged.entry_explicit
     assert merged.data_symbols == {"buf_a": 0, "buf_b": 4}
@@ -399,12 +398,41 @@ def test_merged_units_keep_distinct_lineages():
     assert [get_tag(program, (1, i), config) for i in range(3)] == [0, 0, 0]
 
 
-def test_merge_shifts_the_first_tag_of_each_lineage():
-    a, b = assemble("main:\n    li a0, 0x12345\n"), assemble("f:\n    nop\n    ret\n")
-    b.lineage_first_tag[2] = 1  # ret's lineage, tagged before the merge
-    merged = merge_programs([a, b])
-    assert merged.lineage_first_tag == {3: 1}
-    assert [ti.lineage for ti in merged.fragments[1].insns] == [2, 3]
+DATA_ROOM = STACK_TOP - STACK_SIZE - DATA_BASE  # bytes of data the map holds
+
+
+def test_data_past_the_stack_bottom_fails_at_its_line():
+    assert DATA_ROOM == 8241152
+    assert len(assemble("main:\n    ecall\n.data\nbuf:\n    .zero 8241152\n").data) == DATA_ROOM
+    with pytest.raises(ParseError) as info:
+        assemble("main:\n    ecall\n.data\nbuf:\n    .zero 8241153\n", filename="big.s")
+    assert str(info.value) == "big.s:5:1: .zero takes data past the stack bottom 0x7fc000"
+
+
+@pytest.mark.parametrize("directive", [".word 1, 2", ".dword 1", ".zero 5"])
+def test_the_data_of_the_whole_unit_is_bounded(directive):
+    first = f"main:\n    ecall\n.data\na:\n    .zero {DATA_ROOM - 4}\n"
+    fits = assemble_sources([first, "f:\n    ret\n.data\nb:\n    .word 1\n"])
+    assert len(fits.data) == DATA_ROOM
+    message = f"b.s:5:1: {directive.split()[0]} takes data past the stack bottom 0x7fc000"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        assemble_sources([first, f"f:\n    ret\n.data\nb:\n    {directive}\n"],
+                         filenames=["a.s", "b.s"])
+
+
+def test_a_huge_zero_fails_before_it_allocates():
+    # under a 1 GiB address space, allocating first would be a MemoryError
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from rvtag.frontend import ParseError, assemble\n"
+              "try:\n"
+              "    assemble('main:\\n    ecall\\n.data\\nbuf:\\n    .zero 100000000000\\n')\n"
+              "except ParseError as exc:\n"
+              "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "<source>:5:1: .zero takes data past the stack bottom 0x7fc000\n", \
+        proc.stderr
 
 
 # ---------------------------------------------------------------------------

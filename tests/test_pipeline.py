@@ -1,8 +1,9 @@
 import pytest
 
 from rvtag.corpus import generate_corpus
+from rvtag.emulator import run
 from rvtag.instrument import MissingSignature
-from rvtag.pipeline import build_image, build_variants
+from rvtag.pipeline import assemble_sources, build_image, build_variants
 from rvtag.tagplan import make_config
 
 VARIANT_CELLS = [
@@ -39,3 +40,57 @@ def test_build_variants_run_the_pass_only_for_the_tagged_build():
     assert [next(variants)[0], next(variants)[0]] == ["baseline", "nolabels"]
     with pytest.raises(MissingSignature):
         next(variants)
+
+
+# A computed call to a function defined in another file of the unit.
+CALLER = 'main:\n    la t0, f\n    .calltype "i64()"\n    jalr ra, t0, 0\n    li a7, 93\n    ecall\n'
+CALLEE = 'f:\n    .signature "i64()"\n    li a0, 5\n    ret\n'
+CFI3 = make_config(carrier="lui", coverage=3, policy="cfi")
+
+
+def test_a_function_whose_address_another_file_takes_gets_its_entry_label():
+    assert assemble_sources([CALLER, CALLEE]).fragment("f").address_taken
+    two = build_image([CALLER, CALLEE], CFI3)
+    one = build_image(CALLEE + ".entry main\n" + CALLER, CFI3)  # f is not exported here either
+    # one label ahead of the checked jalr, one at f's entry
+    assert len(two.label_addrs) == len(one.label_addrs) == 2
+    for image in (one, two):
+        state, _, _ = run(image, mode="aware")
+        assert (state.stop_reason, state.exit_code) == ("exit", 5)
+
+
+def test_a_jump_to_a_function_of_another_file_links():
+    sources = ["main:\n    j f\n", "f:\n    li a0, 7\n    li a7, 93\n    ecall\n"]
+    for image in (build_image(sources, CFI3, tagged=False), build_image(sources, CFI3)):
+        for mode in ("compat", "aware"):
+            state, _, _ = run(image, mode=mode)
+            assert (state.stop_reason, state.exit_code) == ("exit", 7)
+
+
+def _split_at_globl(text):
+    """The text cut into one file per `.globl` line, each starting at one."""
+    files = [[]]
+    for line in text.splitlines(keepends=True):
+        if line.startswith(".globl") and files[-1]:
+            files.append([])
+        files[-1].append(line)
+    return ["".join(lines) for lines in files]
+
+
+def test_a_program_split_into_files_links_to_the_same_images():
+    from test_emitlink import _buildable_cells
+
+    cells = _buildable_cells()
+    assert len(cells) == 35
+    split_programs = 0
+    for text in generate_corpus(7, 40):
+        files = _split_at_globl(text)
+        assert "".join(files) == text
+        if len(files) == 1:
+            continue
+        split_programs += 1
+        for config in cells:
+            split = dict(build_variants(files, config, cfi_label_direct_calls=True))
+            whole = dict(build_variants(text, config, cfi_label_direct_calls=True))
+            assert split == whole, config
+    assert split_programs > 20
