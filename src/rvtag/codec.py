@@ -101,6 +101,7 @@ MNEMONICS = frozenset(_ISA)
 
 # Subfamilies the policy passes and emulator care about.
 BRANCH_MNEMONICS = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
+TRANSFER_MNEMONICS = BRANCH_MNEMONICS | {"jal"}  # pc-relative control transfers
 LOAD_MNEMONICS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"})
 STORE_MNEMONICS = frozenset({"sb", "sh", "sw", "sd"})
 ADDSUB_MNEMONICS = frozenset({"add", "sub", "addw", "subw", "addi", "addiw"})

@@ -1,4 +1,4 @@
-"""The linker, in one pass over the assembled program, and RVTI image I/O.
+"""The linker, in one placement loop per fragment, and RVTI image I/O.
 
 tagplan's offset arithmetic is the one placement rule.  With a carrier
 ahead of each group of N instructions, the instruction at untagged fragment
@@ -7,6 +7,7 @@ base + landing_offset(o) (a group boundary lands on its carrier), and a
 fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
 fill between them.  HI/LO relocation pairs resolve correctly with up to
 MAX_PAIR_GAP words (carriers and labels) between the two instructions.
+link resolves a fragment's relocations first, then writes it group by group.
 
 The memory map is tagplan's, with three disjoint segments: text in [TEXT_BASE,
 DATA_BASE), data in [DATA_BASE, STACK_TOP - STACK_SIZE) and the stack below
@@ -56,7 +57,6 @@ _CARRIER_CODES = {TagCarrier.LUI_NOP: 0, TagCarrier.ADDI_NOP: 1, TagCarrier.CUST
 _CARRIER_FROM_CODE = {v: k for k, v in _CARRIER_CODES.items()}
 _POLICY_CODES = {"none": 0, "cfi": 1, "unarith": 2, "coverage": 3}
 _POLICY_FROM_CODE = {v: k for k, v in _POLICY_CODES.items()}
-_TRANSFERS = codec.BRANCH_MNEMONICS | {"jal"}
 
 
 class RelocOutOfRange(BuildError):
@@ -108,15 +108,15 @@ def _align(value: int, alignment: int) -> int:
 
 
 def link(program: Program, config: TagConfig | None = None, *, tagged: bool = True) -> Image:
-    """Place, encode and relocate every instruction of `program` in one pass.
+    """Place, encode and relocate every instruction of `program`.
 
-    Each instruction is encoded once, at base + insn_address(offset): a local
-    branch or jal gets immediate landing_offset(target) - insn_address(site),
-    and HI/LO, Branch and Jal relocations resolve at their sites' final
-    addresses.  Ahead of each group of `coverage` instructions goes one
-    carrier packing their tags (None means config.default_tag; a short last
-    group pads with it).  An untagged link takes the same path with the
-    identity offset map and no carriers.  `program` is not modified.
+    Per fragment, the HI/LO, Branch and Jal relocations first resolve at
+    their sites' final addresses into one offset -> immediate map, so their
+    errors come first.  Then the fragment goes out group by group: a carrier
+    packing the next `coverage` tags (None means config.default_tag; a short
+    last group pads with it), then those words, each encoded once from its
+    final immediate.  An untagged link takes the same path with the identity
+    offset map and no carriers.  `program` is not modified.
     """
     if tagged and config is None:
         raise BuildError("link needs a TagConfig to emit tags")
@@ -145,34 +145,14 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
     for fragment in program.fragments:
         base = symbols[fragment.name]
         insns = fragment.insns
-        relocated = fragment.reloc_offsets()
-        words = []
-        for index, slot in enumerate(insns):
-            site = 4 * index
-            if site in relocated:
-                words.append(None)  # encoded once its relocation resolves
-                continue
-            insn = slot.insn
-            imm = insn.imm
-            if insn.mnemonic in _TRANSFERS:
-                imm = land(site + imm) - at(site)
-            try:
-                words.append(encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm))
-            except codec.OperandRange as exc:
-                raise RelocOutOfRange(
-                    f"{fragment.name!r}: {insn.mnemonic} immediate no longer "
-                    f"encodable after tag interleaving: {exc}") from None
-
-        def resolve(offset, imm):
-            insn = insns[offset // 4].insn
-            words[offset // 4] = encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm)
-
         for reloc in fragment.relocations:
             if reloc.target not in symbols:
                 raise UndefinedSymbol(
                     f"{fragment.name!r} references undefined symbol {reloc.target!r}")
 
-        # HI/LO pairs: resolve jointly, enforcing the interposition window.
+        # Every relocated word's final immediate, by its untagged offset.
+        # HI/LO pairs resolve jointly, enforcing the interposition window.
+        imms = {}
         pairs = {}
         for reloc in fragment.relocations:
             if reloc.kind in ("Hi20", "Lo12I"):
@@ -191,8 +171,8 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                     f"{fragment.name!r}: {gap} words between HI and LO "
                     f"(limit {MAX_PAIR_GAP})")
             delta = symbols[hi.target] - (base + at(hi.offset))
-            resolve(hi.offset, ((delta + 0x800) >> 12) & 0xFFFFF)
-            resolve(lo.offset, (delta & 0xFFF) - (delta & 0x800) * 2)
+            imms[hi.offset] = ((delta + 0x800) >> 12) & 0xFFFFF
+            imms[lo.offset] = (delta & 0xFFF) - (delta & 0x800) * 2
 
         for reloc in fragment.relocations:
             if reloc.kind not in ("Branch", "Jal"):
@@ -204,19 +184,32 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                 raise RelocOutOfRange(
                     f"{fragment.name!r}+{site:#x}: target {reloc.target!r} "
                     f"is {delta} bytes away, outside [{lo_bound}, {hi_bound}]")
-            resolve(reloc.offset, delta)
+            imms[reloc.offset] = delta
 
+        # Group by group: the carrier, then the group's words.
         if tagged and insns:
             default = config.default_tag
             tags = [default if slot.tag is None else slot.tag for slot in insns]
             tags += [default] * (-len(insns) % coverage)
-            interleaved = []
-            for start in range(0, len(insns), coverage):
-                interleaved.append(pack(tags[start:start + coverage]))
-                interleaved += words[start:start + coverage]
-            words = interleaved
             regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),
                                      coverage=coverage, carrier=config.carrier))
+        words = []
+        try:
+            for index, slot in enumerate(insns):
+                if tagged and not index % coverage:
+                    words.append(pack(tags[index:index + coverage]))
+                insn = slot.insn
+                site = 4 * index
+                imm = imms.get(site)
+                if imm is None:
+                    imm = insn.imm
+                    if insn.mnemonic in codec.TRANSFER_MNEMONICS:
+                        imm = land(site + imm) - at(site)
+                words.append(encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm))
+        except codec.OperandRange as exc:
+            raise RelocOutOfRange(
+                f"{fragment.name!r}: {insn.mnemonic} immediate no longer "
+                f"encodable after tag interleaving: {exc}") from None
 
         text += bytes(base - TEXT_BASE - len(text))  # zero fill to the aligned base
         text += struct.pack(f"<{len(words)}I", *words)

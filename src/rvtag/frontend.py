@@ -7,6 +7,12 @@ is unit-wide: fragments, local labels, data (bounded by the stack bottom),
 lineage and HI/LO pair ids, and branch references, resolved once the last
 file is in, so a branch, jump, call or `la` can name a function of any file.
 
+Each file's lines are split once into (line number, labels, statement), and
+pass A (declarations) and pass B (fragments) both read that list.  Pass B's
+line loop is the one place a statement error gets its `FILE:LINE:1:`: the
+methods under it raise a bare ParseError.  Errors found after the last file
+name the line of the branch, declaration or .entry they concern.
+
 Grammar (one statement per line, `#` comments):
 
     label:                 plain identifiers; a label declared with .globl,
@@ -64,7 +70,6 @@ for _i, _name in enumerate(
 REGISTER_NAMES["fp"] = 8
 
 _IDENT = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
-_TRANSFERS = codec.BRANCH_MNEMONICS | {"jal"}
 
 ANNOTATIONS = ("unsigned", "optout", "count")
 
@@ -294,19 +299,14 @@ class _Assembler:
         self.local_labels = {}      # fragment name -> {label: insn index}
         self.branch_refs = []       # (fragment, insn index, symbol, filename, lineno)
         self.pair_count = 0         # HI/LO pairs so far; the last one's id
-        self.file_checks = []       # (.entry symbol or None, declared names never defined)
-
-    def error(self, message, lineno, filename=None):
-        return ParseError(message, line=lineno, filename=filename or self.filename)
+        self.file_checks = []       # (filename, (.entry, lineno) or None, {undefined: lineno})
 
     # -- pass A: directive scan ------------------------------------------
     def scan_declarations(self, lines):
-        """Fill self.declared; return the file's (.entry symbol, line) pairs."""
+        """Fill self.declared and self.undefined; return the file's
+        (.entry symbol, line) pairs."""
         entries = []
-        for lineno, raw in lines:
-            if "." not in raw:  # no directive here
-                continue
-            _, text = _split_labels(raw)
+        for lineno, _, text in lines:
             if not text.startswith("."):
                 continue
             parts = text.split(None, 1)
@@ -314,8 +314,9 @@ class _Assembler:
             arg = parts[1].strip() if len(parts) > 1 else ""
             if directive in (".globl", ".internal", ".entry"):
                 if not _IDENT.match(arg):
-                    raise self.error(f"{directive} expects a symbol name", lineno)
+                    raise ParseError(f"{directive} expects a symbol name", lineno, self.filename)
                 self.declared.setdefault(arg, set()).add(directive[1:])
+                self.undefined.setdefault(arg, lineno)
                 if directive == ".entry":
                     entries.append((arg, lineno))
         return entries
@@ -327,61 +328,66 @@ class _Assembler:
         self.current = None         # the Fragment that labels and code go to
         self.pending_calltype = None
         self.declared = {}          # name -> set of markers from directives
-        lines = list(enumerate(source.splitlines(), start=1))
+        self.undefined = {}         # declared name not yet defined -> its first line
+        lines = [(lineno, *_split_labels(raw))
+                 for lineno, raw in enumerate(source.splitlines(), start=1)]
         entries = self.scan_declarations(lines)
         names = sorted({name for name, _ in entries})
         if len(names) > 1:
-            raise self.error(f"multiple .entry symbols: {names}", 0)
+            raise ParseError(f"multiple .entry symbols: {names}", 0, filename)
         if entries:
             entry, lineno = entries[0]
             if self.program.entry_explicit and self.program.entry != entry:
-                raise self.error(
-                    f"multiple .entry symbols: {sorted([self.program.entry, entry])}", lineno)
+                raise ParseError(f"multiple .entry symbols: "
+                                 f"{sorted([self.program.entry, entry])}", lineno, filename)
             self.program.entry, self.program.entry_explicit = entry, True
-        self.undefined = set(self.declared)
-        for lineno, raw in lines:
-            labels, text = _split_labels(raw)
-            for name in labels:
-                self.define_label(name, lineno)
-            if text.startswith("."):
-                self.directive(text, lineno)
-            elif text:
-                self.instruction(text, lineno)
+        try:
+            for lineno, labels, text in lines:
+                self.lineno = lineno  # the line of any branch reference it records
+                for name in labels:
+                    self.define_label(name)
+                if text.startswith("."):
+                    self.directive(text)
+                elif text:
+                    self.instruction(text)
+        except (ParseError, codec.OperandRange) as exc:
+            message = exc.message if isinstance(exc, ParseError) else str(exc)
+            raise ParseError(message, lineno, filename) from None
         if self.current is None:
             raise ParseError("no code in input", filename=filename)
-        self.file_checks.append((entries[0][0] if entries else None, self.undefined))
+        self.file_checks.append((filename, entries[0] if entries else None, self.undefined))
 
-    def define_label(self, name, lineno):
+    def define_label(self, name):
         if self.section == "data":
             if name in self.program.data_symbols:
-                raise self.error(f"duplicate data symbol {name!r}", lineno)
+                raise ParseError(f"duplicate data symbol {name!r}")
             if name in self.fragments:
-                raise self.error(f"{name!r} is already a function", lineno)
+                raise ParseError(f"{name!r} is already a function")
             self.program.data_symbols[name] = len(self.program.data)
-            self.undefined.discard(name)
+            self.undefined.pop(name, None)
             return
         markers = self.declared.get(name, set())
         starts_fragment = bool(markers) or self.current is None
         if starts_fragment:
             if name in self.fragments:
-                raise self.error(f"duplicate function {name!r}", lineno)
+                raise ParseError(f"duplicate function {name!r}")
             if name in self.program.data_symbols:
-                raise self.error(f"{name!r} is already a data symbol", lineno)
+                raise ParseError(f"{name!r} is already a data symbol")
             frag = Fragment(name, exported="globl" in markers, internal="internal" in markers)
             if frag.exported and frag.internal:
-                raise self.error(f"{name!r} is both .globl and .internal", lineno)
+                raise ParseError(f"{name!r} is both .globl and .internal")
             self.program.fragments.append(frag)
             self.fragments[name] = frag
             self.current = frag
             self.local_labels[name] = {}
-            self.undefined.discard(name)
+            self.undefined.pop(name, None)
         else:
             labels = self.local_labels[self.current.name]
             if name in labels:
-                raise self.error(f"duplicate label {name!r}", lineno)
+                raise ParseError(f"duplicate label {name!r}")
             labels[name] = len(self.current.insns)
 
-    def directive(self, text, lineno):
+    def directive(self, text):
         parts = text.split(None, 1)
         name = parts[0]
         arg = parts[1].strip() if len(parts) > 1 else ""
@@ -394,48 +400,42 @@ class _Assembler:
         elif name in (".signature", ".calltype"):
             match = _STRING_ARG.match(arg)
             if not match:
-                raise self.error(f"{name} expects a quoted string", lineno)
+                raise ParseError(f"{name} expects a quoted string")
             if name == ".calltype":
                 self.pending_calltype = match.group(1)
             elif self.current is None or self.section != "text":
-                raise self.error(".signature outside a function", lineno)
+                raise ParseError(".signature outside a function")
             else:
                 self.current.signature = match.group(1)
         elif name in (".word", ".dword", ".zero") and self.section != "data":
-            raise self.error(f"{name} outside .data", lineno)
+            raise ParseError(f"{name} outside .data")
         elif name in (".word", ".dword"):
             width = 4 if name == ".word" else 8
-            values = [self._directive_int(token.strip(), lineno)
+            values = [_parse_int(token.strip(), self.defsym)
                       for token in (arg.split(",") if arg else ())]
-            self._data_room(name, width * len(values), lineno)
+            self._data_room(name, width * len(values))
             for value in values:
                 self.program.data += (value & ((1 << width * 8) - 1)).to_bytes(width, "little")
         elif name == ".zero":
-            count = self._directive_int(arg, lineno)
+            count = _parse_int(arg, self.defsym)
             if count < 0:
-                raise self.error(".zero expects a non-negative count", lineno)
-            self._data_room(name, count, lineno)
+                raise ParseError(".zero expects a non-negative count")
+            self._data_room(name, count)
             self.program.data += bytes(count)
         else:
-            raise self.error(f"unknown directive {name!r}", lineno)
+            raise ParseError(f"unknown directive {name!r}")
 
-    def _data_room(self, name, size, lineno):
+    def _data_room(self, name, size):
         """Reject, before it is allocated, data that ends past the stack bottom."""
         if DATA_BASE + len(self.program.data) + size > STACK_TOP - STACK_SIZE:
-            raise self.error(f"{name} takes data past the stack bottom "
-                             f"{STACK_TOP - STACK_SIZE:#x}", lineno)
+            raise ParseError(f"{name} takes data past the stack bottom "
+                             f"{STACK_TOP - STACK_SIZE:#x}")
 
-    def _directive_int(self, token, lineno):
-        try:
-            return _parse_int(token, self.defsym)
-        except ParseError as exc:
-            raise self.error(exc.message, lineno) from None
-
-    def instruction(self, text, lineno):
+    def instruction(self, text):
         if self.section != "text":
-            raise self.error("instruction outside .text", lineno)
+            raise ParseError("instruction outside .text")
         if self.current is None:
-            raise self.error("instruction before any function label", lineno)
+            raise ParseError("instruction before any function label")
 
         annotations = frozenset()
         if "!" in text:
@@ -444,10 +444,10 @@ class _Assembler:
             while tokens and tokens[-1].startswith("!"):
                 word = tokens.pop()[1:]
                 if word not in ANNOTATIONS:
-                    raise self.error(f"unknown annotation !{word}", lineno)
+                    raise ParseError(f"unknown annotation !{word}")
                 found.add(word)
             if not tokens:
-                raise self.error("annotations without an instruction", lineno)
+                raise ParseError("annotations without an instruction")
             text = " ".join(tokens)
             annotations = frozenset(found)
         mnemonic, ops = _split_statement(text)
@@ -456,40 +456,35 @@ class _Assembler:
         base_index = len(frag.insns)
         calltype = self.pending_calltype
         self.pending_calltype = None
-        try:
-            if mnemonic in PSEUDO_MNEMONICS:
-                if annotations & _UNSIGNED_ANNOTATIONS:
-                    raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
-                self.program.lineage_count += 1
-                insns, relocations, target = _expand(
-                    mnemonic, ops, self.program.lineage_count, self.defsym)
-                if not relocations:  # the words of call and la are encoded at link
-                    for member in insns:
-                        insn = member.insn
-                        codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
-                imm = insns[-1].insn.imm
-                if annotations or calltype is not None:
-                    for member in insns:
-                        member.annotations = annotations
-                        if member.insn.mnemonic == "jalr":
-                            member.calltype = calltype
-            else:
-                if mnemonic not in _SHAPES:
-                    raise ParseError(f"unknown mnemonic {mnemonic!r}")
-                if annotations & _UNSIGNED_ANNOTATIONS and mnemonic not in codec.ADDSUB_MNEMONICS:
-                    raise ParseError(f"!unsigned/!optout do not apply to {mnemonic!r}")
-                rd, rs1, rs2, imm, target = _parse_operands(mnemonic, ops, self.defsym)
-                codec.encode_fields(mnemonic, rd, rs1, rs2, imm)  # range errors belong here
-                insns = [TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
-                                    annotations, calltype)]
-                relocations = None
-            # no instruction is compressed, so none can sit at a half-word target
-            if target is None and imm % 4 and insns[-1].insn.mnemonic in _TRANSFERS:
-                raise ParseError(f"{mnemonic}: offset {imm} is not a multiple of 4")
-        except ParseError as exc:
-            raise self.error(exc.message, lineno) from None
-        except codec.OperandRange as exc:
-            raise self.error(str(exc), lineno) from None
+        if mnemonic in PSEUDO_MNEMONICS:
+            if annotations & _UNSIGNED_ANNOTATIONS:
+                raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
+            self.program.lineage_count += 1
+            insns, relocations, target = _expand(
+                mnemonic, ops, self.program.lineage_count, self.defsym)
+            if not relocations:  # the words of call and la are encoded at link
+                for member in insns:
+                    insn = member.insn
+                    codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+            imm = insns[-1].insn.imm
+            if annotations or calltype is not None:
+                for member in insns:
+                    member.annotations = annotations
+                    if member.insn.mnemonic == "jalr":
+                        member.calltype = calltype
+        else:
+            if mnemonic not in _SHAPES:
+                raise ParseError(f"unknown mnemonic {mnemonic!r}")
+            if annotations & _UNSIGNED_ANNOTATIONS and mnemonic not in codec.ADDSUB_MNEMONICS:
+                raise ParseError(f"!unsigned/!optout do not apply to {mnemonic!r}")
+            rd, rs1, rs2, imm, target = _parse_operands(mnemonic, ops, self.defsym)
+            codec.encode_fields(mnemonic, rd, rs1, rs2, imm)  # range errors belong here
+            insns = [TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
+                                annotations, calltype)]
+            relocations = None
+        # no instruction is compressed, so none can sit at a half-word target
+        if target is None and imm % 4 and insns[-1].insn.mnemonic in codec.TRANSFER_MNEMONICS:
+            raise ParseError(f"{mnemonic}: offset {imm} is not a multiple of 4")
 
         if relocations:
             self.pair_count += 1
@@ -499,16 +494,18 @@ class _Assembler:
             frag.relocations += relocations
         frag.insns += insns
         if target is not None:
-            self.branch_refs.append((frag, base_index, target, self.filename, lineno))
+            self.branch_refs.append((frag, base_index, target, self.filename, self.lineno))
 
     # -- pass C: branch resolution and address-taken marking, unit-wide ----
     def finish(self):
+        if not self.program.fragments:
+            raise ParseError("the link unit has no input")
         for frag, index, symbol, filename, lineno in self.branch_refs:
             locals_ = self.local_labels[frag.name]
             if symbol in locals_ or symbol == frag.name:
                 target_index = locals_.get(symbol, 0)
                 if target_index == len(frag.insns):
-                    raise self.error(f"label {symbol!r} ends {frag.name!r}: no instruction "
+                    raise ParseError(f"label {symbol!r} ends {frag.name!r}: no instruction "
                                      "follows it to branch to", lineno, filename)
                 old = frag.insns[index].insn
                 frag.insns[index].insn = Insn(old.mnemonic, old.rd, old.rs1, old.rs2,
@@ -517,20 +514,22 @@ class _Assembler:
                 kind = "Jal" if frag.insns[index].insn.mnemonic == "jal" else "Branch"
                 frag.relocations.append(Relocation(kind, 4 * index, symbol))
             elif symbol in self.program.data_symbols:
-                raise self.error(f"cannot branch to data symbol {symbol!r}", lineno, filename)
+                raise ParseError(f"cannot branch to data symbol {symbol!r}", lineno, filename)
             else:
-                raise UndefinedSymbol(f"{filename}:{lineno}: undefined label {symbol!r}")
+                raise UndefinedSymbol(f"{filename}:{lineno}:1: undefined label {symbol!r}")
         # call's LO half sits at a jalr, la's at an addi: la takes the address
         for frag in self.program.fragments:
             for reloc in frag.relocations:
                 if (reloc.kind == "Lo12I" and reloc.target in self.fragments
                         and frag.insns[reloc.offset // 4].insn.mnemonic == "addi"):
                     self.fragments[reloc.target].address_taken = True
-        for entry, undefined in self.file_checks:
-            if entry is not None and (entry not in self.fragments or entry in undefined):
-                raise UndefinedSymbol(f".entry symbol {entry!r} is not a function")
+        for filename, entry, undefined in self.file_checks:
+            if entry is not None and (entry[0] not in self.fragments or entry[0] in undefined):
+                raise UndefinedSymbol(
+                    f"{filename}:{entry[1]}:1: .entry symbol {entry[0]!r} is not a function")
             for name in sorted(undefined):
-                raise UndefinedSymbol(f"declared symbol {name!r} is never defined")
+                raise UndefinedSymbol(
+                    f"{filename}:{undefined[name]}:1: declared symbol {name!r} is never defined")
         if not self.program.entry_explicit:
             self.program.entry = self.program.fragments[0].name
         return self.program

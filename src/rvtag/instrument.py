@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .codec import ADDSUB_MNEMONICS, BRANCH_MNEMONICS, Insn
+from .codec import ADDSUB_MNEMONICS, TRANSFER_MNEMONICS, Insn
 from .errors import BuildError
 from .frontend import Fragment, Program, TaggedInsn
 from .tagplan import TagConfig
@@ -131,8 +131,7 @@ def insert_labels(program: Program, frag_index: int, labels) -> Program:
     for index, tagged in enumerate(fragment.insns):
         insns += ahead.get(index, ())
         insn = tagged.insn
-        if (insn.mnemonic in BRANCH_MNEMONICS or insn.mnemonic == "jal") \
-                and 4 * index not in relocated:
+        if insn.mnemonic in TRANSFER_MNEMONICS and 4 * index not in relocated:
             target = 4 * index + insn.imm
             tagged.insn = Insn(insn.mnemonic, rd=insn.rd, rs1=insn.rs1, rs2=insn.rs2,
                                imm=target + 4 * bisect_left(points, target) - 4 * len(insns))
@@ -265,7 +264,7 @@ def _block_leaders(fragment: Fragment) -> set:
     relocated = fragment.reloc_offsets()
     for index, tagged in enumerate(fragment.insns):
         mnemonic = tagged.insn.mnemonic
-        if mnemonic in BRANCH_MNEMONICS or mnemonic in ("jal", "jalr"):
+        if mnemonic in TRANSFER_MNEMONICS or mnemonic == "jalr":
             leaders.add(index + 1)
             if mnemonic != "jalr" and 4 * index not in relocated:
                 leaders.add((4 * index + tagged.insn.imm) // 4)
@@ -302,7 +301,7 @@ def pass_coverage(program: Program, config: TagConfig, mode: str = "all_branches
             if "count" in tagged.annotations and not tagged.is_label:
                 tagged.tag = ci
                 continue
-            if mnemonic in BRANCH_MNEMONICS or mnemonic == "jal":
+            if mnemonic in TRANSFER_MNEMONICS:
                 if mode == "all_branches":
                     tagged.tag = bcf
             elif mnemonic == "jalr":

@@ -334,6 +334,21 @@ def test_undefined_symbol_at_link():
         link(program, N3, tagged=True)
 
 
+def test_relocation_errors_come_before_encoding_errors():
+    # tagged at N=1 the beq no longer reaches `end`, but the fragment's
+    # undefined call is what both builds report first
+    source = ("main: beq a0, a1, end\n" + "    addi a0, a0, 1\n" * 1000
+              + "end: call nowhere\n    ecall\n")
+    config = make_config(carrier="lui", coverage=1)
+    errors = []
+    for tagged in (False, True):
+        with pytest.raises(BuildError) as info:
+            build_image(source, config, tagged=tagged)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (
+        UndefinedSymbol, "'main' references undefined symbol 'nowhere'")
+
+
 def test_placement_law_every_instruction():
     """Exhaustive placement check: instruction at untagged offset o sits at
     remap(o) + 4; carriers sit at the slot addresses."""

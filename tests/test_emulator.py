@@ -278,6 +278,30 @@ def test_aware_and_compat_agree_on_benign_runs():
         assert compare_states(compat_state, aware_state, image.data_base) is None
 
 
+def test_aware_runs_match_the_untagged_baseline_in_every_cell():
+    """Aware mode under every buildable cell's policy, with and without
+    direct-call labels, ends in the untagged compat run's state."""
+    from test_emitlink import _buildable_cells
+
+    from rvtag.cli import compare_states
+    from rvtag.corpus import generate_corpus
+
+    cells = _buildable_cells()
+    assert len(cells) == 35
+    divergences = []
+    for text in generate_corpus(3, 12) + generate_corpus(11, 12):
+        base_state, _, _ = run(build_image(text, N3, tagged=False), mode="compat",
+                               max_insns=10 ** 6)
+        for config in cells:
+            for direct in (False, True):
+                image = build_image(text, config, cfi_label_direct_calls=direct)
+                state, _, _ = run(image, mode="aware", max_insns=10 ** 6)
+                problem = compare_states(base_state, state, image.data_base)
+                if problem is not None:
+                    divergences.append((config, direct, problem))
+    assert divergences == []
+
+
 def test_determinism():
     image = build_image(SUM_1_TO_10, N3, tagged=True)
     runs = [run(image, mode="aware") for _ in range(2)]

@@ -10,6 +10,7 @@ from rvtag.frontend import (
     ParseError,
     UndefinedSymbol,
     assemble,
+    assemble_unit,
 )
 from rvtag.instrument import get_tag, propagate_lineage, set_tag
 from rvtag.pipeline import assemble_sources
@@ -288,6 +289,25 @@ def test_duplicate_labels_rejected():
     with pytest.raises(ParseError, match="^b.s:4:1: 'main' is already a function$"):
         assemble_sources(["main:\n    ecall\n", "other:\n    ecall\n.data\nmain:\n    .word 1\n"],
                          filenames=["a.s", "b.s"])
+
+
+@pytest.mark.parametrize("files, message", [
+    ([("main:\n    nop\n    bne a0, a1, nowhere\n    ecall\n", "t/u1.s")],
+     "t/u1.s:3:1: undefined label 'nowhere'"),
+    ([("main:\n    ecall\n", "a.s"), ("helper:\n    ecall\n.globl f\n.internal f\n", "b.s")],
+     "b.s:3:1: declared symbol 'f' is never defined"),
+    ([("main:\n    ecall\n.data\nbuf:\n    .word 1\n.entry buf\n", "prog.s")],
+     "prog.s:6:1: .entry symbol 'buf' is not a function"),
+], ids=["undefined-label", "never-defined", "entry-not-a-function"])
+def test_errors_found_after_the_last_file_name_their_line(files, message):
+    with pytest.raises(UndefinedSymbol, match=f"^{re.escape(message)}$"):
+        assemble_unit(files)
+
+
+def test_an_empty_link_unit_is_a_parse_error():
+    for build in (lambda: assemble_unit([]), lambda: assemble_sources([])):
+        with pytest.raises(ParseError, match="the link unit has no input$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +648,35 @@ def _fuzz_mutants(rng, sources, count):
 
 
 def test_assembly_fuzz_gives_program_or_build_error():
+    """Each mutant assembles to a Program or fails with a BuildError, and
+    each Program links untagged, under cfi with direct-call labels and
+    under coverage to an Image or a BuildError."""
     import random
 
     from rvtag.corpus import generate_corpus
+    from rvtag.emitlink import Image, link
     from rvtag.errors import BuildError
     from rvtag.frontend import Program
+    from rvtag.pipeline import build_image
 
+    cfi = make_config(carrier="lui", coverage=3, policy="cfi")
+    coverage = make_config(carrier="lui", coverage=7, policy="coverage")
     rng = random.Random(8)
-    outcomes = {"program": 0, "error": 0}
+    outcomes = {"program": 0, "error": 0, "image": 0, "link error": 0}
     for text in _fuzz_mutants(rng, generate_corpus(11, 20), 1000):
         try:
-            assert isinstance(assemble(text), Program)
-            outcomes["program"] += 1
+            program = assemble(text)
         except BuildError:
             outcomes["error"] += 1
-    assert outcomes["program"] and outcomes["error"]
+            continue
+        assert isinstance(program, Program)
+        outcomes["program"] += 1
+        for build in (lambda: link(program, tagged=False),
+                      lambda: build_image(text, cfi, cfi_label_direct_calls=True),
+                      lambda: build_image(text, coverage)):
+            try:
+                assert isinstance(build(), Image)
+                outcomes["image"] += 1
+            except BuildError:
+                outcomes["link error"] += 1
+    assert all(outcomes.values()), outcomes
