@@ -4,6 +4,11 @@ Every instruction is a 32-bit uncompressed word (low two bits 0b11).  Tag
 carriers are architectural no-ops (lui x0 / addi x0,x0) or a custom-0 opcode
 word; their immediate fields hold packed per-instruction tag values, lowest
 slot in the lowest-order bits.
+
+ENCODERS is the one per-mnemonic encoder table, built from _ISA: each entry
+checks the register indexes, then the immediate, and packs the word.
+encode_fields, the assembler's statement table and link's word loop all go
+through it; an unknown mnemonic raises OperandRange.
 """
 
 from __future__ import annotations
@@ -111,13 +116,16 @@ BRANCH_REACH = (-4096, 4094)
 JAL_REACH = (-(1 << 20), (1 << 20) - 2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Insn:
     """One decoded instruction.  Unused operand fields stay zero.
 
     Immediate conventions: U-type holds the raw 20-bit field (0..0xFFFFF);
     I/S-types hold the signed 12-bit value; B/J-types hold the signed byte
     offset from the instruction; shifts hold the shamt (0..63).
+
+    Slotted, not frozen and so not hashable: nothing changes an Insn in
+    place; a rewrite puts a new one in its TaggedInsn.
     """
 
     mnemonic: str
@@ -127,70 +135,85 @@ class Insn:
     imm: int = 0
 
 
-def _check_reg(name: str, value: int) -> None:
-    if not 0 <= value <= 31:
-        raise OperandRange(f"{name}={value} is not a register index (0..31)")
-
-
-def _check_range(mnemonic: str, imm: int, lo: int, hi: int, even: bool = False) -> None:
+def _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even) -> None:
+    """Raise OperandRange for the first bad field: a register index, then the immediate."""
+    for name, value in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+        if not 0 <= value <= 31:
+            raise OperandRange(f"{name}={value} is not a register index (0..31)")
     if not lo <= imm <= hi:
         raise OperandRange(f"{mnemonic}: immediate {imm} outside [{lo}, {hi}]")
     if even and imm & 1:
         raise OperandRange(f"{mnemonic}: offset {imm} must be even")
 
 
+# Immediate bounds per format, and 1 where it must be even; R and SYS have none.
+_IMM_BOUNDS = {_I: (-2048, 2047, 0), _S: (-2048, 2047, 0), _SHIFT: (0, 63, 0),
+               _U: (0, 0xFFFFF, 0), _B: (*BRANCH_REACH, 1), _J: (*JAL_REACH, 1)}
+
+
+def _encoder(mnemonic, fmt, opcode, funct3, funct7):
+    """encode(rd, rs1, rs2, imm) -> the word of one mnemonic.  It checks the
+    register indexes, then the immediate, and ignores unused fields."""
+    lo, hi, even = _IMM_BOUNDS.get(fmt, (0, 0, 0))
+    fixed = (funct7 or 0) << (26 if fmt == _SHIFT else 25) | (funct3 or 0) << 12 | opcode
+    fixed |= (mnemonic == "ebreak") << 20  # ecall's immediate is 0, ebreak's 1
+    if fmt in (_I, _SHIFT):
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5 or not lo <= imm <= hi:  # rare: find the bad field
+                _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even)
+            return (imm & 0xFFF) << 20 | rs1 << 15 | rd << 7 | fixed
+    elif fmt == _R:
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5:
+                _check_fields(mnemonic, rd, rs1, rs2, 0, 0, 0, 0)
+            return rs2 << 20 | rs1 << 15 | rd << 7 | fixed
+    elif fmt == _S:
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5 or not lo <= imm <= hi:
+                _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even)
+            return (imm & 0xFE0) << 20 | rs2 << 20 | rs1 << 15 | (imm & 0x1F) << 7 | fixed
+    elif fmt == _U:
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5 or not lo <= imm <= hi:
+                _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even)
+            return imm << 12 | rd << 7 | fixed
+    elif fmt == _B:
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5 or not lo <= imm <= hi or imm & 1:
+                _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even)
+            return ((imm & 0x1000) << 19 | (imm & 0x7E0) << 20 | rs2 << 20 | rs1 << 15
+                    | (imm & 0x1E) << 7 | (imm & 0x800) >> 4 | fixed)
+    elif fmt == _J:
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5 or not lo <= imm <= hi or imm & 1:
+                _check_fields(mnemonic, rd, rs1, rs2, imm, lo, hi, even)
+            return ((imm & 0x100000) << 11 | (imm & 0x7FE) << 20 | (imm & 0x800) << 9
+                    | (imm & 0xFF000) | rd << 7 | fixed)
+    else:  # _SYS
+        def encode(rd, rs1, rs2, imm):
+            if (rd | rs1 | rs2) >> 5:
+                _check_fields(mnemonic, rd, rs1, rs2, 0, 0, 0, 0)
+            return fixed
+    return encode
+
+
+class _EncoderTable(dict):
+    def __missing__(self, mnemonic):
+        raise OperandRange(f"unsupported mnemonic {mnemonic!r}")
+
+
+# mnemonic -> encode(rd, rs1, rs2, imm), the one encoder of each instruction.
+ENCODERS = _EncoderTable({mnemonic: _encoder(mnemonic, *spec) for mnemonic, spec in _ISA.items()})
+
+
 def encode(insn: Insn) -> int:
     """Encode one instruction to its unique 32-bit word."""
-    return encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+    return ENCODERS[insn.mnemonic](insn.rd, insn.rs1, insn.rs2, insn.imm)
 
 
 def encode_fields(mnemonic: str, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0) -> int:
     """Encode one instruction from its fields, with Insn's conventions."""
-    if mnemonic not in _ISA:
-        raise OperandRange(f"unsupported mnemonic {mnemonic!r}")
-    fmt, opcode, funct3, funct7 = _ISA[mnemonic]
-    if (rd | rs1 | rs2) >> 5:  # some index is negative or above 31
-        _check_reg("rd", rd)
-        _check_reg("rs1", rs1)
-        _check_reg("rs2", rs2)
-    if fmt == _I:
-        _check_range(mnemonic, imm, -2048, 2047)
-        return ((imm & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-    if fmt == _R:
-        return (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-    if fmt == _U:
-        _check_range(mnemonic, imm, 0, 0xFFFFF)
-        return (imm << 12) | (rd << 7) | opcode
-    if fmt == _B:
-        _check_range(mnemonic, imm, *BRANCH_REACH, even=True)
-        u = imm & 0x1FFF
-        word = ((u >> 12) & 1) << 31
-        word |= ((u >> 5) & 0x3F) << 25
-        word |= (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
-        word |= ((u >> 1) & 0xF) << 8
-        word |= ((u >> 11) & 1) << 7
-        return word | opcode
-    if fmt == _S:
-        _check_range(mnemonic, imm, -2048, 2047)
-        u = imm & 0xFFF
-        word = ((u >> 5) & 0x7F) << 25
-        word |= (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
-        word |= (u & 0x1F) << 7
-        return word | opcode
-    if fmt == _SHIFT:
-        _check_range(mnemonic, imm, 0, 63)
-        return (funct7 << 26) | (imm << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-    if fmt == _J:
-        _check_range(mnemonic, imm, *JAL_REACH, even=True)
-        u = imm & 0x1FFFFF
-        word = ((u >> 20) & 1) << 31
-        word |= ((u >> 1) & 0x3FF) << 21
-        word |= ((u >> 11) & 1) << 20
-        word |= ((u >> 12) & 0xFF) << 12
-        return word | (rd << 7) | opcode
-    # _SYS
-    sysimm = 0 if mnemonic == "ecall" else 1
-    return (sysimm << 20) | opcode
+    return ENCODERS[mnemonic](rd, rs1, rs2, imm)
 
 
 def _sext(value: int, bits: int) -> int:

@@ -141,7 +141,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
 
     text = bytearray()
     regions = []
-    encode = codec.encode_fields
+    encoders = codec.ENCODERS
     for fragment in program.fragments:
         base = symbols[fragment.name]
         insns = fragment.insns
@@ -205,7 +205,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                     imm = insn.imm
                     if insn.mnemonic in codec.TRANSFER_MNEMONICS:
                         imm = land(site + imm) - at(site)
-                words.append(encode(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, imm))
+                words.append(encoders[insn.mnemonic](insn.rd, insn.rs1, insn.rs2, imm))
         except codec.OperandRange as exc:
             raise RelocOutOfRange(
                 f"{fragment.name!r}: {insn.mnemonic} immediate no longer "

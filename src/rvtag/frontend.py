@@ -13,6 +13,12 @@ line loop is the one place a statement error gets its `FILE:LINE:1:`: the
 methods under it raise a bare ParseError.  Errors found after the last file
 name the line of the branch, declaration or .entry they concern.
 
+STATEMENTS, built from codec's _ISA, is the one statement table: a real
+mnemonic maps to its operand count, the operand parser of its shape, its
+codec encoder, and whether it is a pc-relative transfer or an add/sub.  A
+real instruction is one lookup; anything else is a pseudo-instruction or an
+unknown mnemonic.
+
 Grammar (one statement per line, `#` comments):
 
     label:                 plain identifiers; a label declared with .globl,
@@ -77,7 +83,7 @@ PSEUDO_MNEMONICS = frozenset({"call", "j", "jr", "ret", "li", "mv", "nop", "la"}
 _UNSIGNED_ANNOTATIONS = frozenset({"unsigned", "optout"})
 
 
-@dataclass
+@dataclass(slots=True)
 class TaggedInsn:
     """One instruction plus its tag annotation and expansion lineage.
 
@@ -181,43 +187,41 @@ def _mem_operand(token, defsym):
     return offset, _parse_reg(base)
 
 
-def _split_statement(text: str):
-    """Lower-cased mnemonic and operand list of one stripped statement."""
-    parts = text.split(None, 1)
-    if len(parts) == 1:
-        return parts[0].lower(), []
-    return parts[0].lower(), [part.strip() for part in parts[1].split(",")]
+def _load(ops, defsym):  # offset(base) is checked first, as for stores
+    imm, rs1 = _mem_operand(ops[1], defsym)
+    return _parse_reg(ops[0]), rs1, 0, imm, None
 
 
-# Each real mnemonic's operand shape, and the operand count of each shape.
-_FORMAT_SHAPES = {codec._R: "rrr", codec._I: "rri", codec._SHIFT: "rri", codec._U: "ri",
-                  codec._J: "jal", codec._B: "branch", codec._S: "store", codec._SYS: "sys"}
-_SHAPES = {mnemonic: "load" if mnemonic in codec.LOAD_MNEMONICS else _FORMAT_SHAPES[spec[0]]
-           for mnemonic, spec in codec._ISA.items()}
-_ARITY = {"rrr": 3, "rri": 3, "ri": 2, "jal": 2, "branch": 3, "load": 2, "store": 2, "sys": 0}
+def _store(ops, defsym):
+    imm, rs1 = _mem_operand(ops[1], defsym)
+    return 0, rs1, _parse_reg(ops[0]), imm, None
 
 
-def _parse_operands(mnemonic, ops, defsym):
-    """(rd, rs1, rs2, imm, target) of one real instruction; a symbolic
-    branch target comes back as `target` with imm 0."""
-    shape = _SHAPES[mnemonic]
-    if len(ops) != _ARITY[shape]:
-        raise ParseError(f"{mnemonic} expects {_ARITY[shape]} operand(s), got {len(ops)}")
-    if shape == "rri":
-        return _parse_reg(ops[0]), _parse_reg(ops[1]), 0, _parse_int(ops[2], defsym), None
-    if shape == "rrr":
-        return _parse_reg(ops[0]), _parse_reg(ops[1]), _parse_reg(ops[2]), 0, None
-    if shape == "load" or shape == "store":  # offset(base) is checked first
-        imm, rs1 = _mem_operand(ops[1], defsym)
-        reg = _parse_reg(ops[0])
-        return (reg, rs1, 0, imm, None) if shape == "load" else (0, rs1, reg, imm, None)
-    if shape == "branch":
-        return (0, _parse_reg(ops[0]), _parse_reg(ops[1]), *_branch_target(ops[2]))
-    if shape == "jal":
-        return (_parse_reg(ops[0]), 0, 0, *_branch_target(ops[1]))
-    if shape == "ri":
-        return _parse_reg(ops[0]), 0, 0, _parse_int(ops[1], defsym), None
-    return 0, 0, 0, 0, None
+# Per operand shape: (operand count, parse(ops, defsym) -> (rd, rs1, rs2,
+# imm, target)), where a symbolic branch target comes back with imm 0.
+_RRI = (3, lambda ops, defsym: (_parse_reg(ops[0]), _parse_reg(ops[1]), 0,
+                                _parse_int(ops[2], defsym), None))
+_FORMAT_OPERANDS = {
+    codec._R: (3, lambda ops, defsym: (_parse_reg(ops[0]), _parse_reg(ops[1]),
+                                       _parse_reg(ops[2]), 0, None)),
+    codec._I: _RRI,
+    codec._SHIFT: _RRI,
+    codec._U: (2, lambda ops, defsym: (_parse_reg(ops[0]), 0, 0,
+                                       _parse_int(ops[1], defsym), None)),
+    codec._J: (2, lambda ops, defsym: (_parse_reg(ops[0]), 0, 0, *_branch_target(ops[1]))),
+    codec._B: (3, lambda ops, defsym: (0, _parse_reg(ops[0]), _parse_reg(ops[1]),
+                                       *_branch_target(ops[2]))),
+    codec._S: (2, _store),
+    codec._SYS: (0, lambda ops, defsym: (0, 0, 0, 0, None)),
+}
+
+# The one statement table: real mnemonic -> (operand count, operand parser,
+# encoder, pc-relative transfer?, add/sub?).
+STATEMENTS = {
+    mnemonic: ((2, _load) if mnemonic in codec.LOAD_MNEMONICS else _FORMAT_OPERANDS[spec[0]])
+    + (codec.ENCODERS[mnemonic], mnemonic in codec.TRANSFER_MNEMONICS,
+       mnemonic in codec.ADDSUB_MNEMONICS)
+    for mnemonic, spec in codec._ISA.items()}
 
 
 def _expand(mnemonic, ops, lineage, defsym):
@@ -332,9 +336,10 @@ class _Assembler:
         lines = [(lineno, *_split_labels(raw))
                  for lineno, raw in enumerate(source.splitlines(), start=1)]
         entries = self.scan_declarations(lines)
-        names = sorted({name for name, _ in entries})
-        if len(names) > 1:
-            raise ParseError(f"multiple .entry symbols: {names}", 0, filename)
+        for name, lineno in entries:  # the first .entry naming another symbol
+            if name != entries[0][0]:
+                raise ParseError(f"multiple .entry symbols: {sorted({n for n, _ in entries})}",
+                                 lineno, filename)
         if entries:
             entry, lineno = entries[0]
             if self.program.entry_explicit and self.program.entry != entry:
@@ -450,51 +455,60 @@ class _Assembler:
                 raise ParseError("annotations without an instruction")
             text = " ".join(tokens)
             annotations = frozenset(found)
-        mnemonic, ops = _split_statement(text)
-
+        parts = text.split(None, 1)
+        mnemonic = parts[0].lower()
+        ops = [op.strip() for op in parts[1].split(",")] if len(parts) > 1 else []
         frag = self.current
-        base_index = len(frag.insns)
         calltype = self.pending_calltype
         self.pending_calltype = None
-        if mnemonic in PSEUDO_MNEMONICS:
-            if annotations & _UNSIGNED_ANNOTATIONS:
-                raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
-            self.program.lineage_count += 1
-            insns, relocations, target = _expand(
-                mnemonic, ops, self.program.lineage_count, self.defsym)
-            if not relocations:  # the words of call and la are encoded at link
-                for member in insns:
-                    insn = member.insn
-                    codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
-            imm = insns[-1].insn.imm
-            if annotations or calltype is not None:
-                for member in insns:
-                    member.annotations = annotations
-                    if member.insn.mnemonic == "jalr":
-                        member.calltype = calltype
-        else:
-            if mnemonic not in _SHAPES:
-                raise ParseError(f"unknown mnemonic {mnemonic!r}")
-            if annotations & _UNSIGNED_ANNOTATIONS and mnemonic not in codec.ADDSUB_MNEMONICS:
+        spec = STATEMENTS.get(mnemonic)
+        if spec is not None:
+            arity, parse, encode, transfer, addsub = spec
+            if not addsub and annotations & _UNSIGNED_ANNOTATIONS:
                 raise ParseError(f"!unsigned/!optout do not apply to {mnemonic!r}")
-            rd, rs1, rs2, imm, target = _parse_operands(mnemonic, ops, self.defsym)
-            codec.encode_fields(mnemonic, rd, rs1, rs2, imm)  # range errors belong here
-            insns = [TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
-                                annotations, calltype)]
-            relocations = None
-        # no instruction is compressed, so none can sit at a half-word target
-        if target is None and imm % 4 and insns[-1].insn.mnemonic in codec.TRANSFER_MNEMONICS:
+            if len(ops) != arity:
+                raise ParseError(f"{mnemonic} expects {arity} operand(s), got {len(ops)}")
+            rd, rs1, rs2, imm, target = parse(ops, self.defsym)
+            encode(rd, rs1, rs2, imm)  # range errors belong here
+            # no instruction is compressed, so none can sit at a half-word
+            # target; a symbolic target has imm 0
+            if transfer and imm % 4:
+                raise ParseError(f"{mnemonic}: offset {imm} is not a multiple of 4")
+            if target is not None:
+                self.branch_refs.append((frag, len(frag.insns), target, self.filename,
+                                         self.lineno))
+            frag.insns.append(TaggedInsn(Insn(mnemonic, rd, rs1, rs2, imm), None, None, False,
+                                         annotations, calltype))
+            return
+        if mnemonic not in PSEUDO_MNEMONICS:
+            raise ParseError(f"unknown mnemonic {mnemonic!r}")
+        if annotations & _UNSIGNED_ANNOTATIONS:
+            raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
+        self.program.lineage_count += 1
+        insns, relocations, target = _expand(mnemonic, ops, self.program.lineage_count,
+                                             self.defsym)
+        if not relocations:  # the words of call and la are encoded at link
+            for member in insns:
+                insn = member.insn
+                codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+        if annotations or calltype is not None:
+            for member in insns:
+                member.annotations = annotations
+                if member.insn.mnemonic == "jalr":
+                    member.calltype = calltype
+        imm = insns[-1].insn.imm  # j's literal delta; 0 for a symbolic target
+        if imm % 4 and insns[-1].insn.mnemonic in codec.TRANSFER_MNEMONICS:
             raise ParseError(f"{mnemonic}: offset {imm} is not a multiple of 4")
-
+        base_index = len(frag.insns)
         if relocations:
             self.pair_count += 1
             for reloc in relocations:
                 reloc.offset += 4 * base_index
                 reloc.pair_id = self.pair_count
             frag.relocations += relocations
-        frag.insns += insns
         if target is not None:
             self.branch_refs.append((frag, base_index, target, self.filename, self.lineno))
+        frag.insns += insns
 
     # -- pass C: branch resolution and address-taken marking, unit-wide ----
     def finish(self):

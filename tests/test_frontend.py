@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rvtag import codec, emulator
+from rvtag import codec, emulator, frontend
 from rvtag.frontend import (
     ParseError,
     UndefinedSymbol,
@@ -304,6 +304,17 @@ def test_errors_found_after_the_last_file_name_their_line(files, message):
         assemble_unit(files)
 
 
+@pytest.mark.parametrize("source, line, names", [
+    (".entry a\n.entry b\na:\n    ecall\nb:\n    ecall\n", 2, "['a', 'b']"),
+    ("a:\n    ecall\n.entry a\n.entry a\nb:\n    ecall\n.entry b\n.entry c\n", 7,
+     "['a', 'b', 'c']"),
+])
+def test_two_entry_symbols_name_the_line_of_the_second(source, line, names):
+    with pytest.raises(ParseError, match=f"^t.s:{line}:1: "
+                                         f"{re.escape(f'multiple .entry symbols: {names}')}$"):
+        assemble(source, filename="t.s")
+
+
 def test_an_empty_link_unit_is_a_parse_error():
     for build in (lambda: assemble_unit([]), lambda: assemble_sources([])):
         with pytest.raises(ParseError, match="the link unit has no input$"):
@@ -391,6 +402,62 @@ def test_pseudo_operand_error_names_its_line(line):
 def test_statement_assembles_to_its_word(statement, insn):
     assembled = assemble(f"f:\n    {statement}\n").fragments[0].insns[0].insn
     assert codec.encode(assembled) == codec.encode(insn)
+
+
+def _statement(mnemonic, imm):
+    """One statement of a real mnemonic with immediate `imm` (if it has one),
+    and the (rd, rs1, rs2, imm) it stands for."""
+    fmt = codec._ISA[mnemonic][0]
+    if mnemonic in codec.LOAD_MNEMONICS:
+        return f"{mnemonic} a0, {imm}(a1)", (10, 11, 0, imm)
+    if fmt == codec._S:
+        return f"{mnemonic} a0, {imm}(a1)", (0, 11, 10, imm)
+    if fmt == codec._B:
+        return f"{mnemonic} a0, a1, {imm}", (0, 10, 11, imm)
+    if fmt in (codec._J, codec._U):
+        return f"{mnemonic} a0, {imm}", (10, 0, 0, imm)
+    if fmt == codec._R:
+        return f"{mnemonic} a0, a1, a2", (10, 11, 12, 0)
+    if fmt == codec._SYS:
+        return mnemonic, (0, 0, 0, 0)
+    return f"{mnemonic} a0, a1, {imm}", (10, 11, 0, imm)
+
+
+# encode_fields's immediate bounds per format.
+_FORMAT_BOUNDS = {codec._I: (-2048, 2047), codec._S: (-2048, 2047), codec._SHIFT: (0, 63),
+                  codec._U: (0, 0xFFFFF), codec._B: codec.BRANCH_REACH, codec._J: codec.JAL_REACH}
+
+
+def test_statement_table_has_exactly_the_real_mnemonics():
+    assert set(frontend.STATEMENTS) == codec.MNEMONICS
+
+
+@pytest.mark.parametrize("mnemonic", sorted(codec.MNEMONICS))
+def test_statement_table_agrees_with_encode_fields(mnemonic):
+    def assembled(statement):
+        return assemble(f"f:\n    {statement}\n", filename="t.s").fragments[0].insns[0].insn
+
+    lo, hi = _FORMAT_BOUNDS.get(codec._ISA[mnemonic][0], (0, 0))
+    # a literal transfer offset must also be a multiple of 4
+    top = hi - hi % 4 if mnemonic in codec.TRANSFER_MNEMONICS else hi
+    for imm in (lo, top):
+        statement, fields = _statement(mnemonic, imm)
+        assert codec.encode(assembled(statement)) == codec.encode_fields(mnemonic, *fields)
+    for imm in (lo - 1, hi + 1) if hi else ():
+        statement, fields = _statement(mnemonic, imm)
+        with pytest.raises(codec.OperandRange) as expected:
+            codec.encode_fields(mnemonic, *fields)
+        with pytest.raises(ParseError, match=f"^t.s:2:1: {re.escape(str(expected.value))}$"):
+            assembled(statement)
+    statement, _ = _statement(mnemonic, 0)
+    arity = len(statement.split(None, 1)[1].split(",")) if " " in statement else 0
+    wrong = [(f"{statement}, a3" if arity else f"{statement} a3", arity + 1)]
+    if arity:
+        wrong.append((statement.rsplit(",", 1)[0], arity - 1))
+    for bad, count in wrong:
+        with pytest.raises(ParseError, match=f"^t.s:2:1: {mnemonic} expects {arity} "
+                                             rf"operand\(s\), got {count}$"):
+            assembled(bad)
 
 
 def test_merge_programs():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from rvtag.corpus import generate_corpus
+from rvtag.emitlink import link
 from rvtag.emulator import run
 from rvtag.instrument import MissingSignature
-from rvtag.pipeline import assemble_sources, build_image, build_variants
+from rvtag.pipeline import apply_policy, assemble_sources, build_image, build_variants
 from rvtag.tagplan import make_config
 
 VARIANT_CELLS = [
@@ -94,3 +97,25 @@ def test_a_program_split_into_files_links_to_the_same_images():
             whole = dict(build_variants(text, config, cfi_label_direct_calls=True))
             assert split == whole, config
     assert split_programs > 20
+
+
+def test_passes_and_link_replace_insn_records_and_never_change_them():
+    """Insn is not frozen: a rewrite must put a new Insn in its TaggedInsn.
+    Every Insn the assembler made keeps its fields through every pass and link."""
+    cells = [make_config(carrier="lui", coverage=3),
+             make_config(carrier="lui", coverage=3, policy="cfi"),
+             make_config(carrier="lui", coverage=3, policy="unarith"),
+             make_config(carrier="lui", coverage=7, policy="coverage")]
+    replaced = 0
+    for text in generate_corpus(7, 40):
+        for config in cells:
+            program = assemble_sources(text)
+            slots = [slot for fragment in program.fragments for slot in fragment.insns]
+            recorded = [(slot.insn, dataclasses.astuple(slot.insn)) for slot in slots]
+            link(program, config, tagged=False)
+            apply_policy(program, config, cfi_label_direct_calls=True)
+            link(program, config)
+            for insn, fields in recorded:
+                assert dataclasses.astuple(insn) == fields
+            replaced += sum(slot.insn is not insn for slot, (insn, _) in zip(slots, recorded))
+    assert replaced  # the label passes did rewrite branches
