@@ -34,6 +34,17 @@ class CliError(RvtagError):
     pass
 
 
+def _positive(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 class EquivalenceFailure(RvtagError):
     """Baseline and tagged runs diverged; message names the first cell."""
 
@@ -448,7 +459,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="execute an image")
     p.add_argument("image")
     p.add_argument("--mode", choices=("compat", "aware"), default="compat")
-    p.add_argument("--max-insns", type=int, default=10 ** 8)
+    p.add_argument("--max-insns", type=_positive, default=10 ** 8)
     p.add_argument("--dump-coverage", metavar="OUT.json")
     p.set_defaults(func=cmd_run)
 
@@ -457,17 +468,17 @@ def build_parser() -> _Parser:
     p.add_argument("inputs", nargs="*")
     p.add_argument("--config")
     p.add_argument("--defsym", action="append", metavar="NAME=VALUE")
-    p.add_argument("--generate", type=int, metavar="N",
+    p.add_argument("--generate", type=_positive, metavar="N",
                    help="also test N generated corpus programs")
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-insns", type=int, default=10 ** 8)
+    p.add_argument("--max-insns", type=_positive, default=10 ** 8)
     p.add_argument("--cfi-label-direct-calls", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diff_run)
 
     p = sub.add_parser("enforce", help="run tag-aware and report violations")
     p.add_argument("image")
-    p.add_argument("--max-insns", type=int, default=10 ** 8)
+    p.add_argument("--max-insns", type=_positive, default=10 ** 8)
     p.add_argument("--dump-coverage", metavar="OUT.json")
     p.set_defaults(func=cmd_enforce)
 

@@ -432,6 +432,30 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "IMAGE", "--max-insns", "-5"],
+    ["run", "IMAGE", "--max-insns", "0"],
+    ["enforce", "IMAGE", "--max-insns", "-1"],
+    ["diff-run", "--config", "CONF", "PROG", "--max-insns", "0"],
+    ["diff-run", "--config", "CONF", "--generate", "-3"],
+    ["diff-run", "--config", "CONF", "--generate", "0"],
+], ids=["run-negative", "run-zero", "enforce", "diff-run-budget", "generate-negative",
+        "generate-zero"])
+def test_counts_below_one_are_usage_errors(workspace, capsys, args):
+    # before, a budget below 1 ran and failed with "fetched 0 words", and
+    # --generate -3 printed a corpus seed and then "nothing to run"
+    image = workspace / "sum.rvti"
+    write_image(build_image(SUM_SRC, make_config(carrier="lui", coverage=3)), image)
+    paths = {"IMAGE": str(image), "CONF": str(workspace / "tags.conf"),
+             "PROG": str(workspace / "prog.s")}
+    with pytest.raises(SystemExit) as info:
+        main([paths.get(arg, arg) for arg in args])
+    assert info.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {args[-2]}: must be at least 1, not {args[-1]}" in captured.err
+
+
 def test_diff_run_generate_json_stdout_is_one_document(workspace, capsys, tmp_path):
     code = main(["diff-run", "--config", str(workspace / "tags.conf"),
                  "--json", "--generate", "2", "--seed", "5"])

@@ -1,6 +1,8 @@
+import ast
 import copy
 import dataclasses
 import hashlib
+import os
 import random
 
 import pytest
@@ -1137,3 +1139,331 @@ def test_execution_is_pinned():
     for source, config in violations:
         digest.update(_execution_record(build_image(source, config, tagged=True), "aware"))
     assert digest.hexdigest() == EXECUTION_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the hot tier: compiled blocks must run exactly as the closures they replace
+
+@pytest.fixture
+def forced(monkeypatch):
+    """Promotion forced: every dispatch of a cached block samples it, and it
+    compiles on its next entry.  Returns the list of compiled functions."""
+    compiled = []
+    compile_block = emulator._compile
+
+    def spy(ops, term):
+        compiled.append(compile_block(ops, term))
+        return compiled[-1]
+
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
+    monkeypatch.setattr(emulator, "_COMPILE_NS", (0, 0))
+    monkeypatch.setattr(emulator, "_compile", spy)
+    return compiled
+
+
+def test_forced_promotion_keeps_the_pinned_execution(forced):
+    test_execution_is_pinned()
+    assert len(forced) > 100
+
+
+def test_a_short_run_compiles_nothing(monkeypatch):
+    # a corpus program fetches fewer words than one sample interval
+    from rvtag.corpus import generate_corpus
+
+    monkeypatch.setattr(emulator, "_compile", None)  # calling it would fail the run
+    for text in generate_corpus(7, 8):
+        run(build_image(text, COVERAGE, tagged=True), mode="aware")
+
+
+def test_a_hot_loop_compiles_once_its_entries_repay_the_compile(monkeypatch):
+    compiled = []
+    compile_block = emulator._compile
+    monkeypatch.setattr(emulator, "_compile",
+                        lambda ops, term: compiled.append(ops) or compile_block(ops, term))
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 40)
+    assert final_a0(build_image(kernel, N3, tagged=False)) == a0
+    assert not compiled  # 40 iterations are about 720 fetches: not one sample point
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    assert final_a0(build_image(kernel, N3, tagged=False)) == a0
+    assert 12 in [len(ops) for ops in compiled]  # the loop body, up to its jalr
+
+
+HOT_LOAD = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la a1, table\n"
+    "loop:\n"
+    "    ld t0, 0(a1)\n"  # walks off the end of data: a MemFault
+    "    add a0, a0, t0\n"
+    "    addi a1, a1, 8\n"
+    "    xori a2, a0, 5\n"
+    "    bne a1, x0, loop\n"
+    "    ecall\n"
+    ".data\n"
+    "table:\n"
+    "    .zero 800\n"
+)
+
+HOT_BORROW = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li a0, 60\n"
+    "    li a2, 1\n"
+    "loop:\n"
+    "    addi t0, t0, 3\n"
+    "    sub a0, a0, a2 !unsigned\n"  # borrows on the 61st iteration
+    "    xor t1, t0, a0\n"
+    "    j loop\n"
+)
+
+HOT_CALLEE = (
+    ".globl main\n.entry main\nmain:\n"
+    '    .signature "i64()"\n'
+    "    li s3, 50\n"
+    "    la s2, callee\n"
+    "loop:\n"
+    '    .calltype "i64(i64)"\n'
+    "    jalr ra, s2, 0\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, loop\n"
+    '    .calltype "i64(ptr)"\n'  # the compiled callee's entry check fails
+    "    jalr ra, s2, 0\n"
+    "    ecall\n"
+    ".globl callee\ncallee:\n"
+    '    .signature "i64(i64)"\n'
+    "    addi a0, a0, 7\n"
+    "    xori a1, a0, 3\n"
+    "    ret\n"
+)
+
+SELF_PATCH = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la t0, scratch\n"
+    "    la t2, main\n"
+    "    addi t2, t2, OFFSET\n"
+    "    li t1, NEW_WORD\n"
+    "    li s3, 40\n"
+    "loop:\n"
+    "    addi a0, a0, 1\n"
+    "    sw t1, 0(t0)\n"  # from the fourth iteration on, rewrites the addi of its own block
+    "    addi s3, s3, -1\n"
+    "    li t3, 37\n"
+    "    bne s3, t3, next\n"
+    "    mv t0, t2\n"
+    "next:\n"
+    "    bne s3, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\n"
+    "scratch:\n"
+    "    .dword 0\n"
+)
+
+
+def _self_patch_image(source):
+    old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1)).to_bytes(4, "little")
+    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
+
+    def build(offset):
+        return build_image(source, COVERAGE, tagged=True,
+                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
+
+    offset = build(0).text.index(old_word)
+    image = build(offset)
+    assert image.text.index(old_word) == offset
+    return image
+
+
+PATCHED_LOOP = (
+    ".globl bump\nbump:\n"
+    "    addi a0, a0, 1\n"
+    "    xori t2, a0, 9\n"
+    "    ret\n"
+    ".globl main\n.entry main\nmain:\n"
+    "    li s3, 30\n"
+    "first:\n"
+    "    call bump\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, first\n"
+    "    la t0, bump\n"
+    "    li t1, NEW_WORD\n"
+    "    sw t1, OFFSET(t0)\n"  # drops bump's compiled block
+    "    li s3, 30\n"
+    "second:\n"
+    "    call bump\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, second\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+)
+
+
+def _hot_kernel(config):
+    kernel, _ = _bench_workloads().kernel(random.Random(3), 200)
+    return build_image(kernel, config, tagged=True)
+
+
+# name: (image, mode, budget, outcome): the kind of the fault, or the final
+# a0 of a run that exits
+HOT_CASES = {
+    "load-memfault": (lambda: build_image(HOT_LOAD, N3, tagged=True), "aware", 10 ** 6,
+                      "MemFault"),
+    "load-memfault-compat": (lambda: build_image(HOT_LOAD, N3, tagged=False), "compat", 10 ** 6,
+                             "MemFault"),
+    "unsigned-overflow": (lambda: build_image(HOT_BORROW, UNARITH, tagged=True), "aware",
+                          10 ** 6, "UnsignedOverflow"),
+    "cfi-mismatch": (lambda: build_image(HOT_CALLEE, CFI, tagged=True), "aware", 10 ** 6,
+                     "CfiMismatch"),
+    "budget-mid-block": (lambda: _hot_kernel(N3), "compat", 2001, "LimitExceeded"),
+    "budget-mid-block-cfi": (lambda: _hot_kernel(CFI), "aware", 2001, "LimitExceeded"),
+    "budget-mid-block-coverage": (lambda: _hot_kernel(COVERAGE), "aware", 2001, "LimitExceeded"),
+    "store-drops-compiled-block": (lambda: _self_patch_image(PATCHED_LOOP), "aware", 10 ** 6,
+                                   30 + 30 * 100),
+    # forced, the loop block (the first iteration runs in main's block) is
+    # sampled on its second entry and promotes on its third, whose store
+    # drops it first
+    "store-drops-counted-block": (lambda: _self_patch_image(SELF_PATCH), "aware", 10 ** 6,
+                                  4 + 36 * 100),
+}
+
+
+@pytest.mark.parametrize("name", HOT_CASES)
+def test_a_fault_inside_a_compiled_block_is_the_interpreted_fault(forced, monkeypatch, name):
+    build, mode, budget, outcome = HOT_CASES[name]
+    image = build()
+    compiled = _execution_record(image, mode, budget)
+    assert forced
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    forced.clear()
+    assert _execution_record(image, mode, budget) == compiled
+    assert not forced
+    error, regs = ast.literal_eval(compiled.decode())[:2]  # a repr of plain values
+    if isinstance(outcome, int):
+        assert error is None and regs[10] == outcome
+    else:
+        assert outcome in error
+
+
+@pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
+def test_a_promoted_machine_is_freed_without_the_cycle_collector(forced, config):
+    # the counting terminator reaches its machine through a weak reference,
+    # and a compiled block holds only its calls
+    import gc
+    import weakref
+
+    kernel, _ = _bench_workloads().kernel(random.Random(3), 40)
+    image = build_image(kernel, config, tagged=True, cfi_label_direct_calls=True)
+    gc.disable()
+    try:
+        for mode in ("compat", "aware"):
+            forced.clear()
+            machine = Emulator(image, mode=mode)
+            machine.run()
+            assert forced
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_negative_budget_is_rejected():
+    image = build_image(SUM_1_TO_10, N3, tagged=False)
+    with pytest.raises(ValueError, match="max_insns"):
+        Emulator(image, max_insns=-1)
+    with pytest.raises(LimitExceeded):
+        Emulator(image, max_insns=0).run()
+
+
+def _as_signed(value):
+    return value - (1 << 64) if value >> 63 else value
+
+
+def _sign_extend_32(value):
+    value &= 0xFFFFFFFF
+    return value - (1 << 32) if value >> 31 else value
+
+
+# rd's value (before the 64-bit mask), or whether a branch is taken, from
+# the values a and b of rs1 and rs2 and the immediate i
+REFERENCE = {
+    "lui": lambda a, b, i: i,
+    "addi": lambda a, b, i: a + i, "xori": lambda a, b, i: a ^ i,
+    "ori": lambda a, b, i: a | i, "andi": lambda a, b, i: a & i,
+    "slti": lambda a, b, i: int(_as_signed(a) < i),
+    "sltiu": lambda a, b, i: int(a < i % (1 << 64)),
+    "slli": lambda a, b, i: a << i, "srli": lambda a, b, i: a >> i,
+    "srai": lambda a, b, i: _as_signed(a) >> i,
+    "addiw": lambda a, b, i: _sign_extend_32(a + i),
+    "add": lambda a, b, i: a + b, "sub": lambda a, b, i: a - b,
+    "xor": lambda a, b, i: a ^ b, "or": lambda a, b, i: a | b,
+    "and": lambda a, b, i: a & b, "mul": lambda a, b, i: a * b,
+    "slt": lambda a, b, i: int(_as_signed(a) < _as_signed(b)),
+    "sltu": lambda a, b, i: int(a < b),
+    "sll": lambda a, b, i: a << b % 64, "srl": lambda a, b, i: a >> b % 64,
+    "sra": lambda a, b, i: _as_signed(a) >> b % 64,
+    "addw": lambda a, b, i: _sign_extend_32(a + b),
+    "subw": lambda a, b, i: _sign_extend_32(a - b),
+    "beq": lambda a, b, i: a == b, "bne": lambda a, b, i: a != b,
+    "blt": lambda a, b, i: _as_signed(a) < _as_signed(b),
+    "bge": lambda a, b, i: _as_signed(a) >= _as_signed(b),
+    "bltu": lambda a, b, i: a < b, "bgeu": lambda a, b, i: a >= b,
+}
+
+
+@pytest.mark.parametrize("mnemonic", sorted(REFERENCE))
+def test_every_pure_op_matches_its_reference_cold_and_inlined(mnemonic):
+    rng = random.Random(mnemonic)
+    edges = [0, 1, 2, 63, 64, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 1 << 32,
+             (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+    values = edges + [rng.randrange(1 << 64) for _ in range(12)]
+    if mnemonic in ("slli", "srli", "srai"):
+        immediates = [0, 1, 31, 32, 63]
+    elif mnemonic == "lui":
+        immediates = [emulator._sext32(v << 12) for v in (0, 1, 0x7FFFF, 0x80000, 0xFFFFF)]
+    else:
+        immediates = [0, 1, -1, 5, 2047, -2048]
+    mask = (1 << 64) - 1
+    for imm in immediates:
+        if mnemonic in emulator._CONDS:
+            pc = 0x10040
+            cold_term = emulator._factory(mnemonic)(None, pc, 0, 5, 6, imm)
+            pair = [((), cold_term), ((), emulator._compile((), cold_term))]
+        else:
+            cold_op = emulator._factory(mnemonic)(7, 5, 6, imm)
+            pair = [((cold_op,), emulator._goto(0)),
+                    ((), emulator._compile((cold_op,), emulator._goto(0)))]
+        for a in values:
+            for b in values[::3]:
+                expected = REFERENCE[mnemonic](a, b, imm)
+                for ops, term in pair:
+                    regs = [0] * 32
+                    regs[5], regs[6] = a, b
+                    for op in ops:
+                        op(regs)
+                    next_pc = term(regs)
+                    if mnemonic in emulator._CONDS:
+                        assert next_pc == (pc + imm if expected else pc + 4) & mask
+                    else:
+                        assert type(regs[7]) is int and regs[7] == expected & mask
+
+
+def test_importing_rvtag_generates_no_code():
+    # the forms are built on first use: an import that compiled them would
+    # add to every short command's start-up
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "generated = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec'\n"
+        "                 and args[0].co_filename == '<rvtag generated>' and generated.append(1))\n"
+        "import rvtag\n"
+        "at_import = len(generated)\n"
+        "from rvtag import emulator, pipeline, tagplan\n"
+        "source = 'main:\\n    addi a0, a0, 3\\n    ecall\\n'\n"
+        "emulator.run(pipeline.build_image(source, tagplan.make_config(), tagged=False))\n"
+        "print(at_import, len(generated) > 0)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.stdout.split() == ["0", "True"]
