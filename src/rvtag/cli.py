@@ -254,11 +254,11 @@ def report(counters_baseline, counters_tagged, sizes) -> dict:
     }
 
 
-def compare_states(base, tagged, data_base) -> str | None:
+def compare_states(base, tagged, data_base=None) -> str | None:
     """First architectural divergence between two final states, or None.
 
-    Memory is compared over the data and stack segments.  data_base is
-    unused; bench/run.py and tests/test_acceptance.py still pass it."""
+    Memory is compared over Memory.segments[:2], data and stack.  data_base
+    is ignored; bench/run.py and tests/test_acceptance.py still pass it."""
     for i in range(1, 32):
         if base.regs[i] != tagged.regs[i]:
             return f"x{i}: baseline {base.regs[i]:#x} != tagged {tagged.regs[i]:#x}"
@@ -268,9 +268,7 @@ def compare_states(base, tagged, data_base) -> str | None:
         return f"stop reason: {base.stop_reason!r} != {tagged.stop_reason!r}"
     if bytes(base.stdout) != bytes(tagged.stdout):
         return "stdout streams differ"
-    stack_base = emulator.STACK_TOP - len(base.memory.stack)
-    for addr, a, b in ((base.memory.data_base, base.memory.data, tagged.memory.data),
-                       (stack_base, base.memory.stack, tagged.memory.stack)):
+    for (addr, a), (_, b) in zip(base.memory.segments[:2], tagged.memory.segments[:2]):
         if len(a) != len(b):
             return f"memory segment at {addr:#x}: {len(a)} != {len(b)} bytes"
         if a != b:
@@ -304,7 +302,7 @@ def diff_one(name, sources, config, *, defsym=None, max_insns,
         if kind not in images:
             continue
         state, counters, _ = emulator.run(images[kind], mode="compat", max_insns=max_insns)
-        divergence = compare_states(base_state, state, baseline.data_base)
+        divergence = compare_states(base_state, state)
         if divergence is not None:
             raise EquivalenceFailure(f"{name}: {divergence}")
         row = report(base_counters, counters, (len(baseline.text), len(images[kind].text)))

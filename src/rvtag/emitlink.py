@@ -11,7 +11,8 @@ link resolves a fragment's relocations first, then writes it group by group.
 
 The memory map is tagplan's, with three disjoint segments: text in [TEXT_BASE,
 DATA_BASE), data in [DATA_BASE, STACK_TOP - STACK_SIZE) and the stack below
-STACK_TOP.  link raises BuildError for text or data past its segment;
+STACK_TOP.  Image.text_base and Image.data_base are these constants, not
+fields.  link raises BuildError for text or data past its segment;
 read_image raises FormatError for other bases, for text that is not whole
 words, and for a segment past its end.
 
@@ -43,6 +44,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import codec, tagplan
 from .codec import TagCarrier
@@ -83,9 +85,9 @@ class TagRegion:
 class Image:
     """Linked flat executable plus the tag-region sidecar."""
 
-    text_base: int
+    text_base: ClassVar[int] = TEXT_BASE
+    data_base: ClassVar[int] = DATA_BASE
     text: bytes
-    data_base: int
     data: bytes
     entry: int
     tags_present: bool
@@ -95,7 +97,7 @@ class Image:
 
     @property
     def text_end(self) -> int:
-        return self.text_base + len(self.text)
+        return TEXT_BASE + len(self.text)
 
     @property
     def label_addrs(self) -> tuple:
@@ -224,9 +226,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         raise UndefinedSymbol(f"entry symbol {entry_symbol!r} is not defined")
 
     return Image(
-        text_base=TEXT_BASE,
         text=bytes(text),
-        data_base=DATA_BASE,
         data=bytes(program.data),
         entry=symbols[entry_symbol],
         tags_present=tagged,
@@ -255,10 +255,10 @@ def write_image(image: Image, path) -> None:
     flags |= _POLICY_CODES[image.policy] << 2
     blob += _HEADER.pack(MAGIC, VERSION, flags)
     blob += _U64.pack(image.entry)
-    blob += _U64.pack(image.text_base)
+    blob += _U64.pack(TEXT_BASE)
     blob += _U32.pack(len(image.text))
     blob += image.text
-    blob += _U64.pack(image.data_base)
+    blob += _U64.pack(DATA_BASE)
     blob += _U32.pack(len(image.data))
     blob += image.data
     blob += _U32.pack(len(image.tag_regions))
@@ -357,9 +357,7 @@ def read_image(path) -> Image:
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
     return Image(
-        text_base=TEXT_BASE,
         text=text,
-        data_base=DATA_BASE,
         data=data,
         entry=entry,
         tags_present=bool(flags & 1),
@@ -382,7 +380,7 @@ def scan_labels(image: Image) -> tuple:
     label_tag, kind = label
 
     def word_at(addr):
-        offset = addr - image.text_base
+        offset = addr - TEXT_BASE
         return int.from_bytes(image.text[offset:offset + 4], "little")
 
     found = []

@@ -6,15 +6,17 @@ would behave); "aware" consumes carrier words as metadata and enforces the
 image's policy.  Counters split retired instructions from carrier fetches so
 dynamic overhead can be measured; the fetch budget, max_insns, bounds both.
 
-Memory is three bytearray segments on tagplan's fixed map: text, data, and
-a stack that ends at STACK_TOP.  They are disjoint in every image that link
-or read_image returns.  An access outside them is a MemFault.  The slot
-schedule (tagplan.carrier_groups) is resolved once, at load, into a pc ->
-tag dict where None marks a carrier.  Code runs as basic blocks, translated
-on entry and cached by entry pc once entered twice: closures with their
-operands bound, constant counts, and one terminator that returns the next
-pc.  Aware-mode carriers and x0 no-ops cost nothing, and each policy check
-is folded in at translation.
+Memory is three bytearray segments at tagplan's fixed bases, which every
+Image gives as constants: text, data, and a stack that ends at STACK_TOP.
+An access outside them is a MemFault.  Only text executes, as CFI assumes:
+a fetch of anything but a whole text word (in data or the stack, past the
+end, misaligned) is a BadInstruction at that pc.  The slot schedule
+(tagplan.carrier_groups) is resolved once, at load, into a pc -> tag dict
+where None marks a carrier.  Code runs as basic blocks, translated on entry
+and cached by entry pc once entered twice: closures with their operands
+bound, constant counts, and one terminator that returns the next pc.
+Aware-mode carriers and x0 no-ops cost nothing, and each policy check is
+folded in at translation.  A load to x0 writes nothing but still faults.
 
 Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block
 that crosses the mark is sampled; a cached block sampled for the first time
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from . import codec, tagplan
 from .emitlink import Image
 from .errors import RvtagError
-from .tagplan import STACK_SIZE, STACK_TOP
+from .tagplan import DATA_BASE, STACK_SIZE, STACK_TOP, TEXT_BASE
 
 EXIT_SYSCALL = 93
 WRITE_SYSCALL = 64
@@ -51,8 +53,9 @@ _WORD = struct.Struct("<I")
 
 
 class BadInstruction(RvtagError):
-    """Fetched word is not a supported instruction, or pc went astray;
-    pc is the store's when a program store wrote a malformed carrier."""
+    """Fetched word is not a supported instruction, or pc is not a whole
+    text word.  pc is the fetch's; for a malformed carrier, the store's that
+    wrote it, or None when the image held it at load."""
 
     def __init__(self, message: str, pc: int | None = None):
         super().__init__(message)
@@ -77,15 +80,13 @@ class PolicyViolation(RvtagError):
 class Memory:
     """The memory map: text, data, and a stack that ends at STACK_TOP."""
 
-    text_base: int
     text: bytearray
-    data_base: int
     data: bytearray
     stack: bytearray
 
     def __post_init__(self):
-        self.segments = ((self.data_base, self.data), (STACK_TOP - len(self.stack), self.stack),
-                         (self.text_base, self.text))
+        self.segments = ((DATA_BASE, self.data), (STACK_TOP - len(self.stack), self.stack),
+                         (TEXT_BASE, self.text))
 
     def find(self, addr: int, size: int) -> tuple:
         """(segment, offset) of an access wholly inside one segment, else (None, 0)."""
@@ -240,6 +241,14 @@ def _loader(fmt):
     unpack, size = struct.Struct(fmt).unpack_from, struct.calcsize(fmt)
 
     def make(m, pc, rd, rs1, rs2, imm):
+        if not rd:  # a load to x0 writes nothing, but still faults
+            def check(regs, rs1=rs1, imm=imm, find=m._find, pc=pc):
+                addr = (regs[rs1] + imm) & MASK64
+                if find(addr, size)[0] is None:
+                    raise PolicyViolation("MemFault", pc,
+                                          f"{size}-byte load at {addr:#x}: unmapped")
+            return check
+
         def op(regs, rd=rd, rs1=rs1, imm=imm, find=m._find, pc=pc):
             addr = (regs[rs1] + imm) & MASK64
             segment, offset = find(addr, size)
@@ -336,7 +345,7 @@ def _ebreak(m, pc, rd, rs1, rs2, imm):
 _TERMS = {"ecall": _ecall, "ebreak": _ebreak}
 _TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", *_TERMS})
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
-_RD_ONLY = codec.MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
+_RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
 
 
 @functools.lru_cache(maxsize=65536)
@@ -426,8 +435,7 @@ class Emulator:
         self.image = image
         self.mode = mode
         self.max_insns = max_insns
-        self.memory = Memory(image.text_base, bytearray(image.text), image.data_base,
-                             bytearray(image.data), bytearray(STACK_SIZE))
+        self.memory = Memory(bytearray(image.text), bytearray(image.data), bytearray(STACK_SIZE))
         self.state = MachineState(pc=image.entry, memory=self.memory)
         self.counters = ExecCounters()
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
@@ -448,19 +456,13 @@ class Emulator:
         self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
         self._resolve(self._groups)
 
-    def _fetch(self, pc: int) -> int:
-        segment, offset = self.memory.find(pc, 4)
-        if segment is None:
-            raise BadInstruction(f"pc={pc:#x}: fetch outside the memory map")
-        return _WORD.unpack_from(segment, offset)[0]
-
     # -- slot schedule -----------------------------------------------------------
     def _resolve(self, groups, pc: int | None = None) -> None:
         """Enter carrier groups into the pc -> tag schedule (None = carrier);
         pc is that of the store that wrote them, if any.  Every carrier is a
         text word: link and read_image give whole-word text at TEXT_BASE."""
         tags = self._tags
-        text, base = self.memory.text, self.image.text_base
+        text = self.memory.text
         region = None
         for group_region, carrier_addr, group_end in groups:
             tags[carrier_addr] = None
@@ -469,7 +471,7 @@ class Emulator:
             if group_region is not region:
                 region = group_region
                 read = codec.tag_reader(region.carrier, region.coverage)
-            word = _WORD.unpack_from(text, carrier_addr - base)[0]
+            word = _WORD.unpack_from(text, carrier_addr - TEXT_BASE)[0]
             try:
                 values = read(word)
             except codec.NotACarrier as exc:
@@ -493,12 +495,11 @@ class Emulator:
         (ops, fetches, retired, labels, terminator, end).  It ends at a
         control transfer or a BCF-tagged word, and where text is writable,
         after a store.  A CFL label's value is only for a checked jalr right
-        after it."""
-        if entry % 4:
-            raise BadInstruction(f"misaligned pc {entry:#x}")
-        base, tags, text = self.image.text_base, self._tags, self.memory.text
-        in_text = base <= entry < base + len(text)
-        end = base + len(text) if in_text else entry + 4
+        after it.  An entry that is not a whole text word raises."""
+        tags, text = self._tags, self.memory.text
+        end = TEXT_BASE + len(text)
+        if entry % 4 or not TEXT_BASE <= entry < end:
+            raise BadInstruction(f"pc={entry:#x}: fetch outside whole text words", entry)
         if limit >= 0:
             end = min(end, entry + 4 * limit)
         effects, aware, text_writable = self._effects, self._aware, self._text_writable
@@ -514,13 +515,13 @@ class Emulator:
                 pc += 4
                 continue
             try:
-                word = _WORD.unpack_from(text, pc - base)[0] if in_text else self._fetch(pc)
+                word = _WORD.unpack_from(text, pc - TEXT_BASE)[0]
                 mnemonic, rd, rs1, rs2, imm, op, make = _predecode(word)
             except codec.BadEncoding as exc:
                 if pc != entry:  # run up to it; the next block raises
                     break
                 self.counters.tag_fetches += tag is None  # fetched before it faults
-                raise BadInstruction(f"pc={pc:#x}: {exc}") from None
+                raise BadInstruction(f"pc={pc:#x}: {exc}", pc) from None
             label = mnemonic == "lui" and rd == 0
             if tag is None:
                 carriers += 1
@@ -553,10 +554,10 @@ class Emulator:
             ops.append(_pending(self.policy, pending))
         fetches = (pc - entry) >> 2
         block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc), pc)
-        # Unlimited blocks inside text are cached once entered twice: code that
-        # runs once, like a long straight-line driver, then leaves no objects
-        # behind for the garbage collector to keep traversing.
-        if in_text and limit < 0:
+        # Unlimited blocks are cached once entered twice: code that runs once,
+        # like a long straight-line driver, then leaves no objects behind for
+        # the garbage collector to keep traversing.
+        if limit < 0:
             if entry in self._entered:
                 self._blocks[entry] = block
             self._entered.add(entry)
@@ -585,7 +586,7 @@ class Emulator:
                 if inner is not None:
                     inner(regs)
         elif effect == "CL" and label:
-            def op(regs, text=self.memory.text, offset=pc - self.image.text_base, pc=pc,
+            def op(regs, text=self.memory.text, offset=pc - TEXT_BASE, pc=pc,
                    counted=self._labels_counted):
                 word = _WORD.unpack_from(text, offset)[0]
                 if word >> 12 < 0xFFFFF:  # the write-back saturates; the block stays

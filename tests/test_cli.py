@@ -300,7 +300,7 @@ def test_corrupted_tag_word_breaks_equivalence(workspace):
     corrupted = dataclasses.replace(tagged, text=bytes(text))
     base_state, _, _ = run_image(baseline, mode="compat")
     bad_state, _, _ = run_image(corrupted, mode="compat")
-    divergence = compare_states(base_state, bad_state, baseline.data_base)
+    divergence = compare_states(base_state, bad_state)
     assert divergence is not None and "x1" in divergence
 
 
@@ -309,11 +309,11 @@ def test_compare_states_names_the_first_differing_byte():
     base_state, _, _ = run_image(image, mode="compat")
     other = copy.deepcopy(base_state)
     other.memory.data[3] = 7
-    assert compare_states(base_state, other, image.data_base) == \
+    assert compare_states(base_state, other) == \
         f"memory[{image.data_base + 3:#x}]: baseline 0x0 != tagged 0x7"
     other = copy.deepcopy(base_state)
     other.memory.stack[-1] = 1
-    assert compare_states(base_state, other, image.data_base) == \
+    assert compare_states(base_state, other) == \
         f"memory[{emulator.STACK_TOP - 1:#x}]: baseline 0x0 != tagged 0x1"
 
 
@@ -430,6 +430,34 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     assert f"run failed: tag slot {carrier:#x}" in capsys.readouterr().err
     assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
+
+
+RETURN_INTO_DATA = (
+    "main:\n"
+    "    la t0, buf\n"
+    "    li t1, 0x73\n"
+    "    sw t1, 0(t0)\n"
+    "    li a0, 42\n"
+    "    li a7, 93\n"
+    "    mv ra, t0\n"
+    "    ret\n"
+    ".data\n"
+    "buf:\n"
+    "    .zero 8\n"
+)
+
+
+@pytest.mark.parametrize("command", [["run"], ["run", "--mode", "aware"], ["enforce"]],
+                         ids=["run-compat", "run-aware", "enforce"])
+def test_a_jump_into_data_is_a_run_failure(workspace, capsys, command):
+    # it writes an ecall into data and returns there: only text executes
+    (workspace / "ret.s").write_text(RETURN_INTO_DATA)
+    image = workspace / "ret.rvti"
+    assert main(["link", "--config", str(workspace / "cfi.conf"), "--out", str(image),
+                 str(workspace / "ret.s")]) == 0
+    capsys.readouterr()
+    assert main([*command, str(image)]) == cli.EXIT_BUILD
+    assert capsys.readouterr().err.startswith("rvtag: run failed: pc=0x20000: ")
 
 
 @pytest.mark.parametrize("args", [

@@ -447,15 +447,14 @@ STORE_TO_TEXT = ("main:\n    li a0, 5\n    lui a1, 0x10\n    sw a0, 0(a1)\n    l
                  "    li a7, 93\n    ecall\n.data\nbuf:\n    .zero 64\n")
 
 
-def test_an_image_cannot_move_its_data_over_text(tmp_path):
+def test_an_image_cannot_move_its_data_over_text():
     image = build_image(STORE_TO_TEXT, N7, tagged=True)
     with pytest.raises(PolicyViolation, match="store to execute-only text at 0x10000"):
         run(image)
-    # with data at the text base the store would land in data and the run exit 5
-    path = tmp_path / "moved.rvti"
-    write_image(dataclasses.replace(image, data_base=image.text_base), path)
-    with pytest.raises(FormatError, match="data of 64 bytes at 0x10000 is outside"):
-        read_image(path)
+    # the bases are class constants, not fields; a file that moves data over
+    # text is the "data over text" case of the RVTI header test
+    with pytest.raises(TypeError):
+        dataclasses.replace(image, data_base=image.text_base)
 
 
 def test_link_keeps_text_and_data_inside_their_segments():

@@ -212,8 +212,9 @@ def test_limit_exceeded():
 
 def test_bad_instruction_off_the_end():
     image = build_image("main:\n    addi a0, a0, 1\n", N3, tagged=False)
-    with pytest.raises(BadInstruction):
+    with pytest.raises(BadInstruction) as info:
         run(image)
+    assert info.value.pc == image.text_end
 
 
 def test_misaligned_jalr_target_rejected():
@@ -277,7 +278,7 @@ def test_aware_and_compat_agree_on_benign_runs():
         image = build_image(text, N3, tagged=True)
         compat_state, _, _ = run(image, mode="compat", max_insns=10 ** 6)
         aware_state, _, _ = run(image, mode="aware", max_insns=10 ** 6)
-        assert compare_states(compat_state, aware_state, image.data_base) is None
+        assert compare_states(compat_state, aware_state) is None
 
 
 def test_aware_runs_match_the_untagged_baseline_in_every_cell():
@@ -298,7 +299,7 @@ def test_aware_runs_match_the_untagged_baseline_in_every_cell():
             for direct in (False, True):
                 image = build_image(text, config, cfi_label_direct_calls=direct)
                 state, _, _ = run(image, mode="aware", max_insns=10 ** 6)
-                problem = compare_states(base_state, state, image.data_base)
+                problem = compare_states(base_state, state)
                 if problem is not None:
                     divergences.append((config, direct, problem))
     assert divergences == []
@@ -794,9 +795,9 @@ def test_compat_custom_carrier_fault_counts_the_fetch():
     assert machine.state.pc == image.entry
 
 
-@pytest.mark.parametrize("word,outcome", [(0x00000073, "ecall"), (0xFFFFFFFF, None)],
-                         ids=["ecall", "bad-word"])
-def test_jump_into_data_fetches_from_memory(word, outcome):
+@pytest.mark.parametrize("word", [0x00000073, 0xFFFFFFFF], ids=["ecall", "bad-word"])
+def test_jump_into_data_faults_at_its_target(word):
+    # only text executes: the data word is never fetched, valid or not
     source = (
         "main:\n"
         "    la t0, code\n"
@@ -806,12 +807,82 @@ def test_jump_into_data_fetches_from_memory(word, outcome):
         f"    .word {word:#x}\n"
     )
     image = build_image(source, N3, tagged=True)
-    if outcome is None:
-        with pytest.raises(BadInstruction, match=f"pc={DATA_BASE:#x}"):
-            run(image, mode="aware")
-        return
-    state, _, _ = run(image, mode="aware")
-    assert state.stop_reason == outcome
+    with pytest.raises(BadInstruction, match=f"pc={DATA_BASE:#x}") as info:
+        run(image, mode="aware")
+    assert info.value.pc == DATA_BASE
+
+
+# writes an ecall into data and returns to it: cfi does not check returns,
+# so only non-executable data keeps the written word from running
+RETURN_INTO_DATA = (
+    "main:\n"
+    "    la t0, buf\n"
+    "    li t1, 0x73\n"
+    "    sw t1, 0(t0)\n"
+    "    li a0, 42\n"
+    "    li a7, 93\n"
+    "    mv ra, t0\n"
+    "    ret\n"
+    ".data\n"
+    "buf:\n"
+    "    .zero 8\n"
+)
+
+
+def test_a_return_into_written_data_faults_under_cfi():
+    image = build_image(RETURN_INTO_DATA, CFI, tagged=True)
+    machine, exc = _fault(image, "aware")
+    assert isinstance(exc, BadInstruction) and exc.pc == DATA_BASE == machine.state.pc
+    assert machine.memory.read(DATA_BASE, 4) == 0x73  # the store ran; the word did not
+    assert not machine.state.halted
+
+
+@pytest.mark.parametrize("mode", ["compat", "aware"])
+def test_a_jump_onto_the_stack_faults_at_its_target(mode):
+    source = (
+        "main:\n"
+        "    addi sp, sp, -16\n"
+        "    li t1, 0x73\n"
+        "    sw t1, 0(sp)\n"
+        "    li a0, 7\n"
+        "    li a7, 93\n"
+        "    jalr x0, sp, 0\n"
+    )
+    image = build_image(source, N3, tagged=True)
+    machine, exc = _fault(image, mode)
+    assert isinstance(exc, BadInstruction) and exc.pc == emulator.STACK_TOP - 16
+    assert machine.state.pc == exc.pc and not machine.state.halted
+
+
+LOAD_TO_X0 = (
+    "main:\n"
+    "    li a0, 7\n"
+    "    ADDRESS\n"
+    "    lw x0, 0(a1)\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\n"
+    "buf:\n"
+    "    .word 5\n"
+)
+
+
+@pytest.mark.parametrize("mode", ["compat", "aware"])
+def test_a_load_to_x0_still_faults(mode):
+    # RV64: a load whose destination is x0 still raises its exceptions
+    image = build_image(LOAD_TO_X0.replace("ADDRESS", "lui a1, 0x900"), N3, tagged=True)
+    machine, exc = _fault(image, mode)
+    assert exc.kind == "MemFault" and exc.pc == machine.state.pc
+    insn = codec.decode(machine.memory.read(exc.pc, 4))
+    assert (insn.mnemonic, insn.rd) == ("lw", 0)
+
+
+@pytest.mark.parametrize("mode", ["compat", "aware"])
+def test_a_mapped_load_to_x0_retires_and_writes_nothing(mode):
+    image = build_image(LOAD_TO_X0.replace("ADDRESS", "la a1, buf"), N3, tagged=True)
+    state, counters, _ = run(image, mode=mode)
+    assert (state.stop_reason, state.exit_code, state.regs[0]) == ("exit", 7, 0)
+    assert counters.retired == 6  # la is two words
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1107,7 @@ def _aware_none_matches_compat(config, label_entries) -> int:
             image = link(program, config, tagged=True)
             compat_state, compat, _ = run(image, mode="compat", max_insns=10 ** 6)
             aware_state, aware, _ = run(image, mode="aware", max_insns=10 ** 6)
-            assert compare_states(compat_state, aware_state, image.data_base) is None
+            assert compare_states(compat_state, aware_state) is None
             assert (aware.retired, aware.tag_fetches, aware.labels_seen) == \
                 (compat.retired, compat.tag_fetches, compat.labels_seen)
             labels_seen += aware.labels_seen
@@ -1062,7 +1133,7 @@ def _final_memory(state, image) -> tuple:
     """Final text bytes (CL write-back lands there) and every nonzero byte
     at or above the data base, as (address, value) pairs."""
     memory, high = state.memory, []
-    for base, segment in ((memory.data_base, memory.data),
+    for base, segment in ((DATA_BASE, memory.data),
                           (emulator.STACK_TOP - len(memory.stack), memory.stack)):
         start = len(segment) - len(segment.lstrip(b"\0"))
         high += [(base + i, segment[i])
