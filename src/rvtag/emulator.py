@@ -24,8 +24,11 @@ counts its entries from then on, and once they have repaid the measured
 cost of compiling it, it is compiled into one generated Python function.
 That function inlines every pure op (the ALU set and lui/auipc constants)
 and a plain jal, jalr, branch or fall-through terminator, with operands as
-literals and written registers in locals.  Loads, stores, policy checks and
-ecall/ebreak stay calls to their closures.  The function becomes the
+literals and written registers in locals.  A load or store is inlined too:
+its hit in data or the stack is tested against the machine's fixed bounds
+and unpacked or packed in place, and only a miss calls its closure, which
+reads text, stores to it and faults as the cold tier does.  Policy checks
+and ecall/ebreak stay calls to their closures.  The function becomes the
 block's terminator over no ops, so the block keeps its counts and its end,
 and faults, the fetch budget and dropped blocks work as before.  The pure
 semantics are written once, as expressions that build both tiers; the
@@ -37,6 +40,7 @@ from __future__ import annotations
 import functools
 import re
 import struct
+import types
 import weakref
 from dataclasses import dataclass, field
 
@@ -90,9 +94,16 @@ class Memory:
 
     def find(self, addr: int, size: int) -> tuple:
         """(segment, offset) of an access wholly inside one segment, else (None, 0)."""
-        for base, segment in self.segments:
-            if 0 <= addr - base <= len(segment) - size:
-                return segment, addr - base
+        offset = addr - DATA_BASE
+        if 0 <= offset <= len(self.data) - size:
+            return self.data, offset
+        stack = self.stack
+        offset = addr - STACK_TOP + len(stack)
+        if 0 <= offset <= len(stack) - size:
+            return stack, offset
+        offset = addr - TEXT_BASE
+        if 0 <= offset <= len(self.text) - size:
+            return self.text, offset
         return None, 0
 
     def read(self, addr: int, size: int) -> int:
@@ -182,7 +193,7 @@ _OPERANDS = (("rd", "rd"), ("rs1", "a"), ("rs2", "b"), ("imm", "i"),
              ("target", "target"), ("after", "after"))
 _PER_PC = {"target": "(pc + imm) & M", "after": "(pc + 4) & M"}
 _WORDS = re.compile(r"\b(?:[abiMHWX]|rd|target|after)\b")  # the words a body can bind
-_FORMS = {}  # the code of each generated op and terminator -> its mnemonic
+_FORMS = {}  # the code of each generated op and terminator -> its mnemonic, or its access kind
 _NO_GLOBALS = {"__builtins__": {}}
 
 
@@ -242,20 +253,20 @@ def _loader(fmt):
 
     def make(m, pc, rd, rs1, rs2, imm):
         if not rd:  # a load to x0 writes nothing, but still faults
-            def check(regs, rs1=rs1, imm=imm, find=m._find, pc=pc):
+            def probe(regs, rs1=rs1, imm=imm, find=m._find, pc=pc):
                 addr = (regs[rs1] + imm) & MASK64
                 if find(addr, size)[0] is None:
                     raise PolicyViolation("MemFault", pc,
                                           f"{size}-byte load at {addr:#x}: unmapped")
-            return check
+            return probe
 
-        def op(regs, rd=rd, rs1=rs1, imm=imm, find=m._find, pc=pc):
+        def load(regs, rd=rd, rs1=rs1, imm=imm, find=m._find, pc=pc):
             addr = (regs[rs1] + imm) & MASK64
             segment, offset = find(addr, size)
             if segment is None:
                 raise PolicyViolation("MemFault", pc, f"{size}-byte load at {addr:#x}: unmapped")
             regs[rd] = unpack(segment, offset)[0] & MASK64
-        return op
+        return load
     return make
 
 
@@ -264,8 +275,8 @@ def _storer(fmt):
     mask = (1 << 8 * size) - 1
 
     def make(m, pc, rd, rs1, rs2, imm):
-        def op(regs, rs1=rs1, rs2=rs2, imm=imm, find=m._find, text=m.memory.text,
-               written=m._on_text_store, pc=pc):
+        def store(regs, rs1=rs1, rs2=rs2, imm=imm, find=m._find, text=m.memory.text,
+                  written=m._on_text_store, pc=pc):
             addr = (regs[rs1] + imm) & MASK64
             segment, offset = find(addr, size)
             if segment is None:
@@ -275,7 +286,7 @@ def _storer(fmt):
             pack(segment, offset, regs[rs2] & mask)
             if segment is text:
                 written()(addr, size, pc)
-        return op
+        return store
     return make
 
 
@@ -285,6 +296,10 @@ _PC_OPS = {
     "lbu": _loader("<B"), "lhu": _loader("<H"), "lwu": _loader("<I"),
     "sb": _storer("<B"), "sh": _storer("<H"), "sw": _storer("<I"), "sd": _storer("<Q"),
 }
+# Every load, x0 probe and store op shares its code with the others of its
+# kind, whatever the width: a hot block recognises them by it
+_FORMS.update((code, code.co_name) for make in (_PC_OPS["ld"], _PC_OPS["sd"])
+              for code in make.__code__.co_consts if isinstance(code, types.CodeType))
 
 
 def _pending(policy, value):
@@ -371,12 +386,15 @@ def _predecode(word: int) -> tuple:
 # Entries are counted only in a cached block that crosses a sample point, one
 # every _SAMPLE_FETCHES fetches, and the block is compiled once they have paid
 # for the compile.  Measured with CPython 3.11 on a 2-core Intel Xeon VM:
-# compiling costs about 40 us plus 15 us per op or terminator, and each
-# inlined one saves about 80 ns per entry; the kernel bench's 13-word loop
-# block repays its compile after about 270 entries.
+# compiling costs about 40 us plus 15 us per op or terminator, and an inlined
+# load or store, with its hit tests and miss call, as much as 7 of them.  Per
+# entry, each inlined pure op or terminator saves about 80 ns, and each access
+# about 300 ns; the kernel bench's 13-word loop block, with one ld and one sd,
+# repays its compile after about 280 entries.
 _SAMPLE_FETCHES = 1024
 _COMPILE_NS = (40_000, 15_000)  # fixed, and per op or terminator
-_INLINED_NS = 80
+_ACCESS_OPS = 7  # an inlined access compiles as this many ops
+_INLINED_NS = (80, 300)  # saved per entry by a pure op or terminator, and by an access
 
 
 def _counted(term, entry, entries, promote):
@@ -392,36 +410,77 @@ def _counted(term, entry, entries, promote):
     return counted
 
 
+# an access's hit path in one segment; a miss calls its op, in an else
+_HITS = {"load": "r{rd} = u{k}({segment}, addr - {base})[0]{mask}",
+         "probe": "pass",
+         "store": "u{k}({segment}, addr - {base}, {b}{mask})"}
+
+
+def _access(op, form, bound, names, k) -> tuple:
+    """(lines, defaults) of a load, probe or store op inlined, with k free
+    for its names: its address, then an unpack or pack on a hit in data or
+    the stack, else op itself, which reads text, stores to it and faults."""
+    cells = dict(zip(op.__code__.co_freevars, (cell.cell_contents for cell in op.__closure__)))
+    size, mask = cells["size"], ""
+    memory = bound["find"].__self__  # a machine's segments never resize
+    defaults = {"data": memory.data, "stack": memory.stack, f"m{k}": op}
+    if form == "load":
+        defaults[f"u{k}"] = cells["unpack"]
+        if cells["unpack"].__self__.format[-1].islower():  # it sign-extends
+            mask = f" & {MASK64}"
+    elif form == "store":
+        defaults[f"u{k}"] = cells["pack"]
+        mask = f" & {cells['mask']}" if size < 8 else ""
+    lines = [f"addr = {names['a']}" + (f" + {names['i']}" if bound["imm"] else "")]
+    for keyword, segment, base in (("if", "data", DATA_BASE),
+                                   ("elif", "stack", STACK_TOP - len(memory.stack))):
+        lines += [f"{keyword} {base} <= addr <= {base + len(defaults[segment]) - size}:",
+                  "    " + _HITS[form].format(k=k, segment=segment, base=base, mask=mask,
+                                              **names)]
+    lines += ["else:", f"    m{k}(regs)"]
+    if form == "load":
+        lines.append(f"    r{names['rd']} = regs[{names['rd']}]")
+    return lines, defaults
+
+
 def _compile(ops, term):
     """One function that runs ops and then term.  Each op or terminator of a
-    known form is inlined with its operands as literals, and every other one
-    (memory, policy, ecall/ebreak) stays a call.  The registers that inlined
-    ops write live in locals, stored to regs before anything else runs, so a
-    call, and a fault inside it, sees every write before it."""
-    lines, calls = [], []
+    known form is inlined with its operands as literals, a load or store
+    calls its op only on a miss, and every other op (policy, ecall/ebreak)
+    stays a call.  The registers that inlined ops write live in locals,
+    stored to regs before any call or access, so a call, and a fault inside
+    it, sees every write before it."""
+    lines, defaults = [], {}
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
-        mnemonic = _FORMS.get(op.__code__)
-        if mnemonic in _EXPRS:
+        form = _FORMS.get(op.__code__)
+        if form in _EXPRS:
             bound, names = _operands(op, held)
-            lines.append(f"r{bound['rd']} = {_fill(_EXPRS[mnemonic], names)}")
+            lines.append(f"r{bound['rd']} = {_fill(_EXPRS[form], names)}")
             held.add(bound["rd"])
             unstored.add(bound["rd"])
             continue
         lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
         unstored.clear()
-        if mnemonic is None:
-            lines.append(f"f{len(calls)}(regs)")
-            calls.append(op)
+        if form in _HITS:  # it writes no register but a load's rd
+            bound, names = _operands(op, held)
+            access, used = _access(op, form, bound, names, len(defaults))
+            lines += access
+            defaults.update(used)
+            if form == "load":
+                held.add(bound["rd"])
+                unstored.add(bound["rd"])
+        elif form is None:
+            lines.append(f"f{len(defaults)}(regs)")
+            defaults[f"f{len(defaults)}"] = op
             held.clear()
         else:  # the terminator
-            lines += _fill(_BODIES[mnemonic], _operands(op, held)[1]).splitlines()
-    if mnemonic is None:
+            lines += _fill(_BODIES[form], _operands(op, held)[1]).splitlines()
+    if form is None:
         lines[-1] = "return " + lines[-1]
-    params = "".join(f", f{k}" for k in range(len(calls)))
-    block = _define(f"def block(regs{params}):\n" + "".join(f"    {line}\n" for line in lines),
-                    "block")
-    block.__defaults__ = tuple(calls)
+    block = _define(f"def block(regs{''.join(f', {name}' for name in defaults)}):\n"
+                    + "".join(f"    {line}\n" for line in lines), "block")
+    block.__defaults__ = tuple(defaults.values())
     return block
 
 
@@ -432,7 +491,6 @@ class Emulator:
             raise ValueError(f"unknown mode {mode!r}")
         if max_insns < 0:
             raise ValueError(f"max_insns must not be negative, not {max_insns}")
-        self.image = image
         self.mode = mode
         self.max_insns = max_insns
         self.memory = Memory(bytearray(image.text), bytearray(image.data), bytearray(STACK_SIZE))
@@ -616,11 +674,14 @@ class Emulator:
         if block is None or entry in self._hot:
             return
         ops, fetches, retired, labels, term, end = block
-        inlined = sum(op.__code__ in _FORMS for op in (*ops, term))
+        forms = [_FORMS.get(op.__code__) for op in (*ops, term)]
+        accesses = sum(form in _HITS for form in forms)
+        saved = sum(_INLINED_NS[form in _HITS] for form in forms if form)
         self._hot[entry] = None
-        if inlined:
+        if saved:
             fixed, per_op = _COMPILE_NS
-            entries = 1 + (fixed + per_op * (len(ops) + 1)) // (inlined * _INLINED_NS)
+            ops_compiled = len(forms) + (_ACCESS_OPS - 1) * accesses
+            entries = 1 + (fixed + per_op * ops_compiled) // saved
             counted = _counted(term, entry, entries, weakref.WeakMethod(self._promote))
             self._hot[entry] = self._blocks[entry] = (ops, fetches, retired, labels, counted, end)
 

@@ -1054,6 +1054,19 @@ def test_a_finished_machine_is_freed_without_the_cycle_collector(config):
         gc.enable()
 
 
+def test_a_machine_does_not_keep_its_image_alive():
+    # it runs on its own copies of text and data
+    import weakref
+
+    image = build_image(SUM_1_TO_10, COVERAGE, tagged=True)
+    ref = weakref.ref(image)
+    machine = Emulator(image, mode="aware")
+    machine.run()
+    del image
+    assert ref() is None
+    assert machine.state.regs[10] == 55
+
+
 def test_stack_segment_holds_sp_relative_data():
     source = (
         "main:\n"
@@ -1257,6 +1270,139 @@ def test_a_hot_loop_compiles_once_its_entries_repay_the_compile(monkeypatch):
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
     assert 12 in [len(ops) for ops in compiled]  # the loop body, up to its jalr
+    for config in (N3, CFI, UNARITH, COVERAGE):  # each aware cell of the bench, tagged
+        compiled.clear()
+        assert final_a0(build_image(kernel, config, tagged=True), "aware") == a0
+        assert compiled, config.policy
+
+
+def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
+    # its ld and sd always hit data: a miss call, or an access left a plain
+    # call, would be a silent fall-back to calls
+    blocks, misses = [], []
+    compile_block = emulator._compile
+
+    def spy(ops, term):
+        block = compile_block(ops, term)
+        code = block.__code__
+        bound = dict(zip(code.co_varnames[1:code.co_argcount], block.__defaults__))
+        blocks.append((len(ops), bound))
+        block.__defaults__ = tuple(
+            (lambda regs, op=value: misses.append(op) or op(regs)) if name[0] == "m" else value
+            for name, value in bound.items())
+        return block
+
+    monkeypatch.setattr(emulator, "_compile", spy)
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    assert final_a0(build_image(kernel, N3, tagged=True)) == a0
+    [loop] = [bound for count, bound in blocks if count == 12]  # the loop body, up to its jalr
+    accesses = [name for name, value in loop.items()
+                if emulator._FORMS.get(getattr(value, "__code__", None)) in emulator._HITS]
+    assert len(accesses) == 2 and all(name[0] == "m" for name in accesses)
+    assert "data" in loop and not any(name[0] == "f" for name in loop)  # no plain call
+    assert not misses
+
+
+STACK_BOTTOM = emulator.STACK_TOP - emulator.STACK_SIZE
+EDGE_LOOP = (
+    '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
+    "    li t4, -2\n"
+    "    sd t4, -8(sp)\n"  # the top and the bottom of the stack hold top-bit values
+    f"    li t5, {STACK_BOTTOM}\n"
+    "    sd t4, 0(t5)\n"
+    "    li a1, -3\n"
+    "    la t0, buf\n"
+    "    addi t0, t0, SAFE\n"
+    "    lui t2, HI\n"
+    "    addi t2, t2, LO\n"
+    "    li s3, 8\n"
+    "loop:\n"
+    "    ACCESS\n"  # at buf + 16 six times, compiled from about the fourth; then twice at t2
+    "    addi s3, s3, -1\n"
+    "    li t3, 2\n"
+    "    bne s3, t3, next\n"
+    "    mv t0, t2\n"
+    "next:\n"
+    "    bne s3, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\n"
+    "buf:\n" + "    .dword -0x7f7e7d7c7b7a7979\n" * 8  # 64 bytes, each with its top bit set
+)
+# six times in data, then twice at main + OFFSET, a word of the first groups,
+# which hold the loop: each reads a word and writes it back unchanged, which
+# under coverage drops the blocks over it, the running one among them
+SELF_GROUP = (
+    '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
+    "    la t0, buf\n"
+    "    la t2, main\n"
+    "    addi t2, t2, OFFSET\n"
+    "    li s3, 8\n"
+    "loop:\n"
+    "    ld t4, 0(t0)\n"
+    "    addi a0, a0, 1\n"
+    "    STORE t4, 0(t0)\n"
+    "    addi s3, s3, -1\n"
+    "    li t3, 2\n"
+    "    bne s3, t3, next\n"
+    "    mv t0, t2\n"
+    "next:\n"
+    "    bne s3, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\n"
+    "buf:\n"
+    "    .dword 5\n"
+)
+LOADS = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lwu": 4, "ld": 8}
+STORES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
+
+
+def _edge_sources(text_end):
+    """(source, address, width, segment) of each edge access: every load
+    (to a0, and a word to x0) and store at each segment's first and last
+    whole access, one byte past each end, and straddling each end.  The
+    segment is None for text; a SELF_GROUP source has no address."""
+    segments = [(DATA_BASE, DATA_BASE + 64), (STACK_BOTTOM, emulator.STACK_TOP), None]
+    accesses = [(f"{m} a0", size) for m, size in LOADS.items()] + [("lw x0", 4)]
+    accesses += [(f"{m} a1", size) for m, size in STORES.items()]
+    for segment in segments:
+        lo, hi = segment or (emulator.TEXT_BASE, text_end)
+        for access, size in accesses:
+            for k, address in enumerate(sorted({lo - 1, lo - size + 1, lo, hi - size,
+                                                hi - size + 1, hi})):
+                imm = 8 * (k % 2)  # with and without an offset
+                upper = (address - imm + 0x800) >> 12
+                source = (EDGE_LOOP.replace("ACCESS", f"{access}, {imm}(t0)")
+                          .replace("SAFE", str(16 - imm)).replace("HI", str(upper))
+                          .replace("LO", str(address - imm - (upper << 12))))
+                yield source, address, size, segment
+    for store in STORES:
+        for offset in range(0, 48, 4):
+            yield (SELF_GROUP.replace("STORE", store).replace("OFFSET", str(offset)),
+                   None, None, None)
+
+
+@pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
+def test_inlined_accesses_at_every_edge_run_as_the_cold_tier(forced, monkeypatch, config):
+    # the edge sources differ only in immediates: their text is as long as the first's
+    text_end = build_image(next(_edge_sources(0))[0], config, tagged=True).text_end
+    for source, address, size, segment in _edge_sources(text_end):
+        image = build_image(source, config, tagged=True)
+        assert image.text_end == text_end or address is None
+        for mode in ("compat", "aware"):
+            forced.clear()
+            monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
+            compiled = _execution_record(image, mode)
+            assert any("data" in block.__code__.co_varnames for block in forced), source
+            monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+            assert _execution_record(image, mode) == compiled, (source, mode)
+            error, regs = ast.literal_eval(compiled.decode())[:2]
+            if address is None and mode == "aware" and config is COVERAGE:
+                assert error is None and regs[10] == 8, source
+            elif segment:  # an access outside data or the stack faults, one inside does not
+                lo, hi = segment
+                assert (error is None) == (lo <= address <= hi - size), (source, mode, error)
 
 
 HOT_LOAD = (
