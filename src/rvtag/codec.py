@@ -225,61 +225,55 @@ class BadEncoding(BuildError):
     """The word is not a valid encoding of any supported instruction."""
 
 
+# (opcode, funct3, funct7) -> mnemonic, None marking a field that a format
+# lacks.  A shift's funct6 is funct7 without the top bit of its shamt, so a
+# shift has a key for each value of that bit.  ecall and ebreak are whole words.
+_DECODE = {(opcode, funct3, funct7): mnemonic
+           for mnemonic, (fmt, opcode, funct3, funct7) in _ISA.items()
+           if fmt not in (_SHIFT, _SYS)}
+_DECODE.update(((opcode, funct3, funct6 << 1 | top), mnemonic)
+               for mnemonic, (fmt, opcode, funct3, funct6) in _ISA.items() if fmt == _SHIFT
+               for top in (0, 1))
+_SYSTEM_WORDS = {ENCODERS[mnemonic](0, 0, 0, 0): mnemonic for mnemonic in ("ecall", "ebreak")}
+
+
 def decode(word: int) -> Insn:
     """Decode a 32-bit word; inverse of encode on the supported subset."""
     if not 0 <= word <= 0xFFFFFFFF:
         raise BadEncoding(f"word {word:#x} is not 32 bits")
     if word & 0b11 != 0b11:
         raise BadEncoding(f"word {word:#010x} is a compressed encoding")
+    if word in _SYSTEM_WORDS:
+        return Insn(_SYSTEM_WORDS[word])
     opcode = word & 0x7F
-    rd = (word >> 7) & 0x1F
     funct3 = (word >> 12) & 0x7
+    funct7 = word >> 25
+    mnemonic = (_DECODE.get((opcode, None, None)) or _DECODE.get((opcode, funct3, None))
+                or _DECODE.get((opcode, funct3, funct7)))
+    if mnemonic is None:
+        raise BadEncoding(f"word {word:#010x}: opcode {opcode:#09b}, funct3 {funct3:#05b}, "
+                          f"funct7 {funct7:#09b} unsupported")
+    fmt = _ISA[mnemonic][0]
+    rd = (word >> 7) & 0x1F
     rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
-    funct7 = (word >> 25) & 0x7F
-
-    if opcode in (OP_LUI, OP_AUIPC):
-        mn = "lui" if opcode == OP_LUI else "auipc"
-        return Insn(mn, rd=rd, imm=(word >> 12) & 0xFFFFF)
-    if opcode == OP_JAL:
+    if fmt == _U:
+        return Insn(mnemonic, rd=rd, imm=word >> 12)
+    if fmt == _J:
         imm = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12)
         imm |= (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-        return Insn("jal", rd=rd, imm=_sext(imm, 21))
-    if opcode == OP_BRANCH:
+        return Insn(mnemonic, rd=rd, imm=_sext(imm, 21))
+    if fmt == _B:
         imm = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11)
         imm |= (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-        for mn, spec in _ISA.items():
-            if spec[0] == _B and spec[2] == funct3:
-                return Insn(mn, rs1=rs1, rs2=rs2, imm=_sext(imm, 13))
-        raise BadEncoding(f"branch funct3 {funct3:#05b} unsupported")
-    if opcode == OP_STORE:
-        imm = (((word >> 25) & 0x7F) << 5) | ((word >> 7) & 0x1F)
-        for mn, spec in _ISA.items():
-            if spec[0] == _S and spec[2] == funct3:
-                return Insn(mn, rs1=rs1, rs2=rs2, imm=_sext(imm, 12))
-        raise BadEncoding(f"store funct3 {funct3:#05b} unsupported")
-    if opcode in (OP_JALR, OP_LOAD, OP_IMM, OP_IMM32):
-        if opcode == OP_IMM and funct3 in (0b001, 0b101):
-            funct6 = (word >> 26) & 0x3F
-            shamt = (word >> 20) & 0x3F
-            for mn, spec in _ISA.items():
-                if spec[0] == _SHIFT and spec[2] == funct3 and spec[3] == funct6:
-                    return Insn(mn, rd=rd, rs1=rs1, imm=shamt)
-            raise BadEncoding(f"shift funct6 {funct6:#08b} unsupported")
-        for mn, spec in _ISA.items():
-            if spec[0] == _I and spec[1] == opcode and spec[2] == funct3:
-                return Insn(mn, rd=rd, rs1=rs1, imm=_sext((word >> 20) & 0xFFF, 12))
-        raise BadEncoding(f"I-type opcode {opcode:#09b} funct3 {funct3:#05b} unsupported")
-    if opcode in (OP_REG, OP_REG32):
-        for mn, spec in _ISA.items():
-            if spec[0] == _R and spec[1] == opcode and spec[2] == funct3 and spec[3] == funct7:
-                return Insn(mn, rd=rd, rs1=rs1, rs2=rs2)
-        raise BadEncoding(f"R-type funct3/funct7 {funct3}/{funct7:#09b} unsupported")
-    if opcode == OP_SYSTEM and word == 0x00000073:
-        return Insn("ecall")
-    if opcode == OP_SYSTEM and word == 0x00100073:
-        return Insn("ebreak")
-    raise BadEncoding(f"word {word:#010x}: opcode {opcode:#09b} unsupported")
+        return Insn(mnemonic, rs1=rs1, rs2=rs2, imm=_sext(imm, 13))
+    if fmt == _S:
+        return Insn(mnemonic, rs1=rs1, rs2=rs2, imm=_sext(funct7 << 5 | rd, 12))
+    if fmt == _I:
+        return Insn(mnemonic, rd=rd, rs1=rs1, imm=_sext(word >> 20, 12))
+    if fmt == _SHIFT:
+        return Insn(mnemonic, rd=rd, rs1=rs1, imm=(word >> 20) & 0x3F)
+    return Insn(mnemonic, rd=rd, rs1=rs1, rs2=rs2)  # _R
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,19 @@ Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block
 that crosses the mark is sampled; a cached block sampled for the first time
 counts its entries from then on, and once they have repaid the measured
 cost of compiling it, it is compiled into one generated Python function.
-That function inlines every pure op (the ALU set and lui/auipc constants)
-and a plain jal, jalr, branch or fall-through terminator, with operands as
-literals and written registers in locals.  A load or store is inlined too:
-its hit in data or the stack is tested against the machine's fixed bounds
-and unpacked or packed in place, and only a miss calls its closure, which
-reads text, stores to it and faults as the cold tier does.  Policy checks
+That function inlines every pure op (the ALU set and lui/auipc constants),
+load and store, and a plain jal, jalr, branch or fall-through terminator,
+with operands as literals and written registers in locals.  Policy checks
 and ecall/ebreak stay calls to their closures.  The function becomes the
 block's terminator over no ops, so the block keeps its counts and its end,
-and faults, the fetch budget and dropped blocks work as before.  The pure
-semantics are written once, as expressions that build both tiers; the
-generated source holds only fixed names and integers that rvtag formats.
+and faults, the fetch budget and dropped blocks work as before.
+
+Each of those ops and terminators has one body, which builds both tiers.
+A load or store tests its address against data, whose end is the machine's,
+and the stack, and unpacks or packs in place on a hit; anything else calls
+its machine's miss, which reads text, stores to it under coverage and
+raises every MemFault.  The generated source holds only fixed names and
+integers that rvtag formats.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import functools
 import re
 import struct
-import types
 import weakref
 from dataclasses import dataclass, field
 
@@ -92,25 +93,12 @@ class Memory:
         self.segments = ((DATA_BASE, self.data), (STACK_TOP - len(self.stack), self.stack),
                          (TEXT_BASE, self.text))
 
-    def find(self, addr: int, size: int) -> tuple:
-        """(segment, offset) of an access wholly inside one segment, else (None, 0)."""
-        offset = addr - DATA_BASE
-        if 0 <= offset <= len(self.data) - size:
-            return self.data, offset
-        stack = self.stack
-        offset = addr - STACK_TOP + len(stack)
-        if 0 <= offset <= len(stack) - size:
-            return stack, offset
-        offset = addr - TEXT_BASE
-        if 0 <= offset <= len(self.text) - size:
-            return self.text, offset
-        return None, 0
-
     def read(self, addr: int, size: int) -> int:
-        segment, offset = self.find(addr, size)
-        if segment is None:
-            raise KeyError(f"{size} bytes at {addr:#x} are outside the memory map")
-        return int.from_bytes(segment[offset:offset + size], "little")
+        """The unsigned value of `size` bytes wholly inside one segment."""
+        for base, segment in self.segments:
+            if 0 <= addr - base <= len(segment) - size:
+                return int.from_bytes(segment[addr - base:addr - base + size], "little")
+        raise KeyError(f"{size} bytes at {addr:#x} are outside the memory map")
 
 
 @dataclass
@@ -156,12 +144,13 @@ def _sext32(value: int) -> int:
     return ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
 
 
-# -- forms: the pure semantics, written once.  An expression gives rd's new
-# value, in [0, 2**64), from a and b, the values of rs1 and rs2 (always in
-# [0, 2**64) too), and i, the immediate; a condition decides a branch.  On
-# first use a body is built into a factory of cold closures, which bind their
-# operands as defaults (cheaper to make and to read than closure cells), and
-# a hot block inlines the same body with each operand replaced by its value.
+# -- forms: the semantics of every op and terminator but ecall/ebreak,
+# written once.  An expression gives rd's new value, in [0, 2**64), from a
+# and b, the values of rs1 and rs2 (always in [0, 2**64) too), and i, the
+# immediate; a condition decides a branch.  On first use a body is built into
+# a factory of cold closures, which bind their operands as defaults (cheaper
+# to make and to read than closure cells), and a hot block inlines the same
+# body with each operand replaced by its value or by a default of the block.
 
 _EXPRS = {
     "lui": "i & M",  # and auipc, with i = pc + imm
@@ -179,22 +168,55 @@ _CONDS = {"beq": "a == b", "bne": "a != b", "blt": "a ^ H < b ^ H",
 # M masks to 64 bits; H is the sign bit, so (a ^ H) - H is a as signed; W
 # and X sign-extend from bit 31; "& 1" makes a comparison an int
 _CONSTANTS = {"M": str(MASK64), "H": str(1 << 63), "W": "0xFFFFFFFF", "X": "0x80000000"}
-# A terminator returns the next pc: target is pc + imm and after is pc + 4.
+# the struct format of each load and store; a lower-case one sign-extends
+_LOADS = {"lb": "<b", "lh": "<h", "lw": "<i", "ld": "<Q", "lbu": "<B", "lhu": "<H", "lwu": "<I"}
+_STORES = {"sb": "<B", "sh": "<H", "sw": "<I", "sd": "<Q"}
+_ACCESSES = {**_LOADS, **_STORES}
+_STACK_BASE = STACK_TOP - STACK_SIZE
+
+
+def _access_body(mnemonic: str, fmt: str) -> str:
+    """The body of a load or store: its address, then an unpack or pack in
+    place on a hit in data, which ends at `end`, or in the stack, and else a
+    call to its machine's miss, which reads text, stores to it and faults.
+    a + i needs no mask: an address that wraps is below text or above the
+    stack either way, and the miss masks it.  A load to x0 writes nothing."""
+    size = struct.calcsize(fmt)
+    if mnemonic in _LOADS:
+        hit, miss = "value = unpack({}, addr - {})[0]", f"value = load(unpack, {size}, addr, pc)"
+        tail = "\nif rd:\n    dest = value" + (" & M" if fmt[1].islower() else "")
+    else:
+        value = "b" if size == 8 else f"b & {(1 << 8 * size) - 1}"
+        hit, miss = f"pack({{}}, addr - {{}}, {value})", f"store(pack, {size}, addr, pc, {value})"
+        tail = ""
+    return (f"addr = a + i\nif {DATA_BASE} <= addr <= end - {size}:\n"
+            f"    {hit.format('data', DATA_BASE)}\n"
+            f"elif {_STACK_BASE} <= addr <= {STACK_TOP - size}:\n"
+            f"    {hit.format('stack', _STACK_BASE)}\nelse:\n    {miss}{tail}")
+
+
+# An op's body writes rd's value to dest.  A terminator returns the next pc:
+# target is pc + imm and after is pc + 4.
 _BODIES = {
-    **{mnemonic: f"regs[rd] = {expr}" for mnemonic, expr in _EXPRS.items()},
+    **{mnemonic: f"dest = {expr}" for mnemonic, expr in _EXPRS.items()},
+    **{mnemonic: _access_body(mnemonic, fmt) for mnemonic, fmt in _ACCESSES.items()},
     **{mnemonic: f"return target if {cond} else after" for mnemonic, cond in _CONDS.items()},
     "jal": "if rd:\n    regs[rd] = after\nreturn target",
     "jalr": "to = (a + i) & M & ~1\nif rd:\n    regs[rd] = after\nreturn to",
     "goto": "return target",  # a fall-through: made by _goto, not by a factory
 }
-# (operand, its name in a body), and how a terminator's factory derives the
-# operands that depend on its pc
-_OPERANDS = (("rd", "rd"), ("rs1", "a"), ("rs2", "b"), ("imm", "i"),
-             ("target", "target"), ("after", "after"))
-_PER_PC = {"target": "(pc + imm) & M", "after": "(pc + 4) & M"}
-_WORDS = re.compile(r"\b(?:[abiMHWX]|rd|target|after)\b")  # the words a body can bind
-_FORMS = {}  # the code of each generated op and terminator -> its mnemonic, or its access kind
-_NO_GLOBALS = {"__builtins__": {}}
+# operand -> the words of a body that name it, and how a factory derives the
+# operands that depend on its pc or its machine.  m is a terminator's
+# Emulator, and an access's (data, stack, end of data, load miss, store
+# miss); unpack and pack are its struct's.
+_OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
+             **{word: (word,) for word in ("target", "after", "end", "data", "stack", "unpack",
+                                           "pack", "load", "store", "pc")}}
+_DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m[0]",
+            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]"}
+_WORDS = re.compile(r"\b(?:%s)\b" % "|".join(  # the words a body can bind
+    [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
+_FORMS = {}  # the code of each generated op and terminator -> its mnemonic
 
 
 def _fill(text: str, names: dict) -> str:
@@ -202,105 +224,88 @@ def _fill(text: str, names: dict) -> str:
     return _WORDS.sub(lambda word: names.get(word[0], word[0]), text)
 
 
-def _define(source: str, name: str):
-    """The function `name` that source defines.  Sources are rvtag's own:
-    fixed names and integers that it formats."""
+def _define(source: str, name: str, env: dict | None = None):
+    """The function `name` that source defines, with env as its globals.
+    Sources are rvtag's own: fixed names and integers that it formats."""
     namespace = {}
-    exec(compile(source, "<rvtag generated>", "exec"), _NO_GLOBALS, namespace)
+    exec(compile(source, "<rvtag generated>", "exec"), {"__builtins__": {}, **(env or {})},
+         namespace)
     return namespace[name]
 
 
 @functools.cache
 def _factory(mnemonic: str):
     """The factory of the form of a mnemonic, built on first use:
-    make(rd, rs1, rs2, imm) of an op, make(m, pc, rd, rs1, rs2, imm) of a
-    terminator."""
+    make(rd, rs1, rs2, imm) of a pure op, make(m, pc, rd, rs1, rs2, imm) of
+    an access or a terminator."""
     body = _BODIES[mnemonic]
     words = set(_WORDS.findall(body))
-    params = ", ".join(f"{param}={_PER_PC.get(param, param)}"
-                       for param, word in _OPERANDS if word in words)
-    cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm"})
+    params = ", ".join(f"{param}={_DERIVED.get(param, param)}"
+                       for param, named in _OPERANDS.items() if words.intersection(named))
+    cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "dest": "regs[rd]"})
     signature = "rd, rs1, rs2, imm" if mnemonic in _EXPRS else "m, pc, rd, rs1, rs2, imm"
+    access = struct.Struct(_ACCESSES[mnemonic]) if mnemonic in _ACCESSES else None
     make = _define(_fill(f"def make({signature}):\n    def op(regs, {params}):\n"
                          + "".join(f"        {line}\n" for line in cold.splitlines())
-                         + "    return op\n", _CONSTANTS), "make")
-    _FORMS[make(*(0,) * make.__code__.co_argcount).__code__] = mnemonic
+                         + "    return op\n", _CONSTANTS), "make",
+                   access and {"unpack": access.unpack_from, "pack": access.pack_into})
+    args = (0,) * 4 if mnemonic in _EXPRS else ((None,) * 5, 0, 0, 0, 0, 0)
+    _FORMS[make(*args).__code__] = mnemonic
     return make
 
 
-def _operands(op, held) -> tuple:
-    """(operands, names) of an op of a known form: the operands it binds,
-    read back from its defaults, and the words of its body mapped to their
-    text.  A register read is its local if held, else regs[N], and 0 for x0."""
+def _operands(op, held, defaults) -> tuple:
+    """(operands, names) of an op of a known form in a hot block: the
+    operands it binds, read back from its defaults, and the words of its
+    body mapped to their text.  A register read is its local if held, else
+    regs[N], and 0 for x0; dest is rd's local; an int is its literal; any
+    other operand becomes a default of the block, bound once under its word,
+    or under the word and a number if another object holds that name."""
     code = op.__code__
     bound = dict(zip(code.co_varnames[1:code.co_argcount], op.__defaults__))
     names = dict(_CONSTANTS)
-    for param, word in _OPERANDS:
-        if param in bound:
-            value = bound[param]
+    for param, value in bound.items():
+        for word in _OPERANDS[param]:
             if word in ("a", "b"):
                 names[word] = f"r{value}" if value in held else f"regs[{value}]" if value else "0"
-            else:
+            elif word == "dest":
+                names[word] = f"r{value}"
+            elif type(value) is int:
                 names[word] = str(value)
+            else:
+                name, k = word, 0
+                while defaults.setdefault(name, value) is not value:
+                    k += 1
+                    name = f"{word}{k}"
+                names[word] = name
     return bound, names
 
 
+def _misses(text: bytearray, written) -> tuple:
+    """A machine's (load, store) misses, for an access that hits neither data
+    nor the stack: a load reads text, and a store writes it if the machine
+    gives `written`, the weak text-store callback of coverage mode.  Anything
+    else is a MemFault at pc."""
+    def load(unpack, size, addr, pc):
+        addr &= MASK64
+        if 0 <= addr - TEXT_BASE <= len(text) - size:
+            return unpack(text, addr - TEXT_BASE)[0]
+        raise PolicyViolation("MemFault", pc, f"{size}-byte load at {addr:#x}: unmapped")
+
+    def store(pack, size, addr, pc, value):
+        addr &= MASK64
+        if not 0 <= addr - TEXT_BASE <= len(text) - size:
+            raise PolicyViolation("MemFault", pc, f"{size}-byte store at {addr:#x}: unmapped")
+        if written is None:
+            raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
+        pack(text, addr - TEXT_BASE, value)
+        written()(addr, size, pc)
+    return load, store
+
+
 # -- ops: op(regs) runs one instruction.  Pure ones are made from the word
-# alone and shared by every pc holding it; the rest also take (machine, pc).
-
-def _loader(fmt):
-    unpack, size = struct.Struct(fmt).unpack_from, struct.calcsize(fmt)
-
-    def make(m, pc, rd, rs1, rs2, imm):
-        if not rd:  # a load to x0 writes nothing, but still faults
-            def probe(regs, rs1=rs1, imm=imm, find=m._find, pc=pc):
-                addr = (regs[rs1] + imm) & MASK64
-                if find(addr, size)[0] is None:
-                    raise PolicyViolation("MemFault", pc,
-                                          f"{size}-byte load at {addr:#x}: unmapped")
-            return probe
-
-        def load(regs, rd=rd, rs1=rs1, imm=imm, find=m._find, pc=pc):
-            addr = (regs[rs1] + imm) & MASK64
-            segment, offset = find(addr, size)
-            if segment is None:
-                raise PolicyViolation("MemFault", pc, f"{size}-byte load at {addr:#x}: unmapped")
-            regs[rd] = unpack(segment, offset)[0] & MASK64
-        return load
-    return make
-
-
-def _storer(fmt):
-    pack, size = struct.Struct(fmt).pack_into, struct.calcsize(fmt)
-    mask = (1 << 8 * size) - 1
-
-    def make(m, pc, rd, rs1, rs2, imm):
-        def store(regs, rs1=rs1, rs2=rs2, imm=imm, find=m._find, text=m.memory.text,
-                  written=m._on_text_store, pc=pc):
-            addr = (regs[rs1] + imm) & MASK64
-            segment, offset = find(addr, size)
-            if segment is None:
-                raise PolicyViolation("MemFault", pc, f"{size}-byte store at {addr:#x}: unmapped")
-            if segment is text and written is None:
-                raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
-            pack(segment, offset, regs[rs2] & mask)
-            if segment is text:
-                written()(addr, size, pc)
-        return store
-    return make
-
-
-_PC_OPS = {
-    "auipc": lambda m, pc, rd, rs1, rs2, imm: _factory("lui")(rd, rs1, rs2, pc + imm),
-    "lb": _loader("<b"), "lh": _loader("<h"), "lw": _loader("<i"), "ld": _loader("<Q"),
-    "lbu": _loader("<B"), "lhu": _loader("<H"), "lwu": _loader("<I"),
-    "sb": _storer("<B"), "sh": _storer("<H"), "sw": _storer("<I"), "sd": _storer("<Q"),
-}
-# Every load, x0 probe and store op shares its code with the others of its
-# kind, whatever the width: a hot block recognises them by it
-_FORMS.update((code, code.co_name) for make in (_PC_OPS["ld"], _PC_OPS["sd"])
-              for code in make.__code__.co_consts if isinstance(code, types.CodeType))
-
+# alone and shared by every pc holding it; the rest also take their pc and
+# their machine, or for an access, the machine's _access.
 
 def _pending(policy, value):
     """The op of a CFL site label: its value is for the checked jalr after it."""
@@ -357,8 +362,10 @@ def _ebreak(m, pc, rd, rs1, rs2, imm):
     return term
 
 
-_TERMS = {"ecall": _ecall, "ebreak": _ebreak}
-_TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", *_TERMS})
+_TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", "ecall", "ebreak"})
+# the factories that no body builds
+_MAKERS = {"auipc": lambda m, pc, rd, rs1, rs2, imm: _factory("lui")(rd, rs1, rs2, pc + imm),
+           "ecall": _ecall, "ebreak": _ebreak}
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
 _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
 
@@ -378,7 +385,7 @@ def _predecode(word: int) -> tuple:
         if mnemonic in _EXPRS:
             op = _factory(mnemonic)(rd, rs1, rs2, imm)
         else:
-            make = _PC_OPS.get(mnemonic) or _TERMS.get(mnemonic) or _factory(mnemonic)
+            make = _MAKERS.get(mnemonic) or _factory(mnemonic)
     return mnemonic, rd, rs1, rs2, imm, op, make
 
 
@@ -410,72 +417,30 @@ def _counted(term, entry, entries, promote):
     return counted
 
 
-# an access's hit path in one segment; a miss calls its op, in an else
-_HITS = {"load": "r{rd} = u{k}({segment}, addr - {base})[0]{mask}",
-         "probe": "pass",
-         "store": "u{k}({segment}, addr - {base}, {b}{mask})"}
-
-
-def _access(op, form, bound, names, k) -> tuple:
-    """(lines, defaults) of a load, probe or store op inlined, with k free
-    for its names: its address, then an unpack or pack on a hit in data or
-    the stack, else op itself, which reads text, stores to it and faults."""
-    cells = dict(zip(op.__code__.co_freevars, (cell.cell_contents for cell in op.__closure__)))
-    size, mask = cells["size"], ""
-    memory = bound["find"].__self__  # a machine's segments never resize
-    defaults = {"data": memory.data, "stack": memory.stack, f"m{k}": op}
-    if form == "load":
-        defaults[f"u{k}"] = cells["unpack"]
-        if cells["unpack"].__self__.format[-1].islower():  # it sign-extends
-            mask = f" & {MASK64}"
-    elif form == "store":
-        defaults[f"u{k}"] = cells["pack"]
-        mask = f" & {cells['mask']}" if size < 8 else ""
-    lines = [f"addr = {names['a']}" + (f" + {names['i']}" if bound["imm"] else "")]
-    for keyword, segment, base in (("if", "data", DATA_BASE),
-                                   ("elif", "stack", STACK_TOP - len(memory.stack))):
-        lines += [f"{keyword} {base} <= addr <= {base + len(defaults[segment]) - size}:",
-                  "    " + _HITS[form].format(k=k, segment=segment, base=base, mask=mask,
-                                              **names)]
-    lines += ["else:", f"    m{k}(regs)"]
-    if form == "load":
-        lines.append(f"    r{names['rd']} = regs[{names['rd']}]")
-    return lines, defaults
-
-
 def _compile(ops, term):
     """One function that runs ops and then term.  Each op or terminator of a
-    known form is inlined with its operands as literals, a load or store
-    calls its op only on a miss, and every other op (policy, ecall/ebreak)
-    stays a call.  The registers that inlined ops write live in locals,
-    stored to regs before any call or access, so a call, and a fault inside
-    it, sees every write before it."""
+    known form is inlined from its body, with operands as literals and its
+    other defaults (segments, struct methods, misses) as the block's, and
+    every other op (policy, ecall/ebreak) stays a call.  The registers that
+    inlined ops write live in locals, stored to regs before any call, access
+    or terminator, so a call, and a fault, sees every write before it."""
     lines, defaults = [], {}
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
         form = _FORMS.get(op.__code__)
-        if form in _EXPRS:
-            bound, names = _operands(op, held)
-            lines.append(f"r{bound['rd']} = {_fill(_EXPRS[form], names)}")
-            held.add(bound["rd"])
-            unstored.add(bound["rd"])
-            continue
-        lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
-        unstored.clear()
-        if form in _HITS:  # it writes no register but a load's rd
-            bound, names = _operands(op, held)
-            access, used = _access(op, form, bound, names, len(defaults))
-            lines += access
-            defaults.update(used)
-            if form == "load":
-                held.add(bound["rd"])
-                unstored.add(bound["rd"])
-        elif form is None:
+        if form not in _EXPRS:
+            lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
+            unstored.clear()
+        if form is None:
             lines.append(f"f{len(defaults)}(regs)")
             defaults[f"f{len(defaults)}"] = op
             held.clear()
-        else:  # the terminator
-            lines += _fill(_BODIES[form], _operands(op, held)[1]).splitlines()
+            continue
+        bound, names = _operands(op, held, defaults)
+        lines += _fill(_BODIES[form], names).splitlines()
+        if form in _EXPRS or form in _LOADS and bound["rd"]:  # it wrote dest
+            held.add(bound["rd"])
+            unstored.add(bound["rd"])
     if form is None:
         lines[-1] = "return " + lines[-1]
     block = _define(f"def block(regs{''.join(f', {name}' for name in defaults)}):\n"
@@ -498,13 +463,14 @@ class Emulator:
         self.counters = ExecCounters()
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
         self.state.regs[2] = STACK_TOP
-        # Shared by the memory ops.  Stores to writable text call back through
-        # a weak reference, so no op holds its machine in a reference cycle.
-        self._find = self.memory.find
         self._aware = mode == "aware"
         self._text_writable = self._aware and image.policy == "coverage"
-        self._on_text_store = (weakref.WeakMethod(self._text_written)
-                               if self._text_writable else None)
+        # What every load and store binds: the segments it hits, the end of
+        # data, and the miss pair.  The misses hold text and, where it is
+        # writable, a weak callback, so no op holds its machine in a cycle.
+        written = weakref.WeakMethod(self._text_written) if self._text_writable else None
+        self._access = (self.memory.data, self.memory.stack, DATA_BASE + len(self.memory.data),
+                        *_misses(self.memory.text, written))
         self._effects = _EFFECTS.get(self.policy.mode)
         self._blocks = {}
         self._entered = set()
@@ -561,6 +527,7 @@ class Emulator:
         if limit >= 0:
             end = min(end, entry + 4 * limit)
         effects, aware, text_writable = self._effects, self._aware, self._text_writable
+        access = self._access
         ops = []
         carriers = labels = 0
         term = pending = None
@@ -589,7 +556,7 @@ class Emulator:
                 if mnemonic in _TERM_MNEMONICS:
                     term = make(self, pc, rd, rs1, rs2, imm)
                 else:
-                    op = make(self, pc, rd, rs1, rs2, imm)
+                    op = make(access, pc, rd, rs1, rs2, imm)
                     if text_writable and mnemonic in codec.STORE_MNEMONICS:
                         term = _goto(pc + 4)  # the next word may be the one stored
             if effects:
@@ -675,8 +642,8 @@ class Emulator:
             return
         ops, fetches, retired, labels, term, end = block
         forms = [_FORMS.get(op.__code__) for op in (*ops, term)]
-        accesses = sum(form in _HITS for form in forms)
-        saved = sum(_INLINED_NS[form in _HITS] for form in forms if form)
+        accesses = sum(form in _ACCESSES for form in forms)
+        saved = sum(_INLINED_NS[form in _ACCESSES] for form in forms if form)
         self._hot[entry] = None
         if saved:
             fixed, per_op = _COMPILE_NS

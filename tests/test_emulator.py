@@ -156,6 +156,21 @@ def test_memory_round_trip_and_data_state():
     assert state.memory.read(DATA_BASE + 8, 1) == 0xFE
 
 
+def test_memory_read_takes_whole_accesses_inside_one_segment():
+    stack = bytearray(emulator.STACK_SIZE)
+    stack[:8], stack[-8:] = bytes(range(200, 208)), bytes(range(240, 248))
+    memory = emulator.Memory(bytearray(range(1, 13)), bytearray(range(50, 74)), stack)
+    for base, segment in memory.segments:  # data, the stack, text
+        end = base + len(segment)
+        for size in (1, 2, 4, 8):
+            assert memory.read(base, size) == int.from_bytes(segment[:size], "little")
+            assert memory.read(end - size, size) == int.from_bytes(segment[-size:], "little")
+            for addr in {base - 1, base - size + 1, end - size + 1, end}:
+                if addr not in (base, end - size):  # one byte before or past, or straddling
+                    with pytest.raises(KeyError, match="outside the memory map"):
+                        memory.read(addr, size)
+
+
 def test_store_to_text_faults():
     source = (
         "main:\n"
@@ -1277,8 +1292,11 @@ def test_a_hot_loop_compiles_once_its_entries_repay_the_compile(monkeypatch):
 
 
 def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
-    # its ld and sd always hit data: a miss call, or an access left a plain
-    # call, would be a silent fall-back to calls
+    # its ld and sd always hit data: a miss, or an access left a plain call,
+    # would be a silent fall-back to the slow path
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    machine = Emulator(build_image(kernel, N3, tagged=True))
+    load_miss, store_miss = machine._access[3:]
     blocks, misses = [], []
     compile_block = emulator._compile
 
@@ -1288,18 +1306,19 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
         bound = dict(zip(code.co_varnames[1:code.co_argcount], block.__defaults__))
         blocks.append((len(ops), bound))
         block.__defaults__ = tuple(
-            (lambda regs, op=value: misses.append(op) or op(regs)) if name[0] == "m" else value
-            for name, value in bound.items())
+            (lambda *args, miss=value: misses.append(miss) or miss(*args))
+            if value is load_miss or value is store_miss else value for value in bound.values())
         return block
 
     monkeypatch.setattr(emulator, "_compile", spy)
-    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
-    assert final_a0(build_image(kernel, N3, tagged=True)) == a0
+    machine.run()
+    assert machine.state.regs[10] == a0
     [loop] = [bound for count, bound in blocks if count == 12]  # the loop body, up to its jalr
-    accesses = [name for name, value in loop.items()
-                if emulator._FORMS.get(getattr(value, "__code__", None)) in emulator._HITS]
-    assert len(accesses) == 2 and all(name[0] == "m" for name in accesses)
-    assert "data" in loop and not any(name[0] == "f" for name in loop)  # no plain call
+    values = list(loop.values())
+    assert sum(value is load_miss for value in values) == 1
+    assert sum(value is store_miss for value in values) == 1
+    assert "data" in loop
+    assert not any(name[0] == "f" and name[1:].isdigit() for name in loop)  # no plain call
     assert not misses
 
 
@@ -1359,10 +1378,10 @@ STORES = {"sb": 1, "sh": 2, "sw": 4, "sd": 8}
 
 
 def _edge_sources(text_end):
-    """(source, address, width, segment) of each edge access: every load
-    (to a0, and a word to x0) and store at each segment's first and last
-    whole access, one byte past each end, and straddling each end.  The
-    segment is None for text; a SELF_GROUP source has no address."""
+    """(source, access, address, width, segment) of each edge access: every
+    load (to a0, and a word to x0) and store at each segment's first and
+    last whole access, one byte past each end, and straddling each end.  The
+    segment is None for text; a SELF_GROUP source has no access or address."""
     segments = [(DATA_BASE, DATA_BASE + 64), (STACK_BOTTOM, emulator.STACK_TOP), None]
     accesses = [(f"{m} a0", size) for m, size in LOADS.items()] + [("lw x0", 4)]
     accesses += [(f"{m} a1", size) for m, size in STORES.items()]
@@ -1376,18 +1395,39 @@ def _edge_sources(text_end):
                 source = (EDGE_LOOP.replace("ACCESS", f"{access}, {imm}(t0)")
                           .replace("SAFE", str(16 - imm)).replace("HI", str(upper))
                           .replace("LO", str(address - imm - (upper << 12))))
-                yield source, address, size, segment
+                yield source, access, address, size, segment
     for store in STORES:
         for offset in range(0, 48, 4):
             yield (SELF_GROUP.replace("STORE", store).replace("OFFSET", str(offset)),
-                   None, None, None)
+                   None, None, None, None)
+
+
+def _edge_oracle(access, address, size, inside):
+    """(a0, the nonzero bytes of data and the stack by address) that an
+    EDGE_LOOP run of access ends with, worked out from the bytes the program
+    writes: a load's value is its bytes sign- or zero-extended, and a store
+    writes a1's low bytes.  The edge access, if not inside, faults first."""
+    mask = (1 << 64) - 1
+    memory = {}
+    for base, value in [(DATA_BASE + 8 * k, -0x7F7E7D7C7B7A7979) for k in range(8)] + [
+            (STACK_BOTTOM, -2), (emulator.STACK_TOP - 8, -2)]:
+        memory.update(zip(range(base, base + 8), (value & mask).to_bytes(8, "little")))
+    mnemonic, rd = access.split()
+    if mnemonic in STORES:
+        for addr in [DATA_BASE + 16] + [address] * inside:
+            memory.update(zip(range(addr, addr + size), (-3 & mask).to_bytes(8, "little")))
+        return 0, memory
+    addr = address if inside else DATA_BASE + 16
+    value = int.from_bytes(bytes(memory.get(a, 0) for a in range(addr, addr + size)), "little",
+                           signed=mnemonic in ("lb", "lh", "lw"))
+    return (value & mask if rd == "a0" else 0), memory
 
 
 @pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
 def test_inlined_accesses_at_every_edge_run_as_the_cold_tier(forced, monkeypatch, config):
     # the edge sources differ only in immediates: their text is as long as the first's
     text_end = build_image(next(_edge_sources(0))[0], config, tagged=True).text_end
-    for source, address, size, segment in _edge_sources(text_end):
+    for source, access, address, size, segment in _edge_sources(text_end):
         image = build_image(source, config, tagged=True)
         assert image.text_end == text_end or address is None
         for mode in ("compat", "aware"):
@@ -1397,12 +1437,19 @@ def test_inlined_accesses_at_every_edge_run_as_the_cold_tier(forced, monkeypatch
             assert any("data" in block.__code__.co_varnames for block in forced), source
             monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
             assert _execution_record(image, mode) == compiled, (source, mode)
-            error, regs = ast.literal_eval(compiled.decode())[:2]
+            record = ast.literal_eval(compiled.decode())
+            error, regs = record[:2]
             if address is None and mode == "aware" and config is COVERAGE:
                 assert error is None and regs[10] == 8, source
             elif segment:  # an access outside data or the stack faults, one inside does not
                 lo, hi = segment
-                assert (error is None) == (lo <= address <= hi - size), (source, mode, error)
+                inside = lo <= address <= hi - size
+                assert (error is None) == inside, (source, mode, error)
+                # both tiers run one body, so only values worked out here
+                # show a bug in it
+                a0, memory = _edge_oracle(access, address, size, inside)
+                assert regs[10] == a0, (source, mode)
+                assert dict(record[6][1]) == {a: v for a, v in memory.items() if v}, (source, mode)
 
 
 HOT_LOAD = (
