@@ -21,12 +21,12 @@ Image file format "RVTI", little-endian throughout:
     magic   4s   = b"RVTI"
     version u16  = 1
     flags   u16    bit0 tags present, bit1 backward compatible,
-                   bits 2-3 policy (none/cfi/unarith/coverage)
+                   bits 2-3 policy (none/cfi/unarith/coverage), bits 4-15 zero
     entry   u64
     text_base u64, text_len u32, text bytes
     data_base u64, data_len u32, data bytes
     region_count u32, then per region:
-        start u64, group_count u32, coverage u8, carrier u8, pad u16
+        start u64, group_count u32, coverage u8, carrier u8, pad u16 = 0
 
 Region starts are word-aligned, strictly increasing and inside text; each
 region has at least one group, and its last carrier starts before the next
@@ -319,6 +319,8 @@ def read_image(path) -> Image:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
+    if flags & 0xFFF0:
+        raise FormatError(f"reserved flag bits {flags & 0xFFF0:#x} are set")
     entry, = reader.take(_U64)
     text = reader.segment("text", TEXT_BASE, DATA_BASE)
     if len(text) % tagplan.INSN_SIZE:
@@ -327,7 +329,9 @@ def read_image(path) -> Image:
     region_count, = reader.take(_U32)
     regions = []
     for _ in range(region_count):
-        start, group_count, coverage, carrier_code, _pad = reader.take(_REGION)
+        start, group_count, coverage, carrier_code, pad = reader.take(_REGION)
+        if pad:
+            raise FormatError(f"region {start:#x}: pad {pad:#x} is not zero")
         if not group_count:
             raise FormatError(f"region {start:#x} has no carrier groups")
         if carrier_code not in _CARRIER_FROM_CODE:

@@ -19,15 +19,16 @@ Aware-mode carriers and x0 no-ops cost nothing, and each policy check is
 folded in at translation.  A load to x0 writes nothing but still faults.
 
 Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block
-that crosses the mark is sampled; a cached block sampled for the first time
-counts its entries from then on, and once they have repaid the measured
-cost of compiling it, it is compiled into one generated Python function.
-That function inlines every pure op (the ALU set and lui/auipc constants),
-load and store, and a plain jal, jalr, branch or fall-through terminator,
-with operands as literals and written registers in locals.  Policy checks
-and ecall/ebreak stay calls to their closures.  The function becomes the
-block's terminator over no ops, so the block keeps its counts and its end,
-and faults, the fetch budget and dropped blocks work as before.
+that crosses the mark is sampled, and a cached block sampled for the second
+time is compiled at once into one generated Python function: at most one
+compile per sample point, and only of a block live at two marks at least
+_SAMPLE_FETCHES fetches apart.  That function inlines every pure op (the
+ALU set and lui/auipc constants), load and store, and a plain jal, jalr,
+branch or fall-through terminator, with operands as literals and written
+registers in locals.  Policy checks and ecall/ebreak stay calls to their
+closures.  The function becomes the block's terminator over no ops, so the
+block keeps its counts and its end, and faults, the fetch budget and
+dropped blocks work as before.
 
 Each of those ops and terminators has one body, which builds both tiers.
 A load or store tests its address against data, whose end is the machine's,
@@ -390,31 +391,9 @@ def _predecode(word: int) -> tuple:
 
 
 # -- the hot tier --------------------------------------------------------------
-# Entries are counted only in a cached block that crosses a sample point, one
-# every _SAMPLE_FETCHES fetches, and the block is compiled once they have paid
-# for the compile.  Measured with CPython 3.11 on a 2-core Intel Xeon VM:
-# compiling costs about 40 us plus 15 us per op or terminator, and an inlined
-# load or store, with its hit tests and miss call, as much as 7 of them.  Per
-# entry, each inlined pure op or terminator saves about 80 ns, and each access
-# about 300 ns; the kernel bench's 13-word loop block, with one ld and one sd,
-# repays its compile after about 280 entries.
+# Emulator._sample compiles a cached block at its second sample; the run loop
+# samples the block that crosses each mark, one every _SAMPLE_FETCHES fetches.
 _SAMPLE_FETCHES = 1024
-_COMPILE_NS = (40_000, 15_000)  # fixed, and per op or terminator
-_ACCESS_OPS = 7  # an inlined access compiles as this many ops
-_INLINED_NS = (80, 300)  # saved per entry by a pure op or terminator, and by an access
-
-
-def _counted(term, entry, entries, promote):
-    """term, counting the entries into its block: the last one first has
-    the weakly held machine compile the block."""
-    left = [entries]
-
-    def counted(regs, term=term, left=left, entry=entry, promote=promote):
-        left[0] -= 1
-        if not left[0]:
-            promote()(entry, term)
-        return term(regs)
-    return counted
 
 
 def _compile(ops, term):
@@ -474,7 +453,7 @@ class Emulator:
         self._effects = _EFFECTS.get(self.policy.mode)
         self._blocks = {}
         self._entered = set()
-        self._hot = {}  # entry -> its counted block, or None if it has nothing to inline
+        self._sampled = set()  # the entries of cached blocks sampled once
         self._tags = {}
         self._labels_counted = {}  # policy.cl_addresses, in first-count order
         self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
@@ -633,31 +612,19 @@ class Emulator:
 
     # -- promotion ---------------------------------------------------------------
     def _sample(self, entry: int) -> None:
-        """The block entered at `entry` crossed a sample point.  The first
-        time, if the block is cached and has an op or terminator to inline,
-        its entries are counted from here on, and it is compiled once they
-        have repaid the compile.  Code that is never sampled pays nothing."""
+        """The block entered at `entry` crossed a sample point.  A cached
+        block is noted the first time, and compiled at any later sample if it
+        has an op or terminator to inline, which a compiled block has not; a
+        block that a store to text dropped is compiled again once its new
+        copy is sampled.  Code that is never sampled pays nothing."""
         block = self._blocks.get(entry)
-        if block is None or entry in self._hot:
+        if block is None:
+            return
+        if entry not in self._sampled:
+            self._sampled.add(entry)
             return
         ops, fetches, retired, labels, term, end = block
-        forms = [_FORMS.get(op.__code__) for op in (*ops, term)]
-        accesses = sum(form in _ACCESSES for form in forms)
-        saved = sum(_INLINED_NS[form in _ACCESSES] for form in forms if form)
-        self._hot[entry] = None
-        if saved:
-            fixed, per_op = _COMPILE_NS
-            ops_compiled = len(forms) + (_ACCESS_OPS - 1) * accesses
-            entries = 1 + (fixed + per_op * ops_compiled) // saved
-            counted = _counted(term, entry, entries, weakref.WeakMethod(self._promote))
-            self._hot[entry] = self._blocks[entry] = (ops, fetches, retired, labels, counted, end)
-
-    def _promote(self, entry: int, term) -> None:
-        """Replace the counted block at entry by its compiled one, unless a
-        store to text dropped it."""
-        counted = self._hot[entry]
-        if self._blocks.get(entry) is counted:
-            ops, fetches, retired, labels, _, end = counted
+        if any(op.__code__ in _FORMS for op in (*ops, term)):
             self._blocks[entry] = ((), fetches, retired, labels, _compile(ops, term), end)
 
     # -- main loop -----------------------------------------------------------

@@ -31,8 +31,8 @@ Grammar (one statement per line, `#` comments):
     .signature "SIG"       canonical signature of the current function
     .calltype "SIG"        signature annotation for the next call site
     .text / .data          section switch
-    .word V[, V...]        32-bit data values (.data only)
-    .dword V[, V...]       64-bit data values (.data only)
+    .word V[, V...]        32-bit data values, signed or unsigned (.data only)
+    .dword V[, V...]       64-bit data values, signed or unsigned (.data only)
     .zero N                N zero bytes (.data only)
 
 Instruction operands accept decimal/hex immediates, `!unsigned`, `!optout`
@@ -420,7 +420,9 @@ class _Assembler:
                       for token in (arg.split(",") if arg else ())]
             self._data_room(name, width * len(values))
             for value in values:
-                self.program.data += (value & ((1 << width * 8) - 1)).to_bytes(width, "little")
+                if not -1 << 8 * width - 1 <= value < 1 << 8 * width:
+                    raise ParseError(f"{name}: {value:#x} does not fit {8 * width} bits")
+                self.program.data += value.to_bytes(width, "little", signed=value < 0)
         elif name == ".zero":
             count = _parse_int(arg, self.defsym)
             if count < 0:

@@ -413,6 +413,22 @@ def test_image_format_errors(tmp_path):
     with pytest.raises(FormatError):
         read_image(bad_version)
 
+    # v1 defines no flag bit above the policy's and no region pad
+    flags = int.from_bytes(blob[6:8], "little")
+    assert image.tag_regions
+    reserved = {
+        "reserved flag bits 0xfff0 are set": blob[:6] + (flags | 0xFFF0).to_bytes(2, "little")
+        + blob[8:],
+        "reserved flag bits 0x10 are set": blob[:6] + (flags | 0x10).to_bytes(2, "little")
+        + blob[8:],
+        f"region {image.tag_regions[-1].start:#x}: pad 0xffff is not zero": blob[:-2] + b"\xff\xff",
+    }
+    for message, data in reserved.items():
+        path = tmp_path / "reserved.rvti"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            read_image(path)
+
     trailing = tmp_path / "trailing.rvti"
     trailing.write_bytes(blob + b"junk")
     with pytest.raises(FormatError, match="4 trailing bytes"):

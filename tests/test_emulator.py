@@ -1245,8 +1245,9 @@ def test_execution_is_pinned():
 
 @pytest.fixture
 def forced(monkeypatch):
-    """Promotion forced: every dispatch of a cached block samples it, and it
-    compiles on its next entry.  Returns the list of compiled functions."""
+    """Promotion forced: every dispatch of a cached block samples it, so it
+    compiles at its second cached dispatch.  Returns the list of compiled
+    functions."""
     compiled = []
     compile_block = emulator._compile
 
@@ -1255,7 +1256,6 @@ def forced(monkeypatch):
         return compiled[-1]
 
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
-    monkeypatch.setattr(emulator, "_COMPILE_NS", (0, 0))
     monkeypatch.setattr(emulator, "_compile", spy)
     return compiled
 
@@ -1274,7 +1274,7 @@ def test_a_short_run_compiles_nothing(monkeypatch):
         run(build_image(text, COVERAGE, tagged=True), mode="aware")
 
 
-def test_a_hot_loop_compiles_once_its_entries_repay_the_compile(monkeypatch):
+def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch):
     compiled = []
     compile_block = emulator._compile
     monkeypatch.setattr(emulator, "_compile",
@@ -1283,8 +1283,14 @@ def test_a_hot_loop_compiles_once_its_entries_repay_the_compile(monkeypatch):
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
     assert not compiled  # 40 iterations are about 720 fetches: not one sample point
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    # the loop body, up to its jalr, crosses the first mark and compiles at
+    # the second, inside three sample intervals
+    machine = Emulator(build_image(kernel, N3, tagged=False),
+                       max_insns=3 * emulator._SAMPLE_FETCHES + 256)
+    with pytest.raises(LimitExceeded):
+        machine.run()
+    assert 12 in [len(ops) for ops in compiled]
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
-    assert 12 in [len(ops) for ops in compiled]  # the loop body, up to its jalr
     for config in (N3, CFI, UNARITH, COVERAGE):  # each aware cell of the bench, tagged
         compiled.clear()
         assert final_a0(build_image(kernel, config, tagged=True), "aware") == a0
@@ -1582,10 +1588,11 @@ HOT_CASES = {
     "store-drops-compiled-block": (lambda: _self_patch_image(PATCHED_LOOP), "aware", 10 ** 6,
                                    30 + 30 * 100),
     # forced, the loop block (the first iteration runs in main's block) is
-    # sampled on its second entry and promotes on its third, whose store
-    # drops it first
-    "store-drops-counted-block": (lambda: _self_patch_image(SELF_PATCH), "aware", 10 ** 6,
-                                  4 + 36 * 100),
+    # sampled on its second entry and compiled at each later one, whose
+    # store, run by the closures, rewrites the block's own addi: the
+    # compiled block is dropped before it ever runs
+    "store-drops-just-compiled-block": (lambda: _self_patch_image(SELF_PATCH), "aware",
+                                        10 ** 6, 4 + 36 * 100),
 }
 
 
@@ -1606,10 +1613,28 @@ def test_a_fault_inside_a_compiled_block_is_the_interpreted_fault(forced, monkey
         assert outcome in error
 
 
+def test_a_block_dropped_by_a_store_to_text_compiles_again(forced, monkeypatch):
+    # bump's block compiles in the first loop; the sw drops it, and its new
+    # copy, over the patched word, compiles in the second
+    image = _self_patch_image(PATCHED_LOOP)
+    bumps = []
+    compile_block = emulator._compile
+
+    def spy(ops, term):
+        if "xori" in [emulator._FORMS.get(op.__code__) for op in ops]:  # only bump has one
+            bumps.append(ops)
+        return compile_block(ops, term)
+
+    monkeypatch.setattr(emulator, "_compile", spy)
+    state, _, _ = Emulator(image, mode="aware").run()
+    assert state.regs[10] == 30 + 30 * 100
+    assert len(bumps) == 2
+
+
 @pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
 def test_a_promoted_machine_is_freed_without_the_cycle_collector(forced, config):
-    # the counting terminator reaches its machine through a weak reference,
-    # and a compiled block holds only its calls
+    # a compiled block holds its calls and the misses, which reach the
+    # machine only through a weak reference
     import gc
     import weakref
 

@@ -238,12 +238,16 @@ def test_data_section():
         "    .dword 0x1122334455667788\n"
         "pad:\n"
         "    .zero 3\n"
+        "    .word -0x80000000, 0xffffffff\n"  # each width's ends, signed and unsigned
+        "    .dword -0x8000000000000000, 0xffffffffffffffff\n"
     )
     assert program.data_symbols == {"table": 0, "vals": 8, "pad": 16}
     assert program.data == (
         b"\x44\x33\x22\x11\x02\x00\x00\x00"
         b"\x88\x77\x66\x55\x44\x33\x22\x11"
         b"\x00\x00\x00"
+        b"\x00\x00\x00\x80\xff\xff\xff\xff"
+        b"\x00\x00\x00\x00\x00\x00\x00\x80" + b"\xff" * 8
     )
 
 
@@ -663,12 +667,19 @@ MALFORMED = [
     ("jal x0, 6", "jal: offset 6 is not a multiple of 4"),
     ("beq a0, a1, 6", "beq: offset 6 is not a multiple of 4"),
     ("bgeu a0, a1, -4094", "bgeu: offset -4094 is not a multiple of 4"),
+    # data values must fit their width, signed or unsigned
+    (".word 0x100000001", ".word: 0x100000001 does not fit 32 bits"),
+    (".word 1, -0x80000001", ".word: -0x80000001 does not fit 32 bits"),
+    (".dword 0x1ffffffffffffffff", ".dword: 0x1ffffffffffffffff does not fit 64 bits"),
+    (".dword -0x8000000000000001", ".dword: -0x8000000000000001 does not fit 64 bits"),
 ]
 
 
 @pytest.mark.parametrize("statement, message", MALFORMED)
 def test_malformed_statement_message(statement, message):
     source = f"main:\n    nop\n    {statement}\n    ecall\n.data\nbuf:\n    .word 1\n"
+    if statement.startswith("."):  # a data directive, on line 3 of .data
+        source = f".data\nbuf:\n    {statement}\n.text\nmain:\n    ecall\n"
     with pytest.raises(ParseError) as info:
         assemble(source, filename="prog.s")
     assert (info.value.message, info.value.line) == (message, 3)
