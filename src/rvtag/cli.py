@@ -13,7 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import corpus, emitlink, emulator, pipeline, tagplan
+from . import codec, corpus, emitlink, emulator, pipeline, tagplan
 from .emulator import BadInstruction, LimitExceeded, PolicyViolation
 from .errors import BuildError, RvtagError
 
@@ -502,7 +502,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"rvtag: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except emitlink.FormatError as exc:
+    except (emitlink.FormatError, codec.NotACarrier) as exc:
         print(f"rvtag: image error: {exc}", file=sys.stderr)
         return EXIT_BUILD
     except RvtagError as exc:

@@ -32,7 +32,8 @@ Region starts are word-aligned, strictly increasing and inside text; each
 region has at least one group, and its last carrier starts before the next
 region (or the end of text); each (carrier, coverage) pair has a tag
 layout; nothing follows the table.
-tagplan.carrier_groups turns the table into the slot schedule that
+tagplan.carrier_groups turns the table into carrier groups, and
+tagplan.slot_tags reads their carriers into the slot schedule that
 scan_labels and the emulator share.  The image stores no label list: a
 label is a lui x0 word, so scan_labels reads the labels from the words.
 """
@@ -375,25 +376,18 @@ def scan_labels(image: Image) -> tuple:
     """(address, kind) of every metadata label in a linked image.
 
     This is the one place label addresses are computed.  Labels are lui x0
-    words at non-carrier slots whose positional tag is the policy's label
-    tag (CFL under cfi, CL under coverage).
+    words at non-carrier slots whose positional tag is one of the policy's
+    label tags: CFL under cfi ("cfl"), CL under coverage ("cl").  Raises
+    NotACarrier for a malformed carrier word of a policy with labels.
     """
-    label = tagplan.policy_label(image.policy)
-    if label is None:
+    kinds = {tag: name.lower() for tag, name in tagplan.EFFECTS[image.policy].items()
+             if name in ("CFL", "CL")}
+    if not kinds:
         return ()
-    label_tag, kind = label
-
-    def word_at(addr):
-        offset = addr - TEXT_BASE
-        return int.from_bytes(image.text[offset:offset + 4], "little")
-
+    text = image.text
+    tags = tagplan.slot_tags(text, tagplan.carrier_groups(image.tag_regions, image.text_end))
     found = []
-    for region, carrier_addr, group_end in tagplan.carrier_groups(
-            image.tag_regions, image.text_end):
-        for addr in range(carrier_addr + 4, group_end, 4):
-            word = word_at(addr)
-            if word & 0x7F == codec.OP_LUI and (word >> 7) & 0x1F == 0:
-                tags = codec.tag_reader(region.carrier, region.coverage)(word_at(carrier_addr))
-                if tags[(addr - carrier_addr) // 4 - 1] == label_tag:
-                    found.append((addr, kind))
+    for addr, tag in tags.items():  # a label is a lui x0 word
+        if tag in kinds and _U32.unpack_from(text, addr - TEXT_BASE)[0] & 0xFFF == codec.OP_LUI:
+            found.append((addr, kinds[tag]))
     return tuple(found)

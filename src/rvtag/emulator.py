@@ -10,11 +10,13 @@ Memory is three bytearray segments at tagplan's fixed bases, which every
 Image gives as constants: text, data, and a stack that ends at STACK_TOP.
 An access outside them is a MemFault.  Only text executes, as CFI assumes:
 a fetch of anything but a whole text word (in data or the stack, past the
-end, misaligned) is a BadInstruction at that pc.  The slot schedule
-(tagplan.carrier_groups) is resolved once, at load, into a pc -> tag dict
-where None marks a carrier.  Code runs as basic blocks, translated on entry
-and cached by entry pc once entered twice: closures with their operands
-bound, constant counts, and one terminator that returns the next pc.
+end, misaligned) is a BadInstruction at that pc.  The slot schedule is
+resolved once, at load, into a pc -> tag dict where None marks a carrier:
+tagplan.slot_tags reads it in aware mode, and compat mode marks only the
+carriers of tagplan.carrier_groups.  Code runs as basic blocks, translated
+on entry and cached by entry pc once entered twice: closures with their
+operands bound, constant counts, and one terminator that returns the next
+pc.
 Aware-mode carriers and x0 no-ops cost nothing, and each policy check is
 folded in at translation.  A load to x0 writes nothing but still faults.
 
@@ -22,15 +24,13 @@ Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block
 that crosses the mark is sampled, and a cached block sampled for the second
 time is compiled at once into one generated Python function: at most one
 compile per sample point, and only of a block live at two marks at least
-_SAMPLE_FETCHES fetches apart.  That function inlines every pure op (the
-ALU set and lui/auipc constants), load and store, and a plain jal, jalr,
-branch or fall-through terminator, with operands as literals and written
-registers in locals.  Policy checks and ecall/ebreak stay calls to their
-closures.  The function becomes the block's terminator over no ops, so the
-block keeps its counts and its end, and faults, the fetch budget and
-dropped blocks work as before.
+_SAMPLE_FETCHES fetches apart.  That function inlines every op and
+terminator but the policy checks, which stay calls to their closures, with
+operands as literals and written registers in locals.  The function becomes
+the block's terminator over no ops, so the block keeps its counts and its
+end, and faults, the fetch budget and dropped blocks work as before.
 
-Each of those ops and terminators has one body, which builds both tiers.
+Every instruction has one body in _BODIES, which builds both tiers.
 A load or store tests its address against data, whose end is the machine's,
 and the stack, and unpacks or packs in place on a hit; anything else calls
 its machine's miss, which reads text, stores to it under coverage and
@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import re
 import struct
+import types
 import weakref
 from dataclasses import dataclass, field
 
@@ -135,26 +136,22 @@ class PolicyState:
 
 
 _UNTAGGED = -1  # schedule value of a pc outside every carrier group
-# per policy, the tags that have an effect, by the name of the effect
-_EFFECTS = {"cfi": {tagplan.policy_tag("cfi", "CFL"): "CFL"},
-            "unarith": {tagplan.policy_tag("unarith", "UN_ARTH"): "UN_ARTH"},
-            "coverage": {tagplan.policy_tag("coverage", tag): tag for tag in ("CL", "CI", "BCF")}}
 
 
 def _sext32(value: int) -> int:
     return ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
 
 
-# -- forms: the semantics of every op and terminator but ecall/ebreak,
-# written once.  An expression gives rd's new value, in [0, 2**64), from a
-# and b, the values of rs1 and rs2 (always in [0, 2**64) too), and i, the
-# immediate; a condition decides a branch.  On first use a body is built into
-# a factory of cold closures, which bind their operands as defaults (cheaper
-# to make and to read than closure cells), and a hot block inlines the same
-# body with each operand replaced by its value or by a default of the block.
+# -- forms: the semantics of every op and terminator, written once.  An
+# expression gives rd's new value, in [0, 2**64), from a and b, the values of
+# rs1 and rs2 (always in [0, 2**64) too), and i, the immediate; a condition
+# decides a branch.  On first use a body is built into a factory of cold
+# closures, which bind their operands as defaults (cheaper to make and to
+# read than closure cells), and a hot block inlines the same body with each
+# operand replaced by its value or by a default of the block.
 
 _EXPRS = {
-    "lui": "i & M",  # and auipc, with i = pc + imm
+    "lui": "i & M",
     "addi": "a + i & M", "xori": "a ^ i & M", "ori": "a | i & M", "andi": "a & i",
     "slti": "((a ^ H) - H < i) & 1", "sltiu": "(a < (i & M)) & 1",
     "slli": "a << i & M", "srli": "a >> i", "srai": "(a ^ H) - H >> i & M",
@@ -196,25 +193,36 @@ def _access_body(mnemonic: str, fmt: str) -> str:
             f"    {hit.format('stack', _STACK_BASE)}\nelse:\n    {miss}{tail}")
 
 
-# An op's body writes rd's value to dest.  A terminator returns the next pc:
-# target is pc + imm and after is pc + 4.
+# An op's body writes rd's value to dest.  A body that is one assignment to
+# dest can neither fault nor read regs, so a hot block runs it without first
+# storing the registers it holds in locals.  A terminator returns the next
+# pc, or None once it halts the machine's state: target is pc + imm and
+# after is pc + 4.  An ecall with a7=93 exits with code a0, one with a7=64
+# writes the byte in a0, and any other stops the machine too, so a bare
+# ecall is a clean one-instruction exit.
 _BODIES = {
     **{mnemonic: f"dest = {expr}" for mnemonic, expr in _EXPRS.items()},
+    "auipc": "dest = target",
     **{mnemonic: _access_body(mnemonic, fmt) for mnemonic, fmt in _ACCESSES.items()},
     **{mnemonic: f"return target if {cond} else after" for mnemonic, cond in _CONDS.items()},
     "jal": "if rd:\n    regs[rd] = after\nreturn target",
     "jalr": "to = (a + i) & M & ~1\nif rd:\n    regs[rd] = after\nreturn to",
+    "ecall": (f"if regs[17] == {WRITE_SYSCALL}:\n    state.stdout.append(regs[10] & 0xFF)\n"
+              f"    return after\nstate.halted = True\nstate.exit_code = regs[10]\n"
+              f"state.stop_reason = 'exit' if regs[17] == {EXIT_SYSCALL} else 'ecall'"),
+    "ebreak": "state.halted = True\nstate.stop_reason = 'ebreak'",
     "goto": "return target",  # a fall-through: made by _goto, not by a factory
 }
 # operand -> the words of a body that name it, and how a factory derives the
 # operands that depend on its pc or its machine.  m is a terminator's
-# Emulator, and an access's (data, stack, end of data, load miss, store
-# miss); unpack and pack are its struct's.
+# Emulator, whose state an ecall or ebreak binds, and an access's (data,
+# stack, end of data, load miss, store miss); unpack and pack are its
+# struct's.
 _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
              **{word: (word,) for word in ("target", "after", "end", "data", "stack", "unpack",
-                                           "pack", "load", "store", "pc")}}
+                                           "pack", "load", "store", "state", "pc")}}
 _DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m[0]",
-            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]"}
+            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]", "state": "m.state"}
 _WORDS = re.compile(r"\b(?:%s)\b" % "|".join(  # the words a body can bind
     [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
 _FORMS = {}  # the code of each generated op and terminator -> its mnemonic
@@ -238,7 +246,7 @@ def _define(source: str, name: str, env: dict | None = None):
 def _factory(mnemonic: str):
     """The factory of the form of a mnemonic, built on first use:
     make(rd, rs1, rs2, imm) of a pure op, make(m, pc, rd, rs1, rs2, imm) of
-    an access or a terminator."""
+    any other.  The code of the op it makes is its form's in _FORMS."""
     body = _BODIES[mnemonic]
     words = set(_WORDS.findall(body))
     params = ", ".join(f"{param}={_DERIVED.get(param, param)}"
@@ -250,8 +258,8 @@ def _factory(mnemonic: str):
                          + "".join(f"        {line}\n" for line in cold.splitlines())
                          + "    return op\n", _CONSTANTS), "make",
                    access and {"unpack": access.unpack_from, "pack": access.pack_into})
-    args = (0,) * 4 if mnemonic in _EXPRS else ((None,) * 5, 0, 0, 0, 0, 0)
-    _FORMS[make(*args).__code__] = mnemonic
+    [code] = [const for const in make.__code__.co_consts if isinstance(const, types.CodeType)]
+    _FORMS[code] = mnemonic
     return make
 
 
@@ -343,30 +351,7 @@ def _goto(target):
 _FORMS[_goto(0).__code__] = "goto"
 
 
-def _ecall(m, pc, rd, rs1, rs2, imm):
-    # a7=93 exit with code a0, a7=64 write the byte in a0; anything else
-    # also stops the machine so a bare ecall is a clean one-instruction exit.
-    def term(regs, state=m.state, pc=pc):
-        if regs[17] == WRITE_SYSCALL:
-            state.stdout.append(regs[10] & 0xFF)
-            return pc + 4
-        state.halted = True
-        state.exit_code = regs[10]
-        state.stop_reason = "exit" if regs[17] == EXIT_SYSCALL else "ecall"
-    return term
-
-
-def _ebreak(m, pc, rd, rs1, rs2, imm):
-    def term(regs, state=m.state):
-        state.halted = True
-        state.stop_reason = "ebreak"
-    return term
-
-
 _TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", "ecall", "ebreak"})
-# the factories that no body builds
-_MAKERS = {"auipc": lambda m, pc, rd, rs1, rs2, imm: _factory("lui")(rd, rs1, rs2, pc + imm),
-           "ecall": _ecall, "ebreak": _ebreak}
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
 _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
 
@@ -383,10 +368,9 @@ def _predecode(word: int) -> tuple:
         imm = _sext32(imm << 12)
     op = make = None
     if rd or mnemonic not in _RD_ONLY:
+        make = _factory(mnemonic)
         if mnemonic in _EXPRS:
-            op = _factory(mnemonic)(rd, rs1, rs2, imm)
-        else:
-            make = _MAKERS.get(mnemonic) or _factory(mnemonic)
+            op, make = make(rd, rs1, rs2, imm), None
     return mnemonic, rd, rs1, rs2, imm, op, make
 
 
@@ -399,15 +383,17 @@ _SAMPLE_FETCHES = 1024
 def _compile(ops, term):
     """One function that runs ops and then term.  Each op or terminator of a
     known form is inlined from its body, with operands as literals and its
-    other defaults (segments, struct methods, misses) as the block's, and
-    every other op (policy, ecall/ebreak) stays a call.  The registers that
-    inlined ops write live in locals, stored to regs before any call, access
-    or terminator, so a call, and a fault, sees every write before it."""
+    other defaults (segments, struct methods, misses, state) as the block's,
+    and every other op (the policy checks) stays a call.  A body that
+    assigns dest with rd != 0 leaves rd's value in a local; the locals are
+    stored to regs before every body but a lone assignment to dest, and
+    before every call, so a call, and a fault, sees every write before it."""
     lines, defaults = [], {}
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
         form = _FORMS.get(op.__code__)
-        if form not in _EXPRS:
+        body = _BODIES.get(form, "")
+        if not body.startswith("dest = ") or "\n" in body:
             lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
             unstored.clear()
         if form is None:
@@ -416,8 +402,8 @@ def _compile(ops, term):
             held.clear()
             continue
         bound, names = _operands(op, held, defaults)
-        lines += _fill(_BODIES[form], names).splitlines()
-        if form in _EXPRS or form in _LOADS and bound["rd"]:  # it wrote dest
+        lines += _fill(body, names).splitlines()
+        if bound.get("rd") and "dest" in body:  # no other word of a body holds "dest"
             held.add(bound["rd"])
             unstored.add(bound["rd"])
     if form is None:
@@ -450,7 +436,7 @@ class Emulator:
         written = weakref.WeakMethod(self._text_written) if self._text_writable else None
         self._access = (self.memory.data, self.memory.stack, DATA_BASE + len(self.memory.data),
                         *_misses(self.memory.text, written))
-        self._effects = _EFFECTS.get(self.policy.mode)
+        self._effects = tagplan.EFFECTS[self.policy.mode]
         self._blocks = {}
         self._entered = set()
         self._sampled = set()  # the entries of cached blocks sampled once
@@ -462,24 +448,15 @@ class Emulator:
     # -- slot schedule -----------------------------------------------------------
     def _resolve(self, groups, pc: int | None = None) -> None:
         """Enter carrier groups into the pc -> tag schedule (None = carrier);
-        pc is that of the store that wrote them, if any.  Every carrier is a
-        text word: link and read_image give whole-word text at TEXT_BASE."""
-        tags = self._tags
-        text = self.memory.text
-        region = None
-        for group_region, carrier_addr, group_end in groups:
-            tags[carrier_addr] = None
-            if not self._aware:
-                continue
-            if group_region is not region:
-                region = group_region
-                read = codec.tag_reader(region.carrier, region.coverage)
-            word = _WORD.unpack_from(text, carrier_addr - TEXT_BASE)[0]
-            try:
-                values = read(word)
-            except codec.NotACarrier as exc:
-                raise BadInstruction(f"tag slot {carrier_addr:#x}: {exc}", pc) from None
-            tags.update(zip(range(carrier_addr + 4, group_end, 4), values))
+        pc is that of the store that wrote them, if any.  Compat mode reads
+        no carrier word, and marks only where the carriers are."""
+        if not self._aware:
+            self._tags.update(dict.fromkeys(carrier for _, carrier, _ in groups))
+            return
+        try:
+            self._tags.update(tagplan.slot_tags(self.memory.text, groups))
+        except codec.NotACarrier as exc:
+            raise BadInstruction(str(exc), pc) from None
 
     def _text_written(self, addr: int, size: int, pc: int) -> None:
         """After the store at pc wrote text (coverage mode only): re-resolve

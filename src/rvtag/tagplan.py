@@ -5,15 +5,17 @@ A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a
 group boundary map to that group's carrier slot, and the instruction word
 itself always sits one word past remap_offset.  In a linked image,
-carrier_groups() is the single walker over the carrier slots that label
-scanning and the emulator's pc -> tag table both read.
+carrier_groups() is the single walker over the carrier groups, and
+slot_tags() the single reader of their carrier words, which label scanning
+and the emulator's pc -> tag table both call.  EFFECTS names the tags that
+policies act on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import COVERAGE_VALUES, TAG_BITS, TagCarrier
+from .codec import COVERAGE_VALUES, TAG_BITS, NotACarrier, TagCarrier, tag_reader
 from .errors import BuildError
 
 
@@ -47,6 +49,11 @@ POLICY_TAG_SETS = {
     "unarith": (("N", 0), ("UN_ARTH", 1)),
     "coverage": (("CL", 0), ("CI", 1), ("BCF", 2), ("N", 3)),
 }
+# Per policy, tag value -> name of every built-in tag with an effect: all
+# but N.  make_config forbids remapping them, so enforcement and label
+# scanning read them from here.
+EFFECTS = {policy: {value: name for name, value in tags if name != "N"}
+           for policy, tags in POLICY_TAG_SETS.items()}
 
 
 @dataclass(frozen=True)
@@ -261,17 +268,25 @@ def carrier_groups(regions, text_end: int):
             yield region, carrier_addr, min(carrier_addr + stride, bound)
 
 
-def policy_tag(policy: str, name: str) -> int:
-    """Value of a built-in policy tag; make_config forbids remapping it."""
-    return dict(POLICY_TAG_SETS[policy])[name]
+def slot_tags(text, groups) -> dict:
+    """pc -> tag of every slot of `groups` (from carrier_groups), with None
+    at each carrier, read from `text`, the bytes of text at TEXT_BASE.  This
+    is the one reader of carrier words.
 
-
-def policy_label(policy: str):
-    """(tag value, kind) of the metadata labels a policy records, or None.
-
-    cfi records CFL-tagged labels ("cfl"), coverage CL-tagged ones ("cl").
+    Raises NotACarrier, naming its slot, for a carrier word that does not
+    fit its region's layout.
     """
-    name = {"cfi": "CFL", "coverage": "CL"}.get(policy)
-    if name is None:
-        return None
-    return policy_tag(policy, name), name.lower()
+    tags = {}
+    region = None
+    for group_region, carrier_addr, group_end in groups:
+        if group_region is not region:
+            region = group_region
+            read = tag_reader(region.carrier, region.coverage)
+        offset = carrier_addr - TEXT_BASE
+        try:
+            values = read(int.from_bytes(text[offset:offset + INSN_SIZE], "little"))
+        except NotACarrier as exc:
+            raise NotACarrier(f"tag slot {carrier_addr:#x}: {exc}") from None
+        tags[carrier_addr] = None
+        tags.update(zip(range(carrier_addr + INSN_SIZE, group_end, INSN_SIZE), values))
+    return tags

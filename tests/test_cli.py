@@ -110,6 +110,52 @@ def test_link_and_run(workspace, capsys):
     assert main(["run", "--mode", "aware", str(out)]) == 0
 
 
+def test_defsym_sets_a_symbol_and_rejects_a_malformed_one(workspace, capsys):
+    src = workspace / "n.s"
+    src.write_text(".globl main\n.entry main\nmain:\n    li a0, N\n    li a7, 93\n    ecall\n")
+    out = workspace / "n.rvti"
+
+    def link(*defsym):
+        return main(["link", "--config", str(workspace / "tags.conf"), *defsym,
+                     "--out", str(out), str(src)])
+
+    assert link("--defsym", "N=72") == 0
+    assert main(["run", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("exit=72 reason=exit ")
+    for item, message in (("N", "--defsym expects name=value, got 'N'"),
+                          ("N=x", "--defsym N: 'x' is not an integer")):
+        assert link("--defsym", item) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"rvtag: {message}\n"
+
+
+def test_build_json_rows(workspace, capsys):
+    out = workspace / "prog.rvti"
+    assert main(["build", "--json", "--config", str(workspace / "tags.conf"),
+                 "--out", str(out), str(workspace / "prog.s")]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["image"] for row in rows] == [str(workspace / "prog.base.rvti"), str(out)]
+    assert all(set(row) == {"image", "text_bytes", "growth_pct"} for row in rows)
+    base, tagged = (read_image(row["image"]) for row in rows)
+    assert [row["text_bytes"] for row in rows] == [len(base.text), len(tagged.text)]
+    assert rows[0]["growth_pct"] == 0.0
+    assert rows[1]["growth_pct"] == pytest.approx(100 * (len(tagged.text) / len(base.text) - 1))
+
+
+def test_run_echoes_the_programs_stdout(workspace, capsys):
+    src = workspace / "hi.s"
+    src.write_text(".globl main\n.entry main\nmain:\n    li a7, 64\n"
+                   "    li a0, 104\n    ecall\n    li a0, 105\n    ecall\n"
+                   "    li a0, 0\n    li a7, 93\n    ecall\n")
+    out = workspace / "hi.rvti"
+    assert main(["link", "--config", str(workspace / "tags.conf"),
+                 "--out", str(out), str(src)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(out)]) == 0
+    status, echoed = capsys.readouterr().out.split("\n", 1)
+    assert status.startswith("exit=0 reason=exit ")
+    assert echoed == "hi\n"
+
+
 def test_env_config_fallback(workspace, monkeypatch):
     monkeypatch.setenv("RVTAG_CONFIG", str(workspace / "tags.conf"))
     out = workspace / "env.rvti"
@@ -430,6 +476,17 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     assert f"run failed: tag slot {carrier:#x}" in capsys.readouterr().err
     assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
+    # rewritten to `addi x0, x0, 0`, it runs clean in compat mode, but the
+    # coverage map needs the labels, whose carrier is the image's fault
+    text = image.text[:offset] + (0x00000013).to_bytes(4, "little") + image.text[offset + 4:]
+    write_image(dataclasses.replace(image, text=text), path)
+    dump = workspace / "out.json"
+    assert main(["run", "--mode", "compat", "--dump-coverage", str(dump),
+                 str(path)]) == cli.EXIT_BUILD
+    out, err = capsys.readouterr()
+    assert out.startswith("exit=7 reason=exit ")
+    assert err == f"rvtag: image error: tag slot {carrier:#x}: 0x00000013 is not a lui x0 word\n"
+    assert carrier == 0x10000 and not dump.exists()
 
 
 RETURN_INTO_DATA = (

@@ -33,7 +33,6 @@ from rvtag.tagplan import (
     insn_address,
     landing_offset,
     make_config,
-    policy_label,
     remap_offset,
     tagged_size,
 )
@@ -601,7 +600,7 @@ def test_output_never_unlinks_what_is_not_a_regular_file(tmp_path, monkeypatch):
 def labels_from_metadata(program, config):
     """Oracle for scan_labels: every is_label slot that carries the policy's
     label tag, at its final address in the link of `program`."""
-    label_tag, kind = policy_label(config.policy)
+    label_tag, kind = {"cfi": (1, "cfl"), "coverage": (0, "cl")}[config.policy]
     found, base = [], TEXT_BASE
     for fragment in program.fragments:
         found += [(base + insn_address(4 * i, config.coverage), kind)

@@ -1654,6 +1654,94 @@ def test_a_promoted_machine_is_freed_without_the_cycle_collector(forced, config)
         gc.enable()
 
 
+SYSCALL_LOOP = (
+    '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
+    "    li s3, 1200\n"
+    "loop:\n"
+    "    li a7, 64\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, write\n"
+    "END\n"  # the last iteration ends the run
+    "write:\n"
+    "    andi a0, s3, 63\n"
+    "    addi a0, a0, 48\n"
+    "    ecall\n"  # writes the byte in a0, or exits under a7=93, or stops under a7=17
+    "    j loop\n"
+)
+SYSCALL_ENDS = {"exit": "    li a7, 93", "ecall": "    li a7, 17", "ebreak": "    ebreak"}
+
+
+@pytest.mark.parametrize("end", SYSCALL_ENDS)
+def test_ecall_and_ebreak_in_compiled_blocks_run_as_the_cold_tier(forced, monkeypatch, end):
+    # 1199 writes from the compiled write block, whose ecall then exits or
+    # stops the run, or an ebreak ahead of it does
+    source = SYSCALL_LOOP.replace("END", SYSCALL_ENDS[end])
+    cells = [(build_image(source, N3, tagged=False), "compat")]
+    cells += [(build_image(source, config, tagged=True), "aware") for config in (N3, CFI, COVERAGE)]
+    for image, mode in cells:
+        forced.clear()
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
+        compiled = _execution_record(image, mode)
+        assert any("state" in block.__code__.co_varnames for block in forced), (end, mode)
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+        assert _execution_record(image, mode) == compiled, (end, mode)
+        error, regs, pc, exit_code, stop_reason, stdout = ast.literal_eval(compiled.decode())[:6]
+        assert error is None and stop_reason == end and len(stdout) == 1199
+        assert stdout[-1] == 49 and exit_code == (0 if end == "ebreak" else 48)
+    # an ebreak runs only once, so no run compiles it: compile its closure
+    machine = Emulator(cells[0][0])
+    block = emulator._compile((), emulator._factory("ebreak")(machine, emulator.TEXT_BASE, 0, 0, 0, 0))
+    assert "state" in block.__code__.co_varnames
+    assert block([0] * 32) is None
+    assert machine.state.halted and machine.state.stop_reason == "ebreak"
+
+
+ACCESS_LOOP = (
+    '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
+    "    la t0, buf\n"
+    "    li s3, 300\n"
+    "loop:\n"
+    "    lw t1, 0(t0)\n"
+    "    ld t2, 8(t0)\n"
+    "    lhu t3, 16(t0)\n"
+    "    addi t1, t1, -3\n"
+    "    add t2, t2, t1\n"
+    "    addi t3, t3, 5\n"
+    "    sw t1, 0(t0)\n"
+    "    sd t2, 8(t0)\n"
+    "    sb t3, 16(t0)\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, loop\n"
+    "    add a0, t1, t2\n"
+    "    add a0, a0, t3\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero 24\n"
+)
+
+
+def test_accesses_of_three_widths_in_one_block_bind_each_struct_once(forced, monkeypatch):
+    # three loads and three stores of three formats: the block's defaults
+    # name each struct method under its word and a number
+    renamed = {"unpack", "unpack1", "unpack2", "pack", "pack1", "pack2"}
+    cells = [(build_image(ACCESS_LOOP, N3, tagged=False), "compat")]
+    cells += [(build_image(ACCESS_LOOP, config, tagged=True), "aware")
+              for config in (N3, CFI, UNARITH)]
+    for image, mode in cells:
+        forced.clear()
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
+        compiled = _execution_record(image, mode)
+        assert any(renamed <= set(block.__code__.co_varnames) for block in forced), mode
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+        assert _execution_record(image, mode) == compiled, mode
+        error, regs = ast.literal_eval(compiled.decode())[:2]
+        # after k iterations: t1 = -3k, t2 = -3(1 + ... + k), and the byte
+        # that sb wrote, read back by lhu, plus 5
+        k = 300
+        a0 = -3 * k - 3 * k * (k + 1) // 2 + (5 * (k - 1) & 0xFF) + 5
+        assert error is None and regs[10] == a0 & (1 << 64) - 1, mode
+
+
 def test_a_negative_budget_is_rejected():
     image = build_image(SUM_1_TO_10, N3, tagged=False)
     with pytest.raises(ValueError, match="max_insns"):
