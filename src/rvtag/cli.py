@@ -177,12 +177,13 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 # run / enforce
 
-def _write_coverage(path, image, state, policy_state) -> None:
-    """Write a run's CL counts (read from its final text), CI counts and BCF
-    edges to `path` as JSON."""
+def _write_coverage(path, labels, state, policy_state) -> None:
+    """Write a run's CL counts (read from its final text at the CL labels
+    among `labels`, the image's label_addrs), CI counts and BCF edges to
+    `path` as JSON."""
     payload = {
         "cl": [{"addr": addr, "count": (state.memory.read(addr, 4) >> 12) & 0xFFFFF}
-               for addr, kind in image.label_addrs if kind == "cl"],
+               for addr, kind in labels if kind == "cl"],
         "ci": {hex(pc): count for pc, count in sorted(policy_state.ci_counts.items())},
         "bcf": {
             hex(pc): {hex(target): count for target, count in sorted(targets.items())}
@@ -194,6 +195,9 @@ def _write_coverage(path, image, state, policy_state) -> None:
 
 def cmd_run(args) -> int:
     image = emitlink.read_image(args.image)
+    # the coverage map needs the labels: read them first, so that a malformed
+    # carrier fails before the run prints anything
+    labels = image.label_addrs if args.dump_coverage else ()
     try:
         state, counters, policy_state = emulator.run(
             image, mode=args.mode, max_insns=args.max_insns)
@@ -207,13 +211,14 @@ def cmd_run(args) -> int:
         sys.stdout.buffer.write(bytes(state.stdout))
         sys.stdout.write("\n")
     if args.dump_coverage:
-        _write_coverage(args.dump_coverage, image, state, policy_state)
+        _write_coverage(args.dump_coverage, labels, state, policy_state)
         print(f"coverage written to {args.dump_coverage}")
     return EXIT_OK
 
 
 def cmd_enforce(args) -> int:
     image = emitlink.read_image(args.image)
+    labels = image.label_addrs if args.dump_coverage else ()  # as in cmd_run
     try:
         state, counters, policy_state = emulator.run(
             image, mode="aware", max_insns=args.max_insns)
@@ -222,7 +227,7 @@ def cmd_enforce(args) -> int:
         return EXIT_POLICY
     print(f"clean run: exit={state.exit_code} retired={counters.retired}")
     if args.dump_coverage:
-        _write_coverage(args.dump_coverage, image, state, policy_state)
+        _write_coverage(args.dump_coverage, labels, state, policy_state)
     return EXIT_OK
 
 

@@ -20,17 +20,33 @@ pc.
 Aware-mode carriers and x0 no-ops cost nothing, and each policy check is
 folded in at translation.  A load to x0 writes nothing but still faults.
 
-Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block
-that crosses the mark is sampled, and a cached block sampled for the second
-time is compiled at once into one generated Python function: at most one
-compile per sample point, and only of a block live at two marks at least
-_SAMPLE_FETCHES fetches apart.  That function inlines every op and
-terminator but the policy checks, which stay calls to their closures, with
-operands as literals and written registers in locals.  The function becomes
-the block's terminator over no ops, so the block keeps its counts and its
-end, and faults, the fetch budget and dropped blocks work as before.
+Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block that
+crosses the mark is sampled, and a cached block sampled for the second time
+is compiled at once into one generated Python function: at most one compile
+per sample point.  A sample that lands in a compiled block samples the next
+block outside the region too, up to _CHASE blocks past the mark, so every
+block of a hot loop is reached.  Compiles are charged by the words they
+compile, at most one per 64 fetched, so that compiling long blocks cannot
+take over a run.  The function inlines every op and terminator but the policy
+checks, which stay calls to their closures, with operands as literals and
+written registers in locals.  It becomes the block's terminator over no ops,
+so the block keeps its counts and its end, and faults, the fetch budget and
+dropped blocks work as before.
 
-Every instruction has one body in _BODIES, which builds both tiers.
+The machine's last _REGION_BLOCKS compiled blocks that end in a jump, a
+branch or a call run as the branches of one generated region: a loop that
+dispatches on pc, runs the member's inlined body, and adds its constant
+counts.  A member's entry leads the run loop into the region, which returns
+at a pc outside it, after a member that halts, or before a member that would
+cross the next mark or the fetch budget; the run loop runs that block as it
+runs any other.  A fault in the region reports the pc and counts that the run
+loop would.  A store that drops a member dissolves the region, and the
+running region returns right after the store.  Generated source is kept by
+its shape, the forms and integers it is built from, and compiled once per
+process, so a new machine pays only to bind its own objects to the cached
+code.
+
+Every instruction has one body in _BODIES, which builds every tier.
 A load or store tests its address against data, whose end is the machine's,
 and the stack, and unpacks or packs in place on a hit; anything else calls
 its machine's miss, which reads text, stores to it under coverage and
@@ -376,19 +392,30 @@ def _predecode(word: int) -> tuple:
 
 # -- the hot tier --------------------------------------------------------------
 # Emulator._sample compiles a cached block at its second sample; the run loop
-# samples the block that crosses each mark, one every _SAMPLE_FETCHES fetches.
+# samples the block that crosses each mark, one every _SAMPLE_FETCHES fetches,
+# and up to _CHASE more past it.  Compiles may take _INTERVAL_WORDS words per
+# sample interval fetched, one per 64 fetches at 1024, so sampling every
+# block lifts the budget too.
 _SAMPLE_FETCHES = 1024
+_CHASE = 8
+_INTERVAL_WORDS = 16
+_REGION_BLOCKS = 8
+_REGION = float("inf")  # the fetch count of a region's entry: it crosses every mark
+# the terminators a region's branch can end with: its one return is its last
+# line; None is a call, which returns None once it halts
+_REGION_TERMS = frozenset({*_CONDS, "jal", "jalr", "goto", None})
 
 
-def _compile(ops, term):
-    """One function that runs ops and then term.  Each op or terminator of a
-    known form is inlined from its body, with operands as literals and its
-    other defaults (segments, struct methods, misses, state) as the block's,
-    and every other op (the policy checks) stays a call.  A body that
-    assigns dest with rd != 0 leaves rd's value in a local; the locals are
-    stored to regs before every body but a lone assignment to dest, and
-    before every call, so a call, and a fault, sees every write before it."""
-    lines, defaults = [], {}
+def _lines(ops, term, defaults: dict) -> list:
+    """The lines of a function body that runs ops and then returns term's
+    next pc.  Each op or terminator of a known form is inlined from its
+    body, with operands as literals and its other defaults (segments, struct
+    methods, misses, state) added to `defaults`, and every other op (the
+    policy checks) stays a call.  A body that assigns dest with rd != 0
+    leaves rd's value in a local; the locals are stored to regs before every
+    body but a lone assignment to dest, and before every call, so a call,
+    and a fault, sees every write before it."""
+    lines = []
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
         form = _FORMS.get(op.__code__)
@@ -408,10 +435,93 @@ def _compile(ops, term):
             unstored.add(bound["rd"])
     if form is None:
         lines[-1] = "return " + lines[-1]
-    block = _define(f"def block(regs{''.join(f', {name}' for name in defaults)}):\n"
-                    + "".join(f"    {line}\n" for line in lines), "block")
-    block.__defaults__ = tuple(defaults.values())
-    return block
+    return lines
+
+
+_GLOBALS = {"__builtins__": {}}  # of every generated function: it reads no global
+_GENERATED = {}  # the shape of a generated function -> (its code, where its defaults are)
+_GENERATED_KEPT = 512
+
+
+def _shape(ops) -> tuple:
+    """What the source generated for ops depends on: each op's form, with
+    its int operands, and where each other object that it binds, or the op
+    itself if it has no form, first appears."""
+    seen = {}
+    return tuple((code, *[value if type(value) is int else (seen.setdefault(id(value), len(seen)),)
+                          for value in op.__defaults__])
+                 if (code := op.__code__) in _FORMS else (seen.setdefault(id(op), len(seen)),)
+                 for op in ops)
+
+
+def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, lines_of):
+    """The function `name`(params, then one parameter per default) whose
+    body lines_of(defaults) builds, adding each default it needs to
+    defaults, which start as fixed.  Equal shapes make equal source, so each
+    shape is compiled once per process, and a function of a known shape is
+    its code with each default after fixed taken from the same place in its
+    ops: an op of no form, or a form's operand."""
+    known = _GENERATED.get(shape)
+    if known is None:
+        defaults = dict(fixed)
+        lines = lines_of(defaults)
+        source = (f"def {name}({params}{''.join(f', {param}' for param in defaults)}):\n"
+                  + "".join(f"    {line}\n" for line in lines))
+        [code] = [const for const in compile(source, "<rvtag generated>", "exec").co_consts
+                  if isinstance(const, types.CodeType)]
+        where = {}
+        for i, op in enumerate(ops):
+            if op.__code__ in _FORMS:
+                for k, value in enumerate(op.__defaults__):
+                    where.setdefault(id(value), (i, k))
+            else:
+                where.setdefault(id(op), (i, None))
+        if len(_GENERATED) >= _GENERATED_KEPT:
+            _GENERATED.clear()
+        known = _GENERATED[shape] = (
+            code, [where[id(value)] for value in list(defaults.values())[len(fixed):]])
+    code, slots = known
+    return types.FunctionType(code, _GLOBALS, name, (*fixed.values(), *[
+        ops[i] if k is None else ops[i].__defaults__[k] for i, k in slots]))
+
+
+def _compile(ops, term):
+    """One function that runs ops and then term: _lines' body."""
+    return _generate(("block", _shape((*ops, term))), "block", "regs", (*ops, term), {},
+                     lambda defaults: _lines(ops, term, defaults))
+
+
+def _region(members: list, writable: bool, at: list, hot: dict):
+    """One function that runs compiled blocks as branches of one loop:
+    region(regs, pc, left) runs from pc while it is a member's entry and
+    the member fits in `left` fetches.  Each member is (entry, ops, term,
+    fetches, retired, labels, end), and its branch is the body that
+    _compile inlines, with its counts taken from left and added to retired
+    and labels.  The region stops at any other pc; after a member that
+    halts, at its halting word; and where text is `writable`, after a
+    member with a store once `hot` is empty, as a store that drops a member
+    leaves it.  It leaves (pc, left, retired, labels) in `at`, also past a
+    fault, which then leaves the entry of the member it faulted in."""
+    def lines_of(defaults):
+        lines = ["retired = labels = 0", "try:", "    while True:"]
+        for k, (entry, ops, term, fetches, retired, labels, end) in enumerate(members):
+            body = _lines(ops, term, defaults)
+            body[-1] = "pc = " + body[-1].removeprefix("return ")
+            body += [f"left -= {fetches}"] + [f"retired += {retired}"] * (retired > 0)
+            body += [f"labels += {labels}"] * (labels > 0)
+            if _FORMS.get(term.__code__) is None:
+                body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
+            if writable and any(_FORMS.get(op.__code__) in _STORES for op in ops):
+                body += ["if not hot:", "    break"]
+            lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
+                      f"            if left < {fetches}:", "                break"]
+            lines += [f"            {line}" for line in body]
+        return lines + ["        else:", "            break", "finally:",
+                        "    at[:] = pc, left, retired, labels"]
+    ops = [op for _, block_ops, term, *_ in members for op in (*block_ops, term)]
+    shape = ("region", writable, _shape(ops), *[(entry, len(block_ops), *counts)
+                                                for entry, block_ops, _, *counts in members])
+    return _generate(shape, "region", "regs, pc, left", ops, {"at": at, "hot": hot}, lines_of)
 
 
 class Emulator:
@@ -440,6 +550,10 @@ class Emulator:
         self._blocks = {}
         self._entered = set()
         self._sampled = set()  # the entries of cached blocks sampled once
+        self._compiled = {}  # entry -> (ops, term) of each compiled block, in compile order
+        self._hot = {}  # entry -> compiled block of each region member
+        self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
+        self._words = 0  # the words compiled so far
         self._tags = {}
         self._labels_counted = {}  # policy.cl_addresses, in first-count order
         self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
@@ -461,13 +575,18 @@ class Emulator:
     def _text_written(self, addr: int, size: int, pc: int) -> None:
         """After the store at pc wrote text (coverage mode only): re-resolve
         each group whose carrier it wrote, and drop every block over a
-        written word or over a word of such a group."""
+        written word or over a word of such a group.  Dropping a region
+        member dissolves the region."""
         groups = [group for group in self._groups if addr - 4 < group[1] < addr + size]
         self._resolve(groups, pc)
         spans = [(addr, addr + size)] + [(start, end) for _, start, end in groups]
-        for entry in [entry for entry, block in self._blocks.items()
-                      if any(lo < block[-1] and entry < hi for lo, hi in spans)]:
+        dropped = [entry for entry, block in self._blocks.items()
+                   if any(lo < block[-1] and entry < hi for lo, hi in spans)]
+        if not self._hot.keys().isdisjoint(dropped):
+            self._dissolve()
+        for entry in dropped:
             del self._blocks[entry]
+            self._compiled.pop(entry, None)
 
     # -- translation ---------------------------------------------------------------
     def _translate(self, entry: int, limit: int = -1) -> tuple:
@@ -588,21 +707,75 @@ class Emulator:
         return op, term
 
     # -- promotion ---------------------------------------------------------------
-    def _sample(self, entry: int) -> None:
-        """The block entered at `entry` crossed a sample point.  A cached
-        block is noted the first time, and compiled at any later sample if it
-        has an op or terminator to inline, which a compiled block has not; a
-        block that a store to text dropped is compiled again once its new
-        copy is sampled.  Code that is never sampled pays nothing."""
+    def _sample(self, entry: int, fetches: int) -> bool:
+        """The block entered at `entry` crossed a sample point, `fetches`
+        into this run.  A cached block is noted the first time, and compiled
+        at any later sample if the compile budget allows; a block that a
+        store to text dropped is compiled again once its new copy is sampled.
+        Each compile remakes the region.  Code that is never sampled pays
+        nothing.  Returns True if the block is compiled already, so that the
+        block after it is sampled at once."""
         block = self._blocks.get(entry)
         if block is None:
-            return
+            return False
         if entry not in self._sampled:
             self._sampled.add(entry)
+            return False
+        fetched = self.counters.total + fetches
+        if entry in self._compiled:
+            if entry not in self._hot:  # the budget may have refused its region
+                self._remake_region(fetched)
+            return True
+        ops, n, retired, labels, term, end = block
+        if self._charge(n, fetched):
+            self._blocks[entry] = ((), n, retired, labels, _compile(ops, term), end)
+            self._compiled[entry] = (ops, term)
+            self._remake_region(fetched)
+        return False
+
+    def _charge(self, words: int, fetched: int) -> bool:
+        """Whether a compile of `words` words fits the budget after
+        `fetched` fetches, and if so, charge it."""
+        if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
+            return False
+        self._words += words
+        return True
+
+    def _remake_region(self, fetched: int) -> None:
+        """Make the region of the last _REGION_BLOCKS compiled blocks that a
+        region can hold, if that is not the region already and the budget
+        allows: each member's entry then leads to the region."""
+        members = [entry for entry, (_, term) in self._compiled.items()
+                   if _FORMS.get(term.__code__) in _REGION_TERMS][-_REGION_BLOCKS:]
+        if members == list(self._hot):
             return
-        ops, fetches, retired, labels, term, end = block
-        if any(op.__code__ in _FORMS for op in (*ops, term)):
-            self._blocks[entry] = ((), fetches, retired, labels, _compile(ops, term), end)
+        blocks = [self._hot.get(entry) or self._blocks[entry] for entry in members]
+        if not self._charge(sum(block[1] for block in blocks), fetched):
+            return
+        self._dissolve()
+        region = _region([(entry, *self._compiled[entry], *block[1:4], block[5])
+                          for entry, block in zip(members, blocks)],
+                         self._text_writable, self._at, self._hot)
+        for entry, block in zip(members, blocks):
+            self._hot[entry] = block
+            self._blocks[entry] = ((), _REGION, 0, 0, region, block[5])
+
+    def _dissolve(self) -> None:
+        """Give each region member back its compiled block, and empty `hot`,
+        which ends a running region at its next check."""
+        for entry, block in self._hot.items():
+            if entry in self._blocks:
+                self._blocks[entry] = block
+        self._hot.clear()
+
+    def _upto(self, exc, entry: int, fetches: int, retired: int, labels: int) -> tuple:
+        """(pc, fetches, retired, labels) where exc stopped the block entered
+        at `entry`, from the counts before it: the words before exc.pc ran,
+        and the word at exc.pc counts as fetched if it is a carrier, and as
+        seen if a label."""
+        _, n, n_ret, n_lab, _, _ = self._translate(entry, ((exc.pc - entry) >> 2) + 1)
+        insn = self._tags.get(exc.pc, _UNTAGGED) is not None  # not a carrier
+        return exc.pc, fetches + n - insn, retired + n_ret - insn, labels + n_lab
 
     # -- main loop -----------------------------------------------------------
     def run(self):
@@ -610,33 +783,53 @@ class Emulator:
         if state.halted:
             return state, counters, policy
         regs, blocks, translate = state.regs, self._blocks, self._translate
+        hot, at = self._hot, self._at
         budget = self.max_insns - counters.total
-        sample = min(budget, _SAMPLE_FETCHES)  # the fetch count of the next sample point
+        mark = sample = min(budget, _SAMPLE_FETCHES)  # the next sample point, and the next sample
+        chased = 0  # the blocks sampled past the last mark
         fetches = retired = labels = 0  # added to counters at exit
         pc = state.pc
         try:
             while True:
                 ops, n, n_ret, n_lab, term, end = blocks.get(pc) or translate(pc)
                 if n > sample - fetches:
+                    if n == _REGION:  # a region member: it runs the region up to the mark
+                        region, (ops, n, n_ret, n_lab, term, end) = term, hot[pc]
+                        if n <= mark - fetches:
+                            try:
+                                try:
+                                    region(regs, pc, mark - fetches)
+                                finally:  # where it stopped, past a fault at the faulting member
+                                    pc, left, n_ret, n_lab = at
+                                    fetches, retired = mark - left, retired + n_ret
+                                    labels += n_lab
+                            except (PolicyViolation, BadInstruction) as exc:
+                                pc, fetches, retired, labels = self._upto(
+                                    exc, pc, fetches, retired, labels)
+                                raise
+                            if state.halted:
+                                break
+                            continue
                     if n > budget - fetches:  # run to the budget one word at a time
                         if fetches >= budget:
                             raise LimitExceeded(
                                 f"fetched {counters.total + fetches} words without exiting")
                         ops, n, n_ret, n_lab, term, end = translate(pc, 1)
-                    else:  # the block crosses a sample point
-                        sample = min(budget, fetches + n + _SAMPLE_FETCHES)
-                        self._sample(pc)
+                    else:
+                        if n > mark - fetches:  # the block crosses the mark
+                            mark = min(budget, fetches + n + _SAMPLE_FETCHES)
+                            chased = 0
+                        if self._sample(pc, fetches) and chased < _CHASE:
+                            chased += 1  # it is compiled: the block after it is sampled too
+                            sample = fetches + n
+                        else:
+                            sample = mark
                 try:
                     for op in ops:
                         op(regs)
                     next_pc = term(regs)
                 except (PolicyViolation, BadInstruction) as exc:
-                    # the words before the faulting one ran; it counts as
-                    # fetched if it is a carrier, and as seen if a label
-                    upto = translate(pc, ((exc.pc - pc) >> 2) + 1)
-                    insn = self._tags.get(exc.pc, _UNTAGGED) is not None  # not a carrier
-                    pc, fetches, retired = exc.pc, fetches + upto[1] - insn, retired + upto[2] - insn
-                    labels += upto[3]
+                    pc, fetches, retired, labels = self._upto(exc, pc, fetches, retired, labels)
                     raise
                 fetches += n
                 retired += n_ret

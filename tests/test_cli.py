@@ -477,15 +477,19 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
     # rewritten to `addi x0, x0, 0`, it runs clean in compat mode, but the
-    # coverage map needs the labels, whose carrier is the image's fault
+    # coverage map needs the labels, whose carrier is the image's fault: run
+    # and enforce both fail before they run it, and print nothing
     text = image.text[:offset] + (0x00000013).to_bytes(4, "little") + image.text[offset + 4:]
     write_image(dataclasses.replace(image, text=text), path)
+    assert main(["run", "--mode", "compat", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("exit=7 reason=exit ")
     dump = workspace / "out.json"
-    assert main(["run", "--mode", "compat", "--dump-coverage", str(dump),
-                 str(path)]) == cli.EXIT_BUILD
-    out, err = capsys.readouterr()
-    assert out.startswith("exit=7 reason=exit ")
-    assert err == f"rvtag: image error: tag slot {carrier:#x}: 0x00000013 is not a lui x0 word\n"
+    for command in (["run", "--mode", "compat"], ["run", "--mode", "aware"], ["enforce"]):
+        assert main([*command, "--dump-coverage", str(dump), str(path)]) == cli.EXIT_BUILD
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"rvtag: image error: tag slot {carrier:#x}: "
+                       "0x00000013 is not a lui x0 word\n"), command
     assert carrier == 0x10000 and not dump.exists()
 
 

@@ -1,9 +1,11 @@
 import ast
+import collections
 import copy
 import dataclasses
 import hashlib
 import os
 import random
+import types
 
 import pytest
 
@@ -1303,22 +1305,31 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, N3, tagged=True))
     load_miss, store_miss = machine._access[3:]
-    blocks, misses = [], []
-    compile_block = emulator._compile
+    blocks, regions, misses = [], [], []
+    compile_block, make_region = emulator._compile, emulator._region
+
+    def counted(function):
+        """function, with each miss it binds counted in misses"""
+        function.__defaults__ = tuple(
+            (lambda *args, miss=value: misses.append(miss) or miss(*args))
+            if value is load_miss or value is store_miss else value
+            for value in function.__defaults__)
+        return function
 
     def spy(ops, term):
         block = compile_block(ops, term)
         code = block.__code__
-        bound = dict(zip(code.co_varnames[1:code.co_argcount], block.__defaults__))
-        blocks.append((len(ops), bound))
-        block.__defaults__ = tuple(
-            (lambda *args, miss=value: misses.append(miss) or miss(*args))
-            if value is load_miss or value is store_miss else value for value in bound.values())
-        return block
+        blocks.append((len(ops), dict(zip(code.co_varnames[1:code.co_argcount],
+                                          block.__defaults__))))
+        return counted(block)
 
     monkeypatch.setattr(emulator, "_compile", spy)
+    # the loop runs in its region, which binds the misses too
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: regions.append(args) or counted(make_region(*args)))
     machine.run()
     assert machine.state.regs[10] == a0
+    assert regions
     [loop] = [bound for count, bound in blocks if count == 12]  # the loop body, up to its jalr
     values = list(loop.values())
     assert sum(value is load_miss for value in values) == 1
@@ -1740,6 +1751,222 @@ def test_accesses_of_three_widths_in_one_block_bind_each_struct_once(forced, mon
         k = 300
         a0 = -3 * k - 3 * k * (k + 1) // 2 + (5 * (k - 1) & 0xFF) + 5
         assert error is None and regs[10] == a0 & (1 << 64) - 1, mode
+
+
+# ---------------------------------------------------------------------------
+# regions: the compiled blocks of a hot loop run as branches of one function
+
+@pytest.fixture
+def regions(monkeypatch):
+    """Every region a run makes is wrapped to tally what it does: the
+    `fetches` run inside it, the `faults` that left it, and the calls in
+    which a store to text `dissolved` it.  `made` lists the regions
+    themselves."""
+    spy = types.SimpleNamespace(tally=collections.Counter(), made=[])
+    make_region = emulator._region
+
+    def spied(members, writable, at, hot):
+        region = make_region(members, writable, at, hot)
+        spy.made.append(region)
+
+        def run_region(regs, pc, left):
+            try:
+                region(regs, pc, left)
+            except (PolicyViolation, BadInstruction):
+                spy.tally["faults"] += 1
+                raise
+            finally:
+                spy.tally["fetches"] += left - at[1]
+                spy.tally["dissolved"] += not hot
+        return run_region
+
+    monkeypatch.setattr(emulator, "_region", spied)
+    return spy
+
+
+class _Dispatches(dict):
+    """A block cache that counts the run loop's look-ups, by entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = collections.Counter()
+
+    def get(self, entry):
+        self.counts[entry] += 1
+        return super().get(entry)
+
+
+KERNEL_CELLS = [(None, "compat"), (N3, "compat"), (N3, "aware"), (CFI, "aware"),
+                (UNARITH, "aware"), (COVERAGE, "aware")]
+
+
+@pytest.mark.parametrize("config,mode", KERNEL_CELLS,
+                         ids=lambda cell: cell if isinstance(cell, str) else getattr(
+                             cell, "policy", "untagged"))
+def test_every_hot_kernel_block_compiles_and_runs_in_a_region(regions, monkeypatch, config,
+                                                               mode):
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    image = build_image(kernel, config or N3, tagged=config is not None)
+    interval = emulator._SAMPLE_FETCHES
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    cold = Emulator(image, mode=mode)
+    cold._blocks = dispatches = _Dispatches()
+    cold.run()
+    # the loop body (two blocks where its store ends one), step and the tail
+    hot = {entry for entry, count in dispatches.counts.items() if count >= 1000}
+    assert len(hot) == (4 if config is COVERAGE else 3)
+    unsampled = _execution_record(image, mode)
+    assert not regions.made
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+    assert _execution_record(image, mode) == unsampled
+    assert ast.literal_eval(unsampled.decode())[1][10] == a0
+    assert regions.tally["fetches"] > 0.8 * cold.counters.total
+    first = Emulator(image, mode=mode)
+    first.run()
+    assert hot <= set(first._hot)  # each compiled, and a branch of the region
+    # a second machine compiles nothing again: it shares the code of each
+    # block and of the region
+    made = len(regions.made)
+    second = Emulator(image, mode=mode)
+    second.run()
+    assert first._hot.keys() == second._hot.keys()
+    for entry, block in first._hot.items():
+        assert second._hot[entry][4].__code__ is block[4].__code__
+    assert regions.made[-1].__code__ is regions.made[made - 1].__code__
+
+
+@pytest.mark.parametrize("config,mode", [(N3, "compat"), (CFI, "aware"), (COVERAGE, "aware")],
+                         ids=["compat", "cfi", "coverage"])
+def test_a_region_stops_at_the_mark_and_at_the_budget_exactly(regions, monkeypatch, config,
+                                                              mode):
+    # marks fall inside a running region at 1024-fetch intervals, and each
+    # budget here ends one: a window of more than one 24-fetch iteration
+    kernel, _ = _bench_workloads().kernel(random.Random(3), 1500)
+    image = build_image(kernel, config, tagged=True)
+    interval = emulator._SAMPLE_FETCHES
+    for budget in range(4988, 5020):
+        regions.tally.clear()
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        record = _execution_record(image, mode, budget)
+        assert regions.tally["fetches"] > 0, budget
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+        assert _execution_record(image, mode, budget) == record, budget
+        assert ast.literal_eval(record.decode())[0] == ("LimitExceeded",)
+
+
+@pytest.mark.parametrize("name", HOT_CASES)
+def test_a_fault_inside_a_region_is_the_interpreted_fault(regions, monkeypatch, name):
+    # short sample intervals put marks at every phase of the loop, so that
+    # the region is running when the fault, the budget or the store comes
+    build, mode, budget, outcome = HOT_CASES[name]
+    image = build()
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    unsampled = _execution_record(image, mode, budget)
+    for interval in range(4, 40):
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        assert _execution_record(image, mode, budget) == unsampled, interval
+    assert regions.tally["fetches"] > 0
+    if outcome in ("MemFault", "UnsignedOverflow", "CfiMismatch"):
+        assert regions.tally["faults"] > 0
+
+
+REGION_PATCH = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la t0, scratch\n"
+    "    la t2, main\n"
+    "    addi t2, t2, OFFSET\n"
+    "    li t1, NEW_WORD\n"
+    "    li s3, 200\n"
+    "loop:\n"
+    "    sw t1, 0(t0)\n"  # ends its block; after 150 iterations, it rewrites bump's addi
+    "    addi s3, s3, -1\n"
+    "    li t3, 50\n"
+    "    bne s3, t3, bump\n"
+    "    mv t0, t2\n"
+    "bump:\n"
+    "    addi a0, a0, 1\n"
+    "    bne s3, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\n"
+    "scratch:\n"
+    "    .dword 0\n"
+)
+
+
+def test_a_store_that_drops_a_region_member_ends_the_region(regions, monkeypatch):
+    # the store block and bump's block are branches of one region when the
+    # store first rewrites bump's addi: the region ends after the store, and
+    # bump runs its new word at once
+    image = _self_patch_image(REGION_PATCH)
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    unsampled = _execution_record(image, "aware")
+    assert ast.literal_eval(unsampled.decode())[1][10] == 150 + 50 * 100
+    for interval in range(4, 40):
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        assert _execution_record(image, "aware") == unsampled, interval
+    assert regions.tally["dissolved"] > 0
+
+
+def test_a_region_member_that_halts_ends_the_run_at_its_halting_word(regions, monkeypatch):
+    # the ecall tagged BCF is a call, so its block joins the region; the last
+    # iteration exits through it
+    program = assemble(
+        "main:\n"
+        "    li s3, 300\n"
+        "loop:\n"
+        "    li a7, 64\n"
+        "    addi s3, s3, -1\n"
+        "    bne s3, x0, write\n"
+        "    li a7, 93\n"
+        "    j write\n"
+        "write:\n"
+        "    andi a0, s3, 63\n"
+        "    addi a0, a0, 48\n"
+        "    ecall\n"
+        "    j loop\n"
+    )
+    set_tag(program, (0, 8), "BCF", COVERAGE)
+    image = link(program, COVERAGE, tagged=True)
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    unsampled = _execution_record(image, "aware")
+    error, regs, pc, exit_code, stop_reason, stdout = ast.literal_eval(unsampled.decode())[:6]
+    assert error is None and stop_reason == "exit" and exit_code == 48 and len(stdout) == 299
+    for interval in range(4, 40):
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        assert _execution_record(image, "aware") == unsampled, interval
+    assert regions.tally["fetches"] > 0
+
+
+SLED = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la t0, sled\n"
+    "next:\n"
+    "    li s4, 4\n"
+    "again:\n"
+    "    jalr ra, t0, 0\n"  # the sled from t0 to its end, four times
+    "    addi s4, s4, -1\n"
+    "    bne s4, x0, again\n"
+    "    addi t0, t0, 4\n"  # then from the next word
+    "    j next\n"
+    ".globl sled\nsled:\n" + "    ld a1, -8(sp)\n" * 2000 + "    ret\n"
+)
+
+
+def test_compiles_stay_within_the_compile_budget(monkeypatch):
+    # each entry into the sled is one block of up to 2001 words, hot enough
+    # to compile; the budget holds the words compiled to one per 64 fetched
+    words = []
+    compile_block, make_region = emulator._compile, emulator._region
+    monkeypatch.setattr(emulator, "_compile", lambda ops, term: words.append(len(ops) + 1)
+                        or compile_block(ops, term))
+    monkeypatch.setattr(emulator, "_region", lambda members, *args: words.append(
+        sum(member[3] for member in members)) or make_region(members, *args))
+    machine = Emulator(build_image(SLED, N3, tagged=False), max_insns=300_000)
+    with pytest.raises(LimitExceeded):
+        machine.run()
+    assert words and max(words) > 1000
+    assert sum(words) == machine._words <= machine.counters.total // 64
 
 
 def test_a_negative_budget_is_rejected():
