@@ -13,12 +13,14 @@ a fetch of anything but a whole text word (in data or the stack, past the
 end, misaligned) is a BadInstruction at that pc.  The slot schedule is
 resolved once, at load, into a pc -> tag dict where None marks a carrier:
 tagplan.slot_tags reads it in aware mode, and compat mode marks only the
-carriers of tagplan.carrier_groups.  Code runs as basic blocks, translated
-on entry and cached by entry pc once entered twice: closures with their
-operands bound, constant counts, and one terminator that returns the next
-pc.
-Aware-mode carriers and x0 no-ops cost nothing, and each policy check is
-folded in at translation.  A load to x0 writes nothing but still faults.
+carriers of tagplan.carrier_groups.  Code runs as basic blocks of at most
+_BLOCK_WORDS words, translated on entry and cached by entry pc once entered
+twice: closures with their operands bound, constant counts, and one
+terminator that returns the next pc.  The cap keeps the cache linear in
+text, however the entries into one long straight run fall.  Aware-mode
+carriers and x0 no-ops cost nothing, and each policy check is an op or a
+checked form of its word, made at translation.  A load to x0 writes nothing
+but still faults.
 
 Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block that
 crosses the mark is sampled, and a cached block sampled for the second time
@@ -27,16 +29,14 @@ per sample point.  A sample that lands in a compiled block samples the next
 block outside the region too, up to _CHASE blocks past the mark, so every
 block of a hot loop is reached.  Compiles are charged by the words they
 compile, at most one per 64 fetched, so that compiling long blocks cannot
-take over a run.  The function inlines every op and terminator but the policy
-checks, which stay calls to their closures, with operands as literals and
-written registers in locals.  It becomes the block's terminator over no ops,
-so the block keeps its counts and its end, and faults, the fetch budget and
-dropped blocks work as before.
+take over a run.  The function inlines every op, check and terminator, with
+operands as literals and written registers in locals.  It becomes the
+block's terminator over no ops, so the block keeps its counts and its end,
+and faults, the fetch budget and dropped blocks work as before.
 
-The machine's last _REGION_BLOCKS compiled blocks that end in a jump, a
-branch or a call run as the branches of one generated region: a loop that
-dispatches on pc, runs the member's inlined body, and adds its constant
-counts.  A member's entry leads the run loop into the region, which returns
+The machine's last _REGION_BLOCKS compiled blocks run as the branches of one
+generated region: a loop that dispatches on pc, runs the member's inlined
+body, and adds its constant counts.  A member's entry leads the run loop into the region, which returns
 at a pc outside it, after a member that halts, or before a member that would
 cross the next mark or the fetch budget; the run loop runs that block as it
 runs any other.  A fault in the region reports the pc and counts that the run
@@ -46,12 +46,12 @@ its shape, the forms and integers it is built from, and compiled once per
 process, so a new machine pays only to bind its own objects to the cached
 code.
 
-Every instruction has one body in _BODIES, which builds every tier.
-A load or store tests its address against data, whose end is the machine's,
+Every instruction and every policy check has one body in _BODIES, which
+builds every tier.  A load or store tests its address against data, whose end is the machine's,
 and the stack, and unpacks or packs in place on a hit; anything else calls
 its machine's miss, which reads text, stores to it under coverage and
-raises every MemFault.  The generated source holds only fixed names and
-integers that rvtag formats.
+raises every MemFault.  The generated source holds only fixed names,
+strings and integers that rvtag formats.
 """
 
 from __future__ import annotations
@@ -152,6 +152,7 @@ class PolicyState:
 
 
 _UNTAGGED = -1  # schedule value of a pc outside every carrier group
+_BLOCK_WORDS = 64  # the most words a translated block spans
 
 
 def _sext32(value: int) -> int:
@@ -211,11 +212,12 @@ def _access_body(mnemonic: str, fmt: str) -> str:
 
 # An op's body writes rd's value to dest.  A body that is one assignment to
 # dest can neither fault nor read regs, so a hot block runs it without first
-# storing the registers it holds in locals.  A terminator returns the next
-# pc, or None once it halts the machine's state: target is pc + imm and
-# after is pc + 4.  An ecall with a7=93 exits with code a0, one with a7=64
-# writes the byte in a0, and any other stops the machine too, so a bare
-# ecall is a clean one-instruction exit.
+# storing the registers it holds in locals.  A terminator's one return, its
+# last line, gives the next pc, or None once it halts the machine's state:
+# target is pc + imm and after is pc + 4.  An ecall with a7=93 exits with
+# code a0, one with a7=64 writes the byte in a0, and any other stops the
+# machine too, so a bare ecall is a clean one-instruction exit.  A body's
+# '...' strings are kept as written.
 _BODIES = {
     **{mnemonic: f"dest = {expr}" for mnemonic, expr in _EXPRS.items()},
     "auipc": "dest = target",
@@ -224,24 +226,81 @@ _BODIES = {
     "jal": "if rd:\n    regs[rd] = after\nreturn target",
     "jalr": "to = (a + i) & M & ~1\nif rd:\n    regs[rd] = after\nreturn to",
     "ecall": (f"if regs[17] == {WRITE_SYSCALL}:\n    state.stdout.append(regs[10] & 0xFF)\n"
-              f"    return after\nstate.halted = True\nstate.exit_code = regs[10]\n"
-              f"state.stop_reason = 'exit' if regs[17] == {EXIT_SYSCALL} else 'ecall'"),
-    "ebreak": "state.halted = True\nstate.stop_reason = 'ebreak'",
-    "goto": "return target",  # a fall-through: made by _goto, not by a factory
+              f"else:\n    state.halted = True\n    state.exit_code = regs[10]\n"
+              f"    state.stop_reason = 'exit' if regs[17] == {EXIT_SYSCALL} else 'ecall'\n"
+              f"return None if state.halted else after"),
+    "ebreak": "state.halted = True\nstate.stop_reason = 'ebreak'\nreturn None",
+    "goto": "return target",  # a fall-through
 }
+
+
+def _unsigned(mnemonic: str) -> str:
+    """The UN_ARTH check of an add or a sub: its operands, as unsigned
+    values of its width, must not carry out or borrow."""
+    width, mask = (32, "W") if mnemonic.endswith("w") else (64, "M")
+    test, detail = (("x < y", "%#x - %#x borrows") if mnemonic.startswith("sub")
+                    else (f"x + y > {mask}", f"%#x + %#x carries out of {width} bits"))
+    return (f"x = a & {mask}\ny = {'i' if mnemonic.startswith('addi') else 'b'} & {mask}\n"
+            f"if {test}:\n    raise PolicyViolation('UnsignedOverflow', pc, '{detail}' % (x, y))\n")
+
+
+def _counted(body: str) -> str:
+    """A terminator's body under BCF: it counts the edge it takes, from pc
+    to its next pc, or to pc itself once it halts."""
+    head, _, last = body.rpartition("\n")
+    return (head + "\n" * bool(head) + "to = " + last.removeprefix("return ")
+            + "\nper_site = bcf.setdefault(pc, {})\nedge = pc if to is None else to\n"
+              "per_site[edge] = per_site.get(edge, 0) + 1\nreturn to")
+
+
+# The policy checks, built as the instructions are.  Under cfi, a checked
+# jalr needs the value of its site label, the label word right before it, and
+# arms the entry check of the block it lands in with that value.  A block's
+# entry check clears a site label's value, unless the block starts with the
+# checked jalr it is for, which then checks its entry itself.  A check on a
+# word with a body of its own is that body with the check's lines around it.
+_ENTERED = ("if policy.awaiting_entry is not None:\n    raise PolicyViolation("
+            "'CfiMissingEntryLabel', pc, 'computed call landed on an unlabelled instruction')\n")
+_BODIES.update({
+    "entry": _ENTERED + "policy.pending_cfl = None",
+    "entry label": ("expected = policy.awaiting_entry\nif expected is not None and expected != i:\n"
+                    "    raise PolicyViolation('CfiMismatch', pc, "
+                    "'entry label %#x != call-site label %#x' % (i, expected))\n"
+                    "policy.awaiting_entry = policy.pending_cfl = None"),
+    "site label": "policy.pending_cfl = i",
+    ("jalr", "CFL"): (_ENTERED + "if policy.pending_cfl is None:\n    raise PolicyViolation("
+                      "'CfiMissingSiteLabel', pc, 'checked jalr without a site label')\n"
+                      "policy.awaiting_entry = policy.pending_cfl\npolicy.pending_cfl = None\n"
+                      + _BODIES["jalr"]),
+    # an add or sub to x0 writes nothing but is still checked
+    **{(mnemonic, "UN_ARTH"): _unsigned(mnemonic) + "if rd:\n    " + _BODIES[mnemonic]
+       for mnemonic in codec.ADDSUB_MNEMONICS},
+    # the write-back saturates, and the block over the label stays
+    "CL": ("word = unpack(text, offset)[0]\nif word >> 12 < 0xFFFFF:\n"
+           "    pack(text, offset, word + 4096)\nif pc not in counted:\n    counted[pc] = None"),
+    "CI": "counts[pc] = counts.get(pc, 0) + 1",
+    **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic])
+       for mnemonic in (*_CONDS, "jal", "jalr", "ecall", "ebreak", "goto")},
+})
+_PACKED = {**_ACCESSES, "CL": "<I"}  # the struct format of each body that packs or unpacks
 # operand -> the words of a body that name it, and how a factory derives the
-# operands that depend on its pc or its machine.  m is a terminator's
-# Emulator, whose state an ecall or ebreak binds, and an access's (data,
-# stack, end of data, load miss, store miss); unpack and pack are its
-# struct's.
+# operands that depend on its pc or its machine.  m is the Emulator of a
+# terminator and of an op made for a check alone, whose state an ecall or
+# ebreak binds and whose policy state a check binds, and any other op's
+# _access, the (data, stack, end of data, load miss, store miss) an access
+# binds; unpack and pack are a body's struct's.
 _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
-             **{word: (word,) for word in ("target", "after", "end", "data", "stack", "unpack",
-                                           "pack", "load", "store", "state", "pc")}}
+             **{word: (word,) for word in (
+                 "target", "after", "end", "data", "stack", "unpack", "pack", "load", "store",
+                 "state", "pc", "policy", "counts", "bcf", "text", "offset", "counted",
+                 "PolicyViolation")}}
 _DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m[0]",
-            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]", "state": "m.state"}
-_WORDS = re.compile(r"\b(?:%s)\b" % "|".join(  # the words a body can bind
+            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]", "state": "m.state",
+            "policy": "m.policy", "counts": "m.policy.ci_counts", "bcf": "m.policy.bcf",
+            "text": "m.memory.text", "offset": f"pc - {TEXT_BASE}", "counted": "m._labels_counted"}
+_WORDS = re.compile(r"'[^']*'|\b(?:%s)\b" % "|".join(  # a string, or a word a body can bind
     [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
-_FORMS = {}  # the code of each generated op and terminator -> its mnemonic
+_FORMS = {}  # the code of each generated op and terminator -> its key in _BODIES
 
 
 def _fill(text: str, names: dict) -> str:
@@ -251,7 +310,8 @@ def _fill(text: str, names: dict) -> str:
 
 def _define(source: str, name: str, env: dict | None = None):
     """The function `name` that source defines, with env as its globals.
-    Sources are rvtag's own: fixed names and integers that it formats."""
+    Sources are rvtag's own: fixed names, strings and integers that it
+    formats."""
     namespace = {}
     exec(compile(source, "<rvtag generated>", "exec"), {"__builtins__": {}, **(env or {})},
          namespace)
@@ -259,33 +319,36 @@ def _define(source: str, name: str, env: dict | None = None):
 
 
 @functools.cache
-def _factory(mnemonic: str):
-    """The factory of the form of a mnemonic, built on first use:
-    make(rd, rs1, rs2, imm) of a pure op, make(m, pc, rd, rs1, rs2, imm) of
-    any other.  The code of the op it makes is its form's in _FORMS."""
-    body = _BODIES[mnemonic]
+def _factory(form):
+    """The factory of a form, a mnemonic, a check, or a (mnemonic, effect)
+    pair, built on first use from its body: make(rd, rs1, rs2, imm) of a
+    pure op, make(m, pc, rd, rs1, rs2, imm) of any other.  The code of the
+    op it makes is its form's in _FORMS."""
+    body = _BODIES[form]
     words = set(_WORDS.findall(body))
     params = ", ".join(f"{param}={_DERIVED.get(param, param)}"
                        for param, named in _OPERANDS.items() if words.intersection(named))
     cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "dest": "regs[rd]"})
-    signature = "rd, rs1, rs2, imm" if mnemonic in _EXPRS else "m, pc, rd, rs1, rs2, imm"
-    access = struct.Struct(_ACCESSES[mnemonic]) if mnemonic in _ACCESSES else None
+    signature = "rd, rs1, rs2, imm" if form in _EXPRS else "m, pc, rd, rs1, rs2, imm"
+    env = {"PolicyViolation": PolicyViolation}
+    if form in _PACKED:
+        packed = struct.Struct(_PACKED[form])
+        env.update(unpack=packed.unpack_from, pack=packed.pack_into)
     make = _define(_fill(f"def make({signature}):\n    def op(regs, {params}):\n"
                          + "".join(f"        {line}\n" for line in cold.splitlines())
-                         + "    return op\n", _CONSTANTS), "make",
-                   access and {"unpack": access.unpack_from, "pack": access.pack_into})
+                         + "    return op\n", _CONSTANTS), "make", env)
     [code] = [const for const in make.__code__.co_consts if isinstance(const, types.CodeType)]
-    _FORMS[code] = mnemonic
+    _FORMS[code] = form
     return make
 
 
 def _operands(op, held, defaults) -> tuple:
-    """(operands, names) of an op of a known form in a hot block: the
-    operands it binds, read back from its defaults, and the words of its
-    body mapped to their text.  A register read is its local if held, else
-    regs[N], and 0 for x0; dest is rd's local; an int is its literal; any
-    other operand becomes a default of the block, bound once under its word,
-    or under the word and a number if another object holds that name."""
+    """(operands, names) of an op in a hot block: the operands it binds,
+    read back from its defaults, and the words of its body mapped to their
+    text.  A register read is its local if held, else regs[N], and 0 for x0;
+    dest is rd's local; an int is its literal; any other operand becomes a
+    default of the block, bound once under its word, or under the word and a
+    number if another object holds that name."""
     code = op.__code__
     bound = dict(zip(code.co_varnames[1:code.co_argcount], op.__defaults__))
     names = dict(_CONSTANTS)
@@ -328,37 +391,11 @@ def _misses(text: bytearray, written) -> tuple:
     return load, store
 
 
-# -- ops: op(regs) runs one instruction.  Pure ones are made from the word
-# alone and shared by every pc holding it; the rest also take their pc and
-# their machine, or for an access, the machine's _access.
-
-def _pending(policy, value):
-    """The op of a CFL site label: its value is for the checked jalr after it."""
-    def op(regs, policy=policy, value=value):
-        policy.pending_cfl = value
-    return op
-
-
-def _cfi_entry(policy, pc, label, jalr):
-    """The first op of every block under cfi: after a checked jalr, the check
-    of the block's first non-carrier word, at pc (label is the value of a CFL
-    label there, else None).  Only a checked jalr keeps a site label's value."""
-    def op(regs, policy=policy, pc=pc, label=label, jalr=jalr):
-        expected = policy.awaiting_entry
-        if expected is not None:
-            if label is None:
-                raise PolicyViolation("CfiMissingEntryLabel", pc,
-                                      "computed call landed on an unlabelled instruction")
-            if label != expected:
-                raise PolicyViolation("CfiMismatch", pc,
-                                      f"entry label {label:#x} != call-site label {expected:#x}")
-            policy.awaiting_entry = None
-        if not jalr:
-            policy.pending_cfl = None
-    return op
-
-
-# -- terminators: term(regs) ends a block and returns the next pc, None once halted
+# -- ops: op(regs) runs one instruction or check.  Pure ones are made from
+# the word alone and shared by every pc holding it; the rest also take their
+# pc and their machine, or for an access, the machine's _access.  A
+# terminator, term(regs), ends a block and returns the next pc, or None once
+# halted.
 
 def _goto(target):
     return lambda regs, target=target: target
@@ -401,40 +438,29 @@ _CHASE = 8
 _INTERVAL_WORDS = 16
 _REGION_BLOCKS = 8
 _REGION = float("inf")  # the fetch count of a region's entry: it crosses every mark
-# the terminators a region's branch can end with: its one return is its last
-# line; None is a call, which returns None once it halts
-_REGION_TERMS = frozenset({*_CONDS, "jal", "jalr", "goto", None})
 
 
 def _lines(ops, term, defaults: dict) -> list:
     """The lines of a function body that runs ops and then returns term's
-    next pc.  Each op or terminator of a known form is inlined from its
-    body, with operands as literals and its other defaults (segments, struct
-    methods, misses, state) added to `defaults`, and every other op (the
-    policy checks) stays a call.  A body that assigns dest with rd != 0
-    leaves rd's value in a local; the locals are stored to regs before every
-    body but a lone assignment to dest, and before every call, so a call,
-    and a fault, sees every write before it."""
+    next pc: the body of each op, then term's, whose one return is the last
+    line.  Operands are literals, and the other defaults of a body (segments,
+    struct methods, misses, machine and policy state) are added to
+    `defaults`.  A body that assigns dest with rd != 0 leaves rd's value in a
+    local; the locals are stored to regs before every body but a lone
+    assignment to dest, so every other body, and a fault, sees every write
+    before it."""
     lines = []
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
-        form = _FORMS.get(op.__code__)
-        body = _BODIES.get(form, "")
+        body = _BODIES[_FORMS[op.__code__]]
         if not body.startswith("dest = ") or "\n" in body:
             lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
             unstored.clear()
-        if form is None:
-            lines.append(f"f{len(defaults)}(regs)")
-            defaults[f"f{len(defaults)}"] = op
-            held.clear()
-            continue
         bound, names = _operands(op, held, defaults)
         lines += _fill(body, names).splitlines()
         if bound.get("rd") and "dest" in body:  # no other word of a body holds "dest"
             held.add(bound["rd"])
             unstored.add(bound["rd"])
-    if form is None:
-        lines[-1] = "return " + lines[-1]
     return lines
 
 
@@ -445,13 +471,12 @@ _GENERATED_KEPT = 512
 
 def _shape(ops) -> tuple:
     """What the source generated for ops depends on: each op's form, with
-    its int operands, and where each other object that it binds, or the op
-    itself if it has no form, first appears."""
+    its int operands, and where each other object that it binds first
+    appears."""
     seen = {}
-    return tuple((code, *[value if type(value) is int else (seen.setdefault(id(value), len(seen)),)
-                          for value in op.__defaults__])
-                 if (code := op.__code__) in _FORMS else (seen.setdefault(id(op), len(seen)),)
-                 for op in ops)
+    return tuple((op.__code__, *[
+        value if type(value) is int else (seen.setdefault(id(value), len(seen)),)
+        for value in op.__defaults__]) for op in ops)
 
 
 def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, lines_of):
@@ -459,8 +484,8 @@ def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, line
     body lines_of(defaults) builds, adding each default it needs to
     defaults, which start as fixed.  Equal shapes make equal source, so each
     shape is compiled once per process, and a function of a known shape is
-    its code with each default after fixed taken from the same place in its
-    ops: an op of no form, or a form's operand."""
+    its code with each default after fixed taken from the same operand of
+    the same op."""
     known = _GENERATED.get(shape)
     if known is None:
         defaults = dict(fixed)
@@ -471,18 +496,15 @@ def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, line
                   if isinstance(const, types.CodeType)]
         where = {}
         for i, op in enumerate(ops):
-            if op.__code__ in _FORMS:
-                for k, value in enumerate(op.__defaults__):
-                    where.setdefault(id(value), (i, k))
-            else:
-                where.setdefault(id(op), (i, None))
+            for k, value in enumerate(op.__defaults__):
+                where.setdefault(id(value), (i, k))
         if len(_GENERATED) >= _GENERATED_KEPT:
             _GENERATED.clear()
         known = _GENERATED[shape] = (
             code, [where[id(value)] for value in list(defaults.values())[len(fixed):]])
     code, slots = known
     return types.FunctionType(code, _GLOBALS, name, (*fixed.values(), *[
-        ops[i] if k is None else ops[i].__defaults__[k] for i, k in slots]))
+        ops[i].__defaults__[k] for i, k in slots]))
 
 
 def _compile(ops, term):
@@ -496,11 +518,11 @@ def _region(members: list, writable: bool, at: list, hot: dict):
     region(regs, pc, left) runs from pc while it is a member's entry and
     the member fits in `left` fetches.  Each member is (entry, ops, term,
     fetches, retired, labels, end), and its branch is the body that
-    _compile inlines, with its counts taken from left and added to retired
-    and labels.  The region stops at any other pc; after a member that
-    halts, at its halting word; and where text is `writable`, after a
-    member with a store once `hot` is empty, as a store that drops a member
-    leaves it.  It leaves (pc, left, retired, labels) in `at`, also past a
+    _compile inlines, with its return an assignment to pc, and its counts
+    taken from left and added to retired and labels.  The region stops at
+    any other pc; after a member that halts, at its halting word; and where
+    text is `writable`, after a member with a store once `hot` is empty, as
+    a store that drops a member leaves it.  It leaves (pc, left, retired, labels) in `at`, also past a
     fault, which then leaves the entry of the member it faulted in."""
     def lines_of(defaults):
         lines = ["retired = labels = 0", "try:", "    while True:"]
@@ -509,7 +531,7 @@ def _region(members: list, writable: bool, at: list, hot: dict):
             body[-1] = "pc = " + body[-1].removeprefix("return ")
             body += [f"left -= {fetches}"] + [f"retired += {retired}"] * (retired > 0)
             body += [f"labels += {labels}"] * (labels > 0)
-            if _FORMS.get(term.__code__) is None:
+            if "state.halted" in _BODIES[_FORMS[term.__code__]]:  # its pc is None once halted
                 body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
             if writable and any(_FORMS.get(op.__code__) in _STORES for op in ops):
                 body += ["if not hot:", "    break"]
@@ -592,15 +614,17 @@ class Emulator:
     def _translate(self, entry: int, limit: int = -1) -> tuple:
         """The block entered at `entry`, of at most `limit` fetches if given:
         (ops, fetches, retired, labels, terminator, end).  It ends at a
-        control transfer or a BCF-tagged word, and where text is writable,
-        after a store.  A CFL label's value is only for a checked jalr right
-        after it.  An entry that is not a whole text word raises."""
+        control transfer, a BCF-tagged word, after _BLOCK_WORDS words, and
+        where text is writable, after a store.  A CFL label's value is only
+        for a checked jalr right after it, in the next block if the label ends
+        this one.  An entry that is not a whole text word raises."""
         tags, text = self._tags, self.memory.text
         end = TEXT_BASE + len(text)
         if entry % 4 or not TEXT_BASE <= entry < end:
             raise BadInstruction(f"pc={entry:#x}: fetch outside whole text words", entry)
-        if limit >= 0:
-            end = min(end, entry + 4 * limit)
+        stop = entry + 4 * (_BLOCK_WORDS if limit < 0 else limit)
+        if stop < end:
+            end = stop
         effects, aware, text_writable = self._effects, self._aware, self._text_writable
         access = self._access
         ops = []
@@ -627,31 +651,39 @@ class Emulator:
                 carriers += 1
             elif label:
                 labels += 1
+            if effects:
+                effect = effects.get(tag)
+                checked = effect == "CFL" and mnemonic == "jalr"
+                site = imm if effect == "CFL" and label else None
+                if cfi_entry and not checked:
+                    ops.append(_factory("entry" if site is None else "entry label")(
+                        self, pc, rd, rs1, rs2, imm))
+                cfi_entry = False
+                if pending is not None and checked:
+                    ops.append(_factory("site label")(self, pc, rd, rs1, rs2, pending))
+                pending = site
+                if effect is not None:
+                    if (mnemonic, effect) in _BODIES:  # the word's own body, checked
+                        op, make = None, _factory((mnemonic, effect))
+                    elif effect == "CI":
+                        ops.append(_factory("CI")(self, pc, rd, rs1, rs2, imm))
+                    elif effect == "CL" and label:
+                        op = _factory("CL")(self, pc, rd, rs1, rs2, imm)
+                    elif effect == "BCF" and mnemonic not in _TERM_MNEMONICS:
+                        # the block ends here, and falls through
+                        term = _factory(("goto", "BCF"))(self, pc, rd, rs1, rs2, 4)
             if make is not None:
                 if mnemonic in _TERM_MNEMONICS:
                     term = make(self, pc, rd, rs1, rs2, imm)
                 else:
                     op = make(access, pc, rd, rs1, rs2, imm)
                     if text_writable and mnemonic in codec.STORE_MNEMONICS:
-                        term = _goto(pc + 4)  # the next word may be the one stored
-            if effects:
-                effect = effects.get(tag)
-                checked = effect == "CFL" and mnemonic == "jalr"
-                site = imm if effect == "CFL" and label else None
-                if cfi_entry:
-                    ops.append(_cfi_entry(self.policy, pc, site, checked))
-                    cfi_entry = False
-                if pending is not None and checked:
-                    ops.append(_pending(self.policy, pending))
-                pending = site
-                if effect is not None and pending is None:
-                    op, term = self._policy_op(effect, pc, mnemonic, label, rs1, rs2, imm,
-                                               op, term, ops)
+                        term = term or _goto(pc + 4)  # the next word may be the one stored
             if op is not None:
                 ops.append(op)
             pc += 4
         if pending is not None:  # the label ends the block: its value waits for the next one
-            ops.append(_pending(self.policy, pending))
+            ops.append(_factory("site label")(self, pc, 0, 0, 0, pending))
         fetches = (pc - entry) >> 2
         block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc), pc)
         # Unlimited blocks are cached once entered twice: code that runs once,
@@ -662,49 +694,6 @@ class Emulator:
                 self._blocks[entry] = block
             self._entered.add(entry)
         return block
-
-    def _policy_op(self, effect, pc, mnemonic, label, rs1, rs2, imm, op, term, ops) -> tuple:
-        """(op, terminator) of the word at pc, whose tag has `effect`."""
-        policy = self.policy
-        if effect == "CFL" and mnemonic == "jalr":
-            def term(regs, policy=policy, pc=pc, jalr=term):
-                if policy.pending_cfl is None:
-                    raise PolicyViolation("CfiMissingSiteLabel", pc,
-                                          "checked jalr without a site label")
-                policy.awaiting_entry, policy.pending_cfl = policy.pending_cfl, None
-                return jalr(regs)
-        elif effect == "UN_ARTH" and mnemonic in codec.ADDSUB_MNEMONICS:
-            width = 32 if mnemonic in ("addw", "subw", "addiw") else 64
-
-            def op(regs, inner=op, pc=pc, rs1=rs1, rs2=rs2, imm=imm, mask=(1 << width) - 1,
-                   sub=mnemonic in ("sub", "subw"), immediate=mnemonic in ("addi", "addiw")):
-                a = regs[rs1] & mask
-                b = (imm if immediate else regs[rs2]) & mask
-                if a < b if sub else a + b > mask:
-                    raise PolicyViolation("UnsignedOverflow", pc, f"{a:#x} - {b:#x} borrows" if sub
-                                          else f"{a:#x} + {b:#x} carries out of {width} bits")
-                if inner is not None:
-                    inner(regs)
-        elif effect == "CL" and label:
-            def op(regs, text=self.memory.text, offset=pc - TEXT_BASE, pc=pc,
-                   counted=self._labels_counted):
-                word = _WORD.unpack_from(text, offset)[0]
-                if word >> 12 < 0xFFFFF:  # the write-back saturates; the block stays
-                    _WORD.pack_into(text, offset, word + (1 << 12))
-                if pc not in counted:
-                    counted[pc] = None
-        elif effect == "CI":
-            def count(regs, counts=policy.ci_counts, pc=pc):
-                counts[pc] = counts.get(pc, 0) + 1
-            ops.append(count)
-        elif effect == "BCF":  # the block ends here, and its terminator counts the edge
-            def term(regs, jump=term or _goto(pc + 4), bcf=policy.bcf, pc=pc):
-                next_pc = jump(regs)
-                per_site = bcf.setdefault(pc, {})
-                edge = pc if next_pc is None else next_pc
-                per_site[edge] = per_site.get(edge, 0) + 1
-                return next_pc
-        return op, term
 
     # -- promotion ---------------------------------------------------------------
     def _sample(self, entry: int, fetches: int) -> bool:
@@ -745,8 +734,7 @@ class Emulator:
         """Make the region of the last _REGION_BLOCKS compiled blocks that a
         region can hold, if that is not the region already and the budget
         allows: each member's entry then leads to the region."""
-        members = [entry for entry, (_, term) in self._compiled.items()
-                   if _FORMS.get(term.__code__) in _REGION_TERMS][-_REGION_BLOCKS:]
+        members = list(self._compiled)[-_REGION_BLOCKS:]
         if members == list(self._hot):
             return
         blocks = [self._hot.get(entry) or self._blocks[entry] for entry in members]

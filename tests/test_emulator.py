@@ -647,6 +647,19 @@ def test_coverage_ci_annotation():
     assert list(policy.ci_counts.values()) == [4]
 
 
+def test_a_counted_word_after_a_fault_in_its_block_is_not_counted():
+    # the count is taken when its word runs, not when its block starts
+    source = (
+        ".globl main\n.entry main\nmain:\n"
+        "    ld a1, 0(x0)\n"  # unmapped: a MemFault
+        "    addi a0, a0, 1 !count\n"
+        "    li a7, 93\n"
+        "    ecall\n"
+    )
+    machine, exc = _fault(build_image(source, COVERAGE, tagged=True), "aware")
+    assert exc.kind == "MemFault" and machine.policy.ci_counts == {}
+
+
 def test_coverage_computed_only_mode_has_no_direct_bcf():
     # only direct branches: nothing is computed, so nothing is tracked
     source = (
@@ -1299,11 +1312,18 @@ def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch):
         assert compiled, config.policy
 
 
-def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
-    # its ld and sd always hit data: a miss, or an access left a plain call,
-    # would be a silent fall-back to the slow path
+KERNEL_CELLS = [(None, "compat"), (N3, "compat"), (N3, "aware"), (CFI, "aware"),
+                (UNARITH, "aware"), (COVERAGE, "aware")]
+
+
+@pytest.mark.parametrize("config,mode", KERNEL_CELLS,
+                         ids=lambda cell: cell if isinstance(cell, str) else getattr(
+                             cell, "policy", "untagged"))
+def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
+    # its ld and sd always hit data: a miss, or an access or a policy check
+    # left a plain call, would be a silent fall-back to the slow path
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
-    machine = Emulator(build_image(kernel, N3, tagged=True))
+    machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
     load_miss, store_miss = machine._access[3:]
     blocks, regions, misses = [], [], []
     compile_block, make_region = emulator._compile, emulator._region
@@ -1316,26 +1336,34 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch):
             for value in function.__defaults__)
         return function
 
+    def bound(function):
+        code = function.__code__
+        return dict(zip(code.co_varnames[code.co_argcount - len(function.__defaults__):
+                                         code.co_argcount], function.__defaults__))
+
     def spy(ops, term):
         block = compile_block(ops, term)
-        code = block.__code__
-        blocks.append((len(ops), dict(zip(code.co_varnames[1:code.co_argcount],
-                                          block.__defaults__))))
+        blocks.append(bound(block))
         return counted(block)
+
+    def spy_region(*args):
+        region = make_region(*args)
+        regions.append(bound(region))
+        return counted(region)
 
     monkeypatch.setattr(emulator, "_compile", spy)
     # the loop runs in its region, which binds the misses too
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: regions.append(args) or counted(make_region(*args)))
+    monkeypatch.setattr(emulator, "_region", spy_region)
     machine.run()
     assert machine.state.regs[10] == a0
     assert regions
-    [loop] = [bound for count, bound in blocks if count == 12]  # the loop body, up to its jalr
+    [loop] = [names for names in blocks if load_miss in names.values()]  # the block of its ld
     values = list(loop.values())
     assert sum(value is load_miss for value in values) == 1
     assert sum(value is store_miss for value in values) == 1
     assert "data" in loop
-    assert not any(name[0] == "f" and name[1:].isdigit() for name in loop)  # no plain call
+    for names in blocks + regions:  # no plain call
+        assert not any(name[0] == "f" and name[1:].isdigit() for name in names)
     assert not misses
 
 
@@ -1539,18 +1567,20 @@ SELF_PATCH = (
 )
 
 
+def _offset_image(source, config, offset_of, **defsym):
+    """source built with OFFSET = offset_of(image), which setting it must
+    not move."""
+    image = build_image(source, config, tagged=True, defsym={**defsym, "OFFSET": 0})
+    offset = offset_of(image)
+    image = build_image(source, config, tagged=True, defsym={**defsym, "OFFSET": offset})
+    assert offset_of(image) == offset
+    return image
+
+
 def _self_patch_image(source):
     old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1)).to_bytes(4, "little")
-    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
-
-    def build(offset):
-        return build_image(source, COVERAGE, tagged=True,
-                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
-
-    offset = build(0).text.index(old_word)
-    image = build(offset)
-    assert image.text.index(old_word) == offset
-    return image
+    return _offset_image(source, COVERAGE, lambda image: image.text.index(old_word),
+                         NEW_WORD=codec.encode(Insn("addi", rd=10, rs1=10, imm=100)))
 
 
 PATCHED_LOOP = (
@@ -1577,6 +1607,92 @@ PATCHED_LOOP = (
 )
 
 
+HOT_CARRY = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li a0, -60\n"
+    "loop:\n"
+    "    addi t0, t0, 3\n"
+    "    addiw a0, a0, 1 !unsigned\n"  # carries out of 32 bits on the 60th iteration
+    "    xor t1, t0, a0\n"
+    "    j loop\n"
+)
+
+HOT_SKIPPED_SITE = (
+    ".globl main\n.entry main\nmain:\n"
+    '    .signature "i64()"\n'
+    "    li s3, 50\n"
+    "    la s2, callee\n"
+    "    la t0, main\n"
+    "    addi t0, t0, OFFSET\n"  # the checked jalr in the loop, past its site label
+    "loop:\n"
+    "FILL"
+    '    .calltype "i64(i64)"\n'
+    "    jalr ra, s2, 0\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, loop\n"
+    "    mv ra, t0\n"
+    "    ret\n"  # unchecked, onto the checked jalr: no site label is pending
+    ".globl callee\ncallee:\n"
+    '    .signature "i64(i64)"\n'
+    "    addi a0, a0, 7\n"
+    "    xori a1, a0, 3\n"
+    "    ret\n"
+)
+
+HOT_UNLABELLED = (
+    ".globl main\n.entry main\nmain:\n"
+    '    .signature "i64()"\n'
+    "    li s3, 50\n"
+    "    la s2, callee\n"
+    "loop:\n"
+    '    .calltype "i64(i64)"\n'
+    "    jalr ra, s2, 0\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, loop\n"
+    "    addi s2, s2, OFFSET\n"  # rest, whose block callee's j made hot
+    '    .calltype "i64(i64)"\n'
+    "    jalr ra, s2, 0\n"  # the compiled entry check of rest fails
+    "    ecall\n"
+    ".globl callee\ncallee:\n"
+    '    .signature "i64(i64)"\n'
+    "    addi a0, a0, 7\n"
+    "    j rest\n"
+    "rest:\n"
+    "    xori a1, a0, 3\n"
+    "    ret\n"
+)
+
+
+def _words(image):
+    """(pc, Insn) of every text word that decodes, carriers too."""
+    for offset in range(0, len(image.text), 4):
+        try:
+            yield (emulator.TEXT_BASE + offset,
+                   codec.decode(int.from_bytes(image.text[offset:offset + 4], "little")))
+        except codec.BadEncoding:
+            continue
+
+
+def _skipped_site_image(fill=0):
+    """HOT_SKIPPED_SITE with `fill` words at the head of its loop."""
+    return _offset_image(HOT_SKIPPED_SITE.replace("FILL", "    addi t1, t1, 1\n" * fill), CFI,
+                         lambda image: _checked_jalr(image) - image.entry)
+
+
+def _checked_jalr(image):
+    """The pc of the first `jalr ra, s2, 0`."""
+    jalr = codec.encode(Insn("jalr", rd=1, rs1=18, imm=0))
+    return next(pc for pc, insn in _words(image) if codec.encode(insn) == jalr)
+
+
+def _unlabelled_image():
+    def offset_of(image):
+        callee = image.tag_regions[-1].start
+        return next(pc + insn.imm for pc, insn in _words(image)
+                    if pc > callee and insn.mnemonic == "jal") - callee
+    return _offset_image(HOT_UNLABELLED, CFI, offset_of)
+
+
 def _hot_kernel(config):
     kernel, _ = _bench_workloads().kernel(random.Random(3), 200)
     return build_image(kernel, config, tagged=True)
@@ -1593,6 +1709,10 @@ HOT_CASES = {
                           10 ** 6, "UnsignedOverflow"),
     "cfi-mismatch": (lambda: build_image(HOT_CALLEE, CFI, tagged=True), "aware", 10 ** 6,
                      "CfiMismatch"),
+    "cfi-missing-site-label": (_skipped_site_image, "aware", 10 ** 6, "CfiMissingSiteLabel"),
+    "cfi-missing-entry-label": (_unlabelled_image, "aware", 10 ** 6, "CfiMissingEntryLabel"),
+    "unsigned-overflow-32": (lambda: build_image(HOT_CARRY, UNARITH, tagged=True), "aware",
+                             10 ** 6, "UnsignedOverflow"),
     "budget-mid-block": (lambda: _hot_kernel(N3), "compat", 2001, "LimitExceeded"),
     "budget-mid-block-cfi": (lambda: _hot_kernel(CFI), "aware", 2001, "LimitExceeded"),
     "budget-mid-block-coverage": (lambda: _hot_kernel(COVERAGE), "aware", 2001, "LimitExceeded"),
@@ -1607,21 +1727,133 @@ HOT_CASES = {
 }
 
 
+def _message(image, mode, max_insns) -> str | None:
+    """The message of what a run raises, or None: _execution_record keeps
+    only the class, kind and pc of a fault."""
+    try:
+        Emulator(image, mode=mode, max_insns=max_insns).run()
+    except (PolicyViolation, BadInstruction, LimitExceeded) as exc:
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize("name", HOT_CASES)
 def test_a_fault_inside_a_compiled_block_is_the_interpreted_fault(forced, monkeypatch, name):
     build, mode, budget, outcome = HOT_CASES[name]
     image = build()
     compiled = _execution_record(image, mode, budget)
+    message = _message(image, mode, budget)
     assert forced
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
     forced.clear()
     assert _execution_record(image, mode, budget) == compiled
+    assert _message(image, mode, budget) == message
     assert not forced
     error, regs = ast.literal_eval(compiled.decode())[:2]  # a repr of plain values
     if isinstance(outcome, int):
         assert error is None and regs[10] == outcome
     else:
         assert outcome in error
+
+
+def test_a_site_label_that_ends_a_block_arms_the_checked_jalr_after_it(forced):
+    # the loop's first block runs up to its site label, cut at the block cap,
+    # so the checked jalr starts the next block and the label's value crosses
+    # over to it; the ret onto that jalr then finds no label pending, in the
+    # jalr's compiled block
+    for fill in range(40, 64):
+        image = _skipped_site_image(fill)
+        machine = Emulator(image, mode="aware")
+        [loop] = [pc + insn.imm for pc, insn in _words(image) if insn.mnemonic == "bne"]
+        jalr = _checked_jalr(image)
+        _, fetches, *_, end = machine._translate(loop)
+        if end == jalr:
+            break
+    else:
+        pytest.fail("no fill puts the site label at the block cap")
+    assert fetches == emulator._BLOCK_WORDS
+    machine = Emulator(image, mode="aware")
+    with pytest.raises(PolicyViolation) as info:
+        machine.run()
+    assert (info.value.kind, info.value.pc) == ("CfiMissingSiteLabel", jalr)
+    assert machine.state.regs[10] == 50 * 7  # every checked call of the loop passed
+    assert jalr in machine._compiled
+
+
+# enforcement mutations: one word of a clean image changed, and the one
+# fault that the paper's rules give for it
+
+UNSIGNED_PAIR = (
+    "main:\n"
+    "    li t1, 5\n"
+    "    li t2, 1\n"
+    "    add a0, t1, t2 !unsigned\n"
+    "    li t3, 3\n"
+    "    sub a0, a0, t3 !unsigned\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+)
+
+
+def _mutated(image, pc, insn):
+    text = bytearray(image.text)
+    offset = pc - emulator.TEXT_BASE
+    text[offset:offset + 4] = codec.encode(insn).to_bytes(4, "little")
+    return dataclasses.replace(image, text=bytes(text))
+
+
+def _cfi_mutants():
+    """(mutant, kind, pc) of each CFI mutation of a clean computed call."""
+    image = build_image(cfi_source('"i64(i64)"', '"i64(i64)"'), CFI, tagged=True)
+    carriers = Emulator(image, mode="aware")._tags
+    words = [(pc, insn) for pc, insn in _words(image) if carriers.get(pc, -1) is not None]
+    [call] = [k for k, (_, insn) in enumerate(words) if insn.mnemonic == "jalr" and insn.rd == 1]
+    (site_pc, site), (call_pc, jalr) = words[call - 1:call + 1]
+    # callee's entry label, and the word after it
+    (entry_pc, entry), (landing, _) = words[call + 3:call + 5]
+    assert site.mnemonic == entry.mnemonic == "lui" and site.rd == entry.rd == 0
+    callee = image.tag_regions[-1].start
+    return [  # t1, the jalr's base, holds callee
+        (_mutated(image, entry_pc, dataclasses.replace(entry, imm=entry.imm ^ 1)),
+         "CfiMismatch", entry_pc),
+        (_mutated(image, site_pc, dataclasses.replace(site, imm=site.imm ^ 1)),
+         "CfiMismatch", entry_pc),
+        (_mutated(image, site_pc, Insn("addi")), "CfiMissingSiteLabel", call_pc),
+        (_mutated(image, call_pc, dataclasses.replace(jalr, imm=landing - callee)),
+         "CfiMissingEntryLabel", landing),
+        # onto itself: a checked jalr that starts its block checks its own entry
+        (_mutated(image, call_pc, dataclasses.replace(jalr, imm=call_pc - callee)),
+         "CfiMissingEntryLabel", call_pc),
+    ]
+
+
+def _unsigned_mutants():
+    """(mutant, kind, pc) of an !unsigned add made to carry and a sub made to borrow."""
+    image = build_image(UNSIGNED_PAIR, UNARITH, tagged=True)
+    pcs = {(insn.mnemonic, insn.rd, insn.imm): pc for pc, insn in _words(image)}
+    add, sub = pcs["add", 10, 0], pcs["sub", 10, 0]
+    return [
+        (_mutated(image, pcs["addi", 6, 5], Insn("addi", rd=6, imm=-1)), "UnsignedOverflow", add),
+        (_mutated(image, pcs["addi", 28, 3], Insn("addi", rd=28, imm=7)), "UnsignedOverflow", sub),
+    ]
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+def test_each_enforcement_mutation_gives_its_one_fault(request, tier):
+    if tier == "forced":
+        request.getfixturevalue("forced")
+    clean = [build_image(cfi_source('"i64(i64)"', '"i64(i64)"'), CFI, tagged=True),
+             build_image(UNSIGNED_PAIR, UNARITH, tagged=True)]
+    assert [run(image, mode="aware")[0].regs[10] for image in clean] == [7, 3]
+    mutants = _cfi_mutants() + _unsigned_mutants()
+    for mutant, kind, pc in mutants:
+        with pytest.raises(PolicyViolation) as info:
+            run(mutant, mode="aware")
+        assert type(info.value) is PolicyViolation
+        assert (info.value.kind, info.value.pc) == (kind, pc)
+    carry, borrow = [_message(mutant, "aware", 10 ** 6) for mutant, _, _ in mutants[-2:]]
+    assert carry.endswith(": 0xffffffffffffffff + 0x1 carries out of 64 bits")
+    assert borrow.endswith(": 0x6 - 0x7 borrows")
 
 
 def test_a_block_dropped_by_a_store_to_text_compiles_again(forced, monkeypatch):
@@ -1796,10 +2028,6 @@ class _Dispatches(dict):
         return super().get(entry)
 
 
-KERNEL_CELLS = [(None, "compat"), (N3, "compat"), (N3, "aware"), (CFI, "aware"),
-                (UNARITH, "aware"), (COVERAGE, "aware")]
-
-
 @pytest.mark.parametrize("config,mode", KERNEL_CELLS,
                          ids=lambda cell: cell if isinstance(cell, str) else getattr(
                              cell, "policy", "untagged"))
@@ -1862,11 +2090,13 @@ def test_a_fault_inside_a_region_is_the_interpreted_fault(regions, monkeypatch, 
     image = build()
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
     unsampled = _execution_record(image, mode, budget)
+    message = _message(image, mode, budget)
     for interval in range(4, 40):
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
         assert _execution_record(image, mode, budget) == unsampled, interval
+        assert _message(image, mode, budget) == message, interval
     assert regions.tally["fetches"] > 0
-    if outcome in ("MemFault", "UnsignedOverflow", "CfiMismatch"):
+    if outcome in ("MemFault", "UnsignedOverflow", "CfiMismatch", "CfiMissingEntryLabel"):
         assert regions.tally["faults"] > 0
 
 
@@ -1909,8 +2139,8 @@ def test_a_store_that_drops_a_region_member_ends_the_region(regions, monkeypatch
 
 
 def test_a_region_member_that_halts_ends_the_run_at_its_halting_word(regions, monkeypatch):
-    # the ecall tagged BCF is a call, so its block joins the region; the last
-    # iteration exits through it
+    # the write block, which ends in the ecall tagged BCF, joins the region;
+    # the last iteration exits through that ecall
     program = assemble(
         "main:\n"
         "    li s3, 300\n"
@@ -1954,19 +2184,48 @@ SLED = (
 
 
 def test_compiles_stay_within_the_compile_budget(monkeypatch):
-    # each entry into the sled is one block of up to 2001 words, hot enough
-    # to compile; the budget holds the words compiled to one per 64 fetched
+    # at a short sample interval, the sled's blocks of up to _BLOCK_WORDS
+    # words, and regions of up to _REGION_BLOCKS of them, are hot enough to
+    # compile; the budget holds the words compiled to _INTERVAL_WORDS per
+    # sample interval fetched
     words = []
     compile_block, make_region = emulator._compile, emulator._region
-    monkeypatch.setattr(emulator, "_compile", lambda ops, term: words.append(len(ops) + 1)
-                        or compile_block(ops, term))
+
+    def compiled(ops, term):  # a fall-through to the next block is no word
+        words.append(len(ops) + (emulator._FORMS[term.__code__] != "goto"))
+        return compile_block(ops, term)
+
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 256)
+    monkeypatch.setattr(emulator, "_compile", compiled)
     monkeypatch.setattr(emulator, "_region", lambda members, *args: words.append(
         sum(member[3] for member in members)) or make_region(members, *args))
+    machine = Emulator(build_image(SLED, N3, tagged=False), max_insns=150_000)
+    with pytest.raises(LimitExceeded):
+        machine.run()
+    assert words and max(words) > emulator._BLOCK_WORDS
+    assert sum(words) == machine._words
+    assert machine._words * 256 <= machine.counters.total * emulator._INTERVAL_WORDS
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_where_a_block_ends_changes_no_result(monkeypatch, cap):
+    # blocks of a few words split every site label from its checked jalr
+    # somewhere, and every fault, count and coverage map stays as pinned
+    monkeypatch.setattr(emulator, "_BLOCK_WORDS", cap)
+    test_execution_is_pinned()
+
+
+def test_no_block_spans_more_words_than_the_cap():
+    # entered at each of its 2001 words, the sled would cache a block of
+    # every length up to 2001 words, quadratic in its length, if blocks ran
+    # to the next control transfer
     machine = Emulator(build_image(SLED, N3, tagged=False), max_insns=300_000)
     with pytest.raises(LimitExceeded):
         machine.run()
-    assert words and max(words) > 1000
-    assert sum(words) == machine._words <= machine.counters.total // 64
+    spans = [block[1] for block in [*machine._blocks.values(), *machine._hot.values()]
+             if block[1] is not emulator._REGION]
+    assert max(spans) == 64
+    assert len(spans) > 1000
 
 
 def test_a_negative_budget_is_rejected():
