@@ -36,22 +36,22 @@ and faults, the fetch budget and dropped blocks work as before.
 
 The machine's last _REGION_BLOCKS compiled blocks run as the branches of one
 generated region: a loop that dispatches on pc, runs the member's inlined
-body, and adds its constant counts.  A member's entry leads the run loop into the region, which returns
-at a pc outside it, after a member that halts, or before a member that would
-cross the next mark or the fetch budget; the run loop runs that block as it
-runs any other.  A fault in the region reports the pc and counts that the run
-loop would.  A store that drops a member dissolves the region, and the
-running region returns right after the store.  Generated source is kept by
-its shape, the forms and integers it is built from, and compiled once per
-process, so a new machine pays only to bind its own objects to the cached
-code.
+body, and adds its constant counts.  A member's entry leads the run loop
+into the region, which returns at a pc outside it, after a member that
+halts, or before a member that would cross the next mark or the fetch
+budget; the run loop runs that block as it runs any other.  A fault in the
+region reports the pc and counts that the run loop would.  A store that
+drops a member dissolves the region, and the running region returns right
+after the store.  Generated source is kept by its shape, the forms and
+integers it is built from, and compiled once per process, so a new machine
+pays only to bind its own objects to the cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
-builds every tier.  A load or store tests its address against data, whose end is the machine's,
-and the stack, and unpacks or packs in place on a hit; anything else calls
-its machine's miss, which reads text, stores to it under coverage and
-raises every MemFault.  The generated source holds only fixed names,
-strings and integers that rvtag formats.
+builds every tier.  A load or store tests its address against data, whose
+end is the machine's, and the stack, and unpacks or packs in place on a hit;
+anything else calls its machine's miss, which reads text, stores to it under
+coverage and raises every MemFault.  The generated source holds only fixed
+names, strings and integers that rvtag formats.
 """
 
 from __future__ import annotations
@@ -180,6 +180,7 @@ _EXPRS = {
 }
 _CONDS = {"beq": "a == b", "bne": "a != b", "blt": "a ^ H < b ^ H",
           "bge": "a ^ H >= b ^ H", "bltu": "a < b", "bgeu": "a >= b"}
+_TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", "ecall", "ebreak"})
 # M masks to 64 bits; H is the sign bit, so (a ^ H) - H is a as signed; W
 # and X sign-extend from bit 31; "& 1" makes a comparison an int
 _CONSTANTS = {"M": str(MASK64), "H": str(1 << 63), "W": "0xFFFFFFFF", "X": "0x80000000"}
@@ -279,8 +280,7 @@ _BODIES.update({
     "CL": ("word = unpack(text, offset)[0]\nif word >> 12 < 0xFFFFF:\n"
            "    pack(text, offset, word + 4096)\nif pc not in counted:\n    counted[pc] = None"),
     "CI": "counts[pc] = counts.get(pc, 0) + 1",
-    **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic])
-       for mnemonic in (*_CONDS, "jal", "jalr", "ecall", "ebreak", "goto")},
+    **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic]) for mnemonic in (*_TERM_MNEMONICS, "goto")},
 })
 _PACKED = {**_ACCESSES, "CL": "<I"}  # the struct format of each body that packs or unpacks
 # operand -> the words of a body that name it, and how a factory derives the
@@ -404,7 +404,6 @@ def _goto(target):
 _FORMS[_goto(0).__code__] = "goto"
 
 
-_TERM_MNEMONICS = frozenset({*_CONDS, "jal", "jalr", "ecall", "ebreak"})
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
 _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
 
@@ -515,15 +514,16 @@ def _compile(ops, term):
 
 def _region(members: list, writable: bool, at: list, hot: dict):
     """One function that runs compiled blocks as branches of one loop:
-    region(regs, pc, left) runs from pc while it is a member's entry and
-    the member fits in `left` fetches.  Each member is (entry, ops, term,
-    fetches, retired, labels, end), and its branch is the body that
-    _compile inlines, with its return an assignment to pc, and its counts
-    taken from left and added to retired and labels.  The region stops at
-    any other pc; after a member that halts, at its halting word; and where
-    text is `writable`, after a member with a store once `hot` is empty, as
-    a store that drops a member leaves it.  It leaves (pc, left, retired, labels) in `at`, also past a
-    fault, which then leaves the entry of the member it faulted in."""
+    region(regs, pc, left) runs from pc while it is a member's entry and the
+    member fits in `left` fetches.  Each member is (entry, ops, term,
+    fetches, retired, labels, end), and its branch is the body that _compile
+    inlines, with its return an assignment to pc, and its counts taken from
+    left and added to retired and labels.  The region stops at any other pc;
+    after a member that halts, at its halting word; and where text is
+    `writable`, after a member with a store once `hot` is empty, as a store
+    that drops a member leaves it.  It leaves (pc, left, retired, labels) in
+    `at`, also past a fault, which then leaves the entry of the member it
+    faulted in."""
     def lines_of(defaults):
         lines = ["retired = labels = 0", "try:", "    while True:"]
         for k, (entry, ops, term, fetches, retired, labels, end) in enumerate(members):
