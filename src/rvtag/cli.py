@@ -319,6 +319,8 @@ def diff_one(name, sources, config, *, defsym=None, max_insns,
 
 
 def cmd_diff_run(args) -> int:
+    if args.seed is not None and not args.generate:
+        raise CliError("--seed seeds the generated corpus: pass --generate N too")
     config = _load_config(args)
     defsym = _parse_defsyms(args.defsym)
     programs = []

@@ -22,29 +22,26 @@ carriers and x0 no-ops cost nothing, and each policy check is an op or a
 checked form of its word, made at translation.  A load to x0 writes nothing
 but still faults.
 
-Hot blocks get a second tier.  Every _SAMPLE_FETCHES fetches, the block that
-crosses the mark is sampled, and a cached block sampled for the second time
-is compiled at once into one generated Python function: at most one compile
-per sample point.  A sample that lands in a compiled block samples the next
-block outside the region too, up to _CHASE blocks past the mark, so every
-block of a hot loop is reached.  Compiles are charged by the words they
+Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
+fetches, the block that crosses the mark is sampled, and a cached block
+sampled for the second time joins the region at once.  The machine's last
+_REGION_BLOCKS such blocks run as the branches of one Python function: a
+loop that dispatches on pc, runs the member's body with every op, check and
+terminator inlined, operands as literals and written registers in locals,
+and adds its constant counts.  A member's entry leads the run loop into the
+region, which runs to the fetch budget: it returns at a pc outside it, after
+a member that halts, or before a member that would cross the budget.  The
+run loop then runs that block as it runs any other, and samples it if the
+region ran past the mark.  A block that the region evicted, or whose region
+the budget refused, runs cold.  Regions are charged by the words they
 compile, at most one per 64 fetched, so that compiling long blocks cannot
-take over a run.  The function inlines every op, check and terminator, with
-operands as literals and written registers in locals.  It becomes the
-block's terminator over no ops, so the block keeps its counts and its end,
-and faults, the fetch budget and dropped blocks work as before.
-
-The machine's last _REGION_BLOCKS compiled blocks run as the branches of one
-generated region: a loop that dispatches on pc, runs the member's inlined
-body, and adds its constant counts.  A member's entry leads the run loop
-into the region, which returns at a pc outside it, after a member that
-halts, or before a member that would cross the next mark or the fetch
-budget; the run loop runs that block as it runs any other.  A fault in the
-region reports the pc and counts that the run loop would.  A store that
-drops a member dissolves the region, and the running region returns right
-after the store.  Generated source is kept by its shape, the forms and
-integers it is built from, and compiled once per process, so a new machine
-pays only to bind its own objects to the cached code.
+take over a run, and a machine keeps each region it makes, as a loop wider
+than a region makes the same ones over and over.  A fault in the region
+reports the pc and counts that the run loop would.  A store that drops a
+member dissolves the region, and the running region returns right after the
+store.  Generated source is kept by its shape, the forms and integers it is
+built from, and compiled once per process, so a new machine pays only to
+bind its own objects to the cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
 builds every tier.  A load or store tests its address against data, whose
@@ -164,8 +161,8 @@ def _sext32(value: int) -> int:
 # rs1 and rs2 (always in [0, 2**64) too), and i, the immediate; a condition
 # decides a branch.  On first use a body is built into a factory of cold
 # closures, which bind their operands as defaults (cheaper to make and to
-# read than closure cells), and a hot block inlines the same body with each
-# operand replaced by its value or by a default of the block.
+# read than closure cells), and a region inlines the same body with each
+# operand replaced by its value or by a default of the region.
 
 _EXPRS = {
     "lui": "i & M",
@@ -212,7 +209,7 @@ def _access_body(mnemonic: str, fmt: str) -> str:
 
 
 # An op's body writes rd's value to dest.  A body that is one assignment to
-# dest can neither fault nor read regs, so a hot block runs it without first
+# dest can neither fault nor read regs, so a region runs it without first
 # storing the registers it holds in locals.  A terminator's one return, its
 # last line, gives the next pc, or None once it halts the machine's state:
 # target is pc + imm and after is pc + 4.  An ecall with a7=93 exits with
@@ -343,11 +340,11 @@ def _factory(form):
 
 
 def _operands(op, held, defaults) -> tuple:
-    """(operands, names) of an op in a hot block: the operands it binds,
+    """(operands, names) of an op in a region: the operands it binds,
     read back from its defaults, and the words of its body mapped to their
     text.  A register read is its local if held, else regs[N], and 0 for x0;
     dest is rd's local; an int is its literal; any other operand becomes a
-    default of the block, bound once under its word, or under the word and a
+    default of the region, bound once under its word, or under the word and a
     number if another object holds that name."""
     code = op.__code__
     bound = dict(zip(code.co_varnames[1:code.co_argcount], op.__defaults__))
@@ -427,16 +424,15 @@ def _predecode(word: int) -> tuple:
 
 
 # -- the hot tier --------------------------------------------------------------
-# Emulator._sample compiles a cached block at its second sample; the run loop
-# samples the block that crosses each mark, one every _SAMPLE_FETCHES fetches,
-# and up to _CHASE more past it.  Compiles may take _INTERVAL_WORDS words per
-# sample interval fetched, one per 64 fetches at 1024, so sampling every
-# block lifts the budget too.
+# The run loop samples the block that crosses each mark, one every
+# _SAMPLE_FETCHES fetches, or the first block a region exits to past it, and
+# Emulator._sample puts a cached block into the region at its second sample.
+# Regions may compile _INTERVAL_WORDS words per sample interval fetched, one
+# per 64 fetches at 1024, so sampling every block lifts the budget too.
 _SAMPLE_FETCHES = 1024
-_CHASE = 8
 _INTERVAL_WORDS = 16
-_REGION_BLOCKS = 8
-_REGION = float("inf")  # the fetch count of a region's entry: it crosses every mark
+_REGION_BLOCKS = 16
+_REGION = float("inf")  # the fetch count of a member's entry: it crosses every mark
 
 
 def _lines(ops, term, defaults: dict) -> list:
@@ -463,33 +459,57 @@ def _lines(ops, term, defaults: dict) -> list:
     return lines
 
 
-_GLOBALS = {"__builtins__": {}}  # of every generated function: it reads no global
-_GENERATED = {}  # the shape of a generated function -> (its code, where its defaults are)
-_GENERATED_KEPT = 512
+_GLOBALS = {"__builtins__": {}}  # of every region: it reads no global
+_GENERATED = {}  # the shape of a region -> (its code, where its defaults are)
+_GENERATED_KEPT = 512  # the most shapes a process keeps, and regions a machine keeps
 
 
 def _shape(ops) -> tuple:
-    """What the source generated for ops depends on: each op's form, with
-    its int operands, and where each other object that it binds first
-    appears."""
+    """What the source of a region of ops depends on: each op's form, then
+    its operands in turn, an int as itself and any other object as where it
+    first appears.  A form fixes how many operands it binds."""
     seen = {}
-    return tuple((op.__code__, *[
+    return (*[op.__code__ for op in ops], *[
         value if type(value) is int else (seen.setdefault(id(value), len(seen)),)
-        for value in op.__defaults__]) for op in ops)
+        for op in ops for value in op.__defaults__])
 
 
-def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, lines_of):
-    """The function `name`(params, then one parameter per default) whose
-    body lines_of(defaults) builds, adding each default it needs to
-    defaults, which start as fixed.  Equal shapes make equal source, so each
-    shape is compiled once per process, and a function of a known shape is
-    its code with each default after fixed taken from the same operand of
-    the same op."""
+def _region(members: list, writable: bool, at: list, hot: dict):
+    """One function that runs blocks as branches of one loop: region(regs,
+    pc, left) runs from pc while it is a member's entry and the member fits
+    in `left` fetches.  Each member is (entry, block), a block as
+    Emulator._translate makes it, and its branch is _lines' body of the
+    block, with its return an assignment to pc, and its counts taken from
+    left and added to retired and labels.  The region stops at any other pc;
+    after a member that halts, at its halting word; and where text is
+    `writable`, after a member with a store once `hot` is empty, as a store
+    that drops a member leaves it.  It leaves (pc, left, retired, labels) in
+    `at`, also past a fault, which then leaves the entry of the member it
+    faulted in.  Equal shapes make equal source, so each shape is compiled
+    once per process, and a region of a known shape is its code with each
+    default after at and hot taken from the same operand of the same op."""
+    ops = [op for _, block in members for op in (*block[0], block[4])]
+    shape = (writable, _shape(ops), *[(entry, len(block[0]), *block[1:4], block[5])
+                                      for entry, block in members])
     known = _GENERATED.get(shape)
     if known is None:
-        defaults = dict(fixed)
-        lines = lines_of(defaults)
-        source = (f"def {name}({params}{''.join(f', {param}' for param in defaults)}):\n"
+        defaults = {"at": at, "hot": hot}
+        lines = ["retired = labels = 0", "try:", "    while True:"]
+        for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
+            body = _lines(block_ops, term, defaults)
+            body[-1] = "pc = " + body[-1].removeprefix("return ")
+            body += [f"left -= {fetches}"] + [f"retired += {retired}"] * (retired > 0)
+            body += [f"labels += {labels}"] * (labels > 0)
+            if "state.halted" in _BODIES[_FORMS[term.__code__]]:  # its pc is None once halted
+                body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
+            if writable and any(_FORMS.get(op.__code__) in _STORES for op in block_ops):
+                body += ["if not hot:", "    break"]
+            lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
+                      f"            if left < {fetches}:", "                break"]
+            lines += [f"            {line}" for line in body]
+        lines += ["        else:", "            break", "finally:",
+                  "    at[:] = pc, left, retired, labels"]
+        source = (f"def region(regs, pc, left{''.join(f', {param}' for param in defaults)}):\n"
                   + "".join(f"    {line}\n" for line in lines))
         [code] = [const for const in compile(source, "<rvtag generated>", "exec").co_consts
                   if isinstance(const, types.CodeType)]
@@ -499,51 +519,11 @@ def _generate(shape: tuple, name: str, params: str, ops: list, fixed: dict, line
                 where.setdefault(id(value), (i, k))
         if len(_GENERATED) >= _GENERATED_KEPT:
             _GENERATED.clear()
-        known = _GENERATED[shape] = (
-            code, [where[id(value)] for value in list(defaults.values())[len(fixed):]])
+        known = _GENERATED[shape] = (code, [where[id(value)]
+                                            for value in list(defaults.values())[2:]])
     code, slots = known
-    return types.FunctionType(code, _GLOBALS, name, (*fixed.values(), *[
+    return types.FunctionType(code, _GLOBALS, "region", (at, hot, *[
         ops[i].__defaults__[k] for i, k in slots]))
-
-
-def _compile(ops, term):
-    """One function that runs ops and then term: _lines' body."""
-    return _generate(("block", _shape((*ops, term))), "block", "regs", (*ops, term), {},
-                     lambda defaults: _lines(ops, term, defaults))
-
-
-def _region(members: list, writable: bool, at: list, hot: dict):
-    """One function that runs compiled blocks as branches of one loop:
-    region(regs, pc, left) runs from pc while it is a member's entry and the
-    member fits in `left` fetches.  Each member is (entry, ops, term,
-    fetches, retired, labels, end), and its branch is the body that _compile
-    inlines, with its return an assignment to pc, and its counts taken from
-    left and added to retired and labels.  The region stops at any other pc;
-    after a member that halts, at its halting word; and where text is
-    `writable`, after a member with a store once `hot` is empty, as a store
-    that drops a member leaves it.  It leaves (pc, left, retired, labels) in
-    `at`, also past a fault, which then leaves the entry of the member it
-    faulted in."""
-    def lines_of(defaults):
-        lines = ["retired = labels = 0", "try:", "    while True:"]
-        for k, (entry, ops, term, fetches, retired, labels, end) in enumerate(members):
-            body = _lines(ops, term, defaults)
-            body[-1] = "pc = " + body[-1].removeprefix("return ")
-            body += [f"left -= {fetches}"] + [f"retired += {retired}"] * (retired > 0)
-            body += [f"labels += {labels}"] * (labels > 0)
-            if "state.halted" in _BODIES[_FORMS[term.__code__]]:  # its pc is None once halted
-                body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
-            if writable and any(_FORMS.get(op.__code__) in _STORES for op in ops):
-                body += ["if not hot:", "    break"]
-            lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
-                      f"            if left < {fetches}:", "                break"]
-            lines += [f"            {line}" for line in body]
-        return lines + ["        else:", "            break", "finally:",
-                        "    at[:] = pc, left, retired, labels"]
-    ops = [op for _, block_ops, term, *_ in members for op in (*block_ops, term)]
-    shape = ("region", writable, _shape(ops), *[(entry, len(block_ops), *counts)
-                                                for entry, block_ops, _, *counts in members])
-    return _generate(shape, "region", "regs, pc, left", ops, {"at": at, "hot": hot}, lines_of)
 
 
 class Emulator:
@@ -572,10 +552,11 @@ class Emulator:
         self._blocks = {}
         self._entered = set()
         self._sampled = set()  # the entries of cached blocks sampled once
-        self._compiled = {}  # entry -> (ops, term) of each compiled block, in compile order
-        self._hot = {}  # entry -> compiled block of each region member
+        self._promoted = {}  # the entries of blocks sampled twice, the newest last
+        self._hot = {}  # entry -> the block of each region member
+        self._regions = {}  # the member entries of each region made -> that region
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
-        self._words = 0  # the words compiled so far
+        self._words = 0  # the words of every region compiled so far
         self._tags = {}
         self._labels_counted = {}  # policy.cl_addresses, in first-count order
         self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
@@ -606,9 +587,11 @@ class Emulator:
                    if any(lo < block[-1] and entry < hi for lo, hi in spans)]
         if not self._hot.keys().isdisjoint(dropped):
             self._dissolve()
+        if dropped:
+            self._regions.clear()
         for entry in dropped:
             del self._blocks[entry]
-            self._compiled.pop(entry, None)
+            self._promoted.pop(entry, None)
 
     # -- translation ---------------------------------------------------------------
     def _translate(self, entry: int, limit: int = -1) -> tuple:
@@ -696,64 +679,50 @@ class Emulator:
         return block
 
     # -- promotion ---------------------------------------------------------------
-    def _sample(self, entry: int, fetches: int) -> bool:
-        """The block entered at `entry` crossed a sample point, `fetches`
-        into this run.  A cached block is noted the first time, and compiled
-        at any later sample if the compile budget allows; a block that a
-        store to text dropped is compiled again once its new copy is sampled.
-        Each compile remakes the region.  Code that is never sampled pays
-        nothing.  Returns True if the block is compiled already, so that the
-        block after it is sampled at once."""
-        block = self._blocks.get(entry)
-        if block is None:
-            return False
+    def _sample(self, entry: int, fetches: int) -> None:
+        """The block entered at `entry`, not a region member, crossed a
+        sample point, `fetches` into this run.  A cached block is noted the
+        first time, and at any later sample it joins the region as its
+        newest member: a block that the region evicted or a store to text
+        dropped joins again once sampled again.  Code that is never sampled
+        pays nothing."""
+        if entry not in self._blocks:
+            return
         if entry not in self._sampled:
             self._sampled.add(entry)
-            return False
-        fetched = self.counters.total + fetches
-        if entry in self._compiled:
-            if entry not in self._hot:  # the budget may have refused its region
-                self._remake_region(fetched)
-            return True
-        ops, n, retired, labels, term, end = block
-        if self._charge(n, fetched):
-            self._blocks[entry] = ((), n, retired, labels, _compile(ops, term), end)
-            self._compiled[entry] = (ops, term)
-            self._remake_region(fetched)
-        return False
-
-    def _charge(self, words: int, fetched: int) -> bool:
-        """Whether a compile of `words` words fits the budget after
-        `fetched` fetches, and if so, charge it."""
-        if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
-            return False
-        self._words += words
-        return True
+            return
+        self._promoted.pop(entry, None)
+        self._promoted[entry] = None
+        self._remake_region(self.counters.total + fetches)
 
     def _remake_region(self, fetched: int) -> None:
-        """Make the region of the last _REGION_BLOCKS compiled blocks that a
-        region can hold, if that is not the region already and the budget
-        allows: each member's entry then leads to the region."""
-        members = list(self._compiled)[-_REGION_BLOCKS:]
-        if members == list(self._hot):
-            return
+        """Make the region of the last _REGION_BLOCKS promoted blocks: each
+        member's entry then leads to the region, and an evicted member runs
+        cold.  A loop wider than a region makes the same regions over and
+        over, so each is kept until a store to text drops a block, and only
+        a new one is charged to the compile budget, which may refuse it
+        after `fetched` fetches."""
+        members = tuple(self._promoted)[-_REGION_BLOCKS:]
         blocks = [self._hot.get(entry) or self._blocks[entry] for entry in members]
-        if not self._charge(sum(block[1] for block in blocks), fetched):
-            return
+        region = self._regions.get(members)
+        if region is None:
+            words = sum(block[1] for block in blocks)
+            if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
+                return
+            self._words += words
+            if len(self._regions) >= _GENERATED_KEPT:
+                self._regions.clear()
+            region = self._regions[members] = _region(
+                list(zip(members, blocks)), self._text_writable, self._at, self._hot)
         self._dissolve()
-        region = _region([(entry, *self._compiled[entry], *block[1:4], block[5])
-                          for entry, block in zip(members, blocks)],
-                         self._text_writable, self._at, self._hot)
         for entry, block in zip(members, blocks):
             self._hot[entry] = block
             self._blocks[entry] = ((), _REGION, 0, 0, region, block[5])
 
     def _dissolve(self) -> None:
-        """Give each region member back its compiled block, and empty `hot`,
-        which ends a running region at its next check."""
-        for entry, block in self._hot.items():
-            if entry in self._blocks:
-                self._blocks[entry] = block
+        """Put each region member's block back in the cache, and empty
+        `hot`, which ends a running region at its next check."""
+        self._blocks.update(self._hot)
         self._hot.clear()
 
     def _upto(self, exc, entry: int, fetches: int, retired: int, labels: int) -> tuple:
@@ -773,23 +742,22 @@ class Emulator:
         regs, blocks, translate = state.regs, self._blocks, self._translate
         hot, at = self._hot, self._at
         budget = self.max_insns - counters.total
-        mark = sample = min(budget, _SAMPLE_FETCHES)  # the next sample point, and the next sample
-        chased = 0  # the blocks sampled past the last mark
+        mark = min(budget, _SAMPLE_FETCHES)  # the next sample point
         fetches = retired = labels = 0  # added to counters at exit
         pc = state.pc
         try:
             while True:
                 ops, n, n_ret, n_lab, term, end = blocks.get(pc) or translate(pc)
-                if n > sample - fetches:
-                    if n == _REGION:  # a region member: it runs the region up to the mark
+                if n > mark - fetches:
+                    if n == _REGION:  # a region member: it runs the region up to the budget
                         region, (ops, n, n_ret, n_lab, term, end) = term, hot[pc]
-                        if n <= mark - fetches:
+                        if n <= budget - fetches:
                             try:
                                 try:
-                                    region(regs, pc, mark - fetches)
+                                    region(regs, pc, budget - fetches)
                                 finally:  # where it stopped, past a fault at the faulting member
                                     pc, left, n_ret, n_lab = at
-                                    fetches, retired = mark - left, retired + n_ret
+                                    fetches, retired = budget - left, retired + n_ret
                                     labels += n_lab
                             except (PolicyViolation, BadInstruction) as exc:
                                 pc, fetches, retired, labels = self._upto(
@@ -803,15 +771,9 @@ class Emulator:
                             raise LimitExceeded(
                                 f"fetched {counters.total + fetches} words without exiting")
                         ops, n, n_ret, n_lab, term, end = translate(pc, 1)
-                    else:
-                        if n > mark - fetches:  # the block crosses the mark
-                            mark = min(budget, fetches + n + _SAMPLE_FETCHES)
-                            chased = 0
-                        if self._sample(pc, fetches) and chased < _CHASE:
-                            chased += 1  # it is compiled: the block after it is sampled too
-                            sample = fetches + n
-                        else:
-                            sample = mark
+                    else:  # it crosses the mark, or a region ran past it
+                        mark = min(budget, fetches + n + _SAMPLE_FETCHES)
+                        self._sample(pc, fetches)
                 try:
                     for op in ops:
                         op(regs)

@@ -243,6 +243,16 @@ def test_diff_run_files_and_generated(workspace, capsys):
     assert "6/6 programs identical" in out
 
 
+def test_diff_run_seed_without_generate_is_a_usage_error(workspace, capsys):
+    # before, the seed was ignored and the inputs ran as if it were not given
+    code = main(["diff-run", "--config", str(workspace / "tags.conf"), "--seed", "99",
+                 str(workspace / "prog.s")])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rvtag: --seed seeds the generated corpus: pass --generate N too\n"
+
+
 def test_diff_run_single_instruction_program(workspace, capsys):
     tiny = workspace / "tiny.s"
     tiny.write_text("main:\n    ecall\n")

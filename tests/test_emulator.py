@@ -1256,23 +1256,33 @@ def test_execution_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the hot tier: compiled blocks must run exactly as the closures they replace
+# the hot tier: regions must run exactly as the closures they replace
 
 @pytest.fixture
 def forced(monkeypatch):
     """Promotion forced: every dispatch of a cached block samples it, so it
-    compiles at its second cached dispatch.  Returns the list of compiled
-    functions."""
-    compiled = []
-    compile_block = emulator._compile
-
-    def spy(ops, term):
-        compiled.append(compile_block(ops, term))
-        return compiled[-1]
-
+    joins the region at its second cached dispatch.  Returns the list of
+    regions made."""
+    made = []
+    make_region = emulator._region
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
-    monkeypatch.setattr(emulator, "_compile", spy)
-    return compiled
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: made.append(make_region(*args)) or made[-1])
+    return made
+
+
+def _one_member_region(ops, term):
+    """(region, run): the region whose one member, at TEXT_BASE, runs ops
+    and then term, and run(regs), which runs that member once and returns
+    the pc the region stopped at: the next pc, or the halting word."""
+    at, fetches = [0, 0, 0, 0], len(ops) + 1
+    block = (tuple(ops), fetches, fetches, 0, term, emulator.TEXT_BASE + 4 * fetches)
+    region = emulator._region([(emulator.TEXT_BASE, block)], False, at, {})
+
+    def run_member(regs):
+        region(regs, emulator.TEXT_BASE, fetches)
+        return at[0]
+    return region, run_member
 
 
 def test_forced_promotion_keeps_the_pinned_execution(forced):
@@ -1284,22 +1294,22 @@ def test_a_short_run_compiles_nothing(monkeypatch):
     # a corpus program fetches fewer words than one sample interval
     from rvtag.corpus import generate_corpus
 
-    monkeypatch.setattr(emulator, "_compile", None)  # calling it would fail the run
+    monkeypatch.setattr(emulator, "_region", None)  # calling it would fail the run
     for text in generate_corpus(7, 8):
         run(build_image(text, COVERAGE, tagged=True), mode="aware")
 
 
 def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch):
-    compiled = []
-    compile_block = emulator._compile
-    monkeypatch.setattr(emulator, "_compile",
-                        lambda ops, term: compiled.append(ops) or compile_block(ops, term))
+    compiled = []  # the ops of each block that a region made holds
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region", lambda members, *args: compiled.extend(
+        block[0] for _, block in members) or make_region(members, *args))
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 40)
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
     assert not compiled  # 40 iterations are about 720 fetches: not one sample point
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
-    # the loop body, up to its jalr, crosses the first mark and compiles at
-    # the second, inside three sample intervals
+    # the loop body, up to its jalr, crosses the first mark and joins the
+    # region at the second, inside three sample intervals
     machine = Emulator(build_image(kernel, N3, tagged=False),
                        max_insns=3 * emulator._SAMPLE_FETCHES + 256)
     with pytest.raises(LimitExceeded):
@@ -1325,8 +1335,8 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
     load_miss, store_miss = machine._access[3:]
-    blocks, regions, misses = [], [], []
-    compile_block, make_region = emulator._compile, emulator._region
+    regions, misses = [], []
+    make_region = emulator._region
 
     def counted(function):
         """function, with each miss it binds counted in misses"""
@@ -1341,28 +1351,23 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
         return dict(zip(code.co_varnames[code.co_argcount - len(function.__defaults__):
                                          code.co_argcount], function.__defaults__))
 
-    def spy(ops, term):
-        block = compile_block(ops, term)
-        blocks.append(bound(block))
-        return counted(block)
-
     def spy_region(*args):
         region = make_region(*args)
         regions.append(bound(region))
         return counted(region)
 
-    monkeypatch.setattr(emulator, "_compile", spy)
-    # the loop runs in its region, which binds the misses too
+    # the loop runs in its region, which binds each miss once
     monkeypatch.setattr(emulator, "_region", spy_region)
     machine.run()
     assert machine.state.regs[10] == a0
-    assert regions
-    [loop] = [names for names in blocks if load_miss in names.values()]  # the block of its ld
-    values = list(loop.values())
-    assert sum(value is load_miss for value in values) == 1
-    assert sum(value is store_miss for value in values) == 1
-    assert "data" in loop
-    for names in blocks + regions:  # no plain call
+    loops = [names for names in regions if load_miss in names.values()]  # with the ld's block
+    assert loops
+    for names in loops:
+        values = list(names.values())
+        assert sum(value is load_miss for value in values) == 1
+        assert sum(value is store_miss for value in values) == 1
+        assert "data" in names
+    for names in regions:  # no plain call
         assert not any(name[0] == "f" and name[1:].isdigit() for name in names)
     assert not misses
 
@@ -1760,7 +1765,7 @@ def test_a_site_label_that_ends_a_block_arms_the_checked_jalr_after_it(forced):
     # the loop's first block runs up to its site label, cut at the block cap,
     # so the checked jalr starts the next block and the label's value crosses
     # over to it; the ret onto that jalr then finds no label pending, in the
-    # jalr's compiled block
+    # region that the jalr's block is a member of
     for fill in range(40, 64):
         image = _skipped_site_image(fill)
         machine = Emulator(image, mode="aware")
@@ -1777,7 +1782,7 @@ def test_a_site_label_that_ends_a_block_arms_the_checked_jalr_after_it(forced):
         machine.run()
     assert (info.value.kind, info.value.pc) == ("CfiMissingSiteLabel", jalr)
     assert machine.state.regs[10] == 50 * 7  # every checked call of the loop passed
-    assert jalr in machine._compiled
+    assert jalr in machine._hot
 
 
 # enforcement mutations: one word of a clean image changed, and the one
@@ -1857,18 +1862,22 @@ def test_each_enforcement_mutation_gives_its_one_fault(request, tier):
 
 
 def test_a_block_dropped_by_a_store_to_text_compiles_again(forced, monkeypatch):
-    # bump's block compiles in the first loop; the sw drops it, and its new
-    # copy, over the patched word, compiles in the second
+    # bump's block joins the region in the first loop; the sw drops it, and
+    # its new copy, over the patched word, joins a region in the second
     image = _self_patch_image(PATCHED_LOOP)
     bumps = []
-    compile_block = emulator._compile
+    make_region = emulator._region
 
-    def spy(ops, term):
-        if "xori" in [emulator._FORMS.get(op.__code__) for op in ops]:  # only bump has one
-            bumps.append(ops)
-        return compile_block(ops, term)
+    def spy(members, *args):
+        for _, block in members:
+            ops = block[0]
+            # only bump has an xori
+            if ("xori" in [emulator._FORMS.get(op.__code__) for op in ops]
+                    and not any(ops is bump for bump in bumps)):
+                bumps.append(ops)
+        return make_region(members, *args)
 
-    monkeypatch.setattr(emulator, "_compile", spy)
+    monkeypatch.setattr(emulator, "_region", spy)
     state, _, _ = Emulator(image, mode="aware").run()
     assert state.regs[10] == 30 + 30 * 100
     assert len(bumps) == 2
@@ -1876,7 +1885,7 @@ def test_a_block_dropped_by_a_store_to_text_compiles_again(forced, monkeypatch):
 
 @pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
 def test_a_promoted_machine_is_freed_without_the_cycle_collector(forced, config):
-    # a compiled block holds its calls and the misses, which reach the
+    # a region holds its members' state and the misses, which reach the
     # machine only through a weak reference
     import gc
     import weakref
@@ -1916,8 +1925,8 @@ SYSCALL_ENDS = {"exit": "    li a7, 93", "ecall": "    li a7, 17", "ebreak": "  
 
 @pytest.mark.parametrize("end", SYSCALL_ENDS)
 def test_ecall_and_ebreak_in_compiled_blocks_run_as_the_cold_tier(forced, monkeypatch, end):
-    # 1199 writes from the compiled write block, whose ecall then exits or
-    # stops the run, or an ebreak ahead of it does
+    # 1199 writes from the write block in the region, whose ecall then exits
+    # or stops the run, or an ebreak ahead of it does
     source = SYSCALL_LOOP.replace("END", SYSCALL_ENDS[end])
     cells = [(build_image(source, N3, tagged=False), "compat")]
     cells += [(build_image(source, config, tagged=True), "aware") for config in (N3, CFI, COVERAGE)]
@@ -1933,9 +1942,10 @@ def test_ecall_and_ebreak_in_compiled_blocks_run_as_the_cold_tier(forced, monkey
         assert stdout[-1] == 49 and exit_code == (0 if end == "ebreak" else 48)
     # an ebreak runs only once, so no run compiles it: compile its closure
     machine = Emulator(cells[0][0])
-    block = emulator._compile((), emulator._factory("ebreak")(machine, emulator.TEXT_BASE, 0, 0, 0, 0))
-    assert "state" in block.__code__.co_varnames
-    assert block([0] * 32) is None
+    region, run_member = _one_member_region(
+        (), emulator._factory("ebreak")(machine, emulator.TEXT_BASE, 0, 0, 0, 0))
+    assert "state" in region.__code__.co_varnames
+    assert run_member([0] * 32) == emulator.TEXT_BASE  # it halts at its one word
     assert machine.state.halted and machine.state.stop_reason == "ebreak"
 
 
@@ -1986,7 +1996,7 @@ def test_accesses_of_three_widths_in_one_block_bind_each_struct_once(forced, mon
 
 
 # ---------------------------------------------------------------------------
-# regions: the compiled blocks of a hot loop run as branches of one function
+# regions: the hot blocks of a loop run as branches of one function
 
 @pytest.fixture
 def regions(monkeypatch):
@@ -2051,24 +2061,20 @@ def test_every_hot_kernel_block_compiles_and_runs_in_a_region(regions, monkeypat
     assert regions.tally["fetches"] > 0.8 * cold.counters.total
     first = Emulator(image, mode=mode)
     first.run()
-    assert hot <= set(first._hot)  # each compiled, and a branch of the region
-    # a second machine compiles nothing again: it shares the code of each
-    # block and of the region
+    assert hot <= set(first._hot)  # each a branch of the region
+    # a second machine compiles nothing again: it shares the region's code
     made = len(regions.made)
     second = Emulator(image, mode=mode)
     second.run()
     assert first._hot.keys() == second._hot.keys()
-    for entry, block in first._hot.items():
-        assert second._hot[entry][4].__code__ is block[4].__code__
     assert regions.made[-1].__code__ is regions.made[made - 1].__code__
 
 
 @pytest.mark.parametrize("config,mode", [(N3, "compat"), (CFI, "aware"), (COVERAGE, "aware")],
                          ids=["compat", "cfi", "coverage"])
-def test_a_region_stops_at_the_mark_and_at_the_budget_exactly(regions, monkeypatch, config,
-                                                              mode):
-    # marks fall inside a running region at 1024-fetch intervals, and each
-    # budget here ends one: a window of more than one 24-fetch iteration
+def test_a_region_stops_at_the_budget_exactly(regions, monkeypatch, config, mode):
+    # a region runs past the 1024-fetch marks, and each budget here ends
+    # it: a window of more than one 24-fetch iteration
     kernel, _ = _bench_workloads().kernel(random.Random(3), 1500)
     image = build_image(kernel, config, tagged=True)
     interval = emulator._SAMPLE_FETCHES
@@ -2168,6 +2174,50 @@ def test_a_region_member_that_halts_ends_the_run_at_its_halting_word(regions, mo
     assert regions.tally["fetches"] > 0
 
 
+def _wide_loop(blocks, iterations):
+    """A loop of `blocks` blocks per iteration, each an addi and a bne to
+    the next word, which ends it; it exits with the sum of the addis."""
+    chain = "".join(f"    addi t1, t1, {k + 1}\n    bne t1, x0, b{k}\nb{k}:\n"
+                    for k in range(blocks - 1))
+    return (f".globl main\n.entry main\nmain:\n    li s3, {iterations}\nloop:\n{chain}"
+            "    addi s3, s3, -1\n    bne s3, x0, loop\n"
+            "    mv a0, t1\n    li a7, 93\n    ecall\n")
+
+
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (COVERAGE, "aware")],
+                         ids=["compat", "coverage"])
+def test_a_loop_wider_than_a_region_evicts_members_and_promotes_them_again(
+        monkeypatch, config, mode):
+    # each new member of a full region evicts the oldest, which runs cold
+    # until it is sampled twice more and joins again
+    blocks = emulator._REGION_BLOCKS + 3
+    image = build_image(_wide_loop(blocks, 2000), config or N3, tagged=config is not None)
+    made = []  # the member entries of each region
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
+        [entry for entry, _ in members]) or make_region(members, *args))
+    records = []
+    for interval in (10 ** 12, emulator._SAMPLE_FETCHES, 0):  # never, as usual, and forced
+        made.clear()
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        records.append(_execution_record(image, mode))
+        assert bool(made) == (interval < 10 ** 12)
+        assert all(len(members) <= emulator._REGION_BLOCKS for members in made)
+        evicted, rejoined = set(), set()
+        for before, after in zip(made, made[1:]):
+            rejoined |= evicted.intersection(after)
+            evicted |= set(before) - set(after)
+        assert rejoined or not made, interval
+    assert records[0] == records[1] == records[2]
+    error, regs = ast.literal_eval(records[0].decode())[:2]
+    assert error is None and regs[10] == 2000 * (blocks - 1) * blocks // 2
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1024)
+    machine = Emulator(image, mode=mode)
+    machine.run()
+    assert 0 < machine._words
+    assert machine._words * 1024 <= machine.counters.total * emulator._INTERVAL_WORDS
+
+
 SLED = (
     ".globl main\n.entry main\nmain:\n"
     "    la t0, sled\n"
@@ -2184,21 +2234,15 @@ SLED = (
 
 
 def test_compiles_stay_within_the_compile_budget(monkeypatch):
-    # at a short sample interval, the sled's blocks of up to _BLOCK_WORDS
-    # words, and regions of up to _REGION_BLOCKS of them, are hot enough to
+    # at a short sample interval, regions of up to _REGION_BLOCKS of the
+    # sled's blocks, each of up to _BLOCK_WORDS words, are hot enough to
     # compile; the budget holds the words compiled to _INTERVAL_WORDS per
     # sample interval fetched
     words = []
-    compile_block, make_region = emulator._compile, emulator._region
-
-    def compiled(ops, term):  # a fall-through to the next block is no word
-        words.append(len(ops) + (emulator._FORMS[term.__code__] != "goto"))
-        return compile_block(ops, term)
-
+    make_region = emulator._region
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 256)
-    monkeypatch.setattr(emulator, "_compile", compiled)
     monkeypatch.setattr(emulator, "_region", lambda members, *args: words.append(
-        sum(member[3] for member in members)) or make_region(members, *args))
+        sum(block[1] for _, block in members)) or make_region(members, *args))
     machine = Emulator(build_image(SLED, N3, tagged=False), max_insns=150_000)
     with pytest.raises(LimitExceeded):
         machine.run()
@@ -2289,11 +2333,11 @@ def test_every_pure_op_matches_its_reference_cold_and_inlined(mnemonic):
         if mnemonic in emulator._CONDS:
             pc = 0x10040
             cold_term = emulator._factory(mnemonic)(None, pc, 0, 5, 6, imm)
-            pair = [((), cold_term), ((), emulator._compile((), cold_term))]
+            pair = [((), cold_term), ((), _one_member_region((), cold_term)[1])]
         else:
             cold_op = emulator._factory(mnemonic)(7, 5, 6, imm)
             pair = [((cold_op,), emulator._goto(0)),
-                    ((), emulator._compile((cold_op,), emulator._goto(0)))]
+                    ((), _one_member_region((cold_op,), emulator._goto(0))[1])]
         for a in values:
             for b in values[::3]:
                 expected = REFERENCE[mnemonic](a, b, imm)
