@@ -10,7 +10,9 @@ Memory is three bytearray segments at tagplan's fixed bases, which every
 Image gives as constants: text, data, and a stack that ends at STACK_TOP.
 An access outside them is a MemFault.  Only text executes, as CFI assumes:
 a fetch of anything but a whole text word (in data or the stack, past the
-end, misaligned) is a BadInstruction at that pc.  The slot schedule is
+end, misaligned) is a BadInstruction at that pc.  Text is execute-only in
+every mode: a program store to it is a MemFault, and only a CL label's
+write-back changes a word of it, the label's payload.  The slot schedule is
 resolved once, at load, into a pc -> tag dict where None marks a carrier:
 tagplan.slot_tags reads it in aware mode, and compat mode marks only the
 carriers of tagplan.carrier_groups.  Code runs as basic blocks of at most
@@ -37,18 +39,17 @@ the budget refused, runs cold.  Regions are charged by the words they
 compile, at most one per 64 fetched, so that compiling long blocks cannot
 take over a run, and a machine keeps each region it makes, as a loop wider
 than a region makes the same ones over and over.  A fault in the region
-reports the pc and counts that the run loop would.  A store that drops a
-member dissolves the region, and the running region returns right after the
-store.  Generated source is kept by its shape, the forms and integers it is
-built from, and compiled once per process, so a new machine pays only to
-bind its own objects to the cached code.
+reports the pc and counts that the run loop would.  Generated source is
+kept by its shape, the forms and integers it is built from, and compiled
+once per process, so a new machine pays only to bind its own objects to the
+cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
 builds every tier.  A load or store tests its address against data, whose
 end is the machine's, and the stack, and unpacks or packs in place on a hit;
-anything else calls its machine's miss, which reads text, stores to it under
-coverage and raises every MemFault.  The generated source holds only fixed
-names, strings and integers that rvtag formats.
+anything else calls its machine's miss, which reads text and raises every
+MemFault.  The generated source holds only fixed names, strings and integers
+that rvtag formats.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import functools
 import re
 import struct
 import types
-import weakref
 from dataclasses import dataclass, field
 
 from . import codec, tagplan
@@ -74,10 +74,9 @@ _WORD = struct.Struct("<I")
 
 class BadInstruction(RvtagError):
     """Fetched word is not a supported instruction, or pc is not a whole
-    text word.  pc is the fetch's; for a malformed carrier, the store's that
-    wrote it, or None when the image held it at load."""
+    text word; pc is the fetch's."""
 
-    def __init__(self, message: str, pc: int | None = None):
+    def __init__(self, message: str, pc: int):
         super().__init__(message)
         self.pc = pc
 
@@ -191,7 +190,7 @@ _STACK_BASE = STACK_TOP - STACK_SIZE
 def _access_body(mnemonic: str, fmt: str) -> str:
     """The body of a load or store: its address, then an unpack or pack in
     place on a hit in data, which ends at `end`, or in the stack, and else a
-    call to its machine's miss, which reads text, stores to it and faults.
+    call to its machine's miss, which reads text and faults.
     a + i needs no mask: an address that wraps is below text or above the
     stack either way, and the miss masks it.  A load to x0 writes nothing."""
     size = struct.calcsize(fmt)
@@ -200,7 +199,7 @@ def _access_body(mnemonic: str, fmt: str) -> str:
         tail = "\nif rd:\n    dest = value" + (" & M" if fmt[1].islower() else "")
     else:
         value = "b" if size == 8 else f"b & {(1 << 8 * size) - 1}"
-        hit, miss = f"pack({{}}, addr - {{}}, {value})", f"store(pack, {size}, addr, pc, {value})"
+        hit, miss = f"pack({{}}, addr - {{}}, {value})", f"store({size}, addr, pc)"
         tail = ""
     return (f"addr = a + i\nif {DATA_BASE} <= addr <= end - {size}:\n"
             f"    {hit.format('data', DATA_BASE)}\n"
@@ -366,25 +365,21 @@ def _operands(op, held, defaults) -> tuple:
     return bound, names
 
 
-def _misses(text: bytearray, written) -> tuple:
+def _misses(text: bytearray) -> tuple:
     """A machine's (load, store) misses, for an access that hits neither data
-    nor the stack: a load reads text, and a store writes it if the machine
-    gives `written`, the weak text-store callback of coverage mode.  Anything
-    else is a MemFault at pc."""
+    nor the stack: a load reads text, and anything else is a MemFault at pc,
+    a store to text among them."""
     def load(unpack, size, addr, pc):
         addr &= MASK64
         if 0 <= addr - TEXT_BASE <= len(text) - size:
             return unpack(text, addr - TEXT_BASE)[0]
         raise PolicyViolation("MemFault", pc, f"{size}-byte load at {addr:#x}: unmapped")
 
-    def store(pack, size, addr, pc, value):
+    def store(size, addr, pc):
         addr &= MASK64
         if not 0 <= addr - TEXT_BASE <= len(text) - size:
             raise PolicyViolation("MemFault", pc, f"{size}-byte store at {addr:#x}: unmapped")
-        if written is None:
-            raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
-        pack(text, addr - TEXT_BASE, value)
-        written()(addr, size, pc)
+        raise PolicyViolation("MemFault", pc, f"store to execute-only text at {addr:#x}")
     return load, store
 
 
@@ -393,13 +388,6 @@ def _misses(text: bytearray, written) -> tuple:
 # pc and their machine, or for an access, the machine's _access.  A
 # terminator, term(regs), ends a block and returns the next pc, or None once
 # halted.
-
-def _goto(target):
-    return lambda regs, target=target: target
-
-
-_FORMS[_goto(0).__code__] = "goto"
-
 
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
 _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
@@ -474,26 +462,25 @@ def _shape(ops) -> tuple:
         for op in ops for value in op.__defaults__])
 
 
-def _region(members: list, writable: bool, at: list, hot: dict):
+def _region(members: list, at: list):
     """One function that runs blocks as branches of one loop: region(regs,
     pc, left) runs from pc while it is a member's entry and the member fits
     in `left` fetches.  Each member is (entry, block), a block as
     Emulator._translate makes it, and its branch is _lines' body of the
     block, with its return an assignment to pc, and its counts taken from
-    left and added to retired and labels.  The region stops at any other pc;
-    after a member that halts, at its halting word; and where text is
-    `writable`, after a member with a store once `hot` is empty, as a store
-    that drops a member leaves it.  It leaves (pc, left, retired, labels) in
-    `at`, also past a fault, which then leaves the entry of the member it
-    faulted in.  Equal shapes make equal source, so each shape is compiled
-    once per process, and a region of a known shape is its code with each
-    default after at and hot taken from the same operand of the same op."""
+    left and added to retired and labels.  The region stops at any other pc,
+    and after a member that halts, at its halting word.  It leaves (pc, left,
+    retired, labels) in `at`, also past a fault, which then leaves the entry
+    of the member it faulted in.  Equal shapes make equal source, so each
+    shape is compiled once per process, and a region of a known shape is its
+    code with each default after at taken from the same operand of the same
+    op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
-    shape = (writable, _shape(ops), *[(entry, len(block[0]), *block[1:4], block[5])
-                                      for entry, block in members])
+    shape = (_shape(ops), *[(entry, len(block[0]), *block[1:4], block[5])
+                            for entry, block in members])
     known = _GENERATED.get(shape)
     if known is None:
-        defaults = {"at": at, "hot": hot}
+        defaults = {"at": at}
         lines = ["retired = labels = 0", "try:", "    while True:"]
         for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
             body = _lines(block_ops, term, defaults)
@@ -502,8 +489,6 @@ def _region(members: list, writable: bool, at: list, hot: dict):
             body += [f"labels += {labels}"] * (labels > 0)
             if "state.halted" in _BODIES[_FORMS[term.__code__]]:  # its pc is None once halted
                 body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
-            if writable and any(_FORMS.get(op.__code__) in _STORES for op in block_ops):
-                body += ["if not hot:", "    break"]
             lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
                       f"            if left < {fetches}:", "                break"]
             lines += [f"            {line}" for line in body]
@@ -520,9 +505,9 @@ def _region(members: list, writable: bool, at: list, hot: dict):
         if len(_GENERATED) >= _GENERATED_KEPT:
             _GENERATED.clear()
         known = _GENERATED[shape] = (code, [where[id(value)]
-                                            for value in list(defaults.values())[2:]])
+                                            for value in list(defaults.values())[1:]])
     code, slots = known
-    return types.FunctionType(code, _GLOBALS, "region", (at, hot, *[
+    return types.FunctionType(code, _GLOBALS, "region", (at, *[
         ops[i].__defaults__[k] for i, k in slots]))
 
 
@@ -541,13 +526,10 @@ class Emulator:
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
         self.state.regs[2] = STACK_TOP
         self._aware = mode == "aware"
-        self._text_writable = self._aware and image.policy == "coverage"
         # What every load and store binds: the segments it hits, the end of
-        # data, and the miss pair.  The misses hold text and, where it is
-        # writable, a weak callback, so no op holds its machine in a cycle.
-        written = weakref.WeakMethod(self._text_written) if self._text_writable else None
+        # data, and the miss pair, which holds only text.
         self._access = (self.memory.data, self.memory.stack, DATA_BASE + len(self.memory.data),
-                        *_misses(self.memory.text, written))
+                        *_misses(self.memory.text))
         self._effects = tagplan.EFFECTS[self.policy.mode]
         self._blocks = {}
         self._entered = set()
@@ -557,50 +539,22 @@ class Emulator:
         self._regions = {}  # the member entries of each region made -> that region
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
         self._words = 0  # the words of every region compiled so far
-        self._tags = {}
         self._labels_counted = {}  # policy.cl_addresses, in first-count order
-        self._groups = list(tagplan.carrier_groups(image.tag_regions, image.text_end))
-        self._resolve(self._groups)
-
-    # -- slot schedule -----------------------------------------------------------
-    def _resolve(self, groups, pc: int | None = None) -> None:
-        """Enter carrier groups into the pc -> tag schedule (None = carrier);
-        pc is that of the store that wrote them, if any.  Compat mode reads
-        no carrier word, and marks only where the carriers are."""
-        if not self._aware:
-            self._tags.update(dict.fromkeys(carrier for _, carrier, _ in groups))
-            return
-        try:
-            self._tags.update(tagplan.slot_tags(self.memory.text, groups))
-        except codec.NotACarrier as exc:
-            raise BadInstruction(str(exc), pc) from None
-
-    def _text_written(self, addr: int, size: int, pc: int) -> None:
-        """After the store at pc wrote text (coverage mode only): re-resolve
-        each group whose carrier it wrote, and drop every block over a
-        written word or over a word of such a group.  Dropping a region
-        member dissolves the region."""
-        groups = [group for group in self._groups if addr - 4 < group[1] < addr + size]
-        self._resolve(groups, pc)
-        spans = [(addr, addr + size)] + [(start, end) for _, start, end in groups]
-        dropped = [entry for entry, block in self._blocks.items()
-                   if any(lo < block[-1] and entry < hi for lo, hi in spans)]
-        if not self._hot.keys().isdisjoint(dropped):
-            self._dissolve()
-        if dropped:
-            self._regions.clear()
-        for entry in dropped:
-            del self._blocks[entry]
-            self._promoted.pop(entry, None)
+        # the pc -> tag schedule, None at a carrier: compat mode reads no
+        # carrier word, and marks only where the carriers are; a malformed
+        # one raises NotACarrier in aware mode
+        groups = tagplan.carrier_groups(image.tag_regions, image.text_end)
+        self._tags = (tagplan.slot_tags(self.memory.text, groups) if self._aware
+                      else dict.fromkeys(carrier for _, carrier, _ in groups))
 
     # -- translation ---------------------------------------------------------------
     def _translate(self, entry: int, limit: int = -1) -> tuple:
         """The block entered at `entry`, of at most `limit` fetches if given:
         (ops, fetches, retired, labels, terminator, end).  It ends at a
-        control transfer, a BCF-tagged word, after _BLOCK_WORDS words, and
-        where text is writable, after a store.  A CFL label's value is only
-        for a checked jalr right after it, in the next block if the label ends
-        this one.  An entry that is not a whole text word raises."""
+        control transfer, a BCF-tagged word, or after _BLOCK_WORDS words.  A
+        CFL label's value is only for a checked jalr right after it, in the
+        next block if the label ends this one.  An entry that is not a whole
+        text word raises."""
         tags, text = self._tags, self.memory.text
         end = TEXT_BASE + len(text)
         if entry % 4 or not TEXT_BASE <= entry < end:
@@ -608,8 +562,7 @@ class Emulator:
         stop = entry + 4 * (_BLOCK_WORDS if limit < 0 else limit)
         if stop < end:
             end = stop
-        effects, aware, text_writable = self._effects, self._aware, self._text_writable
-        access = self._access
+        effects, aware, access = self._effects, self._aware, self._access
         ops = []
         carriers = labels = 0
         term = pending = None
@@ -660,15 +613,14 @@ class Emulator:
                     term = make(self, pc, rd, rs1, rs2, imm)
                 else:
                     op = make(access, pc, rd, rs1, rs2, imm)
-                    if text_writable and mnemonic in codec.STORE_MNEMONICS:
-                        term = term or _goto(pc + 4)  # the next word may be the one stored
             if op is not None:
                 ops.append(op)
             pc += 4
         if pending is not None:  # the label ends the block: its value waits for the next one
             ops.append(_factory("site label")(self, pc, 0, 0, 0, pending))
         fetches = (pc - entry) >> 2
-        block = (tuple(ops), fetches, fetches - carriers, labels, term or _goto(pc), pc)
+        term = term or _factory("goto")(self, pc, 0, 0, 0, 0)
+        block = (tuple(ops), fetches, fetches - carriers, labels, term, pc)
         # Unlimited blocks are cached once entered twice: code that runs once,
         # like a long straight-line driver, then leaves no objects behind for
         # the garbage collector to keep traversing.
@@ -683,9 +635,8 @@ class Emulator:
         """The block entered at `entry`, not a region member, crossed a
         sample point, `fetches` into this run.  A cached block is noted the
         first time, and at any later sample it joins the region as its
-        newest member: a block that the region evicted or a store to text
-        dropped joins again once sampled again.  Code that is never sampled
-        pays nothing."""
+        newest member: a block that the region evicted joins again once
+        sampled again.  Code that is never sampled pays nothing."""
         if entry not in self._blocks:
             return
         if entry not in self._sampled:
@@ -699,9 +650,8 @@ class Emulator:
         """Make the region of the last _REGION_BLOCKS promoted blocks: each
         member's entry then leads to the region, and an evicted member runs
         cold.  A loop wider than a region makes the same regions over and
-        over, so each is kept until a store to text drops a block, and only
-        a new one is charged to the compile budget, which may refuse it
-        after `fetched` fetches."""
+        over, so each is kept, and only a new one is charged to the compile
+        budget, which may refuse it after `fetched` fetches."""
         members = tuple(self._promoted)[-_REGION_BLOCKS:]
         blocks = [self._hot.get(entry) or self._blocks[entry] for entry in members]
         region = self._regions.get(members)
@@ -712,18 +662,12 @@ class Emulator:
             self._words += words
             if len(self._regions) >= _GENERATED_KEPT:
                 self._regions.clear()
-            region = self._regions[members] = _region(
-                list(zip(members, blocks)), self._text_writable, self._at, self._hot)
-        self._dissolve()
+            region = self._regions[members] = _region(list(zip(members, blocks)), self._at)
+        self._blocks.update(self._hot)
+        self._hot.clear()
         for entry, block in zip(members, blocks):
             self._hot[entry] = block
             self._blocks[entry] = ((), _REGION, 0, 0, region, block[5])
-
-    def _dissolve(self) -> None:
-        """Put each region member's block back in the cache, and empty
-        `hot`, which ends a running region at its next check."""
-        self._blocks.update(self._hot)
-        self._hot.clear()
 
     def _upto(self, exc, entry: int, fetches: int, retired: int, labels: int) -> tuple:
         """(pc, fetches, retired, labels) where exc stopped the block entered

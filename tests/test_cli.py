@@ -472,7 +472,8 @@ TWO_FUNCTIONS = (
 def test_run_image_with_a_malformed_carrier(workspace, capsys):
     # the carrier ahead of the entry label rewritten to `beq x0, x0, 0`: the
     # image still reads, since labels are found only when asked for; aware
-    # mode rejects the tag slot and compat mode spins to the fetch budget
+    # mode rejects the tag slot as an image error, since no store can write
+    # text, and compat mode spins to the fetch budget
     image = build_image(TWO_FUNCTIONS, make_config(carrier="lui", coverage=3, policy="cfi"))
     carrier = image.tag_regions[0].start
     assert image.label_addrs[0] == (carrier + 4, "cfl")
@@ -482,20 +483,25 @@ def test_run_image_with_a_malformed_carrier(workspace, capsys):
     write_image(dataclasses.replace(image, text=text), path)
     assert read_image(path).text == text
     capsys.readouterr()
-    assert main(["run", "--mode", "aware", str(path)]) == cli.EXIT_BUILD
-    assert f"run failed: tag slot {carrier:#x}" in capsys.readouterr().err
+    for command in (["run", "--mode", "aware"], ["enforce"]):
+        assert main([*command, str(path)]) == cli.EXIT_BUILD
+        assert capsys.readouterr() == ("", f"rvtag: image error: tag slot {carrier:#x}: "
+                                           "0x00000063 is not a lui x0 word\n"), command
     assert main(["run", "--mode", "compat", "--max-insns", "20000", str(path)]) == cli.EXIT_BUILD
     assert "run failed: fetched 20000 words without exiting" in capsys.readouterr().err
     # rewritten to `addi x0, x0, 0`, it runs clean in compat mode, but the
     # coverage map needs the labels, whose carrier is the image's fault: run
-    # and enforce both fail before they run it, and print nothing
+    # and enforce both fail before they run it, and print nothing, as aware
+    # mode does without the map
     text = image.text[:offset] + (0x00000013).to_bytes(4, "little") + image.text[offset + 4:]
     write_image(dataclasses.replace(image, text=text), path)
     assert main(["run", "--mode", "compat", str(path)]) == 0
     assert capsys.readouterr().out.startswith("exit=7 reason=exit ")
     dump = workspace / "out.json"
-    for command in (["run", "--mode", "compat"], ["run", "--mode", "aware"], ["enforce"]):
-        assert main([*command, "--dump-coverage", str(dump), str(path)]) == cli.EXIT_BUILD
+    coverage = ["--dump-coverage", str(dump)]
+    for command in (["run", "--mode", "compat", *coverage], ["run", "--mode", "aware", *coverage],
+                    ["enforce", *coverage], ["run", "--mode", "aware"], ["enforce"]):
+        assert main([*command, str(path)]) == cli.EXIT_BUILD
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (f"rvtag: image error: tag slot {carrier:#x}: "

@@ -215,7 +215,7 @@ def test_aware_rejects_malformed_carrier_at_load():
     text = bytearray(image.text)
     text[offset:offset + 4] = codec.encode(Insn("addi", rd=1)).to_bytes(4, "little")
     bad = dataclasses.replace(image, text=bytes(text))
-    with pytest.raises(BadInstruction, match=f"{carrier_addr:#x}"):
+    with pytest.raises(codec.NotACarrier, match=f"tag slot {carrier_addr:#x}: "):
         Emulator(bad, mode="aware")
     state, _, _ = run(bad, mode="compat")  # tag-unaware: never parsed
     assert state.stop_reason == "exit"
@@ -693,30 +693,6 @@ def test_coverage_cl_writeback_saturates():
     assert (_word(image, state, label_addr) >> 12) & 0xFFFFF == 0xFFFFF
 
 
-def test_coverage_store_to_carrier_retags_its_group():
-    # Overwriting bump's carrier with a bare `lui x0, 0` tags its whole
-    # group CL, so the second call neither counts the addi nor records ret.
-    source = (
-        ".globl bump\nbump:\n"
-        "    addi a0, a0, 1 !count\n"
-        "    ret\n"
-        ".globl main\n.entry main\nmain:\n"
-        "    call bump\n"
-        "    la t0, bump\n"
-        "    li t1, 0x37\n"
-        "    sw t1, 0(t0)\n"
-        "    call bump\n"
-        "    li a7, 93\n"
-        "    ecall\n"
-    )
-    image, state, _, policy = coverage_run(source)
-    assert state.exit_code == 2
-    lo, hi = block_fn_range(image)  # bump is the first fragment
-    assert list(policy.ci_counts.values()) == [1]
-    assert [sum(targets.values()) for pc, targets in policy.bcf.items()
-            if lo <= pc < hi] == [1]
-
-
 def test_coverage_cl_counts_match_executions():
     image, state, _, policy = coverage_run()
     counts = label_counts(image, state)
@@ -757,6 +733,8 @@ def test_report_values():
 # ---------------------------------------------------------------------------
 # semantics the block translator must keep
 
+# stores to bump's first word between two calls: a MemFault at the store,
+# as text is execute-only
 PATCHED = (
     ".globl bump\nbump:\n"
     "    addi a0, a0, 1\n"
@@ -770,25 +748,6 @@ PATCHED = (
     "    li a7, 93\n"
     "    ecall\n"
 )
-
-
-def test_coverage_store_to_text_runs_the_new_instruction():
-    # the addi is not always the word after bump's carrier: that slot can
-    # hold the block's CL label, so find it in the built image
-    old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1))
-    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
-
-    def build(offset):
-        return build_image(PATCHED, COVERAGE, tagged=True,
-                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
-
-    image = build(0)
-    offset = image.text.index(old_word.to_bytes(4, "little"))
-    assert offset % 4 == 0 and offset < image.tag_regions[1].start - image.text_base
-    image = build(offset)
-    assert image.text.index(old_word.to_bytes(4, "little")) == offset
-    state, _, _ = run(image, mode="aware")
-    assert state.exit_code == 101  # first call adds 1, the patched one 100
 
 
 def test_limit_exceeded_leaves_exact_state():
@@ -994,53 +953,6 @@ def test_fetch_budget_stops_mid_block(source, config, mode):
         assert machine.policy == whole.policy
 
 
-def test_coverage_store_to_the_next_word_runs_the_new_instruction():
-    # the store ends its block, so the word it rewrites right after it is
-    # fetched anew; the build with OFFSET 0 locates that word
-    source = (
-        ".globl main\n.entry main\nmain:\n"
-        "    la t0, main\n"
-        "    li t1, NEW_WORD\n"
-        "    sw t1, OFFSET(t0)\n"
-        "    addi a0, a0, 1\n"
-        "    li a7, 93\n"
-        "    ecall\n"
-    )
-    old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1)).to_bytes(4, "little")
-    new_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=100))
-
-    def build(offset):
-        return build_image(source, COVERAGE, tagged=True,
-                           defsym={"NEW_WORD": new_word, "OFFSET": offset})
-
-    offset = build(0).text.index(old_word)
-    image = build(offset)
-    store = next(pc for pc in range(offset - 4, 0, -4)
-                 if codec.decode(int.from_bytes(image.text[pc:pc + 4], "little")).mnemonic == "sw")
-    assert image.text.index(old_word) == offset and store + 4 == offset
-    state, _, _ = run(image, mode="aware")
-    assert state.exit_code == 100
-
-
-def test_coverage_store_of_a_malformed_carrier_faults_at_the_store():
-    source = (
-        ".globl bump\nbump:\n"
-        "    addi a0, a0, 1\n"
-        "    ret\n"
-        ".globl main\n.entry main\nmain:\n"
-        "    call bump\n"
-        "    la t0, bump\n"
-        "    li t1, 0x13\n"  # addi x0, x0, 0: not a lui carrier
-        "    sw t1, 0(t0)\n"
-        "    call bump\n"
-        "    ecall\n"
-    )
-    image = build_image(source, COVERAGE, tagged=True)
-    machine, exc = _fault(image, "aware")
-    assert isinstance(exc, BadInstruction) and f"{image.text_base:#x}" in str(exc)
-    assert codec.decode(machine.memory.read(machine.state.pc, 4)).mnemonic == "sw"
-
-
 @pytest.mark.parametrize("access", ["ld a0, 0(t0)", "sd a1, 8(t0)", "lw a0, -4(t2)"])
 @pytest.mark.parametrize("mode", ["compat", "aware"])
 def test_unmapped_access_faults_at_its_pc(access, mode):
@@ -1064,8 +976,8 @@ def test_unmapped_access_faults_at_its_pc(access, mode):
 
 @pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
 def test_a_finished_machine_is_freed_without_the_cycle_collector(config):
-    # no op or terminator refers back to its Emulator but weakly, so dropping
-    # the last reference frees the blocks, the memory map and the stack
+    # no op or terminator refers back to its Emulator, so dropping the last
+    # reference frees the blocks, the memory map and the stack
     import gc
     import weakref
 
@@ -1214,8 +1126,9 @@ def _bench_workloads():
 
 
 # sha256 over the runs below, computed with the per-pc dispatch-table
-# emulator that preceded block translation.
-EXECUTION_DIGEST = "cb60c9c4366c4ed81a8d3eb47725bf8ec73d61d13217fcb87bb1d7e2a55877fd"
+# emulator that preceded block translation, but for the last: PATCHED's run
+# ends in a MemFault at its store, as text is execute-only.
+EXECUTION_DIGEST = "7183c1d5fbaf796efedc2d05cc1401bdd7a8d21490a767da2b94eaec0bee5fff"
 
 
 def test_execution_is_pinned():
@@ -1277,7 +1190,7 @@ def _one_member_region(ops, term):
     the pc the region stopped at: the next pc, or the halting word."""
     at, fetches = [0, 0, 0, 0], len(ops) + 1
     block = (tuple(ops), fetches, fetches, 0, term, emulator.TEXT_BASE + 4 * fetches)
-    region = emulator._region([(emulator.TEXT_BASE, block)], False, at, {})
+    region = emulator._region([(emulator.TEXT_BASE, block)], at)
 
     def run_member(regs):
         region(regs, emulator.TEXT_BASE, fetches)
@@ -1398,9 +1311,9 @@ EDGE_LOOP = (
     ".data\n"
     "buf:\n" + "    .dword -0x7f7e7d7c7b7a7979\n" * 8  # 64 bytes, each with its top bit set
 )
-# six times in data, then twice at main + OFFSET, a word of the first groups,
-# which hold the loop: each reads a word and writes it back unchanged, which
-# under coverage drops the blocks over it, the running one among them
+# six times in data, then at main + OFFSET, a word of the first groups,
+# which hold the loop: the load reads it, and the store that would write it
+# back unchanged is a MemFault in every mode and policy
 SELF_GROUP = (
     '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
     "    la t0, buf\n"
@@ -1489,8 +1402,8 @@ def test_inlined_accesses_at_every_edge_run_as_the_cold_tier(forced, monkeypatch
             assert _execution_record(image, mode) == compiled, (source, mode)
             record = ast.literal_eval(compiled.decode())
             error, regs = record[:2]
-            if address is None and mode == "aware" and config is COVERAGE:
-                assert error is None and regs[10] == 8, source
+            if address is None:  # the seventh iteration's store to text
+                assert error[:2] == ("PolicyViolation", "MemFault") and regs[10] == 7, source
             elif segment:  # an access outside data or the stack faults, one inside does not
                 lo, hi = segment
                 inside = lo <= address <= hi - size
@@ -1548,21 +1461,21 @@ HOT_CALLEE = (
     "    ret\n"
 )
 
-SELF_PATCH = (
+REGION_PATCH = (
     ".globl main\n.entry main\nmain:\n"
     "    la t0, scratch\n"
     "    la t2, main\n"
     "    addi t2, t2, OFFSET\n"
     "    li t1, NEW_WORD\n"
-    "    li s3, 40\n"
+    "    li s3, 200\n"
     "loop:\n"
-    "    addi a0, a0, 1\n"
-    "    sw t1, 0(t0)\n"  # from the fourth iteration on, rewrites the addi of its own block
+    "    sw t1, 0(t0)\n"  # after 150 iterations, a store to bump's addi
     "    addi s3, s3, -1\n"
-    "    li t3, 37\n"
-    "    bne s3, t3, next\n"
+    "    li t3, 50\n"
+    "    bne s3, t3, bump\n"
     "    mv t0, t2\n"
-    "next:\n"
+    "bump:\n"
+    "    addi a0, a0, 1\n"
     "    bne s3, x0, loop\n"
     "    li a7, 93\n"
     "    ecall\n"
@@ -1586,30 +1499,6 @@ def _self_patch_image(source):
     old_word = codec.encode(Insn("addi", rd=10, rs1=10, imm=1)).to_bytes(4, "little")
     return _offset_image(source, COVERAGE, lambda image: image.text.index(old_word),
                          NEW_WORD=codec.encode(Insn("addi", rd=10, rs1=10, imm=100)))
-
-
-PATCHED_LOOP = (
-    ".globl bump\nbump:\n"
-    "    addi a0, a0, 1\n"
-    "    xori t2, a0, 9\n"
-    "    ret\n"
-    ".globl main\n.entry main\nmain:\n"
-    "    li s3, 30\n"
-    "first:\n"
-    "    call bump\n"
-    "    addi s3, s3, -1\n"
-    "    bne s3, x0, first\n"
-    "    la t0, bump\n"
-    "    li t1, NEW_WORD\n"
-    "    sw t1, OFFSET(t0)\n"  # drops bump's compiled block
-    "    li s3, 30\n"
-    "second:\n"
-    "    call bump\n"
-    "    addi s3, s3, -1\n"
-    "    bne s3, x0, second\n"
-    "    li a7, 93\n"
-    "    ecall\n"
-)
 
 
 HOT_CARRY = (
@@ -1721,14 +1610,8 @@ HOT_CASES = {
     "budget-mid-block": (lambda: _hot_kernel(N3), "compat", 2001, "LimitExceeded"),
     "budget-mid-block-cfi": (lambda: _hot_kernel(CFI), "aware", 2001, "LimitExceeded"),
     "budget-mid-block-coverage": (lambda: _hot_kernel(COVERAGE), "aware", 2001, "LimitExceeded"),
-    "store-drops-compiled-block": (lambda: _self_patch_image(PATCHED_LOOP), "aware", 10 ** 6,
-                                   30 + 30 * 100),
-    # forced, the loop block (the first iteration runs in main's block) is
-    # sampled on its second entry and compiled at each later one, whose
-    # store, run by the closures, rewrites the block's own addi: the
-    # compiled block is dropped before it ever runs
-    "store-drops-just-compiled-block": (lambda: _self_patch_image(SELF_PATCH), "aware",
-                                        10 ** 6, 4 + 36 * 100),
+    "store-to-text-in-a-hot-loop": (lambda: _self_patch_image(REGION_PATCH), "aware", 10 ** 6,
+                                    "MemFault"),
 }
 
 
@@ -1861,32 +1744,10 @@ def test_each_enforcement_mutation_gives_its_one_fault(request, tier):
     assert borrow.endswith(": 0x6 - 0x7 borrows")
 
 
-def test_a_block_dropped_by_a_store_to_text_compiles_again(forced, monkeypatch):
-    # bump's block joins the region in the first loop; the sw drops it, and
-    # its new copy, over the patched word, joins a region in the second
-    image = _self_patch_image(PATCHED_LOOP)
-    bumps = []
-    make_region = emulator._region
-
-    def spy(members, *args):
-        for _, block in members:
-            ops = block[0]
-            # only bump has an xori
-            if ("xori" in [emulator._FORMS.get(op.__code__) for op in ops]
-                    and not any(ops is bump for bump in bumps)):
-                bumps.append(ops)
-        return make_region(members, *args)
-
-    monkeypatch.setattr(emulator, "_region", spy)
-    state, _, _ = Emulator(image, mode="aware").run()
-    assert state.regs[10] == 30 + 30 * 100
-    assert len(bumps) == 2
-
-
 @pytest.mark.parametrize("config", [N3, CFI, UNARITH, COVERAGE], ids=lambda c: c.policy)
 def test_a_promoted_machine_is_freed_without_the_cycle_collector(forced, config):
-    # a region holds its members' state and the misses, which reach the
-    # machine only through a weak reference
+    # a region holds its members' state and the misses, none of which
+    # refers back to the machine
     import gc
     import weakref
 
@@ -2001,14 +1862,13 @@ def test_accesses_of_three_widths_in_one_block_bind_each_struct_once(forced, mon
 @pytest.fixture
 def regions(monkeypatch):
     """Every region a run makes is wrapped to tally what it does: the
-    `fetches` run inside it, the `faults` that left it, and the calls in
-    which a store to text `dissolved` it.  `made` lists the regions
-    themselves."""
+    `fetches` run inside it and the `faults` that left it.  `made` lists the
+    regions themselves."""
     spy = types.SimpleNamespace(tally=collections.Counter(), made=[])
     make_region = emulator._region
 
-    def spied(members, writable, at, hot):
-        region = make_region(members, writable, at, hot)
+    def spied(members, at):
+        region = make_region(members, at)
         spy.made.append(region)
 
         def run_region(regs, pc, left):
@@ -2019,7 +1879,6 @@ def regions(monkeypatch):
                 raise
             finally:
                 spy.tally["fetches"] += left - at[1]
-                spy.tally["dissolved"] += not hot
         return run_region
 
     monkeypatch.setattr(emulator, "_region", spied)
@@ -2050,9 +1909,9 @@ def test_every_hot_kernel_block_compiles_and_runs_in_a_region(regions, monkeypat
     cold = Emulator(image, mode=mode)
     cold._blocks = dispatches = _Dispatches()
     cold.run()
-    # the loop body (two blocks where its store ends one), step and the tail
+    # the loop body, step and the tail
     hot = {entry for entry, count in dispatches.counts.items() if count >= 1000}
-    assert len(hot) == (4 if config is COVERAGE else 3)
+    assert len(hot) == 3
     unsampled = _execution_record(image, mode)
     assert not regions.made
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
@@ -2091,7 +1950,7 @@ def test_a_region_stops_at_the_budget_exactly(regions, monkeypatch, config, mode
 @pytest.mark.parametrize("name", HOT_CASES)
 def test_a_fault_inside_a_region_is_the_interpreted_fault(regions, monkeypatch, name):
     # short sample intervals put marks at every phase of the loop, so that
-    # the region is running when the fault, the budget or the store comes
+    # the region is running when the fault or the budget comes
     build, mode, budget, outcome = HOT_CASES[name]
     image = build()
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
@@ -2106,21 +1965,23 @@ def test_a_fault_inside_a_region_is_the_interpreted_fault(regions, monkeypatch, 
         assert regions.tally["faults"] > 0
 
 
-REGION_PATCH = (
-    ".globl main\n.entry main\nmain:\n"
+# stores to data, and from its ninth iteration on, to main + OFFSET, a word
+# of text
+STORE_TO_TEXT = (
+    '.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
     "    la t0, scratch\n"
     "    la t2, main\n"
     "    addi t2, t2, OFFSET\n"
-    "    li t1, NEW_WORD\n"
-    "    li s3, 200\n"
+    "    li s3, 12\n"
     "loop:\n"
-    "    sw t1, 0(t0)\n"  # ends its block; after 150 iterations, it rewrites bump's addi
-    "    addi s3, s3, -1\n"
-    "    li t3, 50\n"
-    "    bne s3, t3, bump\n"
-    "    mv t0, t2\n"
-    "bump:\n"
     "    addi a0, a0, 1\n"
+    "    sw a0, 0(t0)\n"
+    "    addi a1, a1, 1\n"
+    "    addi s3, s3, -1\n"
+    "    li t3, 4\n"
+    "    bne s3, t3, next\n"
+    "    mv t0, t2\n"
+    "next:\n"
     "    bne s3, x0, loop\n"
     "    li a7, 93\n"
     "    ecall\n"
@@ -2128,20 +1989,50 @@ REGION_PATCH = (
     "scratch:\n"
     "    .dword 0\n"
 )
+STORE_TARGETS = [(config, target) for config in (N3, CFI, UNARITH, COVERAGE)
+                 for target in ("own-block", "next-word", "carrier")] + [(COVERAGE, "cl-label")]
 
 
-def test_a_store_that_drops_a_region_member_ends_the_region(regions, monkeypatch):
-    # the store block and bump's block are branches of one region when the
-    # store first rewrites bump's addi: the region ends after the store, and
-    # bump runs its new word at once
-    image = _self_patch_image(REGION_PATCH)
-    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
-    unsampled = _execution_record(image, "aware")
-    assert ast.literal_eval(unsampled.decode())[1][10] == 150 + 50 * 100
-    for interval in range(4, 40):
-        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
-        assert _execution_record(image, "aware") == unsampled, interval
-    assert regions.tally["dissolved"] > 0
+def _store_targets(image):
+    """(the pc of STORE_TO_TEXT's store, target -> the text word it hits):
+    a word of its own block, the word after it, a carrier, and under
+    coverage, the CL label of the loop's block."""
+    words = dict(_words(image))
+    [store] = [pc for pc, insn in words.items() if insn.mnemonic == "sw"]
+    [own] = [pc for pc, insn in words.items()
+             if (insn.mnemonic, insn.rd, insn.imm) == ("addi", 10, 1)]
+    targets = {"own-block": own, "next-word": store + 4, "carrier": image.tag_regions[0].start}
+    if image.policy == "coverage":
+        targets["cl-label"] = max(addr for addr, kind in image.label_addrs
+                                  if kind == "cl" and addr < own)
+    return store, targets
+
+
+@pytest.mark.parametrize("config,target", STORE_TARGETS,
+                         ids=[f"{config.policy}-{target}" for config, target in STORE_TARGETS])
+def test_a_store_to_text_is_a_memfault_at_the_store(regions, monkeypatch, config, target):
+    # text is execute-only in every mode and policy: the store faults, also
+    # from the loop's region under forced promotion, and writes nothing
+    image = _offset_image(STORE_TO_TEXT, config,
+                          lambda image: _store_targets(image)[1][target] - image.entry)
+    store, targets = _store_targets(image)
+    addr, offset = targets[target], targets[target] - emulator.TEXT_BASE
+    for mode in ("compat", "aware"):
+        regions.tally.clear()
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)  # forced promotion
+        forced, message = _execution_record(image, mode), _message(image, mode, 10 ** 6)
+        assert regions.tally["faults"] > 0, mode
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+        assert _execution_record(image, mode) == forced, mode
+        assert _message(image, mode, 10 ** 6) == message, mode
+        record = ast.literal_eval(forced.decode())
+        assert record[0] == ("PolicyViolation", "MemFault", store), mode
+        assert message.endswith(f"store to execute-only text at {addr:#x}"), mode
+        assert record[1][10] == 9, mode
+        # a CL write-back may have counted in the word, but nothing else changed it
+        word, old = (int.from_bytes(text[offset:offset + 4], "little")
+                     for text in (record[6][0], image.text))
+        assert (word ^ old) & 0xFFF == 0 and (word == old or target == "cl-label"), mode
 
 
 def test_a_region_member_that_halts_ends_the_run_at_its_halting_word(regions, monkeypatch):
@@ -2336,8 +2227,8 @@ def test_every_pure_op_matches_its_reference_cold_and_inlined(mnemonic):
             pair = [((), cold_term), ((), _one_member_region((), cold_term)[1])]
         else:
             cold_op = emulator._factory(mnemonic)(7, 5, 6, imm)
-            pair = [((cold_op,), emulator._goto(0)),
-                    ((), _one_member_region((cold_op,), emulator._goto(0))[1])]
+            goto = emulator._factory("goto")(None, 0, 0, 0, 0, 0)
+            pair = [((cold_op,), goto), ((), _one_member_region((cold_op,), goto)[1])]
         for a in values:
             for b in values[::3]:
                 expected = REFERENCE[mnemonic](a, b, imm)
