@@ -12,17 +12,18 @@ An access outside them is a MemFault.  Only text executes, as CFI assumes:
 a fetch of anything but a whole text word (in data or the stack, past the
 end, misaligned) is a BadInstruction at that pc.  Text is execute-only in
 every mode: a program store to it is a MemFault, and only a CL label's
-write-back changes a word of it, the label's payload.  The slot schedule is
-resolved once, at load, into a pc -> tag dict where None marks a carrier:
-tagplan.slot_tags reads it in aware mode, and compat mode marks only the
-carriers of tagplan.carrier_groups.  Code runs as basic blocks of at most
-_BLOCK_WORDS words, translated on entry and cached by entry pc once entered
-twice: closures with their operands bound, constant counts, and one
-terminator that returns the next pc.  The cap keeps the cache linear in
-text, however the entries into one long straight run fall.  Aware-mode
-carriers and x0 no-ops cost nothing, and each policy check is an op or a
-checked form of its word, made at translation.  A load to x0 writes nothing
-but still faults.
+write-back changes a word of it, the label's payload, the one record of how
+often the label ran.  The slot schedule is resolved once, at load, into a
+pc -> tag dict where None marks a carrier: tagplan.slot_tags reads it in
+aware mode, and compat mode marks only the carriers of
+tagplan.carrier_groups.  Code runs as basic blocks of at most _BLOCK_WORDS
+words, translated on entry and cached by entry pc once entered twice:
+closures with their operands bound, constant counts, and one terminator that
+returns the next pc.  The cap keeps the cache linear in text, however the
+entries into one long straight run fall, and a block that would cross the
+fetch budget runs as the prefix of it that fits.  Aware-mode carriers and x0
+no-ops cost nothing, and each policy check is an op or a checked form of its
+word, made at translation.  A load to x0 writes nothing but still faults.
 
 Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
@@ -139,20 +140,18 @@ class ExecCounters:
 
 @dataclass
 class PolicyState:
+    """The policy a run enforces, its cfi labels in flight, and its CI and
+    BCF counts.  A CL label's count is its own payload, in text."""
+
     mode: str = "none"
     pending_cfl: int | None = None
     awaiting_entry: int | None = None
     ci_counts: dict = field(default_factory=dict)
     bcf: dict = field(default_factory=dict)
-    cl_addresses: list = field(default_factory=list)
 
 
 _UNTAGGED = -1  # schedule value of a pc outside every carrier group
 _BLOCK_WORDS = 64  # the most words a translated block spans
-
-
-def _sext32(value: int) -> int:
-    return ((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
 
 
 # -- forms: the semantics of every op and terminator, written once.  An
@@ -274,7 +273,7 @@ _BODIES.update({
        for mnemonic in codec.ADDSUB_MNEMONICS},
     # the write-back saturates, and the block over the label stays
     "CL": ("word = unpack(text, offset)[0]\nif word >> 12 < 0xFFFFF:\n"
-           "    pack(text, offset, word + 4096)\nif pc not in counted:\n    counted[pc] = None"),
+           "    pack(text, offset, word + 4096)"),
     "CI": "counts[pc] = counts.get(pc, 0) + 1",
     **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic]) for mnemonic in (*_TERM_MNEMONICS, "goto")},
 })
@@ -288,12 +287,11 @@ _PACKED = {**_ACCESSES, "CL": "<I"}  # the struct format of each body that packs
 _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
              **{word: (word,) for word in (
                  "target", "after", "end", "data", "stack", "unpack", "pack", "load", "store",
-                 "state", "pc", "policy", "counts", "bcf", "text", "offset", "counted",
-                 "PolicyViolation")}}
+                 "state", "pc", "policy", "counts", "bcf", "text", "offset", "PolicyViolation")}}
 _DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m[0]",
             "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]", "state": "m.state",
             "policy": "m.policy", "counts": "m.policy.ci_counts", "bcf": "m.policy.bcf",
-            "text": "m.memory.text", "offset": f"pc - {TEXT_BASE}", "counted": "m._labels_counted"}
+            "text": "m.memory.text", "offset": f"pc - {TEXT_BASE}"}
 _WORDS = re.compile(r"'[^']*'|\b(?:%s)\b" % "|".join(  # a string, or a word a body can bind
     [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
 _FORMS = {}  # the code of each generated op and terminator -> its key in _BODIES
@@ -304,14 +302,14 @@ def _fill(text: str, names: dict) -> str:
     return _WORDS.sub(lambda word: names.get(word[0], word[0]), text)
 
 
-def _define(source: str, name: str, env: dict | None = None):
-    """The function `name` that source defines, with env as its globals.
-    Sources are rvtag's own: fixed names, strings and integers that it
-    formats."""
-    namespace = {}
-    exec(compile(source, "<rvtag generated>", "exec"), {"__builtins__": {}, **(env or {})},
-         namespace)
-    return namespace[name]
+def _code(source) -> types.CodeType:
+    """The code of the one function that source defines: generated source,
+    or the code of a function.  Sources are rvtag's own: fixed names,
+    strings and integers that it formats."""
+    if type(source) is str:
+        source = compile(source, "<rvtag generated>", "exec")
+    [code] = [const for const in source.co_consts if isinstance(const, types.CodeType)]
+    return code
 
 
 @functools.cache
@@ -326,16 +324,15 @@ def _factory(form):
                        for param, named in _OPERANDS.items() if words.intersection(named))
     cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "dest": "regs[rd]"})
     signature = "rd, rs1, rs2, imm" if form in _EXPRS else "m, pc, rd, rs1, rs2, imm"
-    env = {"PolicyViolation": PolicyViolation}
+    env = {"__builtins__": {}, "PolicyViolation": PolicyViolation}
     if form in _PACKED:
         packed = struct.Struct(_PACKED[form])
         env.update(unpack=packed.unpack_from, pack=packed.pack_into)
-    make = _define(_fill(f"def make({signature}):\n    def op(regs, {params}):\n"
-                         + "".join(f"        {line}\n" for line in cold.splitlines())
-                         + "    return op\n", _CONSTANTS), "make", env)
-    [code] = [const for const in make.__code__.co_consts if isinstance(const, types.CodeType)]
-    _FORMS[code] = form
-    return make
+    code = _code(_fill(f"def make({signature}):\n    def op(regs, {params}):\n"
+                       + "".join(f"        {line}\n" for line in cold.splitlines())
+                       + "    return op\n", _CONSTANTS))
+    _FORMS[_code(code)] = form
+    return types.FunctionType(code, env, "make")
 
 
 def _operands(op, held, defaults) -> tuple:
@@ -402,7 +399,7 @@ def _predecode(word: int) -> tuple:
     insn = codec.decode(word)
     mnemonic, rd, rs1, rs2, imm = insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm
     if mnemonic in ("lui", "auipc") and rd:
-        imm = _sext32(imm << 12)
+        imm = codec._sext(imm << 12, 32)
     op = make = None
     if rd or mnemonic not in _RD_ONLY:
         make = _factory(mnemonic)
@@ -452,14 +449,14 @@ _GENERATED = {}  # the shape of a region -> (its code, where its defaults are)
 _GENERATED_KEPT = 512  # the most shapes a process keeps, and regions a machine keeps
 
 
-def _shape(ops) -> tuple:
+def _shape(ops, first: dict) -> tuple:
     """What the source of a region of ops depends on: each op's form, then
     its operands in turn, an int as itself and any other object as where it
-    first appears.  A form fixes how many operands it binds."""
-    seen = {}
+    first appears, (op index, operand index), which `first` records by id.
+    A form fixes how many operands it binds."""
     return (*[op.__code__ for op in ops], *[
-        value if type(value) is int else (seen.setdefault(id(value), len(seen)),)
-        for op in ops for value in op.__defaults__])
+        value if type(value) is int else first.setdefault(id(value), (i, k))
+        for i, op in enumerate(ops) for k, value in enumerate(op.__defaults__)])
 
 
 def _region(members: list, at: list):
@@ -476,8 +473,9 @@ def _region(members: list, at: list):
     code with each default after at taken from the same operand of the same
     op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
-    shape = (_shape(ops), *[(entry, len(block[0]), *block[1:4], block[5])
-                            for entry, block in members])
+    first = {}
+    shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])
+                                   for entry, block in members])
     known = _GENERATED.get(shape)
     if known is None:
         defaults = {"at": at}
@@ -496,16 +494,10 @@ def _region(members: list, at: list):
                   "    at[:] = pc, left, retired, labels"]
         source = (f"def region(regs, pc, left{''.join(f', {param}' for param in defaults)}):\n"
                   + "".join(f"    {line}\n" for line in lines))
-        [code] = [const for const in compile(source, "<rvtag generated>", "exec").co_consts
-                  if isinstance(const, types.CodeType)]
-        where = {}
-        for i, op in enumerate(ops):
-            for k, value in enumerate(op.__defaults__):
-                where.setdefault(id(value), (i, k))
         if len(_GENERATED) >= _GENERATED_KEPT:
             _GENERATED.clear()
-        known = _GENERATED[shape] = (code, [where[id(value)]
-                                            for value in list(defaults.values())[1:]])
+        known = _GENERATED[shape] = (_code(source), [first[id(value)]
+                                                     for value in list(defaults.values())[1:]])
     code, slots = known
     return types.FunctionType(code, _GLOBALS, "region", (at, *[
         ops[i].__defaults__[k] for i, k in slots]))
@@ -539,7 +531,6 @@ class Emulator:
         self._regions = {}  # the member entries of each region made -> that region
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
         self._words = 0  # the words of every region compiled so far
-        self._labels_counted = {}  # policy.cl_addresses, in first-count order
         # the pc -> tag schedule, None at a carrier: compat mode reads no
         # carrier word, and marks only where the carriers are; a malformed
         # one raises NotACarrier in aware mode
@@ -710,11 +701,11 @@ class Emulator:
                             if state.halted:
                                 break
                             continue
-                    if n > budget - fetches:  # run to the budget one word at a time
+                    if n > budget - fetches:  # run the words that fit in the budget
                         if fetches >= budget:
                             raise LimitExceeded(
                                 f"fetched {counters.total + fetches} words without exiting")
-                        ops, n, n_ret, n_lab, term, end = translate(pc, 1)
+                        ops, n, n_ret, n_lab, term, end = translate(pc, budget - fetches)
                     else:  # it crosses the mark, or a region ran past it
                         mark = min(budget, fetches + n + _SAMPLE_FETCHES)
                         self._sample(pc, fetches)
@@ -737,7 +728,6 @@ class Emulator:
             counters.retired += retired
             counters.tag_fetches += fetches - retired
             counters.labels_seen += labels
-            policy.cl_addresses[:] = self._labels_counted
         return state, counters, policy
 
 
