@@ -31,7 +31,10 @@ Image file format "RVTI", little-endian throughout:
 Region starts are word-aligned, strictly increasing and inside text; each
 region has at least one group, and its last carrier starts before the next
 region (or the end of text); each (carrier, coverage) pair has a tag
-layout; nothing follows the table.
+layout; nothing follows the table.  The flags agree with the table: bit0
+is set if there is a region, and bit1 is clear if a region's carrier is not
+backward compatible.  A tagged unit whose fragments are all empty has bit0
+set and no regions.
 tagplan.carrier_groups turns the table into carrier groups, and
 tagplan.slot_tags reads their carriers into the slot schedule that
 scan_labels and the emulator share.  The image stores no label list: a
@@ -360,6 +363,12 @@ def read_image(path) -> Image:
                               f"groups of {stride} bytes run past {bound:#x}")
     if reader.pos != len(blob):
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
+    if regions and not flags & 1:
+        raise FormatError("tags-present flag is clear, but the region table is not empty")
+    custom = [region for region in regions if not region.carrier.backward_compatible]
+    if custom and flags & 2:
+        raise FormatError(f"backward-compatible flag is set, but region {custom[0].start:#x} "
+                          f"uses the {custom[0].carrier.value} carrier")
     policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
     return Image(
         text=text,

@@ -39,14 +39,15 @@ region ran past the mark.  A block that the region evicted, or whose region
 the budget refused, runs cold.  Regions are charged by the words they
 compile, at most one per 64 fetched, so that compiling long blocks cannot
 take over a run, and a machine keeps each region it makes, as a loop wider
-than a region makes the same ones over and over.  A fault in the region
-reports the pc and counts that the run loop would.  Generated source is
+than a region makes the same ones over and over.  One handler counts what
+ran of the block or member that faults, in either tier.  Generated source is
 kept by its shape, the forms and integers it is built from, and compiled
 once per process, so a new machine pays only to bind its own objects to the
 cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
-builds every tier.  A load or store tests its address against data, whose
+builds every tier, and one factory, which makes its op from the machine, the
+pc and the operands.  A load or store tests its address against data, whose
 end is the machine's, and the stack, and unpacks or packs in place on a hit;
 anything else calls its machine's miss, which reads text and raises every
 MemFault.  The generated source holds only fixed names, strings and integers
@@ -279,17 +280,17 @@ _BODIES.update({
 })
 _PACKED = {**_ACCESSES, "CL": "<I"}  # the struct format of each body that packs or unpacks
 # operand -> the words of a body that name it, and how a factory derives the
-# operands that depend on its pc or its machine.  m is the Emulator of a
-# terminator and of an op made for a check alone, whose state an ecall or
-# ebreak binds and whose policy state a check binds, and any other op's
-# _access, the (data, stack, end of data, load miss, store miss) an access
-# binds; unpack and pack are a body's struct's.
+# operands that depend on its pc or its machine, m, the Emulator: an ecall or
+# ebreak binds its state, a check its policy state, and an access its
+# _access, the (data, stack, end of data, load miss, store miss); unpack and
+# pack are a body's struct's.
 _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
              **{word: (word,) for word in (
                  "target", "after", "end", "data", "stack", "unpack", "pack", "load", "store",
                  "state", "pc", "policy", "counts", "bcf", "text", "offset", "PolicyViolation")}}
-_DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m[0]",
-            "stack": "m[1]", "end": "m[2]", "load": "m[3]", "store": "m[4]", "state": "m.state",
+_DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m._access[0]",
+            "stack": "m._access[1]", "end": "m._access[2]", "load": "m._access[3]",
+            "store": "m._access[4]", "state": "m.state",
             "policy": "m.policy", "counts": "m.policy.ci_counts", "bcf": "m.policy.bcf",
             "text": "m.memory.text", "offset": f"pc - {TEXT_BASE}"}
 _WORDS = re.compile(r"'[^']*'|\b(?:%s)\b" % "|".join(  # a string, or a word a body can bind
@@ -315,20 +316,19 @@ def _code(source) -> types.CodeType:
 @functools.cache
 def _factory(form):
     """The factory of a form, a mnemonic, a check, or a (mnemonic, effect)
-    pair, built on first use from its body: make(rd, rs1, rs2, imm) of a
-    pure op, make(m, pc, rd, rs1, rs2, imm) of any other.  The code of the
+    pair, built on first use from its body: make(m, pc, rd, rs1, rs2, imm),
+    where m is the Emulator, which a pure op does not read.  The code of the
     op it makes is its form's in _FORMS."""
     body = _BODIES[form]
     words = set(_WORDS.findall(body))
     params = ", ".join(f"{param}={_DERIVED.get(param, param)}"
                        for param, named in _OPERANDS.items() if words.intersection(named))
     cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "dest": "regs[rd]"})
-    signature = "rd, rs1, rs2, imm" if form in _EXPRS else "m, pc, rd, rs1, rs2, imm"
     env = {"__builtins__": {}, "PolicyViolation": PolicyViolation}
     if form in _PACKED:
         packed = struct.Struct(_PACKED[form])
         env.update(unpack=packed.unpack_from, pack=packed.pack_into)
-    code = _code(_fill(f"def make({signature}):\n    def op(regs, {params}):\n"
+    code = _code(_fill(f"def make(m, pc, rd, rs1, rs2, imm):\n    def op(regs, {params}):\n"
                        + "".join(f"        {line}\n" for line in cold.splitlines())
                        + "    return op\n", _CONSTANTS))
     _FORMS[_code(code)] = form
@@ -381,10 +381,9 @@ def _misses(text: bytearray) -> tuple:
 
 
 # -- ops: op(regs) runs one instruction or check.  Pure ones are made from
-# the word alone and shared by every pc holding it; the rest also take their
-# pc and their machine, or for an access, the machine's _access.  A
-# terminator, term(regs), ends a block and returns the next pc, or None once
-# halted.
+# the word alone and shared by every pc holding it; the rest are made from
+# their pc and their machine too.  A terminator, term(regs), ends a block and
+# returns the next pc, or None once halted.
 
 # mnemonics whose only effect is the write to rd, so rd == x0 makes them no-ops
 _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TERM_MNEMONICS
@@ -404,7 +403,7 @@ def _predecode(word: int) -> tuple:
     if rd or mnemonic not in _RD_ONLY:
         make = _factory(mnemonic)
         if mnemonic in _EXPRS:
-            op, make = make(rd, rs1, rs2, imm), None
+            op, make = make(None, 0, rd, rs1, rs2, imm), None
     return mnemonic, rd, rs1, rs2, imm, op, make
 
 
@@ -517,7 +516,6 @@ class Emulator:
         self.counters = ExecCounters()
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
         self.state.regs[2] = STACK_TOP
-        self._aware = mode == "aware"
         # What every load and store binds: the segments it hits, the end of
         # data, and the miss pair, which holds only text.
         self._access = (self.memory.data, self.memory.stack, DATA_BASE + len(self.memory.data),
@@ -526,8 +524,7 @@ class Emulator:
         self._blocks = {}
         self._entered = set()
         self._sampled = set()  # the entries of cached blocks sampled once
-        self._promoted = {}  # the entries of blocks sampled twice, the newest last
-        self._hot = {}  # entry -> the block of each region member
+        self._hot = {}  # entry -> the block of each member, then of refused ones, newest last
         self._regions = {}  # the member entries of each region made -> that region
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
         self._words = 0  # the words of every region compiled so far
@@ -535,7 +532,7 @@ class Emulator:
         # carrier word, and marks only where the carriers are; a malformed
         # one raises NotACarrier in aware mode
         groups = tagplan.carrier_groups(image.tag_regions, image.text_end)
-        self._tags = (tagplan.slot_tags(self.memory.text, groups) if self._aware
+        self._tags = (tagplan.slot_tags(self.memory.text, groups) if mode == "aware"
                       else dict.fromkeys(carrier for _, carrier, _ in groups))
 
     # -- translation ---------------------------------------------------------------
@@ -553,7 +550,7 @@ class Emulator:
         stop = entry + 4 * (_BLOCK_WORDS if limit < 0 else limit)
         if stop < end:
             end = stop
-        effects, aware, access = self._effects, self._aware, self._access
+        effects, aware = self._effects, self.mode == "aware"
         ops = []
         carriers = labels = 0
         term = pending = None
@@ -600,11 +597,10 @@ class Emulator:
                         # the block ends here, and falls through
                         term = _factory(("goto", "BCF"))(self, pc, rd, rs1, rs2, 4)
             if make is not None:
-                if mnemonic in _TERM_MNEMONICS:
-                    term = make(self, pc, rd, rs1, rs2, imm)
-                else:
-                    op = make(access, pc, rd, rs1, rs2, imm)
-            if op is not None:
+                op = make(self, pc, rd, rs1, rs2, imm)
+            if mnemonic in _TERM_MNEMONICS:
+                term = op
+            elif op is not None:
                 ops.append(op)
             pc += 4
         if pending is not None:  # the label ends the block: its value waits for the next one
@@ -625,49 +621,38 @@ class Emulator:
     def _sample(self, entry: int, fetches: int) -> None:
         """The block entered at `entry`, not a region member, crossed a
         sample point, `fetches` into this run.  A cached block is noted the
-        first time, and at any later sample it joins the region as its
-        newest member: a block that the region evicted joins again once
-        sampled again.  Code that is never sampled pays nothing."""
+        first time, and at any later sample it goes last in _hot, and the
+        region is remade of the last _REGION_BLOCKS there: an evicted member
+        runs cold until sampled again.  A loop wider than a region makes the
+        same regions over and over, so each is kept, and only a new one is
+        charged to the compile budget.  A block whose region it refuses stays
+        last in _hot, for the next region made.  Code that is never sampled
+        pays nothing."""
         if entry not in self._blocks:
             return
         if entry not in self._sampled:
             self._sampled.add(entry)
             return
-        self._promoted.pop(entry, None)
-        self._promoted[entry] = None
-        self._remake_region(self.counters.total + fetches)
-
-    def _remake_region(self, fetched: int) -> None:
-        """Make the region of the last _REGION_BLOCKS promoted blocks: each
-        member's entry then leads to the region, and an evicted member runs
-        cold.  A loop wider than a region makes the same regions over and
-        over, so each is kept, and only a new one is charged to the compile
-        budget, which may refuse it after `fetched` fetches."""
-        members = tuple(self._promoted)[-_REGION_BLOCKS:]
-        blocks = [self._hot.get(entry) or self._blocks[entry] for entry in members]
+        hot, blocks = self._hot, self._blocks
+        hot.pop(entry, None)  # refused before
+        hot[entry] = blocks[entry]
+        members = tuple(hot)[-_REGION_BLOCKS:]
         region = self._regions.get(members)
         if region is None:
-            words = sum(block[1] for block in blocks)
+            words = sum(hot[member][1] for member in members)
+            fetched = self.counters.total + fetches
             if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
                 return
             self._words += words
             if len(self._regions) >= _GENERATED_KEPT:
                 self._regions.clear()
-            region = self._regions[members] = _region(list(zip(members, blocks)), self._at)
-        self._blocks.update(self._hot)
-        self._hot.clear()
-        for entry, block in zip(members, blocks):
-            self._hot[entry] = block
-            self._blocks[entry] = ((), _REGION, 0, 0, region, block[5])
-
-    def _upto(self, exc, entry: int, fetches: int, retired: int, labels: int) -> tuple:
-        """(pc, fetches, retired, labels) where exc stopped the block entered
-        at `entry`, from the counts before it: the words before exc.pc ran,
-        and the word at exc.pc counts as fetched if it is a carrier, and as
-        seen if a label."""
-        _, n, n_ret, n_lab, _, _ = self._translate(entry, ((exc.pc - entry) >> 2) + 1)
-        insn = self._tags.get(exc.pc, _UNTAGGED) is not None  # not a carrier
-        return exc.pc, fetches + n - insn, retired + n_ret - insn, labels + n_lab
+            region = self._regions[members] = _region(
+                [(member, hot[member]) for member in members], self._at)
+        blocks.update(hot)
+        for member in tuple(hot)[:-_REGION_BLOCKS]:  # evicted
+            del hot[member]
+        for member, block in hot.items():
+            blocks[member] = ((), _REGION, 0, 0, region, block[5])
 
     # -- main loop -----------------------------------------------------------
     def run(self):
@@ -688,16 +673,11 @@ class Emulator:
                         region, (ops, n, n_ret, n_lab, term, end) = term, hot[pc]
                         if n <= budget - fetches:
                             try:
-                                try:
-                                    region(regs, pc, budget - fetches)
-                                finally:  # where it stopped, past a fault at the faulting member
-                                    pc, left, n_ret, n_lab = at
-                                    fetches, retired = budget - left, retired + n_ret
-                                    labels += n_lab
-                            except (PolicyViolation, BadInstruction) as exc:
-                                pc, fetches, retired, labels = self._upto(
-                                    exc, pc, fetches, retired, labels)
-                                raise
+                                region(regs, pc, budget - fetches)
+                            finally:  # where it stopped, past a fault at the faulting member
+                                pc, left, n_ret, n_lab = at
+                                fetches, retired = budget - left, retired + n_ret
+                                labels += n_lab
                             if state.halted:
                                 break
                             continue
@@ -709,13 +689,9 @@ class Emulator:
                     else:  # it crosses the mark, or a region ran past it
                         mark = min(budget, fetches + n + _SAMPLE_FETCHES)
                         self._sample(pc, fetches)
-                try:
-                    for op in ops:
-                        op(regs)
-                    next_pc = term(regs)
-                except (PolicyViolation, BadInstruction) as exc:
-                    pc, fetches, retired, labels = self._upto(exc, pc, fetches, retired, labels)
-                    raise
+                for op in ops:
+                    op(regs)
+                next_pc = term(regs)
                 fetches += n
                 retired += n_ret
                 labels += n_lab
@@ -723,6 +699,15 @@ class Emulator:
                     pc = end - 4  # the halting word ends its block
                     break
                 pc = next_pc
+        except PolicyViolation as exc:
+            # only block code raises it, with pc at the block's entry: the
+            # words before exc.pc ran, and the word at exc.pc counts as
+            # fetched if it is a carrier, and as seen if a label
+            _, n, n_ret, n_lab, _, _ = self._translate(pc, ((exc.pc - pc) >> 2) + 1)
+            insn = self._tags.get(exc.pc, _UNTAGGED) is not None  # not a carrier
+            pc, fetches, retired, labels = (exc.pc, fetches + n - insn, retired + n_ret - insn,
+                                            labels + n_lab)
+            raise
         finally:
             state.pc = pc
             counters.retired += retired

@@ -11,7 +11,7 @@ Each file's lines are split once into (line number, labels, statement), and
 pass A (declarations) and pass B (fragments) both read that list.  Pass B's
 line loop is the one place a statement error gets its `FILE:LINE:1:`: the
 methods under it raise a bare ParseError.  Errors found after the last file
-name the line of the branch, declaration or .entry they concern.
+name the line of the branch, call, declaration or .entry they concern.
 
 STATEMENTS, built from codec's _ISA, is the one statement table: a real
 mnemonic maps to its operand count, the operand parser of its shape, its
@@ -302,6 +302,7 @@ class _Assembler:
         self.fragments = {}         # name -> Fragment
         self.local_labels = {}      # fragment name -> {label: insn index}
         self.branch_refs = []       # (fragment, insn index, symbol, filename, lineno)
+        self.call_refs = []         # (symbol, filename, lineno) of each call
         self.pair_count = 0         # HI/LO pairs so far; the last one's id
         self.file_checks = []       # (filename, (.entry, lineno) or None, {undefined: lineno})
 
@@ -510,6 +511,8 @@ class _Assembler:
             frag.relocations += relocations
         if target is not None:
             self.branch_refs.append((frag, base_index, target, self.filename, self.lineno))
+        if mnemonic == "call":
+            self.call_refs.append((relocations[0].target, self.filename, self.lineno))
         frag.insns += insns
 
     # -- pass C: branch resolution and address-taken marking, unit-wide ----
@@ -533,6 +536,9 @@ class _Assembler:
                 raise ParseError(f"cannot branch to data symbol {symbol!r}", lineno, filename)
             else:
                 raise UndefinedSymbol(f"{filename}:{lineno}:1: undefined label {symbol!r}")
+        for symbol, filename, lineno in self.call_refs:
+            if symbol in self.program.data_symbols:
+                raise ParseError(f"cannot call data symbol {symbol!r}", lineno, filename)
         # call's LO half sits at a jalr, la's at an addi: la takes the address
         for frag in self.program.fragments:
             for reloc in frag.relocations:

@@ -428,6 +428,32 @@ def test_image_format_errors(tmp_path):
         with pytest.raises(FormatError, match=message):
             read_image(path)
 
+    # the flags agree with the region table: bit0 is set if there is a
+    # region, and bit1 is clear if a region has the custom carrier, which a
+    # tag-unaware machine faults on
+    custom = build_image(ASM_EX, make_config(carrier="custom", coverage=3), tagged=True)
+    write_image(custom, path)
+    custom_blob = path.read_bytes()
+    custom_flags = int.from_bytes(custom_blob[6:8], "little")
+    assert custom_flags & 3 == 1
+    contradictions = {
+        "tags-present flag is clear, but the region table is not empty":
+            blob[:6] + (flags & ~1).to_bytes(2, "little") + blob[8:],
+        f"backward-compatible flag is set, but region {custom.tag_regions[0].start:#x} uses "
+        "the custom carrier":
+            custom_blob[:6] + (custom_flags | 2).to_bytes(2, "little") + custom_blob[8:],
+    }
+    for message, data in contradictions.items():
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            read_image(path)
+    # bit0 set with no regions is no contradiction: a tagged unit whose
+    # fragments are all empty links to it
+    empty = build_image("main:\n", N3, tagged=True)
+    assert empty.tags_present and not empty.tag_regions
+    write_image(empty, path)
+    assert read_image(path) == empty
+
     trailing = tmp_path / "trailing.rvti"
     trailing.write_bytes(blob + b"junk")
     with pytest.raises(FormatError, match="4 trailing bytes"):

@@ -2172,6 +2172,28 @@ def test_compiles_stay_within_the_compile_budget(monkeypatch):
     assert machine._words * 256 <= machine.counters.total * emulator._INTERVAL_WORDS
 
 
+def test_a_block_whose_region_the_budget_refuses_joins_the_next_region(monkeypatch):
+    # it keeps its place in the promotion order, so a loop wider than a
+    # region keeps cycling through the member sets it has made before
+    made = []  # the member entries of each region
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
+        [entry for entry, _ in members]) or make_region(members, *args))
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # the run samples nothing
+    machine = Emulator(build_image(_wide_loop(3, 5), N3, tagged=False))
+    machine.run()
+    first, second = sorted(machine._blocks)[-2:]  # two blocks of the loop
+    for entry in (first, first):  # noted, then refused: nothing compiles at this interval
+        machine._sample(entry, 0)
+    assert not made and not machine._regions
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1)
+    for entry in (second, second):
+        machine._sample(entry, 0)
+    assert made == [[first, second]]
+    assert list(machine._hot) == [first, second]
+    assert machine._blocks[first][1] is machine._blocks[second][1] is emulator._REGION
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_where_a_block_ends_changes_no_result(monkeypatch, cap):
     # blocks of a few words split every site label from its checked jalr
@@ -2256,7 +2278,7 @@ def test_every_pure_op_matches_its_reference_cold_and_inlined(mnemonic):
             cold_term = emulator._factory(mnemonic)(None, pc, 0, 5, 6, imm)
             pair = [((), cold_term), ((), _one_member_region((), cold_term)[1])]
         else:
-            cold_op = emulator._factory(mnemonic)(7, 5, 6, imm)
+            cold_op = emulator._factory(mnemonic)(None, 0, 7, 5, 6, imm)
             goto = emulator._factory("goto")(None, 0, 0, 0, 0, 0)
             pair = [((cold_op,), goto), ((), _one_member_region((cold_op,), goto)[1])]
         for a in values:

@@ -308,6 +308,24 @@ def test_errors_found_after_the_last_file_name_their_line(files, message):
         assemble_unit(files)
 
 
+def test_a_call_to_a_data_symbol_of_a_later_file_names_the_call():
+    from rvtag.pipeline import build_image
+    from rvtag.tagplan import make_config
+
+    files = [("main:\n    la t0, buf\n    call buf\n    ecall\n", "a.s"),
+             ("helper:\n    ret\n.data\nbuf:\n    .word 1\n", "b.s")]
+    with pytest.raises(ParseError, match=r"^a\.s:3:1: cannot call data symbol 'buf'$"):
+        assemble_unit(files)
+    # under cfi too, where a direct call would otherwise want the callee's
+    # .signature
+    cfi = make_config(carrier="lui", coverage=3, policy="cfi")
+    with pytest.raises(ParseError, match="cannot call data symbol"):
+        build_image([source for source, _ in files], cfi, tagged=True,
+                    cfi_label_direct_calls=True)
+    files[0] = ("main:\n    la t0, buf\n    ecall\n", "a.s")  # taking its address is fine
+    assert assemble_unit(files).data_symbols == {"buf": 0}
+
+
 @pytest.mark.parametrize("source, line, names", [
     (".entry a\n.entry b\na:\n    ecall\nb:\n    ecall\n", 2, "['a', 'b']"),
     ("a:\n    ecall\n.entry a\n.entry a\nb:\n    ecall\n.entry b\n.entry c\n", 7,
@@ -645,6 +663,7 @@ MALFORMED = [
     # pseudo-instructions
     ("li a0, 1 !unsigned", "!unsigned/!optout require a bare arithmetic instruction"),
     ("call 5", "call expects a symbol"),
+    ("call buf", "cannot call data symbol 'buf'"),
     ("ret x", "ret takes no operands"),
     ("nop 1", "nop takes no operands"),
     ("li a0", "li expects rd, value"),
