@@ -75,8 +75,7 @@ def _load_config(args):
         extra = tuple(tag for tag in config.tag_names
                       if tag not in tagplan.POLICY_TAG_SETS[config.policy])
         config = tagplan.make_config(
-            carrier=config.carrier, coverage=config.coverage,
-            labels=config.labels_enabled, policy=policy,
+            carrier=config.carrier, coverage=config.coverage, policy=policy,
             tags=tuple(tag for tag in tagplan.POLICY_TAG_SETS[policy]
                        if tag[0] not in dict(extra)) + extra,
             default_tag=config.name_of(config.default_tag))
@@ -151,16 +150,15 @@ def cmd_build(args) -> int:
         coverage_mode=args.coverage_mode, filenames=args.inputs)
     out = Path(args.out)
     _, baseline = next(variants)
-    baseline_path = out if args.no_tags else out.with_suffix(".base.rvti")
+    baseline_path = out.with_suffix(".base.rvti")
     emitlink.write_image(baseline, baseline_path)
     rows = [(str(baseline_path), len(baseline.text), None)]
-    if not args.no_tags:
-        images = dict(variants)  # none is written unless the tagged build succeeds
-        for kind, path in (("tagged", out), ("nolabels", out.with_suffix(".nolabels.rvti"))):
-            if kind in images:
-                emitlink.write_image(images[kind], path)
-                size = len(images[kind].text)
-                rows.append((str(path), size, _pct(len(baseline.text), size)))
+    images = dict(variants)  # none is written unless the tagged build succeeds
+    for kind, path in (("tagged", out), ("nolabels", out.with_suffix(".nolabels.rvti"))):
+        if kind in images:
+            emitlink.write_image(images[kind], path)
+            size = len(images[kind].text)
+            rows.append((str(path), size, _pct(len(baseline.text), size)))
 
     if args.json:
         sys.stdout.write(_emit_json([
@@ -291,10 +289,10 @@ def diff_one(name, sources, config, *, defsym=None, max_insns,
     """Build one program's variants from one assembly, run each, and compare
     each tagged run with the baseline run.
 
-    The row is the tagged build's report; under cfi with labels the
-    labels-off build's figures ride along as nolabel_* keys, so the label
-    cost shows up separately.  `filenames` names the sources in build
-    errors, as in pipeline.assemble_sources.
+    The row is the tagged build's report; under cfi the labels-off build's
+    figures ride along as nolabel_* keys, so the label cost shows up
+    separately.  `filenames` names the sources in build errors, as in
+    pipeline.assemble_sources.
     """
     variants = pipeline.build_variants(sources, config, defsym=defsym,
                                        cfi_label_direct_calls=cfi_label_direct_calls,
@@ -455,8 +453,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build", help="build baseline and tagged images")
     _add_build_flags(p)
     p.add_argument("--out", required=True, help="tagged image path")
-    p.add_argument("--no-tags", action="store_true",
-                   help="build only the baseline image")
     p.add_argument("--json", action="store_true")
     p.add_argument("inputs", nargs="+")
     p.set_defaults(func=cmd_build)

@@ -221,6 +221,12 @@ def _sext(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
+def hi_lo(value: int) -> tuple:
+    """Split `value` into a U-type field and the signed 12-bit immediate that
+    lui/auipc + addi add back: (hi << 12) + lo == value modulo 2**32."""
+    return ((value + 0x800) >> 12) & 0xFFFFF, _sext(value, 12)
+
+
 class BadEncoding(BuildError):
     """The word is not a valid encoding of any supported instruction."""
 

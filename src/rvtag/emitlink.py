@@ -177,8 +177,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
                     f"{fragment.name!r}: {gap} words between HI and LO "
                     f"(limit {MAX_PAIR_GAP})")
             delta = symbols[hi.target] - (base + at(hi.offset))
-            imms[hi.offset] = ((delta + 0x800) >> 12) & 0xFFFFF
-            imms[lo.offset] = (delta & 0xFFF) - (delta & 0x800) * 2
+            imms[hi.offset], imms[lo.offset] = codec.hi_lo(delta)
 
         for reloc in fragment.relocations:
             if reloc.kind not in ("Branch", "Jal"):

@@ -130,6 +130,11 @@ class MachineState:
 
 @dataclass
 class ExecCounters:
+    """Fetch counts of a run.  labels_seen counts every executed lui x0 word
+    outside a carrier slot, whatever its tag, in both modes and in untagged
+    images: compat mode reads no tags, and the modes must agree.  So a source
+    `lui x0` counts, where Image.label_addrs lists only CFL and CL labels."""
+
     retired: int = 0
     tag_fetches: int = 0
     labels_seen: int = 0

@@ -269,8 +269,7 @@ def _expand_li(rd, value, lineage):
         return [TaggedInsn(Insn("addi", rd, 0, 0, value), None, lineage)]
     if not -(1 << 31) <= value <= (1 << 31) - 1:
         raise codec.OperandRange(f"li: {value:#x} does not fit 32 signed bits")
-    hi = ((value + 0x800) >> 12) & 0xFFFFF
-    lo = (value & 0xFFF) - (value & 0x800) * 2
+    hi, lo = codec.hi_lo(value)
     return [
         TaggedInsn(Insn("lui", rd, 0, 0, hi), None, lineage),
         TaggedInsn(Insn("addi", rd, rd, 0, lo), None, lineage),

@@ -20,21 +20,22 @@ def assemble_sources(sources, defsym=None, filenames=None) -> Program:
 
 
 def apply_policy(program: Program, config: TagConfig, *,
-                 with_labels=None, cfi_label_direct_calls=False,
+                 with_labels=True, cfi_label_direct_calls=False,
                  coverage_mode="all_branches") -> Program:
-    """Run the configured policy pass and lineage propagation in place."""
-    labels = config.labels_enabled if with_labels is None else with_labels
-    if config.policy == "cfi" and labels:
+    """Propagate lineage tags, then run the configured policy pass, in place.
+    The pass runs last, so a set_tag on a pseudo-instruction cannot overwrite
+    its tags.  with_labels=False skips the cfi pass: the labels-off build."""
+    instrument.propagate_lineage(program)
+    if config.policy == "cfi" and with_labels:
         instrument.pass_cfi(program, config, label_direct_calls=cfi_label_direct_calls)
     elif config.policy == "unarith":
         instrument.pass_unarith(program, config)
     elif config.policy == "coverage":
         instrument.pass_coverage(program, config, mode=coverage_mode)
-    instrument.propagate_lineage(program)
     return program
 
 
-def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
+def build_image(sources, config: TagConfig, *, tagged=True, with_labels=True,
                 defsym=None, cfi_label_direct_calls=False,
                 coverage_mode="all_branches", filenames=None) -> Image:
     """Source text(s) to a linked image.
@@ -53,7 +54,7 @@ def build_image(sources, config: TagConfig, *, tagged=True, with_labels=None,
 def build_variants(sources, config: TagConfig, *, defsym=None, cfi_label_direct_calls=False,
                    coverage_mode="all_branches", filenames=None):
     """Assemble once and yield (kind, image): "baseline" (untagged), then under
-    cfi with labels "nolabels" (tagged, no pass run), then "tagged".
+    cfi "nolabels" (tagged, no pass run), then "tagged".
 
     link does not modify its program and the passes run after the earlier
     links, so one assembly serves every image, each equal to its build_image
@@ -62,7 +63,7 @@ def build_variants(sources, config: TagConfig, *, defsym=None, cfi_label_direct_
     """
     program = assemble_sources(sources, defsym=defsym, filenames=filenames)
     yield "baseline", emitlink.link(program, config, tagged=False)
-    if config.policy == "cfi" and config.labels_enabled:
+    if config.policy == "cfi":
         yield "nolabels", emitlink.link(apply_policy(program, config, with_labels=False), config)
     apply_policy(program, config, cfi_label_direct_calls=cfi_label_direct_calls,
                  coverage_mode=coverage_mode)

@@ -62,7 +62,6 @@ class TagConfig:
 
     carrier: TagCarrier
     coverage: int
-    labels_enabled: bool = True
     policy: str = "none"
     tag_names: tuple = (("N", 0),)
     default_tag: int = 0
@@ -82,8 +81,8 @@ class TagConfig:
         return TAG_BITS[(self.carrier, self.coverage)]
 
 
-def make_config(carrier="lui", coverage=3, labels=True, policy="none",
-                tags=None, default_tag=None) -> TagConfig:
+def make_config(carrier="lui", coverage=3, policy="none", tags=None,
+                default_tag=None) -> TagConfig:
     """Build and validate a TagConfig from plain values."""
     try:
         carrier = TagCarrier(carrier)
@@ -124,8 +123,6 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
                 f"config says {declared[name]}")
         if name not in declared:
             raise ConfigError(f"tags: policy {policy!r} requires tag {name!r}")
-    if policy == "coverage" and not labels:
-        raise ConfigError("policy=coverage needs labels enabled")
     if default_tag is None:
         default_tag = "N"
     if isinstance(default_tag, str):
@@ -137,15 +134,10 @@ def make_config(carrier="lui", coverage=3, labels=True, policy="none",
     return TagConfig(
         carrier=carrier,
         coverage=coverage,
-        labels_enabled=bool(labels),
         policy=policy,
         tag_names=tag_names,
         default_tag=default_tag,
     )
-
-
-_BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
-               "false": False, "off": False, "0": False, "no": False}
 
 
 def loads_config(text: str) -> TagConfig:
@@ -162,7 +154,7 @@ def loads_config(text: str) -> TagConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = value
 
-    known = {"carrier", "coverage", "labels", "default_tag", "policy", "tags"}
+    known = {"carrier", "coverage", "default_tag", "policy", "tags"}
     for key in fields:
         if key not in known:
             raise ConfigError(f"unknown key {key!r}")
@@ -173,11 +165,6 @@ def loads_config(text: str) -> TagConfig:
             kwargs["coverage"] = int(fields["coverage"], 0)
         except ValueError:
             raise ConfigError(f"coverage: {fields['coverage']!r} is not an integer") from None
-    if "labels" in fields:
-        word = fields["labels"].lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"labels: {fields['labels']!r} is not a boolean")
-        kwargs["labels"] = _BOOL_WORDS[word]
     if "tags" in fields:
         pairs = []
         for item in fields["tags"].split(","):

@@ -84,14 +84,6 @@ def test_build_cfi_emits_nolabel_variant(workspace):
     assert len(with_labels.text) > len(without.text)
 
 
-def test_build_no_tags_single_image(workspace, capsys):
-    out = workspace / "base_only.rvti"
-    code = main(["build", "--no-tags", "--config", str(workspace / "tags.conf"),
-                 "--out", str(out), str(workspace / "prog.s")])
-    assert code == 0
-    assert read_image(out).tags_present is False
-
-
 def test_build_rejects_na_coverage(workspace, capsys):
     (workspace / "bad.conf").write_text("carrier = lui\ncoverage = 31\n")
     code = main(["build", "--config", str(workspace / "bad.conf"),
@@ -426,6 +418,14 @@ def test_readme_cli_flags_exist():
     assert named - _parser_flags(cli.build_parser()) == set()
 
 
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = loads_config(example)
+    assert (config.carrier.value, config.coverage, config.policy) == ("lui", 3, "cfi")
+
+
 # Call shapes in the Library section that name no module attribute.
 LIBRARY_EXEMPT = {"pack(tags)"}  # the closure codec.tag_packer returns
 
@@ -727,7 +727,7 @@ FUZZ_CELLS = [  # (source, carrier, coverage, policy)
     (SUM_SRC, "lui", 7, "coverage"),
     (SUM_SRC.replace("add a0, a0, t1", "add a0, a0, t1 !unsigned"), "addi", 1, "unarith"),
 ]
-FUZZ_CONFIG = ("carrier = lui\ncoverage = 3\npolicy = cfi\nlabels = true\n"
+FUZZ_CONFIG = ("carrier = lui\ncoverage = 3\npolicy = cfi\n"
                "tags = N:0, CFL:1\ndefault_tag = N\n")
 
 

@@ -333,6 +333,17 @@ def test_determinism():
     assert p1.bcf == p2.bcf and p1.ci_counts == p2.ci_counts
 
 
+@pytest.mark.parametrize("config", [N3, CFI], ids=["none", "cfi"])
+def test_labels_seen_counts_a_source_lui_x0_that_label_addrs_leaves_out(config):
+    source = "main:\n    lui x0, 5\n    li a7, 93\n    ecall\n"  # no cfi entry label
+    baseline = build_image(source, config, tagged=False)
+    tagged = build_image(source, config)
+    for image, mode in ((baseline, "compat"), (tagged, "compat"), (tagged, "aware")):
+        _, counters, _ = run(image, mode=mode)
+        assert counters.labels_seen == 1, (image.tags_present, mode)
+        assert image.label_addrs == ()
+
+
 # ---------------------------------------------------------------------------
 # CFI enforcement
 

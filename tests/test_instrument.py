@@ -8,6 +8,7 @@ from rvtag import instrument
 from rvtag.codec import BRANCH_MNEMONICS, Insn
 from rvtag.corpus import generate_corpus
 from rvtag.emitlink import link
+from rvtag.emulator import PolicyViolation, run
 from rvtag.frontend import TaggedInsn, assemble
 from rvtag.instrument import (
     ConfigMismatch,
@@ -99,6 +100,36 @@ def test_propagate_without_lineages_is_identity():
     propagate_lineage(program)
     assert get_tag(program, (0, 0), CFI) == 1
     assert get_tag(program, (0, 1), CFI) == 0
+
+
+# A computed jump to an internal function, which has no entry label.
+JR_TO_INTERNAL = ('.globl main\n.entry main\nmain:\n    .signature "i64()"\n'
+                  '    la t1, g\n    .calltype "i64(i64)"\n    jr t1\n'
+                  '.internal g\ng:\n    li a7, 93\n    ecall\n')
+
+
+@pytest.mark.parametrize("tagged_by_user", [False, True])
+def test_a_user_tag_on_a_checked_jalr_leaves_it_checked(tagged_by_user):
+    config = make_config(carrier="lui", coverage=3, policy="cfi",
+                         tags=(("N", 0), ("CFL", 1), ("X", 2)))
+    program = assemble(JR_TO_INTERNAL)
+    if tagged_by_user:
+        set_tag(program, (0, 2), "X", config)  # the jr's own lineage
+    image = link(apply_policy(program, config), config)
+    with pytest.raises(PolicyViolation) as info:
+        run(image, mode="aware")
+    assert (info.value.kind, info.value.pc) == ("CfiMissingEntryLabel", 0x10024)
+
+
+@pytest.mark.parametrize("tagged_by_user", [False, True])
+def test_a_user_tag_on_a_jump_keeps_its_coverage_edge(tagged_by_user):
+    program = assemble("main:\n    li a0, 1\n    j done\n    li a0, 2\n"
+                       "done:\n    li a7, 93\n    ecall\n")
+    if tagged_by_user:
+        set_tag(program, (0, 1), "N", COVERAGE)
+    image = link(apply_policy(program, COVERAGE), COVERAGE)
+    _, _, policy_state = run(image, mode="aware")
+    assert policy_state.bcf == {0x1000C: {0x10018: 1}}
 
 
 # ---------------------------------------------------------------------------

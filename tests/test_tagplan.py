@@ -136,7 +136,7 @@ def test_config_bad_values():
         loads_config("carrier = mips\ncoverage = 3\n")
     with pytest.raises(ConfigError):
         loads_config("carrier = lui\ncoverage = 2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown key 'labels'"):
         loads_config("carrier = lui\ncoverage = 3\nlabels = maybe\n")
     with pytest.raises(ConfigError):
         loads_config("carrier = lui\ncoverage = 3\ndefault_tag = BOGUS\n")
@@ -193,11 +193,6 @@ def test_config_policy_defaults():
     assert coverage.default_tag == 3
     unarith = make_config(carrier="lui", coverage=3, policy="unarith")
     assert dict(unarith.tag_names) == {"N": 0, "UN_ARTH": 1}
-
-
-def test_config_coverage_policy_needs_labels():
-    with pytest.raises(ConfigError):
-        make_config(carrier="lui", coverage=7, policy="coverage", labels=False)
 
 
 @pytest.mark.parametrize("coverage", [1, 3, 15])
