@@ -1,7 +1,10 @@
 """Command-line surface: assemble | build | link | run | diff-run | enforce | report.
 
-Exit codes: 0 success, 1 usage, 2 build, image or run error, 3 policy
-violation, 4 equivalence failure.
+`enforce IMAGE` is `run --mode aware IMAGE`: one parser entry, one body.
+The commands raise their errors, and main is the one place that turns each
+class into its `rvtag: ...` line on stderr and its exit code: 0 success,
+1 usage, 2 build, image or run error, 3 policy violation, 4 equivalence
+failure.
 """
 
 from __future__ import annotations
@@ -66,20 +69,7 @@ def _load_config(args):
     path = getattr(args, "config", None) or os.environ.get("RVTAG_CONFIG")
     if not path:
         raise CliError("no tag configuration: pass --config or set RVTAG_CONFIG")
-    config = tagplan.load_config(path)
-    policy = getattr(args, "policy", None)
-    if policy:
-        # --policy swaps the built-in vocabulary.  The tags the config adds to
-        # its own policy's vocabulary, and its default tag, stay; make_config
-        # rejects an added tag that remaps or aliases a built-in one.
-        extra = tuple(tag for tag in config.tag_names
-                      if tag not in tagplan.POLICY_TAG_SETS[config.policy])
-        config = tagplan.make_config(
-            carrier=config.carrier, coverage=config.coverage, policy=policy,
-            tags=tuple(tag for tag in tagplan.POLICY_TAG_SETS[policy]
-                       if tag[0] not in dict(extra)) + extra,
-            default_tag=config.name_of(config.default_tag))
-    return config
+    return tagplan.load_config(path)
 
 
 def _read_sources(paths):
@@ -173,7 +163,7 @@ def cmd_build(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# run / enforce
+# run (enforce is run --mode aware)
 
 def _write_coverage(path, labels, state, policy_state) -> None:
     """Write a run's CL counts (read from its final text at the CL labels
@@ -196,12 +186,8 @@ def cmd_run(args) -> int:
     # the coverage map needs the labels: read them first, so that a malformed
     # carrier fails before the run prints anything
     labels = image.label_addrs if args.dump_coverage else ()
-    try:
-        state, counters, policy_state = emulator.run(
-            image, mode=args.mode, max_insns=args.max_insns)
-    except PolicyViolation as exc:
-        print(f"policy violation: {exc.kind} pc={exc.pc:#x} {exc.detail}")
-        return EXIT_POLICY
+    state, counters, policy_state = emulator.run(image, mode=args.mode,
+                                                 max_insns=args.max_insns)
     print(f"exit={state.exit_code} reason={state.stop_reason} "
           f"retired={counters.retired} tag_fetches={counters.tag_fetches} "
           f"labels={counters.labels_seen}")
@@ -211,21 +197,6 @@ def cmd_run(args) -> int:
     if args.dump_coverage:
         _write_coverage(args.dump_coverage, labels, state, policy_state)
         print(f"coverage written to {args.dump_coverage}")
-    return EXIT_OK
-
-
-def cmd_enforce(args) -> int:
-    image = emitlink.read_image(args.image)
-    labels = image.label_addrs if args.dump_coverage else ()  # as in cmd_run
-    try:
-        state, counters, policy_state = emulator.run(
-            image, mode="aware", max_insns=args.max_insns)
-    except PolicyViolation as exc:
-        print(f"violation: kind={exc.kind} pc={exc.pc:#x} detail={exc.detail}")
-        return EXIT_POLICY
-    print(f"clean run: exit={state.exit_code} retired={counters.retired}")
-    if args.dump_coverage:
-        _write_coverage(args.dump_coverage, labels, state, policy_state)
     return EXIT_OK
 
 
@@ -332,15 +303,10 @@ def cmd_diff_run(args) -> int:
     if not programs:
         raise CliError("nothing to run: pass inputs or --generate N")
 
-    results = []
-    try:
-        for name, sources, filenames in programs:
-            results.append(diff_one(
-                name, sources, config, defsym=defsym, max_insns=args.max_insns,
-                cfi_label_direct_calls=args.cfi_label_direct_calls, filenames=filenames))
-    except EquivalenceFailure as exc:
-        print(f"equivalence failure: {exc}", file=sys.stderr)
-        return EXIT_EQUIV
+    results = [diff_one(name, sources, config, defsym=defsym, max_insns=args.max_insns,
+                        cfi_label_direct_calls=args.cfi_label_direct_calls,
+                        filenames=filenames)
+               for name, sources, filenames in programs]
 
     total_base = sum(r["baseline_dynamic"] for r in results)
     total_tagged = sum(r["tagged_dynamic"] for r in results)
@@ -423,8 +389,6 @@ def _add_build_flags(parser):
                                          "(default: $RVTAG_CONFIG)")
     parser.add_argument("--defsym", action="append", metavar="NAME=VALUE",
                         help="numeric symbol override (repeatable)")
-    parser.add_argument("--policy", choices=tagplan.POLICIES,
-                        help="override the config's policy")
     parser.add_argument("--cfi-label-direct-calls", action="store_true",
                         help="also label direct auipc/jalr call sites")
     parser.add_argument("--coverage-mode", choices=("all_branches", "computed_only"),
@@ -477,11 +441,11 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diff_run)
 
-    p = sub.add_parser("enforce", help="run tag-aware and report violations")
+    p = sub.add_parser("enforce", help="run tag-aware: run --mode aware")
     p.add_argument("image")
     p.add_argument("--max-insns", type=_positive, default=10 ** 8)
     p.add_argument("--dump-coverage", metavar="OUT.json")
-    p.set_defaults(func=cmd_enforce)
+    p.set_defaults(func=cmd_run, mode="aware")
 
     p = sub.add_parser("report", help="validate and render a JSON report")
     p.add_argument("report")
@@ -502,6 +466,9 @@ def main(argv=None) -> int:
     except PolicyViolation as exc:
         print(f"rvtag: policy violation: {exc}", file=sys.stderr)
         return EXIT_POLICY
+    except EquivalenceFailure as exc:
+        print(f"rvtag: equivalence failure: {exc}", file=sys.stderr)
+        return EXIT_EQUIV
     except CliError as exc:
         print(f"rvtag: {exc}", file=sys.stderr)
         return EXIT_USAGE

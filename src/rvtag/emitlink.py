@@ -94,14 +94,22 @@ class Image:
     text: bytes
     data: bytes
     entry: int
-    tags_present: bool
-    backward_compatible: bool
     policy: str
     tag_regions: tuple = ()
 
     @property
     def text_end(self) -> int:
         return TEXT_BASE + len(self.text)
+
+    @property
+    def tags_present(self) -> bool:
+        return bool(self.tag_regions)
+
+    @property
+    def backward_compatible(self) -> bool:
+        """Whether a tag-unaware machine runs the image: no region uses the
+        custom carrier, which it faults on."""
+        return all(region.carrier.backward_compatible for region in self.tag_regions)
 
     @property
     def label_addrs(self) -> tuple:
@@ -232,8 +240,6 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         text=bytes(text),
         data=bytes(program.data),
         entry=symbols[entry_symbol],
-        tags_present=tagged,
-        backward_compatible=(config.carrier.backward_compatible if tagged else True),
         policy=(config.policy if tagged else "none"),
         tag_regions=tuple(regions),
     )
@@ -253,9 +259,7 @@ VERSION = 1
 
 def write_image(image: Image, path) -> None:
     blob = bytearray()
-    flags = (1 if image.tags_present else 0)
-    flags |= (1 if image.backward_compatible else 0) << 1
-    flags |= _POLICY_CODES[image.policy] << 2
+    flags = _layout_flags(image) | _POLICY_CODES[image.policy] << 2
     blob += _HEADER.pack(MAGIC, VERSION, flags)
     blob += _U64.pack(image.entry)
     blob += _U64.pack(TEXT_BASE)
@@ -269,6 +273,12 @@ def write_image(image: Image, path) -> None:
         blob += _REGION.pack(region.start, region.group_count,
                              region.coverage, _CARRIER_CODES[region.carrier], 0)
     replace_file(path, blob)
+
+
+def _layout_flags(image: Image) -> int:
+    """Flag bits 0-1, tags present and backward compatible, which follow
+    from the region table."""
+    return image.tags_present | image.backward_compatible << 1
 
 
 def replace_file(path, data: bytes) -> None:
@@ -362,22 +372,13 @@ def read_image(path) -> Image:
                               f"groups of {stride} bytes run past {bound:#x}")
     if reader.pos != len(blob):
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
-    if regions and not flags & 1:
-        raise FormatError("tags-present flag is clear, but the region table is not empty")
-    custom = [region for region in regions if not region.carrier.backward_compatible]
-    if custom and flags & 2:
-        raise FormatError(f"backward-compatible flag is set, but region {custom[0].start:#x} "
-                          f"uses the {custom[0].carrier.value} carrier")
-    policy = _POLICY_FROM_CODE.get((flags >> 2) & 0x3, "none")
-    return Image(
-        text=text,
-        data=data,
-        entry=entry,
-        tags_present=bool(flags & 1),
-        backward_compatible=bool(flags & 2),
-        policy=policy,
-        tag_regions=tuple(regions),
-    )
+    image = Image(text=text, data=data, entry=entry, policy=_POLICY_FROM_CODE[flags >> 2],
+                  tag_regions=tuple(regions))
+    implied = _layout_flags(image)
+    if flags & 3 != implied:
+        raise FormatError(f"flag bits 0-1 are {flags & 3:#04b}, but the region table "
+                          f"implies {implied:#04b}")
+    return image
 
 
 def scan_labels(image: Image) -> tuple:

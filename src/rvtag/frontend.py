@@ -29,7 +29,8 @@ Grammar (one statement per line, `#` comments):
     .internal NAME         mark NAME internal (exempt from entry labels)
     .entry NAME            program entry point (default: first fragment)
     .signature "SIG"       canonical signature of the current function
-    .calltype "SIG"        signature annotation for the next call site
+    .calltype "SIG"        signature annotation for the next statement, which
+                           must have a jalr word: jalr, jr, ret or call
     .text / .data          section switch
     .word V[, V...]        32-bit data values, signed or unsigned (.data only)
     .dword V[, V...]       64-bit data values, signed or unsigned (.data only)
@@ -358,6 +359,9 @@ class _Assembler:
         except (ParseError, codec.OperandRange) as exc:
             message = exc.message if isinstance(exc, ParseError) else str(exc)
             raise ParseError(message, lineno, filename) from None
+        if self.pending_calltype is not None:
+            raise ParseError("the file ends before a call site takes this .calltype",
+                             self.calltype_line, filename)
         if self.current is None:
             raise ParseError("no code in input", filename=filename)
         self.file_checks.append((filename, entries[0] if entries else None, self.undefined))
@@ -407,7 +411,7 @@ class _Assembler:
             if not match:
                 raise ParseError(f"{name} expects a quoted string")
             if name == ".calltype":
-                self.pending_calltype = match.group(1)
+                self.pending_calltype, self.calltype_line = match.group(1), self.lineno
             elif self.current is None or self.section != "text":
                 raise ParseError(".signature outside a function")
             else:
@@ -462,7 +466,11 @@ class _Assembler:
         ops = [op.strip() for op in parts[1].split(",")] if len(parts) > 1 else []
         frag = self.current
         calltype = self.pending_calltype
-        self.pending_calltype = None
+        if calltype is not None:
+            if mnemonic not in ("jalr", "jr", "ret", "call"):
+                raise ParseError(f".calltype of line {self.calltype_line} must annotate "
+                                 f"a jalr, jr, ret or call, not {mnemonic!r}")
+            self.pending_calltype = None
         spec = STATEMENTS.get(mnemonic)
         if spec is not None:
             arity, parse, encode, transfer, addsub = spec

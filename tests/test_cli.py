@@ -16,9 +16,10 @@ from rvtag.cli import EquivalenceFailure, compare_states, main
 from rvtag.emitlink import FormatError, read_image, write_image
 from rvtag.emulator import PolicyViolation
 from rvtag.emulator import run as run_image
-from rvtag.errors import RvtagError
 from rvtag.pipeline import build_image
 from rvtag.tagplan import ConfigError, load_config, loads_config, make_config
+
+from conftest import FUZZ_BUDGET, exit_code_for, typed_outcome
 
 SUM_SRC = (
     ".globl main\n.entry main\nmain:\n"
@@ -193,8 +194,11 @@ def test_enforce_clean_and_violating(workspace, capsys):
         assert main(["link", "--config", str(workspace / "un.conf"),
                      "--out", str(out), str(workspace / name)]) == 0
         assert main(["enforce", str(out)]) == expected
-    err_out = capsys.readouterr().out
-    assert "UnsignedOverflow" in err_out
+    # the violation is main's one stderr line, and the run prints nothing
+    out, err = capsys.readouterr()
+    assert "UnsignedOverflow" not in out
+    assert re.fullmatch(r"rvtag: policy violation: UnsignedOverflow at pc=0x[0-9a-f]+: .+\n",
+                        err), err
 
 
 def test_run_dump_coverage(workspace, capsys):
@@ -373,7 +377,8 @@ def test_diff_run_equivalence_failure_exit_code(workspace, monkeypatch, capsys):
     code = main(["diff-run", "--config", str(workspace / "tags.conf"),
                  str(workspace / "prog.s")])
     assert code == cli.EXIT_EQUIV
-    assert "equivalence failure" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "rvtag: equivalence failure: prog: x5: baseline 0x1 != tagged 0x2\n")
 
 
 def test_console_script_help():
@@ -411,11 +416,13 @@ def _parser_flags(parser):
 
 
 def test_readme_cli_flags_exist():
+    # both ways: no flag outlives its removal in the docs, and no new flag
+    # goes undocumented
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z-]*", section))
     assert {"--config", "--max-insns", "--coverage-mode"} <= named
-    assert named - _parser_flags(cli.build_parser()) == set()
+    assert named == _parser_flags(cli.build_parser()) - {"-h", "--help"}
 
 
 def test_readme_example_config_loads():
@@ -467,6 +474,57 @@ TWO_FUNCTIONS = (
     "    addi a0, a0, 7\n"
     "    ret\n"
 )
+
+
+UNARITH_SUB = ("main:\n    li a0, {}\n    li a2, {}\n    sub a2, a0, a2 !unsigned\n"
+               "    li a7, 93\n    ecall\n")
+ENFORCE_CELLS = {  # name -> (source, config, exit code)
+    "unarith-clean": (UNARITH_SUB.format(3, 2), "coverage = 3\npolicy = unarith\n", cli.EXIT_OK),
+    "unarith-overflow": (UNARITH_SUB.format(2, 3), "coverage = 3\npolicy = unarith\n",
+                         cli.EXIT_POLICY),
+    "cfi-mismatch": (TWO_FUNCTIONS.replace('.calltype "i64(i64)"', '.calltype "i64(ptr)"'),
+                     "coverage = 3\npolicy = cfi\n", cli.EXIT_POLICY),
+    "coverage": (SUM_SRC, "coverage = 7\npolicy = coverage\n", cli.EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("cell", ENFORCE_CELLS)
+def test_enforce_is_run_in_aware_mode(workspace, capsys, cell):
+    source, config, expected = ENFORCE_CELLS[cell]
+    (workspace / "cell.s").write_text(source)
+    (workspace / "cell.conf").write_text("carrier = lui\n" + config)
+    image, dump = workspace / "cell.rvti", workspace / "cell.json"
+    assert main(["link", "--config", str(workspace / "cell.conf"), "--out", str(image),
+                 str(workspace / "cell.s")]) == 0
+    capsys.readouterr()
+    seen = []
+    for command in (["run", "--mode", "aware"], ["enforce"]):
+        dump.unlink(missing_ok=True)
+        code = main([*command, str(image), "--dump-coverage", str(dump)])
+        seen.append((code, *capsys.readouterr(), dump.exists() and dump.read_bytes()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == expected and bool(seen[0][3]) == (expected == cli.EXIT_OK)
+
+
+def test_a_violation_is_one_stderr_line_on_every_path(workspace, capsys):
+    # a MemFault in compat mode too: the store misses every segment
+    (workspace / "fault.s").write_text(
+        "main:\n    li t0, 0x100\n    sd t0, 0(t0)\n    li a7, 93\n    ecall\n")
+    image = workspace / "fault.rvti"
+    assert main(["link", "--config", str(workspace / "tags.conf"), "--no-tags",
+                 "--out", str(image), str(workspace / "fault.s")]) == 0
+    capsys.readouterr()
+    reports = set()
+    for argv in (["run", str(image)], ["run", "--mode", "aware", str(image)],
+                 ["enforce", str(image)],
+                 ["diff-run", "--config", str(workspace / "tags.conf"),
+                  str(workspace / "fault.s")]):
+        assert main(argv) == cli.EXIT_POLICY, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        reports.add(err)
+    assert reports == {
+        "rvtag: policy violation: MemFault at pc=0x10004: 8-byte store at 0x100: unmapped\n"}
 
 
 def test_run_image_with_a_malformed_carrier(workspace, capsys):
@@ -646,60 +704,6 @@ def test_a_source_that_is_not_utf8_is_a_build_error(workspace, capsys, monkeypat
     assert "Traceback" not in err and not Path("bad.rvti").exists()
 
 
-HOT_CONFIG = ("carrier = lui\ncoverage = 3\npolicy = cfi\n"
-              "tags = N:0, CFL:1, HOT:2\ndefault_tag = HOT\n")
-
-
-def _config_with_policy(path, policy):
-    return cli._load_config(argparse.Namespace(config=str(path), policy=policy))
-
-
-def test_policy_flag_keeps_the_configs_extra_tags_and_default(workspace, capsys):
-    conf = workspace / "hot.conf"
-    conf.write_text(HOT_CONFIG)
-    plain = _config_with_policy(conf, None)
-    assert plain.default_tag == 2
-    assert _config_with_policy(conf, "cfi") == plain
-    none = _config_with_policy(conf, "none")
-    assert (none.policy, none.tag_names, none.default_tag) == ("none", (("N", 0), ("HOT", 2)), 2)
-    swapped = _config_with_policy(workspace / "cov.conf", "cfi")  # no tags declared
-    assert (swapped.tag_names, swapped.default_tag) == ((("N", 0), ("CFL", 1)), 0)
-    (workspace / "two.s").write_text(TWO_FUNCTIONS)
-    images = []
-    for extra in ([], ["--policy", "cfi"]):
-        out = workspace / f"hot{len(extra)}.rvti"
-        assert main(["link", "--config", str(conf), *extra, "--out", str(out),
-                     str(workspace / "two.s")]) == 0
-        images.append(out.read_bytes())
-    assert images[0] == images[1]
-
-
-def test_policy_flag_rejects_a_tag_its_vocabulary_gives_another_value(workspace, capsys):
-    conf = workspace / "clash.conf"
-    conf.write_text("carrier = lui\ncoverage = 3\ntags = N:0, CFL:2\n")
-    with pytest.raises(ConfigError, match="tags: policy 'cfi' requires CFL=1, config says 2"):
-        _config_with_policy(conf, "cfi")
-    assert main(["link", "--config", str(conf), "--policy", "cfi", "--out",
-                 str(workspace / "clash.rvti"), str(workspace / "prog.s")]) == cli.EXIT_BUILD
-    assert capsys.readouterr().err == (
-        "rvtag: build error: tags: policy 'cfi' requires CFL=1, config says 2\n")
-    conf.write_text("carrier = lui\ncoverage = 7\npolicy = coverage\ndefault_tag = CI\n")
-    with pytest.raises(ConfigError, match="default_tag: 'CI' is not a declared tag"):
-        _config_with_policy(conf, "cfi")
-
-
-@pytest.mark.parametrize("default", ["N", "HOT"])
-def test_policy_flag_rejects_a_tag_that_aliases_a_builtin_value(workspace, capsys, default):
-    conf, out = workspace / "alias.conf", workspace / "alias.rvti"
-    conf.write_text(f"carrier = lui\ncoverage = 3\ntags = N:0, HOT:1\ndefault_tag = {default}\n")
-    assert _config_with_policy(conf, None).tag_names == (("N", 0), ("HOT", 1))
-    assert main(["link", "--config", str(conf), "--policy", "cfi", "--out", str(out),
-                 str(workspace / "prog.s")]) == cli.EXIT_BUILD
-    assert capsys.readouterr().err == (
-        "rvtag: build error: tags: 'CFL' and 'HOT' share value 1\n")
-    assert not out.exists()
-
-
 def test_dump_coverage_replaces_an_existing_map(workspace, capsys):
     image_path, cov = workspace / "cov.rvti", workspace / "cov.json"
     assert main(["link", "--config", str(workspace / "cov.conf"), "--out", str(image_path),
@@ -718,10 +722,9 @@ def test_dump_coverage_replaces_an_existing_map(workspace, capsys):
 # ---------------------------------------------------------------------------
 # Seeded mutant fuzz: damaged images and configs end clean or in a typed error.
 # Every mutant goes through the library; the first of each outcome, per mode,
-# also through the CLI for its exit code.  The fetch budget bounds every run;
-# no wall-clock alarm is needed.
+# also through the CLI for its exit code.  FUZZ_BUDGET bounds every run; no
+# wall-clock alarm is needed.
 
-FUZZ_BUDGET = 5000
 FUZZ_CELLS = [  # (source, carrier, coverage, policy)
     (TWO_FUNCTIONS, "lui", 3, "cfi"),
     (SUM_SRC, "lui", 7, "coverage"),
@@ -739,22 +742,6 @@ def _mutate(rng, blob):
     return bytes(blob)
 
 
-def _outcome(action):
-    """None for a clean return of `action`, else the class of its typed
-    error; an untyped exception propagates and fails the test."""
-    try:
-        action()
-    except RvtagError as exc:
-        return type(exc)
-    return None
-
-
-def _exit_code(outcome):
-    if outcome is None:
-        return cli.EXIT_OK
-    return cli.EXIT_POLICY if issubclass(outcome, PolicyViolation) else cli.EXIT_BUILD
-
-
 def test_image_mutant_fuzz_ends_clean_or_in_a_typed_error(tmp_path, capsys):
     rng = random.Random(1)
     path = tmp_path / "mutant.rvti"
@@ -770,11 +757,11 @@ def test_image_mutant_fuzz_ends_clean_or_in_a_typed_error(tmp_path, capsys):
             except FormatError:
                 image, read_error = None, FormatError
             for mode in ("compat", "aware"):
-                outcome = read_error or _outcome(
+                outcome = read_error or typed_outcome(
                     lambda: run_image(image, mode=mode, max_insns=FUZZ_BUDGET))
                 if (mode, outcome) not in seen:
                     assert main(["run", "--mode", mode, "--max-insns", str(FUZZ_BUDGET),
-                                 str(path)]) == _exit_code(outcome)
+                                 str(path)]) == exit_code_for(outcome)
                     capsys.readouterr()
                     seen.add((mode, outcome))
     outcomes = {outcome for _, outcome in seen}
@@ -795,12 +782,12 @@ def test_config_mutant_fuzz_ends_clean_or_in_a_config_error(workspace, capsys):
         except UnicodeDecodeError:
             text = None  # load_config must still fail cleanly on it
         if text is not None:
-            parsed = _outcome(lambda: loads_config(text))
+            parsed = typed_outcome(lambda: loads_config(text))
             assert parsed is None or issubclass(parsed, ConfigError)
-        outcome = _outcome(lambda: build_image(TWO_FUNCTIONS, load_config(path)))
+        outcome = typed_outcome(lambda: build_image(TWO_FUNCTIONS, load_config(path)))
         if outcome not in seen:
             assert main(["link", "--config", str(path), "--out", str(out),
-                         str(source)]) == _exit_code(outcome)
+                         str(source)]) == exit_code_for(outcome)
             capsys.readouterr()
             seen.add(outcome)
     assert None in seen and ConfigError in seen

@@ -428,31 +428,34 @@ def test_image_format_errors(tmp_path):
         with pytest.raises(FormatError, match=message):
             read_image(path)
 
-    # the flags agree with the region table: bit0 is set if there is a
-    # region, and bit1 is clear if a region has the custom carrier, which a
+    # flag bits 0-1 follow from the region table: bit0 is set if there is a
+    # region, and bit1 unless a region has the custom carrier, which a
     # tag-unaware machine faults on
     custom = build_image(ASM_EX, make_config(carrier="custom", coverage=3), tagged=True)
     write_image(custom, path)
     custom_blob = path.read_bytes()
     custom_flags = int.from_bytes(custom_blob[6:8], "little")
-    assert custom_flags & 3 == 1
-    contradictions = {
-        "tags-present flag is clear, but the region table is not empty":
-            blob[:6] + (flags & ~1).to_bytes(2, "little") + blob[8:],
-        f"backward-compatible flag is set, but region {custom.tag_regions[0].start:#x} uses "
-        "the custom carrier":
-            custom_blob[:6] + (custom_flags | 2).to_bytes(2, "little") + custom_blob[8:],
-    }
-    for message, data in contradictions.items():
-        path.write_bytes(data)
-        with pytest.raises(FormatError, match=f"^{message}$"):
-            read_image(path)
-    # bit0 set with no regions is no contradiction: a tagged unit whose
-    # fragments are all empty links to it
+    assert (flags & 3, custom_flags & 3) == (3, 1)
+    # a tagged unit whose fragments are all empty has no region, so it has
+    # no tags: bit0 is clear, as in an untagged image
     empty = build_image("main:\n", N3, tagged=True)
-    assert empty.tags_present and not empty.tag_regions
+    assert not empty.tags_present and empty.backward_compatible
     write_image(empty, path)
     assert read_image(path) == empty
+    empty_blob = path.read_bytes()
+    empty_flags = int.from_bytes(empty_blob[6:8], "little")
+    assert empty_flags & 3 == 2
+    contradictions = [  # (file, its flags, bits 0-1 that its region table implies)
+        (blob, flags & ~1, 3),  # bit0 clear, with regions
+        (blob, flags & ~2, 3),  # bit1 clear, with only lui regions
+        (custom_blob, custom_flags | 2, 1),  # bit1 set, with a custom region
+        (empty_blob, empty_flags | 1, 2),  # bit0 set, with no region
+    ]
+    for data, bad, implied in contradictions:
+        path.write_bytes(data[:6] + bad.to_bytes(2, "little") + data[8:])
+        with pytest.raises(FormatError, match=f"^flag bits 0-1 are {bad & 3:#04b}, but the "
+                                              f"region table implies {implied:#04b}$"):
+            read_image(path)
 
     trailing = tmp_path / "trailing.rvti"
     trailing.write_bytes(blob + b"junk")

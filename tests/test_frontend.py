@@ -173,12 +173,16 @@ def test_calltype_binds_to_next_jalr():
         "    la t1, main\n"
         '    .calltype "i64(i64)"\n'
         "    jalr ra, t1, 0\n"
+        '    .calltype "i64()"\n'
+        "here:\n"
+        "    jr t1\n"
+        '    .calltype "ptr()"\n'
+        "    ret\n"
         "    ecall\n"
     )
-    frag = program.fragment("main")
-    assert frag.insns[2].insn.mnemonic == "jalr"
-    assert frag.insns[2].calltype == "i64(i64)"
-    assert frag.insns[0].calltype is None
+    assert [(slot.insn.mnemonic, slot.calltype) for slot in program.fragment("main").insns] == [
+        ("auipc", None), ("addi", None), ("jalr", "i64(i64)"), ("jalr", "i64()"),
+        ("jalr", "ptr()"), ("ecall", None)]
 
 
 def test_calltype_survives_an_annotation():
@@ -193,6 +197,25 @@ def test_calltype_survives_an_annotation():
     assert (jalr.calltype, jalr.annotations) == ("i64(i64)", {"count"})
     assert (auipc.calltype, auipc.annotations) == (None, {"count"})
     assert (call.calltype, call.annotations) == ("i64()", {"count"})
+
+
+@pytest.mark.parametrize("files, message", [
+    # before, the calltype went to the mv, and the jalr failed the cfi pass
+    # with a misleading MissingSignature
+    (['.globl main\nmain:\n    la t1, main\n    .calltype "i64()"\n    mv a0, a1\n'
+      "    jalr ra, t1, 0\n"],
+     "a.s:5:1: .calltype of line 4 must annotate a jalr, jr, ret or call, not 'mv'"),
+    (['main:\n    .calltype "x"\n    addi a0, a0, 1\n'],
+     "a.s:3:1: .calltype of line 2 must annotate a jalr, jr, ret or call, not 'addi'"),
+    # before, it vanished; the next file starts with none pending
+    (['main:\n    addi a0, a0, 1\n    .calltype "x"\n'],
+     "a.s:3:1: the file ends before a call site takes this .calltype"),
+    (['main:\n    .calltype "x"\n', "f:\n    jalr ra, t1, 0\n"],
+     "a.s:2:1: the file ends before a call site takes this .calltype"),
+], ids=["mv", "addi", "end-of-unit", "end-of-file"])
+def test_a_calltype_needs_a_call_site_next(files, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        assemble_sources(files, filenames=["a.s", "b.s"][:len(files)])
 
 
 def test_annotations():
@@ -744,22 +767,36 @@ def _fuzz_mutants(rng, sources, count):
         yield "\n".join(lines) + "\n"
 
 
-def test_assembly_fuzz_gives_program_or_build_error():
-    """Each mutant assembles to a Program or fails with a BuildError, and
-    each Program links untagged, under cfi with direct-call labels and
-    under coverage to an Image or a BuildError."""
+def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
+    """Each mutant assembles to a Program or fails with a BuildError.  Each
+    Program builds untagged, under cfi with direct-call labels and under
+    coverage to an Image or a BuildError, and each Image runs under
+    FUZZ_BUDGET fetches (the untagged one in compat mode, the others in
+    aware mode) to a clean end or a typed error.  The first mutant of each
+    (cell, build outcome, run outcome) also goes through `rvtag link` and
+    `rvtag run`, for their exit codes."""
     import random
 
+    from rvtag.cli import main
     from rvtag.corpus import generate_corpus
-    from rvtag.emitlink import Image, link
     from rvtag.errors import BuildError
     from rvtag.frontend import Program
     from rvtag.pipeline import build_image
+    from rvtag.tagplan import loads_config
 
-    cfi = make_config(carrier="lui", coverage=3, policy="cfi")
-    coverage = make_config(carrier="lui", coverage=7, policy="coverage")
+    from conftest import FUZZ_BUDGET, exit_code_for, typed_outcome
+
+    cells = [  # (config text, link flags, run mode)
+        ("carrier = lui\ncoverage = 3\n", ["--no-tags"], "compat"),
+        ("carrier = lui\ncoverage = 3\npolicy = cfi\n", ["--cfi-label-direct-calls"], "aware"),
+        ("carrier = lui\ncoverage = 7\npolicy = coverage\n", [], "aware"),
+    ]
+    source, image_path = tmp_path / "mutant.s", tmp_path / "mutant.rvti"
+    for index, (text, _, _) in enumerate(cells):
+        (tmp_path / f"{index}.conf").write_text(text)
     rng = random.Random(8)
     outcomes = {"program": 0, "error": 0, "image": 0, "link error": 0}
+    seen = set()  # (cell, build outcome, run outcome)
     for text in _fuzz_mutants(rng, generate_corpus(11, 20), 1000):
         try:
             program = assemble(text)
@@ -768,12 +805,26 @@ def test_assembly_fuzz_gives_program_or_build_error():
             continue
         assert isinstance(program, Program)
         outcomes["program"] += 1
-        for build in (lambda: link(program, tagged=False),
-                      lambda: build_image(text, cfi, cfi_label_direct_calls=True),
-                      lambda: build_image(text, coverage)):
+        for index, (config, flags, mode) in enumerate(cells):
             try:
-                assert isinstance(build(), Image)
+                image = build_image(text, loads_config(config), tagged="--no-tags" not in flags,
+                                    cfi_label_direct_calls="--cfi-label-direct-calls" in flags)
+                built, ran = None, typed_outcome(
+                    lambda: emulator.run(image, mode=mode, max_insns=FUZZ_BUDGET))
                 outcomes["image"] += 1
-            except BuildError:
+            except BuildError as exc:
+                built, ran = type(exc), None
                 outcomes["link error"] += 1
+            if (index, built, ran) in seen:
+                continue
+            seen.add((index, built, ran))
+            source.write_text(text)
+            assert main(["link", "--config", str(tmp_path / f"{index}.conf"), *flags,
+                         "--out", str(image_path), str(source)]) == exit_code_for(built)
+            if built is None:
+                assert main(["run", "--mode", mode, "--max-insns", str(FUZZ_BUDGET),
+                             str(image_path)]) == exit_code_for(ran)
+            capsys.readouterr()
     assert all(outcomes.values()), outcomes
+    runs = {ran for _, built, ran in seen if built is None}
+    assert {None, emulator.PolicyViolation} <= runs, sorted(seen, key=str)
