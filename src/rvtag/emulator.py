@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import re
 import struct
+import sys
 import types
 from dataclasses import dataclass, field
 
@@ -71,7 +72,6 @@ EXIT_SYSCALL = 93
 WRITE_SYSCALL = 64
 
 MASK64 = (1 << 64) - 1
-_WORD = struct.Struct("<I")
 
 
 class BadInstruction(RvtagError):
@@ -147,7 +147,8 @@ class ExecCounters:
 @dataclass
 class PolicyState:
     """The policy a run enforces, its cfi labels in flight, and its CI and
-    BCF counts.  A CL label's count is its own payload, in text."""
+    BCF counts.  bcf holds only the sites whose terminator ran, in the order
+    each first ran.  A CL label's count is its own payload, in text."""
 
     mode: str = "none"
     pending_cfl: int | None = None
@@ -248,11 +249,10 @@ def _unsigned(mnemonic: str) -> str:
 
 def _counted(body: str) -> str:
     """A terminator's body under BCF: it counts the edge it takes, from pc
-    to its next pc, or to pc itself once it halts."""
+    to its next pc, or to pc itself once it halts, in its site's edge dict."""
     head, _, last = body.rpartition("\n")
     return (head + "\n" * bool(head) + "to = " + last.removeprefix("return ")
-            + "\nper_site = bcf.setdefault(pc, {})\nedge = pc if to is None else to\n"
-              "per_site[edge] = per_site.get(edge, 0) + 1\nreturn to")
+            + "\nedge = pc if to is None else to\nsite[edge] = site.get(edge, 0) + 1\nreturn to")
 
 
 # The policy checks, built as the instructions are.  Under cfi, a checked
@@ -277,27 +277,25 @@ _BODIES.update({
     # an add or sub to x0 writes nothing but is still checked
     **{(mnemonic, "UN_ARTH"): _unsigned(mnemonic) + "if rd:\n    " + _BODIES[mnemonic]
        for mnemonic in codec.ADDSUB_MNEMONICS},
-    # the write-back saturates, and the block over the label stays
-    "CL": ("word = unpack(text, offset)[0]\nif word >> 12 < 0xFFFFF:\n"
-           "    pack(text, offset, word + 4096)"),
+    # the write-back, a uint32 of text, saturates, and the block over the label stays
+    "CL": "word = words[index]\nif word < 0xFFFFF000:\n    words[index] = word + 4096",
     "CI": "counts[pc] = counts.get(pc, 0) + 1",
     **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic]) for mnemonic in (*_TERM_MNEMONICS, "goto")},
 })
-_PACKED = {**_ACCESSES, "CL": "<I"}  # the struct format of each body that packs or unpacks
 # operand -> the words of a body that name it, and how a factory derives the
 # operands that depend on its pc or its machine, m, the Emulator: an ecall or
-# ebreak binds its state, a check its policy state, and an access its
-# _access, the (data, stack, end of data, load miss, store miss); unpack and
-# pack are a body's struct's.
+# ebreak binds its state, a check its policy state or BCF site, an access its
+# _access, the (data, stack, end of data, load miss, store miss), a CL label
+# the uint32 view of text and its index; an access's struct gives unpack and pack.
 _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
              **{word: (word,) for word in (
                  "target", "after", "end", "data", "stack", "unpack", "pack", "load", "store",
-                 "state", "pc", "policy", "counts", "bcf", "text", "offset", "PolicyViolation")}}
+                 "state", "pc", "policy", "counts", "site", "words", "index", "PolicyViolation")}}
 _DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m._access[0]",
             "stack": "m._access[1]", "end": "m._access[2]", "load": "m._access[3]",
-            "store": "m._access[4]", "state": "m.state",
-            "policy": "m.policy", "counts": "m.policy.ci_counts", "bcf": "m.policy.bcf",
-            "text": "m.memory.text", "offset": f"pc - {TEXT_BASE}"}
+            "store": "m._access[4]", "state": "m.state", "policy": "m.policy",
+            "counts": "m.policy.ci_counts", "site": "m.policy.bcf.setdefault(pc, {})",
+            "words": "m._text_words", "index": f"pc - {TEXT_BASE} >> 2"}
 _WORDS = re.compile(r"'[^']*'|\b(?:%s)\b" % "|".join(  # a string, or a word a body can bind
     [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
 _FORMS = {}  # the code of each generated op and terminator -> its key in _BODIES
@@ -330,8 +328,8 @@ def _factory(form):
                        for param, named in _OPERANDS.items() if words.intersection(named))
     cold = _fill(body, {"a": "regs[rs1]", "b": "regs[rs2]", "i": "imm", "dest": "regs[rd]"})
     env = {"__builtins__": {}, "PolicyViolation": PolicyViolation}
-    if form in _PACKED:
-        packed = struct.Struct(_PACKED[form])
+    if form in _ACCESSES:
+        packed = struct.Struct(_ACCESSES[form])
         env.update(unpack=packed.unpack_from, pack=packed.pack_into)
     code = _code(_fill(f"def make(m, pc, rd, rs1, rs2, imm):\n    def op(regs, {params}):\n"
                        + "".join(f"        {line}\n" for line in cold.splitlines())
@@ -514,6 +512,8 @@ class Emulator:
             raise ValueError(f"unknown mode {mode!r}")
         if max_insns < 0:
             raise ValueError(f"max_insns must not be negative, not {max_insns}")
+        if sys.byteorder != "little":  # text is read and written as native uint32s
+            raise RvtagError(f"RVTI text is little-endian; this host is {sys.byteorder}-endian")
         self.mode = mode
         self.max_insns = max_insns
         self.memory = Memory(bytearray(image.text), bytearray(image.data), bytearray(STACK_SIZE))
@@ -521,6 +521,7 @@ class Emulator:
         self.counters = ExecCounters()
         self.policy = PolicyState(mode=image.policy if mode == "aware" else "none")
         self.state.regs[2] = STACK_TOP
+        self._text_words = memoryview(self.memory.text).cast("I")  # text never resizes
         # What every load and store binds: the segments it hits, the end of
         # data, and the miss pair, which holds only text.
         self._access = (self.memory.data, self.memory.stack, DATA_BASE + len(self.memory.data),
@@ -548,8 +549,8 @@ class Emulator:
         CFL label's value is only for a checked jalr right after it, in the
         next block if the label ends this one.  An entry that is not a whole
         text word raises."""
-        tags, text = self._tags, self.memory.text
-        end = TEXT_BASE + len(text)
+        tags, words = self._tags, self._text_words
+        end = TEXT_BASE + 4 * len(words)
         if entry % 4 or not TEXT_BASE <= entry < end:
             raise BadInstruction(f"pc={entry:#x}: fetch outside whole text words", entry)
         stop = entry + 4 * (_BLOCK_WORDS if limit < 0 else limit)
@@ -568,7 +569,7 @@ class Emulator:
                 pc += 4
                 continue
             try:
-                word = _WORD.unpack_from(text, pc - TEXT_BASE)[0]
+                word = words[pc - TEXT_BASE >> 2]
                 mnemonic, rd, rs1, rs2, imm, op, make = _predecode(word)
             except codec.BadEncoding as exc:
                 if pc != entry:  # run up to it; the next block raises
@@ -713,7 +714,9 @@ class Emulator:
             pc, fetches, retired, labels = (exc.pc, fetches + n - insn, retired + n_ret - insn,
                                             labels + n_lab)
             raise
-        finally:
+        finally:  # drop the sites translated but never run
+            for site in [site for site, edges in policy.bcf.items() if not edges]:
+                del policy.bcf[site]
             state.pc = pc
             counters.retired += retired
             counters.tag_fetches += fetches - retired

@@ -3,13 +3,15 @@ import collections
 import copy
 import dataclasses
 import hashlib
+import json
 import os
 import random
+import struct
 import types
 
 import pytest
 
-from rvtag import codec, emulator
+from rvtag import codec, emulator, tagplan
 from rvtag.codec import Insn, TagCarrier, tag_packer
 from rvtag.emitlink import DATA_BASE, link
 from rvtag.emulator import (
@@ -703,6 +705,29 @@ def test_coverage_cl_writeback_saturates():
     assert (_word(image, state, label_addr) >> 12) & 0xFFFFF == 0xFFFFF
 
 
+def test_coverage_cl_writeback_saturates_at_its_edge():
+    # a payload one below the ceiling reaches it at the label's first run,
+    # and stays there through the other two; the rest of the word never moves
+    image = build_image(COVERAGE_BLOCKS, COVERAGE, tagged=True)
+    label_addr = next(addr for addr, kind in image.label_addrs if kind == "cl")
+    offset = label_addr - image.text_base
+    word = int.from_bytes(image.text[offset:offset + 4], "little") & 0xFFF | (0xFFFFE << 12)
+    image = dataclasses.replace(
+        image, text=image.text[:offset] + word.to_bytes(4, "little") + image.text[offset + 4:])
+    machine = Emulator(image, mode="aware", max_insns=0)
+    payloads = []  # the payload after each fetch of the label
+    while not machine.state.halted:
+        pc = machine.state.pc
+        machine.max_insns += 1
+        try:
+            machine.run()
+        except LimitExceeded:
+            pass
+        if pc == label_addr:
+            payloads.append(machine.state.memory.read(label_addr, 4))
+    assert payloads == [word + 4096] * 3 and word + 4096 == word & 0xFFF | 0xFFFFF << 12
+
+
 def test_coverage_cl_counts_match_executions():
     # each CL label's payload in text counts the times its word ran, as a run
     # of one fetch at a time sees them
@@ -950,6 +975,106 @@ def test_compat_carrier_that_faults_counts_its_fetch():
     machine, exc = _fault(image, "compat")
     assert exc.kind == "MemFault" and exc.pc == carrier == machine.state.pc
     assert (machine.counters.retired, machine.counters.tag_fetches) == (3, 2)
+
+
+# Under coverage, its BCF sites are the call, the ret and the two branches.
+# With OFFSET 0 it runs clean; with 1024 its ld faults past the end of data,
+# in the block that the beq after it ends.
+BCF_SITES = (
+    ".globl bump\n"
+    "bump:\n"
+    "    addi a0, a0, 1\n"
+    "    ret\n"
+    ".globl main\n.entry main\nmain:\n"
+    "    li t2, 6\n"
+    "spin:\n"
+    "    call bump\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, spin\n"
+    "    la t0, buf\n"
+    "    ld a1, OFFSET(t0)\n"
+    "    beq a1, x0, done\n"
+    "    addi a0, a0, 7\n"
+    "done:\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero 8\n"
+)
+
+
+def _fetch_trace(image):
+    """The pc of each fetch of image's aware run, taken one fetch at a time,
+    then the pc the run stopped at: its halting word, or the pc of a fault,
+    whose fetch is not in the trace."""
+    machine = Emulator(image, mode="aware", max_insns=0)
+    trace = []
+    while not machine.state.halted:
+        trace.append(machine.state.pc)
+        machine.max_insns += 1
+        try:
+            machine.run()
+        except LimitExceeded:
+            pass
+        except PolicyViolation:
+            trace.pop()
+            break
+    return trace + [machine.state.pc]
+
+
+def _edges_taken(image, trace, fetches):
+    """[(site, [(edge, count), ...]), ...] of the first `fetches` fetches of
+    trace: each BCF site that ran, in the order it first ran, with its edges
+    in the order first taken.  An edge is the pc fetched next, or the site
+    itself once it halts."""
+    tags = tagplan.slot_tags(image.text, tagplan.carrier_groups(image.tag_regions, image.text_end))
+    bcf = {}
+    for pc, to in zip(trace[:fetches], trace[1:fetches + 1]):
+        if tagplan.EFFECTS["coverage"].get(tags.get(pc)) == "BCF":
+            edges = bcf.setdefault(pc, {})
+            edges[to] = edges.get(to, 0) + 1
+    return [(pc, list(edges.items())) for pc, edges in bcf.items()]
+
+
+def _sites(machine):
+    return [(pc, list(edges.items())) for pc, edges in machine.policy.bcf.items()]
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, tmp_path, tier):
+    # each site's edge dict is bound when its block is translated, so a
+    # block that faults or is cut before its terminator leaves one behind
+    # until the run ends
+    from rvtag import cli, emitlink
+
+    clean, faulting = [build_image(BCF_SITES.replace("OFFSET", offset), COVERAGE, tagged=True)
+                       for offset in ("0", "1024")]
+    clean_trace, faulting_trace = _fetch_trace(clean), _fetch_trace(faulting)
+    made = []
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: made.append(make_region(*args)) or made[-1])
+    machine = Emulator(clean, mode="aware")
+    machine.run()
+    ran = _edges_taken(clean, clean_trace, len(clean_trace) - 1)
+    assert len(ran) == 4 and _sites(machine) == ran
+    machine = Emulator(faulting, mode="aware")
+    with pytest.raises(PolicyViolation, match="MemFault"):
+        machine.run()
+    expected = _edges_taken(faulting, faulting_trace, len(faulting_trace) - 1)
+    assert len(expected) == 3 and _sites(machine) == expected
+    for budget in range(1, len(clean_trace) - 1):
+        machine = Emulator(clean, mode="aware", max_insns=budget)
+        with pytest.raises(LimitExceeded):
+            machine.run()
+        assert _sites(machine) == _edges_taken(clean, clean_trace, budget), budget
+    assert bool(made) == (tier == "forced")
+    # the coverage dump holds the same sites, ordered by pc
+    image_path, dump = tmp_path / "clean.rvti", tmp_path / "coverage.json"
+    emitlink.write_image(clean, image_path)
+    assert cli.main(["run", "--mode", "aware", "--dump-coverage", str(dump), str(image_path)]) == 0
+    assert json.loads(dump.read_text())["bcf"] == {
+        hex(pc): {hex(edge): count for edge, count in sorted(edges)} for pc, edges in sorted(ran)}
 
 
 # cuts of the bench kernel, whose loop iteration is 24-28 fetches: one
@@ -1324,6 +1449,35 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
     for names in regions:  # no plain call
         assert not any(name[0] == "f" and name[1:].isdigit() for name in names)
     assert not misses
+
+
+def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
+    # its CL labels write back through the machine's uint32 view of text and
+    # its BCF sites count into edge dicts bound at translation: a setdefault
+    # per edge, or a struct unpack and pack of text per label, would be a
+    # silent fall-back to the slow counting path
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    machine = Emulator(build_image(kernel, COVERAGE, tagged=True), mode="aware")
+    sources, regions = [], []
+    make_code, make_region = emulator._code, emulator._region
+    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
+    monkeypatch.setattr(emulator, "_code",
+                        lambda source: sources.append(source) or make_code(source))
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: regions.append(make_region(*args)) or regions[-1])
+    machine.run()
+    assert machine.state.regs[10] == a0 and machine.policy.bcf
+    sources = [source for source in sources
+               if type(source) is str and source.startswith("def region(")]
+    assert sources and regions
+    assert not any("setdefault" in source for source in sources)
+    assert any("words[" in source for source in sources)
+    assert any("site[" in source for source in sources)
+    bound = [value for region in regions for value in region.__defaults__]
+    assert any(value is machine._text_words for value in bound)
+    assert not any(value is machine.memory.text for value in bound)
+    assert not any(isinstance(getattr(value, "__self__", None), struct.Struct)
+                   and value.__self__.format == "<I" for value in bound)
 
 
 STACK_BOTTOM = emulator.STACK_TOP - emulator.STACK_SIZE
@@ -2232,6 +2386,20 @@ def test_a_negative_budget_is_rejected():
         Emulator(image, max_insns=-1)
     with pytest.raises(LimitExceeded):
         Emulator(image, max_insns=0).run()
+
+
+def test_a_big_endian_host_is_refused(monkeypatch):
+    # text is read and written as native uint32 words, and RVTI is
+    # little-endian: there is no second, byte-swapping path
+    import sys
+
+    from rvtag.errors import RvtagError
+
+    image = build_image(SUM_1_TO_10, N3, tagged=False)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    with pytest.raises(RvtagError, match="little-endian.*big-endian") as info:
+        Emulator(image)
+    assert type(info.value) is RvtagError
 
 
 def _as_signed(value):

@@ -767,18 +767,63 @@ def _fuzz_mutants(rng, sources, count):
         yield "\n".join(lines) + "\n"
 
 
-def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
+# Seeded fuzz that keeps every line parseable, so that most mutants reach the
+# linker and the emulator: PARSEABLE_MUTANTS mutants, each a generated
+# program with one to three statements changed.  FUZZ_SHAPES groups the
+# mnemonics of one operand shape.
+PARSEABLE_MUTANTS = 200
+FUZZ_SHAPES = [
+    ["add", "sub", "xor", "or", "and", "mul", "slt", "sltu", "sll", "srl", "sra", "addw", "subw"],
+    ["addi", "xori", "ori", "andi", "slti", "sltiu", "addiw"],
+    ["slli", "srli", "srai"],
+    ["lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"],
+    ["sb", "sh", "sw", "sd"],
+    ["beq", "bne", "blt", "bge", "bltu", "bgeu"],
+]
+FUZZ_REGISTERS = ["zero", "ra", "sp", "t0", "t1", "t2", "s0", "s1", "s4", "a0", "a1", "a7", "t6"]
+_REGISTER = re.compile(r"\b(?:zero|ra|sp|gp|tp|[tsa]\d+|x\d+)\b")
+_IMMEDIATE = re.compile(r"(?<![\w.])-?\d+\b")
+
+
+def _parseable_mutants(rng, sources, count):
+    """Mutants whose lines still parse: in each changed statement a register
+    becomes another, an immediate an in-range one, or the mnemonic another
+    of its shape, the last also where the statement lacks the chosen
+    operand."""
+    shapes = {mnemonic: shape for shape in FUZZ_SHAPES for mnemonic in shape}
+    for _ in range(count):
+        lines = rng.choice(sources).splitlines()
+        statements = [k for k, line in enumerate(lines)
+                      if line.startswith("    ") and not line.lstrip().startswith(".")]
+        for index in rng.sample(statements, rng.randint(1, 3)):
+            mnemonic, _, operands = lines[index].strip().partition(" ")
+            kind = rng.randrange(3)
+            registers, immediates = [list(pattern.finditer(operands))
+                                     for pattern in (_REGISTER, _IMMEDIATE)]
+            if kind == 0 and registers:
+                spot, value = rng.choice(registers), rng.choice(FUZZ_REGISTERS)
+            elif kind < 2 and immediates:
+                low, high = (0, 64) if mnemonic in FUZZ_SHAPES[2] else (-2048, 2048)
+                spot, value = rng.choice(immediates), str(rng.randrange(low, high))
+            else:
+                spot, value = None, ""
+                mnemonic = rng.choice(shapes.get(mnemonic, [mnemonic]))
+            if spot is not None:
+                operands = operands[:spot.start()] + value + operands[spot.end():]
+            lines[index] = f"    {mnemonic} {operands}".rstrip()
+        yield "\n".join(lines) + "\n"
+
+
+def _build_and_run_mutants(mutants, tmp_path, capsys):
     """Each mutant assembles to a Program or fails with a BuildError.  Each
     Program builds untagged, under cfi with direct-call labels and under
     coverage to an Image or a BuildError, and each Image runs under
     FUZZ_BUDGET fetches (the untagged one in compat mode, the others in
     aware mode) to a clean end or a typed error.  The first mutant of each
     (cell, build outcome, run outcome) also goes through `rvtag link` and
-    `rvtag run`, for their exit codes."""
-    import random
-
+    `rvtag run`, for their exit codes.  Returns the outcome counts and the
+    (cell, build outcome, run outcome) triples seen."""
     from rvtag.cli import main
-    from rvtag.corpus import generate_corpus
     from rvtag.errors import BuildError
     from rvtag.frontend import Program
     from rvtag.pipeline import build_image
@@ -794,10 +839,9 @@ def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
     source, image_path = tmp_path / "mutant.s", tmp_path / "mutant.rvti"
     for index, (text, _, _) in enumerate(cells):
         (tmp_path / f"{index}.conf").write_text(text)
-    rng = random.Random(8)
     outcomes = {"program": 0, "error": 0, "image": 0, "link error": 0}
     seen = set()  # (cell, build outcome, run outcome)
-    for text in _fuzz_mutants(rng, generate_corpus(11, 20), 1000):
+    for text in mutants:
         try:
             program = assemble(text)
         except BuildError:
@@ -825,6 +869,34 @@ def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
                 assert main(["run", "--mode", mode, "--max-insns", str(FUZZ_BUDGET),
                              str(image_path)]) == exit_code_for(ran)
             capsys.readouterr()
+    return outcomes, seen
+
+
+def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
+    """_build_and_run_mutants over 1000 mutants with FUZZ_JUNK tokens."""
+    import random
+
+    from rvtag.corpus import generate_corpus
+
+    outcomes, seen = _build_and_run_mutants(
+        _fuzz_mutants(random.Random(8), generate_corpus(11, 20), 1000), tmp_path, capsys)
     assert all(outcomes.values()), outcomes
     runs = {ran for _, built, ran in seen if built is None}
     assert {None, emulator.PolicyViolation} <= runs, sorted(seen, key=str)
+
+
+def test_parseable_assembly_fuzz_reaches_the_linker_and_the_emulator(tmp_path, capsys):
+    """_build_and_run_mutants over mutants that keep their lines parseable:
+    at least a third of them assemble, so the link, run and CLI checks see
+    programs that differ in registers, immediates and mnemonics."""
+    import random
+
+    from rvtag.corpus import generate_corpus
+
+    count = PARSEABLE_MUTANTS
+    outcomes, seen = _build_and_run_mutants(
+        _parseable_mutants(random.Random(9), generate_corpus(11, 20), count), tmp_path, capsys)
+    assert 3 * outcomes["program"] >= count, outcomes
+    runs = {ran for _, built, ran in seen if built is None}
+    assert {None, emulator.PolicyViolation, emulator.LimitExceeded,
+            emulator.BadInstruction} <= runs, sorted(seen, key=str)
