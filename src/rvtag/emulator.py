@@ -660,6 +660,22 @@ class Emulator:
         for member, block in hot.items():
             blocks[member] = ((), _REGION, 0, 0, region, block[5])
 
+    def _drop_unrun_sites(self) -> None:
+        """Drop the BCF sites translated but never run, and the cached
+        blocks, hot members and regions bound to them: a site is made again
+        when its terminator is next translated, right before it runs."""
+        bcf = self.policy.bcf
+        unrun = [site for site, edges in bcf.items() if not edges]
+        if not unrun:
+            return
+        unrun = {id(bcf[site]): bcf.pop(site) for site in unrun}  # alive while compared
+        bound = lambda code: any(id(value) in unrun for value in code.__defaults__ or ())
+        for blocks in (self._blocks, self._hot):
+            for entry in [entry for entry, block in blocks.items() if bound(block[4])]:
+                del blocks[entry]
+        for members in [members for members, region in self._regions.items() if bound(region)]:
+            del self._regions[members]
+
     # -- main loop -----------------------------------------------------------
     def run(self):
         state, counters, policy = self.state, self.counters, self.policy
@@ -714,9 +730,8 @@ class Emulator:
             pc, fetches, retired, labels = (exc.pc, fetches + n - insn, retired + n_ret - insn,
                                             labels + n_lab)
             raise
-        finally:  # drop the sites translated but never run
-            for site in [site for site, edges in policy.bcf.items() if not edges]:
-                del policy.bcf[site]
+        finally:
+            self._drop_unrun_sites()
             state.pc = pc
             counters.retired += retired
             counters.tag_fetches += fetches - retired

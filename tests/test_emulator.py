@@ -1039,6 +1039,15 @@ def _sites(machine):
     return [(pc, list(edges.items())) for pc, edges in machine.policy.bcf.items()]
 
 
+def _unlisted_sites(machine):
+    """The edge dicts that machine's cached blocks, hot members and regions
+    bind, and that its bcf does not hold."""
+    listed = {id(machine.policy.ci_counts), *map(id, machine.policy.bcf.values())}
+    terms = [block[4] for block in (*machine._blocks.values(), *machine._hot.values())]
+    return [value for code in (*terms, *machine._regions.values())
+            for value in code.__defaults__ or () if type(value) is dict and id(value) not in listed]
+
+
 @pytest.mark.parametrize("tier", ["cold", "forced"])
 def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, tmp_path, tier):
     # each site's edge dict is bound when its block is translated, so a
@@ -1116,6 +1125,78 @@ def test_fetch_budget_stops_mid_block(source, config, mode, budgets):
         assert machine.policy == whole.policy
     if budgets is KERNEL_CUTS:
         assert carried == ({"region", "site label"} if config is CFI else {"region"})
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+@pytest.mark.parametrize("source,budgets", [(BCF_SITES.replace("OFFSET", "0"), range(1, 80)),
+                                            ("kernel", KERNEL_CUTS)], ids=["sites", "kernel"])
+def test_a_site_dropped_at_a_cut_counts_once_its_terminator_runs(monkeypatch, tier, source,
+                                                                    budgets):
+    # a cut can leave a block cached whose terminator has not run: the run
+    # drops its empty site, and the code bound to it, so two cuts at one
+    # block entry and a resumed run end as one run does
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
+    if source == "kernel":
+        source = _bench_workloads().kernel(random.Random(3), 200)[0]
+    image = build_image(source, COVERAGE, tagged=True, defsym={"ITERS": 5})
+    whole = Emulator(image, mode="aware")
+    whole.run()
+    assert whole.policy.bcf
+    for budget in budgets:
+        if budget + 1 >= whole.counters.total:
+            break
+        machine = Emulator(image, mode="aware", max_insns=budget)
+        for machine.max_insns in (budget, budget + 1):
+            with pytest.raises(LimitExceeded):
+                machine.run()
+            assert all(machine.policy.bcf.values()) and not _unlisted_sites(machine), budget
+        machine.max_insns = 10 ** 6
+        machine.run()
+        assert machine.policy == whole.policy, budget
+
+
+# Its one BCF site is the bne.  With OFFSET 1024 the ld, the first word of
+# the loop, faults past the end of data.
+BCF_LOOP = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li t2, 6\n"
+    "    la t0, buf\n"
+    "    addi t0, t0, OFFSET\n"
+    "spin:\n"
+    "    ld a1, 0(t0)\n"
+    "    addi a0, a0, 1\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, spin\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero 8\n"
+)
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+def test_a_site_dropped_at_a_fault_counts_once_its_terminator_runs(monkeypatch, tier):
+    # a loop that faults before its bne on each resumed run is cached on
+    # its second entry, and under forced promotion is sampled on its third
+    # and joins a region on its fourth: once the fault is mended, the loop
+    # counts in bcf as it does after a single fault
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
+    image = build_image(BCF_LOOP.replace("OFFSET", "1024"), COVERAGE, tagged=True)
+    mended = []
+    for faults in (1, 4):
+        machine = Emulator(image, mode="aware")
+        for _ in range(faults):
+            with pytest.raises(PolicyViolation, match="MemFault"):
+                machine.run()
+            assert machine.policy.bcf == {} and not _unlisted_sites(machine)
+        machine.state.regs[5] -= 1024  # t0: the ld now reads buf
+        machine.run()
+        assert not _unlisted_sites(machine)
+        mended.append(machine)
+    once, often = mended
+    [edges] = once.policy.bcf.values()
+    assert sorted(edges.values()) == [1, 5] and once.state.exit_code == 6
+    assert often.policy == once.policy and often.state == once.state
+    assert bool(often._regions) == (tier == "forced")
 
 
 @pytest.mark.parametrize("access", ["ld a0, 0(t0)", "sd a1, 8(t0)", "lw a0, -4(t2)"])
