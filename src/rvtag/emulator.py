@@ -31,19 +31,21 @@ sampled for the second time joins the region at once.  The machine's last
 _REGION_BLOCKS such blocks run as the branches of one Python function: a
 loop that dispatches on pc, runs the member's body with every op, check and
 terminator inlined, operands as literals and written registers in locals,
-and adds its constant counts.  A member's entry leads the run loop into the
-region, which runs to the fetch budget: it returns at a pc outside it, after
-a member that halts, or before a member that would cross the budget.  The
-run loop then runs that block as it runs any other, and samples it if the
-region ran past the mark.  A block that the region evicted, or whose region
-the budget refused, runs cold.  Regions are charged by the words they
-compile, at most one per 64 fetched, so that compiling long blocks cannot
-take over a run, and a machine keeps each region it makes, as a loop wider
-than a region makes the same ones over and over.  One handler counts what
-ran of the block or member that faults, in either tier.  Generated source is
-kept by its shape, the forms and integers it is built from, and compiled
-once per process, so a new machine pays only to bind its own objects to the
-cached code.
+and adds its constant counts.  A BCF site adds each edge's first take in a
+call to its edge dict, and counts the repeats of the first of them in a
+local, which the region folds into the dict at exit.  A member's entry leads
+the run loop into the region, which runs to the fetch budget: it returns at
+a pc outside it, after a member that halts, or before a member that would
+cross the budget.  The run loop then runs that block as it runs any other,
+and samples it if the region ran past the mark.  A block that the region
+evicted, or whose region the budget refused, runs cold.  Regions are charged
+by the words they compile, at most one per 64 fetched, so that compiling
+long blocks cannot take over a run, and a machine keeps each region it
+makes, as a loop wider than a region makes the same ones over and over.  One
+handler counts what ran of the block or member that faults, in either tier.
+Generated source is kept by its shape, the forms and integers it is built
+from, and compiled once per process, so a new machine pays only to bind its
+own objects to the cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
 builds every tier, and one factory, which makes its op from the machine, the
@@ -251,8 +253,11 @@ def _counted(body: str) -> str:
     """A terminator's body under BCF: it counts the edge it takes, from pc
     to its next pc, or to pc itself once it halts, in its site's edge dict."""
     head, _, last = body.rpartition("\n")
-    return (head + "\n" * bool(head) + "to = " + last.removeprefix("return ")
-            + "\nedge = pc if to is None else to\nsite[edge] = site.get(edge, 0) + 1\nreturn to")
+    to = last.removeprefix("return ")
+    edge = "edge" if "state.halted" in body else "to"  # only a halting body returns None
+    return (head + "\n" * bool(head) + f"to = {to}\n" * (to != "to")
+            + "edge = pc if to is None else to\n" * (edge == "edge")
+            + f"site[{edge}] = site.get({edge}, 0) + 1\nreturn to")
 
 
 # The policy checks, built as the instructions are.  Under cfi, a checked
@@ -282,6 +287,8 @@ _BODIES.update({
     "CI": "counts[pc] = counts.get(pc, 0) + 1",
     **{(mnemonic, "BCF"): _counted(_BODIES[mnemonic]) for mnemonic in (*_TERM_MNEMONICS, "goto")},
 })
+# a BCF form that never halts -> the body a region runs before counting its edge
+_PLAIN = {(mnemonic, "BCF"): mnemonic for mnemonic in (*_CONDS, "jal", "jalr", "goto")}
 # operand -> the words of a body that name it, and how a factory derives the
 # operands that depend on its pc or its machine, m, the Emulator: an ecall or
 # ebreak binds its state, a check its policy state or BCF site, an access its
@@ -425,16 +432,17 @@ _REGION = float("inf")  # the fetch count of a member's entry: it crosses every 
 def _lines(ops, term, defaults: dict) -> list:
     """The lines of a function body that runs ops and then returns term's
     next pc: the body of each op, then term's, whose one return is the last
-    line.  Operands are literals, and the other defaults of a body (segments,
-    struct methods, misses, machine and policy state) are added to
-    `defaults`.  A body that assigns dest with rd != 0 leaves rd's value in a
+    line, plain if _PLAIN has it.  Operands are literals, and the other
+    defaults of a body (segments, struct methods, misses, machine and policy
+    state) are added to `defaults`.  A body that assigns dest with rd != 0 leaves rd's value in a
     local; the locals are stored to regs before every body but a lone
     assignment to dest, so every other body, and a fault, sees every write
     before it."""
     lines = []
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
-        body = _BODIES[_FORMS[op.__code__]]
+        form = _FORMS[op.__code__]
+        body = _BODIES[_PLAIN.get(form, form)]
         if not body.startswith("dest = ") or "\n" in body:
             lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
             unstored.clear()
@@ -470,30 +478,41 @@ def _region(members: list, at: list):
     left and added to retired and labels.  The region stops at any other pc,
     and after a member that halts, at its halting word.  It leaves (pc, left,
     retired, labels) in `at`, also past a fault, which then leaves the entry
-    of the member it faulted in.  Equal shapes make equal source, so each
-    shape is compiled once per process, and a region of a known shape is its
-    code with each default after at taken from the same operand of the same
-    op."""
+    of the member it faulted in.  At a BCF site that never halts, a call
+    adds the first take of each edge to the site's edge dict, in the order
+    taken, and counts the repeats of the first edge in the site's locals,
+    which it folds into the dict when it stops, also past a fault.  Equal
+    shapes make equal source, so each shape is compiled once per process,
+    and a region of a known shape is its code with each default after at
+    taken from the same operand of the same op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
     first = {}
     shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])
                                    for entry, block in members])
     known = _GENERATED.get(shape)
     if known is None:
-        defaults = {"at": at}
-        lines = ["retired = labels = 0", "try:", "    while True:"]
+        defaults, sites, lines = {"at": at}, [], []
         for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
             body = _lines(block_ops, term, defaults)
             body[-1] = "pc = " + body[-1].removeprefix("return ")
+            form = _FORMS[term.__code__]
+            if form in _PLAIN:  # members ending at one site share its locals
+                sites.append(site := _operands(term, (), defaults)[1]["site"])
+                body += [f"if pc == t_{site}:", f"    n_{site} += 1", "else:",
+                         f"    {site}[pc] = {site}.get(pc, 0) + 1",
+                         f"    if t_{site} < 0:", f"        t_{site} = pc"]
             body += [f"left -= {fetches}"] + [f"retired += {retired}"] * (retired > 0)
             body += [f"labels += {labels}"] * (labels > 0)
-            if "state.halted" in _BODIES[_FORMS[term.__code__]]:  # its pc is None once halted
+            if "state.halted" in _BODIES[form]:  # its pc is None once halted
                 body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
             lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
                       f"            if left < {fetches}:", "                break"]
             lines += [f"            {line}" for line in body]
-        lines += ["        else:", "            break", "finally:",
-                  "    at[:] = pc, left, retired, labels"]
+        sites = dict.fromkeys(sites)
+        lines = ["retired = labels = 0", *[f"t_{site}, n_{site} = -1, 0" for site in sites],
+                 "try:", "    while True:", *lines, "        else:", "            break",
+                 "finally:", "    at[:] = pc, left, retired, labels",
+                 *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites]]
         source = (f"def region(regs, pc, left{''.join(f', {param}' for param in defaults)}):\n"
                   + "".join(f"    {line}\n" for line in lines))
         if len(_GENERATED) >= _GENERATED_KEPT:

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import struct
+import sys
 import types
 
 import pytest
@@ -1199,6 +1200,93 @@ def test_a_site_dropped_at_a_fault_counts_once_its_terminator_runs(monkeypatch, 
     assert bool(often._regions) == (tier == "forced")
 
 
+# Loops whose BCF sites take one edge over and over, or alternate, inside one
+# region call.  In ALTERNATING the bne after andi takes each edge every other
+# iteration, and the loop's bne ends two blocks, one entered by falling
+# through and one at odd.  In SHARED_RET the ret returns to each call in
+# turn.  WALK sums 12 dwords from buf, which holds SIZE bytes: with 96 its
+# bne exits in the region call that ran its back-edge, and with 64 its ld
+# walks off the end of data and faults there.
+ALTERNATING = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li t2, 12\n"
+    "loop:\n"
+    "    andi t1, t2, 1\n"
+    "    bne t1, x0, odd\n"
+    "    addi a0, a0, 5\n"
+    "odd:\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+)
+SHARED_RET = (
+    ".globl bump\n"
+    "bump:\n"
+    "    addi a0, a0, 1\n"
+    "    ret\n"
+    ".globl main\n.entry main\nmain:\n"
+    "    li t2, 12\n"
+    "loop:\n"
+    "    call bump\n"
+    "    slli a0, a0, 1\n"
+    "    call bump\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+)
+WALK = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la t0, buf\n"
+    "    li t2, 12\n"
+    "walk:\n"
+    "    ld a1, 0(t0)\n"
+    "    add a0, a0, a1\n"
+    "    addi t0, t0, 8\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, walk\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero SIZE\n"
+)
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+@pytest.mark.parametrize("source", [ALTERNATING, SHARED_RET, WALK.replace("SIZE", "96"),
+                                    WALK.replace("SIZE", "64")],
+                         ids=["alternating", "shared-ret", "walk", "walk-fault"])
+def test_region_edge_counts_match_the_fetch_trace(monkeypatch, tier, source):
+    # a region counts the repeats of a site's first edge in a local and
+    # folds them into bcf when it stops: at a cut, past a fault, and once
+    # for the members that share a site, keeping the order of sites and edges
+    image = build_image(source, COVERAGE, tagged=True)
+    trace = _fetch_trace(image)
+    fetches = len(trace) - 1
+    ran = _edges_taken(image, trace, fetches)
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
+
+    def finish(machine):
+        machine.max_insns = 10 ** 6
+        try:
+            machine.run()
+        except PolicyViolation as exc:
+            assert exc.kind == "MemFault"
+        return _sites(machine)
+
+    whole = Emulator(image, mode="aware")
+    assert finish(whole) == ran
+    assert whole.state.halted == (".zero 64" not in source)
+    assert bool(whole._regions) == (tier == "forced")
+    assert any(count > 2 for _, edges in ran for _, count in edges)
+    for budget in range(1, fetches):
+        machine = Emulator(image, mode="aware", max_insns=budget)
+        with pytest.raises(LimitExceeded):
+            machine.run()
+        assert _sites(machine) == _edges_taken(image, trace, budget), budget
+        assert finish(machine) == ran, budget
+
+
 @pytest.mark.parametrize("access", ["ld a0, 0(t0)", "sd a1, 8(t0)", "lw a0, -4(t2)"])
 @pytest.mark.parametrize("mode", ["compat", "aware"])
 def test_unmapped_access_faults_at_its_pc(access, mode):
@@ -1536,9 +1624,33 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
     # its CL labels write back through the machine's uint32 view of text and
     # its BCF sites count into edge dicts bound at translation: a setdefault
     # per edge, or a struct unpack and pack of text per label, would be a
-    # silent fall-back to the slow counting path
+    # silent fall-back to the slow counting path; so would a region that
+    # reads a site's edge dict on every take, not once per edge and call
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, COVERAGE, tagged=True), mode="aware")
+    reads, stops = collections.Counter(), []
+
+    class Edges(dict):
+        """an edge dict that counts the reads a region makes of it"""
+        def get(self, *args):
+            reads[id(self)] += sys._getframe(1).f_code.co_name == "region"
+            return dict.get(self, *args)
+
+        def __getitem__(self, edge):
+            reads[id(self)] += sys._getframe(1).f_code.co_name == "region"
+            return dict.__getitem__(self, edge)
+
+    class Sites(dict):
+        def setdefault(self, pc, default=None):
+            return dict.setdefault(self, pc, Edges())
+
+    class At(list):
+        """where a region stopped: each region call stores it once"""
+        def __setitem__(self, index, value):
+            stops.append(value)
+            list.__setitem__(self, index, value)
+
+    machine.policy.bcf, machine._at = Sites(), At(machine._at)
     sources, regions = [], []
     make_code, make_region = emulator._code, emulator._region
     monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
@@ -1559,6 +1671,11 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
     assert not any(value is machine.memory.text for value in bound)
     assert not any(isinstance(getattr(value, "__self__", None), struct.Struct)
                    and value.__self__.format == "<I" for value in bound)
+    # the loop's bne, its jalr and step's ret each run 1500 times, most of
+    # them in region calls that run many iterations each
+    assert len(machine.policy.bcf) == 3 and stops
+    for edges in machine.policy.bcf.values():
+        assert 0 < reads[id(edges)] <= len(stops) * (len(edges) + 1) < sum(edges.values())
 
 
 STACK_BOTTOM = emulator.STACK_TOP - emulator.STACK_SIZE
