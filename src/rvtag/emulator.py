@@ -27,22 +27,25 @@ word, made at translation.  A load to x0 writes nothing but still faults.
 
 Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
-sampled for the second time joins the region at once.  The machine's last
-_REGION_BLOCKS such blocks run as the branches of one Python function: a
-loop that dispatches on pc, runs the member's body with every op, check and
-terminator inlined, operands as literals and written registers in locals,
-and adds its constant counts.  A BCF site adds each edge's first take in a
-call to its edge dict, and counts the repeats of the first of them in a
-local, which the region folds into the dict at exit.  A member's entry leads
-the run loop into the region, which runs to the fetch budget: it returns at
-a pc outside it, after a member that halts, or before a member that would
-cross the budget.  The run loop then runs that block as it runs any other,
-and samples it if the region ran past the mark.  A block that the region
-evicted, or whose region the budget refused, runs cold.  Regions are charged
-by the words they compile, at most one per 64 fetched, so that compiling
-long blocks cannot take over a run, and a machine keeps each region it
-makes, as a loop wider than a region makes the same ones over and over.  One
-handler counts what ran of the block or member that faults, in either tier.
+joins the region at once at its second sample, or at its first if the region
+last stopped at it.  The machine's last _REGION_BLOCKS such blocks run as
+the branches of one Python function: a loop that dispatches on pc, runs the
+member's body with every op, check and terminator inlined, operands as
+literals and written registers in locals, and adds its constant counts.  A
+BCF site adds each edge's first take in a call to its edge dict, and counts
+the repeats of the first of them in a local, which the region folds into the
+dict at exit.  A CL label counts in a local too, which the region folds into
+the label's word before each load that misses data and the stack, the one
+access that reads text, and at exit.  A member's entry leads the run loop
+into the region, which runs to the fetch budget: it returns at a pc outside
+it, after a member that halts, or before a member that would cross the
+budget.  The run loop then runs that block as it runs any other, and samples
+it if the region ran past the mark.  A block that the region evicted, or
+whose region the budget refused, runs cold.  Regions are charged by the
+words they compile, at most one per 64 fetched, so that compiling long
+blocks cannot take over a run, and a machine keeps each region it makes, as
+a loop wider than a region makes the same ones over and over.  One handler
+counts what ran of the block or member that faults, in either tier.
 Generated source is kept by its shape, the forms and integers it is built
 from, and compiled once per process, so a new machine pays only to bind its
 own objects to the cached code.
@@ -150,7 +153,8 @@ class ExecCounters:
 class PolicyState:
     """The policy a run enforces, its cfi labels in flight, and its CI and
     BCF counts.  bcf holds only the sites whose terminator ran, in the order
-    each first ran.  A CL label's count is its own payload, in text."""
+    each first ran.  A CL label's count is its own payload, in text, once a
+    run returns: a region holds it in a local until text is read."""
 
     mode: str = "none"
     pending_cfl: int | None = None
@@ -420,7 +424,8 @@ def _predecode(word: int) -> tuple:
 # -- the hot tier --------------------------------------------------------------
 # The run loop samples the block that crosses each mark, one every
 # _SAMPLE_FETCHES fetches, or the first block a region exits to past it, and
-# Emulator._sample puts a cached block into the region at its second sample.
+# Emulator._sample puts a cached block into the region at its second sample,
+# or at its first if it is where the region last stopped.
 # Regions may compile _INTERVAL_WORDS words per sample interval fetched, one
 # per 64 fetches at 1024, so sampling every block lifts the budget too.
 _SAMPLE_FETCHES = 1024
@@ -429,29 +434,41 @@ _REGION_BLOCKS = 16
 _REGION = float("inf")  # the fetch count of a member's entry: it crosses every mark
 
 
-def _lines(ops, term, defaults: dict) -> list:
+def _lines(ops, term, defaults: dict, fold) -> list:
     """The lines of a function body that runs ops and then returns term's
     next pc: the body of each op, then term's, whose one return is the last
     line, plain if _PLAIN has it.  Operands are literals, and the other
     defaults of a body (segments, struct methods, misses, machine and policy
     state) are added to `defaults`.  A body that assigns dest with rd != 0 leaves rd's value in a
     local; the locals are stored to regs before every body but a lone
-    assignment to dest, so every other body, and a fault, sees every write
-    before it."""
+    assignment to dest or to a CL label's count, so every other body, and a
+    fault, sees every write before it.  A CL label adds 1 to c_<index>, and
+    `fold` goes before each load's miss, the one body that reads text."""
     lines = []
     held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
         form = _FORMS[op.__code__]
-        body = _BODIES[_PLAIN.get(form, form)]
-        if not body.startswith("dest = ") or "\n" in body:
+        bound, names = _operands(op, held, defaults)
+        body = f"c_{bound['index']} += 1" if form == "CL" else _BODIES[_PLAIN.get(form, form)]
+        if not body.startswith(("dest = ", "c_")) or "\n" in body:
             lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
             unstored.clear()
-        bound, names = _operands(op, held, defaults)
-        lines += _fill(body, names).splitlines()
+        filled = _fill(body, names).splitlines()
+        if form in _LOADS:
+            miss = filled.index("else:") + 1
+            filled[miss:miss] = [f"    {line}" for line in fold]
+        lines += filled
         if bound.get("rd") and "dest" in body:  # no other word of a body holds "dest"
             held.add(bound["rd"])
             unstored.add(bound["rd"])
     return lines
+
+
+def _fold(words, indices, *counts) -> None:
+    """Add each count to its text word's payload, which stops at 0xFFFFF."""
+    for index, count in zip(indices, counts):
+        word = words[index] + (count << 12)
+        words[index] = word if word <= 0xFFFFFFFF else word & 0xFFF | 0xFFFFF000
 
 
 _GLOBALS = {"__builtins__": {}}  # of every region: it reads no global
@@ -481,19 +498,25 @@ def _region(members: list, at: list):
     of the member it faulted in.  At a BCF site that never halts, a call
     adds the first take of each edge to the site's edge dict, in the order
     taken, and counts the repeats of the first edge in the site's locals,
-    which it folds into the dict when it stops, also past a fault.  Equal
-    shapes make equal source, so each shape is compiled once per process,
-    and a region of a known shape is its code with each default after at
-    taken from the same operand of the same op."""
+    which it folds into the dict when it stops, also past a fault.  A CL
+    label counts in c_<index>, which a call to fold adds to text before each
+    load's miss, and the finally when it stops.  Equal shapes make equal
+    source, so each shape is compiled once per process, and a region of a
+    known shape is its code with each default after at and fold taken from
+    the same operand of the same op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
     first = {}
     shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])
                                    for entry, block in members])
     known = _GENERATED.get(shape)
     if known is None:
-        defaults, sites, lines = {"at": at}, [], []
+        defaults, sites, lines = {"at": at, "fold": _fold}, [], []
+        counted = tuple(dict.fromkeys(_operands(op, (), {})[0]["index"]
+                                      for op in ops if _FORMS[op.__code__] == "CL"))
+        counts = [f"c_{index}" for index in counted]
+        fold = [f"fold(words, {counted}, {', '.join(counts)})", " = ".join([*counts, "0"])]
         for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
-            body = _lines(block_ops, term, defaults)
+            body = _lines(block_ops, term, defaults, counted and fold)
             body[-1] = "pc = " + body[-1].removeprefix("return ")
             form = _FORMS[term.__code__]
             if form in _PLAIN:  # members ending at one site share its locals
@@ -509,18 +532,21 @@ def _region(members: list, at: list):
                       f"            if left < {fetches}:", "                break"]
             lines += [f"            {line}" for line in body]
         sites = dict.fromkeys(sites)
-        lines = ["retired = labels = 0", *[f"t_{site}, n_{site} = -1, 0" for site in sites],
+        lines = [" = ".join(["retired", "labels", *counts, "0"]),
+                 *[f"t_{site}, n_{site} = -1, 0" for site in sites],
                  "try:", "    while True:", *lines, "        else:", "            break",
                  "finally:", "    at[:] = pc, left, retired, labels",
-                 *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites]]
+                 *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites],
+                 *[f"    if c_{i}: word = words[{i}] + (c_{i} << 12); words[{i}] = word "
+                   "if word <= 0xFFFFFFFF else word & 0xFFF | 0xFFFFF000" for i in counted]]
         source = (f"def region(regs, pc, left{''.join(f', {param}' for param in defaults)}):\n"
                   + "".join(f"    {line}\n" for line in lines))
         if len(_GENERATED) >= _GENERATED_KEPT:
             _GENERATED.clear()
         known = _GENERATED[shape] = (_code(source), [first[id(value)]
-                                                     for value in list(defaults.values())[1:]])
+                                                     for value in list(defaults.values())[2:]])
     code, slots = known
-    return types.FunctionType(code, _GLOBALS, "region", (at, *[
+    return types.FunctionType(code, _GLOBALS, "region", (at, _fold, *[
         ops[i].__defaults__[k] for i, k in slots]))
 
 
@@ -646,16 +672,16 @@ class Emulator:
     def _sample(self, entry: int, fetches: int) -> None:
         """The block entered at `entry`, not a region member, crossed a
         sample point, `fetches` into this run.  A cached block is noted the
-        first time, and at any later sample it goes last in _hot, and the
-        region is remade of the last _REGION_BLOCKS there: an evicted member
-        runs cold until sampled again.  A loop wider than a region makes the
-        same regions over and over, so each is kept, and only a new one is
-        charged to the compile budget.  A block whose region it refuses stays
-        last in _hot, for the next region made.  Code that is never sampled
-        pays nothing."""
+        first time, unless the region last stopped at it, and at any later
+        sample it goes last in _hot, and the region is remade of the last
+        _REGION_BLOCKS there: an evicted member runs cold until sampled
+        again.  A loop wider than a region makes the same regions over and
+        over, so each is kept, and only a new one is charged to the compile
+        budget.  A block whose region it refuses stays last in _hot, for the
+        next region made.  Code that is never sampled pays nothing."""
         if entry not in self._blocks:
             return
-        if entry not in self._sampled:
+        if entry not in self._sampled and entry != self._at[0]:
             self._sampled.add(entry)
             return
         hot, blocks = self._hot, self._blocks

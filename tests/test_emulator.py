@@ -747,6 +747,131 @@ def test_coverage_cl_counts_match_executions():
     assert counts == {addr: fetched[addr] for addr in counts}
 
 
+# `loop` is a fragment of its own, after padding, so its CL label is the
+# word after its carrier, at 4(t0).  The "loads" body reads that label's
+# word (lwu) and the dword of carrier and label (ld), and stores what lwu
+# read to buf; the "plain" body reads no text.
+CL_LOOP = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li t2, 40\n"
+    "    la t0, loop\n"
+    "    la t1, buf\n"
+    "    j loop\n"
+    ".globl loop\n"
+    "loop:\n"
+    "BODY"
+    "    add a0, a0, a1\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero 160\n"
+)
+CL_LOOP_BODIES = {
+    "loads": ("    lwu a1, 4(t0)\n    ld a2, 0(t0)\n    xor a0, a0, a2\n"
+              "    sw a1, 0(t1)\n    addi t1, t1, 4\n"),
+    "plain": "    addi a1, t2, 3\n",
+}
+
+
+def _cl_loop(body, payload=None):
+    """(image, label) of CL_LOOP with `body`, the loop's label preset to
+    `payload` if given."""
+    image = build_image(CL_LOOP.replace("BODY", CL_LOOP_BODIES[body]), COVERAGE, tagged=True)
+    label = image.tag_regions[1].start + 4
+    assert (label, "cl") in image.label_addrs
+    if payload is not None:
+        offset = label - image.text_base
+        word = int.from_bytes(image.text[offset:offset + 4], "little") & 0xFFF | payload << 12
+        image = dataclasses.replace(
+            image, text=image.text[:offset] + word.to_bytes(4, "little") + image.text[offset + 4:])
+    return image, label
+
+
+def _view(machine):
+    state = machine.state
+    return (state.pc, list(state.regs), bytes(state.memory.text), bytes(state.memory.data),
+            dataclasses.astuple(machine.counters))
+
+
+@pytest.mark.parametrize("tier", ["cold", "forced"])
+def test_a_loop_that_loads_its_own_cl_label_reads_the_fetch_trace(request, tier):
+    # a region counts a CL label in a local, and folds it into text before
+    # each load that misses data and the stack: the loop reads its payload,
+    # and ends with it, as a run of one fetch at a time does, at every cut
+    image, label = _cl_loop("loads")
+    stepped = Emulator(image, mode="aware", max_insns=0)
+    trace = [_view(stepped)]  # after each fetch
+    while not stepped.state.halted:
+        stepped.max_insns += 1
+        try:
+            stepped.run()
+        except LimitExceeded:
+            pass
+        trace.append(_view(stepped))
+    made = request.getfixturevalue("forced") if tier == "forced" else None
+    whole = Emulator(image, mode="aware")
+    whole.run()
+    assert _view(whole) == trace[-1]
+    loaded = struct.unpack("<40I", whole.memory.data[:160])
+    assert [word >> 12 for word in loaded] == list(range(1, 41))
+    assert whole.memory.read(label, 4) >> 12 == 40
+    assert bool(made) == (tier == "forced")
+    for budget in range(1, len(trace) - 1):
+        machine = Emulator(image, mode="aware", max_insns=budget)
+        with pytest.raises(LimitExceeded):
+            machine.run()
+        assert _view(machine) == trace[budget], budget
+        machine.max_insns = 10 ** 6
+        machine.run()
+        assert _view(machine) == trace[-1], budget
+
+
+@pytest.mark.parametrize("payload", [0xFFFF0, 0xFFFFF])
+@pytest.mark.parametrize("body", sorted(CL_LOOP_BODIES))
+def test_cl_counts_that_a_region_folds_saturate_as_the_cold_tier(forced, monkeypatch, body,
+                                                                  payload):
+    # 40 iterations, most of them in one region call: the fold before each
+    # load and the one at exit stop the payload at 0xFFFFF, and a payload
+    # already there stays
+    image, label = _cl_loop(body, payload)
+    hot = _execution_record(image, "aware")
+    assert forced
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)
+    assert _execution_record(image, "aware") == hot
+    machine = Emulator(image, mode="aware")
+    machine.run()
+    assert machine.memory.read(label, 4) >> 12 == 0xFFFFF
+
+
+# walks buf, eight bytes an iteration: ACCESS faults past the end of data in
+# the ninth iteration, after the loop's CL label
+CL_WALK = (
+    ".globl main\n.entry main\nmain:\n"
+    "    la t0, buf\n"
+    "    li t2, 12\n"
+    "walk:\n"
+    "    ACCESS\n"
+    "    addi a1, a1, 3\n"
+    "    addi t0, t0, 8\n"
+    "    addi t2, t2, -1\n"
+    "    bne t2, x0, walk\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .zero 64\n"
+)
+
+
+@pytest.mark.parametrize("access", ["sd a1, 0(t0)", "ld a1, 0(t0)"])
+def test_a_region_member_that_faults_after_its_cl_label_folds_its_count(forced, access):
+    # a store miss faults with the count still in its local, which the
+    # region's finally folds; a load miss folds before it faults
+    image = build_image(CL_WALK.replace("ACCESS", access), COVERAGE, tagged=True)
+    machine, exc = _fault(image, "aware")  # its state, text among it, is the stepped run's
+    assert forced and exc.kind == "MemFault" and machine.state.pc == exc.pc
+    assert sorted(label_counts(image, machine.state).values()) == [0, 1, 9]
+
+
 def test_coverage_transparent_in_compat():
     image = build_image(COVERAGE_BLOCKS, COVERAGE, tagged=True)
     state, _, _ = run(image, mode="compat")
@@ -1676,6 +1801,68 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
     assert len(machine.policy.bcf) == 3 and stops
     for edges in machine.policy.bcf.values():
         assert 0 < reads[id(edges)] <= len(stops) * (len(edges) + 1) < sum(edges.values())
+
+
+def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(monkeypatch):
+    # each load's miss branch folds every count of the region in one call,
+    # so a region's source grows as its loads plus its labels, not as their
+    # product; and the kernel's loop writes text only at exit
+    sources = []
+    make_code = emulator._code
+    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
+    monkeypatch.setattr(emulator, "_code",
+                        lambda source: sources.append(source) or make_code(source))
+    source = (".globl main\n.entry main\nmain:\n    la t0, buf\n"
+              + "    ld a1, 0(t0)\n    lwu a2, 8(t0)\n    bne a1, a2, out\n" * 16
+              + "out:\n    li a7, 93\n    ecall\n.data\nbuf:\n    .zero 16\n")
+    image = build_image(source, COVERAGE, tagged=True)
+    machine, members, entry = Emulator(image, mode="aware"), [], image.entry
+    for _ in range(emulator._REGION_BLOCKS):
+        members.append((entry, block := machine._translate(entry)))
+        entry = block[5]
+        forms = [emulator._FORMS[op.__code__] for op in block[0]]
+        assert forms.count("CL") == 1 and forms.count("ld") == forms.count("lwu") == 1
+
+    def miss_branches(members):
+        """the lines of each load's miss branch, before its call to load"""
+        emulator._region(members, [0, 0, 0, 0])
+        lines = sources[-1].splitlines()
+        return [next(k for k in range(j, 0, -1) if lines[k - 1].endswith("else:")) - j
+                for j, line in enumerate(lines) if "= load(" in line]
+
+    one = miss_branches(members[:1])
+    assert len(one) == 2 and miss_branches(members) == one * emulator._REGION_BLOCKS
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    sources.clear()
+    machine = Emulator(build_image(kernel, COVERAGE, tagged=True), mode="aware")
+    machine.run()
+    assert machine.state.regs[10] == a0
+    regions = [source for source in sources
+               if type(source) is str and source.startswith("def region(")]
+    assert regions
+    for source in regions:
+        loop = source[source.index("while True:"):source.index("finally:")]
+        assert "words[" not in loop and " += 1\n" in loop
+
+
+@pytest.mark.parametrize("config", [N3, COVERAGE], ids=lambda config: config.policy)
+def test_a_block_that_a_region_exits_to_joins_at_its_first_sample(config):
+    # the kernel's loop leaves its region at the block after the call, or at
+    # the loop head, until that block joins: at its second sample, each of
+    # the first 170 or so region calls ran one iteration
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    machine = Emulator(build_image(kernel, config, tagged=True), mode="aware")
+    stops = []
+
+    class At(list):
+        """where a region stopped: each region call stores it once"""
+        def __setitem__(self, index, value):
+            stops.append(value)
+            list.__setitem__(self, index, value)
+
+    machine._at = At(machine._at)
+    machine.run()
+    assert machine.state.regs[10] == a0 and 0 < len(stops) <= 100
 
 
 STACK_BOTTOM = emulator.STACK_TOP - emulator.STACK_SIZE
