@@ -152,9 +152,11 @@ class ExecCounters:
 @dataclass
 class PolicyState:
     """The policy a run enforces, its cfi labels in flight, and its CI and
-    BCF counts.  bcf holds only the sites whose terminator ran, in the order
-    each first ran.  A CL label's count is its own payload, in text, once a
-    run returns: a region holds it in a local until text is read."""
+    BCF counts.  The machine owns each BCF site's edge dict from the site's
+    translation on, and a run lists in bcf, as it returns, the sites whose
+    terminator ran, in the order each first ran; no cut or fault discards
+    cached code.  A CL label's count is its own payload, in text, once a run
+    returns: a region holds it in a local until text is read."""
 
     mode: str = "none"
     pending_cfl: int | None = None
@@ -305,7 +307,7 @@ _OPERANDS = {"rd": ("rd", "dest"), "rs1": ("a",), "rs2": ("b",), "imm": ("i",),
 _DERIVED = {"target": "(pc + imm) & M", "after": "(pc + 4) & M", "data": "m._access[0]",
             "stack": "m._access[1]", "end": "m._access[2]", "load": "m._access[3]",
             "store": "m._access[4]", "state": "m.state", "policy": "m.policy",
-            "counts": "m.policy.ci_counts", "site": "m.policy.bcf.setdefault(pc, {})",
+            "counts": "m.policy.ci_counts", "site": "m._sites.setdefault(pc, {})",
             "words": "m._text_words", "index": f"pc - {TEXT_BASE} >> 2"}
 _WORDS = re.compile(r"'[^']*'|\b(?:%s)\b" % "|".join(  # a string, or a word a body can bind
     [*_CONSTANTS, *(word for named in _OPERANDS.values() for word in named)]))
@@ -574,6 +576,7 @@ class Emulator:
         self._effects = tagplan.EFFECTS[self.policy.mode]
         self._blocks = {}
         self._entered = set()
+        self._sites = {}  # the edge dict of each BCF site translated, in the order made
         self._sampled = set()  # the entries of cached blocks sampled once
         self._hot = {}  # entry -> the block of each member, then of refused ones, newest last
         self._regions = {}  # the member entries of each region made -> that region
@@ -705,22 +708,6 @@ class Emulator:
         for member, block in hot.items():
             blocks[member] = ((), _REGION, 0, 0, region, block[5])
 
-    def _drop_unrun_sites(self) -> None:
-        """Drop the BCF sites translated but never run, and the cached
-        blocks, hot members and regions bound to them: a site is made again
-        when its terminator is next translated, right before it runs."""
-        bcf = self.policy.bcf
-        unrun = [site for site, edges in bcf.items() if not edges]
-        if not unrun:
-            return
-        unrun = {id(bcf[site]): bcf.pop(site) for site in unrun}  # alive while compared
-        bound = lambda code: any(id(value) in unrun for value in code.__defaults__ or ())
-        for blocks in (self._blocks, self._hot):
-            for entry in [entry for entry, block in blocks.items() if bound(block[4])]:
-                del blocks[entry]
-        for members in [members for members, region in self._regions.items() if bound(region)]:
-            del self._regions[members]
-
     # -- main loop -----------------------------------------------------------
     def run(self):
         state, counters, policy = self.state, self.counters, self.policy
@@ -776,7 +763,9 @@ class Emulator:
                                             labels + n_lab)
             raise
         finally:
-            self._drop_unrun_sites()
+            for site, edges in self._sites.items():  # what ran, in the order made
+                if edges and site not in policy.bcf:
+                    policy.bcf[site] = edges
             state.pc = pc
             counters.retired += retired
             counters.tag_fetches += fetches - retired

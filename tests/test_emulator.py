@@ -1165,13 +1165,30 @@ def _sites(machine):
     return [(pc, list(edges.items())) for pc, edges in machine.policy.bcf.items()]
 
 
-def _unlisted_sites(machine):
-    """The edge dicts that machine's cached blocks, hot members and regions
-    bind, and that its bcf does not hold."""
-    listed = {id(machine.policy.ci_counts), *map(id, machine.policy.bcf.values())}
+def _published(machine):
+    """Whether machine's bcf holds exactly the non-empty edge dicts of its
+    sites, in the order they were made, and every edge dict that its cached
+    blocks, hot members and regions bind is one of its sites."""
+    sites = machine._sites
+    made = {id(machine.policy.ci_counts), *map(id, sites.values())}
     terms = [block[4] for block in (*machine._blocks.values(), *machine._hot.values())]
-    return [value for code in (*terms, *machine._regions.values())
-            for value in code.__defaults__ or () if type(value) is dict and id(value) not in listed]
+    bound = [value for code in (*terms, *machine._regions.values())
+             for value in code.__defaults__ or () if type(value) is dict]
+    return ([(pc, id(edges)) for pc, edges in machine.policy.bcf.items()]
+            == [(pc, id(edges)) for pc, edges in sites.items() if edges]
+            and all(id(value) in made for value in bound))
+
+
+def _count_translations(monkeypatch):
+    """A Counter of the full translations (no fetch limit) of each block
+    entry, by every Emulator from now on."""
+    translations, translate = collections.Counter(), Emulator._translate
+
+    def counted(machine, entry, limit=-1):
+        translations[entry] += limit < 0
+        return translate(machine, entry, limit)
+    monkeypatch.setattr(Emulator, "_translate", counted)
+    return translations
 
 
 @pytest.mark.parametrize("tier", ["cold", "forced"])
@@ -1258,9 +1275,10 @@ def test_fetch_budget_stops_mid_block(source, config, mode, budgets):
                                             ("kernel", KERNEL_CUTS)], ids=["sites", "kernel"])
 def test_a_site_dropped_at_a_cut_counts_once_its_terminator_runs(monkeypatch, tier, source,
                                                                     budgets):
-    # a cut can leave a block cached whose terminator has not run: the run
-    # drops its empty site, and the code bound to it, so two cuts at one
-    # block entry and a resumed run end as one run does
+    # a cut can leave a block cached whose terminator has not run: its site
+    # stays empty in the machine and out of bcf, and the block stays cached,
+    # so two cuts at one block entry and a resumed run end as one run does,
+    # and translate no entry in full more than twice
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
     if source == "kernel":
         source = _bench_workloads().kernel(random.Random(3), 200)[0]
@@ -1268,17 +1286,20 @@ def test_a_site_dropped_at_a_cut_counts_once_its_terminator_runs(monkeypatch, ti
     whole = Emulator(image, mode="aware")
     whole.run()
     assert whole.policy.bcf
+    translations = _count_translations(monkeypatch)
     for budget in budgets:
         if budget + 1 >= whole.counters.total:
             break
+        translations.clear()
         machine = Emulator(image, mode="aware", max_insns=budget)
         for machine.max_insns in (budget, budget + 1):
             with pytest.raises(LimitExceeded):
                 machine.run()
-            assert all(machine.policy.bcf.values()) and not _unlisted_sites(machine), budget
+            assert _published(machine), budget
         machine.max_insns = 10 ** 6
         machine.run()
-        assert machine.policy == whole.policy, budget
+        assert machine.policy == whole.policy and _sites(machine) == _sites(whole), budget
+        assert max(translations.values()) <= 2, budget
 
 
 # Its one BCF site is the bne.  With OFFSET 1024 the ld, the first word of
@@ -1304,19 +1325,23 @@ def test_a_site_dropped_at_a_fault_counts_once_its_terminator_runs(monkeypatch, 
     # a loop that faults before its bne on each resumed run is cached on
     # its second entry, and under forced promotion is sampled on its third
     # and joins a region on its fourth: once the fault is mended, the loop
-    # counts in bcf as it does after a single fault
+    # counts in bcf as it does after a single fault, and no fault makes its
+    # entry translate again
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
     image = build_image(BCF_LOOP.replace("OFFSET", "1024"), COVERAGE, tagged=True)
+    translations = _count_translations(monkeypatch)
     mended = []
     for faults in (1, 4):
+        translations.clear()
         machine = Emulator(image, mode="aware")
         for _ in range(faults):
             with pytest.raises(PolicyViolation, match="MemFault"):
                 machine.run()
-            assert machine.policy.bcf == {} and not _unlisted_sites(machine)
+            assert machine.policy.bcf == {} and _published(machine)
+        loop = machine.state.pc  # the ld, where every fault stops
         machine.state.regs[5] -= 1024  # t0: the ld now reads buf
         machine.run()
-        assert not _unlisted_sites(machine)
+        assert _published(machine) and translations[loop] <= 2
         mended.append(machine)
     once, often = mended
     [edges] = once.policy.bcf.values()
@@ -1775,7 +1800,7 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
             stops.append(value)
             list.__setitem__(self, index, value)
 
-    machine.policy.bcf, machine._at = Sites(), At(machine._at)
+    machine._sites, machine._at = Sites(), At(machine._at)
     sources, regions = [], []
     make_code, make_region = emulator._code, emulator._region
     monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
