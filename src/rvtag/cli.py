@@ -232,7 +232,7 @@ def compare_states(base, tagged, data_base=None) -> str | None:
     """First architectural divergence between two final states, or None.
 
     Memory is compared over Memory.segments[:2], data and stack.  data_base
-    is ignored; bench/run.py and tests/test_acceptance.py still pass it."""
+    is ignored; only bench/run.py still passes it."""
     for i in range(1, 32):
         if base.regs[i] != tagged.regs[i]:
             return f"x{i}: baseline {base.regs[i]:#x} != tagged {tagged.regs[i]:#x}"

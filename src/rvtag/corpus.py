@@ -21,10 +21,9 @@ _STORE_LOAD = [("sd", "ld", 8), ("sw", "lw", 4), ("sb", "lbu", 1), ("sh", "lhu",
 BUFFER_WORDS = 8
 
 
-def generate_program(rng: random.Random, *, helpers: int | None = None) -> str:
+def generate_program(rng: random.Random) -> str:
     """One random program as assembly text."""
-    if helpers is None:
-        helpers = rng.randint(0, 2)
+    helpers = rng.randint(0, 2)
     lines = []
     label_count = 0
 

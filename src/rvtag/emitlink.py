@@ -21,7 +21,8 @@ Image file format "RVTI", little-endian throughout:
     magic   4s   = b"RVTI"
     version u16  = 1
     flags   u16    bit0 tags present, bit1 backward compatible,
-                   bits 2-3 policy (none/cfi/unarith/coverage), bits 4-15 zero
+                   bits 2-3 policy, its index in tagplan.POLICIES
+                   (none/cfi/unarith/coverage), bits 4-15 zero
     entry   u64
     text_base u64, text_len u32, text bytes
     data_base u64, data_len u32, data bytes
@@ -61,8 +62,6 @@ MAX_PAIR_GAP = 3
 
 _CARRIER_CODES = {TagCarrier.LUI_NOP: 0, TagCarrier.ADDI_NOP: 1, TagCarrier.CUSTOM: 2}
 _CARRIER_FROM_CODE = {v: k for k, v in _CARRIER_CODES.items()}
-_POLICY_CODES = {"none": 0, "cfi": 1, "unarith": 2, "coverage": 3}
-_POLICY_FROM_CODE = {v: k for k, v in _POLICY_CODES.items()}
 
 
 class RelocOutOfRange(BuildError):
@@ -259,7 +258,7 @@ VERSION = 1
 
 def write_image(image: Image, path) -> None:
     blob = bytearray()
-    flags = _layout_flags(image) | _POLICY_CODES[image.policy] << 2
+    flags = _layout_flags(image) | tagplan.POLICIES.index(image.policy) << 2
     blob += _HEADER.pack(MAGIC, VERSION, flags)
     blob += _U64.pack(image.entry)
     blob += _U64.pack(TEXT_BASE)
@@ -372,7 +371,7 @@ def read_image(path) -> Image:
                               f"groups of {stride} bytes run past {bound:#x}")
     if reader.pos != len(blob):
         raise FormatError(f"{len(blob) - reader.pos} trailing bytes after the region table")
-    image = Image(text=text, data=data, entry=entry, policy=_POLICY_FROM_CODE[flags >> 2],
+    image = Image(text=text, data=data, entry=entry, policy=tagplan.POLICIES[flags >> 2],
                   tag_regions=tuple(regions))
     implied = _layout_flags(image)
     if flags & 3 != implied:

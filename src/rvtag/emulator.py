@@ -30,10 +30,11 @@ fetches, the block that crosses the mark is sampled, and a cached block
 joins the region at once at its second sample, or at its first if the region
 last stopped at it.  The machine's last _REGION_BLOCKS such blocks run as
 the branches of one Python function: a loop that dispatches on pc, runs the
-member's body with every op, check and terminator inlined, operands as
-literals and written registers in locals, and adds its constant counts.  A
-BCF site adds each edge's first take in a call to its edge dict, and counts
-the repeats of the first of them in a local, which the region folds into the
+member's body with every op, check and terminator inlined and operands as
+literals, and adds its constant counts.  A region's registers are locals,
+loaded on entry and stored in its finally, also past a fault.  A BCF site
+adds each edge's first take in a call to its edge dict, and counts the
+repeats of the first of them in a local, which the region folds into the
 dict at exit.  A CL label counts in a local too, which the region folds into
 the label's word before each load that misses data and the stack, the one
 access that reads text, and at exit.  A member's entry leads the run loop
@@ -51,12 +52,13 @@ from, and compiled once per process, so a new machine pays only to bind its
 own objects to the cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
-builds every tier, and one factory, which makes its op from the machine, the
-pc and the operands.  A load or store tests its address against data, whose
-end is the machine's, and the stack, and unpacks or packs in place on a hit;
-anything else calls its machine's miss, which reads text and raises every
-MemFault.  The generated source holds only fixed names, strings and integers
-that rvtag formats.
+builds every tier and names registers only as a, b and dest, and one
+factory, which makes its op from the machine, the pc and the operands.  A
+load or store tests its address against data, whose end is the machine's,
+and the stack, and unpacks or packs in place on a hit; anything else calls
+its machine's miss, which reads text and raises every MemFault.  The
+generated source holds only fixed names, strings and integers that rvtag
+formats.
 """
 
 from __future__ import annotations
@@ -221,24 +223,24 @@ def _access_body(mnemonic: str, fmt: str) -> str:
             f"    {hit.format('stack', _STACK_BASE)}\nelse:\n    {miss}{tail}")
 
 
-# An op's body writes rd's value to dest.  A body that is one assignment to
-# dest can neither fault nor read regs, so a region runs it without first
-# storing the registers it holds in locals.  A terminator's one return, its
-# last line, gives the next pc, or None once it halts the machine's state:
-# target is pc + imm and after is pc + 4.  An ecall with a7=93 exits with
-# code a0, one with a7=64 writes the byte in a0, and any other stops the
-# machine too, so a bare ecall is a clean one-instruction exit.  A body's
-# '...' strings are kept as written.
+# An op's body writes rd's value to dest, and names registers only as a, b
+# and dest, never regs, so a region holds every register in a local.  A
+# terminator's one return, its last line, gives the next pc, or None once it
+# halts the machine's state: target is pc + imm and after is pc + 4.  An
+# ecall reads a7 as b and a0 as a: with a7=93 it exits with code a0, with
+# a7=64 it writes the byte in a0, and with any other it stops the machine
+# too, so a bare ecall is a clean one-instruction exit.  A body's '...'
+# strings are kept as written.
 _BODIES = {
     **{mnemonic: f"dest = {expr}" for mnemonic, expr in _EXPRS.items()},
     "auipc": "dest = target",
     **{mnemonic: _access_body(mnemonic, fmt) for mnemonic, fmt in _ACCESSES.items()},
     **{mnemonic: f"return target if {cond} else after" for mnemonic, cond in _CONDS.items()},
-    "jal": "if rd:\n    regs[rd] = after\nreturn target",
-    "jalr": "to = (a + i) & M & ~1\nif rd:\n    regs[rd] = after\nreturn to",
-    "ecall": (f"if regs[17] == {WRITE_SYSCALL}:\n    state.stdout.append(regs[10] & 0xFF)\n"
-              f"else:\n    state.halted = True\n    state.exit_code = regs[10]\n"
-              f"    state.stop_reason = 'exit' if regs[17] == {EXIT_SYSCALL} else 'ecall'\n"
+    "jal": "if rd:\n    dest = after\nreturn target",
+    "jalr": "to = (a + i) & M & ~1\nif rd:\n    dest = after\nreturn to",
+    "ecall": (f"if b == {WRITE_SYSCALL}:\n    state.stdout.append(a & 0xFF)\n"
+              f"else:\n    state.halted = True\n    state.exit_code = a\n"
+              f"    state.stop_reason = 'exit' if b == {EXIT_SYSCALL} else 'ecall'\n"
               f"return None if state.halted else after"),
     "ebreak": "state.halted = True\nstate.stop_reason = 'ebreak'\nreturn None",
     "goto": "return target",  # a fall-through
@@ -351,22 +353,20 @@ def _factory(form):
     return types.FunctionType(code, env, "make")
 
 
-def _operands(op, held, defaults) -> tuple:
+def _operands(op, defaults) -> tuple:
     """(operands, names) of an op in a region: the operands it binds,
     read back from its defaults, and the words of its body mapped to their
-    text.  A register read is its local if held, else regs[N], and 0 for x0;
-    dest is rd's local; an int is its literal; any other operand becomes a
-    default of the region, bound once under its word, or under the word and a
-    number if another object holds that name."""
+    text.  A register is its local, r<N>, and a read of x0 is 0; an int is
+    its literal; any other operand becomes a default of the region, bound
+    once under its word, or under the word and a number if another object
+    holds that name."""
     code = op.__code__
     bound = dict(zip(code.co_varnames[1:code.co_argcount], op.__defaults__))
     names = dict(_CONSTANTS)
     for param, value in bound.items():
         for word in _OPERANDS[param]:
-            if word in ("a", "b"):
-                names[word] = f"r{value}" if value in held else f"regs[{value}]" if value else "0"
-            elif word == "dest":
-                names[word] = f"r{value}"
+            if word in ("a", "b", "dest"):
+                names[word] = f"r{value}" if value or word == "dest" else "0"
             elif type(value) is int:
                 names[word] = str(value)
             else:
@@ -415,6 +415,8 @@ def _predecode(word: int) -> tuple:
     mnemonic, rd, rs1, rs2, imm = insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm
     if mnemonic in ("lui", "auipc") and rd:
         imm = codec._sext(imm << 12, 32)
+    elif mnemonic == "ecall":  # its body reads a0 as a and a7 as b
+        rs1, rs2 = 10, 17
     op = make = None
     if rd or mnemonic not in _RD_ONLY:
         make = _factory(mnemonic)
@@ -439,30 +441,21 @@ _REGION = float("inf")  # the fetch count of a member's entry: it crosses every 
 def _lines(ops, term, defaults: dict, fold) -> list:
     """The lines of a function body that runs ops and then returns term's
     next pc: the body of each op, then term's, whose one return is the last
-    line, plain if _PLAIN has it.  Operands are literals, and the other
-    defaults of a body (segments, struct methods, misses, machine and policy
-    state) are added to `defaults`.  A body that assigns dest with rd != 0 leaves rd's value in a
-    local; the locals are stored to regs before every body but a lone
-    assignment to dest or to a CL label's count, so every other body, and a
-    fault, sees every write before it.  A CL label adds 1 to c_<index>, and
-    `fold` goes before each load's miss, the one body that reads text."""
+    line, plain if _PLAIN has it.  Operands are literals or the locals of
+    registers, and the other defaults of a body (segments, struct methods,
+    misses, machine and policy state) are added to `defaults`.  A CL label
+    adds 1 to c_<index>, and `fold` goes before each load's miss, the one
+    body that reads text."""
     lines = []
-    held, unstored = set(), set()  # registers in locals, and those newer than regs
     for op in (*ops, term):
         form = _FORMS[op.__code__]
-        bound, names = _operands(op, held, defaults)
+        bound, names = _operands(op, defaults)
         body = f"c_{bound['index']} += 1" if form == "CL" else _BODIES[_PLAIN.get(form, form)]
-        if not body.startswith(("dest = ", "c_")) or "\n" in body:
-            lines += [f"regs[{rd}] = r{rd}" for rd in sorted(unstored)]
-            unstored.clear()
         filled = _fill(body, names).splitlines()
         if form in _LOADS:
             miss = filled.index("else:") + 1
             filled[miss:miss] = [f"    {line}" for line in fold]
         lines += filled
-        if bound.get("rd") and "dest" in body:  # no other word of a body holds "dest"
-            held.add(bound["rd"])
-            unstored.add(bound["rd"])
     return lines
 
 
@@ -497,15 +490,17 @@ def _region(members: list, at: list):
     left and added to retired and labels.  The region stops at any other pc,
     and after a member that halts, at its halting word.  It leaves (pc, left,
     retired, labels) in `at`, also past a fault, which then leaves the entry
-    of the member it faulted in.  At a BCF site that never halts, a call
-    adds the first take of each edge to the site's edge dict, in the order
-    taken, and counts the repeats of the first edge in the site's locals,
-    which it folds into the dict when it stops, also past a fault.  A CL
-    label counts in c_<index>, which a call to fold adds to text before each
-    load's miss, and the finally when it stops.  Equal shapes make equal
-    source, so each shape is compiled once per process, and a region of a
-    known shape is its code with each default after at and fold taken from
-    the same operand of the same op."""
+    of the member it faulted in.  Each register the members name is a local,
+    r<N>, loaded in one line before the loop and stored in one line of the
+    finally.  At a BCF site that never halts, a call adds the first take of
+    each edge to the site's edge dict, in the order taken, and counts the
+    repeats of the first edge in the site's locals, which it folds into the
+    dict when it stops, also past a fault.  A CL label counts in c_<index>,
+    which a call to fold adds to text before each load's miss, and the
+    finally when it stops.  Equal shapes make equal source, so each shape is
+    compiled once per process, and a region of a known shape is its code
+    with each default after at and fold taken from the same operand of the
+    same op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
     first = {}
     shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])
@@ -513,8 +508,10 @@ def _region(members: list, at: list):
     known = _GENERATED.get(shape)
     if known is None:
         defaults, sites, lines = {"at": at, "fold": _fold}, [], []
-        counted = tuple(dict.fromkeys(_operands(op, (), {})[0]["index"]
-                                      for op in ops if _FORMS[op.__code__] == "CL"))
+        bound = [_operands(op, {})[0] for op in ops]
+        counted = tuple(dict.fromkeys(each["index"] for each in bound if "index" in each))
+        named = sorted({each[p] for each in bound for p in ("rd", "rs1", "rs2") if each.get(p)})
+        held = [", ".join(f"r{n}" for n in named), ", ".join(f"regs[{n}]" for n in named)]
         counts = [f"c_{index}" for index in counted]
         fold = [f"fold(words, {counted}, {', '.join(counts)})", " = ".join([*counts, "0"])]
         for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
@@ -522,7 +519,7 @@ def _region(members: list, at: list):
             body[-1] = "pc = " + body[-1].removeprefix("return ")
             form = _FORMS[term.__code__]
             if form in _PLAIN:  # members ending at one site share its locals
-                sites.append(site := _operands(term, (), defaults)[1]["site"])
+                sites.append(site := _operands(term, defaults)[1]["site"])
                 body += [f"if pc == t_{site}:", f"    n_{site} += 1", "else:",
                          f"    {site}[pc] = {site}.get(pc, 0) + 1",
                          f"    if t_{site} < 0:", f"        t_{site} = pc"]
@@ -536,8 +533,10 @@ def _region(members: list, at: list):
         sites = dict.fromkeys(sites)
         lines = [" = ".join(["retired", "labels", *counts, "0"]),
                  *[f"t_{site}, n_{site} = -1, 0" for site in sites],
+                 *[" = ".join(held)] * bool(named),
                  "try:", "    while True:", *lines, "        else:", "            break",
                  "finally:", "    at[:] = pc, left, retired, labels",
+                 *[f"    {' = '.join(held[::-1])}"] * bool(named),
                  *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites],
                  *[f"    if c_{i}: word = words[{i}] + (c_{i} << 12); words[{i}] = word "
                    "if word <= 0xFFFFFFFF else word & 0xFFF | 0xFFFFF000" for i in counted]]

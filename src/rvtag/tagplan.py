@@ -39,7 +39,7 @@ DATA_BASE = 0x20000
 STACK_TOP = 0x800000
 STACK_SIZE = 0x4000
 
-POLICIES = ("none", "cfi", "unarith", "coverage")
+POLICIES = ("none", "cfi", "unarith", "coverage")  # an index is RVTI flag bits 2-3
 
 # Built-in tag vocabularies, used when a config names a policy without an
 # explicit tag list.

@@ -122,7 +122,7 @@ def test_criterion_2_backward_compat_transparency():
             tagged = build_image(text, config, tagged=True,
                                  cfi_label_direct_calls=with_labels)
             state, _, _ = run(tagged, mode="compat", max_insns=10 ** 6)
-            problem = compare_states(base_state, state, baseline.data_base)
+            problem = compare_states(base_state, state)
             if problem is not None:
                 divergences += 1
                 print(f"program {index} coverage {config.coverage} "

@@ -1194,8 +1194,8 @@ def _count_translations(monkeypatch):
 @pytest.mark.parametrize("tier", ["cold", "forced"])
 def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, tmp_path, tier):
     # each site's edge dict is bound when its block is translated, so a
-    # block that faults or is cut before its terminator leaves one behind
-    # until the run ends
+    # block that faults or is cut before its terminator leaves an empty one
+    # in Emulator._sites for the machine's life, which bcf never lists
     from rvtag import cli, emitlink
 
     clean, faulting = [build_image(BCF_SITES.replace("OFFSET", offset), COVERAGE, tagged=True)
@@ -1868,6 +1868,31 @@ def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(
     for source in regions:
         loop = source[source.index("while True:"):source.index("finally:")]
         assert "words[" not in loop and " += 1\n" in loop
+
+
+@pytest.mark.parametrize("config,mode", KERNEL_CELLS,
+                         ids=lambda cell: cell if isinstance(cell, str) else getattr(
+                             cell, "policy", "untagged"))
+def test_a_region_holds_its_registers_in_locals_for_the_whole_call(monkeypatch, config, mode):
+    # no body names regs, so a region loads its registers into locals once,
+    # before its loop, and stores them once, in its finally
+    assert not any("regs" in body for body in emulator._BODIES.values())
+    sources = []
+    make_code = emulator._code
+    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
+    monkeypatch.setattr(emulator, "_code",
+                        lambda source: sources.append(source) or make_code(source))
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
+    machine.run()
+    assert machine.state.regs[10] == a0
+    regions = [source for source in sources
+               if type(source) is str and source.startswith("def region(")]
+    assert regions
+    for source in regions:
+        head, rest = source.split("    try:\n")
+        loop, tail = rest.split("    finally:\n")
+        assert "regs[" not in loop and "regs[" in head and "regs[" in tail
 
 
 @pytest.mark.parametrize("config", [N3, COVERAGE], ids=lambda config: config.policy)
