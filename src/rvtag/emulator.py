@@ -32,7 +32,10 @@ last stopped at it.  The machine's last _REGION_BLOCKS such blocks run as
 the branches of one Python function: a loop that dispatches on pc, runs the
 member's body with every op, check and terminator inlined and operands as
 literals, and adds its constant counts.  A region's registers are locals,
-loaded on entry and stored in its finally, also past a fault.  A BCF site
+loaded on entry and stored in its finally, also past a fault.  Each body is
+folded on what its member fixes: an immediate of 0 drops its + 0, and a
+register that the member sets from literals alone reads as its value
+until its next other write, so an li or la pair is one literal.  A BCF site
 adds each edge's first take in a call to its edge dict, and counts the
 repeats of the first of them in a local, which the region folds into the
 dict at exit.  A CL label counts in a local too, which the region folds into
@@ -237,7 +240,7 @@ _BODIES = {
     **{mnemonic: _access_body(mnemonic, fmt) for mnemonic, fmt in _ACCESSES.items()},
     **{mnemonic: f"return target if {cond} else after" for mnemonic, cond in _CONDS.items()},
     "jal": "if rd:\n    dest = after\nreturn target",
-    "jalr": "to = (a + i) & M & ~1\nif rd:\n    dest = after\nreturn to",
+    "jalr": "to = a + i & 0xFFFFFFFFFFFFFFFE\nif rd:\n    dest = after\nreturn to",
     "ecall": (f"if b == {WRITE_SYSCALL}:\n    state.stdout.append(a & 0xFF)\n"
               f"else:\n    state.halted = True\n    state.exit_code = a\n"
               f"    state.stop_reason = 'exit' if b == {EXIT_SYSCALL} else 'ecall'\n"
@@ -253,7 +256,11 @@ def _unsigned(mnemonic: str) -> str:
     width, mask = (32, "W") if mnemonic.endswith("w") else (64, "M")
     test, detail = (("x < y", "%#x - %#x borrows") if mnemonic.startswith("sub")
                     else (f"x + y > {mask}", f"%#x + %#x carries out of {width} bits"))
-    return (f"x = a & {mask}\ny = {'i' if mnemonic.startswith('addi') else 'b'} & {mask}\n"
+    # a register already holds a value in [0, 2**64): only an immediate, or
+    # an operand of a w form, is masked
+    x, y = (f"{value} & {mask}" if value == "i" or width == 32 else value
+            for value in ("a", "i" if mnemonic.startswith("addi") else "b"))
+    return (f"x = {x}\ny = {y}\n"
             f"if {test}:\n    raise PolicyViolation('UnsignedOverflow', pc, '{detail}' % (x, y))\n")
 
 
@@ -445,13 +452,32 @@ def _lines(ops, term, defaults: dict, fold) -> list:
     registers, and the other defaults of a body (segments, struct methods,
     misses, machine and policy state) are added to `defaults`.  A CL label
     adds 1 to c_<index>, and `fold` goes before each load's miss, the one
-    body that reads text."""
-    lines = []
+    body that reads text.  The lines fold what the ops fix: an immediate of
+    0 drops its + 0, and a register that a pure op, lui or auipc sets from
+    literals alone reads as its value, which that op's cold closure works
+    out here, up to the register's next other write.  The write itself
+    waits for the first op of any other kind, as only such an op can raise
+    or end the block, and is dropped if a pure op writes the register first."""
+    lines, known, unwritten, values = [], {}, {}, [0] * 32
     for op in (*ops, term):
         form = _FORMS[op.__code__]
         bound, names = _operands(op, defaults)
+        names.update((word, known[bound[param]]) for word, param in (("a", "rs1"), ("b", "rs2"))
+                     if bound.get(param) in known)
         body = f"c_{bound['index']} += 1" if form == "CL" else _BODIES[_PLAIN.get(form, form)]
-        filled = _fill(body, names).splitlines()
+        filled = _fill(body.replace(" + i", "") if bound.get("imm") == 0 else body,
+                       names).splitlines()
+        rd = bound.get("rd")
+        if form not in _EXPRS and form != "auipc":
+            lines += [f"r{n} = {value}" for n, value in unwritten.items()]
+            unwritten.clear()
+        elif all(bound[param] in known or not bound[param]
+                 for param in ("rs1", "rs2") if param in bound):
+            op(values)  # it reads only registers whose values are known
+            known[rd] = unwritten[rd] = str(values[rd])
+            continue
+        known.pop(rd, None)
+        unwritten.pop(rd, None)
         if form in _LOADS:
             miss = filled.index("else:") + 1
             filled[miss:miss] = [f"    {line}" for line in fold]
@@ -487,7 +513,9 @@ def _region(members: list, at: list):
     in `left` fetches.  Each member is (entry, block), a block as
     Emulator._translate makes it, and its branch is _lines' body of the
     block, with its return an assignment to pc, and its counts taken from
-    left and added to retired and labels.  The region stops at any other pc,
+    left and added to retired and labels.  A body is folded on what its own
+    block fixes, never on another member's, as a member may be entered from
+    any of them or from the run loop.  The region stops at any other pc,
     and after a member that halts, at its halting word.  It leaves (pc, left,
     retired, labels) in `at`, also past a fault, which then leaves the entry
     of the member it faulted in.  Each register the members name is a local,
@@ -497,10 +525,10 @@ def _region(members: list, at: list):
     repeats of the first edge in the site's locals, which it folds into the
     dict when it stops, also past a fault.  A CL label counts in c_<index>,
     which a call to fold adds to text before each load's miss, and the
-    finally when it stops.  Equal shapes make equal source, so each shape is
-    compiled once per process, and a region of a known shape is its code
-    with each default after at and fold taken from the same operand of the
-    same op."""
+    finally when it stops.  Equal shapes make equal source, folds included,
+    so each shape is compiled once per process, and a region of a known
+    shape is its code with each default after at and fold taken from the
+    same operand of the same op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
     first = {}
     shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])

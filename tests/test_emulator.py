@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import struct
 import sys
 import types
@@ -1669,6 +1670,19 @@ def forced(monkeypatch):
     return made
 
 
+@pytest.fixture
+def region_sources(monkeypatch):
+    """The source of every region compiled from here on, in order: the
+    process's compiled shapes are set aside, so every shape compiles."""
+    sources = []
+    make_code = emulator._code
+    monkeypatch.setattr(emulator, "_GENERATED", {})
+    monkeypatch.setattr(emulator, "_code", lambda source: (
+        type(source) is str and source.startswith("def region(") and sources.append(source))
+        or make_code(source))
+    return sources
+
+
 def _one_member_region(ops, term):
     """(region, run): the region whose one member, at TEXT_BASE, runs ops
     and then term, and run(regs), which runs that member once and returns
@@ -1770,7 +1784,7 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
     assert not misses
 
 
-def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
+def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, region_sources):
     # its CL labels write back through the machine's uint32 view of text and
     # its BCF sites count into edge dicts bound at translation: a setdefault
     # per edge, or a struct unpack and pack of text per label, would be a
@@ -1801,17 +1815,12 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
             list.__setitem__(self, index, value)
 
     machine._sites, machine._at = Sites(), At(machine._at)
-    sources, regions = [], []
-    make_code, make_region = emulator._code, emulator._region
-    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
-    monkeypatch.setattr(emulator, "_code",
-                        lambda source: sources.append(source) or make_code(source))
+    sources, regions = region_sources, []
+    make_region = emulator._region
     monkeypatch.setattr(emulator, "_region",
                         lambda *args: regions.append(make_region(*args)) or regions[-1])
     machine.run()
     assert machine.state.regs[10] == a0 and machine.policy.bcf
-    sources = [source for source in sources
-               if type(source) is str and source.startswith("def region(")]
     assert sources and regions
     assert not any("setdefault" in source for source in sources)
     assert any("words[" in source for source in sources)
@@ -1828,15 +1837,12 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch):
         assert 0 < reads[id(edges)] <= len(stops) * (len(edges) + 1) < sum(edges.values())
 
 
-def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(monkeypatch):
+def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(
+        region_sources):
     # each load's miss branch folds every count of the region in one call,
     # so a region's source grows as its loads plus its labels, not as their
     # product; and the kernel's loop writes text only at exit
-    sources = []
-    make_code = emulator._code
-    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
-    monkeypatch.setattr(emulator, "_code",
-                        lambda source: sources.append(source) or make_code(source))
+    sources = region_sources
     source = (".globl main\n.entry main\nmain:\n    la t0, buf\n"
               + "    ld a1, 0(t0)\n    lwu a2, 8(t0)\n    bne a1, a2, out\n" * 16
               + "out:\n    li a7, 93\n    ecall\n.data\nbuf:\n    .zero 16\n")
@@ -1862,8 +1868,7 @@ def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(
     machine = Emulator(build_image(kernel, COVERAGE, tagged=True), mode="aware")
     machine.run()
     assert machine.state.regs[10] == a0
-    regions = [source for source in sources
-               if type(source) is str and source.startswith("def region(")]
+    regions = sources
     assert regions
     for source in regions:
         loop = source[source.index("while True:"):source.index("finally:")]
@@ -1873,26 +1878,132 @@ def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(
 @pytest.mark.parametrize("config,mode", KERNEL_CELLS,
                          ids=lambda cell: cell if isinstance(cell, str) else getattr(
                              cell, "policy", "untagged"))
-def test_a_region_holds_its_registers_in_locals_for_the_whole_call(monkeypatch, config, mode):
+def test_a_region_holds_its_registers_in_locals_for_the_whole_call(region_sources, config,
+                                                                   mode):
     # no body names regs, so a region loads its registers into locals once,
     # before its loop, and stores them once, in its finally
     assert not any("regs" in body for body in emulator._BODIES.values())
-    sources = []
-    make_code = emulator._code
-    monkeypatch.setattr(emulator, "_GENERATED", {})  # every shape is compiled here
-    monkeypatch.setattr(emulator, "_code",
-                        lambda source: sources.append(source) or make_code(source))
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
     machine.run()
     assert machine.state.regs[10] == a0
-    regions = [source for source in sources
-               if type(source) is str and source.startswith("def region(")]
+    regions = region_sources
     assert regions
     for source in regions:
         head, rest = source.split("    try:\n")
         loop, tail = rest.split("    finally:\n")
         assert "regs[" not in loop and "regs[" in head and "regs[" in tail
+
+
+def _la_halves(image, rd):
+    """(upper, lower) of the first la pair into rd: the value its auipc or
+    lui writes, and its addi's immediate."""
+    writes = [(pc, insn) for pc, insn in _words(image) if insn.rd == rd]
+    for (pc, upper), (_, lower) in zip(writes, writes[1:]):
+        if upper.mnemonic in ("auipc", "lui") and (lower.mnemonic, lower.rs1) == ("addi", rd):
+            value = codec._sext(upper.imm << 12, 32) + (pc if upper.mnemonic == "auipc" else 0)
+            return value & (1 << 64) - 1, lower.imm
+    raise AssertionError(f"no la pair writes x{rd}")
+
+
+@pytest.mark.parametrize("config,mode", KERNEL_CELLS,
+                         ids=lambda cell: cell if isinstance(cell, str) else getattr(
+                             cell, "policy", "untagged"))
+def test_a_region_folds_what_its_members_know(region_sources, config, mode):
+    # what a member fixes is folded as it is generated: no + 0, one mask on
+    # a jalr target, no mask on a register an !unsigned check reads, and the
+    # loop's la t2, table is one constant, the table's address
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    image = build_image(kernel, config or N3, tagged=config is not None)
+    machine = Emulator(image, mode=mode)
+    machine.run()
+    assert machine.state.regs[10] == a0
+    upper, lower = _la_halves(image, 7)
+    loops = [source for source in region_sources if "load(" in source]  # with the loop's ld
+    assert loops
+    for source in region_sources:
+        assert not re.search(r"\+ 0\b", source)
+        assert "& 18446744073709551615 & ~1" not in source
+        assert not re.search(r"= r\d+ & 18446744073709551615$", source, re.MULTILINE)
+    for source in loops:  # the add after the la reads the table's address
+        assert not re.search(rf"\b{upper}\b", source) and f" + {lower} " not in source
+        assert f"r7 = {upper + lower} + r6 & " in source
+
+
+# Every fold a member's shape allows, on values that change per iteration:
+# li, la and lui + addi read in their own member; s1 set to 3 or 4 in two
+# members that both go on to join, which reads it; known registers that a
+# load overwrites; a write to x0; jalr at a zero, a nonzero and an odd
+# immediate, and at an odd base register; and addiw sign extension.
+FOLDS = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li s3, 9\n"
+    "loop:\n"
+    "    li t0, 0x12345678\n"
+    "    addi t1, t0, -1\n"
+    "    lui t2, 0x80000\n"
+    "    addi t2, t2, 5\n"
+    "    la t3, buf\n"
+    "    ld t4, 8(t3)\n"
+    "    li t5, 7\n"
+    "    ld t5, 0(t3)\n"
+    "    add t5, t5, t1\n"
+    "    add a3, t1, t0 !unsigned\n"
+    "    addi x0, x0, 9\n"
+    "    add a2, x0, t2\n"
+    "    li a1, 0x7FFFFFFF\n"
+    "    addiw a1, a1, 1\n"
+    "    addiw a4, t4, 0\n"
+    "    add a0, a0, t5\n"
+    "    xor a0, a0, a1\n"
+    "    add a0, a0, a2\n"
+    "    add a0, a0, a4\n"
+    "    sd a0, 8(t3)\n"
+    "    andi t6, s3, 1\n"
+    "    beq t6, x0, even\n"
+    "    li s1, 3\n"
+    "    j join\n"
+    "even:\n"
+    "    li s1, 4\n"
+    "    j join\n"
+    "join:\n"
+    "    add a0, a0, s1\n"
+    "    sd a0, 0(t3)\n"
+    "    la t6, callee\n"
+    "    jalr ra, t6, 0\n"
+    "    la t6, callee\n"
+    "    addi t6, t6, -8\n"
+    "    jalr ra, t6, 8\n"
+    "    la t6, callee\n"
+    "    jalr ra, t6, 1\n"
+    "    ori t6, t6, 1\n"
+    "    jalr ra, t6, 0\n"
+    "    addi s3, s3, -1\n"
+    "    li s1, 5\n"
+    "    bne s3, x0, loop\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".globl callee\ncallee:\n"
+    "    addi a0, a0, 1\n"
+    "    ret\n"
+    ".data\nbuf:\n    .dword 3, 0x7FFFFFFF\n"
+)
+
+
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (UNARITH, "aware"),
+                                         (COVERAGE, "aware")], ids=["compat", "unarith",
+                                                                    "coverage"])
+def test_folded_regions_run_as_the_cold_tier_at_every_cut(monkeypatch, config, mode):
+    image = build_image(FOLDS, config or N3, tagged=config is not None)
+    machine = Emulator(image, mode=mode)
+    machine.run()
+    assert machine.state.stop_reason == "exit"
+    budgets = [*range(1, machine.counters.total + 1), 10 ** 6]
+    records = {}
+    for tier, interval in (("cold", 10 ** 12), ("forced", 0)):
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        records[tier] = [_execution_record(image, mode, budget) for budget in budgets]
+    assert records["forced"] == records["cold"]
 
 
 @pytest.mark.parametrize("config", [N3, COVERAGE], ids=lambda config: config.policy)
@@ -2737,6 +2848,33 @@ def test_a_loop_wider_than_a_region_evicts_members_and_promotes_them_again(
     machine.run()
     assert 0 < machine._words
     assert machine._words * 1024 <= machine.counters.total * emulator._INTERVAL_WORDS
+
+
+@pytest.mark.parametrize("workload", ["wide", "kernel"])
+def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_sources, workload):
+    # past _GENERATED_KEPT, the process drops every shape it compiled, and a
+    # machine every region it made, and builds each again as it comes.  The
+    # wide loop samples as usual: forced, each of its cold dispatches would
+    # compile a region of 16 blocks, about 6,000 of them.
+    if workload == "wide":
+        image, mode = build_image(_wide_loop(19, 2000), N3, tagged=False), "compat"
+        interval = emulator._SAMPLE_FETCHES
+    else:
+        kernel, _ = _bench_workloads().kernel(random.Random(3), 1500)
+        image, mode, interval = build_image(kernel, COVERAGE, tagged=True), "aware", 0
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    cold = _execution_record(image, mode)
+    made = []
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: made.append(make_region(*args)) or made[-1])
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+    monkeypatch.setattr(emulator, "_GENERATED_KEPT", 2)
+    assert _execution_record(image, mode) == cold
+    # a third region made on the one machine, and a third shape compiled,
+    # each found its cache full
+    assert len(made) > 2 and len(region_sources) > 2
+    assert len(emulator._GENERATED) <= 2
 
 
 SLED = (
