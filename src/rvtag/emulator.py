@@ -27,8 +27,9 @@ word, made at translation.  A load to x0 writes nothing but still faults.
 
 Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
-joins the region at once at its second sample, or at its first if the region
-last stopped at it.  The machine's last _REGION_BLOCKS such blocks run as
+joins the region with the path the run takes from it, which it traces from
+its second sample, or its first if the region last stopped at it, until the
+path closes.  The machine's last _REGION_BLOCKS such blocks run as
 the branches of one Python function: a loop that dispatches on pc, runs the
 member's body with every op, check and terminator inlined and operands as
 literals, and adds its constant counts.  A region's registers are locals,
@@ -59,9 +60,9 @@ builds every tier and names registers only as a, b and dest, and one
 factory, which makes its op from the machine, the pc and the operands.  A
 load or store tests its address against data, whose end is the machine's,
 and the stack, and unpacks or packs in place on a hit; anything else calls
-its machine's miss, which reads text and raises every MemFault.  The
-generated source holds only fixed names, strings and integers that rvtag
-formats.
+its machine's miss, which reads text and raises every MemFault.  A region
+member fixing the address keeps only its branch.  The generated source
+holds only fixed names, strings and integers that rvtag formats.
 """
 
 from __future__ import annotations
@@ -435,8 +436,8 @@ def _predecode(word: int) -> tuple:
 # -- the hot tier --------------------------------------------------------------
 # The run loop samples the block that crosses each mark, one every
 # _SAMPLE_FETCHES fetches, or the first block a region exits to past it, and
-# Emulator._sample puts a cached block into the region at its second sample,
-# or at its first if it is where the region last stopped.
+# Emulator._sample opens a trace at a cached block's second sample, or at its
+# first if the region last stopped there, to remake the region with its path.
 # Regions may compile _INTERVAL_WORDS words per sample interval fetched, one
 # per 64 fetches at 1024, so sampling every block lifts the budget too.
 _SAMPLE_FETCHES = 1024
@@ -455,7 +456,8 @@ def _lines(ops, term, defaults: dict, fold) -> list:
     body that reads text.  The lines fold what the ops fix: an immediate of
     0 drops its + 0, and a register that a pure op, lui or auipc sets from
     literals alone reads as its value, which that op's cold closure works
-    out here, up to the register's next other write.  The write itself
+    out here, up to the register's next other write; an access at such an
+    address keeps only the branch it takes, hit or miss.  The write itself
     waits for the first op of any other kind, as only such an op can raise
     or end the block, and is dropped if a pure op writes the register first."""
     lines, known, unwritten, values = [], {}, {}, [0] * 32
@@ -478,9 +480,14 @@ def _lines(ops, term, defaults: dict, fold) -> list:
             continue
         known.pop(rd, None)
         unwritten.pop(rd, None)
-        if form in _LOADS:
-            miss = filled.index("else:") + 1
-            filled[miss:miss] = [f"    {line}" for line in fold]
+        if form in _LOADS:  # its miss branch, from line 6 on, reads text
+            filled[6:6] = [f"    {line}" for line in fold]
+        if form in _ACCESSES and names["a"].isdigit():  # a literal address: the branch it hits
+            addr, size = int(names["a"]) + bound["imm"], struct.calcsize(_ACCESSES[form])
+            tail = len(filled) - 2 * (form in _LOADS)  # a load ends on its if rd: write
+            hit, stop = ((2, 3) if DATA_BASE <= addr <= bound["end"] - size else
+                         (4, 5) if _STACK_BASE <= addr <= STACK_TOP - size else (6, tail))
+            filled[1:tail] = [line[4:] for line in filled[hit:stop]]
         lines += filled
     return lines
 
@@ -608,6 +615,7 @@ class Emulator:
         self._hot = {}  # entry -> the block of each member, then of refused ones, newest last
         self._regions = {}  # the member entries of each region made -> that region
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
+        self._trace = None  # while one is open, its blocks' entries in the order run
         self._words = 0  # the words of every region compiled so far
         # the pc -> tag schedule, None at a carrier: compat mode reads no
         # carrier word, and marks only where the carriers are; a malformed
@@ -699,24 +707,40 @@ class Emulator:
         return block
 
     # -- promotion ---------------------------------------------------------------
-    def _sample(self, entry: int, fetches: int) -> None:
+    def _sample(self, entry: int, fetches: int) -> int:
         """The block entered at `entry`, not a region member, crossed a
-        sample point, `fetches` into this run.  A cached block is noted the
-        first time, unless the region last stopped at it, and at any later
-        sample it goes last in _hot, and the region is remade of the last
-        _REGION_BLOCKS there: an evicted member runs cold until sampled
-        again.  A loop wider than a region makes the same regions over and
-        over, so each is kept, and only a new one is charged to the compile
-        budget.  A block whose region it refuses stays last in _hot, for the
-        next region made.  Code that is never sampled pays nothing."""
-        if entry not in self._blocks:
-            return
-        if entry not in self._sampled and entry != self._at[0]:
+        sample point, `fetches` into this run, or runs with a trace open;
+        returns the fetches to the next sample point, 0 with a trace open.
+        A cached block is noted the first time, unless the region last
+        stopped at it, and at any later sample it opens a trace, which takes
+        each cached block the run enters next, in order, and closes at one
+        already on it, one not cached or a region member, at _REGION_BLOCKS
+        blocks, or as the run returns.  Code never sampled pays nothing."""
+        trace = self._trace
+        if trace is not None:
+            if entry in self._blocks and entry not in trace:
+                trace.append(entry)
+                if len(trace) < _REGION_BLOCKS:
+                    return 0
+            self._close(fetches)
+        elif entry in self._blocks:
+            if entry in self._sampled or entry == self._at[0]:
+                self._trace = [entry]
+                return 0
             self._sampled.add(entry)
-            return
+        return _SAMPLE_FETCHES
+
+    def _close(self, fetches: int) -> None:
+        """The trace closes, `fetches` into this run: its blocks go last in
+        _hot, in the order they ran, and the region is remade once, of the
+        last _REGION_BLOCKS there: an evicted member runs cold until a later
+        trace takes it.  A loop wider than a region makes the same regions over and
+        over, so each is kept, and only a new one is charged to the compile
+        budget.  Blocks whose region it refuses stay in _hot, for the next."""
         hot, blocks = self._hot, self._blocks
-        hot.pop(entry, None)  # refused before
-        hot[entry] = blocks[entry]
+        for entry in self._trace:
+            hot[entry] = hot.pop(entry, None) or blocks[entry]  # refused before
+        self._trace = None
         members = tuple(hot)[-_REGION_BLOCKS:]
         region = self._regions.get(members)
         if region is None:
@@ -751,6 +775,10 @@ class Emulator:
                 ops, n, n_ret, n_lab, term, end = blocks.get(pc) or translate(pc)
                 if n > mark - fetches:
                     if n == _REGION:  # a region member: it runs the region up to the budget
+                        if self._trace is not None:  # it closes the trace, then runs anew
+                            self._close(fetches)
+                            mark = min(budget, fetches + _SAMPLE_FETCHES)
+                            continue
                         region, (ops, n, n_ret, n_lab, term, end) = term, hot[pc]
                         if n <= budget - fetches:
                             try:
@@ -768,8 +796,7 @@ class Emulator:
                                 f"fetched {counters.total + fetches} words without exiting")
                         ops, n, n_ret, n_lab, term, end = translate(pc, budget - fetches)
                     else:  # it crosses the mark, or a region ran past it
-                        mark = min(budget, fetches + n + _SAMPLE_FETCHES)
-                        self._sample(pc, fetches)
+                        mark = min(budget, fetches + n + self._sample(pc, fetches))
                 for op in ops:
                     op(regs)
                 next_pc = term(regs)
@@ -790,6 +817,8 @@ class Emulator:
                                             labels + n_lab)
             raise
         finally:
+            if self._trace is not None:  # a resumed run starts with none open
+                self._close(fetches)
             for site, edges in self._sites.items():  # what ran, in the order made
                 if edges and site not in policy.bcf:
                     policy.bcf[site] = edges

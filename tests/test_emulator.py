@@ -1683,6 +1683,26 @@ def region_sources(monkeypatch):
     return sources
 
 
+@pytest.fixture
+def region_stops(monkeypatch):
+    """Where each region call stopped, in order, from here on: every new
+    machine's `at` records the one at[:] store each region call makes."""
+    stops = []
+
+    class At(list):
+        def __setitem__(self, index, value):
+            stops.append(value)
+            list.__setitem__(self, index, value)
+
+    init = Emulator.__init__
+
+    def spied(machine, *args, **kwargs):
+        init(machine, *args, **kwargs)
+        machine._at = At(machine._at)
+    monkeypatch.setattr(Emulator, "__init__", spied)
+    return stops
+
+
 def _one_member_region(ops, term):
     """(region, run): the region whose one member, at TEXT_BASE, runs ops
     and then term, and run(regs), which runs that member once and returns
@@ -1784,7 +1804,8 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
     assert not misses
 
 
-def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, region_sources):
+def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, region_sources,
+                                                               region_stops):
     # its CL labels write back through the machine's uint32 view of text and
     # its BCF sites count into edge dicts bound at translation: a setdefault
     # per edge, or a struct unpack and pack of text per label, would be a
@@ -1792,7 +1813,7 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, regi
     # reads a site's edge dict on every take, not once per edge and call
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, COVERAGE, tagged=True), mode="aware")
-    reads, stops = collections.Counter(), []
+    reads, stops = collections.Counter(), region_stops
 
     class Edges(dict):
         """an edge dict that counts the reads a region makes of it"""
@@ -1808,13 +1829,7 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, regi
         def setdefault(self, pc, default=None):
             return dict.setdefault(self, pc, Edges())
 
-    class At(list):
-        """where a region stopped: each region call stores it once"""
-        def __setitem__(self, index, value):
-            stops.append(value)
-            list.__setitem__(self, index, value)
-
-    machine._sites, machine._at = Sites(), At(machine._at)
+    machine._sites = Sites()
     sources, regions = region_sources, []
     make_region = emulator._region
     monkeypatch.setattr(emulator, "_region",
@@ -1841,11 +1856,12 @@ def test_a_region_folds_its_cl_counts_in_lines_that_do_not_grow_with_its_labels(
         region_sources):
     # each load's miss branch folds every count of the region in one call,
     # so a region's source grows as its loads plus its labels, not as their
-    # product; and the kernel's loop writes text only at exit
+    # product; and the kernel's loop writes text only at exit.  The loads'
+    # base is no literal, so each load has its miss branch
     sources = region_sources
-    source = (".globl main\n.entry main\nmain:\n    la t0, buf\n"
+    source = (".globl main\n.entry main\nmain:\n    addi t0, sp, -16\n"
               + "    ld a1, 0(t0)\n    lwu a2, 8(t0)\n    bne a1, a2, out\n" * 16
-              + "out:\n    li a7, 93\n    ecall\n.data\nbuf:\n    .zero 16\n")
+              + "out:\n    li a7, 93\n    ecall\n")
     image = build_image(source, COVERAGE, tagged=True)
     machine, members, entry = Emulator(image, mode="aware"), [], image.entry
     for _ in range(emulator._REGION_BLOCKS):
@@ -2006,24 +2022,170 @@ def test_folded_regions_run_as_the_cold_tier_at_every_cut(monkeypatch, config, m
     assert records["forced"] == records["cold"]
 
 
+def _literal_addresses(sources) -> tuple:
+    """(literal, compared): the number of accesses in sources whose address
+    is a literal, and of those whose address is then compared."""
+    literal = compared = 0
+    for source in sources:
+        lines = source.splitlines()
+        for line, after in zip(lines, lines[1:]):
+            if re.fullmatch(r" *addr = \d+( \+ -?\d+)?", line):
+                literal += 1
+                compared += "<= addr <=" in after
+    return literal, compared
+
+
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (UNARITH, "aware"),
+                                         (COVERAGE, "aware")], ids=["compat", "unarith",
+                                                                    "coverage"])
+def test_an_access_at_a_literal_address_runs_only_the_branch_it_hits(forced, region_sources,
+                                                                     config, mode):
+    # FOLDS reads and writes buf through la t3, buf in the loop's member:
+    # that address and the end of data are literals of the shape, so the
+    # segment compares are made as the region is generated
+    machine = Emulator(build_image(FOLDS, config or N3, tagged=config is not None), mode=mode)
+    machine.run()
+    assert machine.state.stop_reason == "exit" and region_sources
+    literal, compared = _literal_addresses(region_sources)
+    assert literal >= 3 and compared == 0
+    assert any("<= addr <=" in source for source in region_sources)  # join's sd, t3 unknown
+
+
+# Accesses at literal addresses that hit data, the stack and text, the
+# last a load of the first word of main; then one that faults, as the loop
+# ends.
+LITERAL_ACCESSES = (
+    ".globl main\n.entry main\nmain:\n"
+    "    li s3, 40\n"
+    "loop:\n"
+    "    la t0, buf\n"
+    "    ld a1, 8(t0)\n"
+    "    addi a1, a1, 3\n"
+    "    sd a1, 8(t0)\n"
+    f"    li t1, {emulator.STACK_TOP - 16}\n"
+    "    sw a1, 4(t1)\n"
+    "    lw a2, 4(t1)\n"
+    "    la t2, main\n"
+    "    lwu a3, 0(t2)\n"
+    "    add a0, a0, a3\n"
+    "    add a0, a0, a2\n"
+    "    addi s3, s3, -1\n"
+    "    bne s3, x0, loop\n"
+    "    ld a4, 8(x0)\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    ".data\nbuf:\n    .dword 5, 7\n"
+)
+
+
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (UNARITH, "aware"),
+                                         (COVERAGE, "aware")], ids=["compat", "unarith",
+                                                                    "coverage"])
+def test_literal_addresses_run_as_the_cold_tier_at_every_cut(monkeypatch, region_sources,
+                                                              config, mode):
+    image = build_image(LITERAL_ACCESSES, config or N3, tagged=config is not None)
+    machine = Emulator(image, mode=mode)
+    with pytest.raises(PolicyViolation, match="MemFault"):
+        machine.run()
+    budgets = [*range(1, machine.counters.total + 1), 10 ** 6]
+    records, faults = {}, {}
+    for tier, interval in (("cold", 10 ** 12), ("forced", 0)):
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
+        records[tier] = [_execution_record(image, mode, budget) for budget in budgets]
+        # each run resumes at the faulting ld, which is cached at its second
+        # entry and, forced, a region member by its fifth
+        machine, faults[tier] = Emulator(image, mode=mode), []
+        for _ in range(6):
+            with pytest.raises(PolicyViolation, match="MemFault") as fault:
+                machine.run()
+            faults[tier].append((fault.value.pc, machine.state, dataclasses.astuple(
+                machine.counters), machine.policy))
+        member = machine._blocks[fault.value.pc][1] is emulator._REGION
+        assert member == (tier == "forced")
+    assert records["forced"] == records["cold"] and faults["forced"] == faults["cold"]
+    loops = [source for source in region_sources if "load(" in source]  # text read, or a fault
+    literal, compared = _literal_addresses(loops)
+    assert literal >= 5 and compared == 0 and any("addr = 0 + 8" in source for source in loops)
+
+
 @pytest.mark.parametrize("config", [N3, COVERAGE], ids=lambda config: config.policy)
-def test_a_block_that_a_region_exits_to_joins_at_its_first_sample(config):
-    # the kernel's loop leaves its region at the block after the call, or at
-    # the loop head, until that block joins: at its second sample, each of
-    # the first 170 or so region calls ran one iteration
+def test_a_block_that_a_region_exits_to_joins_at_its_first_sample(config, region_stops):
+    # a block that the region last stopped at opens a trace at its first
+    # sample, not its second; the trace runs the kernel's loop once around,
+    # so the one region made holds all of it.  When a block joined alone, at
+    # its second sample, each of the first 170 or so region calls ran one
+    # iteration and returned at the block after the call or the loop head
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, config, tagged=True), mode="aware")
-    stops = []
-
-    class At(list):
-        """where a region stopped: each region call stores it once"""
-        def __setitem__(self, index, value):
-            stops.append(value)
-            list.__setitem__(self, index, value)
-
-    machine._at = At(machine._at)
+    stops = region_stops
     machine.run()
     assert machine.state.regs[10] == a0 and 0 < len(stops) <= 100
+
+
+@pytest.mark.parametrize("config,mode", KERNEL_CELLS,
+                         ids=lambda cell: cell if isinstance(cell, str) else getattr(
+                             cell, "policy", "untagged"))
+def test_a_trace_closes_the_kernel_loop_into_one_region(monkeypatch, region_stops, config,
+                                                        mode):
+    # the block that would join opens a trace, which follows the loop body,
+    # step and the block after the call back to itself: the region made then
+    # holds the whole loop and runs the rest of it in one call
+    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
+    made = []
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: made.append(make_region(*args)) or made[-1])
+    machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
+    machine.run()
+    assert machine.state.regs[10] == a0 and machine._trace is None
+    assert len(made) == 1 and 0 < len(region_stops) <= 2
+
+
+def test_a_trace_closes_a_loop_of_eleven_blocks_into_one_region(monkeypatch):
+    made = []
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region",
+                        lambda *args: made.append(make_region(*args)) or made[-1])
+    machine = Emulator(build_image(_wide_loop(11, 2000), N3, tagged=False))
+    machine.run()
+    assert machine.state.regs[10] == 2000 * 10 * 11 // 2
+    assert len(made) == 1 and len(machine._hot) == 11
+
+
+@pytest.mark.parametrize("tier,budgets", [("sampled", range(2036, 2120)),
+                                          ("forced", range(48, 124))], ids=["sampled", "forced"])
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (CFI, "aware"), (COVERAGE, "aware")],
+                         ids=["compat", "cfi", "coverage"])
+def test_a_cut_while_a_trace_is_open_resumes_as_one_run(monkeypatch, tier, budgets, config,
+                                                        mode):
+    # the budgets span the fetches from the trace's opening to its close,
+    # with either sampling: a run that returns closes the trace it has open,
+    # and the resumed run starts with none
+    if tier == "forced":
+        monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
+    kernel, _ = _bench_workloads().kernel(random.Random(3), 200)
+    image = build_image(kernel, config or N3, tagged=config is not None)
+    whole = Emulator(image, mode=mode)
+    whole.run()
+    assert whole._trace is None and whole._regions
+    closed = []  # the fetches into its run at each close of a trace
+    close = Emulator._close
+    monkeypatch.setattr(Emulator, "_close",
+                        lambda machine, fetches: closed.append(fetches) or close(machine, fetches))
+    cut_open = 0  # the cuts that closed a trace as the run returned
+    for budget in budgets:
+        closed.clear()
+        machine = Emulator(image, mode=mode, max_insns=budget)
+        with pytest.raises(LimitExceeded):
+            machine.run()
+        assert machine._trace is None and machine.counters.total == budget
+        cut_open += budget in closed
+        machine.max_insns = 10 ** 6
+        machine.run()
+        assert machine._trace is None
+        assert machine.state == whole.state and machine.counters == whole.counters, budget
+        assert machine.policy == whole.policy and _sites(machine) == _sites(whole), budget
+    assert cut_open > 10
 
 
 STACK_BOTTOM = emulator.STACK_TOP - emulator.STACK_SIZE
@@ -2850,18 +3012,29 @@ def test_a_loop_wider_than_a_region_evicts_members_and_promotes_them_again(
     assert machine._words * 1024 <= machine.counters.total * emulator._INTERVAL_WORDS
 
 
+def _three_kernels(iterations):
+    """The bench kernel with its loop three times over, one copy after
+    another, each run `iterations` times: a region closes on each loop."""
+    kernel, _ = _bench_workloads().kernel(random.Random(3), iterations)
+    head, rest = kernel.split("loop:\n")
+    body, tail = rest.split("    bne s3, x0, loop\n")
+    return head + "".join(f"    li s3, {iterations}\nloop{k}:\n{body}    bne s3, x0, loop{k}\n"
+                          for k in range(3)) + tail
+
+
 @pytest.mark.parametrize("workload", ["wide", "kernel"])
 def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_sources, workload):
     # past _GENERATED_KEPT, the process drops every shape it compiled, and a
     # machine every region it made, and builds each again as it comes.  The
     # wide loop samples as usual: forced, each of its cold dispatches would
-    # compile a region of 16 blocks, about 6,000 of them.
+    # compile a region of 16 blocks, about 6,000 of them.  The kernel's loop
+    # closes into one region, so the kernel case runs three copies of it.
     if workload == "wide":
         image, mode = build_image(_wide_loop(19, 2000), N3, tagged=False), "compat"
         interval = emulator._SAMPLE_FETCHES
     else:
-        kernel, _ = _bench_workloads().kernel(random.Random(3), 1500)
-        image, mode, interval = build_image(kernel, COVERAGE, tagged=True), "aware", 0
+        image, mode = build_image(_three_kernels(500), COVERAGE, tagged=True), "aware"
+        interval = 0
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
     cold = _execution_record(image, mode)
     made = []
@@ -2930,6 +3103,29 @@ def test_a_block_whose_region_the_budget_refuses_joins_the_next_region(monkeypat
     assert made == [[first, second]]
     assert list(machine._hot) == [first, second]
     assert machine._blocks[first][1] is machine._blocks[second][1] is emulator._REGION
+
+
+def test_a_trace_whose_region_the_budget_refuses_joins_the_next_region(monkeypatch):
+    made = []  # the member entries of each region
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
+        [entry for entry, _ in members]) or make_region(members, *args))
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # the run samples nothing
+    machine = Emulator(build_image(_wide_loop(3, 5), N3, tagged=False))
+    machine.run()
+    head, first, second = sorted(machine._blocks)  # the loop's three blocks
+    # noted, then a trace that takes second and closes back at first: at
+    # this interval its region is refused, and both stay in _hot, cold
+    for entry in (first, first, second, first):
+        machine._sample(entry, 0)
+    assert machine._trace is None and not made and not machine._regions
+    assert list(machine._hot) == [first, second]
+    assert emulator._REGION not in (machine._blocks[first][1], machine._blocks[second][1])
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1)
+    for entry in (head, head, head):  # noted, then a trace that closes on itself
+        machine._sample(entry, 0)
+    assert made == [[first, second, head]]
+    assert all(machine._blocks[entry][1] is emulator._REGION for entry in made[0])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
