@@ -28,29 +28,28 @@ word, made at translation.  A load to x0 writes nothing but still faults.
 Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
 joins the region with the path the run takes from it, which it traces from
-its second sample, or its first if the region last stopped at it, until the
-path closes.  The machine's last _REGION_BLOCKS such blocks run as
-the branches of one Python function: a loop that dispatches on pc, runs the
-member's body with every op, check and terminator inlined and operands as
-literals, and adds its constant counts.  A region's registers are locals,
-loaded on entry and stored in its finally, also past a fault.  Each body is
-folded on what its member fixes: an immediate of 0 drops its + 0, and a
-register that the member sets from literals alone reads as its value
-until its next other write, so an li or la pair is one literal.  A BCF site
-adds each edge's first take in a call to its edge dict, and counts the
-repeats of the first of them in a local, which the region folds into the
-dict at exit.  A CL label counts in a local too, which the region folds into
-the label's word before each load that misses data and the stack, the one
-access that reads text, and at exit.  A member's entry leads the run loop
-into the region, which runs to the fetch budget: it returns at a pc outside
-it, after a member that halts, or before a member that would cross the
-budget.  The run loop then runs that block as it runs any other, and samples
-it if the region ran past the mark.  A block that the region evicted, or
-whose region the budget refused, runs cold.  Regions are charged by the
-words they compile, at most one per 64 fetched, so that compiling long
-blocks cannot take over a run, and a machine keeps each region it makes, as
-a loop wider than a region makes the same ones over and over.  One handler
-counts what ran of the block or member that faults, in either tier.
+its second sample until the path closes.  The machine's last _REGION_BLOCKS
+such blocks run as the branches of one Python function: a loop that
+dispatches on pc, runs the member's body with every op, check and terminator
+inlined and operands as literals, and adds its constant counts.  A region's
+registers are locals, loaded on entry and stored in its finally, also past a
+fault.  Each body is folded on what its member fixes: an immediate of 0
+drops its + 0, and a register that the member sets from literals alone reads
+as its value until its next other write, so an li or la pair is one literal.
+A BCF site adds each edge's first take in a call to its edge dict, and
+counts the repeats of the first of them in a local, which the region folds
+into the dict at exit.  A CL label counts in a local too, which the region
+folds into the label's word before each load that misses data and the stack,
+the one access that reads text, and at exit.  A member's entry leads the run
+loop into the region, which runs to the fetch budget: it returns at a pc
+outside it, after a member that halts, or before a member that would cross
+the budget.  The run loop then runs that block as it runs any other, and
+samples it if the region ran past the mark.  A block that the region
+evicted, or whose region the budget refused, runs cold.  Regions are charged
+by the words they compile, at most one per 64 fetched, so that compiling
+long blocks cannot take over a run, and a machine keeps each region it
+makes, as a loop wider than a region makes the same ones over and over.  One
+handler counts what ran of the block or member that faults, in either tier.
 Generated source is kept by its shape, the forms and integers it is built
 from, and compiled once per process, so a new machine pays only to bind its
 own objects to the cached code.
@@ -436,8 +435,9 @@ def _predecode(word: int) -> tuple:
 # -- the hot tier --------------------------------------------------------------
 # The run loop samples the block that crosses each mark, one every
 # _SAMPLE_FETCHES fetches, or the first block a region exits to past it, and
-# Emulator._sample opens a trace at a cached block's second sample, or at its
-# first if the region last stopped there, to remake the region with its path.
+# Emulator._sample opens a trace at a cached block's second sample, to remake
+# the region with its path.  Code that runs a few times stays cold: caching or
+# tracing at a first entry or sample cut large_unit's cfi fetches/s 2.6-4.4%.
 # Regions may compile _INTERVAL_WORDS words per sample interval fetched, one
 # per 64 fetches at 1024, so sampling every block lifts the budget too.
 _SAMPLE_FETCHES = 1024
@@ -573,8 +573,7 @@ def _region(members: list, at: list):
                  "finally:", "    at[:] = pc, left, retired, labels",
                  *[f"    {' = '.join(held[::-1])}"] * bool(named),
                  *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites],
-                 *[f"    if c_{i}: word = words[{i}] + (c_{i} << 12); words[{i}] = word "
-                   "if word <= 0xFFFFFFFF else word & 0xFFF | 0xFFFFF000" for i in counted]]
+                 *[f"    {fold[0]}"] * bool(counted)]
         source = (f"def region(regs, pc, left{''.join(f', {param}' for param in defaults)}):\n"
                   + "".join(f"    {line}\n" for line in lines))
         if len(_GENERATED) >= _GENERATED_KEPT:
@@ -711,11 +710,11 @@ class Emulator:
         """The block entered at `entry`, not a region member, crossed a
         sample point, `fetches` into this run, or runs with a trace open;
         returns the fetches to the next sample point, 0 with a trace open.
-        A cached block is noted the first time, unless the region last
-        stopped at it, and at any later sample it opens a trace, which takes
-        each cached block the run enters next, in order, and closes at one
-        already on it, one not cached or a region member, at _REGION_BLOCKS
-        blocks, or as the run returns.  Code never sampled pays nothing."""
+        A cached block is noted the first time, and at any later sample it
+        opens a trace, which takes each cached block the run enters next, in
+        order, and closes at one already on it, one not cached or a region
+        member, at _REGION_BLOCKS blocks, or as the run returns.  Code never
+        sampled pays nothing."""
         trace = self._trace
         if trace is not None:
             if entry in self._blocks and entry not in trace:
@@ -724,7 +723,7 @@ class Emulator:
                     return 0
             self._close(fetches)
         elif entry in self._blocks:
-            if entry in self._sampled or entry == self._at[0]:
+            if entry in self._sampled:
                 self._trace = [entry]
                 return 0
             self._sampled.add(entry)

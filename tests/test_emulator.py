@@ -1193,7 +1193,8 @@ def _count_translations(monkeypatch):
 
 
 @pytest.mark.parametrize("tier", ["cold", "forced"])
-def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, tmp_path, tier):
+def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, regions_made,
+                                                                tmp_path, tier):
     # each site's edge dict is bound when its block is translated, so a
     # block that faults or is cut before its terminator leaves an empty one
     # in Emulator._sites for the machine's life, which bcf never lists
@@ -1202,11 +1203,8 @@ def test_bcf_holds_only_the_sites_that_ran_in_first_run_order(monkeypatch, tmp_p
     clean, faulting = [build_image(BCF_SITES.replace("OFFSET", offset), COVERAGE, tagged=True)
                        for offset in ("0", "1024")]
     clean_trace, faulting_trace = _fetch_trace(clean), _fetch_trace(faulting)
-    made = []
-    make_region = emulator._region
+    made = regions_made
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0 if tier == "forced" else 10 ** 12)
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: made.append(make_region(*args)) or made[-1])
     machine = Emulator(clean, mode="aware")
     machine.run()
     ran = _edges_taken(clean, clean_trace, len(clean_trace) - 1)
@@ -1658,16 +1656,11 @@ def test_execution_is_pinned():
 # the hot tier: regions must run exactly as the closures they replace
 
 @pytest.fixture
-def forced(monkeypatch):
+def forced(monkeypatch, regions_made):
     """Promotion forced: every dispatch of a cached block samples it, so it
-    joins the region at its second cached dispatch.  Returns the list of
-    regions made."""
-    made = []
-    make_region = emulator._region
+    joins the region at its second cached dispatch.  Returns regions_made."""
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: made.append(make_region(*args)) or made[-1])
-    return made
+    return regions_made
 
 
 @pytest.fixture
@@ -1703,6 +1696,21 @@ def region_stops(monkeypatch):
     return stops
 
 
+@pytest.fixture
+def regions_made(monkeypatch):
+    """(members, region) of every region made from here on, in order."""
+    made = []
+    make_region = emulator._region
+    monkeypatch.setattr(emulator, "_region", lambda members, at: made.append(
+        (members, make_region(members, at))) or made[-1][1])
+    return made
+
+
+def _member_entries(made) -> list:
+    """The member entries of each region in `made`, a regions_made list."""
+    return [[entry for entry, _ in members] for members, _ in made]
+
+
 def _one_member_region(ops, term):
     """(region, run): the region whose one member, at TEXT_BASE, runs ops
     and then term, and run(regs), which runs that member once and returns
@@ -1731,14 +1739,14 @@ def test_a_short_run_compiles_nothing(monkeypatch):
         run(build_image(text, COVERAGE, tagged=True), mode="aware")
 
 
-def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch):
-    compiled = []  # the ops of each block that a region made holds
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region", lambda members, *args: compiled.extend(
-        block[0] for _, block in members) or make_region(members, *args))
+def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch, regions_made):
+    def compiled():
+        """the ops of each block that a region made holds"""
+        return [block[0] for members, _ in regions_made for _, block in members]
+
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 40)
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
-    assert not compiled  # 40 iterations are about 720 fetches: not one sample point
+    assert not compiled()  # 40 iterations are about 720 fetches: not one sample point
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     # the loop body, up to its jalr, crosses the first mark and joins the
     # region at the second, inside three sample intervals
@@ -1746,12 +1754,21 @@ def test_a_hot_loop_compiles_at_its_second_sample(monkeypatch):
                        max_insns=3 * emulator._SAMPLE_FETCHES + 256)
     with pytest.raises(LimitExceeded):
         machine.run()
-    assert 12 in [len(ops) for ops in compiled]
+    assert 12 in [len(ops) for ops in compiled()]
     assert final_a0(build_image(kernel, N3, tagged=False)) == a0
     for config in (N3, CFI, UNARITH, COVERAGE):  # each aware cell of the bench, tagged
-        compiled.clear()
+        regions_made.clear()
         assert final_a0(build_image(kernel, config, tagged=True), "aware") == a0
-        assert compiled, config.policy
+        assert compiled(), config.policy
+    # a cached block is noted at its first sample and opens a trace at its second
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # the run samples nothing
+    machine = Emulator(build_image(_wide_loop(3, 5), N3, tagged=False))
+    machine.run()
+    first = sorted(machine._blocks)[1]  # the loop's second block
+    machine._sample(first, 0)
+    assert machine._trace is None
+    machine._sample(first, 0)
+    assert machine._trace == [first]
 
 
 KERNEL_CELLS = [(None, "compat"), (N3, "compat"), (N3, "aware"), (CFI, "aware"),
@@ -1761,36 +1778,24 @@ KERNEL_CELLS = [(None, "compat"), (N3, "compat"), (N3, "aware"), (CFI, "aware"),
 @pytest.mark.parametrize("config,mode", KERNEL_CELLS,
                          ids=lambda cell: cell if isinstance(cell, str) else getattr(
                              cell, "policy", "untagged"))
-def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
+def test_the_kernel_loop_inlines_its_load_and_store(regions_made, config, mode):
     # its ld and sd always hit data: a miss, or an access or a policy check
     # left a plain call, would be a silent fall-back to the slow path
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
     machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
-    load_miss, store_miss = machine._access[3:]
-    regions, misses = [], []
-    make_region = emulator._region
-
-    def counted(function):
-        """function, with each miss it binds counted in misses"""
-        function.__defaults__ = tuple(
-            (lambda *args, miss=value: misses.append(miss) or miss(*args))
-            if value is load_miss or value is store_miss else value
-            for value in function.__defaults__)
-        return function
+    misses = []  # each call of a miss that the machine's blocks and regions bind
+    load_miss, store_miss = [lambda *args, miss=miss: misses.append(miss) or miss(*args)
+                             for miss in machine._access[3:]]
+    machine._access = (*machine._access[:3], load_miss, store_miss)
 
     def bound(function):
         code = function.__code__
         return dict(zip(code.co_varnames[code.co_argcount - len(function.__defaults__):
                                          code.co_argcount], function.__defaults__))
 
-    def spy_region(*args):
-        region = make_region(*args)
-        regions.append(bound(region))
-        return counted(region)
-
     # the loop runs in its region, which binds each miss once
-    monkeypatch.setattr(emulator, "_region", spy_region)
     machine.run()
+    regions = [bound(region) for _, region in regions_made]
     assert machine.state.regs[10] == a0
     loops = [names for names in regions if load_miss in names.values()]  # with the ld's block
     assert loops
@@ -1804,8 +1809,8 @@ def test_the_kernel_loop_inlines_its_load_and_store(monkeypatch, config, mode):
     assert not misses
 
 
-def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, region_sources,
-                                                               region_stops):
+def test_the_kernel_coverage_loop_counts_through_bound_objects(region_sources, region_stops,
+                                                               regions_made):
     # its CL labels write back through the machine's uint32 view of text and
     # its BCF sites count into edge dicts bound at translation: a setdefault
     # per edge, or a struct unpack and pack of text per label, would be a
@@ -1830,17 +1835,14 @@ def test_the_kernel_coverage_loop_counts_through_bound_objects(monkeypatch, regi
             return dict.setdefault(self, pc, Edges())
 
     machine._sites = Sites()
-    sources, regions = region_sources, []
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: regions.append(make_region(*args)) or regions[-1])
+    sources, regions = region_sources, regions_made
     machine.run()
     assert machine.state.regs[10] == a0 and machine.policy.bcf
     assert sources and regions
     assert not any("setdefault" in source for source in sources)
-    assert any("words[" in source for source in sources)
+    assert any("fold(words" in source for source in sources)
     assert any("site[" in source for source in sources)
-    bound = [value for region in regions for value in region.__defaults__]
+    bound = [value for _, region in regions for value in region.__defaults__]
     assert any(value is machine._text_words for value in bound)
     assert not any(value is machine.memory.text for value in bound)
     assert not any(isinstance(getattr(value, "__self__", None), struct.Struct)
@@ -2108,44 +2110,24 @@ def test_literal_addresses_run_as_the_cold_tier_at_every_cut(monkeypatch, region
     assert literal >= 5 and compared == 0 and any("addr = 0 + 8" in source for source in loops)
 
 
-@pytest.mark.parametrize("config", [N3, COVERAGE], ids=lambda config: config.policy)
-def test_a_block_that_a_region_exits_to_joins_at_its_first_sample(config, region_stops):
-    # a block that the region last stopped at opens a trace at its first
-    # sample, not its second; the trace runs the kernel's loop once around,
-    # so the one region made holds all of it.  When a block joined alone, at
-    # its second sample, each of the first 170 or so region calls ran one
-    # iteration and returned at the block after the call or the loop head
-    kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
-    machine = Emulator(build_image(kernel, config, tagged=True), mode="aware")
-    stops = region_stops
-    machine.run()
-    assert machine.state.regs[10] == a0 and 0 < len(stops) <= 100
-
-
 @pytest.mark.parametrize("config,mode", KERNEL_CELLS,
                          ids=lambda cell: cell if isinstance(cell, str) else getattr(
                              cell, "policy", "untagged"))
-def test_a_trace_closes_the_kernel_loop_into_one_region(monkeypatch, region_stops, config,
+def test_a_trace_closes_the_kernel_loop_into_one_region(regions_made, region_stops, config,
                                                         mode):
     # the block that would join opens a trace, which follows the loop body,
     # step and the block after the call back to itself: the region made then
     # holds the whole loop and runs the rest of it in one call
     kernel, a0 = _bench_workloads().kernel(random.Random(3), 1500)
-    made = []
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: made.append(make_region(*args)) or made[-1])
+    made = regions_made
     machine = Emulator(build_image(kernel, config or N3, tagged=config is not None), mode=mode)
     machine.run()
     assert machine.state.regs[10] == a0 and machine._trace is None
     assert len(made) == 1 and 0 < len(region_stops) <= 2
 
 
-def test_a_trace_closes_a_loop_of_eleven_blocks_into_one_region(monkeypatch):
-    made = []
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: made.append(make_region(*args)) or made[-1])
+def test_a_trace_closes_a_loop_of_eleven_blocks_into_one_region(regions_made):
+    made = regions_made
     machine = Emulator(build_image(_wide_loop(11, 2000), N3, tagged=False))
     machine.run()
     assert machine.state.regs[10] == 2000 * 10 * 11 // 2
@@ -2300,7 +2282,7 @@ def test_inlined_accesses_at_every_edge_run_as_the_cold_tier(forced, monkeypatch
             forced.clear()
             monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
             compiled = _execution_record(image, mode)
-            assert any("data" in block.__code__.co_varnames for block in forced), source
+            assert any("data" in block.__code__.co_varnames for _, block in forced), source
             monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
             assert _execution_record(image, mode) == compiled, (source, mode)
             record = ast.literal_eval(compiled.decode())
@@ -2698,7 +2680,7 @@ def test_ecall_and_ebreak_in_compiled_blocks_run_as_the_cold_tier(forced, monkey
         forced.clear()
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
         compiled = _execution_record(image, mode)
-        assert any("state" in block.__code__.co_varnames for block in forced), (end, mode)
+        assert any("state" in block.__code__.co_varnames for _, block in forced), (end, mode)
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
         assert _execution_record(image, mode) == compiled, (end, mode)
         error, regs, pc, exit_code, stop_reason, stdout = ast.literal_eval(compiled.decode())[:6]
@@ -2748,7 +2730,7 @@ def test_accesses_of_three_widths_in_one_block_bind_each_struct_once(forced, mon
         forced.clear()
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 0)
         compiled = _execution_record(image, mode)
-        assert any(renamed <= set(block.__code__.co_varnames) for block in forced), mode
+        assert any(renamed <= set(block.__code__.co_varnames) for _, block in forced), mode
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
         assert _execution_record(image, mode) == compiled, mode
         error, regs = ast.literal_eval(compiled.decode())[:2]
@@ -2981,20 +2963,17 @@ def _wide_loop(blocks, iterations):
 @pytest.mark.parametrize("config,mode", [(None, "compat"), (COVERAGE, "aware")],
                          ids=["compat", "coverage"])
 def test_a_loop_wider_than_a_region_evicts_members_and_promotes_them_again(
-        monkeypatch, config, mode):
+        monkeypatch, regions_made, config, mode):
     # each new member of a full region evicts the oldest, which runs cold
     # until it is sampled twice more and joins again
     blocks = emulator._REGION_BLOCKS + 3
     image = build_image(_wide_loop(blocks, 2000), config or N3, tagged=config is not None)
-    made = []  # the member entries of each region
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
-        [entry for entry, _ in members]) or make_region(members, *args))
     records = []
     for interval in (10 ** 12, emulator._SAMPLE_FETCHES, 0):  # never, as usual, and forced
-        made.clear()
+        regions_made.clear()
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
         records.append(_execution_record(image, mode))
+        made = _member_entries(regions_made)
         assert bool(made) == (interval < 10 ** 12)
         assert all(len(members) <= emulator._REGION_BLOCKS for members in made)
         evicted, rejoined = set(), set()
@@ -3023,7 +3002,8 @@ def _three_kernels(iterations):
 
 
 @pytest.mark.parametrize("workload", ["wide", "kernel"])
-def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_sources, workload):
+def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_sources, workload,
+                                                          regions_made):
     # past _GENERATED_KEPT, the process drops every shape it compiled, and a
     # machine every region it made, and builds each again as it comes.  The
     # wide loop samples as usual: forced, each of its cold dispatches would
@@ -3037,10 +3017,7 @@ def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_so
         interval = 0
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
     cold = _execution_record(image, mode)
-    made = []
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region",
-                        lambda *args: made.append(make_region(*args)) or made[-1])
+    made = regions_made
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
     monkeypatch.setattr(emulator, "_GENERATED_KEPT", 2)
     assert _execution_record(image, mode) == cold
@@ -3065,51 +3042,24 @@ SLED = (
 )
 
 
-def test_compiles_stay_within_the_compile_budget(monkeypatch):
+def test_compiles_stay_within_the_compile_budget(monkeypatch, regions_made):
     # at a short sample interval, regions of up to _REGION_BLOCKS of the
     # sled's blocks, each of up to _BLOCK_WORDS words, are hot enough to
     # compile; the budget holds the words compiled to _INTERVAL_WORDS per
     # sample interval fetched
-    words = []
-    make_region = emulator._region
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 256)
-    monkeypatch.setattr(emulator, "_region", lambda members, *args: words.append(
-        sum(block[1] for _, block in members)) or make_region(members, *args))
     machine = Emulator(build_image(SLED, N3, tagged=False), max_insns=150_000)
     with pytest.raises(LimitExceeded):
         machine.run()
+    words = [sum(block[1] for _, block in members) for members, _ in regions_made]
     assert words and max(words) > emulator._BLOCK_WORDS
     assert sum(words) == machine._words
     assert machine._words * 256 <= machine.counters.total * emulator._INTERVAL_WORDS
 
 
-def test_a_block_whose_region_the_budget_refuses_joins_the_next_region(monkeypatch):
-    # it keeps its place in the promotion order, so a loop wider than a
-    # region keeps cycling through the member sets it has made before
-    made = []  # the member entries of each region
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
-        [entry for entry, _ in members]) or make_region(members, *args))
-    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # the run samples nothing
-    machine = Emulator(build_image(_wide_loop(3, 5), N3, tagged=False))
-    machine.run()
-    first, second = sorted(machine._blocks)[-2:]  # two blocks of the loop
-    for entry in (first, first):  # noted, then refused: nothing compiles at this interval
-        machine._sample(entry, 0)
-    assert not made and not machine._regions
-    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1)
-    for entry in (second, second):
-        machine._sample(entry, 0)
-    assert made == [[first, second]]
-    assert list(machine._hot) == [first, second]
-    assert machine._blocks[first][1] is machine._blocks[second][1] is emulator._REGION
-
-
-def test_a_trace_whose_region_the_budget_refuses_joins_the_next_region(monkeypatch):
-    made = []  # the member entries of each region
-    make_region = emulator._region
-    monkeypatch.setattr(emulator, "_region", lambda members, *args: made.append(
-        [entry for entry, _ in members]) or make_region(members, *args))
+def test_a_trace_whose_region_the_budget_refuses_joins_the_next_region(monkeypatch,
+                                                                       regions_made):
+    made = regions_made
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # the run samples nothing
     machine = Emulator(build_image(_wide_loop(3, 5), N3, tagged=False))
     machine.run()
@@ -3124,6 +3074,7 @@ def test_a_trace_whose_region_the_budget_refuses_joins_the_next_region(monkeypat
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1)
     for entry in (head, head, head):  # noted, then a trace that closes on itself
         machine._sample(entry, 0)
+    made = _member_entries(regions_made)
     assert made == [[first, second, head]]
     assert all(machine._blocks[entry][1] is emulator._REGION for entry in made[0])
 

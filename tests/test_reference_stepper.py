@@ -17,7 +17,7 @@ import functools
 import random
 
 import pytest
-from test_emulator import REFERENCE, forced  # noqa: F401 (forced is a fixture)
+from test_emulator import REFERENCE, forced, regions_made  # noqa: F401 (fixtures)
 
 from rvtag import codec, tagplan
 from rvtag.emulator import BadInstruction, Emulator, LimitExceeded, PolicyViolation
