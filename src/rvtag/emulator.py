@@ -17,13 +17,14 @@ often the label ran.  The slot schedule is resolved once, at load, into a
 pc -> tag dict where None marks a carrier: tagplan.slot_tags reads it in
 aware mode, and compat mode marks only the carriers of
 tagplan.carrier_groups.  Code runs as basic blocks of at most _BLOCK_WORDS
-words, translated on entry and cached by entry pc once entered twice:
-closures with their operands bound, constant counts, and one terminator that
-returns the next pc.  The cap keeps the cache linear in text, however the
-entries into one long straight run fall, and a block that would cross the
-fetch budget runs as the prefix of it that fits.  Aware-mode carriers and x0
-no-ops cost nothing, and each policy check is an op or a checked form of its
-word, made at translation.  A load to x0 writes nothing but still faults.
+words, translated on entry and cached by entry pc once entered twice, a
+loop's block from its first translation: closures with their operands bound,
+constant counts, and one terminator that returns the next pc.  The cap keeps
+the cache linear in text, however the entries into one long straight run
+fall, and a block that would cross the fetch budget runs as the prefix of it
+that fits.  Aware-mode carriers and x0 no-ops cost nothing, and each policy
+check is an op or a checked form of its word, made at translation.  A load
+to x0 writes nothing but still faults.
 
 Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
@@ -414,10 +415,11 @@ _RD_ONLY = codec.MNEMONICS - codec.LOAD_MNEMONICS - codec.STORE_MNEMONICS - _TER
 
 @functools.lru_cache(maxsize=65536)
 def _predecode(word: int) -> tuple:
-    """(mnemonic, rd, rs1, rs2, imm, op, make) of a word: op is the shared op
-    of a pure instruction, make the per-pc factory of any other; both are
-    None for a no-op.  lui/auipc immediates come shifted, but a label (lui
-    x0) keeps its raw 20-bit immediate for the cfi compare."""
+    """(mnemonic, rd, rs1, rs2, imm, op, make, label, ends) of a word: op is
+    the shared op of a pure instruction, make the per-pc factory of any
+    other; both are None for a no-op.  label tells a lui x0, which keeps its
+    raw 20-bit immediate for the cfi compare, where other lui/auipc
+    immediates come shifted; ends tells a word that ends its block."""
     insn = codec.decode(word)
     mnemonic, rd, rs1, rs2, imm = insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm
     if mnemonic in ("lui", "auipc") and rd:
@@ -429,7 +431,8 @@ def _predecode(word: int) -> tuple:
         make = _factory(mnemonic)
         if mnemonic in _EXPRS:
             op, make = make(None, 0, rd, rs1, rs2, imm), None
-    return mnemonic, rd, rs1, rs2, imm, op, make
+    return (mnemonic, rd, rs1, rs2, imm, op, make, mnemonic == "lui" and rd == 0,
+            mnemonic in _TERM_MNEMONICS)
 
 
 # -- the hot tier --------------------------------------------------------------
@@ -609,6 +612,7 @@ class Emulator:
         self._effects = tagplan.EFFECTS[self.policy.mode]
         self._blocks = {}
         self._entered = set()
+        self._last = (-1, None)  # the entry and block of the last block made at a first entry
         self._sites = {}  # the edge dict of each BCF site translated, in the order made
         self._sampled = set()  # the entries of cached blocks sampled once
         self._hot = {}  # entry -> the block of each member, then of refused ones, newest last
@@ -631,34 +635,30 @@ class Emulator:
         CFL label's value is only for a checked jalr right after it, in the
         next block if the label ends this one.  An entry that is not a whole
         text word raises."""
-        tags, words = self._tags, self._text_words
-        end = TEXT_BASE + 4 * len(words)
-        if entry % 4 or not TEXT_BASE <= entry < end:
+        if entry == self._last[0] and limit < 0:  # a loop coming round: cache what it made
+            return self._blocks.setdefault(entry, self._last[1])
+        tags, words, first = self._tags, self._text_words, entry - TEXT_BASE >> 2
+        if entry % 4 or not 0 <= first < len(words):
             raise BadInstruction(f"pc={entry:#x}: fetch outside whole text words", entry)
-        stop = entry + 4 * (_BLOCK_WORDS if limit < 0 else limit)
-        if stop < end:
-            end = stop
         effects, aware = self._effects, self.mode == "aware"
         ops = []
         carriers = labels = 0
         term = pending = None
         cfi_entry = self.policy.mode == "cfi"
         pc = entry
-        while term is None and pc < end:
+        for word in words[first:first + (_BLOCK_WORDS if limit < 0 else limit)]:
             tag = tags.get(pc, _UNTAGGED)
             if tag is None and aware:
                 carriers += 1
                 pc += 4
                 continue
             try:
-                word = words[pc - TEXT_BASE >> 2]
-                mnemonic, rd, rs1, rs2, imm, op, make = _predecode(word)
+                mnemonic, rd, rs1, rs2, imm, op, make, label, ends = _predecode(word)
             except codec.BadEncoding as exc:
                 if pc != entry:  # run up to it; the next block raises
                     break
                 self.counters.tag_fetches += tag is None  # fetched before it faults
                 raise BadInstruction(f"pc={pc:#x}: {exc}", pc) from None
-            label = mnemonic == "lui" and rd == 0
             if tag is None:
                 carriers += 1
             elif label:
@@ -681,16 +681,19 @@ class Emulator:
                         ops.append(_factory("CI")(self, pc, rd, rs1, rs2, imm))
                     elif effect == "CL" and label:
                         op = _factory("CL")(self, pc, rd, rs1, rs2, imm)
-                    elif effect == "BCF" and mnemonic not in _TERM_MNEMONICS:
+                    elif effect == "BCF" and not ends:
                         # the block ends here, and falls through
                         term = _factory(("goto", "BCF"))(self, pc, rd, rs1, rs2, 4)
             if make is not None:
                 op = make(self, pc, rd, rs1, rs2, imm)
-            if mnemonic in _TERM_MNEMONICS:
-                term = op
-            elif op is not None:
-                ops.append(op)
             pc += 4
+            if ends:
+                term = op
+                break
+            if op is not None:
+                ops.append(op)
+            if term is not None:  # a BCF-tagged word falls through
+                break
         if pending is not None:  # the label ends the block: its value waits for the next one
             ops.append(_factory("site label")(self, pc, 0, 0, 0, pending))
         fetches = (pc - entry) >> 2
@@ -698,11 +701,14 @@ class Emulator:
         block = (tuple(ops), fetches, fetches - carriers, labels, term, pc)
         # Unlimited blocks are cached once entered twice: code that runs once,
         # like a long straight-line driver, then leaves no objects behind for
-        # the garbage collector to keep traversing.
+        # the garbage collector to keep traversing.  Only the last block made
+        # at a first entry is kept, for a loop to cache as it comes round.
         if limit < 0:
             if entry in self._entered:
                 self._blocks[entry] = block
-            self._entered.add(entry)
+            else:
+                self._entered.add(entry)
+                self._last = entry, block
         return block
 
     # -- promotion ---------------------------------------------------------------

@@ -10,6 +10,7 @@ import re
 import struct
 import sys
 import types
+import weakref
 
 import pytest
 
@@ -1180,14 +1181,22 @@ def _published(machine):
             and all(id(value) in made for value in bound))
 
 
-def _count_translations(monkeypatch):
+def _count_translations(monkeypatch, made=None):
     """A Counter of the full translations (no fetch limit) of each block
-    entry, by every Emulator from now on."""
+    entry, by every Emulator from now on.  A Counter given as made counts,
+    per entry, only the calls that return a block their machine did not
+    return before: the blocks those calls really made."""
     translations, translate = collections.Counter(), Emulator._translate
+    returned = weakref.WeakKeyDictionary()  # machine -> id -> each block it returned
 
     def counted(machine, entry, limit=-1):
         translations[entry] += limit < 0
-        return translate(machine, entry, limit)
+        block = translate(machine, entry, limit)
+        if made is not None and limit < 0:
+            blocks = returned.setdefault(machine, {})
+            made[entry] += id(block) not in blocks
+            blocks[id(block)] = block  # kept, so that no later block takes its id
+        return block
     monkeypatch.setattr(Emulator, "_translate", counted)
     return translations
 
@@ -1347,6 +1356,119 @@ def test_a_site_dropped_at_a_fault_counts_once_its_terminator_runs(monkeypatch, 
     assert sorted(edges.values()) == [1, 5] and once.state.exit_code == 6
     assert often.policy == once.policy and often.state == once.state
     assert bool(often._regions) == (tier == "forced")
+
+
+# A counted loop, as the corpus writes them, then a helper called from two
+# sites with code between the calls that runs once.
+COUNTED_LOOP = (
+    ".globl main\n.entry main\nmain:\n"
+    '    .signature "i64()"\n'
+    "    li t4, 9\n"
+    "loop:\n"
+    "    addi a0, a0, 3\n"
+    "    xor a1, a1, a0\n"
+    "    addi t4, t4, -1\n"
+    "    bne t4, x0, loop\n"
+    "    jal ra, helper\n"
+    "    li t0, 1\n"
+    "    jal ra, helper\n"
+    "    li a7, 93\n"
+    "    ecall\n"
+    "helper:\n"
+    "    addi a0, a0, 1\n"
+    "    ret\n"
+)
+
+
+@pytest.mark.parametrize("config,mode", [(None, "compat"), (CFI, "aware"), (COVERAGE, "aware")],
+                         ids=["untagged", "cfi", "coverage"])
+def test_a_loop_block_is_translated_once(monkeypatch, config, mode):
+    # the loop's block comes round right after its first translation, which
+    # is then cached as it was made; the helper's second entry follows other
+    # code's first, so the helper is translated again, and cached then
+    image = build_image(COUNTED_LOOP, config or N3, tagged=config is not None)
+    [loop] = [pc + insn.imm for pc, insn in _words(image) if insn.mnemonic == "bne"]
+    [helper] = {pc + insn.imm for pc, insn in _words(image) if insn.mnemonic == "jal"
+                and insn.rd == 1}
+    made = collections.Counter()
+    translations = _count_translations(monkeypatch, made)
+    machine = Emulator(image, mode=mode)
+    state, _, _ = machine.run()
+    assert state.stop_reason == "exit" and state.regs[10] == 9 * 3 + 2
+    assert made[loop] == 1 and made[helper] == 2
+    # the loop's second entry hands back its first block and caches it
+    assert translations[loop] == 2 and translations[helper] == 2
+    assert {loop, helper} <= machine._blocks.keys()
+    assert {entry for entry, count in made.items() if count == 2} == {helper}
+
+
+def _translated(block) -> tuple:
+    """What a block's translation fixes: its counts, its end, and each op's
+    and its terminator's code and int operands."""
+    ops, fetches, retired, labels, term, end = block
+    return (fetches, retired, labels, end, [
+        (op.__code__, [value for value in op.__defaults__ or () if type(value) is int])
+        for op in (*ops, term)])
+
+
+def test_a_cached_block_equals_a_fresh_translation(monkeypatch):
+    from test_emitlink import _buildable_cells
+
+    from rvtag.corpus import generate_corpus
+
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    made = collections.Counter()
+    _count_translations(monkeypatch, made)
+    reused, cells = 0, _buildable_cells()
+    for text in generate_corpus(7, 40):
+        runs = [(build_image(text, N3, tagged=False), "compat")] + [
+            (build_image(text, config, tagged=True, cfi_label_direct_calls=True), mode)
+            for config in cells for mode in ("compat", "aware")
+            if mode == "aware" or config.carrier.value != "custom"]  # a custom carrier faults
+        for image, mode in runs:
+            made.clear()
+            machine = Emulator(image, mode=mode)
+            machine.run()
+            for entry, block in machine._blocks.items():
+                reused += made[entry] == 1
+                fresh = Emulator(image, mode)._translate(entry)
+                assert _translated(block) == _translated(fresh), (mode, hex(entry))
+    assert reused > 0  # some loop's block was cached from its first translation
+
+
+def _kept_blocks(machine) -> dict:
+    """id -> block of every translated block that the machine's attributes
+    hold, in a dict, list, set or tuple or as themselves."""
+    kept = {}
+
+    def visit(value, depth):
+        if type(value) is tuple and len(value) == 6 and callable(value[4]):
+            kept[id(value)] = value
+        elif depth and isinstance(value, (dict, list, set, tuple)):
+            for item in value.values() if isinstance(value, dict) else value:
+                visit(item, depth - 1)
+    for value in vars(machine).values():
+        visit(value, 2)
+    return kept
+
+
+def test_code_entered_once_stays_uncached(monkeypatch):
+    # only a block entered twice is cached, and of the blocks entered once
+    # the machine keeps at most the last it made: the run-once driver
+    # leaves nothing behind for the garbage collector
+    source, _ = _bench_workloads().large_unit(random.Random(7), 4)
+    monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 10 ** 12)  # never samples
+    for config, mode in [(None, "compat"), (CFI, "aware"), (COVERAGE, "aware")]:
+        image = build_image(source, config or N3, tagged=config is not None,
+                            cfi_label_direct_calls=True)
+        machine = Emulator(image, mode=mode)
+        machine._blocks = dispatches = _Dispatches()
+        state, _, _ = machine.run()
+        assert state.stop_reason == "exit"
+        twice = {entry for entry, count in dispatches.counts.items() if count >= 2}
+        assert set(dispatches) == twice and len(twice) < len(dispatches.counts)
+        cached = {id(block) for block in dispatches.values()}
+        assert len(_kept_blocks(machine).keys() - cached) <= 1
 
 
 # Loops whose BCF sites take one edge over and over, or alternate, inside one
