@@ -7,8 +7,9 @@ slot in the lowest-order bits.
 
 ENCODERS is the one per-mnemonic encoder table, built from _ISA: each entry
 checks the register indexes, then the immediate, and packs the word.
-encode_fields, the assembler's statement table and link's word loop all go
-through it; an unknown mnemonic raises OperandRange.
+encode_fields and link's word loop go through it; an unknown mnemonic raises
+OperandRange.  The assembler checks a statement's immediate against
+_IMM_BOUNDS itself and calls an encoder only to report a bad one.
 """
 
 from __future__ import annotations

@@ -7,17 +7,23 @@ is unit-wide: fragments, local labels, data (bounded by the stack bottom),
 lineage and HI/LO pair ids, and branch references, resolved once the last
 file is in, so a branch, jump, call or `la` can name a function of any file.
 
-Each file's lines are split once into (line number, labels, statement), and
-pass A (declarations) and pass B (fragments) both read that list.  Pass B's
-line loop is the one place a statement error gets its `FILE:LINE:1:`: the
+Each file's lines are split once into (line number, labels, statement); a
+line with neither `#` nor `:` is its stripped statement, with no labels.
+That loop also lists the directive lines, the only lines that pass A
+(declarations) reads; pass B (fragments) reads them all.  Pass B's line
+loop is the one place a statement error gets its `FILE:LINE:1:`: the
 methods under it raise a bare ParseError.  Errors found after the last file
 name the line of the branch, call, declaration or .entry they concern.
 
 STATEMENTS, built from codec's _ISA, is the one statement table: a real
 mnemonic maps to its operand count, the operand parser of its shape, its
-codec encoder, and whether it is a pc-relative transfer or an add/sub.  A
-real instruction is one lookup; anything else is a pseudo-instruction or an
-unknown mnemonic.
+codec encoder, whether it is a pc-relative transfer or an add/sub, and its
+format's immediate bounds from codec's _IMM_BOUNDS (lo, hi, and 1 where the
+immediate must be even).  A real instruction is one lookup; anything else is
+a pseudo-instruction or an unknown mnemonic.  A register operand comes from
+REGISTER_NAMES, so it is in 0..31, and the encoder runs only to raise the
+OperandRange of an immediate outside its bounds.  Of the pseudo-instructions
+only `j` with a literal delta can be out of range.
 
 Grammar (one statement per line, `#` comments):
 
@@ -75,6 +81,9 @@ for _i, _name in enumerate(
 ):
     REGISTER_NAMES[_name] = _i
 REGISTER_NAMES["fp"] = 8
+# An operand parser looks a register up in _REG directly: instruction turns
+# the KeyError of a bad one into its ParseError.
+_REG = REGISTER_NAMES
 
 _IDENT = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 
@@ -159,12 +168,6 @@ def _parse_int(token: str, defsym: dict) -> int:
     raise _not_a(token, "a number or defined symbol")
 
 
-def _parse_reg(token: str) -> int:
-    if token not in REGISTER_NAMES:
-        raise _not_a(token, "a register")
-    return REGISTER_NAMES[token]
-
-
 def _branch_target(token):
     """Return (imm, symbol): numeric deltas resolve now, names later."""
     try:
@@ -185,43 +188,40 @@ def _mem_operand(token, defsym):
         raise _not_a(token, "an offset(base) operand")
     off_text, base = match.groups()
     offset = _parse_int(off_text, defsym) if off_text else 0
-    return offset, _parse_reg(base)
+    return offset, _REG[base]
 
 
 def _load(ops, defsym):  # offset(base) is checked first, as for stores
     imm, rs1 = _mem_operand(ops[1], defsym)
-    return _parse_reg(ops[0]), rs1, 0, imm, None
+    return _REG[ops[0]], rs1, 0, imm, None
 
 
 def _store(ops, defsym):
     imm, rs1 = _mem_operand(ops[1], defsym)
-    return 0, rs1, _parse_reg(ops[0]), imm, None
+    return 0, rs1, _REG[ops[0]], imm, None
 
 
 # Per operand shape: (operand count, parse(ops, defsym) -> (rd, rs1, rs2,
 # imm, target)), where a symbolic branch target comes back with imm 0.
-_RRI = (3, lambda ops, defsym: (_parse_reg(ops[0]), _parse_reg(ops[1]), 0,
+_RRI = (3, lambda ops, defsym: (_REG[ops[0]], _REG[ops[1]], 0,
                                 _parse_int(ops[2], defsym), None))
 _FORMAT_OPERANDS = {
-    codec._R: (3, lambda ops, defsym: (_parse_reg(ops[0]), _parse_reg(ops[1]),
-                                       _parse_reg(ops[2]), 0, None)),
+    codec._R: (3, lambda ops, defsym: (_REG[ops[0]], _REG[ops[1]], _REG[ops[2]], 0, None)),
     codec._I: _RRI,
     codec._SHIFT: _RRI,
-    codec._U: (2, lambda ops, defsym: (_parse_reg(ops[0]), 0, 0,
-                                       _parse_int(ops[1], defsym), None)),
-    codec._J: (2, lambda ops, defsym: (_parse_reg(ops[0]), 0, 0, *_branch_target(ops[1]))),
-    codec._B: (3, lambda ops, defsym: (0, _parse_reg(ops[0]), _parse_reg(ops[1]),
-                                       *_branch_target(ops[2]))),
+    codec._U: (2, lambda ops, defsym: (_REG[ops[0]], 0, 0, _parse_int(ops[1], defsym), None)),
+    codec._J: (2, lambda ops, defsym: (_REG[ops[0]], 0, 0, *_branch_target(ops[1]))),
+    codec._B: (3, lambda ops, defsym: (0, _REG[ops[0]], _REG[ops[1]], *_branch_target(ops[2]))),
     codec._S: (2, _store),
     codec._SYS: (0, lambda ops, defsym: (0, 0, 0, 0, None)),
 }
 
 # The one statement table: real mnemonic -> (operand count, operand parser,
-# encoder, pc-relative transfer?, add/sub?).
+# encoder, pc-relative transfer?, add/sub?, immediate lo, hi, even mask).
 STATEMENTS = {
     mnemonic: ((2, _load) if mnemonic in codec.LOAD_MNEMONICS else _FORMAT_OPERANDS[spec[0]])
     + (codec.ENCODERS[mnemonic], mnemonic in codec.TRANSFER_MNEMONICS,
-       mnemonic in codec.ADDSUB_MNEMONICS)
+       mnemonic in codec.ADDSUB_MNEMONICS) + codec._IMM_BOUNDS.get(spec[0], (0, 0, 0))
     for mnemonic, spec in codec._ISA.items()}
 
 
@@ -230,7 +230,7 @@ def _expand(mnemonic, ops, lineage, defsym):
     if mnemonic == "li":
         if len(ops) != 2:
             raise ParseError("li expects rd, value")
-        return _expand_li(_parse_reg(ops[0]), _parse_int(ops[1], defsym), lineage), [], None
+        return _expand_li(_REG[ops[0]], _parse_int(ops[1], defsym), lineage), [], None
     if mnemonic == "call":
         if len(ops) != 1 or not _IDENT.match(ops[0]):
             raise ParseError("call expects a symbol")
@@ -240,7 +240,7 @@ def _expand(mnemonic, ops, lineage, defsym):
     if mnemonic == "la":
         if len(ops) != 2 or not _IDENT.match(ops[1]):
             raise ParseError("la expects rd, symbol")
-        rd = _parse_reg(ops[0])
+        rd = _REG[ops[0]]
         pair = [TaggedInsn(Insn("auipc", rd), None, lineage),
                 TaggedInsn(Insn("addi", rd, rd), None, lineage)]
         return pair, [Relocation("Hi20", 0, ops[1]), Relocation("Lo12I", 4, ops[1])], None
@@ -248,7 +248,7 @@ def _expand(mnemonic, ops, lineage, defsym):
     if mnemonic == "mv":
         if len(ops) != 2:
             raise ParseError("mv expects rd, rs")
-        insn = Insn("addi", _parse_reg(ops[0]), _parse_reg(ops[1]))
+        insn = Insn("addi", _REG[ops[0]], _REG[ops[1]])
     elif mnemonic == "j":
         if len(ops) != 1:
             raise ParseError("j expects a target")
@@ -257,7 +257,7 @@ def _expand(mnemonic, ops, lineage, defsym):
     elif mnemonic == "jr":
         if len(ops) != 1:
             raise ParseError("jr expects rs")
-        insn = Insn("jalr", 0, _parse_reg(ops[0]))
+        insn = Insn("jalr", 0, _REG[ops[0]])
     elif ops:  # nop, ret
         raise ParseError(f"{mnemonic} takes no operands")
     else:
@@ -307,13 +307,11 @@ class _Assembler:
         self.file_checks = []       # (filename, (.entry, lineno) or None, {undefined: lineno})
 
     # -- pass A: directive scan ------------------------------------------
-    def scan_declarations(self, lines):
-        """Fill self.declared and self.undefined; return the file's
-        (.entry symbol, line) pairs."""
+    def scan_declarations(self, directives):
+        """Fill self.declared and self.undefined from the file's (line,
+        directive text) pairs; return its (.entry symbol, line) pairs."""
         entries = []
-        for lineno, _, text in lines:
-            if not text.startswith("."):
-                continue
+        for lineno, text in directives:
             parts = text.split(None, 1)
             directive = parts[0]
             arg = parts[1].strip() if len(parts) > 1 else ""
@@ -334,9 +332,14 @@ class _Assembler:
         self.pending_calltype = None
         self.declared = {}          # name -> set of markers from directives
         self.undefined = {}         # declared name not yet defined -> its first line
-        lines = [(lineno, *_split_labels(raw))
-                 for lineno, raw in enumerate(source.splitlines(), start=1)]
-        entries = self.scan_declarations(lines)
+        lines, directives = [], []
+        for lineno, raw in enumerate(source.splitlines(), start=1):
+            # a line with no comment and no label is its statement
+            labels, text = _split_labels(raw) if "#" in raw or ":" in raw else ((), raw.strip())
+            lines.append((lineno, labels, text))
+            if text.startswith("."):
+                directives.append((lineno, text))
+        entries = self.scan_declarations(directives)
         for name, lineno in entries:  # the first .entry naming another symbol
             if name != entries[0][0]:
                 raise ParseError(f"multiple .entry symbols: {sorted({n for n, _ in entries})}",
@@ -473,13 +476,17 @@ class _Assembler:
             self.pending_calltype = None
         spec = STATEMENTS.get(mnemonic)
         if spec is not None:
-            arity, parse, encode, transfer, addsub = spec
-            if not addsub and annotations & _UNSIGNED_ANNOTATIONS:
+            arity, parse, encode, transfer, addsub, lo, hi, even = spec
+            if annotations and not addsub and annotations & _UNSIGNED_ANNOTATIONS:
                 raise ParseError(f"!unsigned/!optout do not apply to {mnemonic!r}")
             if len(ops) != arity:
                 raise ParseError(f"{mnemonic} expects {arity} operand(s), got {len(ops)}")
-            rd, rs1, rs2, imm, target = parse(ops, self.defsym)
-            encode(rd, rs1, rs2, imm)  # range errors belong here
+            try:
+                rd, rs1, rs2, imm, target = parse(ops, self.defsym)
+            except KeyError as exc:
+                raise _not_a(exc.args[0], "a register") from None
+            if not lo <= imm <= hi or imm & even:  # the encoder words the range error
+                encode(rd, rs1, rs2, imm)
             # no instruction is compressed, so none can sit at a half-word
             # target; a symbolic target has imm 0
             if transfer and imm % 4:
@@ -495,12 +502,13 @@ class _Assembler:
         if annotations & _UNSIGNED_ANNOTATIONS:
             raise ParseError("!unsigned/!optout require a bare arithmetic instruction")
         self.program.lineage_count += 1
-        insns, relocations, target = _expand(mnemonic, ops, self.program.lineage_count,
-                                             self.defsym)
-        if not relocations:  # the words of call and la are encoded at link
-            for member in insns:
-                insn = member.insn
-                codec.encode_fields(insn.mnemonic, insn.rd, insn.rs1, insn.rs2, insn.imm)
+        try:
+            insns, relocations, target = _expand(mnemonic, ops, self.program.lineage_count,
+                                                 self.defsym)
+        except KeyError as exc:
+            raise _not_a(exc.args[0], "a register") from None
+        if mnemonic == "j":  # any other expansion is in range by construction
+            codec.encode_fields("jal", 0, 0, 0, insns[0].insn.imm)
         if annotations or calltype is not None:
             for member in insns:
                 member.annotations = annotations

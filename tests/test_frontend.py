@@ -633,26 +633,33 @@ MALFORMED = [
     ("add a0, a1, q9", "'q9' is not a register"),
     ("sub a0, a1, a2, a3", "sub expects 3 operand(s), got 4"),
     ("add a0, a1,   a 2", "'a 2' is not a register"),
+    ("add q, a1, a2", "'q' is not a register"),
+    ("add a0, q, a2", "'q' is not a register"),
     # rri
     ("addi a0, a1, zz", "'zz' is not a number or defined symbol"),
     ("addi a0, a1, 4096", "addi: immediate 4096 outside [-2048, 2047]"),
     ("slli a0, a1, 64", "slli: immediate 64 outside [0, 63]"),
     ("jalr ra, t1", "jalr expects 3 operand(s), got 2"),
+    ("jalr q, t1, 0", "'q' is not a register"),
+    ("slli a0, a1, -1", "slli: immediate -1 outside [0, 63]"),
     ("addi a0, 5, a1", "'5' is not a register"),
     # ri
     ("lui a0", "lui expects 2 operand(s), got 1"),
     ("lui a0, 0x100000", "lui: immediate 1048576 outside [0, 1048575]"),
     ("auipc q, 1", "'q' is not a register"),
+    ("lui a0, -1", "lui: immediate -1 outside [0, 1048575]"),
     # jal
     ("jal ra", "jal expects 2 operand(s), got 1"),
     ("jal ra, 1x", "'1x' is not a label or byte offset"),
     ("jal ra, 3", "jal: offset 3 must be even"),
     ("jal ra, 2000000", "jal: immediate 2000000 outside [-1048576, 1048574]"),
     ("jal 5, main", "'5' is not a register"),
+    ("jal q, main", "'q' is not a register"),
     # branch
     ("beq a0, a1", "beq expects 3 operand(s), got 2"),
     ("beq a0, a1, 9bad", "'9bad' is not a label or byte offset"),
     ("beq a0, a1, 5000", "beq: immediate 5000 outside [-4096, 4094]"),
+    ("beq a0, a1, -4100", "beq: immediate -4100 outside [-4096, 4094]"),
     ("bne a0, zz, main", "'zz' is not a register"),
     ("beq q1, q2, 9x", "'q1' is not a register"),
     ("blt a0, a1, 7", "blt: offset 7 must be even"),
@@ -665,6 +672,7 @@ MALFORMED = [
     ("lw a0, 5000(sp)", "lw: immediate 5000 outside [-2048, 2047]"),
     ("ld a0", "ld expects 2 operand(s), got 1"),
     ("lw a0, FOO(sp)", "'FOO' is not a number or defined symbol"),
+    ("ld q9, 0(sp)", "'q9' is not a register"),
     ("lw a0,", "'' is not an offset(base) operand"),
     # store
     ("sd a0, (sp", "'(sp' is not an offset(base) operand"),
@@ -693,6 +701,7 @@ MALFORMED = [
     ("li q, zz", "'q' is not a register"),
     ("li a0, zz", "'zz' is not a number or defined symbol"),
     ("li a0, 0x100000000", "li: 0x100000000 does not fit 32 signed bits"),
+    ("li a0, -0x80000001", "li: -0x80000001 does not fit 32 signed bits"),
     ("mv a0", "mv expects rd, rs"),
     ("mv a0, 5", "'5' is not a register"),
     ("jr", "jr expects rs"),
@@ -885,6 +894,32 @@ def test_assembly_fuzz_gives_program_or_build_error(tmp_path, capsys):
     assert {None, emulator.PolicyViolation} <= runs, sorted(seen, key=str)
 
 
+# sha256 over the outcome of each mutant below, computed with the assembler
+# that encoded every statement's word as it parsed it: 214 mutants assemble,
+# 980 raise ParseError and 6 UndefinedSymbol.
+FUZZ_OUTCOME_DIGEST = "a2a68532ceda751614de0215fcccbcc321fa9a38bbab2414be0d4ef7d0aac19e"
+
+
+def test_fuzz_mutant_assembly_is_pinned():
+    """Each fuzz mutant's Program record, or its error's type and message."""
+    import random
+
+    from rvtag.corpus import generate_corpus
+    from rvtag.errors import BuildError
+
+    sources = generate_corpus(11, 20)
+    mutants = [*_fuzz_mutants(random.Random(8), sources, 1000),
+               *_parseable_mutants(random.Random(9), sources, PARSEABLE_MUTANTS)]
+    digest = hashlib.sha256()
+    for text in mutants:
+        try:
+            record = _assembly_record(assemble(text, filename="m.s"))
+        except BuildError as exc:
+            record = f"{type(exc).__name__}: {exc}".encode()
+        digest.update(record)
+    assert digest.hexdigest() == FUZZ_OUTCOME_DIGEST
+
+
 def test_parseable_assembly_fuzz_reaches_the_linker_and_the_emulator(tmp_path, capsys):
     """_build_and_run_mutants over mutants that keep their lines parseable:
     at least a third of them assemble, so the link, run and CLI checks see
@@ -900,3 +935,18 @@ def test_parseable_assembly_fuzz_reaches_the_linker_and_the_emulator(tmp_path, c
     runs = {ran for _, built, ran in seen if built is None}
     assert {None, emulator.PolicyViolation, emulator.LimitExceeded,
             emulator.BadInstruction} <= runs, sorted(seen, key=str)
+
+
+def test_assembly_scales_linearly_with_unit_size():
+    # the bench's large unit at 1200 functions, about 23k lines
+    import random
+    import time
+
+    from test_emulator import _bench_workloads
+
+    source, _ = _bench_workloads().large_unit(random.Random(1), 1200)
+    start = time.perf_counter()
+    program = assemble(source)
+    elapsed = time.perf_counter() - start
+    assert len(program.fragments) > 1200
+    assert elapsed < 2.0, f"{elapsed:.2f} s for {len(source.splitlines())} lines"
