@@ -225,7 +225,7 @@ def _sext(value: int, bits: int) -> int:
 def hi_lo(value: int) -> tuple:
     """Split `value` into a U-type field and the signed 12-bit immediate that
     lui/auipc + addi add back: (hi << 12) + lo == value modulo 2**32."""
-    return ((value + 0x800) >> 12) & 0xFFFFF, _sext(value, 12)
+    return ((value + 0x800) >> 12) & 0xFFFFF, ((value + 0x800) & 0xFFF) - 0x800
 
 
 class BadEncoding(BuildError):

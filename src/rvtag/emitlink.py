@@ -36,7 +36,7 @@ layout; nothing follows the table.  The flags agree with the table: bit0
 is set if there is a region, and bit1 is clear if a region's carrier is not
 backward compatible.  A tagged unit whose fragments are all empty has bit0
 set and no regions.
-tagplan.carrier_groups turns the table into carrier groups, and
+tagplan.region_spans turns the table into one span per region, and
 tagplan.slot_tags reads their carriers into the slot schedule that
 scan_labels and the emulator share.  The image stores no label list: a
 label is a lui x0 word, so scan_labels reads the labels from the words.
@@ -127,20 +127,21 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
     their sites' final addresses into one offset -> immediate map, so their
     errors come first.  Then the fragment goes out group by group: a carrier
     packing the next `coverage` tags (None means config.default_tag; a short
-    last group pads with it), then those words, each encoded once from its
-    final immediate.  An untagged link takes the same path with the identity
-    offset map and no carriers.  `program` is not modified.
+    last group pads with it; each distinct group is packed once per call),
+    then those words, each encoded once from its final immediate.  An
+    untagged link takes the same path with the identity offset map and no
+    carriers.  `program` is not modified.
     """
     if tagged and config is None:
         raise BuildError("link needs a TagConfig to emit tags")
     if tagged:
         coverage = config.coverage
-        at = functools.partial(tagplan.insn_address, coverage=coverage)
-        land = functools.partial(tagplan.landing_offset, coverage=coverage)
+        at = tagplan.placement(coverage)
         size = functools.partial(tagplan.tagged_size, coverage=coverage)
         pack = codec.tag_packer(config.carrier, coverage)
+        packed = {}  # each distinct group's tags -> its carrier word, for this call only
     else:  # the identity offset map: no carriers
-        at = land = lambda offset: offset
+        at = lambda offset, landing=False: offset
         size = lambda count: tagplan.INSN_SIZE * count
 
     # A fragment's symbol is its base: landing_offset(0) == 0, the first carrier.
@@ -166,25 +167,24 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
         # Every relocated word's final immediate, by its untagged offset.
         # HI/LO pairs resolve jointly, enforcing the interposition window.
         imms = {}
-        pairs = {}
+        his, los = {}, {}
         for reloc in fragment.relocations:
             if reloc.kind in ("Hi20", "Lo12I"):
                 if reloc.pair_id is None:
                     raise BuildError(f"{reloc.kind} relocation without pair id")
-                pairs.setdefault(reloc.pair_id, {})[reloc.kind] = reloc
-        for pair_id, sides in sorted(pairs.items()):
-            if set(sides) != {"Hi20", "Lo12I"}:
+                (his if reloc.kind == "Hi20" else los)[reloc.pair_id] = reloc
+        for pair_id in sorted(his.keys() | los.keys()):
+            hi, lo = his.get(pair_id), los.get(pair_id)
+            if hi is None or lo is None:
                 raise BuildError(f"incomplete HI/LO pair {pair_id}")
-            hi, lo = sides["Hi20"], sides["Lo12I"]
-            gap = (at(lo.offset) - at(hi.offset)) // 4 - 1
+            gap = (at(lo.offset) - (site := at(hi.offset))) // 4 - 1
             if gap < 0:
                 raise BuildError(f"HI/LO pair {pair_id} out of order")
             if gap > MAX_PAIR_GAP:
                 raise PairTooFar(
                     f"{fragment.name!r}: {gap} words between HI and LO "
                     f"(limit {MAX_PAIR_GAP})")
-            delta = symbols[hi.target] - (base + at(hi.offset))
-            imms[hi.offset], imms[lo.offset] = codec.hi_lo(delta)
+            imms[hi.offset], imms[lo.offset] = codec.hi_lo(symbols[hi.target] - base - site)
 
         for reloc in fragment.relocations:
             if reloc.kind not in ("Branch", "Jal"):
@@ -203,20 +203,24 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             default = config.default_tag
             tags = [default if slot.tag is None else slot.tag for slot in insns]
             tags += [default] * (-len(insns) % coverage)
+            groups = list(zip(*[iter(tags)] * coverage))
             regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),
                                      coverage=coverage, carrier=config.carrier))
         words = []
         try:
             for index, slot in enumerate(insns):
                 if tagged and not index % coverage:
-                    words.append(pack(tags[index:index + coverage]))
+                    group = groups[index // coverage]
+                    if group not in packed:
+                        packed[group] = pack(group)
+                    words.append(packed[group])
                 insn = slot.insn
                 site = 4 * index
                 imm = imms.get(site)
                 if imm is None:
                     imm = insn.imm
                     if insn.mnemonic in codec.TRANSFER_MNEMONICS:
-                        imm = land(site + imm) - at(site)
+                        imm = at(site + imm, True) - at(site)
                 words.append(encoders[insn.mnemonic](insn.rd, insn.rs1, insn.rs2, imm))
         except codec.OperandRange as exc:
             raise RelocOutOfRange(
@@ -304,13 +308,14 @@ class _Reader:
         self.blob = blob
         self.pos = 0
 
-    def take(self, fmt: struct.Struct):
-        end = self.pos + fmt.size
-        if end > len(self.blob):
+    def skip(self, size: int) -> int:  # -> where the skipped bytes start
+        start, self.pos = self.pos, self.pos + size
+        if self.pos > len(self.blob):
             raise FormatError("truncated image file")
-        values = fmt.unpack_from(self.blob, self.pos)
-        self.pos = end
-        return values
+        return start
+
+    def take(self, fmt: struct.Struct):
+        return fmt.unpack_from(self.blob, self.skip(fmt.size))
 
     def segment(self, name, base, end) -> bytes:
         """A segment's bytes, after checking its header puts it in [base, end)."""
@@ -319,7 +324,7 @@ class _Reader:
         if start != base or start + length > end:
             raise FormatError(f"{name} of {length} bytes at {start:#x} is outside "
                               f"[{base:#x}, {end:#x}) of the memory map")
-        return self.take(struct.Struct(f"{length}s"))[0]
+        return self.blob[self.skip(length):self.pos]
 
 
 def read_image(path) -> Image:
@@ -393,7 +398,7 @@ def scan_labels(image: Image) -> tuple:
     if not kinds:
         return ()
     text = image.text
-    tags = tagplan.slot_tags(text, tagplan.carrier_groups(image.tag_regions, image.text_end))
+    tags = tagplan.slot_tags(text, image.tag_regions, image.text_end)
     found = []
     for addr, tag in tags.items():  # a label is a lui x0 word
         if tag in kinds and _U32.unpack_from(text, addr - TEXT_BASE)[0] & 0xFFF == codec.OP_LUI:

@@ -15,8 +15,8 @@ every mode: a program store to it is a MemFault, and only a CL label's
 write-back changes a word of it, the label's payload, the one record of how
 often the label ran.  The slot schedule is resolved once, at load, into a
 pc -> tag dict where None marks a carrier: tagplan.slot_tags reads it in
-aware mode, and compat mode marks only the carriers of
-tagplan.carrier_groups.  Code runs as basic blocks of at most _BLOCK_WORDS
+aware mode, and compat mode marks only the carriers, one range per
+tagplan.region_spans span.  Code runs as basic blocks of at most _BLOCK_WORDS
 words, translated on entry and cached by entry pc once entered twice, a
 loop's block from its first translation: closures with their operands bound,
 constant counts, and one terminator that returns the next pc.  The cap keeps
@@ -73,6 +73,7 @@ import struct
 import sys
 import types
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import codec, tagplan
 from .emitlink import Image
@@ -620,12 +621,12 @@ class Emulator:
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
         self._trace = None  # while one is open, its blocks' entries in the order run
         self._words = 0  # the words of every region compiled so far
-        # the pc -> tag schedule, None at a carrier: compat mode reads no
-        # carrier word, and marks only where the carriers are; a malformed
-        # one raises NotACarrier in aware mode
-        groups = tagplan.carrier_groups(image.tag_regions, image.text_end)
-        self._tags = (tagplan.slot_tags(self.memory.text, groups) if mode == "aware"
-                      else dict.fromkeys(carrier for _, carrier, _ in groups))
+        # the pc -> tag schedule, None at a carrier: compat mode reads no carrier
+        # word; a malformed one raises NotACarrier in aware mode
+        spans = tagplan.region_spans(image.tag_regions, image.text_end)
+        self._tags = (tagplan.slot_tags(self.memory.text, image.tag_regions, image.text_end)
+                      if mode == "aware" else dict.fromkeys(chain.from_iterable(
+                          range(region.start, bound, stride) for region, stride, bound in spans)))
 
     # -- translation ---------------------------------------------------------------
     def _translate(self, entry: int, limit: int = -1) -> tuple:

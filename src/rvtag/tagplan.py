@@ -4,16 +4,19 @@ every word the linker emits, and the one slot schedule of a linked image.
 A carrier word precedes each group of `coverage` instructions.  For an offset
 o in the untagged layout, remap_offset(o) = o + 4*floor(o / 4N): offsets at a
 group boundary map to that group's carrier slot, and the instruction word
-itself always sits one word past remap_offset.  In a linked image,
-carrier_groups() is the single walker over the carrier groups, and
-slot_tags() the single reader of their carrier words, which label scanning
-and the emulator's pc -> tag table both call.  EFFECTS names the tags that
+itself always sits one word past remap_offset.  placement(N) states that rule
+once, as one call per offset.  In a linked image, region_spans() clips each
+region once, carrier_groups() walks its groups, and slot_tags(), the one
+reader of carrier words, reads a region's carriers in one strided slice and
+decodes each distinct word once per call.  EFFECTS names the tags that
 policies act on.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .codec import COVERAGE_VALUES, TAG_BITS, NotACarrier, TagCarrier, tag_reader
 from .errors import BuildError
@@ -201,32 +204,35 @@ def load_config(path) -> TagConfig:
 # ---------------------------------------------------------------------------
 # Offset arithmetic
 
-def remap_offset(offset: int, coverage: int) -> int:
-    """Map an untagged fragment offset into the carrier-interleaved layout.
+def placement(coverage: int):
+    """place(offset, landing=False), one call: where the instruction word at
+    untagged `offset` sits, or with `landing`, where a transfer to it lands.
+    A group boundary lands on its carrier, so its tags are fetched on entry."""
+    group = INSN_SIZE * coverage
 
-    Group-boundary offsets land on the carrier slot for their group; the
-    instruction originally at `offset` always sits at remap_offset + 4.
-    """
-    if offset % INSN_SIZE:
-        raise Misaligned(f"offset {offset} is not a multiple of {INSN_SIZE}")
-    return offset + INSN_SIZE * (offset // (INSN_SIZE * coverage))
+    def place(offset: int, landing: bool = False) -> int:
+        if offset % INSN_SIZE:
+            raise Misaligned(f"offset {offset} is not a multiple of {INSN_SIZE}")
+        # past each carrier up to its own group's; a boundary landing stops on it
+        return offset + INSN_SIZE * (offset // group + (not landing or offset % group != 0))
+    return place
+
+
+def remap_offset(offset: int, coverage: int) -> int:
+    """Map an untagged fragment offset into the carrier-interleaved layout:
+    a group boundary maps to its group's carrier slot, and the instruction
+    at `offset` always sits at remap_offset + 4."""
+    return placement(coverage)(offset) - INSN_SIZE
 
 
 def insn_address(offset: int, coverage: int) -> int:
     """Tagged-layout address of the instruction word at untagged `offset`."""
-    return remap_offset(offset, coverage) + INSN_SIZE
+    return placement(coverage)(offset)
 
 
 def landing_offset(offset: int, coverage: int) -> int:
-    """Where control transfers targeting untagged `offset` should land.
-
-    Group boundaries land on the carrier so the whole group's tags are
-    fetched on entry; interior targets land on the instruction itself.
-    """
-    remapped = remap_offset(offset, coverage)
-    if offset % (INSN_SIZE * coverage) == 0:
-        return remapped
-    return remapped + INSN_SIZE
+    """Where control transfers targeting untagged `offset` should land."""
+    return placement(coverage)(offset, landing=True)
 
 
 def tagged_size(fragment_insn_count: int, coverage: int) -> int:
@@ -238,42 +244,44 @@ def tagged_size(fragment_insn_count: int, coverage: int) -> int:
 # ---------------------------------------------------------------------------
 # Slot schedule of a linked image
 
+def region_spans(regions, text_end: int):
+    """Yield (region, stride, bound) for every region: its groups of stride
+    bytes from region.start to bound, clipped to the next region and text_end."""
+    for region, end in zip(regions, [r.start for r in regions[1:]] + [text_end]):
+        stride = INSN_SIZE * (region.coverage + 1)
+        yield region, stride, min(region.start + stride * region.group_count, end, text_end)
+
+
 def carrier_groups(regions, text_end: int):
     """Yield (region, carrier_addr, group_end) for every carrier group.
 
     The carrier word at carrier_addr tags the instruction words in
-    (carrier_addr, group_end), slot i at carrier_addr + 4*(i+1).  A region
-    spans group_count groups of coverage+1 words, clipped to the next
-    region's start and to text_end.
+    (carrier_addr, group_end), slot i at carrier_addr + 4*(i+1).
     """
-    for i, region in enumerate(regions):
-        stride = INSN_SIZE * (region.coverage + 1)
-        bound = min(region.start + stride * region.group_count, text_end)
-        if i + 1 < len(regions):
-            bound = min(bound, regions[i + 1].start)
+    for region, stride, bound in region_spans(regions, text_end):
         for carrier_addr in range(region.start, bound, stride):
             yield region, carrier_addr, min(carrier_addr + stride, bound)
 
 
-def slot_tags(text, groups) -> dict:
-    """pc -> tag of every slot of `groups` (from carrier_groups), with None
-    at each carrier, read from `text`, the bytes of text at TEXT_BASE.  This
-    is the one reader of carrier words.
-
-    Raises NotACarrier, naming its slot, for a carrier word that does not
-    fit its region's layout.
-    """
+def slot_tags(text, regions, text_end: int) -> dict:
+    """pc -> tag of every slot of carrier_groups(regions, text_end), None at
+    each carrier, read little-endian from `text`, the bytes at TEXT_BASE.
+    Raises NotACarrier, naming its slot, for the first carrier word that
+    does not fit its region's layout."""
     tags = {}
-    region = None
-    for group_region, carrier_addr, group_end in groups:
-        if group_region is not region:
-            region = group_region
-            read = tag_reader(region.carrier, region.coverage)
-        offset = carrier_addr - TEXT_BASE
-        try:
-            values = read(int.from_bytes(text[offset:offset + INSN_SIZE], "little"))
-        except NotACarrier as exc:
-            raise NotACarrier(f"tag slot {carrier_addr:#x}: {exc}") from None
-        tags[carrier_addr] = None
-        tags.update(zip(range(carrier_addr + INSN_SIZE, group_end, INSN_SIZE), values))
+    rows = {}  # per layout: carrier word -> (None, *its tags), for this call only
+    for region, stride, bound in region_spans(regions, text_end):
+        read = tag_reader(region.carrier, region.coverage)
+        view = memoryview(text)[region.start - TEXT_BASE:bound - TEXT_BASE]
+        carriers = view.cast("I")[::stride // INSN_SIZE]
+        words = struct.unpack(f"<{len(carriers)}I", carriers.tobytes())
+        known = rows.setdefault(read, {})
+        for word in [word for word in dict.fromkeys(words) if word not in known]:
+            try:  # the new distinct words in slot order, so the first bad one raises
+                known[word] = (None, *read(word))
+            except NotACarrier as exc:
+                slot = region.start + stride * words.index(word)
+                raise NotACarrier(f"tag slot {slot:#x}: {exc}") from None
+        tags.update(zip(range(region.start, bound, INSN_SIZE),
+                        chain.from_iterable(map(known.__getitem__, words))))
     return tags

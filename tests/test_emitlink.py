@@ -6,6 +6,7 @@ import os
 import pytest
 
 from rvtag import codec
+from rvtag.codec import PackOverflow
 from rvtag.emitlink import (
     DATA_BASE,
     STACK_SIZE,
@@ -29,6 +30,7 @@ from rvtag.pipeline import apply_policy, assemble_sources, build_image
 from rvtag.tagplan import (
     POLICIES,
     ConfigError,
+    Misaligned,
     carrier_groups,
     insn_address,
     landing_offset,
@@ -348,6 +350,77 @@ def test_relocation_errors_come_before_encoding_errors():
         UndefinedSymbol, "'main' references undefined symbol 'nowhere'")
 
 
+PAIRS = ("main:\n    call f\n    la a0, buf\n    ecall\n"
+         ".globl f\nf:\n    ret\n.data\nbuf:\n    .zero 8\n")
+
+
+def _with_relocations(edit):
+    """PAIRS assembled, main's relocations [Hi20 1, Lo12I 1, Hi20 2, Lo12I 2]
+    passed through `edit`."""
+    program = assemble(PAIRS)
+    main = program.fragments[0]
+    assert [(r.kind, r.pair_id) for r in main.relocations] == [
+        ("Hi20", 1), ("Lo12I", 1), ("Hi20", 2), ("Lo12I", 2)]
+    main.relocations = edit(main.relocations)
+    return program
+
+
+def _moved(reloc, **changes):
+    return dataclasses.replace(reloc, **changes)
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda r: [_moved(r[0], pair_id=None), *r[1:]],
+     BuildError, "Hi20 relocation without pair id"),
+    (lambda r: [*r[:3], _moved(r[3], pair_id=None)],
+     BuildError, "Lo12I relocation without pair id"),
+    (lambda r: [r[0], *r[2:]], BuildError, "incomplete HI/LO pair 1"),
+    (lambda r: r[1:], BuildError, "incomplete HI/LO pair 1"),
+    (lambda r: r[:3], BuildError, "incomplete HI/LO pair 2"),
+    (lambda r: [*r[:2], _moved(r[2], offset=12), _moved(r[3], offset=8)],
+     BuildError, "HI/LO pair 2 out of order"),
+    # pair errors come by pair id, whatever the order of the list
+    (lambda r: [_moved(r[2], offset=12), _moved(r[3], offset=8), r[1]],
+     BuildError, "incomplete HI/LO pair 1"),
+    (lambda r: [_moved(r[3], offset=0), _moved(r[2], offset=4),
+                _moved(r[1], offset=8), _moved(r[0], offset=12)],
+     BuildError, "HI/LO pair 1 out of order"),
+    # and after every undefined symbol of the fragment
+    (lambda r: [r[0], r[2], _moved(r[3], target="nowhere")],
+     UndefinedSymbol, "'main' references undefined symbol 'nowhere'"),
+])
+def test_link_rejects_malformed_hi_lo_pairs(edit, error, message):
+    for tagged in (False, True):
+        with pytest.raises(BuildError) as info:
+            link(_with_relocations(edit), N3, tagged=tagged)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_link_rejects_a_misaligned_relocation_offset_when_tagged():
+    # the Lo12I site maps first, so its offset is the one named
+    program = _with_relocations(lambda r: [_moved(r[0], offset=2), _moved(r[1], offset=6),
+                                           *r[2:]])
+    with pytest.raises(Misaligned, match="offset 6 is not a multiple of 4"):
+        link(program, N3)
+    program = _with_relocations(lambda r: [*r[:3], _moved(r[3], offset=14)])
+    with pytest.raises(Misaligned, match="offset 14 is not a multiple of 4"):
+        link(program, N3)
+
+
+def test_link_rejects_an_oversize_tag_after_groups_that_packed():
+    # f's three groups and g's first carry the same tags; g's second does not fit
+    program = assemble("f:\n" + "    addi a0, a0, 1\n" * 9
+                       + ".globl g\ng:\n" + "    addi a1, a1, 1\n" * 6)
+    program.fragments[1].insns[4].tag = 64
+    with pytest.raises(PackOverflow, match="tag value 64 exceeds 6 bits"):
+        link(program, N3)
+    program.fragments[1].insns[4].tag = 63
+    words = words_of(link(program, N3))
+    pack = codec.tag_packer(N3.carrier, 3)
+    assert words[0:12:4] == [pack((0, 0, 0))] * 3
+    assert words[12:20:4] == [pack((0, 0, 0)), pack((0, 63, 0))]
+
+
 def test_placement_law_every_instruction():
     """Exhaustive placement check: instruction at untagged offset o sits at
     remap(o) + 4; carriers sit at the slot addresses."""
@@ -389,6 +462,20 @@ def test_image_round_trip_untagged(tmp_path):
     assert again == image
     assert again.tag_regions == ()
     assert again.policy == "none"
+
+
+def test_every_truncated_image_is_reported_as_truncated(tmp_path):
+    # cuts inside the header, a segment's bytes and the region table alike
+    image = build_image(ASM_EX + ".data\nbuf:\n    .zero 8\n", N3, tagged=True)
+    path = tmp_path / "x.rvti"
+    write_image(image, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match="^truncated image file$"):
+            read_image(path)
+    path.write_bytes(blob)
+    assert read_image(path) == image
 
 
 def test_image_format_errors(tmp_path):

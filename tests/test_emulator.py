@@ -226,6 +226,23 @@ def test_aware_rejects_malformed_carrier_at_load():
     assert state.stop_reason == "exit"
 
 
+def test_the_first_malformed_carrier_is_named_after_valid_copies_of_its_neighbour():
+    # 17 instructions in 6 groups, every carrier the all-N word; the fourth and
+    # sixth carriers become the same addi word
+    source = "main:\n" + "    addi a0, a0, 1\n" * 15 + "    li a7, 93\n    ecall\n"
+    image = build_image(source, N3, tagged=True)
+    assert image.tag_regions[0].group_count == 6
+    text = bytearray(image.text)
+    for group in (3, 5):
+        text[16 * group:16 * group + 4] = codec.encode(Insn("addi", rd=1)).to_bytes(4, "little")
+    bad = dataclasses.replace(image, text=bytes(text))
+    first = image.text_base + 16 * 3
+    with pytest.raises(codec.NotACarrier, match=f"tag slot {first:#x}: "):
+        tagplan.slot_tags(bad.text, bad.tag_regions, bad.text_end)
+    with pytest.raises(codec.NotACarrier, match=f"tag slot {first:#x}: "):
+        Emulator(bad, mode="aware")
+
+
 def test_limit_exceeded():
     image = build_image("main:\n    j main\n", N3, tagged=False)
     with pytest.raises(LimitExceeded):
@@ -1154,7 +1171,7 @@ def _edges_taken(image, trace, fetches):
     trace: each BCF site that ran, in the order it first ran, with its edges
     in the order first taken.  An edge is the pc fetched next, or the site
     itself once it halts."""
-    tags = tagplan.slot_tags(image.text, tagplan.carrier_groups(image.tag_regions, image.text_end))
+    tags = tagplan.slot_tags(image.text, image.tag_regions, image.text_end)
     bcf = {}
     for pc, to in zip(trace[:fetches], trace[1:fetches + 1]):
         if tagplan.EFFECTS["coverage"].get(tags.get(pc)) == "BCF":

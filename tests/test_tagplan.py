@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvtag.codec import TagCarrier
-from rvtag.emitlink import TagRegion
+from rvtag.codec import TagCarrier, tag_packer, tag_reader
+from rvtag.emitlink import Image, TagRegion
+from rvtag.emulator import Emulator
 from rvtag.tagplan import (
     ConfigError,
     Misaligned,
@@ -16,7 +17,9 @@ from rvtag.tagplan import (
     landing_offset,
     loads_config,
     make_config,
+    TEXT_BASE,
     remap_offset,
+    slot_tags,
     tagged_size,
 )
 
@@ -215,6 +218,35 @@ def test_carrier_groups_clip_to_next_region_and_text_end():
         (regions[1], 0x114, 0x120),
     ]
     assert list(carrier_groups((), 0x120)) == []
+
+
+def test_slot_tags_of_mixed_clipped_regions_match_the_group_walk():
+    # The regions above as a real image: the second group of the first region
+    # is a bare carrier, and one carrier word sits in both regions, where it
+    # reads as (5, 0, 0) at coverage 3 and as (1, 1, 0, ...) at coverage 7.
+    lui, nop = TagCarrier.LUI_NOP, 0x00000013
+    shared = tag_packer(lui, 3)((5, 0, 0))
+    words = (tag_packer(lui, 3)((1, 2, 3)), nop, nop, nop, shared, shared, nop, nop)
+    image = Image(text=b"".join(word.to_bytes(4, "little") for word in words), data=b"",
+                  entry=TEXT_BASE, policy="none",
+                  tag_regions=(TagRegion(TEXT_BASE, 3, 3, lui),
+                               TagRegion(TEXT_BASE + 0x14, 2, 7, lui)))
+    groups = list(carrier_groups(image.tag_regions, image.text_end))
+    assert [(addr - TEXT_BASE, end - TEXT_BASE) for _, addr, end in groups] == [
+        (0x0, 0x10), (0x10, 0x14), (0x14, 0x20)]
+    reference = {}
+    for region, carrier_addr, group_end in groups:
+        offset = carrier_addr - TEXT_BASE
+        word = int.from_bytes(image.text[offset:offset + 4], "little")
+        reference[carrier_addr] = None
+        reference.update(zip(range(carrier_addr + 4, group_end, 4),
+                             tag_reader(region.carrier, region.coverage)(word)))
+    tags = slot_tags(image.text, image.tag_regions, image.text_end)
+    assert list(tags.items()) == list(reference.items())
+    assert list(tags.values()) == [None, 1, 2, 3, None, None, 1, 1]
+    assert Emulator(image, mode="aware")._tags == tags
+    compat = Emulator(image, mode="compat")._tags
+    assert list(compat.items()) == [(carrier_addr, None) for _, carrier_addr, _ in groups]
 
 
 def test_config_file_round_trip(tmp_path):
