@@ -204,7 +204,7 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
             tags = [default if slot.tag is None else slot.tag for slot in insns]
             tags += [default] * (-len(insns) % coverage)
             groups = list(zip(*[iter(tags)] * coverage))
-            regions.append(TagRegion(start=base, group_count=-(-len(insns) // coverage),
+            regions.append(TagRegion(start=base, group_count=len(groups),
                                      coverage=coverage, carrier=config.carrier))
         words = []
         try:
