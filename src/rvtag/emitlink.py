@@ -4,9 +4,10 @@ tagplan's offset arithmetic is the one placement rule.  With a carrier
 ahead of each group of N instructions, the instruction at untagged fragment
 offset o sits at base + insn_address(o), a control transfer to o lands on
 base + landing_offset(o) (a group boundary lands on its carrier), and a
-fragment takes tagged_size bytes.  Fragments are 16-byte aligned with zero
-fill between them.  HI/LO relocation pairs resolve correctly with up to
-MAX_PAIR_GAP words (carriers and labels) between the two instructions.
+fragment of n instructions takes tagged_size = landing_offset(4n) bytes.
+Fragments are 16-byte aligned with zero fill between them.  HI/LO relocation
+pairs resolve correctly with up to MAX_PAIR_GAP words (carriers and labels)
+between the two instructions.
 link resolves a fragment's relocations first, then writes it group by group.
 
 The memory map is tagplan's, with three disjoint segments: text in [TEXT_BASE,
@@ -44,7 +45,6 @@ label is a lui x0 word, so scan_labels reads the labels from the words.
 
 from __future__ import annotations
 
-import functools
 import os
 import stat
 import struct
@@ -137,19 +137,19 @@ def link(program: Program, config: TagConfig | None = None, *, tagged: bool = Tr
     if tagged:
         coverage = config.coverage
         at = tagplan.placement(coverage)
-        size = functools.partial(tagplan.tagged_size, coverage=coverage)
         pack = codec.tag_packer(config.carrier, coverage)
         packed = {}  # each distinct group's tags -> its carrier word, for this call only
     else:  # the identity offset map: no carriers
         at = lambda offset, landing=False: offset
-        size = lambda count: tagplan.INSN_SIZE * count
 
     # A fragment's symbol is its base: landing_offset(0) == 0, the first carrier.
+    # Its size is where a transfer to its end would land.
     symbols = {}
     cursor = TEXT_BASE
     for fragment in program.fragments:
         symbols[fragment.name] = cursor
-        cursor = _align(cursor + size(len(fragment.insns)), FUNCTION_ALIGN)
+        cursor = _align(cursor + at(tagplan.INSN_SIZE * len(fragment.insns), True),
+                        FUNCTION_ALIGN)
     for name, offset in program.data_symbols.items():
         symbols[name] = DATA_BASE + offset
 

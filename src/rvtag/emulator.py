@@ -26,12 +26,13 @@ that fits.  Aware-mode carriers and x0 no-ops cost nothing, and each policy
 check is an op or a checked form of its word, made at translation.  A load
 to x0 writes nothing but still faults.
 
-Hot blocks get a second tier, one generated region.  Every _SAMPLE_FETCHES
+Hot blocks get a second tier, generated regions.  Every _SAMPLE_FETCHES
 fetches, the block that crosses the mark is sampled, and a cached block
-joins the region with the path the run takes from it, which it traces from
-its second sample until the path closes.  The machine's last _REGION_BLOCKS
-such blocks run as the branches of one Python function: a loop that
-dispatches on pc, runs the member's body with every op, check and terminator
+joins the open region with the path the run takes from it, which it traces
+from its second sample until the path closes.  Up to _REGION_BLOCKS such
+blocks, in the order they ran, run as the branches of one Python function: a
+loop that tests each member's entry in turn, so that a member falls through
+to the next, runs the member's body with every op, check and terminator
 inlined and operands as literals, and adds its constant counts.  A region's
 registers are locals, loaded on entry and stored in its finally, also past a
 fault.  Each body is folded on what its member fixes: an immediate of 0
@@ -45,15 +46,16 @@ the one access that reads text, and at exit.  A member's entry leads the run
 loop into the region, which runs to the fetch budget: it returns at a pc
 outside it, after a member that halts, or before a member that would cross
 the budget.  The run loop then runs that block as it runs any other, and
-samples it if the region ran past the mark.  A block that the region
-evicted, or whose region the budget refused, runs cold.  Regions are charged
-by the words they compile, at most one per 64 fetched, so that compiling
-long blocks cannot take over a run, and a machine keeps each region it
-makes, as a loop wider than a region makes the same ones over and over.  One
-handler counts what ran of the block or member that faults, in either tier.
-Generated source is kept by its shape, the forms and integers it is built
-from, and compiled once per process, so a new machine pays only to bind its
-own objects to the cached code.
+samples it if the region ran past the mark.  A trace that would take the
+open region past _REGION_BLOCKS leaves it as it is and opens the next, so a
+full region is never remade, a block is a member of one live region at most,
+and a loop wider than a region runs in a few.  A block whose region the
+budget refused runs cold.  Regions are charged by the words they compile, at
+most one per 64 fetched, so that compiling long blocks cannot take over a
+run.  One handler counts what ran of the block or member that faults, in
+either tier.  Generated source is kept by its shape, the forms and integers
+it is built from, and compiled once per process, so a new machine pays only
+to bind its own objects to the cached code.
 
 Every instruction and every policy check has one body in _BODIES, which
 builds every tier and names registers only as a, b and dest, and one
@@ -505,7 +507,7 @@ def _fold(words, indices, *counts) -> None:
 
 _GLOBALS = {"__builtins__": {}}  # of every region: it reads no global
 _GENERATED = {}  # the shape of a region -> (its code, where its defaults are)
-_GENERATED_KEPT = 512  # the most shapes a process keeps, and regions a machine keeps
+_GENERATED_KEPT = 512  # the most shapes a process keeps
 
 
 def _shape(ops, first: dict) -> tuple:
@@ -519,27 +521,28 @@ def _shape(ops, first: dict) -> tuple:
 
 
 def _region(members: list, at: list):
-    """One function that runs blocks as branches of one loop: region(regs,
-    pc, left) runs from pc while it is a member's entry and the member fits
-    in `left` fetches.  Each member is (entry, block), a block as
+    """One function that runs blocks as branches of one loop: region(regs, pc,
+    left) runs from pc while it is a member's entry and the member fits in
+    `left` fetches.  Each member is (entry, block), a block as
     Emulator._translate makes it, and its branch is _lines' body of the
     block, with its return an assignment to pc, and its counts taken from
     left and added to retired and labels.  A body is folded on what its own
     block fixes, never on another member's, as a member may be entered from
-    any of them or from the run loop.  The region stops at any other pc,
-    and after a member that halts, at its halting word.  It leaves (pc, left,
-    retired, labels) in `at`, also past a fault, which then leaves the entry
-    of the member it faulted in.  Each register the members name is a local,
-    r<N>, loaded in one line before the loop and stored in one line of the
-    finally.  At a BCF site that never halts, a call adds the first take of
-    each edge to the site's edge dict, in the order taken, and counts the
-    repeats of the first edge in the site's locals, which it folds into the
-    dict when it stops, also past a fault.  A CL label counts in c_<index>,
-    which a call to fold adds to text before each load's miss, and the
-    finally when it stops.  Equal shapes make equal source, folds included,
-    so each shape is compiled once per process, and a region of a known
-    shape is its code with each default after at and fold taken from the
-    same operand of the same op."""
+    any of them or from the run loop.  Each pass tests the members' entries
+    in order, so a member falls through to the next if it leads there, and
+    the region stops at any other pc, and after a member that halts, at its
+    halting word.  It leaves (pc, left, retired, labels) in `at`, also past
+    a fault, which then leaves the entry of the member it faulted in.  Each
+    register the members name is a local, r<N>, loaded in one line before
+    the loop and stored in one line of the finally.  At a BCF site that
+    never halts, a call adds the first take of each edge to the site's edge
+    dict, in the order taken, and counts the repeats of the first edge in
+    the site's locals, which it folds into the dict when it stops, also past
+    a fault.  A CL label counts in c_<index>, which a call to fold adds to
+    text before each load's miss, and the finally when it stops.  Equal
+    shapes make equal source, folds included, so each shape is compiled once
+    per process, and a region of a known shape is its code with each default
+    after at and fold taken from the same operand of the same op."""
     ops = [op for _, block in members for op in (*block[0], block[4])]
     first = {}
     shape = (_shape(ops, first), *[(entry, len(block[0]), *block[1:4], block[5])
@@ -553,7 +556,7 @@ def _region(members: list, at: list):
         held = [", ".join(f"r{n}" for n in named), ", ".join(f"regs[{n}]" for n in named)]
         counts = [f"c_{index}" for index in counted]
         fold = [f"fold(words, {counted}, {', '.join(counts)})", " = ".join([*counts, "0"])]
-        for k, (entry, (block_ops, fetches, retired, labels, term, end)) in enumerate(members):
+        for entry, (block_ops, fetches, retired, labels, term, end) in members:
             body = _lines(block_ops, term, defaults, counted and fold)
             body[-1] = "pc = " + body[-1].removeprefix("return ")
             form = _FORMS[term.__code__]
@@ -566,14 +569,15 @@ def _region(members: list, at: list):
             body += [f"labels += {labels}"] * (labels > 0)
             if "state.halted" in _BODIES[form]:  # its pc is None once halted
                 body += ["if pc is None:", f"    pc = {end - 4}", "    break"]
-            lines += [f"        {'el' * (k > 0)}if pc == {entry}:",
+            lines += [f"        if pc == {entry}:",
                       f"            if left < {fetches}:", "                break"]
             lines += [f"            {line}" for line in body]
         sites = dict.fromkeys(sites)
         lines = [" = ".join(["retired", "labels", *counts, "0"]),
                  *[f"t_{site}, n_{site} = -1, 0" for site in sites],
                  *[" = ".join(held)] * bool(named),
-                 "try:", "    while True:", *lines, "        else:", "            break",
+                 "try:", "    while True:", *lines, f"        if pc not in {set(dict(members))}:",
+                 "            break",
                  "finally:", "    at[:] = pc, left, retired, labels",
                  *[f"    {' = '.join(held[::-1])}"] * bool(named),
                  *[f"    if n_{site}: {site}[t_{site}] += n_{site}" for site in sites],
@@ -616,8 +620,7 @@ class Emulator:
         self._last = (-1, None)  # the entry and block of the last block made at a first entry
         self._sites = {}  # the edge dict of each BCF site translated, in the order made
         self._sampled = set()  # the entries of cached blocks sampled once
-        self._hot = {}  # entry -> the block of each member, then of refused ones, newest last
-        self._regions = {}  # the member entries of each region made -> that region
+        self._hot = {}  # entry -> the block of each member of the open region, then refused ones
         self._at = [0, 0, 0, 0]  # where the region stopped, and what it ran
         self._trace = None  # while one is open, its blocks' entries in the order run
         self._words = 0  # the words of every region compiled so far
@@ -737,41 +740,33 @@ class Emulator:
         return _SAMPLE_FETCHES
 
     def _close(self, fetches: int) -> None:
-        """The trace closes, `fetches` into this run: its blocks go last in
-        _hot, in the order they ran, and the region is remade once, of the
-        last _REGION_BLOCKS there: an evicted member runs cold until a later
-        trace takes it.  A loop wider than a region makes the same regions over and
-        over, so each is kept, and only a new one is charged to the compile
-        budget.  Blocks whose region it refuses stay in _hot, for the next."""
-        hot, blocks = self._hot, self._blocks
-        for entry in self._trace:
-            hot[entry] = hot.pop(entry, None) or blocks[entry]  # refused before
+        """The trace closes, `fetches` into this run: its blocks join _hot,
+        the open region, in the order they ran, and the region is remade
+        once.  A trace that would take it past _REGION_BLOCKS leaves it as it
+        is, and _hot restarts with the trace alone: a full region is never
+        remade, and a block refused before runs cold until a later trace
+        takes it.  Blocks whose region the budget refuses stay in _hot."""
+        hot, blocks, trace = self._hot, self._blocks, self._trace
         self._trace = None
-        members = tuple(hot)[-_REGION_BLOCKS:]
-        region = self._regions.get(members)
-        if region is None:
-            words = sum(hot[member][1] for member in members)
-            fetched = self.counters.total + fetches
-            if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
-                return
-            self._words += words
-            if len(self._regions) >= _GENERATED_KEPT:
-                self._regions.clear()
-            region = self._regions[members] = _region(
-                [(member, hot[member]) for member in members], self._at)
-        blocks.update(hot)
-        for member in tuple(hot)[:-_REGION_BLOCKS]:  # evicted
-            del hot[member]
+        if len(hot.keys() | trace) > _REGION_BLOCKS:
+            hot.clear()
+        for entry in trace:
+            hot[entry] = hot.pop(entry, None) or blocks[entry]  # refused before
+        words = sum(block[1] for block in hot.values())
+        fetched = self.counters.total + fetches
+        if (self._words + words) * _SAMPLE_FETCHES > fetched * _INTERVAL_WORDS:
+            return
+        self._words += words
+        region = _region(list(hot.items()), self._at)
         for member, block in hot.items():
-            blocks[member] = ((), _REGION, 0, 0, region, block[5])
+            blocks[member] = (block, _REGION, 0, 0, region, block[5])
 
     # -- main loop -----------------------------------------------------------
     def run(self):
         state, counters, policy = self.state, self.counters, self.policy
         if state.halted:
             return state, counters, policy
-        regs, blocks, translate = state.regs, self._blocks, self._translate
-        hot, at = self._hot, self._at
+        regs, blocks, translate, at = state.regs, self._blocks, self._translate, self._at
         budget = self.max_insns - counters.total
         mark = min(budget, _SAMPLE_FETCHES)  # the next sample point
         fetches = retired = labels = 0  # added to counters at exit
@@ -785,7 +780,7 @@ class Emulator:
                             self._close(fetches)
                             mark = min(budget, fetches + _SAMPLE_FETCHES)
                             continue
-                        region, (ops, n, n_ret, n_lab, term, end) = term, hot[pc]
+                        region, (ops, n, n_ret, n_lab, term, end) = term, ops
                         if n <= budget - fetches:
                             try:
                                 region(regs, pc, budget - fetches)

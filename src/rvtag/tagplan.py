@@ -236,9 +236,9 @@ def landing_offset(offset: int, coverage: int) -> int:
 
 
 def tagged_size(fragment_insn_count: int, coverage: int) -> int:
-    """Byte size of a fragment once carriers are interleaved."""
-    groups = -(-fragment_insn_count // coverage)
-    return INSN_SIZE * (fragment_insn_count + groups)
+    """Byte size of a fragment once carriers are interleaved: where a
+    transfer to its end would land."""
+    return placement(coverage)(INSN_SIZE * fragment_insn_count, landing=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1187,15 +1187,22 @@ def _sites(machine):
 def _published(machine):
     """Whether machine's bcf holds exactly the non-empty edge dicts of its
     sites, in the order they were made, and every edge dict that its cached
-    blocks, hot members and regions bind is one of its sites."""
+    blocks, hot members and regions bind is one of its sites.  A member's
+    _blocks entry holds its region, and its cold block with its terminator."""
     sites = machine._sites
     made = {id(machine.policy.ci_counts), *map(id, sites.values())}
-    terms = [block[4] for block in (*machine._blocks.values(), *machine._hot.values())]
-    bound = [value for code in (*terms, *machine._regions.values())
-             for value in code.__defaults__ or () if type(value) is dict]
+    entries = [*machine._blocks.values(), *machine._hot.values()]
+    terms = [block[4] for block in (*entries, *(entry[0] for entry in entries
+                                                  if entry[1] is emulator._REGION))]
+    bound = [value for code in terms for value in code.__defaults__ or () if type(value) is dict]
     return ([(pc, id(edges)) for pc, edges in machine.policy.bcf.items()]
             == [(pc, id(edges)) for pc, edges in sites.items() if edges]
             and all(id(value) in made for value in bound))
+
+
+def _members(machine) -> list:
+    """The entries of machine's region members, read from its _blocks."""
+    return [pc for pc, entry in machine._blocks.items() if entry[1] is emulator._REGION]
 
 
 def _count_translations(monkeypatch, made=None):
@@ -1372,7 +1379,7 @@ def test_a_site_dropped_at_a_fault_counts_once_its_terminator_runs(monkeypatch, 
     [edges] = once.policy.bcf.values()
     assert sorted(edges.values()) == [1, 5] and once.state.exit_code == 6
     assert often.policy == once.policy and often.state == once.state
-    assert bool(often._regions) == (tier == "forced")
+    assert bool(_members(often)) == (tier == "forced")
 
 
 # A counted loop, as the corpus writes them, then a helper called from two
@@ -1565,7 +1572,7 @@ def test_region_edge_counts_match_the_fetch_trace(monkeypatch, tier, source):
     whole = Emulator(image, mode="aware")
     assert finish(whole) == ran
     assert whole.state.halted == (".zero 64" not in source)
-    assert bool(whole._regions) == (tier == "forced")
+    assert bool(_members(whole)) == (tier == "forced")
     assert any(count > 2 for _, edges in ran for _, count in edges)
     for budget in range(1, fetches):
         machine = Emulator(image, mode="aware", max_insns=budget)
@@ -2288,7 +2295,7 @@ def test_a_cut_while_a_trace_is_open_resumes_as_one_run(monkeypatch, tier, budge
     image = build_image(kernel, config or N3, tagged=config is not None)
     whole = Emulator(image, mode=mode)
     whole.run()
-    assert whole._trace is None and whole._regions
+    assert whole._trace is None and _members(whole)
     closed = []  # the fetches into its run at each close of a trace
     close = Emulator._close
     monkeypatch.setattr(Emulator, "_close",
@@ -3089,44 +3096,72 @@ def test_a_region_member_that_halts_ends_the_run_at_its_halting_word(regions, mo
     assert regions.tally["fetches"] > 0
 
 
+def _loop(name, blocks, iterations):
+    """A loop of `blocks` blocks per iteration, run `iterations` times, each
+    block an addi to t1 and a bne to the next word, which ends it."""
+    chain = "".join(f"    addi t1, t1, {k + 1}\n    bne t1, x0, {name}{k}\n{name}{k}:\n"
+                    for k in range(blocks - 1))
+    return (f"    li s3, {iterations}\n{name}:\n{chain}"
+            f"    addi s3, s3, -1\n    bne s3, x0, {name}\n")
+
+
+def _exits_with_t1(body):
+    return f".globl main\n.entry main\nmain:\n{body}    mv a0, t1\n    li a7, 93\n    ecall\n"
+
+
 def _wide_loop(blocks, iterations):
     """A loop of `blocks` blocks per iteration, each an addi and a bne to
     the next word, which ends it; it exits with the sum of the addis."""
-    chain = "".join(f"    addi t1, t1, {k + 1}\n    bne t1, x0, b{k}\nb{k}:\n"
-                    for k in range(blocks - 1))
-    return (f".globl main\n.entry main\nmain:\n    li s3, {iterations}\nloop:\n{chain}"
-            "    addi s3, s3, -1\n    bne s3, x0, loop\n"
-            "    mv a0, t1\n    li a7, 93\n    ecall\n")
+    return _exits_with_t1(_loop("loop", blocks, iterations))
+
+
+def _revisited_loops(outer, inner):
+    """An outer loop, run `outer` times, that runs two 10-block loops in
+    turn, each `inner` times; it exits with the sum of the addis."""
+    return _exits_with_t1(f"    li s2, {outer}\nouter:\n{_loop('p', 10, inner)}"
+                          f"{_loop('q', 10, inner)}    addi s2, s2, -1\n    bne s2, x0, outer\n")
+
+
+# the regions made and words compiled by a machine that samples as usual, in
+# compat mode untagged and in aware mode under coverage: a full region stays
+# as it is, so none is made twice.  Remaking a full region with each new
+# member in place of its oldest one makes 6 to 57 regions of each
+REGIONS_MADE_ONCE = {emulator._REGION_BLOCKS + 1: ((2, 34), (2, 58)),
+                     emulator._REGION_BLOCKS + 9: ((2, 50), (3, 112)),
+                     40: ((3, 80), (3, 137)), "revisited": ((4, 91), (4, 158))}
 
 
 @pytest.mark.parametrize("config,mode", [(None, "compat"), (COVERAGE, "aware")],
                          ids=["compat", "coverage"])
-def test_a_loop_wider_than_a_region_evicts_members_and_promotes_them_again(
-        monkeypatch, regions_made, config, mode):
-    # each new member of a full region evicts the oldest, which runs cold
-    # until it is sampled twice more and joins again
-    blocks = emulator._REGION_BLOCKS + 3
-    image = build_image(_wide_loop(blocks, 2000), config or N3, tagged=config is not None)
+@pytest.mark.parametrize("loop", REGIONS_MADE_ONCE)
+def test_a_loop_wider_than_a_region_runs_in_regions_made_once(monkeypatch, regions_made, loop,
+                                                              config, mode):
+    # a trace that would take the open region past _REGION_BLOCKS opens the
+    # next one: a loop runs in a region per _REGION_BLOCKS of its blocks,
+    # and one more where its traces start, and the outer loop's two inner
+    # loops in four, at every sample interval
+    if loop == "revisited":
+        source, most, sum_of_addis = _revisited_loops(20, 50), 4, 20 * 50 * 2 * 45
+    else:
+        source, most = _wide_loop(loop, 2000), -(-loop // emulator._REGION_BLOCKS) + 1
+        sum_of_addis = 2000 * (loop - 1) * loop // 2
+    image = build_image(source, config or N3, tagged=config is not None)
     records = []
     for interval in (10 ** 12, emulator._SAMPLE_FETCHES, 0):  # never, as usual, and forced
         regions_made.clear()
         monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", interval)
         records.append(_execution_record(image, mode))
-        made = _member_entries(regions_made)
+        made = [frozenset(members) for members in _member_entries(regions_made)]
         assert bool(made) == (interval < 10 ** 12)
-        assert all(len(members) <= emulator._REGION_BLOCKS for members in made)
-        evicted, rejoined = set(), set()
-        for before, after in zip(made, made[1:]):
-            rejoined |= evicted.intersection(after)
-            evicted |= set(before) - set(after)
-        assert rejoined or not made, interval
+        assert len(made) <= most and len(set(made)) == len(made), interval
     assert records[0] == records[1] == records[2]
     error, regs = ast.literal_eval(records[0].decode())[:2]
-    assert error is None and regs[10] == 2000 * (blocks - 1) * blocks // 2
+    assert error is None and regs[10] == sum_of_addis
+    regions_made.clear()
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1024)
     machine = Emulator(image, mode=mode)
     machine.run()
-    assert 0 < machine._words
+    assert (len(regions_made), machine._words) == REGIONS_MADE_ONCE[loop][config is not None]
     assert machine._words * 1024 <= machine.counters.total * emulator._INTERVAL_WORDS
 
 
@@ -3143,13 +3178,12 @@ def _three_kernels(iterations):
 @pytest.mark.parametrize("workload", ["wide", "kernel"])
 def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_sources, workload,
                                                           regions_made):
-    # past _GENERATED_KEPT, the process drops every shape it compiled, and a
-    # machine every region it made, and builds each again as it comes.  The
-    # wide loop samples as usual: forced, each of its cold dispatches would
-    # compile a region of 16 blocks, about 6,000 of them.  The kernel's loop
-    # closes into one region, so the kernel case runs three copies of it.
+    # past _GENERATED_KEPT, the process drops every shape it compiled, and
+    # builds each again as it comes.  The wide loop of 40 blocks makes three
+    # regions.  The kernel's loop closes into one region, so the kernel case
+    # runs three copies of it.
     if workload == "wide":
-        image, mode = build_image(_wide_loop(19, 2000), N3, tagged=False), "compat"
+        image, mode = build_image(_wide_loop(40, 2000), N3, tagged=False), "compat"
         interval = emulator._SAMPLE_FETCHES
     else:
         image, mode = build_image(_three_kernels(500), COVERAGE, tagged=True), "aware"
@@ -3161,7 +3195,7 @@ def test_regions_past_the_kept_count_run_as_the_cold_tier(monkeypatch, region_so
     monkeypatch.setattr(emulator, "_GENERATED_KEPT", 2)
     assert _execution_record(image, mode) == cold
     # a third region made on the one machine, and a third shape compiled,
-    # each found its cache full
+    # which found the process's cache full
     assert len(made) > 2 and len(region_sources) > 2
     assert len(emulator._GENERATED) <= 2
 
@@ -3207,7 +3241,7 @@ def test_a_trace_whose_region_the_budget_refuses_joins_the_next_region(monkeypat
     # this interval its region is refused, and both stay in _hot, cold
     for entry in (first, first, second, first):
         machine._sample(entry, 0)
-    assert machine._trace is None and not made and not machine._regions
+    assert machine._trace is None and not made and not _members(machine)
     assert list(machine._hot) == [first, second]
     assert emulator._REGION not in (machine._blocks[first][1], machine._blocks[second][1])
     monkeypatch.setattr(emulator, "_SAMPLE_FETCHES", 1)
